@@ -41,10 +41,6 @@ class NotDiagonalError(CompAlgError):
     """Entry is not a diagonal 2x2 block."""
 
 
-class SplitnessUndecidedError(CompAlgError):
-    """A computation needs a split/nonsplit verdict that is not available."""
-
-
 class BoundNotMetError(CompAlgError):
     """Family is too small for the guaranteed-dependence threshold."""
 

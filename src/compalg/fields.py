@@ -23,7 +23,6 @@ from .errors import FieldMismatchError, NotQuadExtError, ZeroDivisorError
 
 YES = "yes"
 NO = "no"
-UNDECIDED = "undecided"
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -328,11 +327,44 @@ class Scalar:
         return Scalar(self.spec.base, self.spec._norm(self.raw))
 
 
+def _sqrt_mod_prime(v: int, p: int):
+    """The smaller square root of v modulo the prime p, or None (Tonelli-Shanks).
+
+    Returning the smaller of r and p - r makes the root canonical: it is the
+    least r >= 0 with r*r = v (mod p).
+    """
+    v %= p
+    if v == 0 or p == 2:
+        return v
+    if pow(v, (p - 1) // 2, p) != 1:
+        return None
+    # p - 1 = q * 2^e with q odd; z is any quadratic non-residue
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    # invariant: r^2 = v * t, and t has order dividing 2^(e-1)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
 def square_root_raw(spec: FieldSpec, value):
     """Exact square root of a raw base-field value, or None if there is none.
 
     For the rationals "none" means the value is not a perfect square (negative
-    or with non-square numerator/denominator).
+    or with non-square numerator/denominator).  Over GF(p) the root is the
+    least residue whose square is the value.
     """
     if isinstance(spec, RationalField):
         v = Fraction(value)
@@ -343,36 +375,20 @@ def square_root_raw(spec: FieldSpec, value):
             return Fraction(rn, rd)
         return None
     if isinstance(spec, PrimeField):
-        p = spec.p
-        v = value % p
-        if v == 0:
-            return 0
-        if p == 2:
-            return v
-        if pow(v, (p - 1) // 2, p) != 1:
-            return None
-        for r in range(1, p):
-            if r * r % p == v:
-                return r
-        return None
+        return _sqrt_mod_prime(value, spec.p)
     raise ValueError("square roots are computed over QQ or GF(p) only")
 
 
 def is_square(x: Scalar) -> str:
-    """Three-valued square test over QQ or GF(p).
+    """"yes" or "no": whether x is a square in its field, QQ or GF(p).
 
-    GF(p) is always decided.  Over QQ, perfect squares answer "yes" and
-    negatives answer "no"; positive non-perfect-squares are reported
-    "undecided" rather than pretending to a general criterion.
+    Over GF(p), p odd, x is a square exactly when x = 0 or x^((p-1)/2) = 1
+    (Euler's criterion).  Over QQ, x is a square exactly when x >= 0 and its
+    numerator and denominator in lowest terms are both perfect squares.
     """
-    spec = x.spec
-    if isinstance(spec, PrimeField):
-        return YES if square_root_raw(spec, x.raw) is not None else NO
-    if isinstance(spec, RationalField):
-        if x.raw < 0:
-            return NO
-        return YES if square_root_raw(spec, x.raw) is not None else UNDECIDED
-    raise ValueError("is_square is defined over QQ or GF(p) only")
+    if not isinstance(x.spec, (PrimeField, RationalField)):
+        raise ValueError("is_square is defined over QQ or GF(p) only")
+    return YES if square_root_raw(x.spec, x.raw) is not None else NO
 
 
 def split_components(x: Scalar) -> tuple[Scalar, Scalar]:

@@ -27,28 +27,116 @@ Scalars act on the right everywhere in this package; since the algebras are
 noncommutative the side matters and left variants are deliberately absent.
 """
 
+from fractions import Fraction
+from math import gcd, isqrt
+
 from .errors import (
     AlgebraMismatchError,
     InfeasibleError,
     NotInvertibleError,
 )
 from .fields import (
-    UNDECIDED,
     FieldSpec,
     PrimeField,
     QuadExt,
     RationalField,
     Scalar,
+    _is_probable_prime,
+    _sqrt_mod_prime,
     square_root_raw,
 )
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
 
-# default search bounds for splitness over the rationals
-_ZERO_DIVISOR_BOX = 5
-_TWO_SQUARES_BOUND = 50
-_FP_SEARCH_LIMIT = 2000
+# Integers are factored by trial division by every d <= _TRIAL_BOUND.  A
+# cofactor left over is prime when it is at most _TRIAL_BOUND**2 or when
+# `_is_probable_prime` accepts it; a composite cofactor above _TRIAL_BOUND**2
+# cannot be split this way and raises InfeasibleError.
+_TRIAL_BOUND = 10**6
+
+
+def _factor(n: int) -> dict:
+    """Prime factorization {p: e} of |n| for an integer n != 0."""
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n and d <= _TRIAL_BOUND:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if n > _TRIAL_BOUND**2 and not _is_probable_prime(n):
+            raise InfeasibleError(
+                f"{n} is composite with no factor up to {_TRIAL_BOUND}; cannot factor it"
+            )
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _squarefree(q):
+    """(A, s, primes) with q = A * s^2, A a squarefree integer and s > 0 rational.
+
+    `primes` lists the primes dividing A.
+    """
+    q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    primes = [p for p, e in _factor(num * den).items() if e % 2]
+    A = -1 if num < 0 else 1
+    for p in primes:
+        A *= p
+    return A, Fraction(isqrt(num * den // A), den), primes
+
+
+def _hilbert_symbol_odd(A: int, B: int, p: int) -> int:
+    """(A, B)_p for squarefree integers A, B and an odd prime p (Serre, III.1.2)."""
+    alpha, beta = A % p == 0, B % p == 0
+    u, v = (A // p if alpha else A), (B // p if beta else B)
+    sign = -1 if alpha and beta and p % 4 == 3 else 1
+    if beta and pow(u % p, (p - 1) // 2, p) != 1:
+        sign = -sign
+    if alpha and pow(v % p, (p - 1) // 2, p) != 1:
+        sign = -sign
+    return sign
+
+
+def _sqrt_mod_squarefree(a: int, primes) -> int:
+    """r with r^2 = a modulo m = prod(primes) and |r| <= m/2, by CRT over the primes."""
+    r, m = 0, 1
+    for p in primes:
+        rp = _sqrt_mod_prime(a, p)
+        if rp is None:
+            raise AssertionError(f"{a} is not a square mod {p} in a split descent")
+        r += m * ((rp - r) * pow(m, -1, p) % p)
+        m *= p
+    return r - m if 2 * r > m else r
+
+
+def _legendre_solution(a: int, a_primes, b: int, b_primes):
+    """Integers (w, x, y), not all zero, with w^2 = a*x^2 + b*y^2.
+
+    a and b are squarefree with (a, b)_v = +1 at every place v; `a_primes` and
+    `b_primes` list their prime factors.  Lagrange's descent: with |a| <= |b|,
+    pick r^2 = a (mod b), write r^2 - a = b*c*k^2 with c squarefree, so
+    |c| < |b| and (a, c) = (a, b).  A solution (W, X, Y) for (a, c) lifts
+    through the norm identity N(r + sqrt a) N(W + X sqrt a) = b (c k Y)^2.
+    """
+    if a == 1:
+        return (1, 1, 0)
+    if b == 1:
+        return (1, 0, 1)
+    if abs(a) > abs(b):
+        w, y, x = _legendre_solution(b, b_primes, a, a_primes)
+        return (w, x, y)
+    if abs(b) == 1:
+        raise AssertionError("(-1,-1) reached the Legendre descent")
+    r = _sqrt_mod_squarefree(a, b_primes)
+    c, k, c_primes = _squarefree((r * r - a) // b)
+    W, X, Y = _legendre_solution(a, a_primes, c, c_primes)
+    w, x, y = r * W + a * X, W + r * X, c * int(k) * Y
+    g = gcd(gcd(w, x), y)
+    return (w // g, x // g, y // g)
 
 
 class QuatAlgebra:
@@ -144,6 +232,9 @@ class QuatAlgebra:
         return f"({self.a.raw},{self.b.raw})_{self.field!r}"
 
     def element(self, coeffs) -> "QuaternionElement":
+        """Element x0 + x1*u + x2*v + x3*w from the coefficients (x0, x1, x2, x3)."""
+        if len(coeffs) != 4:
+            raise ValueError(f"a quaternion needs 4 coefficients, got {len(coeffs)}")
         return QuaternionElement(self, tuple(self.field._coerce(c) for c in coeffs))
 
     def zero(self):
@@ -179,13 +270,20 @@ class QuatAlgebra:
         return cls(field, 1, -1)
 
     def is_split_decision(self) -> str:
-        """'split', 'nonsplit', or 'undecided', with a verified witness for 'split'.
+        """'split' or 'nonsplit'; a 'split' verdict comes with a verified witness.
 
-        Over GF(p) a zero divisor is searched for exhaustively and the search
-        result alone is the answer.  Over QQ the decision combines a bounded
-        zero-divisor search, the sum-of-two-squares criterion for b = -1 (or
-        a = -1 through the parameter swap), and positive-definiteness of the
-        norm form when a < 0 and b < 0; anything else stays undecided.
+        Over GF(p), p odd, every quaternion algebra splits.  The witness is
+        s + u + x2*v for the least x2 >= 0 making a + b*x2^2 a square
+        (Euler's criterion) and s its square root (Tonelli-Shanks).
+
+        Over QQ, write a = A*s^2 and b = B*t^2 with A, B squarefree integers.
+        The algebra splits if and only if the Hilbert symbol (A, B)_v is +1 at
+        v = infinity (not both negative) and at every odd prime dividing AB;
+        by Hilbert reciprocity the symbol at 2 then is +1 as well.  The
+        witness w + (x/s)*u + (y/t)*v comes from a solution of
+        w^2 = A*x^2 + B*y^2 found by Legendre descent.  Factoring is trial
+        division up to 10^6; a composite cofactor above 10^12 left by it
+        raises InfeasibleError.
         """
         if self._split_state is None:
             self._split_state = self._decide_split()
@@ -197,108 +295,37 @@ class QuatAlgebra:
         return self._split_state[1]
 
     def _decide_split(self):
-        norm0 = lambda z: z.norm().is_zero() and not z.is_zero()
-        # perfect-square parameter gives an explicit zero divisor (s+u)(s-u) = a - u^2 = 0
-        for par, idx in ((self.a, 1), (self.b, 2)):
-            s = square_root_raw(self.field, par.raw)
-            if s is not None:
-                coeffs = [s, 0, 0, 0]
-                coeffs[idx] = 1
-                z = self.element(coeffs)
-                if norm0(z):
-                    return (SPLIT, z)
         if isinstance(self.field, PrimeField):
             z = self._fp_zero_divisor()
-            if z is None or not norm0(z):
-                raise InfeasibleError("no zero divisor found over the prime field")
-            return (SPLIT, z)
-        z = self._box_zero_divisor(_ZERO_DIVISOR_BOX)
-        if z is not None and norm0(z):
-            return (SPLIT, z)
-        z = self._two_squares_zero_divisor(_TWO_SQUARES_BOUND)
-        if z is not None and norm0(z):
-            return (SPLIT, z)
-        if self.a.raw < 0 and self.b.raw < 0:
-            # the norm form x0^2 - a x1^2 - b x2^2 + ab x3^2 is positive definite
+        else:
+            z = self._qq_zero_divisor()
+        if z is None:
             return (NONSPLIT, None)
-        return (UNDECIDED, None)
+        if z.is_zero() or not z.norm().is_zero():
+            raise AssertionError(f"split witness {z!r} is not a zero divisor")
+        return (SPLIT, z)
 
     def _fp_zero_divisor(self):
-        p = self.field.p
-        if p > _FP_SEARCH_LIMIT:
-            raise InfeasibleError(f"zero-divisor search over GF({p}) exceeds the budget")
-        sqrt_table = {}
-        for r in range(p):
-            sqrt_table.setdefault(r * r % p, r)
+        # the values a + b*x2^2 and the squares each fill (p+1)/2 residues,
+        # so some x2 <= (p-1)/2 meets a square
         a, b = self.a.raw, self.b.raw
-        # exhaust the x3 = 0 slice first: x0^2 = a x1^2 + b x2^2
-        for x1 in range(p):
-            for x2 in range(p):
-                if x1 == 0 and x2 == 0:
-                    continue
-                t = (a * x1 * x1 + b * x2 * x2) % p
-                if t in sqrt_table:
-                    return self.element((sqrt_table[t], x1, x2, 0))
-        # full fallback; unreachable for odd p but keeps the search honest
-        for x0 in range(p):
-            for x1 in range(p):
-                for x2 in range(p):
-                    for x3 in range(p):
-                        if x0 == x1 == x2 == x3 == 0:
-                            continue
-                        z = self.element((x0, x1, x2, x3))
-                        if z.norm().is_zero():
-                            return z
-        return None
+        x2 = 0
+        while True:
+            s = square_root_raw(self.field, a + b * x2 * x2)
+            if s is not None:
+                return self.element((s, 1, x2, 0))
+            x2 += 1
 
-    def _box_zero_divisor(self, box: int):
-        rng = range(-box, box + 1)
-        for x0 in range(0, box + 1):
-            for x1 in rng:
-                for x2 in rng:
-                    for x3 in rng:
-                        if x0 == x1 == x2 == x3 == 0:
-                            continue
-                        z = self.element((x0, x1, x2, x3))
-                        if z.norm().is_zero():
-                            return z
-        return None
-
-    def _two_squares_zero_divisor(self, bound: int):
-        # (a,-1): split iff a = r^2 + s^2; then r + u + s*v has norm
-        # r^2 - a + s^2 = 0.  (-1,b) is the same through the parameter swap.
-        minus_one = self.field.element(-1)
-        if self.b == minus_one:
-            pair = self._sum_of_two_squares(self.a.raw, bound)
-            if pair is not None:
-                r, s = pair
-                return self.element((r, 1, s, 0))
-        if self.a == minus_one:
-            pair = self._sum_of_two_squares(self.b.raw, bound)
-            if pair is not None:
-                r, s = pair
-                return self.element((r, s, 1, 0))
-        return None
-
-    def _sum_of_two_squares(self, value, bound: int):
-        from fractions import Fraction
-        from math import isqrt
-
-        val = Fraction(value)
-        if val < 0:
+    def _qq_zero_divisor(self):
+        A, s, a_primes = _squarefree(self.a.raw)
+        B, t, b_primes = _squarefree(self.b.raw)
+        if A < 0 and B < 0:
             return None
-        for den in range(1, bound + 1):
-            m = val * den * den
-            if m.denominator != 1:
-                continue
-            m = m.numerator
-            top = isqrt(m)
-            for n1 in range(min(top, bound) + 1):
-                rest = m - n1 * n1
-                n2 = isqrt(rest)
-                if n2 * n2 == rest and n2 <= bound:
-                    return (Fraction(n1, den), Fraction(n2, den))
-        return None
+        for p in set(a_primes) | set(b_primes):
+            if p != 2 and _hilbert_symbol_odd(A, B, p) == -1:
+                return None
+        w, x, y = _legendre_solution(A, a_primes, B, b_primes)
+        return self.element((w, x / s, y / t, 0))
 
 
 class QuaternionElement:
@@ -430,8 +457,12 @@ class Mat2Algebra:
 
     def element(self, entries) -> "Mat2Element":
         """Entries (m00, m01, m10, m11), or a 2x2 nested list."""
-        if len(entries) == 2:
+        if len(entries) == 2 and all(
+            isinstance(row, (list, tuple)) and len(row) == 2 for row in entries
+        ):
             entries = (entries[0][0], entries[0][1], entries[1][0], entries[1][1])
+        if len(entries) != 4:
+            raise ValueError(f"a 2x2 matrix needs 4 entries or 2 rows of 2, got {entries!r}")
         return Mat2Element(self, tuple(self.field._coerce(e) for e in entries))
 
     def zero(self):

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BoundNotMetError, InfeasibleError, SplitnessUndecidedError
+from .errors import BoundNotMetError, InfeasibleError
 from .fields import PrimeField, Scalar
-from .quaternion import NONSPLIT, SPLIT
+from .quaternion import SPLIT
 from .matrices import CompMatrix, field_solve_homogeneous, is_invertible
 from .rng import SplitMix64
 
@@ -48,12 +48,9 @@ def dependence_bound(algebra, m: int, d: int) -> int:
     """Per-column threshold: m-d+1 for a division algebra, 4*(m-d+1) when split."""
     if not 1 <= d <= m:
         raise ValueError("need 1 <= d <= m")
-    verdict = algebra.is_split_decision()
-    if verdict == SPLIT:
+    if algebra.is_split_decision() == SPLIT:
         return algebra.dim * (m - d + 1)
-    if verdict == NONSPLIT:
-        return m - d + 1
-    raise SplitnessUndecidedError(f"splitness of {algebra!r} is undecided")
+    return m - d + 1
 
 
 def _entry_coeffs(e):

@@ -138,8 +138,11 @@ def matrix_to_json(Z: CompMatrix):
 
 
 def matrix_from_json(obj) -> CompMatrix:
-    algebra = algebra_from_json(obj["algebra"])
-    m, n = obj["m"], obj["n"]
+    try:
+        algebra = algebra_from_json(obj["algebra"])
+        m, n = obj["m"], obj["n"]
+    except KeyError as exc:
+        raise CompAlgError(f"matrix payload is missing the key {exc.args[0]!r}") from None
     spec = algebra.field
     flat = obj.get("entries") if "entries" in obj else obj.get("blocks")
     if flat is None or len(flat) != m * n:

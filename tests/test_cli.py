@@ -127,3 +127,19 @@ def test_spin_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_malformed_matrix_payloads_exit_cleanly(capsys):
+    quat_q = {"field": {"kind": "Q"}, "a": "-1", "b": "-1"}
+    payloads = (
+        ({"m": 1, "n": 1}, "'algebra'"),
+        ({"algebra": quat_q, "m": 1, "n": 1, "entries": [["1", "0", "0"]]}, "4 coefficients"),
+    )
+    for payload, expected in payloads:
+        code, out, err = run(capsys, "mat", "study-det", "--input", json.dumps(payload))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert expected in json.loads(lines[0])["error"]["message"]

@@ -6,13 +6,13 @@ from compalg.errors import FieldMismatchError, NotQuadExtError, ZeroDivisorError
 from compalg.fields import (
     NO,
     QQ,
-    UNDECIDED,
     YES,
     PrimeField,
     QuadExt,
     from_split_components,
     is_square,
     split_components,
+    square_root_raw,
 )
 from compalg.rng import SplitMix64
 
@@ -109,7 +109,7 @@ def test_is_square():
     assert is_square(F5.element(2)) == NO
     assert is_square(QQ.element(Fraction(9, 4))) == YES
     assert is_square(QQ.element(-1)) == NO
-    assert is_square(QQ.element(2)) == UNDECIDED
+    assert is_square(QQ.element(2)) == NO
 
 
 def test_prime_validation():
@@ -170,3 +170,23 @@ def test_split_components_roundtrip():
         assert from_split_components(L, c1, c2) == z
         p1, p2 = split_components(z * wz)
         assert (p1, p2) == (c1 * d1, c2 * d2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 73, 97, 257, 7681])
+def test_square_root_is_least_root(p):
+    # 7681 = 15 * 2^9 + 1 makes Tonelli-Shanks run its full descent
+    F = PrimeField(p)
+    least = {}
+    for r in range(p - 1, -1, -1):
+        least[r * r % p] = r
+    for v in range(p):
+        assert square_root_raw(F, v) == least.get(v)
+
+
+def test_split_quad_ext_over_large_prime():
+    p = 10**9 + 7
+    a = (5 * 7 * 11) ** 2
+    L = QuadExt(PrimeField(p), a)
+    assert L.split
+    root, _ = split_components(L.gen())
+    assert (root * root).raw == a

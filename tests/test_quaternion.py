@@ -1,13 +1,13 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from compalg.errors import AlgebraMismatchError, NotInvertibleError
+from compalg.errors import AlgebraMismatchError, InfeasibleError, NotInvertibleError
 from compalg.fields import QQ, PrimeField
 from compalg.quaternion import (
     NONSPLIT,
     SPLIT,
-    UNDECIDED,
     Mat2Algebra,
     QuatAlgebra,
     QuaternionElement,
@@ -147,14 +147,85 @@ def test_is_split_decisions():
     assert witness.norm().is_zero() and not witness.is_zero()
     two = QuatAlgebra(QQ, 2, -1)
     assert two.is_split_decision() == SPLIT  # 2 = 1^2 + 1^2
-    assert QuatAlgebra(QQ, 2, 5).is_split_decision() == UNDECIDED
+    assert QuatAlgebra(QQ, 2, 5).is_split_decision() == NONSPLIT  # (2,5)_5 = -1
     assert QuatAlgebra(PrimeField(5), -1, -1).is_split_decision() == SPLIT
     assert QuatAlgebra(QQ, 4, 7).is_split_decision() == SPLIT  # perfect square a
-    # sums of two squares out of reach of the small zero-divisor box search
     assert QuatAlgebra(QQ, 61, -1).is_split_decision() == SPLIT  # 61 = 25 + 36
     assert QuatAlgebra(QQ, -1, 61).is_split_decision() == SPLIT  # via the swap
     w61 = QuatAlgebra(QQ, 61, -1).split_witness()
     assert w61.norm().is_zero() and not w61.is_zero()
+
+
+def test_prime_field_algebras_split_at_large_primes():
+    for p in (2003, 10007, 10**9 + 7):
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        for a, b in ((nonresidue, nonresidue), (1, nonresidue), (nonresidue, p - 1)):
+            alg = QuatAlgebra(PrimeField(p), a, b)
+            assert alg.is_split_decision() == SPLIT
+            witness = alg.split_witness()
+            assert witness.norm().is_zero() and not witness.is_zero()
+
+
+def _small_solution_exists(a: int, b: int) -> bool:
+    """Whether x0^2 = a*x1^2 + b*x2^2 with 0 <= x1, x2 <= isqrt(|ab|), not both 0.
+
+    By Holzer's theorem a solvable equation has a solution in this box.
+    """
+    bound = isqrt(abs(a * b))
+    for x1 in range(bound + 1):
+        for x2 in range(bound + 1):
+            t = a * x1 * x1 + b * x2 * x2
+            if (x1 or x2) and t >= 0 and isqrt(t) ** 2 == t:
+                return True
+    return False
+
+
+def test_split_decision_cross_check():
+    pairs = [(a, b) for a in range(-20, 21) for b in range(-20, 21) if a and b]
+    pairs += [
+        (Fraction(1, 3), 5),
+        (Fraction(2, 9), Fraction(-7, 4)),
+        (Fraction(-5, 12), Fraction(3, 7)),
+        (Fraction(-6, 5), Fraction(-3, 10)),
+        (Fraction(17, 8), Fraction(-1, 2)),
+        (Fraction(7, 50), Fraction(11, 18)),
+    ]
+    verdicts = set()
+    for a, b in pairs:
+        alg = QuatAlgebra(QQ, a, b)
+        verdict = alg.is_split_decision()
+        verdicts.add(verdict)
+        if verdict == SPLIT:
+            witness = alg.split_witness()
+            assert witness.norm().is_zero() and not witness.is_zero()
+        else:
+            assert verdict == NONSPLIT and alg.split_witness() is None
+            # (a, b) ~ (a*q^2, b*s^2): search with the integer parameters
+            a, b = Fraction(a), Fraction(b)
+            ia, ib = a.numerator * a.denominator, b.numerator * b.denominator
+            assert not _small_solution_exists(ia, ib), (a, b)
+    assert verdicts == {SPLIT, NONSPLIT}
+
+
+def test_split_decision_large_parameters():
+    # a prime cofactor beyond the trial-division bound is accepted
+    big = 10**12 + 61  # prime, 1 mod 4, so a sum of two squares
+    alg = QuatAlgebra(QQ, big, -1)
+    assert alg.is_split_decision() == SPLIT
+    witness = alg.split_witness()
+    assert witness.norm().is_zero() and not witness.is_zero()
+    assert QuatAlgebra(QQ, -big, -3).is_split_decision() == NONSPLIT
+    # a composite cofactor beyond it cannot be factored
+    with pytest.raises(InfeasibleError):
+        QuatAlgebra(QQ, 1_000_003 * 1_000_033, 5).is_split_decision()
+
+
+def test_element_rejects_wrong_length():
+    with pytest.raises(ValueError, match="4 coefficients"):
+        HQ.element((1, 2, 3))
+    with pytest.raises(ValueError, match="4 entries"):
+        Mat2Algebra(QQ).element((1, 2, 3))
+    assert Mat2Algebra(QQ).element([[1, 2], [3, 4]]) == Mat2Algebra(QQ).element((1, 2, 3, 4))
 
 
 def test_mat2_basis_satisfies_relations():

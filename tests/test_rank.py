@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from compalg.corpus import corpus_fixtures, load_fixture
-from compalg.errors import BoundNotMetError, SplitnessUndecidedError
+from compalg.errors import BoundNotMetError
 from compalg.fields import QQ, PrimeField
 from compalg.matrices import CompMatrix
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
@@ -91,8 +91,7 @@ def test_dependence_bound_values():
     assert dependence_bound(Mat2Algebra(QQ), 2, 1) == 8
     assert dependence_bound(HQ, 3, 3) == 1
     assert dependence_bound(Mat2Algebra(QQ), 3, 3) == 4
-    with pytest.raises(SplitnessUndecidedError):
-        dependence_bound(QuatAlgebra(QQ, 2, 5), 2, 1)
+    assert dependence_bound(QuatAlgebra(QQ, 2, 5), 2, 1) == 2
     with pytest.raises(ValueError):
         dependence_bound(HQ, 2, 3)
 
