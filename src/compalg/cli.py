@@ -30,7 +30,7 @@ from .matrices import (
     symplectic_rep,
 )
 from .quaternion import Mat2Algebra, QuatAlgebra
-from .rank import comp_rank, dependence_bound, verify_span_bound
+from .rank import DEFAULT_BUDGET_MS, comp_rank, dependence_bound, verify_span_bound
 from .rng import SplitMix64
 from .serialize import (
     element_to_json,
@@ -38,8 +38,6 @@ from .serialize import (
     raw_to_json,
     scalar_to_json,
 )
-
-DEFAULT_BUDGET_MS = 60_000
 
 
 @dataclass
@@ -185,7 +183,7 @@ def matrix_argument(args) -> CompMatrix:
         return matrix_from_json(fixture["matrix"])
     if getattr(args, "input", None):
         payload = load_json_file(args.input)
-        return matrix_from_json(payload.get("matrix", payload))
+        return matrix_from_json(payload.get("matrix", payload) if isinstance(payload, dict) else payload)
     raise CliError("provide --input FILE or --fixture NAME")
 
 

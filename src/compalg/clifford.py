@@ -299,10 +299,6 @@ class Multivector:
         return inv
 
 
-def geometric_product(x: Multivector, y: Multivector) -> Multivector:
-    return x * y
-
-
 def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     """Product of vectors with Q(v) = +-1; the factorization is remembered.
 

@@ -133,9 +133,6 @@ class FieldMatrix:
         c = self.spec.element(c)
         return FieldMatrix(self.spec, [[e * c for e in row] for row in self.rows])
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, list(zip(*self.rows)))
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
@@ -144,9 +141,6 @@ class FieldMatrix:
 
     def submatrix(self, row_idx, col_idx) -> "FieldMatrix":
         return FieldMatrix(self.spec, [[self.rows[i][j] for j in col_idx] for i in row_idx])
-
-    def map_entries(self, fn, spec=None) -> "FieldMatrix":
-        return FieldMatrix(spec or self.spec, [[fn(e) for e in row] for row in self.rows])
 
     def det(self) -> Scalar:
         """Exact determinant.

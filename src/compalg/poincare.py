@@ -24,8 +24,6 @@ variant has a vanishing factor) and coincides with the ordinary t-binomial
 coefficient; the oriented odd case uses the quartic-degree product below.
 """
 
-from math import comb
-
 from .errors import BranchUnavailableError, InexactDivisionError, RankMismatchError
 
 
@@ -310,7 +308,3 @@ def clifford_group_quotient_poincare(n: int, p: int, q: int) -> UniPoly:
         raise BranchUnavailableError("the odd-dimension formula needs even p")
     m, k = (n - 1) // 2, p // 2
     return one_plus(1) * oriented_grassmann_poincare(m, k)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import CompAlgError
 from .fields import QQ, FieldSpec, PrimeField, QuadExt, RationalField, Scalar
-from .quaternion import Mat2Algebra, Mat2Element, QuatAlgebra, QuaternionElement
+from .quaternion import Mat2Algebra, Mat2Element, QuatAlgebra, QuaternionElement, mat2_to_quat
 from .matrices import CompMatrix
 
 
@@ -138,6 +138,8 @@ def matrix_to_json(Z: CompMatrix):
 
 
 def matrix_from_json(obj) -> CompMatrix:
+    if not isinstance(obj, dict):
+        raise CompAlgError(f"matrix payload must be a JSON object, got {obj!r}")
     try:
         algebra = algebra_from_json(obj["algebra"])
         m, n = obj["m"], obj["n"]
@@ -148,21 +150,13 @@ def matrix_from_json(obj) -> CompMatrix:
     if flat is None or len(flat) != m * n:
         raise CompAlgError("matrix payload must carry m*n entries")
     elems = []
-    for item in flat:
-        if isinstance(algebra, QuatAlgebra) and not (item and isinstance(item[0], list)):
+    for k, item in enumerate(flat):
+        if isinstance(algebra, QuatAlgebra) and isinstance(item, list) and not (item and isinstance(item[0], list)):
             elems.append(algebra.element([raw_from_json(spec, c) for c in item]))
-        else:
-            target = algebra if isinstance(algebra, Mat2Algebra) else None
-            block = [
-                raw_from_json(spec, item[0][0]),
-                raw_from_json(spec, item[0][1]),
-                raw_from_json(spec, item[1][0]),
-                raw_from_json(spec, item[1][1]),
-            ]
-            if target is not None:
-                elems.append(target.element(block))
-            else:
-                from .quaternion import mat2_to_quat
-
-                elems.append(mat2_to_quat(Mat2Algebra(spec).element(block), algebra))
+            continue
+        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(r, list) and len(r) == 2 for r in item)):
+            raise CompAlgError(f"block {k} must be a 2x2 list [[a, b], [c, d]], got {item!r}")
+        mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(spec)
+        block = mat2.element([raw_from_json(spec, e) for row in item for e in row])
+        elems.append(block if mat2 is algebra else mat2_to_quat(block, algebra))
     return CompMatrix(algebra, [elems[i * n : (i + 1) * n] for i in range(m)])

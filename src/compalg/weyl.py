@@ -13,7 +13,13 @@ Invariant rings are probed three ways: Reynolds averaging, explicit
 fundamental generators (elementary symmetric functions, plain or evaluated
 on x_i + 1/x_i for the signed flavors), and a bounded-degree generation
 check that answers "expressible" or "inconclusive at this bound", never
-claiming a refutation.  Index counts |G| / |H| feed the free-module ranks in
+claiming a refutation.  Reynolds makes one pass over G on raw exponent
+tuples.  The generation check meets each orbit once, keyed by its sorted
+(absolute) exponents, and lists it straight from the exponent vector:
+rearrangements, plus sign patterns on the nonzero entries for the signed
+flavor.  The generator products are row-reduced once to an echelon basis
+keyed by leading monomial, and each orbit sum is reduced against that
+basis.  Index counts |G| / |H| feed the free-module ranks in
 the K-group bookkeeping: the quaternionic pair gives (2n)!/n!, the split
 pair the central binomial coefficient, and the smallest split case 2.
 """
@@ -22,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     InfeasibleError,
@@ -398,14 +404,35 @@ def is_invariant(G: SignedPermGroup, f: LaurentPoly) -> bool:
 
 
 def reynolds(G: SignedPermGroup, f: LaurentPoly, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> LaurentPoly:
-    """Group average (1/|G|) sum g.f; idempotent on invariants."""
+    """Group average (1/|G|) sum g.f; idempotent on invariants.
+
+    One pass over G on raw exponent tuples, with f's coefficients scaled to
+    integers by their common denominator.  Each g permutes exponent vectors,
+    so the terms of g.f are distinct; they go into the total in f's term
+    order and a key is dropped when its sum cancels, so the result's terms
+    come in the order that summing the images one by one would give.
+    """
     order = G.order()
     if order > max_order:
         raise InfeasibleError(f"|G| = {order} exceeds the averaging budget {max_order}")
-    acc = LaurentPoly(f.nvars, {})
+    if G.n != f.nvars:
+        raise ShapeError("group element and polynomial have different variable counts")
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(expo, c.numerator * (denom // c.denominator)) for expo, c in f.terms.items()]
+    acc = {}
     for g in G.elements():
-        acc = acc + act(g, f)
-    return acc.scale(Fraction(1, order))
+        for expo, coeff in terms:
+            new = [0] * f.nvars
+            for e, target, sign in zip(expo, g.perm, g.signs):
+                new[target] = sign * e
+            key = tuple(new)
+            total = acc.get(key, 0) + coeff
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+    scale = denom * order
+    return LaurentPoly(f.nvars, {expo: Fraction(c, scale) for expo, c in acc.items()})
 
 
 def elementary_symmetric(k: int, gens: list[LaurentPoly], nvars: int) -> LaurentPoly:
@@ -477,9 +504,13 @@ class GenerationReport:
         }
 
 
-def _orbit_sum(G: SignedPermGroup, expo: tuple) -> LaurentPoly:
-    monomials = {tuple(act(g, LaurentPoly(G.n, {expo: 1})).terms.keys())[0] for g in G.elements()}
-    return LaurentPoly(G.n, {m: Fraction(1) for m in monomials})
+def _orbit(flavor: str, expo: tuple) -> set:
+    """The orbit of x^expo: its rearrangements, with any signs on the nonzero
+    entries for Hyperoctahedral."""
+    if flavor == "Sym":
+        return set(permutations(expo))
+    choices = [(e, -e) if e else (0,) for e in expo]
+    return {p for signed in product(*choices) for p in permutations(signed)}
 
 
 def _bounded_products(flavor: str, n: int, bound: int) -> list[LaurentPoly]:
@@ -506,6 +537,39 @@ def _bounded_products(flavor: str, n: int, bound: int) -> list[LaurentPoly]:
     return [poly for poly, _ in results]
 
 
+def _echelon(polys) -> dict:
+    """Echelon basis of the span: leading monomial -> row with leading coefficient 1."""
+    basis = {}
+    for poly in polys:
+        row = _reduce(basis, dict(poly.terms))
+        if row:
+            lead = max(row)
+            inv = 1 / row[lead]
+            basis[lead] = {m: c * inv for m, c in row.items()}
+    return basis
+
+
+def _reduce(basis: dict, row: dict) -> dict:
+    """Cancel row's leading monomial against the basis until it is no pivot.
+
+    Every combination of basis rows leads with a pivot, so row lies in their
+    span exactly when nothing is left.
+    """
+    while row:
+        lead = max(row)
+        pivot = basis.get(lead)
+        if pivot is None:
+            break
+        factor = row[lead]
+        for m, c in pivot.items():
+            value = row.get(m, 0) - factor * c
+            if value:
+                row[m] = value
+            else:
+                row.pop(m, None)
+    return row
+
+
 def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationReport:
     """Check bounded orbit-sums against bounded generator products.
 
@@ -514,64 +578,23 @@ def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationRepor
     """
     if n > 3 or degree_bound > 6:
         raise InfeasibleError("generation checking is budgeted to n <= 3, bound <= 6")
-    if flavor == "Sym":
-        G = SymGroup(n)
-    elif flavor == "Hyperoctahedral":
-        G = HyperoctahedralGroup(n)
-    else:
+    if flavor not in ("Sym", "Hyperoctahedral"):
         raise UnsupportedFlavorError(f"no generation check for flavor {flavor!r}")
-    candidates = _bounded_products(flavor, n, degree_bound)
+    basis = _echelon(_bounded_products(flavor, n, degree_bound))
     report = GenerationReport(flavor=flavor, n=n, degree_bound=degree_bound)
     seen = set()
     for expo in product(range(-degree_bound, degree_bound + 1), repeat=n):
-        orbit = _orbit_sum(G, expo)
-        key = frozenset(orbit.terms)
-        if key in seen or orbit.is_zero():
+        key = tuple(sorted(expo if flavor == "Sym" else map(abs, expo)))
+        if key in seen:
             continue
         seen.add(key)
+        orbit = dict.fromkeys(_orbit(flavor, expo), 1)
         report.checked += 1
-        if _in_span(orbit, candidates):
-            report.expressible += 1
+        if _reduce(basis, dict(orbit)):
+            report.inconclusive.append(LaurentPoly(n, orbit).text())
         else:
-            report.inconclusive.append(orbit.text())
+            report.expressible += 1
     return report
-
-
-def _in_span(target: LaurentPoly, candidates: list[LaurentPoly]) -> bool:
-    support = set(target.terms)
-    for c in candidates:
-        support.update(c.terms)
-    support = sorted(support)
-    index = {m: i for i, m in enumerate(support)}
-    rows = [[Fraction(0)] * len(candidates) for _ in support]
-    for j, c in enumerate(candidates):
-        for m, coeff in c.terms.items():
-            rows[index[m]][j] = coeff
-    rhs = [Fraction(0)] * len(support)
-    for m, coeff in target.terms.items():
-        rhs[index[m]] = coeff
-    # consistency of rows * x = rhs by elimination
-    ncols = len(candidates)
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        rhs[rank], rhs[pivot] = rhs[pivot], rhs[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [e * inv for e in rows[rank]]
-        rhs[rank] = rhs[rank] * inv
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-                rhs[r] = rhs[r] - factor * rhs[rank]
-        rank += 1
-    for r in range(len(rows)):
-        if all(e == 0 for e in rows[r]) and rhs[r] != 0:
-            return False
-    return True
 
 
 def group_from_json(obj) -> SignedPermGroup:

@@ -81,11 +81,6 @@ class IntMatrix:
     def columns(self, idx) -> "IntMatrix":
         return IntMatrix([[row[j] for j in idx] for row in self.rows])
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.m != other.m:
-            raise ShapeError("row counts differ")
-        return IntMatrix([list(a) + list(b) for a, b in zip(self.rows, other.rows)])
-
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
 

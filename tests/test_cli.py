@@ -134,6 +134,10 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
     payloads = (
         ({"m": 1, "n": 1}, "'algebra'"),
         ({"algebra": quat_q, "m": 1, "n": 1, "entries": [["1", "0", "0"]]}, "4 coefficients"),
+        ([1], "must be a JSON object"),
+        ({"matrix": [1]}, "must be a JSON object"),
+        ({"algebra": {"field": {"kind": "Q"}, "mat2": True}, "m": 1, "n": 1, "blocks": [[[1]]]}, "block 0 must be a 2x2"),
+        ({"algebra": quat_q, "m": 1, "n": 2, "entries": [["1", "0", "0", "0"], 5]}, "block 1 must be a 2x2"),
     )
     for payload, expected in payloads:
         code, out, err = run(capsys, "mat", "study-det", "--input", json.dumps(payload))

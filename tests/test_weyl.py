@@ -1,18 +1,21 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
-from compalg.errors import InfeasibleError, NotDividingError, UnsupportedFlavorError
+from compalg.errors import InfeasibleError, NotDividingError, ShapeError, UnsupportedFlavorError
 from compalg.rng import SplitMix64
 from compalg.weyl import (
     EvenSignedGroup,
+    GenerationReport,
     HyperoctahedralGroup,
     LaurentPoly,
     ProductGroup,
     SignedPerm,
     SymGroup,
     TrivialGroup,
+    _bounded_products,
     act,
     fundamental_generators,
     group_from_json,
@@ -35,6 +38,67 @@ def random_poly(nvars, rng, terms=3, bound=2):
         expo = tuple(rng.randint(-bound, bound) for _ in range(nvars))
         out = out + LaurentPoly(nvars, {expo: Fraction(rng.randint(-3, 3))})
     return out
+
+
+def reynolds_oracle(G, f):
+    """Element-by-element average on LaurentPoly, the reference for `reynolds`."""
+    acc = LaurentPoly(f.nvars, {})
+    for g in G.elements():
+        acc = acc + act(g, f)
+    return acc.scale(Fraction(1, G.order()))
+
+
+def in_span_oracle(target, candidates):
+    """Dense elimination of candidates * x = target over the joint support."""
+    support = set(target.terms)
+    for c in candidates:
+        support.update(c.terms)
+    index = {m: i for i, m in enumerate(sorted(support))}
+    rows = [[Fraction(0)] * len(candidates) for _ in index]
+    for j, c in enumerate(candidates):
+        for m, coeff in c.terms.items():
+            rows[index[m]][j] = coeff
+    rhs = [Fraction(0)] * len(index)
+    for m, coeff in target.terms.items():
+        rhs[index[m]] = coeff
+    rank = 0
+    for col in range(len(candidates)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rhs[rank], rhs[pivot] = rhs[pivot], rhs[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [e * inv for e in rows[rank]]
+        rhs[rank] = rhs[rank] * inv
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                rhs[r] = rhs[r] - factor * rhs[rank]
+        rank += 1
+    return not any(all(e == 0 for e in row) and b != 0 for row, b in zip(rows, rhs))
+
+
+def verify_generation_oracle(flavor, n, bound):
+    """Orbit sums by acting with every group element, one dense solve per orbit."""
+    G = SymGroup(n) if flavor == "Sym" else HyperoctahedralGroup(n)
+    candidates = _bounded_products(flavor, n, bound)
+    report = GenerationReport(flavor=flavor, n=n, degree_bound=bound)
+    seen = set()
+    for expo in product(range(-bound, bound + 1), repeat=n):
+        monomial = LaurentPoly(n, {expo: 1})
+        orbit = LaurentPoly(n, {next(iter(act(g, monomial).terms)): 1 for g in G.elements()})
+        key = frozenset(orbit.terms)
+        if key in seen:
+            continue
+        seen.add(key)
+        report.checked += 1
+        if in_span_oracle(orbit, candidates):
+            report.expressible += 1
+        else:
+            report.inconclusive.append(orbit.text())
+    return report
 
 
 def random_element(G, rng):
@@ -89,6 +153,34 @@ def test_reynolds_idempotent_and_invariant():
             assert reynolds(G, avg) == avg
 
 
+def test_reynolds_matches_oracle_in_value_and_term_order():
+    rng = SplitMix64(33)
+    groups = (
+        SymGroup(3),
+        HyperoctahedralGroup(3),
+        EvenSignedGroup(3),
+        TrivialGroup(2),
+        ProductGroup([SymGroup(2), HyperoctahedralGroup(1)]),
+        ProductGroup([EvenSignedGroup(2), TrivialGroup(1)]),
+    )
+    for G in groups:
+        for _ in range(8):
+            f = random_poly(G.n, rng, terms=4)
+            f = f + random_poly(G.n, rng, terms=1).scale(Fraction(1, rng.randint(1, 6)))
+            got, want = reynolds(G, f), reynolds_oracle(G, f)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+    cancelling = x(2, 0) - x(2, 1)
+    assert reynolds(SymGroup(2), cancelling).is_zero()
+    assert reynolds_oracle(SymGroup(2), cancelling).is_zero()
+    partial = x(3, 0) - x(3, 1) + x(3, 2, 2)
+    got, want = reynolds(SymGroup(3), partial), reynolds_oracle(SymGroup(3), partial)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert reynolds(SymGroup(2), LaurentPoly(2, {})).is_zero()
+    with pytest.raises(ShapeError):
+        reynolds(SymGroup(3), x(2, 0))
+
+
 def test_reynolds_budget():
     with pytest.raises(InfeasibleError):
         reynolds(HyperoctahedralGroup(9), x(9, 0))
@@ -135,6 +227,14 @@ def test_verify_generation_examples():
     hyper = verify_generation("Hyperoctahedral", 1, 3)
     assert hyper.inconclusive == []
     assert hyper.checked == hyper.expressible
+
+
+def test_verify_generation_matches_oracle():
+    for flavor in ("Sym", "Hyperoctahedral"):
+        for n in (1, 2, 3):
+            for bound in range(5):
+                got = verify_generation(flavor, n, bound).to_json()
+                assert got == verify_generation_oracle(flavor, n, bound).to_json()
 
 
 def test_verify_generation_budget():
