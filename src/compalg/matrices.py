@@ -14,7 +14,12 @@ rather than trusted.
 Determinants over a split quadratic extension (where elimination would meet
 zero divisors) go through the componentwise decomposition L ~ k (+) k; plain
 division elimination handles every actual field.
+
+`field_rank` ranks raw QQ or GF(p) values; `rank.comp_rank` applies it to
+`left_regular_rep`, the base-field matrix of X -> Z*X.
 """
+
+from math import lcm
 
 from .errors import (
     AlgebraMismatchError,
@@ -26,7 +31,9 @@ from .errors import (
 )
 from .fields import (
     FieldSpec,
+    PrimeField,
     QuadExt,
+    RationalField,
     Scalar,
     from_split_components,
     split_components,
@@ -221,6 +228,49 @@ def field_solve_homogeneous(rows: list[list[Scalar]], ncols: int, spec: FieldSpe
     return sol
 
 
+def field_rank(rows, spec: FieldSpec) -> int:
+    """Rank of a matrix of raw values over QQ or GF(p).
+
+    Fraction-free elimination: each pivot step replaces a lower row r by
+    pivot * r - r[col] * (pivot row).  Over GF(p) the result is reduced mod p.
+    Over QQ each row is first cleared of denominators (scaling a row keeps
+    the rank) and the step is divided exactly by the previous pivot (Bareiss),
+    so the integers stay minors of the cleared matrix, as in `IntMatrix.det`.
+    """
+    if isinstance(spec, PrimeField):
+        p = spec.p
+        work = [[x % p for x in row] for row in rows]
+    elif isinstance(spec, RationalField):
+        p = 0
+        work = []
+        for row in rows:
+            den = lcm(*(x.denominator for x in row))
+            work.append([x.numerator * (den // x.denominator) for x in row])
+    else:
+        raise FieldMismatchError(f"field_rank runs over QQ or GF(p), not {spec!r}")
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        top = work[rank]
+        pivot = top[col]
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            f = row[col]
+            if p:
+                if f:
+                    work[r] = [(x * pivot - f * y) % p for x, y in zip(row, top)]
+            else:
+                work[r] = [(x * pivot - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        rank += 1
+    return rank
+
+
 class CompMatrix:
     """Matrix with entries from one composition algebra; a right module."""
 
@@ -395,6 +445,25 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
             out[2 * i + 1][2 * j] = Scalar(spec, m10)
             out[2 * i + 1][2 * j + 1] = Scalar(spec, m11)
     return FieldMatrix(spec, out)
+
+
+def left_regular_rep(Z: CompMatrix) -> list[list]:
+    """Raw 4m x 4n base-field matrix of X -> Z*X on column vectors X in C^n.
+
+    Column 4j + k holds the coordinates of the column Z[:, j] * e_k, with
+    e_0..e_3 the algebra's coordinate basis; row 4i + c is coordinate c of
+    entry i.
+    """
+    alg = Z.algebra
+    f = alg.field
+    zero, one = f._coerce(0), f._coerce(1)
+    basis = [tuple(one if c == k else zero for c in range(4)) for k in range(4)]
+    columns = [
+        [x for i in range(Z.m) for x in alg._mul_raw(Z.entries[i][j].coeffs, e)]
+        for j in range(Z.n)
+        for e in basis
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:

@@ -484,6 +484,17 @@ class Mat2Algebra:
     def has_mat2_form(self) -> bool:
         return True
 
+    def _mul_raw(self, x, y):
+        f = self.field
+        a00, a01, a10, a11 = x
+        b00, b01, b10, b11 = y
+        return (
+            f._add(f._mul(a00, b00), f._mul(a01, b10)),
+            f._add(f._mul(a00, b01), f._mul(a01, b11)),
+            f._add(f._mul(a10, b00), f._mul(a11, b10)),
+            f._add(f._mul(a10, b01), f._mul(a11, b11)),
+        )
+
 
 class Mat2Element:
     """2x2 matrix entries (m00, m01, m10, m11); conjugate is the adjugate."""
@@ -496,6 +507,11 @@ class Mat2Element:
 
     def __setattr__(self, *_):
         raise AttributeError("Mat2Element is immutable")
+
+    @property
+    def coeffs(self):
+        """The four base-field coordinates, as `QuaternionElement.coeffs`."""
+        return self.entries
 
     def _check(self, other):
         if not isinstance(other, Mat2Element) or other.algebra != self.algebra:
@@ -522,18 +538,7 @@ class Mat2Element:
 
     def __mul__(self, other):
         other = self._check(other)
-        f = self.algebra.field
-        a00, a01, a10, a11 = self.entries
-        b00, b01, b10, b11 = other.entries
-        return Mat2Element(
-            self.algebra,
-            (
-                f._add(f._mul(a00, b00), f._mul(a01, b10)),
-                f._add(f._mul(a00, b01), f._mul(a01, b11)),
-                f._add(f._mul(a10, b00), f._mul(a11, b10)),
-                f._add(f._mul(a10, b01), f._mul(a11, b11)),
-            ),
-        )
+        return Mat2Element(self.algebra, self.algebra._mul_raw(self.entries, other.entries))
 
     def __eq__(self, other):
         return (

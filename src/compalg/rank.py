@@ -1,10 +1,18 @@
 """Rank over a composition algebra and the guaranteed low-rank combination.
 
-`comp_rank` is the definitional brute force: the largest size of an invertible
-square submatrix, enumerated in decreasing size and lexicographic subset
-order.  For division (nonsplit) algebras it agrees with the number of
-right-independent columns computed by skew elimination, and the test suite
-cross-checks the two on small shapes.
+The rank of a matrix Z over the algebra C is the largest size of an
+invertible square submatrix.  `comp_rank` computes it from one exact
+elimination over the base field k, on the 4m x 4n left regular
+representation L(Z) of X -> Z*X (`matrices.left_regular_rep`):
+
+- An invertible s x s submatrix makes 4s columns of L(Z) independent, so
+  top = rank_k(L(Z)) // 4 bounds the rank for every algebra.
+- Over a division algebra the image of L(Z) is a right subspace of D^m, of
+  dimension the column rank, and the column rank is the rank; so the answer
+  is top, and rank_k(L(Z)) is checked to be a multiple of 4.
+- Over a split algebra, or one whose split decision is infeasible, the
+  minors are searched by `is_invertible`, in decreasing size from
+  min(m, n, top) and lexicographic subset order.
 
 `low_rank_combination` makes the dependence argument constructive.  Given M
 mutually distinct m x n matrices and a target d, write r = m - d + 1 and
@@ -27,8 +35,14 @@ from math import comb
 
 from .errors import BoundNotMetError, InfeasibleError
 from .fields import PrimeField, Scalar
-from .quaternion import SPLIT
-from .matrices import CompMatrix, field_solve_homogeneous, is_invertible
+from .quaternion import NONSPLIT, SPLIT
+from .matrices import (
+    CompMatrix,
+    field_rank,
+    field_solve_homogeneous,
+    is_invertible,
+    left_regular_rep,
+)
 from .rng import SplitMix64
 
 DEFAULT_BUDGET_MS = 60_000
@@ -36,7 +50,17 @@ DEFAULT_BUDGET_MS = 60_000
 
 def comp_rank(Z: CompMatrix) -> int:
     """Maximum size of an invertible square submatrix (0 if every entry is a non-unit)."""
-    for size in range(min(Z.m, Z.n), 0, -1):
+    flat_rank = field_rank(left_regular_rep(Z), Z.algebra.field)
+    top = flat_rank // 4
+    try:
+        division = Z.algebra.is_split_decision() == NONSPLIT
+    except InfeasibleError:
+        division = False
+    if division:
+        if flat_rank % 4:
+            raise AssertionError(f"rank {flat_rank} of L(Z) over a division algebra is not 4*r")
+        return top
+    for size in range(min(Z.m, Z.n, top), 0, -1):
         for rows in combinations(range(Z.m), size):
             for cols in combinations(range(Z.n), size):
                 if is_invertible(Z.submatrix(rows, cols)):
@@ -51,11 +75,6 @@ def dependence_bound(algebra, m: int, d: int) -> int:
     if algebra.is_split_decision() == SPLIT:
         return algebra.dim * (m - d + 1)
     return m - d + 1
-
-
-def _entry_coeffs(e):
-    # both element kinds expose four base-field coordinates
-    return e.coeffs if hasattr(e, "coeffs") else e.entries
 
 
 def low_rank_combination(matrices, d: int):
@@ -91,7 +110,7 @@ def low_rank_combination(matrices, d: int):
             for j in range(n):
                 for c in range(4):
                     rows.append(
-                        [Scalar(spec, _entry_coeffs(T.entries[i][j])[c]) for T in truncated]
+                        [Scalar(spec, T.entries[i][j].coeffs[c]) for T in truncated]
                     )
         sol = field_solve_homogeneous(rows, M, spec)
         if sol is None:
@@ -229,8 +248,8 @@ def verify_span_bound(
                 ok, failure = False, "truncated combination is nonzero"
             elif all(c.is_zero() for c in coeffs):
                 ok, failure = False, "coefficients all zero"
-            elif comp_rank(full) > d - 1:
-                ok, failure = False, f"rank {comp_rank(full)} exceeds {d - 1}"
+            elif (rank := comp_rank(full)) > d - 1:
+                ok, failure = False, f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:
             ok, failure = False, str(exc)
         report.trials += 1

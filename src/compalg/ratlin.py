@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from .fields import QQ
+from .matrices import field_rank
+
 
 def solve_square(A, b):
     """Solution of A x = b for square A, or None when A is singular."""
@@ -43,18 +46,4 @@ def det(A) -> Fraction:
 
 def nullity(A, ncols) -> int:
     """Dimension of the kernel of the column action of A (rows of length ncols)."""
-    work = [[Fraction(x) for x in row] for row in A]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [e * inv for e in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * c for a, c in zip(work[r], work[rank])]
-        rank += 1
-    return ncols - rank
+    return ncols - field_rank(A, QQ)

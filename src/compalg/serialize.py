@@ -29,14 +29,22 @@ def field_to_json(spec: FieldSpec):
     raise CompAlgError(f"unknown field spec {spec!r}")
 
 
-def field_from_json(obj) -> FieldSpec:
-    kind = obj["kind"]
+def _json_object(obj, key: str) -> dict:
+    if not isinstance(obj, dict):
+        raise CompAlgError(f"{key!r} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def field_from_json(obj, key: str = "field") -> FieldSpec:
+    kind = _json_object(obj, key)["kind"]
     if kind == "Q":
         return QQ
     if kind == "Fp":
+        if not isinstance(obj["p"], int):
+            raise CompAlgError(f"'p' must be an integer, got {obj['p']!r}")
         return PrimeField(obj["p"])
     if kind == "quad":
-        base = field_from_json(obj["base"])
+        base = field_from_json(obj["base"], "base")
         return QuadExt(base, raw_from_json(base, obj["a"]))
     raise CompAlgError(f"unknown field kind {kind!r}")
 
@@ -53,6 +61,11 @@ def raw_to_json(spec: FieldSpec, raw):
 
 
 def raw_from_json(spec: FieldSpec, obj):
+    if isinstance(spec, QuadExt):
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise CompAlgError(f"a {spec!r} value must be a pair [x, y], got {obj!r}")
+    elif not isinstance(obj, (int, float, str)):
+        raise CompAlgError(f"a {spec!r} value must be a number or a string, got {obj!r}")
     if isinstance(spec, RationalField):
         return Fraction(obj)
     if isinstance(spec, PrimeField):
@@ -83,7 +96,7 @@ def algebra_to_json(algebra):
 
 
 def algebra_from_json(obj):
-    spec = field_from_json(obj["field"])
+    spec = field_from_json(_json_object(obj, "algebra")["field"])
     if obj.get("mat2"):
         return Mat2Algebra(spec)
     return QuatAlgebra(spec, raw_from_json(spec, obj["a"]), raw_from_json(spec, obj["b"]))

@@ -138,6 +138,11 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
         ({"matrix": [1]}, "must be a JSON object"),
         ({"algebra": {"field": {"kind": "Q"}, "mat2": True}, "m": 1, "n": 1, "blocks": [[[1]]]}, "block 0 must be a 2x2"),
         ({"algebra": quat_q, "m": 1, "n": 2, "entries": [["1", "0", "0", "0"], 5]}, "block 1 must be a 2x2"),
+        ({"algebra": 5, "m": 1, "n": 1, "entries": [5]}, "'algebra' must be a JSON object"),
+        ({"algebra": {"field": 5}, "m": 1, "n": 1, "entries": [5]}, "'field' must be a JSON object"),
+        ({"algebra": {"field": {"kind": "Fp", "p": "7"}, "a": 1, "b": 1}, "m": 1, "n": 1, "entries": [5]}, "'p' must be an integer"),
+        ({"algebra": {"field": {"kind": "Q"}, "a": [1], "b": 1}, "m": 1, "n": 1, "entries": [5]}, "must be a number or a string"),
+        ({"algebra": {"field": {"kind": "quad", "base": {"kind": "Q"}, "a": "2"}, "a": 5, "b": 1}, "m": 1, "n": 1, "entries": [5]}, "must be a pair"),
     )
     for payload, expected in payloads:
         code, out, err = run(capsys, "mat", "study-det", "--input", json.dumps(payload))

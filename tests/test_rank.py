@@ -1,11 +1,18 @@
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from compalg.corpus import corpus_fixtures, load_fixture
-from compalg.errors import BoundNotMetError
-from compalg.fields import QQ, PrimeField
-from compalg.matrices import CompMatrix
+from compalg.errors import BoundNotMetError, FieldMismatchError, InfeasibleError
+from compalg.fields import QQ, PrimeField, QuadExt, Scalar
+from compalg.matrices import (
+    CompMatrix,
+    field_rank,
+    field_solve_homogeneous,
+    is_invertible,
+    left_regular_rep,
+)
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
 from compalg.rank import (
     combine,
@@ -25,6 +32,151 @@ F3 = PrimeField(3)
 
 def fixture_matrix(name):
     return matrix_from_json(load_fixture(name)["matrix"])
+
+
+def brute_force_rank(Z):
+    """The definition: the largest invertible square submatrix, every minor tried."""
+    for size in range(min(Z.m, Z.n), 0, -1):
+        for rows in combinations(range(Z.m), size):
+            for cols in combinations(range(Z.n), size):
+                if is_invertible(Z.submatrix(rows, cols)):
+                    return size
+    return 0
+
+
+def _random_entry(algebra, rng):
+    f = algebra.field
+    if isinstance(f, PrimeField):
+        return algebra.element([rng.randint(0, f.p - 1) for _ in range(4)])
+    return algebra.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)])
+
+
+def _random_matrix(algebra, m, n, rng):
+    """Seeded matrix mixing units, zero divisors, zeros and products of lower rank."""
+    witness = algebra.split_witness()
+
+    def entry():
+        kind = rng.randint(0, 3)
+        if kind == 0:
+            return algebra.zero()
+        if kind == 1 and witness is not None:
+            return _random_entry(algebra, rng) * witness * _random_entry(algebra, rng)
+        return _random_entry(algebra, rng)
+    if rng.randint(0, 2) == 0:
+        inner = rng.randint(1, min(m, n))
+        A = CompMatrix(algebra, [[entry() for _ in range(inner)] for _ in range(m)])
+        B = CompMatrix(algebra, [[entry() for _ in range(n)] for _ in range(inner)])
+        return A * B
+    return CompMatrix(algebra, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+RANK_ALGEBRAS = [
+    ("(-1,-1)_QQ", QuatAlgebra(QQ, -1, -1), 40),
+    ("(2,5)_QQ", QuatAlgebra(QQ, 2, 5), 40),
+    ("(1,-1)_QQ", QuatAlgebra(QQ, 1, -1), 40),
+    ("(2,-2)_QQ", QuatAlgebra(QQ, 2, -2), 25),
+    ("Mat2(GF(3))", Mat2Algebra(PrimeField(3)), 40),
+    ("Mat2(GF(7))", Mat2Algebra(PrimeField(7)), 40),
+]
+
+
+@pytest.mark.parametrize("name,algebra,count", RANK_ALGEBRAS, ids=[a[0] for a in RANK_ALGEBRAS])
+def test_comp_rank_matches_brute_force(name, algebra, count):
+    rng = SplitMix64(sum(map(ord, name)))
+    ranks = set()
+    for _ in range(count):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        Z = _random_matrix(algebra, m, n, rng)
+        expected = brute_force_rank(Z)
+        assert comp_rank(Z) == expected, (name, Z.entries)
+        ranks.add(expected)
+    assert len(ranks) >= 2  # the samples reach more than one rank
+
+
+def test_comp_rank_below_strict_bound():
+    M2 = Mat2Algebra(QQ)
+    e11, e22, zero = M2.element((1, 0, 0, 0)), M2.element((0, 0, 0, 1)), M2.zero()
+    cases = [
+        ([[e11, e22]], 0),  # flattened rank 2 and rank_k L(Z) = 4, yet no unit entry
+        ([[e11, zero], [zero, e22]], 0),  # block-diagonal non-units
+        ([[e11, e22], [e22, e11]], 2),  # non-unit entries, invertible as a whole
+        ([[e11, zero, zero], [zero, M2.one(), zero], [zero, zero, e22]], 1),
+    ]
+    for entries, expected in cases:
+        Z = CompMatrix(M2, entries)
+        top = field_rank(left_regular_rep(Z), QQ) // 4
+        assert comp_rank(Z) == brute_force_rank(Z) == expected
+        if expected < min(Z.m, Z.n):
+            assert top > expected
+
+
+def test_comp_rank_of_zero_matrix():
+    for alg in (HQ, QuatAlgebra(QQ, 2, -2), Mat2Algebra(F3)):
+        for m, n in ((1, 1), (2, 3), (3, 2)):
+            assert comp_rank(CompMatrix.zero(alg, m, n)) == 0
+
+
+def test_comp_rank_when_the_split_decision_is_infeasible():
+    alg = QuatAlgebra(QQ, 1_000_003 * 1_000_033, 5)
+    with pytest.raises(InfeasibleError):
+        alg.is_split_decision()
+    u, v, one = alg.u(), alg.v(), alg.one()
+    for entries in ([[u, v]], [[one, u], [u, u * u]], [[u, v], [v, u]]):
+        Z = CompMatrix(alg, entries)
+        assert comp_rank(Z) == brute_force_rank(Z)
+
+
+def test_left_regular_rep_is_left_multiplication():
+    rng = SplitMix64(31)
+    for alg in (HQ, Mat2Algebra(PrimeField(5))):
+        Z = CompMatrix(alg, [[_random_entry(alg, rng) for _ in range(3)] for _ in range(2)])
+        X = [_random_entry(alg, rng) for _ in range(3)]
+        L = left_regular_rep(Z)
+        assert len(L) == 8 and len(L[0]) == 12
+        flat = [c for x in X for c in x.coeffs]
+        image = [sum((a * b for a, b in zip(row, flat)), alg.field._coerce(0)) for row in L]
+        expected = [
+            c
+            for i in range(2)
+            for c in sum((Z[i, j] * X[j] for j in range(3)), alg.zero()).coeffs
+        ]
+        if isinstance(alg.field, PrimeField):
+            image = [x % alg.field.p for x in image]
+        assert image == expected
+
+
+def _independent(rows, cols, spec):
+    sub = [[Scalar(spec, row[c]) for c in cols] for row in rows]
+    return field_solve_homogeneous(sub, len(cols), spec) is None
+
+
+def test_field_rank_matches_field_solve_homogeneous():
+    # the rank is the largest number of columns that admit no kernel vector
+    rng = SplitMix64(32)
+    for spec in (QQ, PrimeField(2), PrimeField(5)):
+        def value():
+            if spec == QQ:
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            return rng.randint(0, spec.p - 1)
+
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[value() for _ in range(n)] for _ in range(m)]
+            if rng.randint(0, 1):  # one dependent row
+                rows.append([spec._add(x, y) for x, y in zip(rows[0], rows[-1])])
+            expected = max(
+                (
+                    size
+                    for size in range(1, n + 1)
+                    for cols in combinations(range(n), size)
+                    if _independent(rows, cols, spec)
+                ),
+                default=0,
+            )
+            assert field_rank(rows, spec) == expected
+    assert field_rank([], QQ) == 0
+    with pytest.raises(FieldMismatchError):
+        field_rank([[1]], QuadExt(QQ, 2))
 
 
 def test_displayed_rank_examples():
