@@ -377,22 +377,42 @@ def cmd_zmod(args) -> Result:
     raise CliError(f"unknown zmod action {args.action!r}")
 
 
+def _pq_args(args):
+    if args.p is None or args.q is None:
+        raise CliError(f"clifford {args.action} needs --p and --q")
+    return args.p, args.q
+
+
+def _sig_arg(args) -> cliff.CliffordSignature:
+    if args.sig is None:
+        raise CliError(f"clifford {args.action} needs --sig p,q")
+    parts = args.sig.split(",")
+    if len(parts) != 2:
+        raise CliError(f"--sig must be two counts p,q, not {args.sig!r}")
+    return cliff.CliffordSignature(int(parts[0]), int(parts[1]))
+
+
+def _multivector_arg(sig, args, name: str) -> cliff.Multivector:
+    text = getattr(args, name)
+    if text is None:
+        raise CliError(f"clifford {args.action} needs --{name}")
+    return parse_multivector(sig, text)
+
+
 def cmd_clifford(args) -> Result:
     if args.action == "classify":
-        out = cliff.classify(args.p, args.q)
+        out = cliff.classify(*_pq_args(args))
         return Result(out.to_json(), text=f"{out.base} size {out.matrix_size}" + (" (+)^2" if out.direct_sum else ""))
     if args.action == "verify":
-        report = cliff.verify_classification(args.p, args.q)
+        report = cliff.verify_classification(*_pq_args(args))
         return Result(report.to_json(), exit_code=0 if report.agree() else 2)
     if args.action == "product":
-        p, q = (int(x) for x in args.sig.split(","))
-        sig = cliff.CliffordSignature(p, q)
-        out = parse_multivector(sig, args.x) * parse_multivector(sig, args.y)
+        sig = _sig_arg(args)
+        out = _multivector_arg(sig, args, "x") * _multivector_arg(sig, args, "y")
         return Result(multivector_to_json(out), text=repr(out))
     if args.action == "membership":
-        p, q = (int(x) for x in args.sig.split(","))
-        sig = cliff.CliffordSignature(p, q)
-        report = cliff.clifford_group_membership(parse_multivector(sig, args.x))
+        sig = _sig_arg(args)
+        report = cliff.clifford_group_membership(_multivector_arg(sig, args, "x"))
         return Result(report.to_json())
     if args.action == "spin-check":
         return _spin_check(args)
@@ -400,7 +420,9 @@ def cmd_clifford(args) -> Result:
 
 
 def _spin_check(args) -> Result:
-    sig = cliff.CliffordSignature(args.p, args.q)
+    sig = cliff.CliffordSignature(*_pq_args(args))
+    if sig.n == 0:
+        raise CliError("spin-check needs p + q >= 1: Cl(0,0) has no unit vectors")
     rng = SplitMix64(args.seed)
     n = sig.n
     failures = []

@@ -152,3 +152,29 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
         lines = err.splitlines()
         assert len(lines) == 1
         assert expected in json.loads(lines[0])["error"]["message"]
+
+
+def test_malformed_clifford_arguments_exit_cleanly(capsys):
+    cases = (
+        (["product", "--x", "e1", "--y", "e1"], "needs --sig"),
+        (["product", "--sig", "2", "--x", "e1", "--y", "e1"], "two counts p,q"),
+        (["classify"], "needs --p and --q"),
+        (["classify", "--p", "1"], "needs --p and --q"),
+        (["verify", "--p", "1"], "needs --p and --q"),
+        (["spin-check", "--p", "2"], "needs --p and --q"),
+        (["spin-check", "--p", "0", "--q", "0"], "p + q >= 1"),
+        (["product", "--sig", "2,0", "--y", "e1"], "needs --x"),
+        (["membership", "--sig", "2,0"], "needs --x"),
+        (["product", "--sig", "2,0", "--x", "e9", "--y", "e1"], "blade index 9 is outside 1..2"),
+        (["product", "--sig", "2,0", "--x", "e0", "--y", "e1"], "blade index 0 is outside 1..2"),
+        (["product", "--sig", "2,0", "--x", "e11", "--y", "e1"], "blade index 1 is repeated"),
+        (["membership", "--sig", "1,1", "--x", "1 + e1"], "singular"),
+    )
+    for argv, expected in cases:
+        code, out, err = run(capsys, "clifford", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert expected in json.loads(lines[0])["error"]["message"], argv

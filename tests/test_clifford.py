@@ -20,7 +20,7 @@ from compalg.clifford import (
     unit_vector_product,
     verify_classification,
 )
-from compalg.ratlin import det
+from compalg.ratlin import det, solve_square
 from compalg.rng import SplitMix64
 
 
@@ -135,6 +135,69 @@ def test_inverse_and_noninvertible():
         singular.inverse()
 
 
+def regular_rep_inverse(x):
+    """Test oracle: solve x * y = 1 in the 2^n x 2^n left regular representation."""
+    sig = x.sig
+    columns = [(x * sig.element({sig.blades[j]: 1})).coeffs for j in range(sig.dim)]
+    matrix = [[columns[j][i] for j in range(sig.dim)] for i in range(sig.dim)]
+    sol = solve_square(matrix, [1] + [0] * (sig.dim - 1))
+    return None if sol is None else sig.element(sol)
+
+
+def _square_to_one_blades(sig):
+    return [b for b in sig.blades[1:] if sig.blade(b) * sig.blade(b) == sig.one()]
+
+
+def _random_element(sig, rng, nonzero):
+    coeffs = [Fraction(0)] * sig.dim
+    for _ in range(nonzero):
+        coeffs[rng.randint(0, sig.dim - 1)] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return sig.element(coeffs)
+
+
+SIGNATURES_UP_TO_6 = [(p, n - p) for n in range(0, 7) for p in range(0, n + 1)]
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES_UP_TO_6)
+def test_inverse_matches_regular_representation(p, q):
+    # the oracle's Fraction elimination takes about 1 s on a 64 x 64 element
+    # with a dozen terms, so Cl(5) gets one dense sample and Cl(6) one of 6 terms
+    sig = CliffordSignature(p, q)
+    rng = SplitMix64(53 + 8 * p + q)
+    small = sig.n < 6
+    dense = {5: [sig.dim], 6: [6]}.get(sig.n, [sig.dim] * 2)
+    samples = [sig.zero(), sig.one().scale(Fraction(-2, 3))]
+    samples += [_random_element(sig, rng, terms) for terms in dense]
+    samples += [_random_element(sig, rng, rng.randint(1, 3)) for _ in range(3 if small else 1)]
+    for blade in _square_to_one_blades(sig)[: 2 if small else 1]:
+        zero_divisor = sig.one() + sig.blade(blade)
+        left, right = _random_element(sig, rng, 3), _random_element(sig, rng, 3)
+        samples.append(left * zero_divisor * right)
+    for x in samples:
+        expected = regular_rep_inverse(x)
+        if expected is None:
+            with pytest.raises(NotInvertibleError):
+                x.inverse()
+        else:
+            inv = x.inverse()
+            assert inv == expected
+            assert x * inv == sig.one() == inv * x
+
+
+def test_singular_elements_raise():
+    cl10, cl11, cl33 = CliffordSignature(1, 0), CliffordSignature(1, 1), CliffordSignature(3, 3)
+    singular = [
+        CliffordSignature(0, 0).zero(),
+        cl33.zero(),
+        cl10.one() + cl10.basis_vector(1),
+        cl11.basis_vector(1) + cl11.basis_vector(2),  # squares to 0
+        cl33.vector((1, 2, 0, 0, -1, 3)) * (cl33.one() + cl33.blade((1, 4))) * cl33.blade((2, 5, 6)),
+    ]
+    for x in singular:
+        with pytest.raises(NotInvertibleError):
+            x.inverse()
+
+
 def test_membership_reflection_and_generic():
     cl20 = CliffordSignature(2, 0)
     rep = clifford_group_membership(cl20.basis_vector(1))
@@ -195,3 +258,11 @@ def test_quadratic_form_values():
     assert cl12.quadratic_form(cl12.vector((1, 0, 0))) == 1
     assert cl12.quadratic_form(cl12.vector((0, 1, 0))) == -1
     assert cl12.quadratic_form(cl12.vector((2, 1, 1))) == 4 - 1 - 1
+
+
+def test_blade_rejects_bad_indices():
+    cl20 = CliffordSignature(2, 0)
+    assert cl20.blade((2, 1)) == -(cl20.basis_vector(2) * cl20.basis_vector(1))
+    for indices, message in (((3,), "outside 1..2"), ((0, 1), "outside 1..2"), ((1, 1), "repeated")):
+        with pytest.raises(ValueError, match=message):
+            cl20.blade(indices)
