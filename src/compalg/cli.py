@@ -141,8 +141,8 @@ def parse_multivector(sig: cliff.CliffordSignature, text: str) -> cliff.Multivec
         else:
             coeff = Fraction(coeff_text)
         if blade_text:
-            if not blade_text.startswith("e"):
-                raise CliError(f"cannot parse blade {blade_text!r}")
+            if not (blade_text.startswith("e") and blade_text[1:].isdecimal()):
+                raise CliError(f"cannot parse blade {blade_text!r} in term {chunk!r}")
             indices = [int(ch) for ch in blade_text[1:]]
             term = sig.blade(indices)
         else:
@@ -346,14 +346,15 @@ def cmd_zmod(args) -> Result:
             payload = payload.get("rows", payload)
         A = zmodule.IntMatrix(payload)
         U, D, V = zmodule.smith_normal_form(A)
+        factors = zmodule.diagonal_factors(D)
         return Result(
             {
                 "D": [list(r) for r in D.rows],
                 "U": [list(r) for r in U.rows],
                 "V": [list(r) for r in V.rows],
-                "invariant_factors": list(zmodule.invariant_factors(A)),
+                "invariant_factors": list(factors),
             },
-            text=" ".join(str(x) for x in zmodule.invariant_factors(A)) or "0",
+            text=" ".join(str(x) for x in factors) or "0",
         )
     if args.action == "loc-model":
         count = 2 * args.n - 1

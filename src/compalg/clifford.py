@@ -595,10 +595,15 @@ def clifford_group_membership(g: Multivector) -> MembershipReport:
 
     `spin_witness` is the remembered factorization into an even number of
     unit vectors, present only for elements built by `unit_vector_product`.
+    A singular element is not in the Clifford group.
     """
     sig = g.sig
-    matrix, pure = conjugation_matrix(g)
-    in_gamma = pure and preserves_form(sig, matrix)
+    try:
+        matrix, pure = conjugation_matrix(g)
+    except NotInvertibleError:
+        in_gamma = False
+    else:
+        in_gamma = pure and preserves_form(sig, matrix)
     witness = None
     factors = object.__getattribute__(g, "_factors")
     if factors is not None and len(factors) % 2 == 0:

@@ -2,10 +2,14 @@
 truncated model of the boundary sequence on the singular-matrix locus.
 
 `smith_normal_form` returns (U, D, V) with U*A*V = D, U and V unimodular and
-the diagonal divisibility chain d1 | d2 | ...; the factorization and the
-unimodularity are re-verified before returning.  Pivots are chosen
-deterministically (smallest nonzero absolute value, ties by position), so
-the output is reproducible.
+the diagonal divisibility chain d1 | d2 | ....  Every elementary operation of
+the elimination is also applied, inverted, to U^-1 and V^-1, and before
+returning the triple is certified in integers: U*A*V = D, U*U^-1 = I and
+V*V^-1 = I.  A square integer matrix with an integer inverse is unimodular,
+so no determinant is needed.  The products skip zero entries, which makes
+the check cheap on the sparse 0/1 injections and projections of the
+localization model.  Pivots are chosen deterministically (smallest nonzero
+absolute value, ties by position), so the output is reproducible.
 
 `build_localization_model` realizes the rank bookkeeping of the boundary
 sequence: the middle lattice is the character lattice truncated at |s| <=
@@ -19,6 +23,28 @@ form and is independent of the sign choices, which the sequence leaves free.
 from dataclasses import dataclass
 
 from .errors import ShapeError, TruncationError
+
+
+def _mul_rows(a, b, width):
+    """Rows of the product a*b (b has `width` columns), skipping zero entries."""
+    b_support = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_support[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _is_identity(rows) -> bool:
+    return all(x == (1 if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
 class IntMatrix:
@@ -42,7 +68,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_identity_rows(n))
 
     @classmethod
     def zero(cls, m: int, n: int) -> "IntMatrix":
@@ -65,15 +91,7 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.m:
             raise ShapeError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        return IntMatrix(
-            [
-                [
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.n))
-                    for j in range(other.n)
-                ]
-                for i in range(self.m)
-            ]
-        )
+        return IntMatrix(_mul_rows(self.rows, other.rows, other.n))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.rows)))
@@ -111,45 +129,60 @@ def smith_normal_form(A: IntMatrix):
     """(U, D, V) with U*A*V = D diagonal, d1 | d2 | ..., U and V unimodular.
 
     Deterministic pivoting: the entry of smallest nonzero absolute value in
-    the remaining submatrix, earliest position winning ties.  The returned
-    triple is verified (product identity and |det| = 1) before returning.
+    the remaining submatrix, earliest position winning ties.  Each row
+    operation on U is mirrored, inverted, as a column operation on U^-1, and
+    each column operation on V as a row operation on V^-1.  Before returning,
+    U*A*V = D, U*U^-1 = I and V*V^-1 = I are verified in integers; the last
+    two prove U and V unimodular.
     """
     m, n = A.m, A.n
     d = [list(row) for row in A.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u, v = _identity_rows(m), _identity_rows(n)
+    # u_inv_t[k] is column k of U^-1, so its column operations are row operations
+    u_inv_t, v_inv = _identity_rows(m), _identity_rows(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, q):
-        # row dst += q * row src
+        # row dst += q * row src; inverse: column src of U^-1 -= q * column dst
         d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - q * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src, dst, q):
+        # column dst += q * column src; inverse: row src of V^-1 -= q * row dst
         for row in d:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     def find_pivot(t):
-        best = None
+        # a unit is the least possible, so the first one found wins
+        best, least = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        return best
         return best
 
     t = 0
@@ -158,7 +191,6 @@ def smith_normal_form(A: IntMatrix):
         if pivot is None:
             break
         while True:
-            pivot = find_pivot(t)
             swap_rows(t, pivot[0])
             swap_cols(t, pivot[1])
             if d[t][t] < 0:
@@ -176,31 +208,37 @@ def smith_normal_form(A: IntMatrix):
                 d[t][j] == 0 for j in range(n) if j != t
             ):
                 break
+            pivot = find_pivot(t)
         # enforce the divisibility chain: fold in any entry the pivot misses
         offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
+        if d[t][t] != 1:  # a unit pivot divides every entry
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(offender, t, 1)
             continue
         t += 1
 
-    U, D, V = IntMatrix(u), IntMatrix(d), IntMatrix(v)
-    if U * A * V != D:
+    if _mul_rows(_mul_rows(u, A.rows, n), v, n) != d:
         raise AssertionError("normal form factorization failed")
-    if abs(U.det()) != 1 or abs(V.det()) != 1:
+    u_inv = [list(col) for col in zip(*u_inv_t)]
+    if not (_is_identity(_mul_rows(u, u_inv, m)) and _is_identity(_mul_rows(v, v_inv, n))):
         raise AssertionError("transformation matrices are not unimodular")
-    return U, D, V
+    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+
+
+def diagonal_factors(D: IntMatrix) -> tuple[int, ...]:
+    """The nonzero diagonal entries of a Smith form D: its invariant factors."""
+    return tuple(D.rows[i][i] for i in range(min(D.m, D.n)) if D.rows[i][i] != 0)
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    _, D, _ = smith_normal_form(A)
-    return tuple(D.rows[i][i] for i in range(min(A.m, A.n)) if D.rows[i][i] != 0)
+    return diagonal_factors(smith_normal_form(A)[1])
 
 
 def rank(A: IntMatrix) -> int:
@@ -210,10 +248,14 @@ def rank(A: IntMatrix) -> int:
 def kernel_basis(A: IntMatrix) -> IntMatrix | None:
     """Columns forming a basis of the integer kernel (saturated), or None."""
     _, D, V = smith_normal_form(A)
-    r = sum(1 for i in range(min(A.m, A.n)) if D.rows[i][i] != 0)
-    if r == A.n:
+    return _kernel_from_smith(D, V)
+
+
+def _kernel_from_smith(D: IntMatrix, V: IntMatrix) -> IntMatrix | None:
+    r = len(diagonal_factors(D))
+    if r == D.n:
         return None
-    return V.columns(range(r, A.n))
+    return V.columns(range(r, D.n))
 
 
 def solve_integer(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
@@ -222,7 +264,7 @@ def solve_integer(A: IntMatrix, B: IntMatrix) -> IntMatrix | None:
         raise ShapeError("row counts differ")
     U, D, V = smith_normal_form(A)
     C = U * B
-    r = sum(1 for i in range(min(A.m, A.n)) if D.rows[i][i] != 0)
+    r = len(diagonal_factors(D))
     Y = [[0] * B.n for _ in range(A.n)]
     for i in range(A.m):
         di = D.rows[i][i] if i < min(A.m, A.n) else 0
@@ -267,13 +309,15 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     """
     if g.n != f.m:
         raise ShapeError("g's domain must be f's codomain")
-    inj = rank(f) == f.n
-    facs_g = invariant_factors(g)
+    facs_f = invariant_factors(f)
+    inj = len(facs_f) == f.n
+    _, D_g, V_g = smith_normal_form(g)
+    facs_g = diagonal_factors(D_g)
     surj = len(facs_g) == g.m and all(x == 1 for x in facs_g)
     comp_zero = (g * f).is_zero()
     exact = comp_zero
     if comp_zero:
-        K = kernel_basis(g)
+        K = _kernel_from_smith(D_g, V_g)
         if K is None:
             exact = f.is_zero()
         else:
@@ -283,7 +327,6 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
             else:
                 facs_h = invariant_factors(H)
                 exact = len(facs_h) == K.n and all(x == 1 for x in facs_h)
-    facs_f = invariant_factors(f)
     splits = all(x == 1 for x in facs_f)
     return SequenceChecks(inj, exact, surj, splits)
 

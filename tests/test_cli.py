@@ -168,7 +168,10 @@ def test_malformed_clifford_arguments_exit_cleanly(capsys):
         (["product", "--sig", "2,0", "--x", "e9", "--y", "e1"], "blade index 9 is outside 1..2"),
         (["product", "--sig", "2,0", "--x", "e0", "--y", "e1"], "blade index 0 is outside 1..2"),
         (["product", "--sig", "2,0", "--x", "e11", "--y", "e1"], "blade index 1 is repeated"),
-        (["membership", "--sig", "1,1", "--x", "1 + e1"], "singular"),
+        (["product", "--sig", "2,0", "--x=e-1", "--y", "e1"], "cannot parse blade 'e' in term 'e'"),
+        (["product", "--sig", "2,0", "--x", "2*e", "--y", "e1"], "in term '2*e'"),
+        (["product", "--sig", "2,0", "--x", "ex", "--y", "e1"], "in term 'ex'"),
+        (["product", "--sig", "2,0", "--x", "e1x", "--y", "e1"], "in term 'e1x'"),
     )
     for argv, expected in cases:
         code, out, err = run(capsys, "clifford", *argv)
@@ -178,3 +181,9 @@ def test_malformed_clifford_arguments_exit_cleanly(capsys):
         lines = err.splitlines()
         assert len(lines) == 1
         assert expected in json.loads(lines[0])["error"]["message"], argv
+
+
+def test_membership_of_singular_element_answers_false(capsys):
+    code, out, err = run(capsys, "clifford", "membership", "--sig", "1,1", "--x", "1 + e1")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"in_gamma": False, "in_even_part": False, "spin_witness": None}

@@ -217,6 +217,16 @@ def test_membership_reflection_and_generic():
     assert pure and mat == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
+def test_membership_singular_element_is_not_in_gamma():
+    cl11 = CliffordSignature(1, 1)
+    for g in (cl11.one() + cl11.basis_vector(1), cl11.one() + cl11.blade((1, 2)), cl11.zero()):
+        with pytest.raises(NotInvertibleError):
+            conjugation_matrix(g)
+        rep = clifford_group_membership(g)
+        assert not rep.in_gamma and rep.spin_witness is None
+        assert rep.in_even_part == g.is_even()
+
+
 def test_membership_unit_vector_products():
     cl02 = CliffordSignature(0, 2)
     g = unit_vector_product(cl02, [(1, 0), (0, 1)])

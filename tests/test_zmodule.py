@@ -1,5 +1,6 @@
 import pytest
 
+from compalg import zmodule
 from compalg.errors import TruncationError
 from compalg.rng import SplitMix64
 from compalg.zmodule import (
@@ -29,6 +30,25 @@ def random_unimodular(rng, n, steps=12):
     return IntMatrix(rows)
 
 
+def random_sparse_01(rng, m, n, density=6):
+    """0/1 matrix with about one entry in `density` set, like the model's maps."""
+    return IntMatrix([[1 if rng.randint(1, density) == 1 else 0 for _ in range(n)] for _ in range(m)])
+
+
+def dense_product(A, B):
+    return [[sum(A.rows[i][k] * B.rows[k][j] for k in range(A.n)) for j in range(B.n)] for i in range(A.m)]
+
+
+def assert_smith_triple(A, U, D, V):
+    assert U * A * V == D
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    diag = [D.rows[i][i] for i in range(min(A.m, A.n))]
+    assert all(D.rows[i][j] == 0 for i in range(A.m) for j in range(A.n) if i != j)
+    nonzero = [x for x in diag if x != 0]
+    assert all(x > 0 for x in nonzero) and diag[: len(nonzero)] == nonzero
+    assert all(nonzero[i] % nonzero[i - 1] == 0 for i in range(1, len(nonzero)))
+
+
 def test_snf_identity():
     U, D, V = smith_normal_form(IntMatrix.identity(3))
     assert D == IntMatrix.identity(3)
@@ -52,18 +72,57 @@ def test_snf_random_properties():
     for _ in range(50):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = random_int_matrix(rng, m, n)
-        U, D, V = smith_normal_form(A)
-        assert U * A * V == D
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
-        diag = [D.rows[i][i] for i in range(min(m, n))]
-        assert all(x >= 0 for x in diag)
-        nonzero = [x for x in diag if x != 0]
-        assert all(nonzero[i] % nonzero[i - 1] == 0 for i in range(1, len(nonzero)))
-        # off-diagonal entries vanish
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D.rows[i][j] == 0
+        assert_smith_triple(A, *smith_normal_form(A))
+
+
+@pytest.mark.parametrize("shape", [(40, 11), (29, 40), (12, 12), (7, 30)])
+def test_snf_sparse_and_dense_up_to_model_shapes(shape):
+    m, n = shape
+    rng = SplitMix64(m * 100 + n)
+    for A in (random_sparse_01(rng, m, n), random_sparse_01(rng, m, n, density=2)):
+        assert_smith_triple(A, *smith_normal_form(A))
+    small = random_int_matrix(rng, min(m, 12), min(n, 12), bound=5)
+    assert_smith_triple(small, *smith_normal_form(small))
+
+
+def test_product_skips_zeros_without_changing_the_result():
+    rng = SplitMix64(43)
+    for _ in range(30):
+        m, k, n = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        A = random_sparse_01(rng, m, k, density=3)
+        B = random_int_matrix(rng, k, n)
+        assert (A * B).rows == tuple(map(tuple, dense_product(A, B)))
+        assert (B.transpose() * A.transpose()).rows == tuple(map(tuple, dense_product(B.transpose(), A.transpose())))
+
+
+def test_localization_model_factors_each_matrix_once(monkeypatch):
+    calls = []
+    original = zmodule.smith_normal_form
+
+    def counting(A):
+        calls.append((A.m, A.n))
+        return original(A)
+
+    monkeypatch.setattr(zmodule, "smith_normal_form", counting)
+    model = build_localization_model(3, 8, (1, -1, 1, 1, -1))
+    assert model.checks.all_true()
+    # f, g, the kernel basis K of g (in solve_integer) and H with K*H = f
+    assert calls == [(16, 5), (11, 16), (16, 5), (5, 5)]
+
+
+def test_localization_model_n10_smax60_is_sign_independent():
+    plus = build_localization_model(10, 60, (1,) * 19)
+    mixed = build_localization_model(10, 60, tuple((-1) ** i for i in range(19)))
+    expected = {
+        "delta_injective": True,
+        "cokernel_torsion_free": True,
+        "exact_middle": True,
+        "surjective_quotient": True,
+        "splits": True,
+        "middle_rank": 120,
+    }
+    assert plus.verdict() == mixed.verdict() == expected
+    assert invariant_factors(plus.boundary) == invariant_factors(mixed.boundary) == (1,) * 19
 
 
 def test_kernel_and_solve():
