@@ -34,6 +34,7 @@ from .rank import DEFAULT_BUDGET_MS, comp_rank, dependence_bound, verify_span_bo
 from .rng import SplitMix64
 from .serialize import (
     element_to_json,
+    int_rows_from_json,
     matrix_from_json,
     raw_to_json,
     scalar_to_json,
@@ -65,10 +66,6 @@ def parse_field(token: str):
     if token.startswith("Fp:"):
         return PrimeField(int(token.split(":", 1)[1]))
     raise CliError(f"unknown field token {token!r} (use Q or Fp:<prime>)")
-
-
-def parse_scalar_arg(spec, text: str):
-    return spec.element(Fraction(text))
 
 
 def parse_algebra(args):
@@ -344,7 +341,7 @@ def cmd_zmod(args) -> Result:
         payload = load_json_file(args.input)
         if isinstance(payload, dict):
             payload = payload.get("rows", payload)
-        A = zmodule.IntMatrix(payload)
+        A = zmodule.IntMatrix(int_rows_from_json(payload, "--input"))
         U, D, V = zmodule.smith_normal_form(A)
         factors = zmodule.diagonal_factors(D)
         return Result(
@@ -371,8 +368,8 @@ def cmd_zmod(args) -> Result:
             exit_code=0 if verdict["splits"] else 2,
         )
     if args.action == "sequence-check":
-        f = zmodule.IntMatrix(load_json_file(args.f))
-        g = zmodule.IntMatrix(load_json_file(args.g))
+        f = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.f), "--f"))
+        g = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.g), "--g"))
         checks = zmodule.sequence_checks(f, g)
         return Result(checks.to_json(), exit_code=0 if checks.all_true() else 2)
     raise CliError(f"unknown zmod action {args.action!r}")

@@ -11,15 +11,20 @@ d * conj(d) for d = det of that image, an element of the base field.  The
 sign convention in the lower-left block is pinned by the homomorphism tests
 rather than trusted.
 
-Determinants over a split quadratic extension (where elimination would meet
-zero divisors) go through the componentwise decomposition L ~ k (+) k; plain
-division elimination handles every actual field.
-
-`field_rank` ranks raw QQ or GF(p) values; `rank.comp_rank` applies it to
-`left_regular_rep`, the base-field matrix of X -> Z*X.
+One raw-value kernel, `field_echelon`, eliminates over QQ and GF(p): it
+returns the pivot columns, the first kernel vector and, for square input,
+the determinant.  Its callers are `field_rank` (which `rank.comp_rank`
+applies to `left_regular_rep`, the base-field matrix of X -> Z*X),
+`FieldMatrix.det`, `skew_column_rank` and `skew_solve` (the base-field kernel
+of L(A) over a division algebra), the split branch of
+`rank.low_rank_combination`, and `ratlin.det`.  Determinants over a split
+quadratic extension (where elimination would meet zero divisors) go through
+the componentwise decomposition L ~ k (+) k; over a quadratic field they are
+division elimination on the scalars.
 """
 
-from math import lcm
+from fractions import Fraction
+from math import lcm, prod
 
 from .errors import (
     AlgebraMismatchError,
@@ -152,25 +157,19 @@ class FieldMatrix:
     def det(self) -> Scalar:
         """Exact determinant.
 
-        Division elimination over any actual field; over a split quadratic
-        extension the computation runs componentwise through k (+) k so that
-        zero-divisor pivots never arise.
+        Over QQ and GF(p) it is the one raw kernel, `field_echelon`.  Over a
+        split quadratic extension the computation runs componentwise through
+        k (+) k so that zero-divisor pivots never arise; over a quadratic
+        field it is division elimination on the scalars.
         """
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
         spec = self.spec
-        if isinstance(spec, QuadExt) and spec.split:
-            comp1, comp2 = [], []
-            for row in self.rows:
-                r1, r2 = [], []
-                for e in row:
-                    c1, c2 = split_components(e)
-                    r1.append(c1)
-                    r2.append(c2)
-                comp1.append(r1)
-                comp2.append(r2)
-            d1 = FieldMatrix(spec.base, comp1).det()
-            d2 = FieldMatrix(spec.base, comp2).det()
+        if not isinstance(spec, QuadExt):
+            return Scalar(spec, field_echelon([[e.raw for e in row] for row in self.rows], spec)[2])
+        if spec.split:
+            parts = [[split_components(e) for e in row] for row in self.rows]
+            d1, d2 = (FieldMatrix(spec.base, [[e[k] for e in row] for row in parts]).det() for k in (0, 1))
             return from_split_components(spec, d1, d2)
         work = [list(row) for row in self.rows]
         n = self.n
@@ -193,82 +192,88 @@ class FieldMatrix:
         return det
 
 
-def field_solve_homogeneous(rows: list[list[Scalar]], ncols: int, spec: FieldSpec):
-    """First nonzero kernel vector of the column action, or None.
+def field_echelon(rows, spec: FieldSpec):
+    """(pivot columns, first kernel vector, determinant) of raw QQ or GF(p) rows.
 
-    Deterministic: columns are processed left to right, the first free column
-    gets coefficient one.  Entries must be field elements (no zero divisors).
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (r for r in range(rank, nrows) if not work[r][col].is_zero()), None
-        )
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [e * inv for e in work[rank]]
-        for r in range(nrows):
-            if r != rank and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [work[r][j] - factor * work[rank][j] for j in range(ncols)]
-        pivot_of_col[col] = rank
-        rank += 1
-    free = next((c for c in range(ncols) if c not in pivot_of_col), None)
-    if free is None:
-        return None
-    sol = [spec.zero()] * ncols
-    sol[free] = spec.one()
-    for col, prow in pivot_of_col.items():
-        sol[col] = -work[prow][free]
-    return sol
+    Forward elimination; a column's pivot is its first nonzero entry at or
+    below the current row.  Over GF(p) a lower row r becomes
+    r - (r[col] / pivot) * (pivot row), mod p.  Over QQ the rows are cleared
+    of denominators (the determinant is divided by their product at the end)
+    and the step pivot * r - r[col] * (pivot row) is divided exactly by the
+    previous pivot (Bareiss), so the integers stay minors of the cleared
+    matrix, as in `IntMatrix.det`; the last pivot of a square matrix of full
+    rank is its determinant up to the sign of the row swaps.  Entries left of
+    the current column are not updated, since nothing reads them again.
 
-
-def field_rank(rows, spec: FieldSpec) -> int:
-    """Rank of a matrix of raw values over QQ or GF(p).
-
-    Fraction-free elimination: each pivot step replaces a lower row r by
-    pivot * r - r[col] * (pivot row).  Over GF(p) the result is reduced mod p.
-    Over QQ each row is first cleared of denominators (scaling a row keeps
-    the rank) and the step is divided exactly by the previous pivot (Bareiss),
-    so the integers stay minors of the cleared matrix, as in `IntMatrix.det`.
+    The kernel vector is 1 at the first non-pivot column c and 0 after it,
+    None when every column is a pivot.  Columns 0..c-1 are pivots, so back
+    substitution gives the rest; over QQ it runs on y = d*x, d the leading
+    c x c minor, whose entries are integers by Cramer's rule.  The
+    determinant is given for square input, else None.
     """
     if isinstance(spec, PrimeField):
-        p = spec.p
+        p, scale = spec.p, 1
         work = [[x % p for x in row] for row in rows]
     elif isinstance(spec, RationalField):
-        p = 0
+        p, scale = 0, 1
         work = []
         for row in rows:
             den = lcm(*(x.denominator for x in row))
             work.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
     else:
-        raise FieldMismatchError(f"field_rank runs over QQ or GF(p), not {spec!r}")
+        raise FieldMismatchError(f"field_echelon runs over QQ or GF(p), not {spec!r}")
     nrows = len(work)
     ncols = len(work[0]) if work else 0
-    rank, prev = 0, 1
+    pivots, sign, prev = [], 1, 1
     for col in range(ncols):
+        rank = len(pivots)
         pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            sign = -sign
         top = work[rank]
-        pivot = top[col]
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            f = row[col]
-            if p:
-                if f:
-                    work[r] = [(x * pivot - f * y) % p for x, y in zip(row, top)]
-            else:
-                work[r] = [(x * pivot - f * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        rank += 1
-    return rank
+        pivot, tail = top[col], top[col + 1 :]
+        if p:
+            inv = pow(pivot, -1, p)
+            for row in work[rank + 1 :]:
+                if row[col]:
+                    f = row[col] * inv % p
+                    row[col + 1 :] = [(x - f * y) % p for x, y in zip(row[col + 1 :], tail)]
+        else:
+            for row in work[rank + 1 :]:
+                f = row[col]
+                row[col + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+            prev = pivot
+        pivots.append(col)
+    rank = len(pivots)
+    kernel = None
+    c = next((i for i, col in enumerate(pivots) if col != i), rank)
+    if c < ncols:
+        d = 1 if p or not c else work[c - 1][c - 1]
+        y = [0] * c + [d]
+        for i in range(c - 1, -1, -1):
+            row = work[i]
+            s = -sum(row[j] * y[j] for j in range(i + 1, c + 1))
+            y[i] = s * pow(row[i], -1, p) % p if p else s // row[i]
+        y += [0] * (ncols - c - 1)
+        kernel = y if p else [Fraction(v, d) for v in y]
+    det = None
+    if nrows == ncols:
+        if rank < ncols:
+            det = 0 if p else Fraction(0)
+        elif p:
+            det = sign * prod(work[i][i] for i in range(rank)) % p
+        else:
+            det = Fraction(sign * prev, scale)
+    return pivots, kernel, det
+
+
+def field_rank(rows, spec: FieldSpec) -> int:
+    """Rank of a matrix of raw QQ or GF(p) values: the pivots of `field_echelon`."""
+    return len(field_echelon(rows, spec)[0])
 
 
 class CompMatrix:
@@ -452,18 +457,21 @@ def left_regular_rep(Z: CompMatrix) -> list[list]:
 
     Column 4j + k holds the coordinates of the column Z[:, j] * e_k, with
     e_0..e_3 the algebra's coordinate basis; row 4i + c is coordinate c of
-    entry i.
+    entry i.  Each basis product e_l * e_k is one term c * e_t of the
+    algebra's table, and for a fixed k the nonzero ones land on distinct t,
+    so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k).
     """
     alg = Z.algebra
     f = alg.field
-    zero, one = f._coerce(0), f._coerce(1)
-    basis = [tuple(one if c == k else zero for c in range(4)) for k in range(4)]
-    columns = [
-        [x for i in range(Z.m) for x in alg._mul_raw(Z.entries[i][j].coeffs, e)]
-        for j in range(Z.n)
-        for e in basis
-    ]
-    return [list(row) for row in zip(*columns)]
+    terms = [(l, k, t, c) for l, row in enumerate(alg._terms) for k, (t, c) in enumerate(row) if c]
+    out = [[f._coerce(0)] * (4 * Z.n) for _ in range(4 * Z.m)]
+    for i, row in enumerate(Z.entries):
+        for j, z in enumerate(row):
+            coeffs = z.coeffs
+            for l, k, t, c in terms:
+                if coeffs[l]:
+                    out[4 * i + t][4 * j + k] = f._mul(coeffs[l], c)
+    return out
 
 
 def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
@@ -543,72 +551,47 @@ def is_invertible(Z: CompMatrix) -> bool:
     return is_invertible_via_study(Z)
 
 
-def _skew_echelon(A: CompMatrix):
-    """Left row reduction over a quaternion division algebra.
+def _skew_kernel(A: CompMatrix):
+    """Right column rank of A over a division algebra D, and its first right kernel vector.
 
-    Returns (work rows, pivot column -> pivot row).  Left row operations
-    preserve the right null space.  A nonzero non-unit entry anywhere signals
-    that the algebra is not a division ring.
+    A right combination sum_j A[:, j] * a_j = 0 is the base-field system
+    L(A) x = 0 (`left_regular_rep`) in the 4n coordinates x of a.  Over D the
+    k-span of earlier columns is a right D-subspace, so the column block of
+    a D-column holds four pivots of L(A) or none, and the first free k-column
+    is the first coordinate of the first free D-column f.  The kernel vector
+    of `field_echelon` thus sets a_f = 1 and every later a_j = 0, and it is
+    the only right kernel vector that does.
     """
-    if A.algebra.is_split_decision() == SPLIT:
+    alg = A.algebra
+    if alg.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
-    work = [list(row) for row in A.entries]
-    nrows, ncols = A.m, A.n
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            e = work[r][col]
-            if e.is_zero():
-                continue
-            if not e.is_unit():
-                raise UnexpectedZeroDivisorError(f"nonzero non-unit entry {e!r}")
-            pivot_row = r
-            break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * e for e in work[rank]]
-        for r in range(nrows):
-            if r != rank and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [work[r][j] - factor * work[rank][j] for j in range(ncols)]
-        pivot_of_col[col] = rank
-        rank += 1
-    return work, pivot_of_col
+    pivots, kernel, _ = field_echelon(left_regular_rep(A), alg.field)
+    if pivots != [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]:
+        raise AssertionError("pivots of L(A) over a division algebra are not whole blocks")
+    return len(pivots) // 4, kernel
 
 
 def skew_column_rank(A: CompMatrix) -> int:
     """Number of right-independent columns over a division quaternion algebra."""
-    _, pivots = _skew_echelon(A)
-    return len(pivots)
+    return _skew_kernel(A)[0]
 
 
 def skew_solve(A: CompMatrix):
     """Nonzero right-coefficient vector with (columns of A) . a = 0, or None.
 
-    Deterministic: the first free column receives coefficient one, the result
-    is normalized so its first nonzero coefficient is one, and substituting
-    the output back into the system is checked before returning.
+    Deterministic: the first free column receives coefficient one and the
+    later free columns zero, the result is normalized so its first nonzero
+    coefficient is one, and substituting the output back into the system is
+    checked before returning.
     """
-    work, pivot_of_col = _skew_echelon(A)
-    alg = A.algebra
-    free = next((c for c in range(A.n) if c not in pivot_of_col), None)
-    if free is None:
+    _, kernel = _skew_kernel(A)
+    if kernel is None:
         return None
-    sol = [alg.zero()] * A.n
-    sol[free] = alg.one()
-    for col, prow in pivot_of_col.items():
-        sol[col] = -work[prow][free]
+    alg = A.algebra
+    sol = [alg.element(kernel[4 * j : 4 * j + 4]) for j in range(A.n)]
     first = next(c for c in sol if not c.is_zero())
     inv = first.inverse()
     sol = [c * inv for c in sol]
-    for i in range(A.m):
-        acc = alg.zero()
-        for j in range(A.n):
-            acc = acc + A.entries[i][j] * sol[j]
-        if not acc.is_zero():
-            raise AssertionError("skew elimination produced a bad kernel vector")
+    if not (A * CompMatrix(alg, [[c] for c in sol])).is_zero():
+        raise AssertionError("skew elimination produced a bad kernel vector")
     return tuple(sol)

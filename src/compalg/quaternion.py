@@ -5,13 +5,17 @@ Two concrete realizations share one element interface:
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
     characteristic != 2.  The full 4x4 structure-constant table is derived
-    from those relations once per algebra, and associativity is re-verified
-    on all 64 basis triples at construction; this guards the sign choices in
-    the u*w, w*v, w*w products, which are easy to get wrong by hand.
+    from those relations once per algebra.  Every basis product is a single
+    term c*e_k, kept as the pair (k, c); products and the left regular
+    representation read these pairs, and associativity is re-verified on all
+    64 basis triples at construction by composing them.  This guards the
+    sign choices in the u*w, w*v, w*w products, which are easy to get wrong
+    by hand.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
-    with conjugation the adjugate and norm the determinant.  This form works
+    with conjugation the adjugate and norm the determinant; its single-term
+    table is E_rs * E_tu = [s = t] E_ru.  This form works
     in every characteristic (including 2) and is the one the flattening
     isomorphism Mat(n, Mat(2,k)) ~ Mat(2n,k) consumes.
 
@@ -139,6 +143,19 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
     return (w // g, x // g, y // g)
 
 
+def _single_terms(table):
+    """Each basis product e_i*e_j = c*e_k of a structure-constant table as (k, c).
+
+    Raises ValueError when a product is not a single nonzero term.
+    """
+    terms = [[[(k, c) for k, c in enumerate(prod) if c != 0] for prod in row] for row in table]
+    for i, row in enumerate(terms):
+        for j, t in enumerate(row):
+            if len(t) != 1:
+                raise ValueError(f"basis product e{i}*e{j} = {table[i][j]!r} is not a single term")
+    return [[t[0] for t in row] for row in terms]
+
+
 class QuatAlgebra:
     """The quaternion algebra with parameters (a, b) over QQ or GF(p), p odd."""
 
@@ -153,7 +170,7 @@ class QuatAlgebra:
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
         self.dim = 4
-        self._table = self._build_table()
+        self._terms = _single_terms(self._build_table())
         self._check_associativity()
         self._split_state = None
         self._quad = None
@@ -185,36 +202,27 @@ class QuatAlgebra:
         return t
 
     def _mul_raw(self, x, y):
-        f = self.field
-        acc = [f._coerce(0)] * 4
-        for i in range(4):
-            xi = x[i]
-            if xi == 0:
-                continue
-            for j in range(4):
-                yj = y[j]
-                if yj == 0:
-                    continue
-                c = f._mul(xi, yj)
-                row = self._table[i][j]
-                for k in range(4):
-                    if row[k] != 0:
-                        acc[k] = f._add(acc[k], f._mul(c, row[k]))
-        return tuple(acc)
+        zero, p = self.field._coerce(0), self.field.characteristic
+        acc = [zero] * 4
+        right = [(j, yj) for j, yj in enumerate(y) if yj]
+        for xi, row in zip(x, self._terms):
+            if xi:
+                for j, yj in right:
+                    k, c = row[j]
+                    acc[k] += xi * yj * c
+        return tuple(v % p for v in acc) if p else tuple(acc)
 
     def _check_associativity(self):
-        f = self.field
-        basis = []
+        """(e_i*e_j)*e_l = e_i*(e_j*e_l) on the 64 basis triples, term by term."""
+        mul, t = self.field._mul, self._terms
         for i in range(4):
-            e = [f._coerce(0)] * 4
-            e[i] = f._coerce(1)
-            basis.append(tuple(e))
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    left = self._mul_raw(self._mul_raw(x, y), z)
-                    right = self._mul_raw(x, self._mul_raw(y, z))
-                    if left != right:
+            for j in range(4):
+                k, c = t[i][j]
+                for l in range(4):
+                    left, c1 = t[k][l]
+                    m, c2 = t[j][l]
+                    right, c3 = t[i][m]
+                    if left != right or mul(c, c1) != mul(c2, c3):
                         raise ValueError("structure constants are not associative")
 
     def __eq__(self, other):
@@ -445,6 +453,12 @@ class Mat2Algebra:
             raise ValueError("base field must be QQ or GF(p)")
         self.field = field
         self.dim = 4
+        one, zero = field._coerce(1), field._coerce(0)
+        # E_rs has coordinate 2r + s, and E_rs * E_tu = [s = t] E_ru
+        self._terms = [
+            [((i & 2) | (j & 1), one if (i & 1) == (j >> 1) else zero) for j in range(4)]
+            for i in range(4)
+        ]
 
     def __eq__(self, other):
         return isinstance(other, Mat2Algebra) and other.field == self.field

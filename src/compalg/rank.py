@@ -24,8 +24,11 @@ Whenever M >= 1 + n * threshold, the truncations to the first r rows are
 linearly dependent: over a division algebra as right vectors in C^(r*n),
 otherwise as base-field vectors of coefficient data.  The returned
 coefficients zero out the first r rows of the combination, which therefore
-has rank at most d - 1.  Elimination is deterministic (lexicographic pivots,
-first free column), so the chosen witness is reproducible.
+has rank at most d - 1.  Both cases run on the one base-field kernel,
+`matrices.field_echelon`: the split case on the raw coefficient rows, the
+division case through `skew_solve`.  Elimination is deterministic
+(lexicographic pivots, first free column), so the chosen witness is
+reproducible.
 """
 
 import time
@@ -34,12 +37,12 @@ from itertools import combinations
 from math import comb
 
 from .errors import BoundNotMetError, InfeasibleError
-from .fields import PrimeField, Scalar
+from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import (
     CompMatrix,
+    field_echelon,
     field_rank,
-    field_solve_homogeneous,
     is_invertible,
     left_regular_rep,
 )
@@ -104,20 +107,18 @@ def low_rank_combination(matrices, d: int):
     truncated = [Z.take_rows(keep) for Z in matrices]
 
     if algebra.is_split_decision() == SPLIT:
-        spec = algebra.field
-        rows = []
-        for i in range(keep):
-            for j in range(n):
-                for c in range(4):
-                    rows.append(
-                        [Scalar(spec, T.entries[i][j].coeffs[c]) for T in truncated]
-                    )
-        sol = field_solve_homogeneous(rows, M, spec)
+        f = algebra.field
+        rows = [
+            [T.entries[i][j].coeffs[c] for T in truncated]
+            for i in range(keep)
+            for j in range(n)
+            for c in range(4)
+        ]
+        _, sol, _ = field_echelon(rows, f)
         if sol is None:
             raise AssertionError("dependence guaranteed by dimension count was not found")
-        first = next(c for c in sol if not c.is_zero())
-        inv = first.inverse()
-        coeffs = tuple(algebra.from_base((c * inv).raw) for c in sol)
+        inv = f._inv(next(c for c in sol if c))
+        coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
     else:
         stacked = CompMatrix(
             algebra,

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from .fields import QQ
-from .matrices import field_rank
+from .matrices import field_echelon, field_rank
 
 
 def solve_square(A, b):
@@ -25,23 +25,7 @@ def solve_square(A, b):
 
 
 def det(A) -> Fraction:
-    n = len(A)
-    work = [[Fraction(x) for x in row] for row in A]
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            out = -out
-        out *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * c for a, c in zip(work[r], work[col])]
-    return out
+    return field_echelon([[Fraction(x) for x in row] for row in A], QQ)[2]
 
 
 def nullity(A, ncols) -> int:

@@ -173,3 +173,22 @@ def matrix_from_json(obj) -> CompMatrix:
         block = mat2.element([raw_from_json(spec, e) for row in item for e in row])
         elems.append(block if mat2 is algebra else mat2_to_quat(block, algebra))
     return CompMatrix(algebra, [elems[i * n : (i + 1) * n] for i in range(m)])
+
+
+def int_rows_from_json(obj, name: str = "matrix") -> list:
+    """An integer matrix payload: a non-empty list of equal-length lists of int.
+
+    Floats, strings and booleans are rejected rather than converted, so a
+    payload is never silently read as a different matrix.
+    """
+    if not isinstance(obj, list) or not obj:
+        raise CompAlgError(f"{name} must be a non-empty list of rows, got {obj!r}")
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise CompAlgError(f"{name} row {i} must be a non-empty list, got {row!r}")
+        if len(row) != len(obj[0]):
+            raise CompAlgError(f"{name} row {i} has {len(row)} entries, row 0 has {len(obj[0])}")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise CompAlgError(f"{name} entry [{i}][{j}] must be an integer, got {x!r}")
+    return obj

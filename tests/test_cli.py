@@ -154,6 +154,26 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
         assert expected in json.loads(lines[0])["error"]["message"]
 
 
+def test_malformed_integer_matrices_exit_cleanly(capsys):
+    cases = (
+        (["snf", "--input", "[[1.5, 2]]"], "--input entry [0][0] must be an integer, got 1.5"),
+        (["snf", "--input", "[[true]]"], "--input entry [0][0] must be an integer, got True"),
+        (["snf", "--input", '[["7"]]'], "--input entry [0][0] must be an integer, got '7'"),
+        (["snf", "--input", '{"rows": 5}'], "--input must be a non-empty list of rows, got 5"),
+        (["snf", "--input", "[1, 2]"], "--input row 0 must be a non-empty list, got 1"),
+        (["snf", "--input", "[[1, 2], [3]]"], "--input row 1 has 1 entries, row 0 has 2"),
+        (["sequence-check", "--f", "[[1], [0]]", "--g", "[[0, 1.0]]"], "--g entry [0][1]"),
+    )
+    for argv, expected in cases:
+        code, out, err = run(capsys, "zmod", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert expected in json.loads(lines[0])["error"]["message"], argv
+
+
 def test_malformed_clifford_arguments_exit_cleanly(capsys):
     cases = (
         (["product", "--x", "e1", "--y", "e1"], "needs --sig"),

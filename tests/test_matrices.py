@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from compalg.errors import (
@@ -6,7 +8,7 @@ from compalg.errors import (
     ShapeError,
     UnexpectedZeroDivisorError,
 )
-from compalg.fields import QQ, PrimeField, QuadExt
+from compalg.fields import QQ, PrimeField, QuadExt, from_split_components, split_components
 from compalg.matrices import (
     CompMatrix,
     FieldMatrix,
@@ -24,6 +26,7 @@ from compalg.matrices import (
     unflatten_split,
 )
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
+from compalg.rank import dependence_bound, low_rank_combination, sample_distinct_matrices
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
@@ -225,6 +228,154 @@ def test_mat2_quat_matrix_conversions_roundtrip():
         Z = random_matrix(quat, 2, 2, rng)
         back = mat2_matrix_to_quat(quat_matrix_to_mat2(Z), quat)
         assert back == Z
+
+
+def _oracle_skew_echelon(A):
+    """Test oracle: left row reduction over the division algebra, entry by entry.
+
+    Returns (work rows, pivot column -> pivot row).  Left row operations keep
+    the right null space.
+    """
+    work = [list(row) for row in A.entries]
+    pivot_of_col = {}
+    rank = 0
+    for col in range(A.n):
+        pivot_row = next((r for r in range(rank, A.m) if not work[r][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = work[rank][col].inverse()
+        work[rank] = [inv * e for e in work[rank]]
+        for r in range(A.m):
+            if r != rank and not work[r][col].is_zero():
+                factor = work[r][col]
+                work[r] = [work[r][j] - factor * work[rank][j] for j in range(A.n)]
+        pivot_of_col[col] = rank
+        rank += 1
+    return work, pivot_of_col
+
+
+def _oracle_skew_column_rank(A):
+    return len(_oracle_skew_echelon(A)[1])
+
+
+def _oracle_skew_solve(A):
+    """First free column one, later free columns zero, first nonzero coefficient one."""
+    work, pivot_of_col = _oracle_skew_echelon(A)
+    free = next((c for c in range(A.n) if c not in pivot_of_col), None)
+    if free is None:
+        return None
+    sol = [A.algebra.zero()] * A.n
+    sol[free] = A.algebra.one()
+    for col, prow in pivot_of_col.items():
+        sol[col] = -work[prow][free]
+    inv = next(c for c in sol if not c.is_zero()).inverse()
+    return tuple(c * inv for c in sol)
+
+
+@pytest.mark.parametrize("alg", [HQ, QuatAlgebra(QQ, 2, 5)], ids=repr)
+def test_skew_solve_and_rank_match_row_reduction_oracle(alg):
+    rng = SplitMix64(12)
+    shapes, full, deficient = set(), 0, 0
+
+    def entry():
+        if rng.randint(0, 3) == 0:
+            return alg.zero()
+        return alg.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)])
+
+    for _ in range(120):
+        shape = rng.randint(0, 2)  # 1 x n, m x 1, or m x n
+        m = 1 if shape == 0 else rng.randint(1, 4)
+        n = 1 if shape == 1 else rng.randint(1, 4)
+        if rng.randint(0, 2) == 0:  # a product through a smaller inner size
+            inner = rng.randint(1, min(m, n))
+            A = CompMatrix(alg, [[entry() for _ in range(inner)] for _ in range(m)])
+            Z = A * CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(inner)])
+        else:
+            Z = CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(m)])
+        rank = _oracle_skew_column_rank(Z)
+        assert skew_column_rank(Z) == rank, Z.entries
+        assert skew_solve(Z) == _oracle_skew_solve(Z), Z.entries
+        shapes.add((m == 1, n == 1))
+        full += rank == min(m, n)
+        deficient += rank < min(m, n)
+    assert len(shapes) == 4 and full and deficient
+
+
+@pytest.mark.parametrize("alg", [HQ, QuatAlgebra(QQ, 2, 5)], ids=repr)
+def test_low_rank_combination_matches_row_reduction_oracle(alg):
+    # over a division algebra the coefficients are the oracle's kernel vector
+    # of the stacked truncations
+    rng = SplitMix64(15)
+    for _ in range(12):
+        m = rng.randint(1, 2)
+        n = rng.randint(m, 3)
+        d = rng.randint(1, m)
+        count = 1 + n * dependence_bound(alg, m, d)
+        mats = sample_distinct_matrices(alg, m, n, count, rng.fork(), entry_bound=2)
+        stacked = CompMatrix(
+            alg, [[Z.entries[i][j] for Z in mats] for i in range(m - d + 1) for j in range(n)]
+        )
+        assert low_rank_combination(mats, d) == _oracle_skew_solve(stacked), (m, n, d)
+
+
+def _scalar_det(M):
+    """Test oracle: division elimination on Scalars, componentwise over a split k[sqrt(a)]."""
+    spec = M.spec
+    if isinstance(spec, QuadExt) and spec.split:
+        parts = [[split_components(e) for e in row] for row in M.rows]
+        d1, d2 = (
+            _scalar_det(FieldMatrix(spec.base, [[e[k] for e in row] for row in parts])) for k in (0, 1)
+        )
+        return from_split_components(spec, d1, d2)
+    work = [list(row) for row in M.rows]
+    det = spec.one()
+    for col in range(M.n):
+        pivot_row = next((r for r in range(col, M.n) if not work[r][col].is_zero()), None)
+        if pivot_row is None:
+            return spec.zero()
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = work[col][col].inverse()
+        for r in range(col + 1, M.n):
+            factor = work[r][col] * inv
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+@pytest.mark.parametrize(
+    "spec", [QQ, PrimeField(5), QuadExt(QQ, 1), QuadExt(PrimeField(5), 4)], ids=repr
+)
+def test_det_matches_scalar_elimination(spec):
+    rng = SplitMix64(13)
+
+    def value():
+        if rng.randint(0, 2) == 0:
+            return 0
+        if isinstance(spec, QuadExt):
+            if isinstance(spec.base, PrimeField):
+                return (rng.randint(0, 4), rng.randint(0, 4))
+            return (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        if isinstance(spec, PrimeField):
+            return rng.randint(0, spec.p - 1)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[value() for _ in range(n)] for _ in range(n)]
+        kind = rng.randint(0, 3)
+        if kind == 0 and n > 1:  # singular: a repeated row
+            rows[-1] = list(rows[0])
+        elif kind == 1:  # a zero row
+            rows[rng.randint(0, n - 1)] = [0] * n
+        M = FieldMatrix(spec, rows)
+        expected = _scalar_det(M)
+        assert M.det() == expected, rows
+        seen.add((n == 1, expected.is_zero()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_skew_solve_equal_columns():

@@ -11,6 +11,7 @@ from compalg.quaternion import (
     Mat2Algebra,
     QuatAlgebra,
     QuaternionElement,
+    _single_terms,
     mat2_to_quat,
     quat_to_mat2,
     swap_parameters,
@@ -279,3 +280,57 @@ def test_from_base_embeds_scalars():
     z = HQ.from_base(Fraction(3, 2))
     assert z.coeffs[0] == Fraction(3, 2)
     assert z.norm() == QQ.element(Fraction(9, 4))
+
+
+def _mat2_dense_table():
+    """e_i * e_j for the unit matrices E_rs (coordinate 2r + s), multiplied out."""
+    def unit(i):
+        return [[int(2 * r + s == i) for s in range(2)] for r in range(2)]
+
+    table = []
+    for i in range(4):
+        a, row = unit(i), []
+        for j in range(4):
+            b = unit(j)
+            prod = [[sum(a[r][t] * b[t][s] for t in range(2)) for s in range(2)] for r in range(2)]
+            row.append(tuple(prod[0] + prod[1]))
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [HQ, QuatAlgebra(QQ, 2, 5), QuatAlgebra(PrimeField(7), 3, -1), Mat2Algebra(QQ), Mat2Algebra(PrimeField(5))],
+    ids=repr,
+)
+def test_mul_raw_matches_dense_structure_constants(alg):
+    dense = alg._build_table() if isinstance(alg, QuatAlgebra) else _mat2_dense_table()
+    f = alg.field
+    rng = SplitMix64(14)
+    for _ in range(100):
+        x, y = (random_quat(alg, rng, bound=3).coeffs for _ in range(2))
+        expected = [
+            sum(x[i] * y[j] * dense[i][j][k] for i in range(4) for j in range(4)) for k in range(4)
+        ]
+        expected = tuple(f._coerce(v) for v in expected)
+        from_terms = [f._coerce(0)] * 4
+        for i in range(4):
+            for j in range(4):
+                k, c = alg._terms[i][j]
+                from_terms[k] = f._add(from_terms[k], f._mul(f._mul(x[i], y[j]), c))
+        assert alg._mul_raw(x, y) == expected == tuple(from_terms)
+
+
+def test_term_table_needs_single_terms_and_associativity():
+    table = [list(row) for row in HQ._build_table()]
+    table[1][2] = (0, 1, 0, 1)
+    with pytest.raises(ValueError, match="not a single term"):
+        _single_terms(table)
+    table[1][2] = (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="not a single term"):
+        _single_terms(table)
+    alg = QuatAlgebra(QQ, 2, 5)
+    k, c = alg._terms[2][3]
+    alg._terms[2][3] = (k, -c)  # the sign of v*w flipped
+    with pytest.raises(ValueError, match="not associative"):
+        alg._check_associativity()

@@ -9,7 +9,6 @@ from compalg.fields import QQ, PrimeField, QuadExt, Scalar
 from compalg.matrices import (
     CompMatrix,
     field_rank,
-    field_solve_homogeneous,
     is_invertible,
     left_regular_rep,
 )
@@ -145,9 +144,42 @@ def test_left_regular_rep_is_left_multiplication():
         assert image == expected
 
 
+def _field_solve_homogeneous(rows, ncols, spec):
+    """Test oracle: first kernel vector of Scalar rows by Gauss-Jordan, or None.
+
+    Columns are processed left to right; the first free column gets
+    coefficient one and the other free columns zero.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    pivot_of_col = {}
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if not work[r][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = work[rank][col].inverse()
+        work[rank] = [e * inv for e in work[rank]]
+        for r in range(nrows):
+            if r != rank and not work[r][col].is_zero():
+                factor = work[r][col]
+                work[r] = [work[r][j] - factor * work[rank][j] for j in range(ncols)]
+        pivot_of_col[col] = rank
+        rank += 1
+    free = next((c for c in range(ncols) if c not in pivot_of_col), None)
+    if free is None:
+        return None
+    sol = [spec.zero()] * ncols
+    sol[free] = spec.one()
+    for col, prow in pivot_of_col.items():
+        sol[col] = -work[prow][free]
+    return sol
+
+
 def _independent(rows, cols, spec):
     sub = [[Scalar(spec, row[c]) for c in cols] for row in rows]
-    return field_solve_homogeneous(sub, len(cols), spec) is None
+    return _field_solve_homogeneous(sub, len(cols), spec) is None
 
 
 def test_field_rank_matches_field_solve_homogeneous():
@@ -291,6 +323,37 @@ def test_low_rank_combination_nonsplit_kills_rows():
     combo = combine(mats, coeffs)
     assert combo.take_rows(2).is_zero()
     assert comp_rank(combo) == 0
+
+
+SPLIT_ALGEBRAS = [
+    ("(1,-1)_QQ", QuatAlgebra(QQ, 1, -1)),
+    ("Mat2(GF(3))", Mat2Algebra(PrimeField(3))),
+    ("Mat2(GF(7))", Mat2Algebra(PrimeField(7))),
+]
+
+
+@pytest.mark.parametrize("name,algebra", SPLIT_ALGEBRAS, ids=[a[0] for a in SPLIT_ALGEBRAS])
+def test_low_rank_combination_matches_gauss_jordan_oracle(name, algebra):
+    # over a split algebra the coefficients are the first kernel vector of the
+    # coefficient rows, normalized so the first nonzero one is 1
+    rng = SplitMix64(sum(map(ord, name)) + 1)
+    spec = algebra.field
+    for _ in range(12):
+        m = rng.randint(1, 2)
+        n = rng.randint(m, 3)
+        d = rng.randint(1, m)
+        count = 1 + n * dependence_bound(algebra, m, d)
+        mats = sample_distinct_matrices(algebra, m, n, count, rng.fork(), entry_bound=2)
+        rows = [
+            [Scalar(spec, Z.entries[i][j].coeffs[c]) for Z in mats]
+            for i in range(m - d + 1)
+            for j in range(n)
+            for c in range(4)
+        ]
+        sol = _field_solve_homogeneous(rows, count, spec)
+        inv = next(c for c in sol if not c.is_zero()).inverse()
+        expected = tuple(algebra.from_base((c * inv).raw) for c in sol)
+        assert low_rank_combination(mats, d) == expected, (m, n, d)
 
 
 def test_low_rank_combination_precondition():
