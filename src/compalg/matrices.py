@@ -17,7 +17,8 @@ the determinant.  Its callers are `field_rank` (which `rank.comp_rank`
 applies to `left_regular_rep`, the base-field matrix of X -> Z*X),
 `FieldMatrix.det`, `skew_column_rank` and `skew_solve` (the base-field kernel
 of L(A) over a division algebra), the split branch of
-`rank.low_rank_combination`, and `ratlin.det`.  Determinants over a split
+`rank.low_rank_combination`, `ratlin.det`, `ratlin.solve_square` (the kernel
+vector of [A | b]) and `IntMatrix.det`.  Determinants over a split
 quadratic extension (where elimination would meet zero divisors) go through
 the componentwise decomposition L ~ k (+) k; over a quadratic field they are
 division elimination on the scalars.
@@ -201,9 +202,9 @@ def field_echelon(rows, spec: FieldSpec):
     of denominators (the determinant is divided by their product at the end)
     and the step pivot * r - r[col] * (pivot row) is divided exactly by the
     previous pivot (Bareiss), so the integers stay minors of the cleared
-    matrix, as in `IntMatrix.det`; the last pivot of a square matrix of full
-    rank is its determinant up to the sign of the row swaps.  Entries left of
-    the current column are not updated, since nothing reads them again.
+    matrix; the last pivot of a square matrix of full rank is its
+    determinant up to the sign of the row swaps.  Entries left of the
+    current column are not updated, since nothing reads them again.
 
     The kernel vector is 1 at the first non-pivot column c and 0 after it,
     None when every column is a pivot.  Columns 0..c-1 are pivots, so back
@@ -444,7 +445,7 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
     out = [[spec.zero()] * (2 * Z.n) for _ in range(2 * Z.m)]
     for i in range(Z.m):
         for j in range(Z.n):
-            m00, m01, m10, m11 = _mat2_entry(Z.entries[i][j]).entries
+            m00, m01, m10, m11 = _mat2_entry(Z.entries[i][j]).coeffs
             out[2 * i][2 * j] = Scalar(spec, m00)
             out[2 * i][2 * j + 1] = Scalar(spec, m01)
             out[2 * i + 1][2 * j] = Scalar(spec, m10)
@@ -524,10 +525,10 @@ def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
     zero = spec._coerce(0)
     for row in blocks:
         for e in row:
-            if e.entries[1] != zero or e.entries[2] != zero:
+            if e.coeffs[1] != zero or e.coeffs[2] != zero:
                 raise NotDiagonalError(f"entry {e!r} is not diagonal")
-    first = FieldMatrix(spec, [[e.entries[0] for e in row] for row in blocks])
-    second = FieldMatrix(spec, [[e.entries[3] for e in row] for row in blocks])
+    first = FieldMatrix(spec, [[e.coeffs[0] for e in row] for row in blocks])
+    second = FieldMatrix(spec, [[e.coeffs[3] for e in row] for row in blocks])
     return first, second
 
 

@@ -1,6 +1,9 @@
 """Four-dimensional associative composition algebras.
 
-Two concrete realizations share one element interface:
+One element base, `CompositionElement` (an algebra and four base-field
+coordinates), defines the arithmetic once, with products through the
+algebra's `_mul_raw` and the inverse conj(z)/N(z); `CompositionAlgebra` checks
+the base field.  Two realizations supply the product, conjugation and norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
@@ -156,20 +159,103 @@ def _single_terms(table):
     return [[t[0] for t in row] for row in terms]
 
 
-class QuatAlgebra:
-    """The quaternion algebra with parameters (a, b) over QQ or GF(p), p odd."""
+class CompositionAlgebra:
+    """Base of both realizations: a QQ or GF(p) field; `_one` is the identity's coordinates."""
 
-    def __init__(self, field: FieldSpec, a, b):
+    dim = 4
+
+    def __init__(self, field: FieldSpec):
         if not isinstance(field, (RationalField, PrimeField)):
             raise ValueError("base field must be QQ or GF(p)")
+        self.field = field
+
+    def zero(self):
+        return self.element((0, 0, 0, 0))
+
+    def one(self):
+        return self.element(self._one)
+
+    def from_base(self, value):
+        return self.element(tuple(value if e else 0 for e in self._one))
+
+
+class CompositionElement:
+    """An algebra and four base-field coordinates; subclasses add `conjugate` and `norm`."""
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra: CompositionAlgebra, coeffs):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check(self, other):
+        if not isinstance(other, CompositionElement) or other.algebra != self.algebra:
+            raise AlgebraMismatchError("operands live in different algebras")
+        return other
+
+    def _zip(self, op, other):
+        other = self._check(other)
+        return type(self)(self.algebra, tuple(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other):
+        return self._zip(self.algebra.field._add, other)
+
+    def __sub__(self, other):
+        return self._zip(self.algebra.field._sub, other)
+
+    def __neg__(self):
+        return type(self)(self.algebra, tuple(map(self.algebra.field._neg, self.coeffs)))
+
+    def __mul__(self, other):
+        other = self._check(other)
+        return type(self)(self.algebra, self.algebra._mul_raw(self.coeffs, other.coeffs))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CompositionElement)
+            and other.algebra == self.algebra
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.coeffs))
+
+    def is_zero(self) -> bool:
+        zero = self.algebra.field._coerce(0)
+        return all(c == zero for c in self.coeffs)
+
+    def scale(self, value):
+        """Base-field scalar multiple (central, so no side to choose)."""
+        f = self.algebra.field
+        c = f._coerce(value)
+        return type(self)(self.algebra, tuple(f._mul(x, c) for x in self.coeffs))
+
+    def is_unit(self) -> bool:
+        return not self.norm().is_zero()
+
+    def inverse(self):
+        n = self.norm()
+        if n.is_zero():
+            raise NotInvertibleError(f"{self!r} has zero norm")
+        return self.conjugate().scale(n.inverse())
+
+
+class QuatAlgebra(CompositionAlgebra):
+    """The quaternion algebra with parameters (a, b) over QQ or GF(p), p odd."""
+
+    _one = (1, 0, 0, 0)
+
+    def __init__(self, field: FieldSpec, a, b):
+        super().__init__(field)
         if field.characteristic == 2:
             raise ValueError("quaternion coefficients need characteristic != 2")
-        self.field = field
         self.a = field.element(a)
         self.b = field.element(b)
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
-        self.dim = 4
         self._terms = _single_terms(self._build_table())
         self._check_associativity()
         self._split_state = None
@@ -245,12 +331,6 @@ class QuatAlgebra:
             raise ValueError(f"a quaternion needs 4 coefficients, got {len(coeffs)}")
         return QuaternionElement(self, tuple(self.field._coerce(c) for c in coeffs))
 
-    def zero(self):
-        return self.element((0, 0, 0, 0))
-
-    def one(self):
-        return self.element((1, 0, 0, 0))
-
     def u(self):
         return self.element((0, 1, 0, 0))
 
@@ -259,9 +339,6 @@ class QuatAlgebra:
 
     def w(self):
         return self.element((0, 0, 0, 1))
-
-    def from_base(self, value) -> "QuaternionElement":
-        return self.element((value, 0, 0, 0))
 
     def quad_subfield(self) -> QuadExt:
         """The subalgebra L = k[sqrt(a)] generated by u, used for the doubling coordinates."""
@@ -336,69 +413,13 @@ class QuatAlgebra:
         return self.element((w, x / s, y / t, 0))
 
 
-class QuaternionElement:
+class QuaternionElement(CompositionElement):
     """Element x0 + x1*u + x2*v + x3*w with exact base-field coefficients."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: QuatAlgebra, coeffs):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuaternionElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, QuaternionElement) or other.algebra != self.algebra:
-            raise AlgebraMismatchError("operands live in different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        f = self.algebra.field
-        return QuaternionElement(
-            self.algebra, tuple(f._add(x, y) for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        f = self.algebra.field
-        return QuaternionElement(
-            self.algebra, tuple(f._sub(x, y) for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        f = self.algebra.field
-        return QuaternionElement(self.algebra, tuple(f._neg(x) for x in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return QuaternionElement(
-            self.algebra, self.algebra._mul_raw(self.coeffs, other.coeffs)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuaternionElement)
-            and other.algebra == self.algebra
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.coeffs))
+    __slots__ = ()
 
     def __repr__(self):
         return f"Quat{self.coeffs!r}"
-
-    def is_zero(self) -> bool:
-        zero = self.algebra.field._coerce(0)
-        return all(c == zero for c in self.coeffs)
-
-    def scale(self, value) -> "QuaternionElement":
-        """Base-field scalar multiple (central, so no side to choose)."""
-        f = self.algebra.field
-        c = f._coerce(value)
-        return QuaternionElement(self.algebra, tuple(f._mul(x, c) for x in self.coeffs))
 
     def conjugate(self) -> "QuaternionElement":
         f = self.algebra.field
@@ -415,15 +436,6 @@ class QuaternionElement:
         if prod[1] != zero or prod[2] != zero or prod[3] != zero:
             raise AssertionError("norm has a nonreal component; structure table is broken")
         return Scalar(self.algebra.field, prod[0])
-
-    def is_unit(self) -> bool:
-        return not self.norm().is_zero()
-
-    def inverse(self) -> "QuaternionElement":
-        n = self.norm()
-        if n.is_zero():
-            raise NotInvertibleError(f"{self!r} has zero norm")
-        return self.conjugate().scale(n.inverse())
 
     def cd_coords(self) -> tuple[Scalar, Scalar]:
         """Doubling coordinates (x, y) in L = k[sqrt(a)] with z = x + v*y.
@@ -445,14 +457,13 @@ class QuaternionElement:
         return algebra.element((x.raw[0], x.raw[1], y.raw[0], f._neg(y.raw[1])))
 
 
-class Mat2Algebra:
+class Mat2Algebra(CompositionAlgebra):
     """The split four-dimensional composition algebra as literal 2x2 matrices."""
 
+    _one = (1, 0, 0, 1)
+
     def __init__(self, field: FieldSpec):
-        if not isinstance(field, (RationalField, PrimeField)):
-            raise ValueError("base field must be QQ or GF(p)")
-        self.field = field
-        self.dim = 4
+        super().__init__(field)
         one, zero = field._coerce(1), field._coerce(0)
         # E_rs has coordinate 2r + s, and E_rs * E_tu = [s = t] E_ru
         self._terms = [
@@ -479,16 +490,6 @@ class Mat2Algebra:
             raise ValueError(f"a 2x2 matrix needs 4 entries or 2 rows of 2, got {entries!r}")
         return Mat2Element(self, tuple(self.field._coerce(e) for e in entries))
 
-    def zero(self):
-        return self.element((0, 0, 0, 0))
-
-    def one(self):
-        return self.element((1, 0, 0, 1))
-
-    def from_base(self, value) -> "Mat2Element":
-        c = self.field._coerce(value)
-        return Mat2Element(self, (c, self.field._coerce(0), self.field._coerce(0), c))
-
     def is_split_decision(self) -> str:
         return SPLIT
 
@@ -510,91 +511,29 @@ class Mat2Algebra:
         )
 
 
-class Mat2Element:
+class Mat2Element(CompositionElement):
     """2x2 matrix entries (m00, m01, m10, m11); conjugate is the adjugate."""
 
-    __slots__ = ("algebra", "entries")
-
-    def __init__(self, algebra: Mat2Algebra, entries):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Mat2Element is immutable")
+    __slots__ = ()
 
     @property
-    def coeffs(self):
-        """The four base-field coordinates, as `QuaternionElement.coeffs`."""
-        return self.entries
-
-    def _check(self, other):
-        if not isinstance(other, Mat2Element) or other.algebra != self.algebra:
-            raise AlgebraMismatchError("operands live in different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        f = self.algebra.field
-        return Mat2Element(
-            self.algebra, tuple(f._add(x, y) for x, y in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        f = self.algebra.field
-        return Mat2Element(
-            self.algebra, tuple(f._sub(x, y) for x, y in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self):
-        f = self.algebra.field
-        return Mat2Element(self.algebra, tuple(f._neg(x) for x in self.entries))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return Mat2Element(self.algebra, self.algebra._mul_raw(self.entries, other.entries))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat2Element)
-            and other.algebra == self.algebra
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.entries))
+    def entries(self):
+        """The coordinates (m00, m01, m10, m11), read-only; the same tuple as `coeffs`."""
+        return self.coeffs
 
     def __repr__(self):
-        m00, m01, m10, m11 = self.entries
+        m00, m01, m10, m11 = self.coeffs
         return f"[[{m00},{m01}],[{m10},{m11}]]"
-
-    def is_zero(self) -> bool:
-        zero = self.algebra.field._coerce(0)
-        return all(e == zero for e in self.entries)
-
-    def scale(self, value) -> "Mat2Element":
-        f = self.algebra.field
-        c = f._coerce(value)
-        return Mat2Element(self.algebra, tuple(f._mul(x, c) for x in self.entries))
 
     def conjugate(self) -> "Mat2Element":
         f = self.algebra.field
-        m00, m01, m10, m11 = self.entries
+        m00, m01, m10, m11 = self.coeffs
         return Mat2Element(self.algebra, (m11, f._neg(m01), f._neg(m10), m00))
 
     def norm(self) -> Scalar:
         f = self.algebra.field
-        m00, m01, m10, m11 = self.entries
+        m00, m01, m10, m11 = self.coeffs
         return Scalar(f, f._sub(f._mul(m00, m11), f._mul(m01, m10)))
-
-    def is_unit(self) -> bool:
-        return not self.norm().is_zero()
-
-    def inverse(self) -> "Mat2Element":
-        n = self.norm()
-        if n.is_zero():
-            raise NotInvertibleError(f"{self!r} is singular")
-        return self.conjugate().scale(n.inverse())
 
 
 def quat_to_mat2(z: QuaternionElement, target: Mat2Algebra | None = None) -> Mat2Element:
@@ -628,7 +567,7 @@ def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> Quaternio
         target = QuatAlgebra.split_form(f)
     elif not target.has_mat2_form():
         raise AlgebraMismatchError("target must be the (1,-1) algebra")
-    m00, m01, m10, m11 = m.entries
+    m00, m01, m10, m11 = m.coeffs
     half = f._inv(f._coerce(2))
     return target.element(
         (

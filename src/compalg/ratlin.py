@@ -7,21 +7,17 @@ from .matrices import field_echelon, field_rank
 
 
 def solve_square(A, b):
-    """Solution of A x = b for square A, or None when A is singular."""
+    """Solution of A x = b for square A, or None when A is singular.
+
+    A is nonsingular exactly when the pivots of [A | b] are the columns of A;
+    the kernel vector of [A | b] is then (y, 1) with A y = -b.
+    """
     n = len(A)
-    work = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * c for a, c in zip(work[r], work[col])]
-    return [work[r][n] for r in range(n)]
+    rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
+    pivots, y, _ = field_echelon(rows, QQ)
+    if pivots != list(range(n)):
+        return None
+    return [-v for v in y[:n]]
 
 
 def det(A) -> Fraction:

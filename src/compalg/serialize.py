@@ -103,16 +103,10 @@ def algebra_from_json(obj):
 
 
 def element_to_json(e):
-    spec = e.algebra.field
-    if isinstance(e, QuaternionElement):
-        return {
-            "algebra": algebra_to_json(e.algebra),
-            "coeffs": [raw_to_json(spec, c) for c in e.coeffs],
-        }
-    if isinstance(e, Mat2Element):
-        m00, m01, m10, m11 = (raw_to_json(spec, c) for c in e.entries)
-        return {"algebra": algebra_to_json(e.algebra), "block": [[m00, m01], [m10, m11]]}
-    raise CompAlgError(f"unknown element {e!r}")
+    if not isinstance(e, (QuaternionElement, Mat2Element)):
+        raise CompAlgError(f"unknown element {e!r}")
+    key = "coeffs" if isinstance(e, QuaternionElement) else "block"
+    return {"algebra": algebra_to_json(e.algebra), key: _entry_payload(e)}
 
 
 def element_from_json(obj, algebra=None):
@@ -136,7 +130,7 @@ def _entry_payload(e):
     spec = e.algebra.field
     if isinstance(e, QuaternionElement):
         return [raw_to_json(spec, c) for c in e.coeffs]
-    m00, m01, m10, m11 = (raw_to_json(spec, c) for c in e.entries)
+    m00, m01, m10, m11 = (raw_to_json(spec, c) for c in e.coeffs)
     return [[m00, m01], [m10, m11]]
 
 

@@ -23,6 +23,8 @@ form and is independent of the sign choices, which the sequence leaves free.
 from dataclasses import dataclass
 
 from .errors import ShapeError, TruncationError
+from .fields import QQ
+from .matrices import field_echelon
 
 
 def _mul_rows(a, b, width):
@@ -48,12 +50,16 @@ def _is_identity(rows) -> bool:
 
 
 class IntMatrix:
-    """Immutable matrix of arbitrary-precision integers."""
+    """Immutable matrix of arbitrary-precision integers; entries must be `int` (bool excluded)."""
 
     __slots__ = ("m", "n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if type(e) is not int:
+                    raise ValueError(f"IntMatrix entry [{i}][{j}] is {e!r}, not an int")
         if not rows or not rows[0]:
             raise ShapeError("dimensions must be positive")
         width = len(rows[0])
@@ -103,26 +109,11 @@ class IntMatrix:
         return all(e == 0 for row in self.rows for e in row)
 
     def det(self) -> int:
-        """Fraction-free Bareiss determinant (square matrices)."""
+        """Determinant of a square matrix: `field_echelon` over QQ, which runs
+        fraction-free (Bareiss) on integer rows."""
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
-        a = [list(row) for row in self.rows]
-        n = self.n
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return field_echelon(self.rows, QQ)[2].numerator
 
 
 def smith_normal_form(A: IntMatrix):

@@ -9,6 +9,7 @@ from compalg.quaternion import (
     NONSPLIT,
     SPLIT,
     Mat2Algebra,
+    Mat2Element,
     QuatAlgebra,
     QuaternionElement,
     _single_terms,
@@ -300,7 +301,14 @@ def _mat2_dense_table():
 
 @pytest.mark.parametrize(
     "alg",
-    [HQ, QuatAlgebra(QQ, 2, 5), QuatAlgebra(PrimeField(7), 3, -1), Mat2Algebra(QQ), Mat2Algebra(PrimeField(5))],
+    [
+        HQ,
+        QuatAlgebra(QQ, 2, 5),
+        QuatAlgebra(PrimeField(7), 3, -1),
+        Mat2Algebra(QQ),
+        Mat2Algebra(PrimeField(5)),
+        Mat2Algebra(PrimeField(2)),
+    ],
     ids=repr,
 )
 def test_mul_raw_matches_dense_structure_constants(alg):
@@ -334,3 +342,76 @@ def test_term_table_needs_single_terms_and_associativity():
     alg._terms[2][3] = (k, -c)  # the sign of v*w flipped
     with pytest.raises(ValueError, match="not associative"):
         alg._check_associativity()
+
+
+ELEMENT_ALGEBRAS = [
+    HQ,
+    QuatAlgebra(PrimeField(7), 3, -1),
+    Mat2Algebra(QQ),
+    Mat2Algebra(PrimeField(5)),
+    Mat2Algebra(PrimeField(2)),
+]
+
+
+@pytest.mark.parametrize("alg", ELEMENT_ALGEBRAS, ids=repr)
+def test_element_laws_on_both_realizations(alg):
+    f = alg.field
+    rng = SplitMix64(15)
+    zero, one = alg.zero(), alg.one()
+    for _ in range(60):
+        x, y, z = (random_quat(alg, rng, bound=3) for _ in range(3))
+        c = rng.randint(-3, 3)
+        # coordinates against the field operations on Scalars
+        assert [f.element(e) for e in (x + y).coeffs] == [
+            f.element(a) + f.element(b) for a, b in zip(x.coeffs, y.coeffs)
+        ]
+        assert [f.element(e) for e in (x - y).coeffs] == [
+            f.element(a) - f.element(b) for a, b in zip(x.coeffs, y.coeffs)
+        ]
+        assert [f.element(e) for e in x.scale(c).coeffs] == [
+            f.element(a) * f.element(c) for a in x.coeffs
+        ]
+        assert (x + y) + z == x + (y + z) and x + y == y + x
+        assert x + zero == x and x - x == zero and (x - x).is_zero()
+        assert -(-x) == x and x - y == x + (-y) and (-x).is_zero() == x.is_zero()
+        assert x.scale(c) == x * alg.from_base(c) == alg.from_base(c) * x
+        assert (x * y) * z == x * (y * z) and x * (y + z) == x * y + x * z
+        for result in (x + y, x - y, -x, x * y, x.scale(c), x.conjugate()):
+            assert type(result) is type(x) and result.algebra == alg
+        twin = alg.element(x.coeffs)
+        assert twin == x and hash(twin) == hash(x) and len({twin, x}) == 1
+        assert x + one != x
+        if x.is_unit():
+            assert x * x.inverse() == one == x.inverse() * x
+        else:
+            assert x.norm().is_zero()
+            with pytest.raises(NotInvertibleError):
+                x.inverse()
+    with pytest.raises(AttributeError):
+        x.coeffs = y.coeffs
+    with pytest.raises(AttributeError):
+        x.algebra = alg
+    assert isinstance(x.coeffs, tuple)
+    if isinstance(x, Mat2Element):
+        assert x.entries is x.coeffs
+        with pytest.raises(AttributeError):
+            x.entries = y.coeffs
+    witness = alg.split_witness()
+    if alg.is_split_decision() == SPLIT:
+        assert not witness.is_zero() and not witness.is_unit()
+        with pytest.raises(NotInvertibleError):
+            witness.inverse()
+    else:
+        assert witness is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_quaternion_and_mat2_elements_do_not_mix(field):
+    q = QuatAlgebra.split_form(field).element((1, 2, 3, 4))
+    m = Mat2Algebra(field).element((1, 2, 3, 4))
+    assert q.coeffs == m.coeffs
+    assert q != m and m != q
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((q, m), (m, q)):
+            with pytest.raises(AlgebraMismatchError):
+                op(a, b)

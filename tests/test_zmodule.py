@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from compalg import zmodule
@@ -201,3 +203,44 @@ def test_localization_model_truncation_guard():
 def test_rank_helper():
     assert rank(IntMatrix([[1, 2], [2, 4]])) == 1
     assert rank(IntMatrix.identity(4)) == 4
+
+
+def leibniz_det(rows):
+    """Test oracle: the permutation sum, with the sign from the inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_oracle():
+    rng = SplitMix64(41)
+    cases = [
+        [[7]],
+        [[0]],
+        [[0, 2], [3, 1]],  # zero leading pivot
+        [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # singular
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero first column
+    ]
+    for n in range(1, 6):
+        for _ in range(12):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            cases.append(rows)
+            if n > 1:
+                cases.append([[0] + row[1:] for row in rows])
+                cases.append(rows[:-1] + [[a + b for a, b in zip(rows[0], rows[1])]])
+    for rows in cases:
+        d = IntMatrix(rows).det()
+        assert type(d) is int and d == leibniz_det(rows), rows
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "7"], ids=repr)
+def test_int_matrix_rejects_non_int_entries(bad):
+    with pytest.raises(ValueError, match=r"\[1\]\[0\]"):
+        IntMatrix([[1, 2], [bad, 4]])
