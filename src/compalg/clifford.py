@@ -64,11 +64,11 @@ def _blade_product(a: tuple, b: tuple, metric: tuple):
 class CliffordSignature:
     """Product table and blade indexing for Cl(p, q) with p + q <= 6."""
 
-    def __init__(self, p: int, q: int, max_dimension: int = MAX_DIMENSION):
+    def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
             raise ValueError("signature counts must be nonnegative")
-        if p + q > max_dimension:
-            raise InfeasibleError(f"dimension {p + q} exceeds the budget {max_dimension}")
+        if p + q > MAX_DIMENSION:
+            raise InfeasibleError(f"dimension {p + q} exceeds the budget {MAX_DIMENSION}")
         self.p = p
         self.q = q
         self.n = p + q
@@ -243,15 +243,6 @@ class Multivector:
     def grades(self) -> set[int]:
         return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c != 0}
 
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(
-            self.sig,
-            [c if len(b) == k else Fraction(0) for b, c in zip(self.sig.blades, self.coeffs)],
-        )
-
-    def scalar_part(self) -> Fraction:
-        return self.coeffs[0]
-
     def vector_part(self):
         """Coordinates on e_1..e_n when the element is pure grade 1, else None."""
         if not self.grades() <= {1}:
@@ -272,9 +263,6 @@ class Multivector:
                 for b, c in zip(self.sig.blades, self.coeffs)
             ],
         )
-
-    def clifford_conjugate(self) -> "Multivector":
-        return self.grade_involution().reversion()
 
     def is_even(self) -> bool:
         return all(g % 2 == 0 for g in self.grades())

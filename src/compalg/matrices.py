@@ -1,27 +1,27 @@
 """Dense exact matrices over field specs and over composition algebras.
 
 The composition-algebra matrices are right modules: scalar coefficients
-multiply every entry on the right.  The faithful doubling representation
-
-    Z = X + v*Y  ->  [[X, -conj(Y)], [-b*Y, conj(X)]]
-
-sends an n x n matrix over (a,b) to a 2n x 2n matrix over L = k[sqrt(a)]
-(conjugation applied entrywise), and the Study determinant of Z is
-d * conj(d) for d = det of that image, an element of the base field.  The
-sign convention in the lower-left block is pinned by the homomorphism tests
-rather than trusted.
+multiply every entry on the right.  Verdicts on a square matrix Z over an
+algebra with base field k come from one base-field picture, the matrix L(Z)
+of X -> Z*X (`left_regular_rep`): det L(Z) is the square of the reduced
+norm, i.e. the Study determinant d * conj(d) (`study_det`), and Z is
+invertible exactly when it is nonzero (`is_invertible`), for every algebra.
+The doubling representation Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]]
+over L = k[sqrt(a)] (`symplectic_rep`, d its determinant; the lower-left
+sign is pinned by the homomorphism tests), the flattening
+Mat(n, Mat(2,k)) ~ Mat(2n,k) (`flatten_split`) and the diagonal projection
+(`split_pair`) are outputs only.
 
 One raw-value kernel, `field_echelon`, eliminates over QQ and GF(p): it
 returns the pivot columns, the first kernel vector and, for square input,
-the determinant.  Its callers are `field_rank` (which `rank.comp_rank`
-applies to `left_regular_rep`, the base-field matrix of X -> Z*X),
-`FieldMatrix.det`, `skew_column_rank` and `skew_solve` (the base-field kernel
-of L(A) over a division algebra), the split branch of
-`rank.low_rank_combination`, `ratlin.det`, `ratlin.solve_square` (the kernel
-vector of [A | b]) and `IntMatrix.det`.  Determinants over a split
-quadratic extension (where elimination would meet zero divisors) go through
-the componentwise decomposition L ~ k (+) k; over a quadratic field they are
-division elimination on the scalars.
+the determinant.  Its callers are `study_det`, `field_rank` (which
+`rank.comp_rank` applies to L(Z)), `FieldMatrix.det`, `skew_column_rank`
+and `skew_solve` (the base-field kernel of L(A) over a division algebra),
+the split branch of `rank.low_rank_combination`, `ratlin.det`,
+`ratlin.solve_square` (the kernel vector of [A | b]) and `IntMatrix.det`.
+`FieldMatrix.det` over a split quadratic extension goes through the
+componentwise decomposition L ~ k (+) k; over a quadratic field it is
+division elimination on the scalars, which no library verdict reaches.
 """
 
 from fractions import Fraction
@@ -397,6 +397,8 @@ def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
     """
     if not Z.is_square():
         raise ShapeError("the representation is defined for square matrices")
+    if Z.algebra.field.characteristic == 2:
+        raise ValueError("the doubling representation needs characteristic != 2")
     if isinstance(Z.algebra, Mat2Algebra):
         Z = mat2_matrix_to_quat(Z)
     alg: QuatAlgebra = Z.algebra
@@ -417,12 +419,11 @@ def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
 
 
 def study_det(Z: CompMatrix) -> Scalar:
-    """d * conj(d) for d = det of the doubling representation; a base-field value."""
-    d = symplectic_rep(Z).det()
-    prod = d * d.conjugate()
-    if prod.raw[1] != 0:
-        raise AssertionError("Study determinant left the base field")
-    return Scalar(prod.spec.base, prod.raw[0])
+    """Study determinant d * conj(d) of a square matrix: det L(Z), a base-field value."""
+    if not Z.is_square():
+        raise ShapeError("the Study determinant is defined for square matrices")
+    k = Z.algebra.field
+    return Scalar(k, field_echelon(left_regular_rep(Z), k)[2])
 
 
 def _mat2_entry(e) -> Mat2Element:
@@ -532,24 +533,9 @@ def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
     return first, second
 
 
-def is_invertible_via_study(Z: CompMatrix) -> bool:
-    return not study_det(Z).is_zero()
-
-
-def is_invertible_via_flatten(Z: CompMatrix) -> bool:
-    return not flatten_split(Z).det().is_zero()
-
-
 def is_invertible(Z: CompMatrix) -> bool:
-    """Invertibility over the algebra: nonzero Study determinant, or nonzero
-    determinant of the flattening when the split 2x2 form is available."""
-    if not Z.is_square():
-        raise ShapeError("invertibility is defined for square matrices")
-    if isinstance(Z.algebra, Mat2Algebra) or (
-        isinstance(Z.algebra, QuatAlgebra) and Z.algebra.has_mat2_form()
-    ):
-        return is_invertible_via_flatten(Z)
-    return is_invertible_via_study(Z)
+    """Invertibility over the algebra: a nonzero Study determinant."""
+    return not study_det(Z).is_zero()
 
 
 def _skew_kernel(A: CompMatrix):

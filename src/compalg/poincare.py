@@ -131,7 +131,8 @@ class UniPoly:
     def to_sparse(self) -> dict:
         return {str(i): c for i, c in enumerate(self.coeffs) if c}
 
-    def text(self) -> str:
+    def _render(self, power: str) -> str:
+        """The nonzero terms joined by signs; t^i for i >= 2 is `power.format(i)`."""
         if not self.coeffs:
             return "0"
         parts = []
@@ -142,25 +143,14 @@ class UniPoly:
                 parts.append(str(c))
             else:
                 head = "" if c == 1 else ("-" if c == -1 else str(c))
-                var = "t" if i == 1 else f"t^{i}"
-                parts.append(f"{head}{var}" if head != "-" else f"-{var}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+                parts.append(head + ("t" if i == 1 else power.format(i)))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def text(self) -> str:
+        return self._render("t^{}")
 
     def latex(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c))
-                var = "t" if i == 1 else f"t^{{{i}}}"
-                parts.append(f"{head}{var}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._render("t^{{{}}}")
 
     def __repr__(self):
         return f"UniPoly({self.text()})"

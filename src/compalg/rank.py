@@ -11,8 +11,9 @@ representation L(Z) of X -> Z*X (`matrices.left_regular_rep`):
   dimension the column rank, and the column rank is the rank; so the answer
   is top, and rank_k(L(Z)) is checked to be a multiple of 4.
 - Over a split algebra, or one whose split decision is infeasible, the
-  minors are searched by `is_invertible`, in decreasing size from
-  min(m, n, top) and lexicographic subset order.
+  minors are searched by `is_invertible` (a nonzero det L of the minor, the
+  same kernel for every algebra), in decreasing size from min(m, n, top)
+  and lexicographic subset order.
 
 `low_rank_combination` makes the dependence argument constructive.  Given M
 mutually distinct m x n matrices and a target d, write r = m - d + 1 and

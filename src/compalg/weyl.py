@@ -403,7 +403,7 @@ def is_invariant(G: SignedPermGroup, f: LaurentPoly) -> bool:
     return all(act(g, f) == f for g in G.generators())
 
 
-def reynolds(G: SignedPermGroup, f: LaurentPoly, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> LaurentPoly:
+def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     """Group average (1/|G|) sum g.f; idempotent on invariants.
 
     One pass over G on raw exponent tuples, with f's coefficients scaled to
@@ -413,8 +413,8 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly, max_order: int = DEFAULT_MAX_GR
     come in the order that summing the images one by one would give.
     """
     order = G.order()
-    if order > max_order:
-        raise InfeasibleError(f"|G| = {order} exceeds the averaging budget {max_order}")
+    if order > DEFAULT_MAX_GROUP_ORDER:
+        raise InfeasibleError(f"|G| = {order} exceeds the averaging budget {DEFAULT_MAX_GROUP_ORDER}")
     if G.n != f.nvars:
         raise ShapeError("group element and polynomial have different variable counts")
     denom = lcm(*(c.denominator for c in f.terms.values()))

@@ -102,12 +102,28 @@ def test_quat_actions(capsys):
     assert out == "split"
 
 
+CHAR2_MAT2 = {
+    "algebra": {"field": {"kind": "Fp", "p": 2}, "mat2": True},
+    "m": 1,
+    "n": 1,
+    "blocks": [[[1, 1], [0, 1]]],
+}
+
+
 def test_mat_actions(capsys):
     code, out, _ = run(capsys, "mat", "study-det", "--fixture", "z2")
     assert code == 0
     assert json.loads(out) == {"study_det": "0"}
     code, out, _ = run(capsys, "mat", "invertible", "--fixture", "z1", "--output", "text")
     assert out == "true"
+
+
+def test_mat_study_det_in_characteristic_two(capsys):
+    code, out, err = run(capsys, "mat", "study-det", "--input", json.dumps(CHAR2_MAT2))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"study_det": 1}
+    code, out, _ = run(capsys, "mat", "invertible", "--input", json.dumps(CHAR2_MAT2))
+    assert json.loads(out) == {"invertible": True}
 
 
 def test_weyl_actions(capsys):
@@ -144,8 +160,10 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
         ({"algebra": {"field": {"kind": "Q"}, "a": [1], "b": 1}, "m": 1, "n": 1, "entries": [5]}, "must be a number or a string"),
         ({"algebra": {"field": {"kind": "quad", "base": {"kind": "Q"}, "a": "2"}, "a": 5, "b": 1}, "m": 1, "n": 1, "entries": [5]}, "must be a pair"),
     )
-    for payload, expected in payloads:
-        code, out, err = run(capsys, "mat", "study-det", "--input", json.dumps(payload))
+    cases = [("study-det", payload, expected) for payload, expected in payloads]
+    cases.append(("sympl", CHAR2_MAT2, "doubling representation needs characteristic != 2"))
+    for action, payload, expected in cases:
+        code, out, err = run(capsys, "mat", action, "--input", json.dumps(payload))
         assert code == 1
         assert out == ""
         assert "Traceback" not in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,6 @@ from compalg.matrices import (
     FieldMatrix,
     flatten_split,
     is_invertible,
-    is_invertible_via_flatten,
-    is_invertible_via_study,
     mat2_matrix_to_quat,
     quat_matrix_to_mat2,
     skew_column_rank,
@@ -203,6 +202,8 @@ def test_is_invertible_basics():
 
 
 def test_invertibility_paths_agree_on_split_f3():
+    # every 2 x 2 matrix over the seven sample entries: det L(Z), the flattening
+    # and the doubling representation give one verdict
     split3 = QuatAlgebra(F3, 1, -1)
     sample = [
         split3.element((1, 0, 0, 0)),
@@ -213,12 +214,47 @@ def test_invertibility_paths_agree_on_split_f3():
         split3.element((0, 0, 0, 0)),
         split3.element((1, 2, 0, 1)),
     ]
-    rng = SplitMix64(9)
-    for _ in range(10_000):
-        Z = CompMatrix(
-            split3, [[rng.choice(sample) for _ in range(2)] for _ in range(2)]
-        )
-        assert is_invertible_via_study(Z) == is_invertible_via_flatten(Z)
+    verdicts = set()
+    for a, b, c, d in product(sample, repeat=4):
+        Z = CompMatrix(split3, [[a, b], [c, d]])
+        verdict = is_invertible(Z)
+        assert verdict == (not flatten_split(Z).det().is_zero()), Z.entries
+        assert verdict == (not symplectic_rep(Z).det().is_zero()), Z.entries
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [HQ, QuatAlgebra(QQ, 2, 5), QuatAlgebra.split_form(QQ), QuatAlgebra(F3, 1, -1)],
+    ids=repr,
+)
+def test_study_det_is_norm_of_doubling_determinant(alg):
+    rng = SplitMix64(16)
+    L = alg.quad_subfield()
+    sizes = set()
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        Z = random_matrix(alg, n, n, rng, bound=1)
+        d = symplectic_rep(Z).det()
+        assert L.embed(study_det(Z)) == d * d.conjugate(), Z.entries
+        sizes.add(n)
+    assert sizes == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F3, QQ], ids=repr)
+def test_study_det_is_square_of_flattened_determinant(field):
+    alg = Mat2Algebra(field)
+    rng = SplitMix64(17)
+    zero = False
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        Z = random_matrix(alg, n, n, rng, bound=1)
+        d = flatten_split(Z).det()
+        assert study_det(Z) == d * d, Z.entries
+        assert is_invertible(Z) == (not d.is_zero())
+        zero = zero or d.is_zero()
+    assert zero
 
 
 def test_mat2_quat_matrix_conversions_roundtrip():
