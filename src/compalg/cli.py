@@ -59,8 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_field(token: str):
-    if token is None:
-        raise CliError("this action needs --field (Q or Fp:<prime>)")
     if token in ("Q", "QQ"):
         return QQ
     if token.startswith("Fp:"):
@@ -194,7 +192,7 @@ def field_matrix_json(M) -> dict:
 
 def field_matrix_latex(M) -> str:
     body = r" \\ ".join(
-        " & ".join(str(raw_to_json(M.spec, e.raw)) for e in row) for row in M.rows
+        " & ".join(str(raw_to_json(M.ring, e.raw)) for e in row) for row in M.rows
     )
     return rf"\begin{{bmatrix}} {body} \end{{bmatrix}}"
 
@@ -327,12 +325,7 @@ def cmd_weyl(args) -> Result:
         return Result({"generators": [g.text() for g in gens]}, text="\n".join(g.text() for g in gens))
     if args.action == "verify-generation":
         report = weyl.verify_generation(args.flavor, args.n, args.bound)
-        code = 0
-        return Result(
-            report.to_json(),
-            text=f"expressible {report.expressible}/{report.checked}",
-            exit_code=code,
-        )
+        return Result(report.to_json(), text=f"expressible {report.expressible}/{report.checked}")
     raise CliError(f"unknown weyl action {args.action!r}")
 
 
@@ -375,42 +368,27 @@ def cmd_zmod(args) -> Result:
     raise CliError(f"unknown zmod action {args.action!r}")
 
 
-def _pq_args(args):
-    if args.p is None or args.q is None:
-        raise CliError(f"clifford {args.action} needs --p and --q")
-    return args.p, args.q
-
-
 def _sig_arg(args) -> cliff.CliffordSignature:
-    if args.sig is None:
-        raise CliError(f"clifford {args.action} needs --sig p,q")
     parts = args.sig.split(",")
     if len(parts) != 2:
         raise CliError(f"--sig must be two counts p,q, not {args.sig!r}")
     return cliff.CliffordSignature(int(parts[0]), int(parts[1]))
 
 
-def _multivector_arg(sig, args, name: str) -> cliff.Multivector:
-    text = getattr(args, name)
-    if text is None:
-        raise CliError(f"clifford {args.action} needs --{name}")
-    return parse_multivector(sig, text)
-
-
 def cmd_clifford(args) -> Result:
     if args.action == "classify":
-        out = cliff.classify(*_pq_args(args))
+        out = cliff.classify(args.p, args.q)
         return Result(out.to_json(), text=f"{out.base} size {out.matrix_size}" + (" (+)^2" if out.direct_sum else ""))
     if args.action == "verify":
-        report = cliff.verify_classification(*_pq_args(args))
+        report = cliff.verify_classification(args.p, args.q)
         return Result(report.to_json(), exit_code=0 if report.agree() else 2)
     if args.action == "product":
         sig = _sig_arg(args)
-        out = _multivector_arg(sig, args, "x") * _multivector_arg(sig, args, "y")
+        out = parse_multivector(sig, args.x) * parse_multivector(sig, args.y)
         return Result(multivector_to_json(out), text=repr(out))
     if args.action == "membership":
         sig = _sig_arg(args)
-        report = cliff.clifford_group_membership(_multivector_arg(sig, args, "x"))
+        report = cliff.clifford_group_membership(parse_multivector(sig, args.x))
         return Result(report.to_json())
     if args.action == "spin-check":
         return _spin_check(args)
@@ -418,7 +396,7 @@ def cmd_clifford(args) -> Result:
 
 
 def _spin_check(args) -> Result:
-    sig = cliff.CliffordSignature(*_pq_args(args))
+    sig = cliff.CliffordSignature(args.p, args.q)
     if sig.n == 0:
         raise CliError("spin-check needs p + q >= 1: Cl(0,0) has no unit vectors")
     rng = SplitMix64(args.seed)
@@ -451,6 +429,33 @@ def _spin_check(args) -> Result:
 # ---------------------------------------------------------------- plumbing
 
 
+# Each command's actions, and the flags each action needs in the order they
+# are checked before its handler runs; "p+q" is one group, reported together.
+# Either-or choices (--a and --b or --split, --input or --fixture) are
+# checked where they are read.
+_ACTIONS = {
+    "quat": {
+        "mul": "field x y", "norm": "field x", "conjugate": "field x", "inverse": "field x",
+        "is-split": "field",
+    },
+    "mat": dict.fromkeys(("study-det", "sympl", "invertible", "flatten", "split-pair"), ""),
+    "span": {"rank": "", "bound": "field m d", "verify-bound": "field m n d"},
+    "poincare": {
+        "hirsch": "g u", "product-form": "space n", "gaussian": "n k", "grassmann": "p+q",
+        "oriented-grassmann": "m k", "clifford-gamma": "n p+q",
+    },
+    "weyl": {
+        "index": "g h", "ktheory": "pair", "reynolds": "group poly", "generators": "flavor n",
+        "verify-generation": "flavor n bound",
+    },
+    "zmod": {"snf": "input", "loc-model": "n smax", "sequence-check": "f g"},
+    "clifford": {
+        "classify": "p+q", "verify": "p+q", "product": "sig x y", "membership": "sig x",
+        "spin-check": "p+q",
+    },
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="compalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,17 +479,17 @@ def build_parser() -> _Parser:
 
     quat = common(sub.add_parser("quat", help="quaternion element operations"))
     algebra_flags(quat)
-    quat.add_argument("action", choices=("mul", "norm", "conjugate", "inverse", "is-split"))
+    quat.add_argument("action", choices=tuple(_ACTIONS["quat"]))
     quat.add_argument("--x", help="four comma-separated coefficients")
     quat.add_argument("--y", help="four comma-separated coefficients")
 
     mat = common(sub.add_parser("mat", help="matrix operations over an algebra"))
-    mat.add_argument("action", choices=("study-det", "sympl", "invertible", "flatten", "split-pair"))
+    mat.add_argument("action", choices=tuple(_ACTIONS["mat"]))
     mat.add_argument("--input", help="matrix JSON file")
     mat.add_argument("--fixture", help="bundled fixture name")
 
     span = common(sub.add_parser("span", help="rank and spanning-threshold checks"))
-    span.add_argument("action", choices=("rank", "bound", "verify-bound"))
+    span.add_argument("action", choices=tuple(_ACTIONS["span"]))
     algebra_flags(span)
     span.add_argument("--input")
     span.add_argument("--fixture")
@@ -495,10 +500,7 @@ def build_parser() -> _Parser:
     span.add_argument("--entry-bound", type=int, default=3)
 
     poin = common(sub.add_parser("poincare", help="Poincare polynomial formulas"))
-    poin.add_argument(
-        "action",
-        choices=("hirsch", "product-form", "gaussian", "grassmann", "oriented-grassmann", "clifford-gamma"),
-    )
+    poin.add_argument("action", choices=tuple(_ACTIONS["poincare"]))
     poin.add_argument("--g", help="degree token, e.g. BC:3")
     poin.add_argument("--u", help="degree token, e.g. U1SU:3")
     poin.add_argument("--space", help="sp-u1su or so-u1su")
@@ -510,9 +512,7 @@ def build_parser() -> _Parser:
     poin.add_argument("--step", type=int, default=1, choices=(1, 2))
 
     wey = common(sub.add_parser("weyl", help="Weyl group invariants and indices"))
-    wey.add_argument(
-        "action", choices=("index", "ktheory", "reynolds", "generators", "verify-generation")
-    )
+    wey.add_argument("action", choices=tuple(_ACTIONS["weyl"]))
     wey.add_argument("--g")
     wey.add_argument("--h")
     wey.add_argument("--pair", help="quaternionic, split, or one-dim-split")
@@ -523,7 +523,7 @@ def build_parser() -> _Parser:
     wey.add_argument("--bound", type=int)
 
     zmod = common(sub.add_parser("zmod", help="integer-lattice computations"))
-    zmod.add_argument("action", choices=("snf", "loc-model", "sequence-check"))
+    zmod.add_argument("action", choices=tuple(_ACTIONS["zmod"]))
     zmod.add_argument("--input")
     zmod.add_argument("--f")
     zmod.add_argument("--g")
@@ -532,9 +532,7 @@ def build_parser() -> _Parser:
     zmod.add_argument("--signs", default="")
 
     cl = common(sub.add_parser("clifford", help="Clifford algebra computations"))
-    cl.add_argument(
-        "action", choices=("classify", "verify", "product", "membership", "spin-check")
-    )
+    cl.add_argument("action", choices=tuple(_ACTIONS["clifford"]))
     cl.add_argument("--p", type=int)
     cl.add_argument("--q", type=int)
     cl.add_argument("--sig", help="signature as p,q")
@@ -543,6 +541,14 @@ def build_parser() -> _Parser:
     cl.add_argument("--count", type=int, default=20)
 
     return parser
+
+
+def _check_required(args) -> None:
+    for group in _ACTIONS[args.command][args.action].split():
+        names = group.split("+")
+        if any(getattr(args, name) is None for name in names):
+            flags = " and ".join(f"--{name}" for name in names)
+            raise CliError(f"{args.command} {args.action} needs {flags}")
 
 
 _HANDLERS = {
@@ -569,6 +575,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_required(args)
         result = _HANDLERS[args.command](args)
     except (CliError, CompAlgError, ValueError, ZeroDivisionError, FileNotFoundError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -1,6 +1,11 @@
 """Dense exact matrices over field specs and over composition algebras.
 
-The composition-algebra matrices are right modules: scalar coefficients
+One core, `RingMatrix`, holds an immutable m x n grid over one ring and
+defines shape checks, equality, hashing, sums, products, `submatrix`,
+`zero` and `identity` once.  `FieldMatrix` (over a field spec) adds entry
+coercion, `scale` and `det`; `CompMatrix` (over a composition algebra) adds
+the per-entry algebra check, `scale_right` and `take_rows`.  The
+composition-algebra matrices are right modules: scalar coefficients
 multiply every entry on the right.  Verdicts on a square matrix Z over an
 algebra with base field k come from one base-field picture, the matrix L(Z)
 of X -> Z*X (`left_regular_rep`): det L(Z) is the square of the reduced
@@ -24,6 +29,7 @@ componentwise decomposition L ~ k (+) k; over a quadratic field it is
 division elimination on the scalars, which no library verdict reaches.
 """
 
+import operator
 from fractions import Fraction
 from math import lcm, prod
 
@@ -55,96 +61,78 @@ from .quaternion import (
 )
 
 
-class FieldMatrix:
-    """Immutable m x n matrix of scalars sharing one field spec."""
+class RingMatrix:
+    """Immutable m x n matrix over `ring`, whose `zero()` and `one()` it uses.
 
-    __slots__ = ("spec", "m", "n", "rows")
+    A subclass supplies `_entries`, which coerces or checks the entries
+    before the shape is checked, and `_mismatch`, the error type and message
+    for an operand of another class or over another ring.
+    """
 
-    def __init__(self, spec: FieldSpec, rows):
-        rows = tuple(tuple(spec.element(e) for e in row) for row in rows)
+    __slots__ = ("ring", "m", "n", "rows")
+
+    def __init__(self, ring, rows):
+        rows = self._entries(ring, rows)
         if not rows or not rows[0]:
             raise ShapeError("dimensions must be positive")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", width)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *_):
-        raise AttributeError("FieldMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def identity(cls, ring, n: int):
+        one, zero = ring.one(), ring.zero()
+        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, spec: FieldSpec, m: int, n: int) -> "FieldMatrix":
-        return cls(spec, [[0] * n for _ in range(m)])
+    def zero(cls, ring, m: int, n: int):
+        z = ring.zero()
+        return cls(ring, [[z] * n for _ in range(m)])
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldMatrix)
-            and other.spec == self.spec
-            and other.rows == self.rows
-        )
+        return type(other) is type(self) and other.ring == self.ring and other.rows == self.rows
 
     def __hash__(self):
-        return hash((self.spec, self.rows))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(repr(e.raw) for e in row) for row in self.rows)
-        return f"FieldMatrix({self.m}x{self.n}: {body})"
+        return hash((self.ring, self.rows))
 
     def _check(self, other):
-        if not isinstance(other, FieldMatrix) or other.spec != self.spec:
-            raise FieldMismatchError("matrices over different fields")
+        if type(other) is not type(self) or other.ring != self.ring:
+            error, message = self._mismatch
+            raise error(message)
         return other
 
-    def __add__(self, other):
+    def _zip(self, op, other, verb):
         other = self._check(other)
         if (self.m, self.n) != (other.m, other.n):
-            raise ShapeError("addition needs equal shapes")
-        return FieldMatrix(
-            self.spec,
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.m)],
-        )
+            raise ShapeError(f"{verb} needs equal shapes")
+        return type(self)(self.ring, [list(map(op, a, b)) for a, b in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._zip(operator.add, other, "addition")
 
     def __sub__(self, other):
-        other = self._check(other)
-        if (self.m, self.n) != (other.m, other.n):
-            raise ShapeError("subtraction needs equal shapes")
-        return FieldMatrix(
-            self.spec,
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.n)] for i in range(self.m)],
-        )
+        return self._zip(operator.sub, other, "subtraction")
 
     def __neg__(self):
-        return FieldMatrix(self.spec, [[-e for e in row] for row in self.rows])
+        return type(self)(self.ring, [[-e for e in row] for row in self.rows])
 
     def __mul__(self, other):
         other = self._check(other)
         if self.n != other.m:
             raise ShapeError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        zero = self.spec.zero()
-        out = []
-        for i in range(self.m):
-            row = []
-            for j in range(other.n):
-                acc = zero
-                for k in range(self.n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(self.spec, out)
-
-    def scale(self, c) -> "FieldMatrix":
-        c = self.spec.element(c)
-        return FieldMatrix(self.spec, [[e * c for e in row] for row in self.rows])
+        zero, cols = self.ring.zero(), list(zip(*other.rows))
+        out = [[sum((x * y for x, y in zip(row, col)), zero) for col in cols] for row in self.rows]
+        return type(self)(self.ring, out)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
@@ -152,8 +140,32 @@ class FieldMatrix:
     def is_square(self) -> bool:
         return self.m == self.n
 
-    def submatrix(self, row_idx, col_idx) -> "FieldMatrix":
-        return FieldMatrix(self.spec, [[self.rows[i][j] for j in col_idx] for i in row_idx])
+    def submatrix(self, row_idx, col_idx):
+        return type(self)(self.ring, [[self.rows[i][j] for j in col_idx] for i in row_idx])
+
+
+class FieldMatrix(RingMatrix):
+    """Immutable m x n matrix of scalars sharing one field spec."""
+
+    __slots__ = ()
+    _mismatch = (FieldMismatchError, "matrices over different fields")
+
+    @staticmethod
+    def _entries(spec, rows):
+        return tuple(tuple(spec.element(e) for e in row) for row in rows)
+
+    @property
+    def spec(self) -> FieldSpec:
+        """The field spec, read-only; the same object as `ring`."""
+        return self.ring
+
+    def __repr__(self):
+        body = "; ".join(" ".join(repr(e.raw) for e in row) for row in self.rows)
+        return f"FieldMatrix({self.m}x{self.n}: {body})"
+
+    def scale(self, c) -> "FieldMatrix":
+        c = self.ring.element(c)
+        return FieldMatrix(self.ring, [[e * c for e in row] for row in self.rows])
 
     def det(self) -> Scalar:
         """Exact determinant.
@@ -165,7 +177,7 @@ class FieldMatrix:
         """
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
-        spec = self.spec
+        spec = self.ring
         if not isinstance(spec, QuadExt):
             return Scalar(spec, field_echelon([[e.raw for e in row] for row in self.rows], spec)[2])
         if spec.split:
@@ -277,116 +289,44 @@ def field_rank(rows, spec: FieldSpec) -> int:
     return len(field_echelon(rows, spec)[0])
 
 
-class CompMatrix:
+class CompMatrix(RingMatrix):
     """Matrix with entries from one composition algebra; a right module."""
 
-    __slots__ = ("algebra", "m", "n", "entries")
+    __slots__ = ()
+    _mismatch = (AlgebraMismatchError, "matrices over different algebras")
 
-    def __init__(self, algebra, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ShapeError("dimensions must be positive")
-        width = len(entries[0])
-        if any(len(r) != width for r in entries):
-            raise ShapeError("ragged rows")
-        for row in entries:
+    @staticmethod
+    def _entries(algebra, rows):
+        rows = tuple(tuple(row) for row in rows)
+        for row in rows:
             for e in row:
                 if e.algebra != algebra:
                     raise AlgebraMismatchError("entry from a different algebra")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "m", len(entries))
-        object.__setattr__(self, "n", width)
-        object.__setattr__(self, "entries", entries)
+        return rows
 
-    def __setattr__(self, *_):
-        raise AttributeError("CompMatrix is immutable")
+    @property
+    def algebra(self):
+        """The algebra, read-only; the same object as `ring`."""
+        return self.ring
 
-    @classmethod
-    def identity(cls, algebra, n: int) -> "CompMatrix":
-        one, zero = algebra.one(), algebra.zero()
-        return cls(algebra, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, algebra, m: int, n: int) -> "CompMatrix":
-        z = algebra.zero()
-        return cls(algebra, [[z] * n for _ in range(m)])
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompMatrix)
-            and other.algebra == self.algebra
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.entries))
+    @property
+    def entries(self):
+        """The rows of entries, read-only; the same tuple as `rows`."""
+        return self.rows
 
     def __repr__(self):
-        return f"CompMatrix({self.m}x{self.n} over {self.algebra!r})"
-
-    def _check(self, other):
-        if not isinstance(other, CompMatrix) or other.algebra != self.algebra:
-            raise AlgebraMismatchError("matrices over different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if (self.m, self.n) != (other.m, other.n):
-            raise ShapeError("addition needs equal shapes")
-        return CompMatrix(
-            self.algebra,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-                for i in range(self.m)
-            ],
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CompMatrix(self.algebra, [[-e for e in row] for row in self.entries])
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if self.n != other.m:
-            raise ShapeError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        zero = self.algebra.zero()
-        out = []
-        for i in range(self.m):
-            row = []
-            for j in range(other.n):
-                acc = zero
-                for k in range(self.n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return CompMatrix(self.algebra, out)
+        return f"CompMatrix({self.m}x{self.n} over {self.ring!r})"
 
     def scale_right(self, q) -> "CompMatrix":
         """Right scalar action: every entry is multiplied by q on the right."""
-        if q.algebra != self.algebra:
+        if q.algebra != self.ring:
             raise AlgebraMismatchError("scalar from a different algebra")
-        return CompMatrix(self.algebra, [[e * q for e in row] for row in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def is_square(self) -> bool:
-        return self.m == self.n
-
-    def submatrix(self, row_idx, col_idx) -> "CompMatrix":
-        return CompMatrix(
-            self.algebra, [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
+        return CompMatrix(self.ring, [[e * q for e in row] for row in self.rows])
 
     def take_rows(self, count: int) -> "CompMatrix":
         if not 1 <= count <= self.m:
             raise ShapeError("row count out of range")
-        return CompMatrix(self.algebra, self.entries[:count])
+        return CompMatrix(self.ring, self.rows[:count])
 
 
 def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
@@ -397,11 +337,11 @@ def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
     """
     if not Z.is_square():
         raise ShapeError("the representation is defined for square matrices")
-    if Z.algebra.field.characteristic == 2:
+    if Z.ring.field.characteristic == 2:
         raise ValueError("the doubling representation needs characteristic != 2")
-    if isinstance(Z.algebra, Mat2Algebra):
+    if isinstance(Z.ring, Mat2Algebra):
         Z = mat2_matrix_to_quat(Z)
-    alg: QuatAlgebra = Z.algebra
+    alg: QuatAlgebra = Z.ring
     L = alg.quad_subfield()
     b = L.embed(alg.b.raw)
     n = Z.n
@@ -410,7 +350,7 @@ def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
     out = [[zero] * size for _ in range(size)]
     for i in range(n):
         for j in range(n):
-            x, y = Z.entries[i][j].cd_coords()
+            x, y = Z.rows[i][j].cd_coords()
             out[i][j] = x
             out[i][n + j] = -(y.conjugate())
             out[n + i][j] = -(b * y)
@@ -422,7 +362,7 @@ def study_det(Z: CompMatrix) -> Scalar:
     """Study determinant d * conj(d) of a square matrix: det L(Z), a base-field value."""
     if not Z.is_square():
         raise ShapeError("the Study determinant is defined for square matrices")
-    k = Z.algebra.field
+    k = Z.ring.field
     return Scalar(k, field_echelon(left_regular_rep(Z), k)[2])
 
 
@@ -436,7 +376,7 @@ def _mat2_entry(e) -> Mat2Element:
 
 def flatten_split(Z: CompMatrix) -> FieldMatrix:
     """Mat(n, Mat(2,k)) ~ Mat(2n,k): substitute each entry by its 2x2 block."""
-    alg = Z.algebra
+    alg = Z.ring
     if isinstance(alg, Mat2Algebra):
         spec = alg.field
     elif isinstance(alg, QuatAlgebra) and alg.has_mat2_form():
@@ -446,7 +386,7 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
     out = [[spec.zero()] * (2 * Z.n) for _ in range(2 * Z.m)]
     for i in range(Z.m):
         for j in range(Z.n):
-            m00, m01, m10, m11 = _mat2_entry(Z.entries[i][j]).coeffs
+            m00, m01, m10, m11 = _mat2_entry(Z.rows[i][j]).coeffs
             out[2 * i][2 * j] = Scalar(spec, m00)
             out[2 * i][2 * j + 1] = Scalar(spec, m01)
             out[2 * i + 1][2 * j] = Scalar(spec, m10)
@@ -463,11 +403,11 @@ def left_regular_rep(Z: CompMatrix) -> list[list]:
     algebra's table, and for a fixed k the nonzero ones land on distinct t,
     so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k).
     """
-    alg = Z.algebra
+    alg = Z.ring
     f = alg.field
     terms = [(l, k, t, c) for l, row in enumerate(alg._terms) for k, (t, c) in enumerate(row) if c]
     out = [[f._coerce(0)] * (4 * Z.n) for _ in range(4 * Z.m)]
-    for i, row in enumerate(Z.entries):
+    for i, row in enumerate(Z.rows):
         for j, z in enumerate(row):
             coeffs = z.coeffs
             for l, k, t, c in terms:
@@ -480,7 +420,7 @@ def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
     """Inverse of `flatten_split` onto the given split algebra."""
     if M.m % 2 or M.n % 2:
         raise ShapeError("block dimensions must be even")
-    mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(M.spec)
+    mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(M.ring)
     rows = []
     for i in range(M.m // 2):
         row = []
@@ -499,19 +439,19 @@ def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
 
 
 def mat2_matrix_to_quat(Z: CompMatrix, target: QuatAlgebra | None = None) -> CompMatrix:
-    if not isinstance(Z.algebra, Mat2Algebra):
+    if not isinstance(Z.ring, Mat2Algebra):
         raise AlgebraMismatchError("expected a matrix over the 2x2 realization")
     if target is None:
-        target = QuatAlgebra.split_form(Z.algebra.field)
-    return CompMatrix(target, [[mat2_to_quat(e, target) for e in row] for row in Z.entries])
+        target = QuatAlgebra.split_form(Z.ring.field)
+    return CompMatrix(target, [[mat2_to_quat(e, target) for e in row] for row in Z.rows])
 
 
 def quat_matrix_to_mat2(Z: CompMatrix, target: Mat2Algebra | None = None) -> CompMatrix:
-    if not isinstance(Z.algebra, QuatAlgebra) or not Z.algebra.has_mat2_form():
+    if not isinstance(Z.ring, QuatAlgebra) or not Z.ring.has_mat2_form():
         raise NotSplitFormError("matrix is not over the (1,-1) algebra")
     if target is None:
-        target = Mat2Algebra(Z.algebra.field)
-    return CompMatrix(target, [[quat_to_mat2(e, target) for e in row] for row in Z.entries])
+        target = Mat2Algebra(Z.ring.field)
+    return CompMatrix(target, [[quat_to_mat2(e, target) for e in row] for row in Z.rows])
 
 
 def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
@@ -521,8 +461,8 @@ def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
     upper-left entries, the second the lower-right ones.  The projection is a
     homomorphism onto pairs of base-field matrices.
     """
-    spec = Z.algebra.field
-    blocks = [[_mat2_entry(e) for e in row] for row in Z.entries]
+    spec = Z.ring.field
+    blocks = [[_mat2_entry(e) for e in row] for row in Z.rows]
     zero = spec._coerce(0)
     for row in blocks:
         for e in row:
@@ -549,7 +489,7 @@ def _skew_kernel(A: CompMatrix):
     of `field_echelon` thus sets a_f = 1 and every later a_j = 0, and it is
     the only right kernel vector that does.
     """
-    alg = A.algebra
+    alg = A.ring
     if alg.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
     pivots, kernel, _ = field_echelon(left_regular_rep(A), alg.field)
@@ -574,7 +514,7 @@ def skew_solve(A: CompMatrix):
     _, kernel = _skew_kernel(A)
     if kernel is None:
         return None
-    alg = A.algebra
+    alg = A.ring
     sol = [alg.element(kernel[4 * j : 4 * j + 4]) for j in range(A.n)]
     first = next(c for c in sol if not c.is_zero())
     inv = first.inverse()

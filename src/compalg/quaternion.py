@@ -7,13 +7,12 @@ the base field.  Two realizations supply the product, conjugation and norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
-    characteristic != 2.  The full 4x4 structure-constant table is derived
-    from those relations once per algebra.  Every basis product is a single
-    term c*e_k, kept as the pair (k, c); products and the left regular
-    representation read these pairs, and associativity is re-verified on all
-    64 basis triples at construction by composing them.  This guards the
-    sign choices in the u*w, w*v, w*w products, which are easy to get wrong
-    by hand.
+    characteristic != 2.  Every basis product is a single term c*e_k, and
+    the 16 pairs (k, c) are written down from those relations; products and
+    the left regular representation read these pairs, and associativity is
+    re-verified on all 64 basis triples at construction by composing them.
+    This guards the sign choices in the u*w, w*v, w*w products, which are
+    easy to get wrong by hand.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
@@ -146,19 +145,6 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
     return (w // g, x // g, y // g)
 
 
-def _single_terms(table):
-    """Each basis product e_i*e_j = c*e_k of a structure-constant table as (k, c).
-
-    Raises ValueError when a product is not a single nonzero term.
-    """
-    terms = [[[(k, c) for k, c in enumerate(prod) if c != 0] for prod in row] for row in table]
-    for i, row in enumerate(terms):
-        for j, t in enumerate(row):
-            if len(t) != 1:
-                raise ValueError(f"basis product e{i}*e{j} = {table[i][j]!r} is not a single term")
-    return [[t[0] for t in row] for row in terms]
-
-
 class CompositionAlgebra:
     """Base of both realizations: a QQ or GF(p) field; `_one` is the identity's coordinates."""
 
@@ -256,36 +242,18 @@ class QuatAlgebra(CompositionAlgebra):
         self.b = field.element(b)
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
-        self._terms = _single_terms(self._build_table())
+        one, a, b, neg = field._coerce(1), self.a.raw, self.b.raw, field._neg
+        # e_i * e_j = c * e_k as (k, c) on the basis (1, u, v, w), from
+        # u*u = a, v*v = b, w = u*v = -v*u
+        self._terms = [
+            [(0, one), (1, one), (2, one), (3, one)],
+            [(1, one), (0, a), (3, one), (2, a)],
+            [(2, one), (3, neg(one)), (0, b), (1, neg(b))],
+            [(3, one), (2, neg(a)), (1, b), (0, neg(field._mul(a, b)))],
+        ]
         self._check_associativity()
         self._split_state = None
         self._quad = None
-
-    def _build_table(self):
-        f = self.field
-        zero, one = f._coerce(0), f._coerce(1)
-        a, b = self.a.raw, self.b.raw
-
-        def vec(i, c=one):
-            r = [zero, zero, zero, zero]
-            r[i] = c
-            return tuple(r)
-
-        neg = f._neg
-        t = [[None] * 4 for _ in range(4)]
-        for j in range(4):
-            t[0][j] = vec(j)
-            t[j][0] = vec(j)
-        t[1][1] = vec(0, a)
-        t[1][2] = vec(3)
-        t[1][3] = vec(2, a)
-        t[2][1] = vec(3, neg(one))
-        t[2][2] = vec(0, b)
-        t[2][3] = vec(1, neg(b))
-        t[3][1] = vec(2, neg(a))
-        t[3][2] = vec(1, b)
-        t[3][3] = vec(0, neg(f._mul(a, b)))
-        return t
 
     def _mul_raw(self, x, y):
         zero, p = self.field._coerce(0), self.field.characteristic

@@ -54,10 +54,10 @@ DEFAULT_BUDGET_MS = 60_000
 
 def comp_rank(Z: CompMatrix) -> int:
     """Maximum size of an invertible square submatrix (0 if every entry is a non-unit)."""
-    flat_rank = field_rank(left_regular_rep(Z), Z.algebra.field)
+    flat_rank = field_rank(left_regular_rep(Z), Z.ring.field)
     top = flat_rank // 4
     try:
-        division = Z.algebra.is_split_decision() == NONSPLIT
+        division = Z.ring.is_split_decision() == NONSPLIT
     except InfeasibleError:
         division = False
     if division:
@@ -91,12 +91,12 @@ def low_rank_combination(matrices, d: int):
     matrices = list(matrices)
     if not matrices:
         raise ValueError("need at least one matrix")
-    algebra = matrices[0].algebra
+    algebra = matrices[0].ring
     m, n = matrices[0].m, matrices[0].n
     if m > n:
         raise ValueError("shapes must satisfy m <= n")
     for Z in matrices:
-        if Z.algebra != algebra or (Z.m, Z.n) != (m, n):
+        if Z.ring != algebra or (Z.m, Z.n) != (m, n):
             raise ValueError("matrices must share shape and algebra")
     if len(set(matrices)) != len(matrices):
         raise ValueError("matrices must be mutually distinct")
@@ -110,7 +110,7 @@ def low_rank_combination(matrices, d: int):
     if algebra.is_split_decision() == SPLIT:
         f = algebra.field
         rows = [
-            [T.entries[i][j].coeffs[c] for T in truncated]
+            [T.rows[i][j].coeffs[c] for T in truncated]
             for i in range(keep)
             for j in range(n)
             for c in range(4)
@@ -124,7 +124,7 @@ def low_rank_combination(matrices, d: int):
         stacked = CompMatrix(
             algebra,
             [
-                [T.entries[i][j] for T in truncated]
+                [T.rows[i][j] for T in truncated]
                 for i in range(keep)
                 for j in range(n)
             ],

@@ -135,9 +135,9 @@ def _entry_payload(e):
 
 
 def matrix_to_json(Z: CompMatrix):
-    payload = {"algebra": algebra_to_json(Z.algebra), "m": Z.m, "n": Z.n}
-    entries = [_entry_payload(e) for row in Z.entries for e in row]
-    if isinstance(Z.algebra, Mat2Algebra):
+    payload = {"algebra": algebra_to_json(Z.ring), "m": Z.m, "n": Z.n}
+    entries = [_entry_payload(e) for row in Z.rows for e in row]
+    if isinstance(Z.ring, Mat2Algebra):
         payload["blocks"] = entries
     else:
         payload["entries"] = entries

@@ -1,6 +1,7 @@
+import argparse
 import json
 
-from compalg.cli import main
+from compalg.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -225,3 +226,84 @@ def test_membership_of_singular_element_answers_false(capsys):
     code, out, err = run(capsys, "clifford", "membership", "--sig", "1,1", "--x", "1 + e1")
     assert code == 0 and err == ""
     assert json.loads(out) == {"in_gamma": False, "in_even_part": False, "spin_witness": None}
+
+
+def _parser_actions():
+    """Every (command, action) pair the parser accepts."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, choice)
+        for command, sub in commands.choices.items()
+        for choice in next(a for a in sub._actions if a.dest == "action").choices
+    ]
+
+
+def _assert_one_json_error(code, out, err, argv):
+    assert code == 1, argv
+    assert out == "", argv
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, argv
+    assert json.loads(lines[0])["error"]["message"], argv
+
+
+def test_every_action_without_flags_exits_cleanly(capsys):
+    pairs = _parser_actions()
+    assert len(pairs) == 32
+    for command, action in pairs:
+        code, out, err = run(capsys, command, action)
+        _assert_one_json_error(code, out, err, (command, action))
+
+
+# One call per action that answers (exit 0, or 2 for an observed violation);
+# every flag of it is dropped in turn.
+WORKING_CALLS = [
+    "quat mul --field Q --a -1 --b -1 --x 1,2,3,4 --y 0,1,0,0",
+    "quat norm --field Q --a -1 --b -1 --x 1,2,3,4",
+    "quat conjugate --field Q --split --x 1,2,3,4",
+    "quat inverse --field Fp:5 --a 2 --b 3 --x 1,2,3,4",
+    "quat is-split --field Q --a 2 --b -1",
+    "mat study-det --fixture z1",
+    "mat sympl --fixture z1",
+    "mat invertible --fixture z2",
+    "mat flatten --fixture z3",
+    "mat split-pair --input {\"algebra\":{\"field\":{\"kind\":\"Q\"},\"mat2\":true},\"m\":1,\"n\":1,\"blocks\":[[[1,0],[0,2]]]}",
+    "span rank --fixture z1",
+    "span bound --field Q --a -1 --b -1 --m 2 --n 2 --d 1",
+    "span verify-bound --field Fp:2 --split --m 1 --n 1 --d 1 --trials 2 --seed 7",
+    "poincare hirsch --g BC:3 --u U1SU:3",
+    "poincare product-form --space sp-u1su --n 2",
+    "poincare gaussian --n 4 --k 2 --step 1",
+    "poincare grassmann --p 2 --q 2",
+    "poincare oriented-grassmann --m 4 --k 2",
+    "poincare clifford-gamma --n 3 --p 2 --q 1",
+    "weyl index --g Sym:4 --h Sym:2*Sym:2",
+    "weyl ktheory --pair quaternionic --n 2",
+    "weyl reynolds --group BC:1 --poly x1",
+    "weyl generators --flavor Sym --n 2",
+    "weyl verify-generation --flavor Sym --n 2 --bound 3",
+    "zmod snf --input [[2,0],[0,3]]",
+    "zmod loc-model --n 2 --smax 5 --signs ++-",
+    "zmod sequence-check --f [[2]] --g [[3]]",
+    "clifford classify --p 1 --q 1",
+    "clifford verify --p 1 --q 1",
+    "clifford product --sig 2,0 --x e1 --y e2",
+    "clifford membership --sig 2,0 --x e1",
+    "clifford spin-check --p 1 --q 1 --count 2 --seed 3",
+]
+
+
+def test_every_action_missing_one_flag_exits_cleanly(capsys):
+    calls = [call.split(" ") for call in WORKING_CALLS]
+    assert sorted(tuple(argv[:2]) for argv in calls) == sorted(_parser_actions())
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2) and err == "", (argv, err)
+        flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+        for i in flags:
+            width = 1 if argv[i] == "--split" else 2
+            dropped = argv[:i] + argv[i + width :]
+            code, out, err = run(capsys, *dropped)
+            if code == 1:
+                _assert_one_json_error(code, out, err, dropped)

@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 from compalg.errors import (
+    AlgebraMismatchError,
+    FieldMismatchError,
     NotDiagonalError,
     NotSplitFormError,
     ShapeError,
@@ -447,3 +449,80 @@ def test_shape_errors():
         FieldMatrix(QQ, [[1, 2]]) * FieldMatrix(QQ, [[1, 2]])
     with pytest.raises(ShapeError):
         study_det(CompMatrix(HQ, [[HQ.one(), HQ.one()]]))
+
+
+F5 = PrimeField(5)
+M2F2 = Mat2Algebra(PrimeField(2))
+MATRIX_RINGS = [
+    (FieldMatrix, QQ, lambda rng: rng.randint(-3, 3)),
+    (FieldMatrix, F5, lambda rng: rng.randint(0, 4)),
+    (FieldMatrix, QuadExt(QQ, 2), lambda rng: (rng.randint(-3, 3), rng.randint(-3, 3))),
+    (FieldMatrix, QuadExt(F5, 4), lambda rng: (rng.randint(0, 4), rng.randint(0, 4))),
+    (CompMatrix, HQ, lambda rng: HQ.element([rng.randint(-2, 2) for _ in range(4)])),
+    (CompMatrix, M2F2, lambda rng: M2F2.element([rng.randint(0, 1) for _ in range(4)])),
+]
+MISMATCH = {
+    FieldMatrix: (FieldMismatchError, "matrices over different fields"),
+    CompMatrix: (AlgebraMismatchError, "matrices over different algebras"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, ring, entry", MATRIX_RINGS, ids=[f"{c.__name__}-{r!r}" for c, r, _ in MATRIX_RINGS]
+)
+def test_matrix_laws_on_field_and_algebra_matrices(cls, ring, entry):
+    rng = SplitMix64(31)
+
+    def rand(m, n):
+        return cls(ring, [[entry(rng) for _ in range(n)] for _ in range(m)])
+
+    for _ in range(15):
+        A, B, C, D = rand(2, 3), rand(2, 3), rand(3, 2), rand(2, 2)
+        assert (A + B) - B == A and A + B == B + A
+        assert (A + (-A)).is_zero() and A - A == cls.zero(ring, 2, 3)
+        assert cls.identity(ring, 2) * A == A == A * cls.identity(ring, 3)
+        assert (A * C) * D == A * (C * D)
+        assert (A * C).is_square() and not A.is_square()
+        for result in (A + B, A - B, -A, A * C, A.submatrix((1,), (2, 0))):
+            assert type(result) is cls and result.ring == ring
+        sub = A.submatrix((1,), (2, 0))
+        assert (sub.m, sub.n) == (1, 2) and sub.rows == ((A[1, 2], A[1, 0]),)
+        twin = cls(ring, [list(row) for row in A.rows])
+        assert twin == A and hash(twin) == hash(A) and len({twin, A}) == 1
+        assert A + cls(ring, [[ring.one()] * 3] * 2) != A
+    assert isinstance(A.rows, tuple) and all(isinstance(row, tuple) for row in A.rows)
+    if cls is FieldMatrix:
+        assert A.spec is A.ring
+    else:
+        assert A.algebra is A.ring and A.entries is A.rows
+    for name in ("rows", "ring", "m", "spec" if cls is FieldMatrix else "entries"):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(A, name, None)
+
+    error, message = MISMATCH[cls]
+    with pytest.raises(error, match=message):
+        A + ring.one()
+    for other_cls, other_ring, other_entry in MATRIX_RINGS:
+        if other_ring == ring:
+            continue
+        X = other_cls(other_ring, [[other_entry(rng) for _ in range(3)] for _ in range(2)])
+        assert A != X
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(error, match=message):
+                op(A, X)
+        with pytest.raises(error, match=message):
+            A * other_cls(other_ring, [[other_entry(rng)] for _ in range(3)])
+        if cls is CompMatrix and other_cls is CompMatrix:
+            with pytest.raises(AlgebraMismatchError, match="entry from a different algebra"):
+                CompMatrix(ring, [[other_ring.one()]])
+
+    with pytest.raises(ShapeError, match="addition needs equal shapes"):
+        A + C
+    with pytest.raises(ShapeError, match="subtraction needs equal shapes"):
+        A - C
+    with pytest.raises(ShapeError, match="cannot multiply 2x3 by 2x3"):
+        A * B
+    with pytest.raises(ShapeError, match="ragged rows"):
+        cls(ring, [[entry(rng), entry(rng)], [entry(rng)]])
+    with pytest.raises(ShapeError, match="dimensions must be positive"):
+        cls(ring, [])
