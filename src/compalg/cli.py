@@ -58,6 +58,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def nonnegative(text: str) -> int:
+    """The argparse type of a count: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def parse_field(token: str):
     if token in ("Q", "QQ"):
         return QQ
@@ -494,9 +502,9 @@ def build_parser() -> _Parser:
     span.add_argument("--input")
     span.add_argument("--fixture")
     span.add_argument("--m", type=int)
-    span.add_argument("--n", type=int)
+    span.add_argument("--n", type=nonnegative)
     span.add_argument("--d", type=int)
-    span.add_argument("--trials", type=int, default=10)
+    span.add_argument("--trials", type=nonnegative, default=10)
     span.add_argument("--entry-bound", type=int, default=3)
 
     poin = common(sub.add_parser("poincare", help="Poincare polynomial formulas"))
@@ -516,18 +524,18 @@ def build_parser() -> _Parser:
     wey.add_argument("--g")
     wey.add_argument("--h")
     wey.add_argument("--pair", help="quaternionic, split, or one-dim-split")
-    wey.add_argument("--n", type=int)
+    wey.add_argument("--n", type=nonnegative)
     wey.add_argument("--group")
     wey.add_argument("--poly")
     wey.add_argument("--flavor")
-    wey.add_argument("--bound", type=int)
+    wey.add_argument("--bound", type=nonnegative)
 
     zmod = common(sub.add_parser("zmod", help="integer-lattice computations"))
     zmod.add_argument("action", choices=tuple(_ACTIONS["zmod"]))
     zmod.add_argument("--input")
     zmod.add_argument("--f")
     zmod.add_argument("--g")
-    zmod.add_argument("--n", type=int)
+    zmod.add_argument("--n", type=nonnegative)
     zmod.add_argument("--smax", type=int)
     zmod.add_argument("--signs", default="")
 
@@ -538,7 +546,7 @@ def build_parser() -> _Parser:
     cl.add_argument("--sig", help="signature as p,q")
     cl.add_argument("--x")
     cl.add_argument("--y")
-    cl.add_argument("--count", type=int, default=20)
+    cl.add_argument("--count", type=nonnegative, default=20)
 
     return parser
 

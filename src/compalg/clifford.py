@@ -6,10 +6,13 @@ A signature (p, q) fixes generators e_1 .. e_n (n = p + q) with
     e_i * e_j = -e_j * e_i       for i != j,
 
 and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
-order.  The blade product table is built once per signature; associativity
-is re-verified on all basis triples for n <= 4 and on a fixed sample for
-larger n.  Coefficients are exact rationals, so the real-coefficient
-statements are exercised through rational witnesses.
+order.  Each blade product is a single term, so `CliffordSignature` is a
+table algebra over QQ on the element core of `quaternion`.  The shared check
+verifies its table once per signature: on every basis triple for n <= 4, and
+for n = 5, 6 on each e_l after a fixed seeded sample of pairs (e_i, e_j) of
+non-identity blades, at least 2,000 non-trivial triples.  Coefficients are
+exact rationals, so the real-coefficient statements are exercised through
+rational witnesses.
 
 Inverses follow Shirokov's characteristic-polynomial recursion (a
 Faddeev-LeVerrier scheme in a faithful representation of size
@@ -40,12 +43,22 @@ from .errors import (
     SignatureMismatchError,
 )
 from . import ratlin
+from .fields import QQ, QuadExt
+from .quaternion import (
+    Mat2Algebra,
+    QuatAlgebra,
+    TableAlgebra,
+    TableElement,
+    _check_associativity,
+    _table_mul,
+)
+from .rng import SplitMix64
 
 MAX_DIMENSION = 6
 
 
-def _blade_product(a: tuple, b: tuple, metric: tuple):
-    """Product of basis blades: reordering sign plus metric contractions."""
+def _blade_product(a: tuple, b: tuple, metric: tuple, index: dict):
+    """(index of the blade, sign) of a*b: reordering sign plus metric contractions."""
     sign = 1
     result = list(a)
     for gen in b:
@@ -58,20 +71,20 @@ def _blade_product(a: tuple, b: tuple, metric: tuple):
             result.pop(pos - 1)
         else:
             result.insert(pos, gen)
-    return sign, tuple(result)
+    return index[tuple(result)], sign
 
 
-class CliffordSignature:
+class CliffordSignature(TableAlgebra):
     """Product table and blade indexing for Cl(p, q) with p + q <= 6."""
+
+    field = QQ
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
             raise ValueError("signature counts must be nonnegative")
         if p + q > MAX_DIMENSION:
             raise InfeasibleError(f"dimension {p + q} exceeds the budget {MAX_DIMENSION}")
-        self.p = p
-        self.q = q
-        self.n = p + q
+        self.p, self.q, self.n = p, q, p + q
         self.metric = tuple([1] * p + [-1] * q)
         self.blades = sorted(
             (tuple(c) for k in range(self.n + 1) for c in combinations(range(1, self.n + 1), k)),
@@ -79,37 +92,16 @@ class CliffordSignature:
         )
         self.blade_index = {b: i for i, b in enumerate(self.blades)}
         self.dim = 1 << self.n
-        self._table = [
-            [
-                (lambda s, r: (s, self.blade_index[r]))(*_blade_product(a, b, self.metric))
-                for b in self.blades
-            ]
+        self._one = (1,) + (0,) * (self.dim - 1)
+        self._terms = [
+            [_blade_product(a, b, self.metric, self.blade_index) for b in self.blades]
             for a in self.blades
         ]
-        self._verify_associativity()
-
-    def _verify_associativity(self):
-        size = self.dim
-        if self.n <= 4:
-            triples = (
-                (i, j, k) for i in range(size) for j in range(size) for k in range(size)
-            )
-        else:
-            state = 0x9E3779B97F4A7C15
-            sampled = []
-            for _ in range(2000):
-                state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-                sampled.append(
-                    ((state >> 8) % size, (state >> 24) % size, (state >> 40) % size)
-                )
-            triples = sampled
-        for i, j, k in triples:
-            s1, m = self._table[i][j]
-            s2, left = self._table[m][k]
-            t1, m2 = self._table[j][k]
-            t2, right = self._table[i][m2]
-            if (s1 * s2, left) != (t1 * t2, right):
-                raise AssertionError("blade product table is not associative")
+        # every pair (i, j) for n <= 4; for n = 5, 6 seeded pairs of non-identity blades
+        pairs, rng = set(), SplitMix64(self.dim)
+        while self.n > 4 and len(pairs) * (self.dim - 1) < 2000:
+            pairs.add((rng.randint(1, self.dim - 1), rng.randint(1, self.dim - 1)))
+        _check_associativity(self._terms, int.__mul__, sorted(pairs))
 
     def __eq__(self, other):
         return isinstance(other, CliffordSignature) and (other.p, other.q) == (self.p, self.q)
@@ -121,27 +113,18 @@ class CliffordSignature:
         return f"Cl({self.p},{self.q})"
 
     def element(self, coeffs) -> "Multivector":
+        """From 2^n coefficients in blade order, or a {blade: coefficient} dict."""
         if isinstance(coeffs, dict):
-            data = [Fraction(0)] * self.dim
+            data = [0] * self.dim
             for key, value in coeffs.items():
-                data[self.blade_index[tuple(key)]] = Fraction(value)
-            return Multivector(self, data)
-        return Multivector(self, [Fraction(c) for c in coeffs])
-
-    def zero(self):
-        return Multivector(self, [Fraction(0)] * self.dim)
-
-    def one(self):
-        data = [Fraction(0)] * self.dim
-        data[0] = Fraction(1)
-        return Multivector(self, data)
+                data[self.blade_index[tuple(key)]] = value
+            coeffs = data
+        return Multivector(self, coeffs)
 
     def basis_vector(self, i: int) -> "Multivector":
         if not 1 <= i <= self.n:
             raise ValueError("generator index out of range")
-        data = [Fraction(0)] * self.dim
-        data[self.blade_index[(i,)]] = Fraction(1)
-        return Multivector(self, data)
+        return self.element({(i,): 1})
 
     def blade(self, indices) -> "Multivector":
         key = tuple(sorted(indices))
@@ -150,18 +133,13 @@ class CliffordSignature:
                 raise ValueError(f"blade index {i} is outside 1..{self.n}")
             if pos and key[pos - 1] == i:
                 raise ValueError(f"blade index {i} is repeated")
-        data = [Fraction(0)] * self.dim
-        data[self.blade_index[key]] = Fraction(1)
-        return Multivector(self, data)
+        return self.element({key: 1})
 
     def vector(self, coords) -> "Multivector":
         coords = list(coords)
         if len(coords) != self.n:
             raise ValueError("need one coordinate per generator")
-        data = [Fraction(0)] * self.dim
-        for i, c in enumerate(coords, start=1):
-            data[self.blade_index[(i,)]] = Fraction(c)
-        return Multivector(self, data)
+        return self.element({(i,): c for i, c in enumerate(coords, start=1)})
 
     def quadratic_form(self, v: "Multivector") -> Fraction:
         """Q(v) for a grade-1 element: sum of metric-weighted squared coordinates."""
@@ -171,54 +149,22 @@ class CliffordSignature:
         return sum(m * c * c for m, c in zip(self.metric, coords))
 
 
-class Multivector:
-    __slots__ = ("sig", "coeffs", "_factors")
+class Multivector(TableElement):
+    """A CliffordSignature and its 2^n rational coefficients, one per blade."""
+
+    __slots__ = ("_factors",)
+    _mismatch = (SignatureMismatchError, "multivectors over different signatures")
 
     def __init__(self, sig: CliffordSignature, coeffs, factors=None):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        super().__init__(sig, (Fraction(c) for c in coeffs))
         object.__setattr__(self, "_factors", factors)
         if len(self.coeffs) != sig.dim:
             raise ValueError("coefficient vector has the wrong length")
 
-    def __setattr__(self, *_):
-        raise AttributeError("Multivector is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, Multivector):
-            return self.sig.one().scale(other)
-        if other.sig != self.sig:
-            raise SignatureMismatchError("multivectors over different signatures")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return Multivector(self.sig, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Multivector(self.sig, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return Multivector(self.sig, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return Multivector(self.sig, _mul_raw(self.sig._table, self.coeffs, other.coeffs))
-
-    def scale(self, value) -> "Multivector":
-        value = Fraction(value)
-        return Multivector(self.sig, [value * a for a in self.coeffs])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multivector)
-            and other.sig == self.sig
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.sig, self.coeffs))
+    @property
+    def sig(self) -> CliffordSignature:
+        """The signature, read-only; the same object as `algebra`."""
+        return self.algebra
 
     def __repr__(self):
         parts = []
@@ -237,9 +183,6 @@ class Multivector:
                 parts.append(f"{c}*{name}")
         return " + ".join(parts) if parts else "0"
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def grades(self) -> set[int]:
         return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c != 0}
 
@@ -249,20 +192,15 @@ class Multivector:
             return None
         return [self.coeffs[self.sig.blade_index[(i,)]] for i in range(1, self.sig.n + 1)]
 
+    def _negate_grades(self, odd) -> "Multivector":
+        """The blades of each grade k with odd(k) true change sign."""
+        return Multivector(self.sig, [-c if odd(len(b)) else c for b, c in zip(self.sig.blades, self.coeffs)])
+
     def grade_involution(self) -> "Multivector":
-        return Multivector(
-            self.sig,
-            [c if len(b) % 2 == 0 else -c for b, c in zip(self.sig.blades, self.coeffs)],
-        )
+        return self._negate_grades(lambda k: k % 2)
 
     def reversion(self) -> "Multivector":
-        return Multivector(
-            self.sig,
-            [
-                c if (len(b) * (len(b) - 1) // 2) % 2 == 0 else -c
-                for b, c in zip(self.sig.blades, self.coeffs)
-            ],
-        )
+        return self._negate_grades(lambda k: k * (k - 1) // 2 % 2)
 
     def is_even(self) -> bool:
         return all(g % 2 == 0 for g in self.grades())
@@ -278,13 +216,13 @@ class Multivector:
         zero exactly when x is singular, and x^{-1} = D (U_{N-1} - C_{N-1}) / s.
         """
         sig = self.sig
-        table = sig._table
+        table = sig._terms
         denom = math.lcm(*(c.denominator for c in self.coeffs))
         v = [c.numerator * (denom // c.denominator) for c in self.coeffs]
         size = 1 << ((sig.n + 1) // 2)
         y = [1] + [0] * (sig.dim - 1)  # U_{k-1} - C_{k-1}, with U_0 - C_0 = 1
         for k in range(1, size + 1):
-            u = _mul_raw(table, v, y)
+            u = _table_mul(table, v, y, 0)
             if k == size:
                 break
             c, rem = divmod(size * u[0], k)
@@ -297,23 +235,9 @@ class Multivector:
             raise AssertionError("U_N is not a scalar")
         if s == 0:
             raise NotInvertibleError("element is singular: its determinant is 0")
-        if _mul_raw(table, y, v) != u:
+        if _table_mul(table, y, v, 0) != u:
             raise AssertionError("inverse failed two-sided verification")
         return Multivector(sig, [Fraction(denom * a, s) for a in y])
-
-
-def _mul_raw(table, a, b):
-    """Product of two raw coefficient lists through a blade product table."""
-    out = [0] * len(a)
-    right = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        row = table[i]
-        for j, bj in right:
-            sign, idx = row[j]
-            out[idx] += sign * ai * bj
-    return out
 
 
 def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
@@ -381,8 +305,8 @@ def center_dimension(sig: CliffordSignature) -> int:
         e_idx = sig.blade_index[(i,)]
         block = [[Fraction(0)] * sig.dim for _ in range(sig.dim)]
         for idx in range(sig.dim):
-            s1, k1 = sig._table[idx][e_idx]
-            s2, k2 = sig._table[e_idx][idx]
+            k1, s1 = sig._terms[idx][e_idx]
+            k2, s2 = sig._terms[e_idx][idx]
             block[k1][idx] += s1
             block[k2][idx] -= s2
         rows.extend(block)
@@ -472,43 +396,30 @@ def verify_classification(p: int, q: int) -> ClassificationReport:
 
 
 def _transport_cl02(sig) -> bool:
-    from .fields import QQ
-    from .quaternion import QuatAlgebra
-
     H = QuatAlgebra(QQ, -1, -1)
     images = [H.one(), H.u(), H.v(), H.w()]
-    return _transport_blades(sig, images, lambda a, b: a * b)
+    return _transport_blades(sig, images)
 
 
 def _transport_mat2(sig) -> bool:
-    from .fields import QQ
-    from .quaternion import Mat2Algebra
-
     M = Mat2Algebra(QQ)
-    if (sig.p, sig.q) == (2, 0):
-        e1 = M.element((1, 0, 0, -1))
-        e2 = M.element((0, 1, 1, 0))
-    else:  # (1, 1)
-        e1 = M.element((1, 0, 0, -1))
-        e2 = M.element((0, -1, 1, 0))
+    e1 = M.element((1, 0, 0, -1))
+    e2 = M.element((0, 1, 1, 0) if sig.q == 0 else (0, -1, 1, 0))  # e2*e2 = 1 in Cl(2,0), -1 in Cl(1,1)
     images = [M.one(), e1, e2, e1 * e2]
-    return _transport_blades(sig, images, lambda a, b: a * b)
+    return _transport_blades(sig, images)
 
 
 def _transport_quad(sig, a) -> bool:
-    from .fields import QQ, QuadExt
-
     L = QuadExt(QQ, a)
     images = [L.one(), L.gen()]
-    return _transport_blades(sig, images, lambda x, y: x * y)
+    return _transport_blades(sig, images)
 
 
-def _transport_blades(sig, images, mul) -> bool:
-    for i in range(sig.dim):
-        for j in range(sig.dim):
-            sign, idx = sig._table[i][j]
+def _transport_blades(sig, images) -> bool:
+    for i, row in enumerate(sig._terms):
+        for j, (idx, sign) in enumerate(row):
             expected = images[idx] if sign == 1 else -images[idx]
-            if mul(images[i], images[j]) != expected:
+            if images[i] * images[j] != expected:
                 return False
     return True
 

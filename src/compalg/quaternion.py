@@ -1,25 +1,30 @@
-"""Four-dimensional associative composition algebras.
+"""Four-dimensional associative composition algebras, on the table-algebra core.
 
-One element base, `CompositionElement` (an algebra and four base-field
-coordinates), defines the arithmetic once, with products through the
-algebra's `_mul_raw` and the inverse conj(z)/N(z); `CompositionAlgebra` checks
-the base field.  Two realizations supply the product, conjugation and norm:
+Every algebra in this package has a basis whose products are single terms,
+e_i*e_j = c*e_k, held as a table of pairs (k, c): these two realizations and
+the Clifford algebras of `clifford`.  The core is written once, here:
+`_table_mul` is the product through such a table, `_check_associativity`
+the check of (e_i*e_j)*e_l = e_i*(e_j*e_l) term by term, and
+`TableElement` (an algebra and its coordinates) the ring operations.
+`CompositionElement` adds the inverse conj(z)/N(z), and `CompositionAlgebra`
+checks the base field.  Two realizations supply the table, conjugation and
+norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
-    characteristic != 2.  Every basis product is a single term c*e_k, and
-    the 16 pairs (k, c) are written down from those relations; products and
-    the left regular representation read these pairs, and associativity is
-    re-verified on all 64 basis triples at construction by composing them.
+    characteristic != 2.  The 16 pairs (k, c) are written down from those
+    relations; products and the left regular representation read them, and
+    associativity is re-verified on all 64 basis triples at construction.
     This guards the sign choices in the u*w, w*v, w*w products, which are
     easy to get wrong by hand.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
-    with conjugation the adjugate and norm the determinant; its single-term
-    table is E_rs * E_tu = [s = t] E_ru.  This form works
-    in every characteristic (including 2) and is the one the flattening
-    isomorphism Mat(n, Mat(2,k)) ~ Mat(2n,k) consumes.
+    with conjugation the adjugate and norm the determinant; its table,
+    E_rs * E_tu = [s = t] E_ru, has entries 0 and 1 in every field, so it is
+    a class constant, checked once at import.  This form works in every
+    characteristic (including 2) and is the one the flattening isomorphism
+    Mat(n, Mat(2,k)) ~ Mat(2n,k) consumes.
 
 For characteristic != 2 the two realizations are identified by the basis
 
@@ -34,7 +39,9 @@ noncommutative the side matters and left variants are deliberately absent.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
+import operator
 
 from .errors import (
     AlgebraMismatchError,
@@ -145,18 +152,43 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
     return (w // g, x // g, y // g)
 
 
-class CompositionAlgebra:
-    """Base of both realizations: a QQ or GF(p) field; `_one` is the identity's coordinates."""
+def _table_mul(terms, x, y, zero):
+    """Product of raw coordinates x, y through a single-term table, as a list.
 
-    dim = 4
+    terms[i][j] = (k, c) means e_i*e_j = c*e_k.  Zeros are skipped; nothing is reduced mod p.
+    """
+    acc = [zero] * len(x)
+    right = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, row in zip(x, terms):
+        if xi:
+            for j, yj in right:
+                k, c = row[j]
+                if c:
+                    acc[k] += xi * yj * c
+    return acc
 
-    def __init__(self, field: FieldSpec):
-        if not isinstance(field, (RationalField, PrimeField)):
-            raise ValueError("base field must be QQ or GF(p)")
-        self.field = field
+
+def _check_associativity(terms, mul, pairs=None):
+    """(e_i*e_j)*e_l = e_i*(e_j*e_l) term by term, for every l and each pair (i, j).
+
+    `pairs` defaults to all of them; `mul` multiplies two structure constants.
+    """
+    for i, j in pairs or product(range(len(terms)), repeat=2):
+        k, c = terms[i][j]
+        row_k, row_i = terms[k], terms[i]
+        for l, (m, c2) in enumerate(terms[j]):
+            left, c1 = row_k[l]
+            right, c3 = row_i[m]
+            a = mul(c, c1)  # c*c1*e_left must equal c2*c3*e_right
+            if a != mul(c2, c3) or a and left != right:
+                raise ValueError("structure constants are not associative")
+
+
+class TableAlgebra:
+    """Base of every algebra: a subclass sets `field`, `dim`, `_terms`, `_one` and `element`."""
 
     def zero(self):
-        return self.element((0, 0, 0, 0))
+        return self.element((0,) * self.dim)
 
     def one(self):
         return self.element(self._one)
@@ -164,13 +196,19 @@ class CompositionAlgebra:
     def from_base(self, value):
         return self.element(tuple(value if e else 0 for e in self._one))
 
+    def _mul_raw(self, x, y):
+        p = self.field.characteristic  # raw values over GF(p) are ints
+        acc = _table_mul(self._terms, x, y, 0 if p else self.field._coerce(0))
+        return tuple([v % p for v in acc]) if p else tuple(acc)
 
-class CompositionElement:
-    """An algebra and four base-field coordinates; subclasses add `conjugate` and `norm`."""
+
+class TableElement:
+    """An algebra and its coordinates; `_mismatch` is raised for another algebra's operand."""
 
     __slots__ = ("algebra", "coeffs")
+    _mismatch = (AlgebraMismatchError, "operands live in different algebras")
 
-    def __init__(self, algebra: CompositionAlgebra, coeffs):
+    def __init__(self, algebra: TableAlgebra, coeffs):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -178,8 +216,9 @@ class CompositionElement:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other):
-        if not isinstance(other, CompositionElement) or other.algebra != self.algebra:
-            raise AlgebraMismatchError("operands live in different algebras")
+        if not isinstance(other, TableElement) or other.algebra != self.algebra:
+            error, message = self._mismatch
+            raise error(message)
         return other
 
     def _zip(self, op, other):
@@ -201,7 +240,7 @@ class CompositionElement:
 
     def __eq__(self, other):
         return (
-            isinstance(other, CompositionElement)
+            isinstance(other, TableElement)
             and other.algebra == self.algebra
             and other.coeffs == self.coeffs
         )
@@ -218,6 +257,23 @@ class CompositionElement:
         f = self.algebra.field
         c = f._coerce(value)
         return type(self)(self.algebra, tuple(f._mul(x, c) for x in self.coeffs))
+
+
+class CompositionAlgebra(TableAlgebra):
+    """Base of both four-dimensional realizations: a QQ or GF(p) field."""
+
+    dim = 4
+
+    def __init__(self, field: FieldSpec):
+        if not isinstance(field, (RationalField, PrimeField)):
+            raise ValueError("base field must be QQ or GF(p)")
+        self.field = field
+
+
+class CompositionElement(TableElement):
+    """A four-dimensional element; subclasses add `conjugate` and `norm`."""
+
+    __slots__ = ()
 
     def is_unit(self) -> bool:
         return not self.norm().is_zero()
@@ -251,33 +307,9 @@ class QuatAlgebra(CompositionAlgebra):
             [(2, one), (3, neg(one)), (0, b), (1, neg(b))],
             [(3, one), (2, neg(a)), (1, b), (0, neg(field._mul(a, b)))],
         ]
-        self._check_associativity()
+        _check_associativity(self._terms, field._mul)
         self._split_state = None
         self._quad = None
-
-    def _mul_raw(self, x, y):
-        zero, p = self.field._coerce(0), self.field.characteristic
-        acc = [zero] * 4
-        right = [(j, yj) for j, yj in enumerate(y) if yj]
-        for xi, row in zip(x, self._terms):
-            if xi:
-                for j, yj in right:
-                    k, c = row[j]
-                    acc[k] += xi * yj * c
-        return tuple(v % p for v in acc) if p else tuple(acc)
-
-    def _check_associativity(self):
-        """(e_i*e_j)*e_l = e_i*(e_j*e_l) on the 64 basis triples, term by term."""
-        mul, t = self.field._mul, self._terms
-        for i in range(4):
-            for j in range(4):
-                k, c = t[i][j]
-                for l in range(4):
-                    left, c1 = t[k][l]
-                    m, c2 = t[j][l]
-                    right, c3 = t[i][m]
-                    if left != right or mul(c, c1) != mul(c2, c3):
-                        raise ValueError("structure constants are not associative")
 
     def __eq__(self, other):
         return (
@@ -430,14 +462,8 @@ class Mat2Algebra(CompositionAlgebra):
 
     _one = (1, 0, 0, 1)
 
-    def __init__(self, field: FieldSpec):
-        super().__init__(field)
-        one, zero = field._coerce(1), field._coerce(0)
-        # E_rs has coordinate 2r + s, and E_rs * E_tu = [s = t] E_ru
-        self._terms = [
-            [((i & 2) | (j & 1), one if (i & 1) == (j >> 1) else zero) for j in range(4)]
-            for i in range(4)
-        ]
+    # E_rs has coordinate 2r + s, and E_rs * E_tu = [s = t] E_ru in every field
+    _terms = [[((i & 2) | (j & 1), int((i & 1) == (j >> 1))) for j in range(4)] for i in range(4)]
 
     def __eq__(self, other):
         return isinstance(other, Mat2Algebra) and other.field == self.field
@@ -467,16 +493,8 @@ class Mat2Algebra(CompositionAlgebra):
     def has_mat2_form(self) -> bool:
         return True
 
-    def _mul_raw(self, x, y):
-        f = self.field
-        a00, a01, a10, a11 = x
-        b00, b01, b10, b11 = y
-        return (
-            f._add(f._mul(a00, b00), f._mul(a01, b10)),
-            f._add(f._mul(a00, b01), f._mul(a01, b11)),
-            f._add(f._mul(a10, b00), f._mul(a11, b10)),
-            f._add(f._mul(a10, b01), f._mul(a11, b11)),
-        )
+
+_check_associativity(Mat2Algebra._terms, operator.mul)
 
 
 class Mat2Element(CompositionElement):

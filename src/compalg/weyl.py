@@ -31,6 +31,7 @@ from itertools import combinations, permutations, product
 from math import factorial, lcm
 
 from .errors import (
+    CompAlgError,
     InfeasibleError,
     NotDividingError,
     ShapeError,
@@ -598,11 +599,22 @@ def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationRepor
 
 
 def group_from_json(obj) -> SignedPermGroup:
-    """{"flavor": "BC", "n": 3} and friends; products as {"product": [...]}."""
+    """{"flavor": "BC", "n": 3} and friends; products as {"product": [...]}.
+
+    A malformed payload raises CompAlgError naming the key at fault.
+    """
+    if not isinstance(obj, dict):
+        raise CompAlgError(f"a group must be a JSON object, got {obj!r}")
+    parts, flavor, n = obj.get("product"), obj.get("flavor"), obj.get("n")
+    if "product" in obj and not isinstance(parts, list):
+        raise CompAlgError(f"group key 'product' must be a list of groups, got {parts!r}")
     if "product" in obj:
-        return ProductGroup([group_from_json(part) for part in obj["product"]])
-    flavor = obj["flavor"].lower()
-    n = obj["n"]
+        return ProductGroup([group_from_json(part) for part in parts])
+    if not isinstance(flavor, str):
+        raise CompAlgError(f"group key 'flavor' must be a string, got {flavor!r}")
+    if type(n) is not int or n < 0:
+        raise CompAlgError(f"group key 'n' must be a non-negative integer, got {n!r}")
+    flavor = flavor.lower()
     if flavor in ("a", "sym"):
         return SymGroup(n)
     if flavor in ("bc", "b", "c", "hyperoctahedral"):

@@ -1,6 +1,8 @@
 import argparse
 import json
 
+import pytest
+
 from compalg.cli import build_parser, main
 
 
@@ -307,3 +309,25 @@ def test_every_action_missing_one_flag_exits_cleanly(capsys):
             code, out, err = run(capsys, *dropped)
             if code == 1:
                 _assert_one_json_error(code, out, err, dropped)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        ("weyl index --g {} --h Sym:1", "group key 'flavor' must be a string, got None"),
+        ("weyl index --g [1] --h Sym:1", "a group must be a JSON object, got [1]"),
+        ('weyl index --g {"product":5} --h Sym:1', "group key 'product' must be a list of groups"),
+        ('weyl index --g {"flavor":"Sym","n":"3"} --h Sym:1', "group key 'n' must be a non-negative"),
+        ('weyl index --g {"flavor":3,"n":2} --h Sym:1', "group key 'flavor' must be a string, got 3"),
+        ("weyl generators --flavor Sym --n -1", "argument --n: must be a non-negative integer, got -1"),
+        ("weyl verify-generation --flavor Sym --n 2 --bound -1", "argument --bound: must be"),
+        ("clifford spin-check --p 1 --q 0 --count -3", "argument --count: must be"),
+        ("span verify-bound --field Q --a -1 --b -1 --m 2 --n 2 --d 2 --trials -1", "argument --trials: must be"),
+        ("span bound --field Q --a -1 --b -1 --m 2 --n -3 --d 1", "argument --n: must be"),
+        ("zmod loc-model --n -1 --smax 3", "argument --n: must be"),
+    ],
+)
+def test_malformed_groups_and_negative_counts_exit_cleanly(capsys, call, expected):
+    code, out, err = run(capsys, *call.split(" "))
+    _assert_one_json_error(code, out, err, call)
+    assert expected in json.loads(err)["error"]["message"]

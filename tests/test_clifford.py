@@ -41,6 +41,15 @@ def test_signature_mismatch():
         CliffordSignature(1, 0).one() * CliffordSignature(0, 1).one()
 
 
+def test_multivector_coefficients_are_exact_fractions_of_the_right_length():
+    cl10 = CliffordSignature(1, 0)
+    x = cl10.element(["1/2", 0.25])
+    assert x.coeffs == (Fraction(1, 2), Fraction(1, 4))
+    assert all(type(c) is Fraction for c in x.coeffs + (x * x).coeffs + cl10.vector((3,)).coeffs)
+    with pytest.raises(ValueError, match="wrong length"):
+        cl10.element([1, 2, 3])
+
+
 def test_dimension_budget():
     with pytest.raises(InfeasibleError):
         CliffordSignature(4, 3)

@@ -1,9 +1,17 @@
+import operator
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from compalg.errors import AlgebraMismatchError, InfeasibleError, NotInvertibleError
+from compalg import clifford
+from compalg.clifford import CliffordSignature, Multivector
+from compalg.errors import (
+    AlgebraMismatchError,
+    InfeasibleError,
+    NotInvertibleError,
+    SignatureMismatchError,
+)
 from compalg.fields import QQ, PrimeField
 from compalg.quaternion import (
     NONSPLIT,
@@ -12,6 +20,7 @@ from compalg.quaternion import (
     Mat2Element,
     QuatAlgebra,
     QuaternionElement,
+    _check_associativity,
     mat2_to_quat,
     quat_to_mat2,
     swap_parameters,
@@ -25,8 +34,8 @@ F3 = PrimeField(3)
 def random_quat(alg, rng, bound=4):
     if isinstance(alg.field, PrimeField):
         p = alg.field.p
-        return alg.element(tuple(rng.randint(0, p - 1) for _ in range(4)))
-    return alg.element(tuple(rng.randint(-bound, bound) for _ in range(4)))
+        return alg.element(tuple(rng.randint(0, p - 1) for _ in range(alg.dim)))
+    return alg.element(tuple(rng.randint(-bound, bound) for _ in range(alg.dim)))
 
 
 def test_basis_relations():
@@ -350,7 +359,51 @@ def test_term_table_needs_associativity():
     k, c = alg._terms[2][3]
     alg._terms[2][3] = (k, -c)  # the sign of v*w flipped
     with pytest.raises(ValueError, match="not associative"):
-        alg._check_associativity()
+        _check_associativity(alg._terms, alg.field._mul)
+    # every constant is 1, but e_i*e_j = e_(i-j mod 3) is not associative
+    with pytest.raises(ValueError, match="not associative"):
+        _check_associativity([[((i - j) % 3, 1) for j in range(3)] for i in range(3)], operator.mul)
+
+
+# each single-term table with the product of structure constants its owner
+# passes to the shared associativity check
+TABLES = {
+    "(2,5)_QQ": (QuatAlgebra(QQ, 2, 5)._terms, QQ._mul),
+    "(3,6)_GF(7)": (QuatAlgebra(PrimeField(7), 3, -1)._terms, PrimeField(7)._mul),
+    "Mat2": (Mat2Algebra._terms, operator.mul),
+}
+TABLES.update(
+    (repr(sig), (sig._terms, int.__mul__))
+    for sig in (CliffordSignature(p, n - p) for n in range(2, 5) for p in range(n + 1))
+)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_shared_check_rejects_seeded_table_mutations(name):
+    terms, mul = TABLES[name]
+    _check_associativity(terms, mul)
+    rng = SplitMix64(sum(map(ord, name)))
+    nonzero = [(i, j) for i, row in enumerate(terms) for j, (_, c) in enumerate(row) if c]
+    for _ in range(4):
+        i, j = rng.choice(nonzero)
+        k, c = terms[i][j]
+        swapped = (k + rng.randint(1, len(terms) - 1)) % len(terms)
+        for mutated in ((k, mul(c, -1)), (swapped, c)):  # a flipped sign, a swapped index
+            table = [list(row) for row in terms]
+            table[i][j] = mutated
+            with pytest.raises(ValueError, match="not associative"):
+                _check_associativity(table, mul)
+
+
+def test_clifford_check_samples_nontrivial_triples_from_dimension_five(monkeypatch):
+    calls = []
+    monkeypatch.setattr(clifford, "_check_associativity", lambda terms, mul, pairs: calls.append(pairs))
+    for p, q in ((2, 2), (3, 2), (3, 3)):
+        CliffordSignature(p, q)
+    exhaustive, five, six = calls
+    assert exhaustive == []  # every pair (i, j), and every l after it
+    for pairs, dim in ((five, 32), (six, 64)):
+        assert len(set(pairs)) * (dim - 1) >= 2000 and all(i and j for i, j in pairs)
 
 
 ELEMENT_ALGEBRAS = [
@@ -359,6 +412,8 @@ ELEMENT_ALGEBRAS = [
     Mat2Algebra(QQ),
     Mat2Algebra(PrimeField(5)),
     Mat2Algebra(PrimeField(2)),
+    CliffordSignature(2, 1),
+    CliffordSignature(1, 3),
 ]
 
 
@@ -385,17 +440,25 @@ def test_element_laws_on_both_realizations(alg):
         assert -(-x) == x and x - y == x + (-y) and (-x).is_zero() == x.is_zero()
         assert x.scale(c) == x * alg.from_base(c) == alg.from_base(c) * x
         assert (x * y) * z == x * (y * z) and x * (y + z) == x * y + x * z
-        for result in (x + y, x - y, -x, x * y, x.scale(c), x.conjugate()):
+        results = [x + y, x - y, -x, x * y, x.scale(c)]
+        for result in results + ([x.conjugate()] if hasattr(x, "conjugate") else []):
             assert type(result) is type(x) and result.algebra == alg
         twin = alg.element(x.coeffs)
         assert twin == x and hash(twin) == hash(x) and len({twin, x}) == 1
         assert x + one != x
-        if x.is_unit():
-            assert x * x.inverse() == one == x.inverse() * x
+        try:
+            inverse = x.inverse()
+        except NotInvertibleError:
+            assert isinstance(x, Multivector) or not x.is_unit() and x.norm().is_zero()
         else:
-            assert x.norm().is_zero()
-            with pytest.raises(NotInvertibleError):
-                x.inverse()
+            assert x * inverse == one == inverse * x
+            assert isinstance(x, Multivector) or x.is_unit()
+    mismatch = SignatureMismatchError if isinstance(x, Multivector) else AlgebraMismatchError
+    for other in ELEMENT_ALGEBRAS:
+        if other != alg:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(mismatch):
+                    op(x, other.one())
     with pytest.raises(AttributeError):
         x.coeffs = y.coeffs
     with pytest.raises(AttributeError):
@@ -405,6 +468,9 @@ def test_element_laws_on_both_realizations(alg):
         assert x.entries is x.coeffs
         with pytest.raises(AttributeError):
             x.entries = y.coeffs
+    if isinstance(x, Multivector):
+        assert x.sig is x.algebra and not hasattr(x, "is_unit")
+        return
     witness = alg.split_witness()
     if alg.is_split_decision() == SPLIT:
         assert not witness.is_zero() and not witness.is_unit()
