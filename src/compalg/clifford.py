@@ -7,12 +7,12 @@ A signature (p, q) fixes generators e_1 .. e_n (n = p + q) with
 
 and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
 order.  Each blade product is a single term, so `CliffordSignature` is a
-table algebra over QQ on the element core of `quaternion`.  The shared check
-verifies its table once per signature: on every basis triple for n <= 4, and
-for n = 5, 6 on each e_l after a fixed seeded sample of pairs (e_i, e_j) of
-non-identity blades, at least 2,000 non-trivial triples.  Coefficients are
-exact rationals, so the real-coefficient statements are exercised through
-rational witnesses.
+table algebra over QQ on the element core of `quaternion`.  Its table, shared
+read-only, is built and checked once per signature per process: on every
+basis triple for n <= 4, and for n = 5, 6 on each e_l after a fixed seeded
+sample of pairs (e_i, e_j) of non-identity blades, at least 2,000 triples.
+Coefficients are exact rationals, coerced once where an element is made, so
+the real-coefficient statements are exercised through rational witnesses.
 
 Inverses follow Shirokov's characteristic-polynomial recursion (a
 Faddeev-LeVerrier scheme in a faithful representation of size
@@ -34,7 +34,9 @@ constructed as products of unit vectors; recovering one is out of scope.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import (
     InfeasibleError,
@@ -74,6 +76,23 @@ def _blade_product(a: tuple, b: tuple, metric: tuple, index: dict):
     return index[tuple(result)], sign
 
 
+@cache
+def _signature_table(p: int, q: int):
+    """(metric, blades, blade_index, terms) of Cl(p, q), immutable and checked once."""
+    n = p + q
+    metric = (1,) * p + (-1,) * q
+    blades = tuple(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
+    index = {b: i for i, b in enumerate(blades)}
+    terms = tuple(tuple(_blade_product(a, b, metric, index) for b in blades) for a in blades)
+    # every pair (i, j) for n <= 4; for n = 5, 6 seeded pairs of non-identity blades
+    dim = len(blades)
+    pairs, rng = set(), SplitMix64(dim)
+    while n > 4 and len(pairs) * (dim - 1) < 2000:
+        pairs.add((rng.randint(1, dim - 1), rng.randint(1, dim - 1)))
+    _check_associativity(terms, int.__mul__, sorted(pairs))
+    return metric, blades, MappingProxyType(index), terms
+
+
 class CliffordSignature(TableAlgebra):
     """Product table and blade indexing for Cl(p, q) with p + q <= 6."""
 
@@ -85,23 +104,9 @@ class CliffordSignature(TableAlgebra):
         if p + q > MAX_DIMENSION:
             raise InfeasibleError(f"dimension {p + q} exceeds the budget {MAX_DIMENSION}")
         self.p, self.q, self.n = p, q, p + q
-        self.metric = tuple([1] * p + [-1] * q)
-        self.blades = sorted(
-            (tuple(c) for k in range(self.n + 1) for c in combinations(range(1, self.n + 1), k)),
-            key=lambda t: (len(t), t),
-        )
-        self.blade_index = {b: i for i, b in enumerate(self.blades)}
+        self.metric, self.blades, self.blade_index, self._terms = _signature_table(p, q)
         self.dim = 1 << self.n
         self._one = (1,) + (0,) * (self.dim - 1)
-        self._terms = [
-            [_blade_product(a, b, self.metric, self.blade_index) for b in self.blades]
-            for a in self.blades
-        ]
-        # every pair (i, j) for n <= 4; for n = 5, 6 seeded pairs of non-identity blades
-        pairs, rng = set(), SplitMix64(self.dim)
-        while self.n > 4 and len(pairs) * (self.dim - 1) < 2000:
-            pairs.add((rng.randint(1, self.dim - 1), rng.randint(1, self.dim - 1)))
-        _check_associativity(self._terms, int.__mul__, sorted(pairs))
 
     def __eq__(self, other):
         return isinstance(other, CliffordSignature) and (other.p, other.q) == (self.p, self.q)
@@ -119,7 +124,7 @@ class CliffordSignature(TableAlgebra):
             for key, value in coeffs.items():
                 data[self.blade_index[tuple(key)]] = value
             coeffs = data
-        return Multivector(self, coeffs)
+        return Multivector(self, [Fraction(c) for c in coeffs])
 
     def basis_vector(self, i: int) -> "Multivector":
         if not 1 <= i <= self.n:
@@ -150,13 +155,13 @@ class CliffordSignature(TableAlgebra):
 
 
 class Multivector(TableElement):
-    """A CliffordSignature and its 2^n rational coefficients, one per blade."""
+    """A CliffordSignature and its 2^n Fraction coefficients (see `element`), one per blade."""
 
     __slots__ = ("_factors",)
     _mismatch = (SignatureMismatchError, "multivectors over different signatures")
 
     def __init__(self, sig: CliffordSignature, coeffs, factors=None):
-        super().__init__(sig, (Fraction(c) for c in coeffs))
+        super().__init__(sig, coeffs)
         object.__setattr__(self, "_factors", factors)
         if len(self.coeffs) != sig.dim:
             raise ValueError("coefficient vector has the wrong length")

@@ -12,11 +12,11 @@ norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
-    characteristic != 2.  The 16 pairs (k, c) are written down from those
-    relations; products and the left regular representation read them, and
-    associativity is re-verified on all 64 basis triples at construction.
-    This guards the sign choices in the u*w, w*v, w*w products, which are
-    easy to get wrong by hand.
+    characteristic != 2.  The 16 pairs (k, +-a^i*b^j) are written down once
+    from those relations; associativity is proved on them at import, on all
+    64 basis triples by composing monomials, for every (a, b) over every field
+    of characteristic != 2, which guards the sign choices in the u*w, w*v, w*w
+    products; a construction only evaluates the table.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
@@ -285,6 +285,24 @@ class CompositionElement(TableElement):
         return self.conjugate().scale(n.inverse())
 
 
+# e_i * e_j = sign * a^i * b^j * e_k as (k, (sign, i, j)) on the basis
+# (1, u, v, w), from u*u = a, v*v = b, w = u*v = -v*u
+_QUAT_TERMS = (
+    ((0, (1, 0, 0)), (1, (1, 0, 0)), (2, (1, 0, 0)), (3, (1, 0, 0))),
+    ((1, (1, 0, 0)), (0, (1, 1, 0)), (3, (1, 0, 0)), (2, (1, 1, 0))),
+    ((2, (1, 0, 0)), (3, (-1, 0, 0)), (0, (1, 0, 1)), (1, (-1, 0, 1))),
+    ((3, (1, 0, 0)), (2, (-1, 1, 0)), (1, (1, 0, 1)), (0, (-1, 1, 1))),
+)
+
+
+def _monomial_mul(m, n):
+    """Product of signed monomials (sign, i, j) = sign * a^i * b^j."""
+    return (m[0] * n[0], m[1] + n[1], m[2] + n[2])
+
+
+_check_associativity(_QUAT_TERMS, _monomial_mul)
+
+
 class QuatAlgebra(CompositionAlgebra):
     """The quaternion algebra with parameters (a, b) over QQ or GF(p), p odd."""
 
@@ -298,16 +316,12 @@ class QuatAlgebra(CompositionAlgebra):
         self.b = field.element(b)
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
-        one, a, b, neg = field._coerce(1), self.a.raw, self.b.raw, field._neg
-        # e_i * e_j = c * e_k as (k, c) on the basis (1, u, v, w), from
-        # u*u = a, v*v = b, w = u*v = -v*u
+        a, b, neg = self.a.raw, self.b.raw, field._neg
+        value = {(0, 0): field._coerce(1), (1, 0): a, (0, 1): b, (1, 1): field._mul(a, b)}
         self._terms = [
-            [(0, one), (1, one), (2, one), (3, one)],
-            [(1, one), (0, a), (3, one), (2, a)],
-            [(2, one), (3, neg(one)), (0, b), (1, neg(b))],
-            [(3, one), (2, neg(a)), (1, b), (0, neg(field._mul(a, b)))],
+            [(k, value[i, j] if sign > 0 else neg(value[i, j])) for k, (sign, i, j) in row]
+            for row in _QUAT_TERMS
         ]
-        _check_associativity(self._terms, field._mul)
         self._split_state = None
         self._quad = None
 

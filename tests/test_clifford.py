@@ -50,6 +50,16 @@ def test_multivector_coefficients_are_exact_fractions_of_the_right_length():
         cl10.element([1, 2, 3])
 
 
+def test_signature_table_is_shared_and_read_only():
+    x, y, other = CliffordSignature(2, 2), CliffordSignature(2, 2), CliffordSignature(1, 3)
+    assert x._terms is y._terms and x.blade_index is y.blade_index
+    with pytest.raises(TypeError):
+        x._terms[1][2] = (0, 1)
+    with pytest.raises(TypeError):
+        x.blade_index[(1,)] = 0
+    assert x != other and x._terms != other._terms
+
+
 def test_dimension_budget():
     with pytest.raises(InfeasibleError):
         CliffordSignature(4, 3)

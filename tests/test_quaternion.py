@@ -20,7 +20,9 @@ from compalg.quaternion import (
     Mat2Element,
     QuatAlgebra,
     QuaternionElement,
+    _QUAT_TERMS,
     _check_associativity,
+    _monomial_mul,
     mat2_to_quat,
     quat_to_mat2,
     swap_parameters,
@@ -355,32 +357,60 @@ def test_mul_raw_matches_dense_structure_constants(alg):
 
 
 def test_term_table_needs_associativity():
-    alg = QuatAlgebra(QQ, 2, 5)
-    k, c = alg._terms[2][3]
-    alg._terms[2][3] = (k, -c)  # the sign of v*w flipped
+    table = [list(row) for row in _QUAT_TERMS]
+    k, (sign, i, j) = table[2][3]
+    table[2][3] = (k, (-sign, i, j))  # the sign of v*w flipped
     with pytest.raises(ValueError, match="not associative"):
-        _check_associativity(alg._terms, alg.field._mul)
+        _check_associativity(table, _monomial_mul)
     # every constant is 1, but e_i*e_j = e_(i-j mod 3) is not associative
     with pytest.raises(ValueError, match="not associative"):
         _check_associativity([[((i - j) % 3, 1) for j in range(3)] for i in range(3)], operator.mul)
 
 
+def _handwritten_terms(f, a, b):
+    """The (a,b) table as it was written out by hand, entry by entry."""
+    one, neg = f._coerce(1), f._neg
+    return [
+        [(0, one), (1, one), (2, one), (3, one)],
+        [(1, one), (0, a), (3, one), (2, a)],
+        [(2, one), (3, neg(one)), (0, b), (1, neg(b))],
+        [(3, one), (2, neg(a)), (1, b), (0, neg(f._mul(a, b)))],
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7), PrimeField(10007)], ids=repr)
+def test_evaluated_table_is_the_quaternion_table(field):
+    rng = SplitMix64(field.characteristic + 12)
+    for _ in range(5):
+        if field.characteristic:
+            a, b = (rng.randint(1, field.characteristic - 1) for _ in range(2))
+        else:
+            a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 7)) for _ in range(2))
+        alg = QuatAlgebra(field, a, b)
+        _check_associativity(alg._terms, field._mul)
+        u, v, w = alg.u(), alg.v(), alg.w()
+        assert u * u == alg.from_base(alg.a.raw) and v * v == alg.from_base(alg.b.raw)
+        assert u * v == w == -(v * u)
+        assert alg._terms == _handwritten_terms(field, alg.a.raw, alg.b.raw)
+
+
 # each single-term table with the product of structure constants its owner
-# passes to the shared associativity check
+# passes to the shared associativity check, and the constant -1 in that product
 TABLES = {
-    "(2,5)_QQ": (QuatAlgebra(QQ, 2, 5)._terms, QQ._mul),
-    "(3,6)_GF(7)": (QuatAlgebra(PrimeField(7), 3, -1)._terms, PrimeField(7)._mul),
-    "Mat2": (Mat2Algebra._terms, operator.mul),
+    "(a,b) symbolic": (_QUAT_TERMS, _monomial_mul, (-1, 0, 0)),
+    "(2,5)_QQ": (QuatAlgebra(QQ, 2, 5)._terms, QQ._mul, -1),
+    "(3,6)_GF(7)": (QuatAlgebra(PrimeField(7), 3, -1)._terms, PrimeField(7)._mul, -1),
+    "Mat2": (Mat2Algebra._terms, operator.mul, -1),
 }
 TABLES.update(
-    (repr(sig), (sig._terms, int.__mul__))
+    (repr(sig), (sig._terms, int.__mul__, -1))
     for sig in (CliffordSignature(p, n - p) for n in range(2, 5) for p in range(n + 1))
 )
 
 
 @pytest.mark.parametrize("name", TABLES)
 def test_shared_check_rejects_seeded_table_mutations(name):
-    terms, mul = TABLES[name]
+    terms, mul, minus_one = TABLES[name]
     _check_associativity(terms, mul)
     rng = SplitMix64(sum(map(ord, name)))
     nonzero = [(i, j) for i, row in enumerate(terms) for j, (_, c) in enumerate(row) if c]
@@ -388,7 +418,7 @@ def test_shared_check_rejects_seeded_table_mutations(name):
         i, j = rng.choice(nonzero)
         k, c = terms[i][j]
         swapped = (k + rng.randint(1, len(terms) - 1)) % len(terms)
-        for mutated in ((k, mul(c, -1)), (swapped, c)):  # a flipped sign, a swapped index
+        for mutated in ((k, mul(c, minus_one)), (swapped, c)):  # a flipped sign, a swapped index
             table = [list(row) for row in terms]
             table[i][j] = mutated
             with pytest.raises(ValueError, match="not associative"):
@@ -396,10 +426,13 @@ def test_shared_check_rejects_seeded_table_mutations(name):
 
 
 def test_clifford_check_samples_nontrivial_triples_from_dimension_five(monkeypatch):
+    signatures = ((2, 2), (3, 2), (3, 3))
+    for p, q in signatures:
+        CliffordSignature(p, q)  # the cached tables are built and checked here
     calls = []
     monkeypatch.setattr(clifford, "_check_associativity", lambda terms, mul, pairs: calls.append(pairs))
-    for p, q in ((2, 2), (3, 2), (3, 3)):
-        CliffordSignature(p, q)
+    for p, q in signatures:
+        clifford._signature_table.__wrapped__(p, q)
     exhaustive, five, six = calls
     assert exhaustive == []  # every pair (i, j), and every l after it
     for pairs, dim in ((five, 32), (six, 64)):
