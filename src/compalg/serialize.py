@@ -64,8 +64,9 @@ def raw_from_json(spec: FieldSpec, obj):
     if isinstance(spec, QuadExt):
         if not (isinstance(obj, list) and len(obj) == 2):
             raise CompAlgError(f"a {spec!r} value must be a pair [x, y], got {obj!r}")
-    elif not isinstance(obj, (int, float, str)):
-        raise CompAlgError(f"a {spec!r} value must be a number or a string, got {obj!r}")
+    elif type(obj) not in (int, str):
+        # floats and booleans are rejected, not converted: 0.1 is never read as a binary fraction
+        raise CompAlgError(f"a {spec!r} value must be an integer or a string, got {obj!r}")
     if isinstance(spec, RationalField):
         return Fraction(obj)
     if isinstance(spec, PrimeField):
@@ -152,6 +153,9 @@ def matrix_from_json(obj) -> CompMatrix:
         m, n = obj["m"], obj["n"]
     except KeyError as exc:
         raise CompAlgError(f"matrix payload is missing the key {exc.args[0]!r}") from None
+    for key, value in (("m", m), ("n", n)):
+        if type(value) is not int or value < 1:
+            raise CompAlgError(f"{key!r} must be a positive integer, got {value!r}")
     spec = algebra.field
     flat = obj.get("entries") if "entries" in obj else obj.get("blocks")
     if flat is None or len(flat) != m * n:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from compalg import matrices, ratlin
 from compalg.errors import (
     InfeasibleError,
     NotGradeOneError,
@@ -102,10 +103,20 @@ def test_classify_examples():
 
 
 def test_center_dimension_parity():
-    for p in range(0, 5):
-        for q in range(0, 5 - p):
+    for p in range(0, 7):
+        for q in range(0, 7 - p):
             n = p + q
             assert center_dimension(CliffordSignature(p, q)) == (1 if n % 2 == 0 else 2)
+
+
+def test_center_dimension_runs_no_elimination(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("center_dimension must not eliminate")
+
+    monkeypatch.setattr(matrices, "field_echelon", refuse)
+    monkeypatch.setattr(ratlin, "nullity", refuse)
+    assert [center_dimension(CliffordSignature(p, 3 - p)) for p in range(4)] == [2, 2, 2, 2]
+    assert center_dimension(CliffordSignature(2, 2)) == 1
 
 
 def test_verify_classification_reports():

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from compalg.corpus import corpus_fixtures, load_fixture
+from compalg.errors import CompAlgError
 from compalg.fields import QQ, PrimeField, QuadExt
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
 from compalg.matrices import CompMatrix
@@ -42,6 +43,16 @@ def test_scalar_encodings():
     for spec, payload in ((QQ, "3/4"), (PrimeField(5), 3), (L, ["1", "-1/2"])):
         x = scalar_from_json(spec, payload)
         assert scalar_to_json(x) == payload
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [(QQ, "0.1"), (PrimeField(7), "2.5"), (QQ, "1e400"), (QQ, "true"), (QuadExt(PrimeField(7), 3), "[1, 2.5]")],
+)
+def test_scalars_must_be_exact(spec, text):
+    # JSON floats and booleans are rejected, not converted to a nearby exact value
+    with pytest.raises(CompAlgError, match="must be an integer or a string"):
+        scalar_from_json(spec, json.loads(text))
 
 
 def test_algebra_and_element_roundtrip():

@@ -9,11 +9,9 @@ from compalg.zmodule import (
     IntMatrix,
     build_localization_model,
     invariant_factors,
-    kernel_basis,
     rank,
     sequence_checks,
     smith_normal_form,
-    solve_integer,
 )
 
 
@@ -108,8 +106,8 @@ def test_localization_model_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(zmodule, "smith_normal_form", counting)
     model = build_localization_model(3, 8, (1, -1, 1, 1, -1))
     assert model.checks.all_true()
-    # f, g, the kernel basis K of g (in solve_integer) and H with K*H = f
-    assert calls == [(16, 5), (11, 16), (16, 5), (5, 5)]
+    # exactness is read off the Smith forms of f and g: no kernel basis, no solve
+    assert calls == [(16, 5), (11, 16)]
 
 
 def test_localization_model_n10_smax60_is_sign_independent():
@@ -125,16 +123,6 @@ def test_localization_model_n10_smax60_is_sign_independent():
     }
     assert plus.verdict() == mixed.verdict() == expected
     assert invariant_factors(plus.boundary) == invariant_factors(mixed.boundary) == (1,) * 19
-
-
-def test_kernel_and_solve():
-    A = IntMatrix([[1, 2, 3], [2, 4, 6]])
-    K = kernel_basis(A)
-    assert K is not None and (A * K).is_zero()
-    B = IntMatrix([[3], [6]])
-    X = solve_integer(A, B)
-    assert X is not None and A * X == B
-    assert solve_integer(IntMatrix([[2]]), IntMatrix([[3]])) is None
 
 
 def test_sequence_checks_split_example():
@@ -153,6 +141,13 @@ def test_sequence_checks_torsion_cokernel():
     assert not checks.exact_middle
 
 
+def test_sequence_checks_rank_deficit_is_not_exact():
+    # g*f = 0 and coker f is torsion-free, but im f misses the third coordinate of ker g
+    checks = sequence_checks(IntMatrix([[1], [0], [0]]), IntMatrix([[0, 1, 0]]))
+    assert checks.injective_f and checks.surjective_g and checks.splits
+    assert not checks.exact_middle
+
+
 def test_sequence_checks_random_constructed():
     rng = SplitMix64(42)
     for _ in range(20):
@@ -160,15 +155,18 @@ def test_sequence_checks_random_constructed():
         a = rng.randint(1, b - 1)
         P = random_unimodular(rng, b)
         Pinv = _inverse_unimodular(P)
-        f = P.columns(range(a))
+        f = IntMatrix([row[:a] for row in P.rows])
         g = IntMatrix(Pinv.rows[a:])
         checks = sequence_checks(f, g)
         assert checks.all_true()
         # plant torsion: double the first column of f
-        planted = IntMatrix(
-            [[2 * row[0]] + list(row[1:]) for row in f.rows]
-        )
-        assert not sequence_checks(planted, g).splits
+        planted = IntMatrix([[2 * row[0]] + list(row[1:]) for row in f.rows])
+        torsion = sequence_checks(planted, g)
+        assert not torsion.splits and not torsion.exact_middle
+        # rank deficit: drop the first column of f (keep at least one)
+        if a > 1:
+            dropped = sequence_checks(IntMatrix([row[1:a] for row in P.rows]), g)
+            assert dropped.splits and not dropped.exact_middle
 
 
 def _inverse_unimodular(P):
