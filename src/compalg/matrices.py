@@ -6,11 +6,13 @@ defines shape checks, equality, hashing, sums, products, `submatrix`,
 coercion, `scale` and `det`; `CompMatrix` (over a composition algebra) adds
 the per-entry algebra check, `scale_right` and `take_rows`.  The
 composition-algebra matrices are right modules: scalar coefficients
-multiply every entry on the right.  Verdicts on a square matrix Z over an
-algebra with base field k come from one base-field picture, the matrix L(Z)
-of X -> Z*X (`left_regular_rep`): det L(Z) is the square of the reduced
-norm, i.e. the Study determinant d * conj(d) (`study_det`), and Z is
-invertible exactly when it is nonzero (`is_invertible`), for every algebra.
+multiply every entry on the right, and `combine` sums such multiples on raw
+coordinates (for `rank` and the substitution check of `skew_solve`).
+Verdicts on a square matrix Z over an algebra with base field k come from
+one base-field picture, the matrix L(Z) of X -> Z*X (`left_regular_rep`):
+det L(Z) is the square of the reduced norm, i.e. the Study determinant
+d * conj(d) (`study_det`), and Z is invertible exactly when it is nonzero
+(`is_invertible`), for every algebra.
 The doubling representation Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]]
 over L = k[sqrt(a)] (`symplectic_rep`, d its determinant; the lower-left
 sign is pinned by the homomorphism tests), the flattening
@@ -56,6 +58,7 @@ from .quaternion import (
     Mat2Element,
     QuatAlgebra,
     QuaternionElement,
+    _table_mul,
     mat2_to_quat,
     quat_to_mat2,
 )
@@ -211,7 +214,8 @@ def field_echelon(rows, spec: FieldSpec):
     Forward elimination; a column's pivot is its first nonzero entry at or
     below the current row.  Over GF(p) a lower row r becomes
     r - (r[col] / pivot) * (pivot row), mod p.  Over QQ the rows are cleared
-    of denominators (the determinant is divided by their product at the end)
+    of denominators (the determinant is divided by their product at the end;
+    a row of `int`s is copied as it is and adds nothing to that product)
     and the step pivot * r - r[col] * (pivot row) is divided exactly by the
     previous pivot (Bareiss), so the integers stay minors of the cleared
     matrix; the last pivot of a square matrix of full rank is its
@@ -231,6 +235,9 @@ def field_echelon(rows, spec: FieldSpec):
         p, scale = 0, 1
         work = []
         for row in rows:
+            if all(type(x) is int for x in row):
+                work.append(list(row))
+                continue
             den = lcm(*(x.denominator for x in row))
             work.append([x.numerator * (den // x.denominator) for x in row])
             scale *= den
@@ -300,7 +307,7 @@ class CompMatrix(RingMatrix):
         rows = tuple(tuple(row) for row in rows)
         for row in rows:
             for e in row:
-                if e.algebra != algebra:
+                if e.algebra is not algebra and e.algebra != algebra:
                     raise AlgebraMismatchError("entry from a different algebra")
         return rows
 
@@ -327,6 +334,41 @@ class CompMatrix(RingMatrix):
         if not 1 <= count <= self.m:
             raise ShapeError("row count out of range")
         return CompMatrix(self.ring, self.rows[:count])
+
+
+def combine(matrices, coeffs) -> CompMatrix:
+    """Sum of matrices[i] . coeffs[i] under the right scalar action, on raw coordinates.
+
+    A coefficient from_base(c) is central and scales each coordinate by c;
+    any other coefficient q adds the table product x * q (`_table_mul`) of
+    each entry x.  Over QQ the coefficients are integers over their common
+    denominator d, and integral coordinates and structure constants ints, so
+    each coordinate is divided by d once; over GF(p) building the one
+    CompMatrix at the end reduces mod p.
+    """
+    algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
+    pairs = list(zip(matrices, coeffs))
+    for Z, q in pairs:
+        if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
+            raise AlgebraMismatchError("matrices and coefficients must share one algebra")
+        if (Z.m, Z.n) != (m, n):
+            raise ShapeError("combined matrices must share one shape")
+    d = lcm(*(y.denominator for _, q in pairs for y in q.coeffs))
+    terms = [[(k, c.numerator if c.denominator == 1 else c) for k, c in row] for row in algebra._terms]
+    acc = [[[0] * algebra.dim for _ in range(n)] for _ in range(m)]
+    for Z, q in pairs:
+        y = [v.numerator * (d // v.denominator) for v in q.coeffs]
+        c = y[0]
+        base = y == [c * e for e in algebra._one]
+        if base and not c:
+            continue
+        for acc_row, row in zip(acc, Z.rows):
+            for a, e in zip(acc_row, row):
+                x = [v.numerator if v.denominator == 1 else v for v in e.coeffs]
+                for k, v in enumerate([v * c for v in x] if base else _table_mul(terms, x, y, 0)):
+                    a[k] += v
+    rows = [[a if algebra.field.characteristic else [Fraction(v, d) for v in a] for a in row] for row in acc]
+    return CompMatrix(algebra, [[algebra.element(a) for a in row] for row in rows])
 
 
 def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
@@ -401,18 +443,23 @@ def left_regular_rep(Z: CompMatrix) -> list[list]:
     e_0..e_3 the algebra's coordinate basis; row 4i + c is coordinate c of
     entry i.  Each basis product e_l * e_k is one term c * e_t of the
     algebra's table, and for a fixed k the nonzero ones land on distinct t,
-    so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k).
+    so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k), c = +-1 as a
+    sign.  Over QQ an integral value, zero included, is an `int`, so integer
+    input gives the all-`int` rows that `field_echelon` takes as they are.
     """
-    alg = Z.ring
-    f = alg.field
-    terms = [(l, k, t, c) for l, row in enumerate(alg._terms) for k, (t, c) in enumerate(row) if c]
-    out = [[f._coerce(0)] * (4 * Z.n) for _ in range(4 * Z.m)]
+    f = Z.ring.field
+    neg, mul, minus_one = f._neg, f._mul, f._neg(f._coerce(1))
+    terms = [(l, k, t, 1 if c == 1 else -1 if c == minus_one else c)
+             for l, row in enumerate(Z.ring._terms) for k, (t, c) in enumerate(row) if c]
+    out = [[0] * (4 * Z.n) for _ in range(4 * Z.m)]
     for i, row in enumerate(Z.rows):
         for j, z in enumerate(row):
-            coeffs = z.coeffs
+            coeffs = [x.numerator if x.denominator == 1 else x for x in z.coeffs]
             for l, k, t, c in terms:
-                if coeffs[l]:
-                    out[4 * i + t][4 * j + k] = f._mul(coeffs[l], c)
+                x = coeffs[l]
+                if x:
+                    v = x if c == 1 else neg(x) if c == -1 else mul(x, c)
+                    out[4 * i + t][4 * j + k] = v.numerator if v.denominator == 1 else v
     return out
 
 
@@ -519,6 +566,6 @@ def skew_solve(A: CompMatrix):
     first = next(c for c in sol if not c.is_zero())
     inv = first.inverse()
     sol = [c * inv for c in sol]
-    if not (A * CompMatrix(alg, [[c] for c in sol])).is_zero():
+    if not combine([CompMatrix(alg, [[e] for e in col]) for col in zip(*A.rows)], sol).is_zero():
         raise AssertionError("skew elimination produced a bad kernel vector")
     return tuple(sol)

@@ -42,10 +42,12 @@ from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import (
     CompMatrix,
+    combine,
     field_echelon,
     field_rank,
     is_invertible,
     left_regular_rep,
+    skew_solve,
 )
 from .rng import SplitMix64
 
@@ -121,17 +123,8 @@ def low_rank_combination(matrices, d: int):
         inv = f._inv(next(c for c in sol if c))
         coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
     else:
-        stacked = CompMatrix(
-            algebra,
-            [
-                [T.rows[i][j] for T in truncated]
-                for i in range(keep)
-                for j in range(n)
-            ],
-        )
-        from .matrices import skew_solve
-
-        coeffs = skew_solve(stacked)
+        stacked = [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)]
+        coeffs = skew_solve(CompMatrix(algebra, stacked))
         if coeffs is None:
             raise AssertionError("dependence guaranteed by dimension count was not found")
 
@@ -139,14 +132,6 @@ def low_rank_combination(matrices, d: int):
     if not combo.is_zero():
         raise AssertionError("combination failed to kill the truncated rows")
     return coeffs
-
-
-def combine(matrices, coeffs) -> CompMatrix:
-    """Sum of matrices[i] . coeffs[i] under the right scalar action."""
-    acc = matrices[0].scale_right(coeffs[0])
-    for Z, a in zip(matrices[1:], coeffs[1:]):
-        acc = acc + Z.scale_right(a)
-    return acc
 
 
 @dataclass
@@ -165,17 +150,15 @@ class SpanReport:
         }
 
 
-def _random_element(algebra, rng: SplitMix64, entry_bound: int):
-    f = algebra.field
-    if isinstance(f, PrimeField):
-        raws = [rng.randint(0, f.p - 1) for _ in range(4)]
-    else:
-        raws = [rng.randint(-entry_bound, entry_bound) for _ in range(4)]
-    return algebra.element(raws)
-
-
 def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=3):
-    """Rejection-sampled list of pairwise distinct matrices (seeded, deterministic)."""
+    """Rejection-sampled list of pairwise distinct matrices (seeded, deterministic).
+
+    Entries draw 4 coordinates each, row by row, from [0, p) over GF(p) and
+    [-entry_bound, entry_bound] over QQ: canonical raw values, so duplicates
+    are rejected on them and each accepted matrix is built once.
+    """
+    f = algebra.field
+    lo, hi = (0, f.p - 1) if isinstance(f, PrimeField) else (-entry_bound, entry_bound)
     seen = set()
     out = []
     attempts = 0
@@ -183,13 +166,10 @@ def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=
         attempts += 1
         if attempts > 1000 * count:
             raise InfeasibleError("matrix space too small to sample distinct members")
-        Z = CompMatrix(
-            algebra,
-            [[_random_element(algebra, rng, entry_bound) for _ in range(n)] for _ in range(m)],
-        )
-        if Z not in seen:
-            seen.add(Z)
-            out.append(Z)
+        raw = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(n)) for _ in range(m))
+        if raw not in seen:
+            seen.add(raw)
+            out.append(CompMatrix(algebra, [[algebra.element(e) for e in row] for row in raw]))
     return out
 
 

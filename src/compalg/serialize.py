@@ -7,12 +7,18 @@ matrix over the 2x2 split realization may also use the "blocks" encoding of
 raw 2x2 base-field blocks.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import CompAlgError
 from .fields import QQ, FieldSpec, PrimeField, QuadExt, RationalField, Scalar
 from .quaternion import Mat2Algebra, Mat2Element, QuatAlgebra, QuaternionElement, mat2_to_quat
 from .matrices import CompMatrix
+
+
+# the string forms of scalar.schema.json: "p" or "p/q" over QQ, "p" over GF(p)
+_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def field_to_json(spec: FieldSpec):
@@ -68,8 +74,14 @@ def raw_from_json(spec: FieldSpec, obj):
         # floats and booleans are rejected, not converted: 0.1 is never read as a binary fraction
         raise CompAlgError(f"a {spec!r} value must be an integer or a string, got {obj!r}")
     if isinstance(spec, RationalField):
+        if isinstance(obj, str):
+            match = _RATIONAL.fullmatch(obj)
+            if not match or match[1] is not None and not int(match[1]):
+                raise CompAlgError(f"a QQ string must be p or p/q with q != 0, got {obj!r}")
         return Fraction(obj)
     if isinstance(spec, PrimeField):
+        if isinstance(obj, str) and not _INTEGER.fullmatch(obj):
+            raise CompAlgError(f"a {spec!r} string must be an integer, got {obj!r}")
         return spec._coerce(int(obj))
     if isinstance(spec, QuadExt):
         return (raw_from_json(spec.base, obj[0]), raw_from_json(spec.base, obj[1]))

@@ -162,6 +162,7 @@ def test_malformed_matrix_payloads_exit_cleanly(capsys):
         ({"algebra": {"field": {"kind": "Fp", "p": "7"}, "a": 1, "b": 1}, "m": 1, "n": 1, "entries": [5]}, "'p' must be an integer"),
         ({"algebra": {"field": {"kind": "Q"}, "a": [1], "b": 1}, "m": 1, "n": 1, "entries": [5]}, "must be an integer or a string"),
         ({"algebra": quat_q, "m": 1, "n": 1, "entries": [[0.1, 0, 0, 0]]}, "got 0.1"),
+        ({"algebra": quat_q, "m": 1, "n": 1, "entries": [["1e3", "0", "0", "0"]]}, "got '1e3'"),
         ({"algebra": quat_q, "m": 1.5, "n": 2, "entries": [["1", "0", "0", "0"]] * 3}, "'m' must be a positive integer, got 1.5"),
         ({"algebra": quat_q, "m": True, "n": 1, "entries": [["1", "0", "0", "0"]]}, "'m' must be a positive integer, got True"),
         ({"algebra": quat_q, "m": 1, "n": 0, "entries": []}, "'n' must be a positive integer, got 0"),

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from compalg import matrices, rank
 from compalg.errors import (
     AlgebraMismatchError,
     FieldMismatchError,
@@ -15,8 +16,10 @@ from compalg.fields import QQ, PrimeField, QuadExt, from_split_components, split
 from compalg.matrices import (
     CompMatrix,
     FieldMatrix,
+    field_echelon,
     flatten_split,
     is_invertible,
+    left_regular_rep,
     mat2_matrix_to_quat,
     quat_matrix_to_mat2,
     skew_column_rank,
@@ -26,8 +29,8 @@ from compalg.matrices import (
     symplectic_rep,
     unflatten_split,
 )
-from compalg.quaternion import Mat2Algebra, QuatAlgebra
-from compalg.rank import dependence_bound, low_rank_combination, sample_distinct_matrices
+from compalg.quaternion import NONSPLIT, Mat2Algebra, QuatAlgebra
+from compalg.rank import comp_rank, dependence_bound, low_rank_combination, sample_distinct_matrices
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
@@ -526,3 +529,84 @@ def test_matrix_laws_on_field_and_algebra_matrices(cls, ring, entry):
         cls(ring, [[entry(rng), entry(rng)], [entry(rng)]])
     with pytest.raises(ShapeError, match="dimensions must be positive"):
         cls(ring, [])
+
+
+def _lrep_by_products(Z):
+    """L(Z) from its definition: z_l * c at (4i + t, 4j + k), each a base-field product."""
+    alg, f = Z.ring, Z.ring.field
+    out = [[f._coerce(0)] * (4 * Z.n) for _ in range(4 * Z.m)]
+    for i, row in enumerate(Z.rows):
+        for j, z in enumerate(row):
+            for l, terms in enumerate(alg._terms):
+                for k, (t, c) in enumerate(terms):
+                    if c and z.coeffs[l]:
+                        out[4 * i + t][4 * j + k] = f._mul(z.coeffs[l], c)
+    return out
+
+
+LREP_ALGEBRAS = [
+    QuatAlgebra(QQ, 2, 5),
+    QuatAlgebra(QQ, Fraction(1, 2), 3),
+    HQ,
+    QuatAlgebra(QQ, 1, -1),
+    QuatAlgebra(PrimeField(7), 3, -1),
+    Mat2Algebra(PrimeField(7)),
+]
+
+
+@pytest.mark.parametrize("alg", LREP_ALGEBRAS, ids=repr)
+def test_integer_left_regular_rep_gives_the_fraction_answers(alg, monkeypatch):
+    # L(Z) holds ints for integral values; every verdict read off it must be
+    # the one read off L(Z) built from Fraction products
+    rng = SplitMix64(sum(map(ord, repr(alg))))
+
+    def entry():
+        return alg.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+
+    cases = []
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        if rng.randint(0, 1) and n > 1:
+            r = rng.randint(1, n - 1)
+            A = CompMatrix(alg, [[entry() for _ in range(r)] for _ in range(n)])
+            Z = A * CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(r)])
+        else:
+            Z = CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(n)])
+        cases.append(Z)
+    cases.append(CompMatrix(alg, [[alg.element((1, -2, 3, 0)), alg.zero()], [alg.one(), alg.element((0, 0, 5, -1))]]))
+    for Z in cases:
+        L = left_regular_rep(Z)
+        assert L == _lrep_by_products(Z)
+        assert all(type(v) is int for row in L for v in row if v.denominator == 1)
+    division = alg.is_split_decision() == NONSPLIT
+
+    def answers():
+        return [(study_det(Z), is_invertible(Z), comp_rank(Z), division and skew_solve(Z)) for Z in cases]
+
+    expected = answers()
+    monkeypatch.setattr(matrices, "left_regular_rep", _lrep_by_products)
+    monkeypatch.setattr(rank, "left_regular_rep", _lrep_by_products)
+    assert answers() == expected
+
+
+def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
+    rng = SplitMix64(83)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2 and rng.randint(0, 1):
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        frozen = [list(row) for row in rows]
+        as_int = field_echelon(rows, QQ)
+        assert rows == frozen  # int rows are copied, not eliminated in place
+        as_fraction = field_echelon([[Fraction(x) for x in row] for row in rows], QQ)
+        mixed = field_echelon([[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(rows)], QQ)
+        by_rows = field_echelon([[Fraction(x) for x in row] if i % 2 else row for i, row in enumerate(rows)], QQ)
+        assert as_int == as_fraction == mixed == by_rows
+        pivots, kernel, det = as_int
+        assert kernel is None or all(type(v) is Fraction for v in kernel)
+        if nrows == ncols:
+            assert type(det) is Fraction
+            # a Fraction row scales the determinant; the int rows around it add nothing
+            halved = [[Fraction(x, 2) for x in rows[0]]] + rows[1:]
+            assert field_echelon(halved, QQ)[2] == det / 2

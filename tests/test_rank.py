@@ -1,10 +1,18 @@
 from fractions import Fraction
+import hashlib
 from itertools import combinations, permutations, product
 
 import pytest
 
+from compalg import matrices, rank
 from compalg.corpus import corpus_fixtures, load_fixture
-from compalg.errors import BoundNotMetError, FieldMismatchError, InfeasibleError
+from compalg.errors import (
+    AlgebraMismatchError,
+    BoundNotMetError,
+    FieldMismatchError,
+    InfeasibleError,
+    ShapeError,
+)
 from compalg.fields import QQ, PrimeField, QuadExt, Scalar
 from compalg.matrices import (
     CompMatrix,
@@ -381,3 +389,104 @@ def test_verify_span_bound_runs_and_is_deterministic():
 def test_corpus_fixture_inventory():
     names = set(corpus_fixtures())
     assert {"z1", "z2", "z3", "cl01", "cl10", "cl02", "cl11", "cl20"} <= names
+
+
+def _combine_by_definition(mats, coeffs):
+    acc = mats[0].scale_right(coeffs[0])
+    for Z, q in zip(mats[1:], coeffs[1:]):
+        acc = acc + Z.scale_right(q)
+    return acc
+
+
+COMBINE_ALGEBRAS = [
+    ("(-1,-1)_QQ", HQ),
+    ("(1,-1)_QQ", QuatAlgebra(QQ, 1, -1)),
+    ("(2,5)_QQ", QuatAlgebra(QQ, 2, 5)),
+    ("(1/2,3)_QQ", QuatAlgebra(QQ, Fraction(1, 2), 3)),
+    ("Mat2(GF(2))", Mat2Algebra(PrimeField(2))),
+    ("Mat2(GF(3))", Mat2Algebra(F3)),
+    ("Mat2(GF(7))", Mat2Algebra(PrimeField(7))),
+]
+
+
+@pytest.mark.parametrize("name,algebra", COMBINE_ALGEBRAS, ids=[a[0] for a in COMBINE_ALGEBRAS])
+def test_combine_is_the_sum_of_right_scalings(name, algebra):
+    # base coefficients (with denominators over QQ), general ones and zeros,
+    # on entries that are units, zero divisors, zeros and Fractions
+    rng = SplitMix64(sum(map(ord, name)) + 3)
+    for _ in range(15):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        mats = [_random_matrix(algebra, m, n, rng) for _ in range(rng.randint(1, 5))]
+        coeffs = []
+        for _ in mats:
+            kind = rng.randint(0, 3)
+            if kind == 0:
+                f = algebra.field
+                c = rng.randint(0, f.p - 1) if isinstance(f, PrimeField) else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                coeffs.append(algebra.from_base(c))
+            elif kind == 1:
+                coeffs.append(_random_entry(algebra, rng))
+            else:  # zero, or diagonal but not a base scalar: (1, 0, 0, 2) is not from_base(1)
+                coeffs.append(algebra.zero() if kind == 2 else algebra.element((1, 0, 0, 2)))
+        assert combine(mats, coeffs) == _combine_by_definition(mats, coeffs)
+
+
+def test_combine_rejects_other_algebras_and_shapes():
+    S = QuatAlgebra(QQ, 1, -1)
+    Z = CompMatrix(HQ, [[HQ.element((1, 2, 0, -1))]])
+    with pytest.raises(AlgebraMismatchError):
+        combine([Z, Z], [HQ.one(), S.one()])
+    with pytest.raises(AlgebraMismatchError):
+        combine([Z], [S.one()])
+    with pytest.raises(AlgebraMismatchError):
+        combine([Z, CompMatrix(S, [[S.one()]])], [HQ.one(), HQ.one()])
+    with pytest.raises(ShapeError):
+        combine([Z, CompMatrix(HQ, [[HQ.one(), HQ.one()]])], [HQ.one(), HQ.one()])
+
+
+def _raw_coordinates(mats):
+    return [[[tuple(int(x) for x in e.coeffs) for e in row] for row in Z.rows] for Z in mats]
+
+
+def test_sampled_matrices_are_pinned():
+    # drawn coordinates and rejections are pinned, so the rng call order cannot drift
+    assert _raw_coordinates(sample_distinct_matrices(HQ, 1, 2, 2, SplitMix64(5))) == [
+        [[(0, 2, -1, -1), (0, -3, -2, -2)]],
+        [[(3, 3, 1, 1), (2, 2, 3, -2)]],
+    ]
+    assert _raw_coordinates(sample_distinct_matrices(Mat2Algebra(F3), 1, 1, 3, SplitMix64(5))) == [
+        [[(2, 1, 2, 2)]],
+        [[(1, 1, 0, 0)]],
+        [[(1, 2, 0, 1)]],
+    ]
+    pinned = [
+        (HQ, 2, 2, 5, 24, 3, "6314a9f2905e3bf7"),
+        (QuatAlgebra(QQ, 1, -1), 2, 3, 13, 11, 1, "214d6efab9836c6c"),
+        (Mat2Algebra(F3), 2, 2, 9, 12, 3, "1b36c8925716f19c"),
+        (Mat2Algebra(PrimeField(2)), 1, 1, 16, 13, 3, "9e896db5b83b6343"),  # every matrix, many rejections
+    ]
+    for algebra, m, n, count, seed, bound, digest in pinned:
+        mats = sample_distinct_matrices(algebra, m, n, count, SplitMix64(seed), entry_bound=bound)
+        assert hashlib.sha256(repr(_raw_coordinates(mats)).encode()).hexdigest()[:16] == digest
+        assert len(set(mats)) == count
+    rng = SplitMix64(14)
+    sample_distinct_matrices(HQ, 1, 1, 50, rng, entry_bound=1)
+    assert rng.next_u64() == 17922827041018644926
+
+
+def test_witness_checks_still_run(monkeypatch):
+    # each check of the span path rejects a wrong witness handed to it
+    mats = sample_distinct_matrices(HQ, 2, 2, 5, SplitMix64(24))
+    stacked = CompMatrix(HQ, [[T.rows[i][j] for T in mats] for i in range(2) for j in range(2)])
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_skew_kernel", lambda A: (0, [1] + [0] * (4 * A.n - 1)))
+        with pytest.raises(AssertionError, match="bad kernel vector"):
+            matrices.skew_solve(stacked)
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "skew_solve", lambda A: (HQ.one(),) + (HQ.zero(),) * (A.n - 1))
+        with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
+            low_rank_combination(mats, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "low_rank_combination", lambda family, d: (HQ.one(),) + (HQ.zero(),) * (len(family) - 1))
+        report = verify_span_bound(HQ, 2, 2, 1, trials=1, seed=3)
+    assert report.successes == 0 and report.counterexample["reason"] == "truncated combination is nonzero"

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -53,6 +54,33 @@ def test_scalars_must_be_exact(spec, text):
     # JSON floats and booleans are rejected, not converted to a nearby exact value
     with pytest.raises(CompAlgError, match="must be an integer or a string"):
         scalar_from_json(spec, json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (QQ, "1e3"),
+        (QQ, " 3 "),
+        (QQ, "1_000"),
+        (QQ, "1/0"),
+        (QQ, "-2/00"),
+        (QQ, "0x10"),
+        (QQ, "1.5"),
+        (PrimeField(7), "1/0"),
+        (PrimeField(7), "1/2"),
+        (PrimeField(7), " 3"),
+        (PrimeField(7), "0x10"),
+    ],
+)
+def test_scalar_strings_must_match_the_schema(spec, text):
+    # "p" or "p/q" (q != 0) over QQ and "p" over GF(p), as scalar.schema.json states
+    with pytest.raises(CompAlgError, match=re.escape(repr(text))):
+        scalar_from_json(spec, text)
+
+
+def test_scalar_strings_in_the_schema_are_read():
+    assert [scalar_from_json(QQ, t).raw for t in ("3/4", "-12", "0/5", "007")] == [Fraction(3, 4), -12, 0, 7]
+    assert [scalar_from_json(PrimeField(7), t).raw for t in ("-3", "10", "0")] == [4, 3, 0]
 
 
 def test_algebra_and_element_roundtrip():
