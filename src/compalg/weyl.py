@@ -13,22 +13,25 @@ Invariant rings are probed three ways: Reynolds averaging, explicit
 fundamental generators (elementary symmetric functions, plain or evaluated
 on x_i + 1/x_i for the signed flavors), and a bounded-degree generation
 check that answers "expressible" or "inconclusive at this bound", never
-claiming a refutation.  Reynolds makes one pass over G on raw exponent
-tuples.  The generation check meets each orbit once, keyed by its sorted
-(absolute) exponents, and lists it straight from the exponent vector:
-rearrangements, plus sign patterns on the nonzero entries for the signed
-flavor.  The generator products are row-reduced once to an echelon basis
-keyed by leading monomial, and each orbit sum is reduced against that
-basis.  Index counts |G| / |H| feed the free-module ranks in
-the K-group bookkeeping: the quaternionic pair gives (2n)!/n!, the split
-pair the central binomial coefficient, and the smallest split case 2.
+claiming a refutation.  Each group enumerates its elements once, as raw
+(perm, signs) tuple pairs in `_pairs()`; `elements()` wraps them in
+SignedPerm, and Reynolds walks them on raw exponent tuples.  The generation
+check runs on integer rows, raw {exponent tuple: int} dicts: the generator
+products are reduced once to an echelon basis of primitive rows keyed by
+leading monomial, and each orbit sum (met once per orbit, listed from its
+exponent vector) is reduced against it fraction-free, a*row - b*pivot.  A
+LaurentPoly or its text is built only for output.  Index counts |G| / |H|
+feed the free-module ranks in the K-group bookkeeping: the quaternionic pair
+gives (2n)!/n!, the split pair the central binomial coefficient, and the
+smallest split case 2.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import factorial, lcm
+from itertools import permutations, product
+from math import factorial, gcd, lcm
+from operator import add
 
 from .errors import (
     CompAlgError,
@@ -105,18 +108,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of a general polynomial are undefined")
-        acc = LaurentPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def scale(self, value) -> "LaurentPoly":
         value = Fraction(value)
         return LaurentPoly(self.nvars, {e: c * value for e, c in self.terms.items()})
@@ -135,29 +126,39 @@ class LaurentPoly:
         return not self.terms
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, reverse=True):
-            coeff = self.terms[expo]
-            factors = []
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _text(self.terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.text()})"
+
+
+def _text(terms: dict) -> str:
+    """Terms by descending exponent vector, as "3*x1^2*x2^-1 - x3 + 1/2"."""
+    if not terms:
+        return "0"
+    parts = []
+    for expo in sorted(terms, reverse=True):
+        coeff = terms[expo]
+        body = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(expo) if e)
+        if not body:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{coeff}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _mul(p: dict, q: dict) -> dict:
+    """Product of two raw {exponent tuple: coefficient} polynomials."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 _TERM_RE = re.compile(
@@ -214,10 +215,6 @@ class SignedPerm:
     def __setattr__(self, *_):
         raise AttributeError("SignedPerm is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPerm":
-        return cls(range(n), (1,) * n)
-
     def compose(self, other: "SignedPerm") -> "SignedPerm":
         """self after other (matches acting on polynomials twice)."""
         perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
@@ -261,8 +258,13 @@ class SignedPermGroup:
     def order(self) -> int:
         raise NotImplementedError
 
-    def elements(self):
+    def _pairs(self):
+        """Every element as a raw (perm, signs) pair of tuples, in a fixed order."""
         raise NotImplementedError
+
+    def elements(self):
+        for perm, signs in self._pairs():
+            yield SignedPerm(perm, signs)
 
     def generators(self):
         raise NotImplementedError
@@ -283,9 +285,10 @@ class SymGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n)
 
-    def elements(self):
+    def _pairs(self):
+        signs = (1,) * self.n
         for p in permutations(range(self.n)):
-            yield SignedPerm(p, (1,) * self.n)
+            yield p, signs
 
     def generators(self):
         if self.n < 2:
@@ -304,8 +307,8 @@ class TrivialGroup(SignedPermGroup):
     def order(self):
         return 1
 
-    def elements(self):
-        yield SignedPerm.identity(self.n)
+    def _pairs(self):
+        yield tuple(range(self.n)), (1,) * self.n
 
     def generators(self):
         return []
@@ -317,10 +320,11 @@ class HyperoctahedralGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n) * 2**self.n
 
-    def elements(self):
+    def _pairs(self):
+        sign_vectors = list(product((1, -1), repeat=self.n))
         for p in permutations(range(self.n)):
-            for signs in product((1, -1), repeat=self.n):
-                yield SignedPerm(p, signs)
+            for signs in sign_vectors:
+                yield p, signs
 
     def generators(self):
         out = list(SymGroup(self.n).generators())
@@ -341,11 +345,11 @@ class EvenSignedGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n) * 2 ** (self.n - 1)
 
-    def elements(self):
+    def _pairs(self):
+        sign_vectors = [s for s in product((1, -1), repeat=self.n) if s.count(-1) % 2 == 0]
         for p in permutations(range(self.n)):
-            for signs in product((1, -1), repeat=self.n):
-                if signs.count(-1) % 2 == 0:
-                    yield SignedPerm(p, signs)
+            for signs in sign_vectors:
+                yield p, signs
 
     def generators(self):
         out = list(SymGroup(self.n).generators())
@@ -380,23 +384,23 @@ class ProductGroup(SignedPermGroup):
     def _embed(self, parts):
         perm, signs = [], []
         offset = 0
-        for factor, g in zip(self.factors, parts):
-            perm.extend(offset + p for p in g.perm)
-            signs.extend(g.signs)
+        for factor, (p, s) in zip(self.factors, parts):
+            perm.extend(offset + i for i in p)
+            signs.extend(s)
             offset += factor.n
-        return SignedPerm(perm, signs)
+        return tuple(perm), tuple(signs)
 
-    def elements(self):
-        for parts in product(*(list(f.elements()) for f in self.factors)):
+    def _pairs(self):
+        for parts in product(*(list(f._pairs()) for f in self.factors)):
             yield self._embed(parts)
 
     def generators(self):
         out = []
         for idx, factor in enumerate(self.factors):
             for g in factor.generators():
-                parts = [SignedPerm.identity(f.n) for f in self.factors]
-                parts[idx] = g
-                out.append(self._embed(parts))
+                parts = [(range(f.n), (1,) * f.n) for f in self.factors]
+                parts[idx] = (g.perm, g.signs)
+                out.append(SignedPerm(*self._embed(parts)))
         return out
 
 
@@ -407,11 +411,12 @@ def is_invariant(G: SignedPermGroup, f: LaurentPoly) -> bool:
 def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     """Group average (1/|G|) sum g.f; idempotent on invariants.
 
-    One pass over G on raw exponent tuples, with f's coefficients scaled to
-    integers by their common denominator.  Each g permutes exponent vectors,
-    so the terms of g.f are distinct; they go into the total in f's term
-    order and a key is dropped when its sum cancels, so the result's terms
-    come in the order that summing the images one by one would give.
+    One pass over G's raw (perm, signs) pairs, moving only the nonzero
+    entries of each exponent tuple, with f's coefficients scaled to integers
+    by their common denominator.  Each g permutes exponent vectors, so the
+    terms of g.f are distinct; they go into the total in f's term order and a
+    key is dropped when its sum cancels, so the result's terms come in the
+    order that summing the images one by one would give.
     """
     order = G.order()
     if order > DEFAULT_MAX_GROUP_ORDER:
@@ -419,13 +424,14 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     if G.n != f.nvars:
         raise ShapeError("group element and polynomial have different variable counts")
     denom = lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(expo, c.numerator * (denom // c.denominator)) for expo, c in f.terms.items()]
+    scaled = {expo: c.numerator * denom // c.denominator for expo, c in f.terms.items()}
+    terms = [([(i, e) for i, e in enumerate(expo) if e], c) for expo, c in scaled.items()]
     acc = {}
-    for g in G.elements():
-        for expo, coeff in terms:
+    for perm, signs in G._pairs():
+        for entries, coeff in terms:
             new = [0] * f.nvars
-            for e, target, sign in zip(expo, g.perm, g.signs):
-                new[target] = sign * e
+            for i, e in entries:
+                new[perm[i]] = signs[i] * e
             key = tuple(new)
             total = acc.get(key, 0) + coeff
             if total:
@@ -436,27 +442,23 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.nvars, {expo: Fraction(c, scale) for expo, c in acc.items()})
 
 
-def elementary_symmetric(k: int, gens: list[LaurentPoly], nvars: int) -> LaurentPoly:
-    acc = LaurentPoly(nvars, {})
-    for subset in combinations(gens, k):
-        term = LaurentPoly.constant(nvars, 1)
-        for g in subset:
-            term = term * g
-        acc = acc + term
-    return acc
+def _generator_rows(flavor: str, n: int) -> list[dict]:
+    """e_1..e_n as raw integer polynomials: the coefficients of t^k in prod (1 + t*b_i)."""
+    if flavor not in ("Sym", "Hyperoctahedral"):
+        raise UnsupportedFlavorError(f"no generator table for flavor {flavor!r}")
+    elementary = [{(0,) * n: 1}] + [{} for _ in range(n)]
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        b = {unit: 1} if flavor == "Sym" else {unit: 1, tuple(-e for e in unit): 1}
+        for k in range(n, 0, -1):
+            for expo, coeff in _mul(elementary[k - 1], b).items():
+                elementary[k][expo] = elementary[k].get(expo, 0) + coeff
+    return elementary[1:]
 
 
 def fundamental_generators(flavor: str, n: int) -> list[LaurentPoly]:
     """Sym: e_1..e_n in the variables; Hyperoctahedral: e_1..e_n in x_i + 1/x_i."""
-    if flavor == "Sym":
-        base = [LaurentPoly.variable(n, i) for i in range(n)]
-    elif flavor == "Hyperoctahedral":
-        base = [
-            LaurentPoly.variable(n, i) + LaurentPoly.variable(n, i, -1) for i in range(n)
-        ]
-    else:
-        raise UnsupportedFlavorError(f"no generator table for flavor {flavor!r}")
-    return [elementary_symmetric(k, base, n) for k in range(1, n + 1)]
+    return [LaurentPoly(n, row) for row in _generator_rows(flavor, n)]
 
 
 def weyl_index(G: SignedPermGroup, H: SignedPermGroup) -> int:
@@ -495,75 +497,73 @@ class GenerationReport:
     inconclusive: list[str] = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "flavor": self.flavor,
-            "n": self.n,
-            "degree_bound": self.degree_bound,
-            "checked": self.checked,
-            "expressible": self.expressible,
-            "inconclusive": list(self.inconclusive),
-        }
+        return asdict(self)
 
 
 def _orbit(flavor: str, expo: tuple) -> set:
-    """The orbit of x^expo: its rearrangements, with any signs on the nonzero
-    entries for Hyperoctahedral."""
+    """Rearrangements of expo, with any signs on its nonzero entries for Hyperoctahedral."""
     if flavor == "Sym":
         return set(permutations(expo))
     choices = [(e, -e) if e else (0,) for e in expo]
     return {p for signed in product(*choices) for p in permutations(signed)}
 
 
-def _bounded_products(flavor: str, n: int, bound: int) -> list[LaurentPoly]:
-    """Products of fundamental generators with weighted degree at most `bound`.
+def _bounded_products(flavor: str, n: int, bound: int) -> list[dict]:
+    """Products of fundamental generators with weighted degree at most `bound`,
+    as raw integer polynomials.
 
     Generator k carries weight k; for Sym the inverse of the top generator is
     also available (it is a unit in the Laurent ring) at weight n per power.
     """
-    gens = fundamental_generators(flavor, n)
-    results = [(LaurentPoly.constant(n, 1), 0)]
-    factors = [(gen, idx + 1) for idx, gen in enumerate(gens)]
+    results = [({(0,) * n: 1}, 0)]
+    factors = [(gen, idx + 1) for idx, gen in enumerate(_generator_rows(flavor, n))]
     if flavor == "Sym":
-        top_inv = LaurentPoly(n, {(-1,) * n: Fraction(1)})  # inverse of e_n = x1...xn
-        factors.append((top_inv, n))
+        factors.append(({(-1,) * n: 1}, n))  # inverse of e_n = x1...xn
     for gen, weight in factors:
         extended = list(results)
         for poly, w in results:
             current, cw = poly, w
             while cw + weight <= bound:
-                current = current * gen
+                current = _mul(current, gen)
                 cw += weight
                 extended.append((current, cw))
         results = extended
     return [poly for poly, _ in results]
 
 
-def _echelon(polys) -> dict:
-    """Echelon basis of the span: leading monomial -> row with leading coefficient 1."""
+def _echelon(rows) -> dict:
+    """Echelon basis: leading monomial -> primitive row, leading coefficient > 0."""
     basis = {}
-    for poly in polys:
-        row = _reduce(basis, dict(poly.terms))
+    for row in rows:
+        row = _reduce(basis, dict(row))
         if row:
             lead = max(row)
-            inv = 1 / row[lead]
-            basis[lead] = {m: c * inv for m, c in row.items()}
+            content = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+            basis[lead] = {m: c // content for m, c in row.items()}
     return basis
 
 
 def _reduce(basis: dict, row: dict) -> dict:
     """Cancel row's leading monomial against the basis until it is no pivot.
 
-    Every combination of basis rows leads with a pivot, so row lies in their
-    span exactly when nothing is left.
+    Fraction-free: with a and b the pivot's and the row's leading
+    coefficients over their gcd, row becomes a*row - b*pivot.  Every
+    combination of basis rows leads with a pivot, so row lies in their span
+    exactly when nothing is left.
     """
     while row:
         lead = max(row)
         pivot = basis.get(lead)
         if pivot is None:
             break
-        factor = row[lead]
+        a, b = pivot[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for m in row:
+                row[m] *= a
         for m, c in pivot.items():
-            value = row.get(m, 0) - factor * c
+            value = row.get(m, 0) - b * c
             if value:
                 row[m] = value
             else:
@@ -592,7 +592,7 @@ def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationRepor
         orbit = dict.fromkeys(_orbit(flavor, expo), 1)
         report.checked += 1
         if _reduce(basis, dict(orbit)):
-            report.inconclusive.append(LaurentPoly(n, orbit).text())
+            report.inconclusive.append(_text(orbit))
         else:
             report.expressible += 1
     return report

@@ -1,6 +1,9 @@
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
+from itertools import permutations, product
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -16,6 +19,8 @@ from compalg.weyl import (
     SymGroup,
     TrivialGroup,
     _bounded_products,
+    _echelon,
+    _reduce,
     act,
     fundamental_generators,
     group_from_json,
@@ -80,10 +85,32 @@ def in_span_oracle(target, candidates):
     return not any(all(e == 0 for e in row) and b != 0 for row, b in zip(rows, rhs))
 
 
+def bounded_products_oracle(flavor, n, bound):
+    """Every product of powers of the fundamental generators (generator k of
+    weight k, and for Sym the inverse of e_n of weight n) of total weight at
+    most `bound`, multiplied out with LaurentPoly arithmetic."""
+    factors = list(fundamental_generators(flavor, n))
+    if flavor == "Sym":
+        inverse = LaurentPoly(n, {(-1,) * n: 1})
+        assert factors[-1] * inverse == LaurentPoly.constant(n, 1)
+        factors.append(inverse)
+    weights = [k + 1 for k in range(n)] + ([n] if flavor == "Sym" else [])
+    out = []
+    for powers in product(range(bound + 1), repeat=len(factors)):
+        if sum(w * k for w, k in zip(weights, powers)) > bound:
+            continue
+        poly = LaurentPoly.constant(n, 1)
+        for factor, k in zip(factors, powers):
+            for _ in range(k):
+                poly = poly * factor
+        out.append(poly)
+    return out
+
+
 def verify_generation_oracle(flavor, n, bound):
     """Orbit sums by acting with every group element, one dense solve per orbit."""
     G = SymGroup(n) if flavor == "Sym" else HyperoctahedralGroup(n)
-    candidates = _bounded_products(flavor, n, bound)
+    candidates = bounded_products_oracle(flavor, n, bound)
     report = GenerationReport(flavor=flavor, n=n, degree_bound=bound)
     seen = set()
     for expo in product(range(-bound, bound + 1), repeat=n):
@@ -99,6 +126,30 @@ def verify_generation_oracle(flavor, n, bound):
         else:
             report.inconclusive.append(orbit.text())
     return report
+
+
+def elements_by_hand(G):
+    """(perm, signs) pairs of G in the enumeration order the library promises:
+    permutations in lexicographic order, sign vectors inner with +1 before -1,
+    and for a product the factors' elements with the last factor fastest."""
+    if isinstance(G, ProductGroup):
+        out = []
+        for parts in product(*(elements_by_hand(f) for f in G.factors)):
+            perm, signs, offset = [], [], 0
+            for factor, (p, s) in zip(G.factors, parts):
+                perm += [offset + i for i in p]
+                signs += s
+                offset += factor.n
+            out.append((tuple(perm), tuple(signs)))
+        return out
+    if isinstance(G, TrivialGroup):
+        return [(tuple(range(G.n)), (1,) * G.n)]
+    sign_vectors = [(1,) * G.n]
+    if isinstance(G, HyperoctahedralGroup):
+        sign_vectors = list(product((1, -1), repeat=G.n))
+    elif isinstance(G, EvenSignedGroup):
+        sign_vectors = [s for s in product((1, -1), repeat=G.n) if s.count(-1) % 2 == 0]
+    return [(p, s) for p in permutations(range(G.n)) for s in sign_vectors]
 
 
 def random_element(G, rng):
@@ -162,9 +213,13 @@ def test_reynolds_matches_oracle_in_value_and_term_order():
         TrivialGroup(2),
         ProductGroup([SymGroup(2), HyperoctahedralGroup(1)]),
         ProductGroup([EvenSignedGroup(2), TrivialGroup(1)]),
+        HyperoctahedralGroup(4),
+        EvenSignedGroup(4),
+        ProductGroup([HyperoctahedralGroup(2), EvenSignedGroup(2)]),
     )
     for G in groups:
-        for _ in range(8):
+        assert [(g.perm, g.signs) for g in G.elements()] == elements_by_hand(G)
+        for _ in range(8 if G.order() <= 48 else 2):
             f = random_poly(G.n, rng, terms=4)
             f = f + random_poly(G.n, rng, terms=1).scale(Fraction(1, rng.randint(1, 6)))
             got, want = reynolds(G, f), reynolds_oracle(G, f)
@@ -229,12 +284,52 @@ def test_verify_generation_examples():
     assert hyper.checked == hyper.expressible
 
 
+def test_bounded_products_match_laurent_arithmetic():
+    for flavor in ("Sym", "Hyperoctahedral"):
+        for n in (1, 2, 3):
+            for bound in range(7):
+                raw = _bounded_products(flavor, n, bound)
+                assert all(type(c) is int for row in raw for c in row.values())
+                got = Counter(LaurentPoly(n, row) for row in raw)
+                assert got == Counter(bounded_products_oracle(flavor, n, bound))
+
+
+def test_fraction_free_reduction_matches_dense_solve():
+    """Integer rows with leading coefficients other than 1, so reducing a row
+    scales it; membership must agree with the Fraction elimination."""
+    rng = SplitMix64(34)
+    raw = lambda poly: {e: int(c) for e, c in poly.terms.items()}
+    for _ in range(40):
+        rows = [random_poly(2, rng, terms=3, bound=1) for _ in range(3)]
+        basis = _echelon(raw(r) for r in rows)
+        for lead, pivot in basis.items():
+            assert max(pivot) == lead and pivot[lead] > 0
+            assert gcd(*pivot.values()) == 1
+        inside = sum((r.scale(rng.randint(-3, 3)) for r in rows), LaurentPoly(2, {}))
+        assert not _reduce(basis, raw(inside))
+        target = random_poly(2, rng, terms=2, bound=1)
+        assert (not _reduce(basis, raw(target))) == in_span_oracle(target, rows)
+
+
 def test_verify_generation_matches_oracle():
     for flavor in ("Sym", "Hyperoctahedral"):
         for n in (1, 2, 3):
             for bound in range(5):
                 got = verify_generation(flavor, n, bound).to_json()
                 assert got == verify_generation_oracle(flavor, n, bound).to_json()
+
+
+def test_verify_generation_golden_up_to_bound_6():
+    """All 42 reports, including the bounds 5 and 6 that the dense oracle is
+    too slow to reach, pinned to the output of the Fraction-arithmetic kernel."""
+    reports = [
+        verify_generation(flavor, n, bound).to_json()
+        for flavor in ("Sym", "Hyperoctahedral")
+        for n in (1, 2, 3)
+        for bound in range(7)
+    ]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "cf7be8d2a97949d8d2131628c6abfe3481fd765a4a326ad4a7961937a488888f"
 
 
 def test_verify_generation_budget():
