@@ -99,12 +99,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
