@@ -11,42 +11,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import clifford as cliff
-from . import poincare as poly
-from . import weyl
-from . import zmodule
-from .corpus import load_fixture
-from .errors import CompAlgError
-from .fields import QQ, PrimeField
-from .matrices import (
-    CompMatrix,
-    flatten_split,
-    is_invertible,
-    split_pair,
-    study_det,
-    symplectic_rep,
-)
-from .quaternion import Mat2Algebra, QuatAlgebra
-from .rank import DEFAULT_BUDGET_MS, comp_rank, dependence_bound, verify_span_bound
-from .rng import SplitMix64
-from .serialize import (
-    element_to_json,
-    int_rows_from_json,
-    matrix_from_json,
-    raw_to_json,
-    scalar_to_json,
-)
+# each command imports the modules it runs, so a call loads no other command's code
+from .errors import DEFAULT_BUDGET_MS, CompAlgError
 
 
-@dataclass
 class Result:
-    payload: object
-    text: str | None = None
-    latex: str | None = None
-    exit_code: int = 0
+    """A command's JSON payload, its optional text and LaTeX forms, and its exit code."""
+
+    def __init__(self, payload, text: str | None = None, latex: str | None = None, exit_code: int = 0):
+        self.payload, self.text, self.latex, self.exit_code = payload, text, latex, exit_code
 
 
 class CliError(Exception):
@@ -67,6 +42,8 @@ def nonnegative(text: str) -> int:
 
 
 def parse_field(token: str):
+    from .fields import QQ, PrimeField
+
     if token in ("Q", "QQ"):
         return QQ
     if token.startswith("Fp:"):
@@ -75,6 +52,8 @@ def parse_field(token: str):
 
 
 def parse_algebra(args):
+    from .quaternion import Mat2Algebra, QuatAlgebra
+
     spec = parse_field(args.field)
     if getattr(args, "split", False):
         return Mat2Algebra(spec)
@@ -90,7 +69,9 @@ def parse_coeffs(text: str):
     return [Fraction(p) for p in parts]
 
 
-def parse_degrees(token: str) -> poly.WeylDegrees:
+def parse_degrees(token: str):
+    from . import poincare as poly
+
     parts = []
     for piece in token.split("*"):
         name, _, num = piece.partition(":")
@@ -111,7 +92,9 @@ def parse_degrees(token: str) -> poly.WeylDegrees:
     return parts[0] if len(parts) == 1 else poly.WeylDegrees.joint(parts)
 
 
-def parse_group(token: str) -> weyl.SignedPermGroup:
+def parse_group(token: str):
+    from . import weyl
+
     token = token.strip()
     if token.startswith("{") or token.startswith("["):
         return weyl.group_from_json(json.loads(token))
@@ -124,10 +107,12 @@ def parse_group(token: str) -> weyl.SignedPermGroup:
     return factors[0] if len(factors) == 1 else weyl.ProductGroup(factors)
 
 
-def parse_multivector(sig: cliff.CliffordSignature, text: str) -> cliff.Multivector:
-    """Terms like "1", "-e12", "1/2*e1 + 2" over the given signature."""
+def parse_multivector(sig, text: str):
+    """Terms like "1", "-e12", "1/2*e1 + 2" over the given Clifford signature."""
+    from .weyl import _split_terms
+
     acc = sig.zero()
-    for chunk in weyl._split_terms(text):
+    for chunk in _split_terms(text):
         chunk = chunk.strip().replace(" ", "")
         if not chunk:
             continue
@@ -154,7 +139,7 @@ def parse_multivector(sig: cliff.CliffordSignature, text: str) -> cliff.Multivec
     return acc
 
 
-def multivector_to_json(x: cliff.Multivector) -> dict:
+def multivector_to_json(x) -> dict:
     out = {}
     for blade, c in zip(x.sig.blades, x.coeffs):
         if c == 0:
@@ -180,7 +165,10 @@ def load_json_file(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def matrix_argument(args) -> CompMatrix:
+def matrix_argument(args):
+    from .corpus import load_fixture
+    from .serialize import matrix_from_json
+
     if getattr(args, "fixture", None):
         fixture = load_fixture(args.fixture)
         return matrix_from_json(fixture["matrix"])
@@ -191,6 +179,8 @@ def matrix_argument(args) -> CompMatrix:
 
 
 def field_matrix_json(M) -> dict:
+    from .serialize import scalar_to_json
+
     return {
         "m": M.m,
         "n": M.n,
@@ -199,6 +189,8 @@ def field_matrix_json(M) -> dict:
 
 
 def field_matrix_latex(M) -> str:
+    from .serialize import raw_to_json
+
     body = r" \\ ".join(
         " & ".join(str(raw_to_json(M.ring, e.raw)) for e in row) for row in M.rows
     )
@@ -209,6 +201,8 @@ def field_matrix_latex(M) -> str:
 
 
 def cmd_quat(args) -> Result:
+    from .serialize import element_to_json, raw_to_json, scalar_to_json
+
     algebra = parse_algebra(args)
     if args.action == "is-split":
         witness = None
@@ -234,6 +228,9 @@ def cmd_quat(args) -> Result:
 
 
 def cmd_mat(args) -> Result:
+    from .matrices import flatten_split, is_invertible, split_pair, study_det, symplectic_rep
+    from .serialize import raw_to_json, scalar_to_json
+
     Z = matrix_argument(args)
     if args.action == "study-det":
         value = study_det(Z)
@@ -260,6 +257,8 @@ def cmd_mat(args) -> Result:
 
 
 def cmd_span(args) -> Result:
+    from .rank import comp_rank, dependence_bound, verify_span_bound
+
     if args.action == "rank":
         Z = matrix_argument(args)
         value = comp_rank(Z)
@@ -293,6 +292,8 @@ def cmd_span(args) -> Result:
 
 
 def cmd_poincare(args) -> Result:
+    from . import poincare as poly
+
     if args.action == "hirsch":
         out = poly.hirsch(parse_degrees(args.g), parse_degrees(args.u))
     elif args.action == "product-form":
@@ -316,6 +317,8 @@ def cmd_poincare(args) -> Result:
 
 
 def cmd_weyl(args) -> Result:
+    from . import weyl
+
     if args.action == "index":
         value = weyl.weyl_index(parse_group(args.g), parse_group(args.h))
         return Result({"index": value}, text=str(value))
@@ -338,6 +341,9 @@ def cmd_weyl(args) -> Result:
 
 
 def cmd_zmod(args) -> Result:
+    from . import zmodule
+    from .serialize import int_rows_from_json
+
     if args.action == "snf":
         payload = load_json_file(args.input)
         if isinstance(payload, dict):
@@ -376,14 +382,18 @@ def cmd_zmod(args) -> Result:
     raise CliError(f"unknown zmod action {args.action!r}")
 
 
-def _sig_arg(args) -> cliff.CliffordSignature:
+def _sig_arg(args):
+    from .clifford import CliffordSignature
+
     parts = args.sig.split(",")
     if len(parts) != 2:
         raise CliError(f"--sig must be two counts p,q, not {args.sig!r}")
-    return cliff.CliffordSignature(int(parts[0]), int(parts[1]))
+    return CliffordSignature(int(parts[0]), int(parts[1]))
 
 
 def cmd_clifford(args) -> Result:
+    from . import clifford as cliff
+
     if args.action == "classify":
         out = cliff.classify(args.p, args.q)
         return Result(out.to_json(), text=f"{out.base} size {out.matrix_size}" + (" (+)^2" if out.direct_sum else ""))
@@ -404,6 +414,10 @@ def cmd_clifford(args) -> Result:
 
 
 def _spin_check(args) -> Result:
+    from . import clifford as cliff
+    from .ratlin import det as rat_det
+    from .rng import SplitMix64
+
     sig = cliff.CliffordSignature(args.p, args.q)
     if sig.n == 0:
         raise CliError("spin-check needs p + q >= 1: Cl(0,0) has no unit vectors")
@@ -420,8 +434,6 @@ def _spin_check(args) -> Result:
             coords.append(vec)
         g = cliff.unit_vector_product(sig, coords)
         matrix = cliff.induced_matrix(g)
-        from .ratlin import det as rat_det
-
         ok = cliff.preserves_form(sig, matrix) and rat_det(matrix) == 1
         if not ok:
             failures.append({"trial": trial, "factors": [list(map(str, c)) for c in coords]})

@@ -33,7 +33,6 @@ constructed as products of unit vectors; recovering one is out of scope.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -202,9 +201,11 @@ class Multivector(TableElement):
         return Multivector(self.sig, [-c if odd(len(b)) else c for b, c in zip(self.sig.blades, self.coeffs)])
 
     def grade_involution(self) -> "Multivector":
+        """The automorphism that negates every odd grade: (xy)^ = x^ y^."""
         return self._negate_grades(lambda k: k % 2)
 
     def reversion(self) -> "Multivector":
+        """The anti-automorphism that reverses each blade, sign (-1)^(k(k-1)/2) on grade k."""
         return self._negate_grades(lambda k: k * (k - 1) // 2 % 2)
 
     def is_even(self) -> bool:
@@ -262,11 +263,11 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     return Multivector(sig, acc.coeffs, factors=tuple(factors))
 
 
-@dataclass
 class Classification:
-    base: str  # "R", "C" or "H"
-    matrix_size: int
-    direct_sum: bool
+    """Cl(p, q) as Mat(matrix_size, base), base "R", "C" or "H"; two copies when `direct_sum`."""
+
+    def __init__(self, base: str, matrix_size: int, direct_sum: bool):
+        self.base, self.matrix_size, self.direct_sum = base, matrix_size, direct_sum
 
     def to_json(self):
         return {
@@ -319,18 +320,16 @@ def center_dimension(sig: CliffordSignature) -> int:
     return count
 
 
-@dataclass
 class ClassificationReport:
-    p: int
-    q: int
-    dimension: int
-    classification: Classification
-    center_dim: int
-    expected_center_dim: int
-    center_ok: bool
-    complex_square_witness: bool | None
-    transport: str | None
-    transport_ok: bool | None
+    """The checks of `verify_classification`; `agree` is their conjunction."""
+
+    def __init__(self, p, q, dimension, classification, center_dim, expected_center_dim,
+                 complex_square_witness, transport, transport_ok):
+        self.p, self.q, self.dimension, self.classification = p, q, dimension, classification
+        self.center_dim, self.expected_center_dim = center_dim, expected_center_dim
+        self.center_ok = center_dim == expected_center_dim
+        self.complex_square_witness = complex_square_witness
+        self.transport, self.transport_ok = transport, transport_ok
 
     def agree(self) -> bool:
         checks = [self.center_ok, self.dimension == 1 << (self.p + self.q)]
@@ -394,7 +393,6 @@ def verify_classification(p: int, q: int) -> ClassificationReport:
         classification=cls,
         center_dim=cdim,
         expected_center_dim=expected,
-        center_ok=cdim == expected,
         complex_square_witness=witness,
         transport=transport,
         transport_ok=transport_ok,
@@ -428,13 +426,6 @@ def _transport_blades(sig, images) -> bool:
             if images[i] * images[j] != expected:
                 return False
     return True
-
-
-def twisted_adjoint(g: Multivector, m: Multivector) -> Multivector:
-    """g m g^{-1} for a vector m; the action used for the orthogonal matrices."""
-    if m.vector_part() is None:
-        raise NotGradeOneError("the action is applied to vectors")
-    return g * m * g.inverse()
 
 
 def conjugation_matrix(g: Multivector):
@@ -479,11 +470,11 @@ def preserves_form(sig: CliffordSignature, matrix) -> bool:
     return True
 
 
-@dataclass
 class MembershipReport:
-    in_gamma: bool
-    in_even_part: bool
-    spin_witness: tuple | None
+    """Clifford-group membership, evenness, and the remembered factors if any."""
+
+    def __init__(self, in_gamma: bool, in_even_part: bool, spin_witness: tuple | None):
+        self.in_gamma, self.in_even_part, self.spin_witness = in_gamma, in_even_part, spin_witness
 
     def to_json(self):
         return {

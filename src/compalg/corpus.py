@@ -16,6 +16,3 @@ def load_fixture(name: str) -> dict:
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return json.loads(path.read_text())
 
-
-def corpus_fixtures() -> dict[str, dict]:
-    return {name: load_fixture(name) for name in fixture_names()}

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default computation budget."""
+
+# milliseconds of work a budgeted computation may spend before InfeasibleError
+DEFAULT_BUDGET_MS = 60_000
 
 
 class CompAlgError(Exception):

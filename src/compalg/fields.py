@@ -320,12 +320,6 @@ class Scalar:
             raise NotQuadExtError("conjugation is defined on quadratic extensions only")
         return Scalar(self.spec, self.spec._conj(self.raw))
 
-    def quad_norm(self) -> "Scalar":
-        """x*conj(x) as a base-field scalar."""
-        if not isinstance(self.spec, QuadExt):
-            raise NotQuadExtError("norm is defined on quadratic extensions only")
-        return Scalar(self.spec.base, self.spec._norm(self.raw))
-
 
 def _sqrt_mod_prime(v: int, p: int):
     """The smaller square root of v modulo the prime p, or None (Tonelli-Shanks).

@@ -493,14 +493,6 @@ def mat2_matrix_to_quat(Z: CompMatrix, target: QuatAlgebra | None = None) -> Com
     return CompMatrix(target, [[mat2_to_quat(e, target) for e in row] for row in Z.rows])
 
 
-def quat_matrix_to_mat2(Z: CompMatrix, target: Mat2Algebra | None = None) -> CompMatrix:
-    if not isinstance(Z.ring, QuatAlgebra) or not Z.ring.has_mat2_form():
-        raise NotSplitFormError("matrix is not over the (1,-1) algebra")
-    if target is None:
-        target = Mat2Algebra(Z.ring.field)
-    return CompMatrix(target, [[quat_to_mat2(e, target) for e in row] for row in Z.rows])
-
-
 def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
     """Project a matrix over the diagonal subalgebra onto its two components.
 

@@ -53,16 +53,6 @@ class UniPoly:
     def monomial(cls, degree, coeff=1):
         return cls([0] * degree + [coeff])
 
-    @classmethod
-    def from_sparse(cls, mapping) -> "UniPoly":
-        if not mapping:
-            return cls.zero()
-        width = max(int(k) for k in mapping) + 1
-        coeffs = [0] * width
-        for k, c in mapping.items():
-            coeffs[int(k)] = int(c)
-        return cls(coeffs)
-
     @property
     def degree(self):
         """Degree, with -inf for the zero polynomial."""
@@ -124,9 +114,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
     def to_sparse(self) -> dict:
         return {str(i): c for i, c in enumerate(self.coeffs) if c}

@@ -275,9 +275,6 @@ class CompositionElement(TableElement):
 
     __slots__ = ()
 
-    def is_unit(self) -> bool:
-        return not self.norm().is_zero()
-
     def inverse(self):
         n = self.norm()
         if n.is_zero():
@@ -285,14 +282,17 @@ class CompositionElement(TableElement):
         return self.conjugate().scale(n.inverse())
 
 
-# e_i * e_j = sign * a^i * b^j * e_k as (k, (sign, i, j)) on the basis
-# (1, u, v, w), from u*u = a, v*v = b, w = u*v = -v*u
-_QUAT_TERMS = (
-    ((0, (1, 0, 0)), (1, (1, 0, 0)), (2, (1, 0, 0)), (3, (1, 0, 0))),
-    ((1, (1, 0, 0)), (0, (1, 1, 0)), (3, (1, 0, 0)), (2, (1, 1, 0))),
-    ((2, (1, 0, 0)), (3, (-1, 0, 0)), (0, (1, 0, 1)), (1, (-1, 0, 1))),
-    ((3, (1, 0, 0)), (2, (-1, 1, 0)), (1, (1, 0, 1)), (0, (-1, 1, 1))),
-)
+# e_i * e_j = sign * a^i * b^j * e_k on the basis (1, u, v, w), from u*u = a,
+# v*v = b, w = u*v = -v*u: (k, sign, i, j) for each (i, j) in row order, one
+# flat literal (cheaper to compile than nested tuples), shaped into rows of
+# (k, (sign, i, j))
+_flat = iter((
+    0, 1, 0, 0,  1, 1, 0, 0,  2, 1, 0, 0,  3, 1, 0, 0,
+    1, 1, 0, 0,  0, 1, 1, 0,  3, 1, 0, 0,  2, 1, 1, 0,
+    2, 1, 0, 0,  3, -1, 0, 0,  0, 1, 0, 1,  1, -1, 0, 1,
+    3, 1, 0, 0,  2, -1, 1, 0,  1, 1, 0, 1,  0, -1, 1, 1,
+))
+_QUAT_TERMS = tuple(zip(*[zip(_flat, zip(_flat, _flat, _flat))] * 4))
 
 
 def _monomial_mul(m, n):
@@ -462,14 +462,6 @@ class QuaternionElement(CompositionElement):
         f = self.algebra.field
         return (Scalar(L, (x0, x1)), Scalar(L, (x2, f._neg(x3))))
 
-    @classmethod
-    def from_cd_coords(cls, algebra: QuatAlgebra, x: Scalar, y: Scalar) -> "QuaternionElement":
-        L = algebra.quad_subfield()
-        if x.spec != L or y.spec != L:
-            raise AlgebraMismatchError("coordinates must live in the doubling subfield")
-        f = algebra.field
-        return algebra.element((x.raw[0], x.raw[1], y.raw[0], f._neg(y.raw[1])))
-
 
 class Mat2Algebra(CompositionAlgebra):
     """The split four-dimensional composition algebra as literal 2x2 matrices."""
@@ -577,13 +569,3 @@ def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> Quaternio
             f._mul(f._neg(f._add(m01, m10)), half),
         )
     )
-
-
-def swap_parameters(z: QuaternionElement, target: QuatAlgebra | None = None) -> QuaternionElement:
-    """The natural isomorphism (a,b) -> (b,a): u and v trade places, w flips sign."""
-    alg = z.algebra
-    if target is None:
-        target = QuatAlgebra(alg.field, alg.b.raw, alg.a.raw)
-    f = alg.field
-    x0, x1, x2, x3 = z.coeffs
-    return target.element((x0, x2, x1, f._neg(x3)))

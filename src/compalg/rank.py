@@ -33,11 +33,10 @@ reproducible.
 """
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BoundNotMetError, InfeasibleError
+from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import (
@@ -50,8 +49,6 @@ from .matrices import (
     skew_solve,
 )
 from .rng import SplitMix64
-
-DEFAULT_BUDGET_MS = 60_000
 
 
 def comp_rank(Z: CompMatrix) -> int:
@@ -100,7 +97,8 @@ def low_rank_combination(matrices, d: int):
     for Z in matrices:
         if Z.ring != algebra or (Z.m, Z.n) != (m, n):
             raise ValueError("matrices must share shape and algebra")
-    if len(set(matrices)) != len(matrices):
+    # one algebra and shape, so two matrices are equal exactly when their coordinates are
+    if len({tuple(e.coeffs for row in Z.rows for e in row) for Z in matrices}) != len(matrices):
         raise ValueError("matrices must be mutually distinct")
     M = len(matrices)
     threshold = dependence_bound(algebra, m, d)
@@ -134,12 +132,11 @@ def low_rank_combination(matrices, d: int):
     return coeffs
 
 
-@dataclass
 class SpanReport:
-    params: dict
-    trials: int = 0
-    successes: int = 0
-    counterexample: dict | None = None
+    """Trials run, successes, and the first counterexample of `verify_span_bound`."""
+
+    def __init__(self, params: dict, trials: int = 0, successes: int = 0, counterexample: dict | None = None):
+        self.params, self.trials, self.successes, self.counterexample = params, trials, successes, counterexample
 
     def to_json(self) -> dict:
         return {

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .errors import CompAlgError
 from .fields import QQ, FieldSpec, PrimeField, QuadExt, RationalField, Scalar
 from .quaternion import Mat2Algebra, Mat2Element, QuatAlgebra, QuaternionElement, mat2_to_quat
-from .matrices import CompMatrix
 
 
 # the string forms of scalar.schema.json: "p" or "p/q" over QQ, "p" over GF(p)
@@ -92,10 +91,6 @@ def scalar_to_json(x: Scalar):
     return raw_to_json(x.spec, x.raw)
 
 
-def scalar_from_json(spec: FieldSpec, obj) -> Scalar:
-    return Scalar(spec, raw_from_json(spec, obj))
-
-
 def algebra_to_json(algebra):
     if isinstance(algebra, QuatAlgebra):
         return {
@@ -122,23 +117,6 @@ def element_to_json(e):
     return {"algebra": algebra_to_json(e.algebra), key: _entry_payload(e)}
 
 
-def element_from_json(obj, algebra=None):
-    if algebra is None:
-        algebra = algebra_from_json(obj["algebra"])
-    spec = algebra.field
-    if isinstance(algebra, QuatAlgebra):
-        return algebra.element([raw_from_json(spec, c) for c in obj["coeffs"]])
-    block = obj["block"]
-    return algebra.element(
-        (
-            raw_from_json(spec, block[0][0]),
-            raw_from_json(spec, block[0][1]),
-            raw_from_json(spec, block[1][0]),
-            raw_from_json(spec, block[1][1]),
-        )
-    )
-
-
 def _entry_payload(e):
     spec = e.algebra.field
     if isinstance(e, QuaternionElement):
@@ -147,7 +125,7 @@ def _entry_payload(e):
     return [[m00, m01], [m10, m11]]
 
 
-def matrix_to_json(Z: CompMatrix):
+def matrix_to_json(Z):
     payload = {"algebra": algebra_to_json(Z.ring), "m": Z.m, "n": Z.n}
     entries = [_entry_payload(e) for row in Z.rows for e in row]
     if isinstance(Z.ring, Mat2Algebra):
@@ -157,7 +135,9 @@ def matrix_to_json(Z: CompMatrix):
     return payload
 
 
-def matrix_from_json(obj) -> CompMatrix:
+def matrix_from_json(obj):
+    from .matrices import CompMatrix
+
     if not isinstance(obj, dict):
         raise CompAlgError(f"matrix payload must be a JSON object, got {obj!r}")
     try:

@@ -27,7 +27,6 @@ smallest split case 2.
 """
 
 import re
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm
@@ -209,12 +208,6 @@ class SignedPerm:
 
     def __setattr__(self, *_):
         raise AttributeError("SignedPerm is immutable")
-
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other (matches acting on polynomials twice)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        signs = tuple(self.signs[other.perm[i]] * other.signs[i] for i in range(len(self.perm)))
-        return SignedPerm(perm, signs)
 
     def __eq__(self, other):
         return (
@@ -399,10 +392,6 @@ class ProductGroup(SignedPermGroup):
         return out
 
 
-def is_invariant(G: SignedPermGroup, f: LaurentPoly) -> bool:
-    return all(act(g, f) == f for g in G.generators())
-
-
 def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     """Group average (1/|G|) sum g.f; idempotent on invariants.
 
@@ -482,17 +471,23 @@ def ktheory_rank(kind: str, n: int | None = None) -> int:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-@dataclass
 class GenerationReport:
-    flavor: str
-    n: int
-    degree_bound: int
-    checked: int = 0
-    expressible: int = 0
-    inconclusive: list[str] = field(default_factory=list)
+    """Orbit sums checked and expressed by `verify_generation`; the rest as text."""
+
+    def __init__(self, flavor: str, n: int, degree_bound: int):
+        self.flavor, self.n, self.degree_bound = flavor, n, degree_bound
+        self.checked = self.expressible = 0
+        self.inconclusive = []
 
     def to_json(self):
-        return asdict(self)
+        return {
+            "flavor": self.flavor,
+            "n": self.n,
+            "degree_bound": self.degree_bound,
+            "checked": self.checked,
+            "expressible": self.expressible,
+            "inconclusive": list(self.inconclusive),
+        }
 
 
 def _orbit(flavor: str, expo: tuple) -> set:

@@ -21,8 +21,6 @@ of the two maps (see `sequence_checks`) and is independent of the sign
 choices, which the sequence leaves free.
 """
 
-from dataclasses import dataclass
-
 from .errors import ShapeError, TruncationError
 from .fields import QQ
 from .matrices import field_echelon
@@ -99,9 +97,6 @@ class IntMatrix:
         if self.n != other.m:
             raise ShapeError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
         return IntMatrix(_mul_rows(self.rows, other.rows, other.n))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.rows for e in row)
@@ -234,12 +229,12 @@ def rank(A: IntMatrix) -> int:
     return len(invariant_factors(A))
 
 
-@dataclass
 class SequenceChecks:
-    injective_f: bool
-    exact_middle: bool
-    surjective_g: bool
-    splits: bool
+    """The four verdicts of `sequence_checks`."""
+
+    def __init__(self, injective_f: bool, exact_middle: bool, surjective_g: bool, splits: bool):
+        self.injective_f, self.exact_middle = injective_f, exact_middle
+        self.surjective_g, self.splits = surjective_g, splits
 
     def all_true(self) -> bool:
         return self.injective_f and self.exact_middle and self.surjective_g and self.splits
@@ -278,16 +273,13 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     return SequenceChecks(inj, exact, surj, splits)
 
 
-@dataclass
 class LocalizationModel:
-    n: int
-    s_max: int
-    signs: tuple[int, ...]
-    characters: tuple[int, ...]
-    boundary: IntMatrix
-    projection: IntMatrix
-    checks: SequenceChecks
-    middle_rank: int
+    """The truncated boundary sequence of `build_localization_model` and its checks."""
+
+    def __init__(self, n, s_max, signs, characters, boundary, projection, checks, middle_rank):
+        self.n, self.s_max, self.signs, self.characters = n, s_max, signs, characters
+        self.boundary, self.projection, self.checks = boundary, projection, checks
+        self.middle_rank = middle_rank
 
     def verdict(self) -> dict:
         return {

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import compalg
 from compalg.cli import build_parser, main
 
 
@@ -78,6 +83,40 @@ def test_determinism_same_seed(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# runs `python -m compalg.cli ARGS` and then lists every module the process loaded on stderr
+LIST_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("compalg.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_quat_is_split_imports_no_other_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).resolve().parents[1]))
+    argv = ["quat", "is-split", "--field", "Q", "--a", "-1", "--b", "-1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIST_MODULES, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, '{"verdict":"nonsplit","zero_divisor":null}\n'), proc.stderr
+    loaded = set(proc.stderr.split())
+    assert {"compalg", "compalg.quaternion"} <= loaded
+    never = {f"compalg.{name}" for name in ("weyl", "clifford", "zmodule", "poincare", "rank")}
+    assert not loaded & (never | {"dataclasses"})
+
+
+def test_public_names_resolve_on_first_use():
+    namespace = {}
+    exec("from compalg import *", namespace)
+    for name in compalg.__all__:
+        assert getattr(compalg, name) is namespace[name]
+        assert getattr(compalg, name) is getattr(sys.modules[namespace[name].__module__], name)
+    assert set(compalg.__all__) <= set(dir(compalg))
+    with pytest.raises(AttributeError):
+        compalg.no_such_name
 
 
 def test_error_paths(capsys):

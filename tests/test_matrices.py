@@ -21,7 +21,6 @@ from compalg.matrices import (
     is_invertible,
     left_regular_rep,
     mat2_matrix_to_quat,
-    quat_matrix_to_mat2,
     skew_column_rank,
     skew_solve,
     split_pair,
@@ -29,7 +28,7 @@ from compalg.matrices import (
     symplectic_rep,
     unflatten_split,
 )
-from compalg.quaternion import NONSPLIT, Mat2Algebra, QuatAlgebra
+from compalg.quaternion import NONSPLIT, Mat2Algebra, QuatAlgebra, quat_to_mat2
 from compalg.rank import comp_rank, dependence_bound, low_rank_combination, sample_distinct_matrices
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
@@ -260,6 +259,12 @@ def test_study_det_is_square_of_flattened_determinant(field):
         assert is_invertible(Z) == (not d.is_zero())
         zero = zero or d.is_zero()
     assert zero
+
+
+def quat_matrix_to_mat2(Z):
+    """Oracle: the (1,-1) matrix entry by entry through `quat_to_mat2`."""
+    target = Mat2Algebra(Z.ring.field)
+    return CompMatrix(target, [[quat_to_mat2(e, target) for e in row] for row in Z.rows])
 
 
 def test_mat2_quat_matrix_conversions_roundtrip():

@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from compalg import matrices, rank
-from compalg.corpus import corpus_fixtures, load_fixture
+from compalg.corpus import fixture_names, load_fixture
 from compalg.errors import (
     AlgebraMismatchError,
     BoundNotMetError,
@@ -387,7 +387,7 @@ def test_verify_span_bound_runs_and_is_deterministic():
 
 
 def test_corpus_fixture_inventory():
-    names = set(corpus_fixtures())
+    names = set(fixture_names())
     assert {"z1", "z2", "z3", "cl01", "cl10", "cl02", "cl11", "cl20"} <= names
 
 

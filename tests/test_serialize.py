@@ -6,24 +6,34 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from compalg.corpus import corpus_fixtures, load_fixture
+from compalg.corpus import fixture_names, load_fixture
 from compalg.errors import CompAlgError
-from compalg.fields import QQ, PrimeField, QuadExt
+from compalg.fields import QQ, PrimeField, QuadExt, Scalar
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
-from compalg.matrices import CompMatrix
+from compalg.matrices import CompMatrix, mat2_matrix_to_quat
 from compalg.rng import SplitMix64
 from compalg.serialize import (
     algebra_from_json,
     algebra_to_json,
-    element_from_json,
     element_to_json,
     field_from_json,
     field_to_json,
     matrix_from_json,
     matrix_to_json,
-    scalar_from_json,
+    raw_from_json,
     scalar_to_json,
 )
+
+
+def scalar_from_json(spec, obj):
+    return Scalar(spec, raw_from_json(spec, obj))
+
+
+def element_from_json(obj):
+    """Oracle: the algebra, then the coefficients or the 2x2 block of `element_to_json`."""
+    algebra = algebra_from_json(obj["algebra"])
+    raws = obj["coeffs"] if "coeffs" in obj else [c for row in obj["block"] for c in row]
+    return algebra.element([raw_from_json(algebra.field, c) for c in raws])
 
 
 @pytest.mark.parametrize(
@@ -113,9 +123,7 @@ def test_blocks_encoding_reads_into_quat_form():
     quat_payload["algebra"] = {"field": {"kind": "Q"}, "a": "1", "b": "-1"}
     as_quat = matrix_from_json(quat_payload)
     assert isinstance(as_quat.algebra, QuatAlgebra)
-    from compalg.matrices import quat_matrix_to_mat2
-
-    assert quat_matrix_to_mat2(as_quat) == as_mat2
+    assert mat2_matrix_to_quat(as_mat2) == as_quat
 
 
 def _schema(name):
@@ -140,7 +148,7 @@ def test_fixture_matrices_validate_against_schema():
 
 
 def test_all_fixtures_parse():
-    fixtures = corpus_fixtures()
+    fixtures = {name: load_fixture(name) for name in fixture_names()}
     assert {"z1", "z2", "z3", "cl01", "cl10", "cl02", "cl11", "cl20"} <= set(fixtures)
     for name in ("z1", "z2", "z3"):
         matrix_from_json(fixtures[name]["matrix"])

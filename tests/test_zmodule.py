@@ -92,7 +92,8 @@ def test_product_skips_zeros_without_changing_the_result():
         A = random_sparse_01(rng, m, k, density=3)
         B = random_int_matrix(rng, k, n)
         assert (A * B).rows == tuple(map(tuple, dense_product(A, B)))
-        assert (B.transpose() * A.transpose()).rows == tuple(map(tuple, dense_product(B.transpose(), A.transpose())))
+        Bt, At = IntMatrix(list(zip(*B.rows))), IntMatrix(list(zip(*A.rows)))
+        assert (Bt * At).rows == tuple(map(tuple, dense_product(Bt, At)))
 
 
 def test_localization_model_factors_each_matrix_once(monkeypatch):
