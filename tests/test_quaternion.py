@@ -19,7 +19,6 @@ from compalg.quaternion import (
     Mat2Algebra,
     Mat2Element,
     QuatAlgebra,
-    QuaternionElement,
     _QUAT_TERMS,
     _check_associativity,
     _monomial_mul,

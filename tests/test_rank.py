@@ -369,6 +369,14 @@ def test_low_rank_combination_precondition():
     mats = sample_distinct_matrices(HQ, 2, 2, 4, rng)
     with pytest.raises(BoundNotMetError):
         low_rank_combination(mats, 1)
+    # a repeat is refused before the count, also when built apart or from other residues
+    twin = CompMatrix(HQ, [list(row) for row in mats[0].rows])
+    with pytest.raises(ValueError, match="mutually distinct"):
+        low_rank_combination(mats + [twin], 1)
+    F3 = Mat2Algebra(PrimeField(3))
+    pair = [CompMatrix(F3, [[F3.element(e)]]) for e in ((4, 0, 0, 1), (1, 0, 0, 1))]
+    with pytest.raises(ValueError, match="mutually distinct"):
+        low_rank_combination(pair, 1)
 
 
 def test_verify_span_bound_empty():
