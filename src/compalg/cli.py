@@ -109,10 +109,10 @@ def parse_group(token: str):
 
 def parse_multivector(sig, text: str):
     """Terms like "1", "-e12", "1/2*e1 + 2" over the given Clifford signature."""
-    from .weyl import _split_terms
+    from .termsplit import split_terms
 
     acc = sig.zero()
-    for chunk in _split_terms(text):
+    for chunk in split_terms(text):
         chunk = chunk.strip().replace(" ", "")
         if not chunk:
             continue

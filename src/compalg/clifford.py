@@ -8,9 +8,9 @@ A signature (p, q) fixes generators e_1 .. e_n (n = p + q) with
 and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
 order.  Each blade product is a single term, so `CliffordSignature` is a
 table algebra over QQ on the element core of `quaternion`.  Its table, shared
-read-only, is built and checked once per signature per process: on every
-basis triple for n <= 4, and for n = 5, 6 on each e_l after a fixed seeded
-sample of pairs (e_i, e_j) of non-identity blades, at least 2,000 triples.
+read-only, is built once per signature per process and proved associative
+on its 4^n pairs: e_A e_B = sigma(A, B) e_(A xor B) with sigma
+bimultiplicative, a twisted group algebra of (Z/2)^n.
 Coefficients are exact rationals, coerced once where an element is made, so
 the real-coefficient statements are exercised through rational witnesses.
 The center is read off the same table, with no elimination.
@@ -19,7 +19,8 @@ Inverses follow Shirokov's characteristic-polynomial recursion (a
 Faddeev-LeVerrier scheme in a faithful representation of size
 N = 2^ceil(n/2)): at most N - 1 <= 7 geometric products on the integer
 coefficients of the element scaled by its common denominator, with no
-2^n x 2^n elimination.  Every inverse is checked on both sides.
+2^n x 2^n elimination.  Every inverse is checked on both sides.  Conjugation
+runs on the same integers, with one division at the end.
 
 The conjugation action used throughout is the plain g x g^{-1} (untwisted);
 for a product of k invertible generators the induced map on the span of the
@@ -50,10 +51,8 @@ from .quaternion import (
     QuatAlgebra,
     TableAlgebra,
     TableElement,
-    _check_associativity,
     _table_mul,
 )
-from .rng import SplitMix64
 
 MAX_DIMENSION = 6
 
@@ -75,20 +74,34 @@ def _blade_product(a: tuple, b: tuple, metric: tuple, index: dict):
     return index[tuple(result)], sign
 
 
+def _check_twisted_table(terms, blades, metric):
+    """Prove the blade table associative: e_A e_B = sigma(A, B) e_(A xor B) on all pairs.
+
+    In bitmasks (bit b for e_(b+1)), sigma(A, B) = (-1)^popcount(B & P_A),
+    P_A = (bits b with popcount(A >> (b+1)) odd) xor (A & negative-metric
+    mask): the pairs a > b reorder, shared negative generators square to -1.
+    P_A is GF(2)-linear in A, so sigma is bimultiplicative, hence a
+    2-cocycle, which is associativity (Albuquerque and Majid, JPAA 171, 2002).
+    """
+    masks = [sum(1 << (g - 1) for g in blade) for blade in blades]
+    where = {mask: i for i, mask in enumerate(masks)}
+    negative = sum(1 << b for b, m in enumerate(metric) if m < 0)
+    for a, row in zip(masks, terms):
+        twist = (a & negative) ^ sum(1 << b for b in range(len(metric)) if (a >> (b + 1)).bit_count() & 1)
+        for b, entry in zip(masks, row):
+            if entry != (where[a ^ b], -1 if (b & twist).bit_count() & 1 else 1):
+                raise ValueError("blade table is not sigma(A, B) e_(A xor B): not proved associative")
+
+
 @cache
 def _signature_table(p: int, q: int):
-    """(metric, blades, blade_index, terms) of Cl(p, q), immutable and checked once."""
+    """(metric, blades, blade_index, terms) of Cl(p, q), immutable and proved once."""
     n = p + q
     metric = (1,) * p + (-1,) * q
     blades = tuple(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
     index = {b: i for i, b in enumerate(blades)}
     terms = tuple(tuple(_blade_product(a, b, metric, index) for b in blades) for a in blades)
-    # every pair (i, j) for n <= 4; for n = 5, 6 seeded pairs of non-identity blades
-    dim = len(blades)
-    pairs, rng = set(), SplitMix64(dim)
-    while n > 4 and len(pairs) * (dim - 1) < 2000:
-        pairs.add((rng.randint(1, dim - 1), rng.randint(1, dim - 1)))
-    _check_associativity(terms, int.__mul__, sorted(pairs))
+    _check_twisted_table(terms, blades, metric)
     return metric, blades, MappingProxyType(index), terms
 
 
@@ -212,14 +225,19 @@ class Multivector(TableElement):
         return all(g % 2 == 0 for g in self.grades())
 
     def inverse(self) -> "Multivector":
-        """Two-sided inverse by the characteristic-polynomial recursion.
+        """Two-sided inverse by the characteristic-polynomial recursion of `_inverse_parts`."""
+        denom, _, y, s = self._inverse_parts()
+        return Multivector(self.sig, [Fraction(denom * a, s) for a in y])
 
-        With v = D x for D the common denominator, U_1 = v and
-        U_k = v (U_{k-1} - C_{k-1}), C_k = N <U_k>_0 / k, the C_k are the
-        coefficients of the characteristic polynomial of v in a faithful
-        N x N representation, N = 2^ceil(n/2), so every step is an exact
-        integer division.  By Cayley-Hamilton U_N is the scalar s, which is
-        zero exactly when x is singular, and x^{-1} = D (U_{N-1} - C_{N-1}) / s.
+    def _inverse_parts(self):
+        """Integers (denom, v, y, s) with v = denom x integral and x^{-1} = denom y / s.
+
+        With U_1 = v and U_k = v (U_{k-1} - C_{k-1}), C_k = N <U_k>_0 / k, the
+        C_k are the coefficients of the characteristic polynomial of v in a
+        faithful N x N representation, N = 2^ceil(n/2), so every step is an
+        exact integer division.  By Cayley-Hamilton U_N is the scalar s, which
+        is zero exactly when x is singular, and y = U_{N-1} - C_{N-1}; v y = s
+        is checked on both sides.
         """
         sig = self.sig
         table = sig._terms
@@ -243,7 +261,7 @@ class Multivector(TableElement):
             raise NotInvertibleError("element is singular: its determinant is 0")
         if _table_mul(table, y, v, 0) != u:
             raise AssertionError("inverse failed two-sided verification")
-        return Multivector(sig, [Fraction(denom * a, s) for a in y])
+        return denom, v, y, s
 
 
 def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
@@ -251,16 +269,17 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
 
     The factor list is the only source of a later membership witness.
     """
-    factors = []
-    acc = sig.one()
+    factors, acc, denom = [], list(sig._one), 1
     for coords in vectors:
-        v = sig.vector(coords) if not isinstance(coords, Multivector) else coords
+        v = sig.one()._check(coords) if isinstance(coords, Multivector) else sig.vector(coords)
         qv = sig.quadratic_form(v)
         if qv not in (1, -1):
             raise ValueError(f"factor has Q = {qv}, need a unit vector")
         factors.append(v)
-        acc = acc * v
-    return Multivector(sig, acc.coeffs, factors=tuple(factors))
+        d = math.lcm(*(c.denominator for c in v.coeffs))
+        acc = _table_mul(sig._terms, acc, [c.numerator * (d // c.denominator) for c in v.coeffs], 0)
+        denom *= d
+    return Multivector(sig, [Fraction(c, denom) for c in acc], factors=tuple(factors))
 
 
 class Classification:
@@ -376,16 +395,8 @@ def verify_classification(p: int, q: int) -> ClassificationReport:
         witness = (omega * omega) == -sig.one() and (
             omega * sig.basis_vector(1) == sig.basis_vector(1) * omega
         )
-    transport = None
-    transport_ok = None
-    if (p, q) == (0, 2):
-        transport, transport_ok = "quaternion(-1,-1)", _transport_cl02(sig)
-    elif (p, q) in ((1, 1), (2, 0)):
-        transport, transport_ok = "mat2", _transport_mat2(sig)
-    elif (p, q) == (1, 0):
-        transport, transport_ok = "split quadratic", _transport_quad(sig, 1)
-    elif (p, q) == (0, 1):
-        transport, transport_ok = "imaginary quadratic", _transport_quad(sig, -1)
+    transport, images = _transport(sig)
+    transport_ok = None if images is None else _transport_blades(sig, images)
     return ClassificationReport(
         p=p,
         q=q,
@@ -399,24 +410,20 @@ def verify_classification(p: int, q: int) -> ClassificationReport:
     )
 
 
-def _transport_cl02(sig) -> bool:
-    H = QuatAlgebra(QQ, -1, -1)
-    images = [H.one(), H.u(), H.v(), H.w()]
-    return _transport_blades(sig, images)
-
-
-def _transport_mat2(sig) -> bool:
-    M = Mat2Algebra(QQ)
-    e1 = M.element((1, 0, 0, -1))
-    e2 = M.element((0, 1, 1, 0) if sig.q == 0 else (0, -1, 1, 0))  # e2*e2 = 1 in Cl(2,0), -1 in Cl(1,1)
-    images = [M.one(), e1, e2, e1 * e2]
-    return _transport_blades(sig, images)
-
-
-def _transport_quad(sig, a) -> bool:
-    L = QuadExt(QQ, a)
-    images = [L.one(), L.gen()]
-    return _transport_blades(sig, images)
+def _transport(sig):
+    """(name, images of the blades) of the explicit realization, or (None, None)."""
+    if (sig.p, sig.q) == (0, 2):
+        H = QuatAlgebra(QQ, -1, -1)
+        return "quaternion(-1,-1)", [H.one(), H.u(), H.v(), H.w()]
+    if (sig.p, sig.q) in ((1, 1), (2, 0)):
+        M = Mat2Algebra(QQ)
+        e1 = M.element((1, 0, 0, -1))
+        e2 = M.element((0, 1, 1, 0) if sig.q == 0 else (0, -1, 1, 0))  # e2*e2 = 1 in Cl(2,0), -1 in Cl(1,1)
+        return "mat2", [M.one(), e1, e2, e1 * e2]
+    if sig.n == 1:
+        L = QuadExt(QQ, sig.metric[0])
+        return ("split" if sig.p else "imaginary") + " quadratic", [L.one(), L.gen()]
+    return None, None
 
 
 def _transport_blades(sig, images) -> bool:
@@ -428,6 +435,21 @@ def _transport_blades(sig, images) -> bool:
     return True
 
 
+def _conjugation_ints(g: Multivector):
+    """(M, s, grade_preserved) in integers, g e_j g^{-1} = (column j of M) / s.
+
+    With v = D g and g^{-1} = D y / s (`_inverse_parts`), g e_j g^{-1} = v e_j y / s.
+    """
+    sig, table = g.sig, g.sig._terms
+    _, v, y, s = g._inverse_parts()
+    cols, pure = [], True
+    for j in range(1, sig.n + 1):  # blade j is e_j
+        image = _table_mul(table, _table_mul(table, v, [int(k == j) for k in range(sig.dim)], 0), y, 0)
+        pure = pure and not (image[0] or any(image[sig.n + 1:]))
+        cols.append(image[1 : sig.n + 1])
+    return [list(row) for row in zip(*cols)], s, pure
+
+
 def conjugation_matrix(g: Multivector):
     """(matrix, grade_preserved): the action of g on e_1..e_n by conjugation.
 
@@ -435,19 +457,8 @@ def conjugation_matrix(g: Multivector):
     column; `grade_preserved` records whether every conjugate was exactly
     grade 1 (the first Clifford-group condition).
     """
-    sig = g.sig
-    ginv = g.inverse()
-    cols = []
-    pure = True
-    for j in range(1, sig.n + 1):
-        image = g * sig.basis_vector(j) * ginv
-        if not image.grades() <= {1}:
-            pure = False
-        cols.append(
-            [image.coeffs[sig.blade_index[(i,)]] for i in range(1, sig.n + 1)]
-        )
-    matrix = [[cols[j][i] for j in range(sig.n)] for i in range(sig.n)]
-    return matrix, pure
+    M, s, pure = _conjugation_ints(g)
+    return [[Fraction(x, s) for x in row] for row in M], pure
 
 
 def induced_matrix(g: Multivector):
@@ -457,17 +468,14 @@ def induced_matrix(g: Multivector):
     return matrix
 
 
-def preserves_form(sig: CliffordSignature, matrix) -> bool:
-    """B^T I_{p,q} B == I_{p,q} exactly."""
-    n = sig.n
-    metric = sig.metric
-    for i in range(n):
-        for j in range(n):
-            acc = sum(matrix[k][i] * metric[k] * matrix[k][j] for k in range(n))
-            expected = metric[i] if i == j else 0
-            if acc != expected:
-                return False
-    return True
+def preserves_form(sig: CliffordSignature, matrix, scale=1) -> bool:
+    """B^T I_{p,q} B == scale * I_{p,q} exactly."""
+    n, metric = sig.n, sig.metric
+    return all(
+        sum(matrix[k][i] * metric[k] * matrix[k][j] for k in range(n)) == (scale * metric[i] if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 class MembershipReport:
@@ -493,13 +501,12 @@ def clifford_group_membership(g: Multivector) -> MembershipReport:
     unit vectors, present only for elements built by `unit_vector_product`.
     A singular element is not in the Clifford group.
     """
-    sig = g.sig
     try:
-        matrix, pure = conjugation_matrix(g)
+        M, s, pure = _conjugation_ints(g)
     except NotInvertibleError:
         in_gamma = False
-    else:
-        in_gamma = pure and preserves_form(sig, matrix)
+    else:  # B = M / s preserves the form exactly when M^T I M = s^2 I
+        in_gamma = pure and preserves_form(g.sig, M, s * s)
     witness = None
     factors = object.__getattribute__(g, "_factors")
     if factors is not None and len(factors) % 2 == 0:

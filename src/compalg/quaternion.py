@@ -168,12 +168,10 @@ def _table_mul(terms, x, y, zero):
     return acc
 
 
-def _check_associativity(terms, mul, pairs=None):
-    """(e_i*e_j)*e_l = e_i*(e_j*e_l) term by term, for every l and each pair (i, j).
-
-    `pairs` defaults to all of them; `mul` multiplies two structure constants.
-    """
-    for i, j in pairs or product(range(len(terms)), repeat=2):
+def _check_associativity(terms, mul):
+    """(e_i*e_j)*e_l = e_i*(e_j*e_l) term by term on every basis triple; `mul`
+    multiplies two structure constants."""
+    for i, j in product(range(len(terms)), repeat=2):
         k, c = terms[i][j]
         row_k, row_i = terms[k], terms[i]
         for l, (m, c2) in enumerate(terms[j]):

@@ -85,7 +85,8 @@ def low_rank_combination(matrices, d: int):
 
     Raises BoundNotMetError when M < 1 + n * threshold, the regime where no
     combination is guaranteed.  The truncated combination is verified to be
-    exactly zero before the coefficients are returned.
+    exactly zero before the coefficients are returned (over a division
+    algebra by `skew_solve`, which substitutes its solution back).
     """
     matrices = list(matrices)
     if not matrices:
@@ -120,15 +121,14 @@ def low_rank_combination(matrices, d: int):
             raise AssertionError("dependence guaranteed by dimension count was not found")
         inv = f._inv(next(c for c in sol if c))
         coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
-    else:
-        stacked = [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)]
-        coeffs = skew_solve(CompMatrix(algebra, stacked))
-        if coeffs is None:
-            raise AssertionError("dependence guaranteed by dimension count was not found")
-
-    combo = combine(truncated, coeffs)
-    if not combo.is_zero():
-        raise AssertionError("combination failed to kill the truncated rows")
+        if not combine(truncated, coeffs).is_zero():
+            raise AssertionError("combination failed to kill the truncated rows")
+        return coeffs
+    # skew_solve checks its kernel vector on these stacked entries: the same sum
+    stacked = [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)]
+    coeffs = skew_solve(CompMatrix(algebra, stacked))
+    if coeffs is None:
+        raise AssertionError("dependence guaranteed by dimension count was not found")
     return coeffs
 
 

@@ -15,22 +15,23 @@ on x_i + 1/x_i for the signed flavors), and a bounded-degree generation
 check that answers "expressible" or "inconclusive at this bound", never
 claiming a refutation.  Each group enumerates its elements once, as raw
 (perm, signs) tuple pairs in `_pairs()`; `elements()` wraps them in
-SignedPerm, and Reynolds walks them on raw exponent tuples.  The generation
-check runs on integer rows, raw {exponent tuple: int} dicts: the generator
-products are reduced once to an echelon basis of primitive rows keyed by
-leading monomial, and each orbit sum (met once per orbit, listed from its
-exponent vector) is reduced against it fraction-free, a*row - b*pivot.  A
-LaurentPoly or its text is built only for output.  Index counts |G| / |H|
-feed the free-module ranks in the K-group bookkeeping: the quaternionic pair
-gives (2n)!/n!, the split pair the central binomial coefficient, and the
-smallest split case 2.
+SignedPerm; Reynolds walks them on raw exponent tuples, once per distinct
+restriction to f's support where that keeps the pair walk's term order.
+The generation check runs on integer rows, raw {exponent tuple: int} dicts:
+the generator products are reduced once to an echelon basis of primitive
+rows keyed by leading monomial, and each orbit sum (met once per orbit,
+listed from its exponent vector) is reduced against it fraction-free,
+a*row - b*pivot.  A LaurentPoly or its text is built only for output.
+Index counts |G| / |H| feed the free-module ranks in the K-group
+bookkeeping: the quaternionic pair gives (2n)!/n!, the split pair the
+central binomial coefficient, and the smallest split case 2.
 """
 
 import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (
     CompAlgError,
@@ -39,6 +40,7 @@ from .errors import (
     ShapeError,
     UnsupportedFlavorError,
 )
+from .termsplit import split_terms
 
 DEFAULT_MAX_GROUP_ORDER = factorial(8) * 2**8  # hyperoctahedral of rank 8
 
@@ -60,6 +62,13 @@ class LaurentPoly:
             clean[expo] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "LaurentPoly":
+        """Wrap terms already keyed by int tuples of length nvars, with nonzero Fraction values."""
+        out = cls(nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
@@ -161,24 +170,10 @@ _TERM_RE = re.compile(
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?")
 
 
-def _split_terms(text: str) -> list[str]:
-    # split at +/- signs that are not exponent signs (i.e. not right after '^')
-    terms, current = [], ""
-    for ch in text:
-        if ch in "+-" and current.strip() and not current.rstrip().endswith("^"):
-            terms.append(current)
-            current = ch if ch == "-" else ""
-        else:
-            current += ch
-    if current.strip():
-        terms.append(current)
-    return terms
-
-
 def parse_laurent(text: str, nvars: int) -> LaurentPoly:
     """Parse strings like "x1^2*x2^-1 + 3" into a LaurentPoly."""
     out = LaurentPoly(nvars, {})
-    for chunk in _split_terms(text):
+    for chunk in split_terms(text):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -238,6 +233,9 @@ def act(g: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 
 
 class SignedPermGroup:
+    """Elements perm-major: each of `_perms()` with every one of `_sign_vectors()`;
+    a group listed another way overrides `_pairs`."""
+
     flavor = "abstract"
 
     def __init__(self, n: int):
@@ -246,9 +244,18 @@ class SignedPermGroup:
     def order(self) -> int:
         raise NotImplementedError
 
+    def _perms(self):
+        return permutations(range(self.n))
+
+    def _sign_vectors(self):
+        return [(1,) * self.n]
+
     def _pairs(self):
         """Every element as a raw (perm, signs) pair of tuples, in a fixed order."""
-        raise NotImplementedError
+        sign_vectors = self._sign_vectors()
+        for p in self._perms():
+            for signs in sign_vectors:
+                yield p, signs
 
     def elements(self):
         for perm, signs in self._pairs():
@@ -273,11 +280,6 @@ class SymGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n)
 
-    def _pairs(self):
-        signs = (1,) * self.n
-        for p in permutations(range(self.n)):
-            yield p, signs
-
     def generators(self):
         if self.n < 2:
             return []
@@ -295,8 +297,8 @@ class TrivialGroup(SignedPermGroup):
     def order(self):
         return 1
 
-    def _pairs(self):
-        yield tuple(range(self.n)), (1,) * self.n
+    def _perms(self):
+        return [tuple(range(self.n))]
 
     def generators(self):
         return []
@@ -308,11 +310,8 @@ class HyperoctahedralGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n) * 2**self.n
 
-    def _pairs(self):
-        sign_vectors = list(product((1, -1), repeat=self.n))
-        for p in permutations(range(self.n)):
-            for signs in sign_vectors:
-                yield p, signs
+    def _sign_vectors(self):
+        return list(product((1, -1), repeat=self.n))
 
     def generators(self):
         out = list(SymGroup(self.n).generators())
@@ -333,11 +332,8 @@ class EvenSignedGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n) * 2 ** (self.n - 1)
 
-    def _pairs(self):
-        sign_vectors = [s for s in product((1, -1), repeat=self.n) if s.count(-1) % 2 == 0]
-        for p in permutations(range(self.n)):
-            for signs in sign_vectors:
-                yield p, signs
+    def _sign_vectors(self):
+        return [s for s in product((1, -1), repeat=self.n) if s.count(-1) % 2 == 0]
 
     def generators(self):
         out = list(SymGroup(self.n).generators())
@@ -395,12 +391,15 @@ class ProductGroup(SignedPermGroup):
 def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     """Group average (1/|G|) sum g.f; idempotent on invariants.
 
-    One pass over G's raw (perm, signs) pairs, moving only the nonzero
-    entries of each exponent tuple, with f's coefficients scaled to integers
-    by their common denominator.  Each g permutes exponent vectors, so the
-    terms of g.f are distinct; they go into the total in f's term order and a
-    key is dropped when its sum cancels, so the result's terms come in the
-    order that summing the images one by one would give.
+    Defined by one pass over G's (perm, signs) pairs on f scaled to integers:
+    each g.f goes into the total in f's term order, and a key is dropped when
+    its sum cancels.  An image depends only on the pair's restriction to f's
+    support S, met |G| / R times (a coset of S's pointwise stabilizer).  So a
+    perm-major group walks each of the R restrictions once, at its first-met
+    pair; values and term order agree unless a running sum returns to zero,
+    which needs opposite-sign terms with one multiset of |exponents|.  Such
+    inputs, and groups not listed perm-major (ProductGroup), take the pair
+    walk.
     """
     order = G.order()
     if order > DEFAULT_MAX_GROUP_ORDER:
@@ -410,8 +409,21 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     denom = lcm(*(c.denominator for c in f.terms.values()))
     scaled = {expo: c.numerator * denom // c.denominator for expo, c in f.terms.items()}
     terms = [([(i, e) for i, e in enumerate(expo) if e], c) for expo, c in scaled.items()]
+    shapes = [(tuple(sorted(map(abs, expo))), c > 0) for expo, c in scaled.items()]
+    mixed = {s for s, positive in shapes if positive} & {s for s, positive in shapes if not positive}
+    pairs, count = G._pairs(), order
+    if type(G)._pairs is SignedPermGroup._pairs and not mixed:
+        support = sorted({i for entries, _ in terms for i, _ in entries})
+        restrict = itemgetter(*support) if support else lambda t: ()
+        perms, signs = {}, {}  # the first-met element of each restriction
+        for p in G._perms():
+            perms.setdefault(restrict(p), p)
+        for s in G._sign_vectors():
+            signs.setdefault(restrict(s), s)
+        pairs = [(p, s) for p in perms.values() for s in signs.values()]
+        count = len(pairs)
     acc = {}
-    for perm, signs in G._pairs():
+    for perm, signs in pairs:
         for entries, coeff in terms:
             new = [0] * f.nvars
             for i, e in entries:
@@ -422,8 +434,8 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
                 acc[key] = total
             else:
                 del acc[key]
-    scale = denom * order
-    return LaurentPoly(f.nvars, {expo: Fraction(c, scale) for expo, c in acc.items()})
+    values = {c: Fraction(c, denom * count) for c in set(acc.values())}
+    return LaurentPoly._trusted(f.nvars, {expo: values[c] for expo, c in acc.items()})
 
 
 def _generator_rows(flavor: str, n: int) -> list[dict]:

@@ -8,8 +8,11 @@ returning the triple is certified in integers: U*A*V = D, U*U^-1 = I and
 V*V^-1 = I.  A square integer matrix with an integer inverse is unimodular,
 so no determinant is needed.  The products skip zero entries, which makes
 the check cheap on the sparse 0/1 injections and projections of the
-localization model.  Pivots are chosen deterministically (smallest nonzero
-absolute value, ties by position), so the output is reproducible.
+localization model.  The certified triple, like every product of two
+IntMatrix values, is wrapped without re-validating its ints; the public
+constructor still checks each entry.  Pivots are chosen deterministically
+(smallest nonzero absolute value, ties by position), so the output is
+reproducible.
 
 `build_localization_model` realizes the rank bookkeeping of the boundary
 sequence: the middle lattice is the character lattice truncated at |s| <=
@@ -41,11 +44,7 @@ def _mul_rows(a, b, width):
 
 
 def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _is_identity(rows) -> bool:
-    return all(x == (1 if i == j else 0) for i, row in enumerate(rows) for j, x in enumerate(row))
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 class IntMatrix:
@@ -67,6 +66,15 @@ class IntMatrix:
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", width)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows, m: int, n: int) -> "IntMatrix":
+        """An m x n matrix of rows already known to hold only ints: no entry is re-checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
@@ -96,10 +104,10 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.m:
             raise ShapeError(f"cannot multiply {self.m}x{self.n} by {other.m}x{other.n}")
-        return IntMatrix(_mul_rows(self.rows, other.rows, other.n))
+        return IntMatrix._trusted(_mul_rows(self.rows, other.rows, other.n), self.m, other.n)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.rows for e in row)
+        return not any(map(any, self.rows))
 
     def det(self) -> int:
         """Determinant of a square matrix: `field_echelon` over QQ, which runs
@@ -211,9 +219,9 @@ def smith_normal_form(A: IntMatrix):
     if _mul_rows(_mul_rows(u, A.rows, n), v, n) != d:
         raise AssertionError("normal form factorization failed")
     u_inv = [list(col) for col in zip(*u_inv_t)]
-    if not (_is_identity(_mul_rows(u, u_inv, m)) and _is_identity(_mul_rows(v, v_inv, n))):
+    if _mul_rows(u, u_inv, m) != _identity_rows(m) or _mul_rows(v, v_inv, n) != _identity_rows(n):
         raise AssertionError("transformation matrices are not unimodular")
-    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+    return IntMatrix._trusted(u, m, m), IntMatrix._trusted(d, m, n), IntMatrix._trusted(v, n, n)
 
 
 def diagonal_factors(D: IntMatrix) -> tuple[int, ...]:
@@ -314,12 +322,11 @@ def build_localization_model(n: int, s_max: int, signs) -> LocalizationModel:
     boundary = [[0] * count for _ in characters]
     for i in range(count):
         boundary[index_of[signs[i] * (i + 1)]][i] = 1
-    boundary = IntMatrix(boundary)
+    boundary = IntMatrix._trusted(boundary, len(characters), count)
     hit = {index_of[signs[i] * (i + 1)] for i in range(count)}
     missed = [r for r in range(len(characters)) if r not in hit]
-    projection = IntMatrix(
-        [[1 if c == r else 0 for c in range(len(characters))] for r in missed]
-    )
+    identity = _identity_rows(len(characters))
+    projection = IntMatrix._trusted([identity[r] for r in missed], len(missed), len(characters))
     checks = sequence_checks(boundary, projection)
     if not checks.all_true():
         raise AssertionError("the localization model must form a split short exact sequence")

@@ -108,6 +108,17 @@ def test_quat_is_split_imports_no_other_command():
     assert not loaded & (never | {"dataclasses"})
 
 
+def test_clifford_product_does_not_load_weyl():
+    env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).resolve().parents[1]))
+    argv = ["clifford", "product", "--sig", "2,0", "--x", "e1", "--y", "e2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIST_MODULES, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, '{"12":"1"}\n'), proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "compalg.clifford" in loaded and "compalg.weyl" not in loaded
+
+
 def test_public_names_resolve_on_first_use():
     namespace = {}
     exec("from compalg import *", namespace)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from compalg import matrices, ratlin
+from compalg import clifford, matrices, ratlin
 from compalg.errors import (
     InfeasibleError,
     NotGradeOneError,
@@ -256,6 +256,56 @@ def test_membership_reflection_and_generic():
     assert clifford_group_membership(central).in_gamma
     mat, pure = conjugation_matrix(central)
     assert pure and mat == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+def test_conjugation_matrix_matches_fraction_products_on_seeded_versors():
+    # g = v_1 ... v_k with Q(v_i) != 0 has g^-1 = v_k^-1 ... v_1^-1, v^-1 = v / Q(v),
+    # so the oracle g e_j g^-1 needs Fraction products only
+    rng = SplitMix64(54)
+    for p, q in ((2, 0), (1, 2), (2, 2), (3, 1), (3, 3)):
+        sig = CliffordSignature(p, q)
+        for _ in range(4):
+            vectors = []
+            while len(vectors) < rng.randint(1, 4):
+                v = sig.vector([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(sig.n)])
+                if sig.quadratic_form(v) != 0:
+                    vectors.append(v)
+            g, g_inv = sig.one(), sig.one()
+            for v in vectors:
+                g, g_inv = g * v, v.scale(1 / sig.quadratic_form(v)) * g_inv
+            assert g * g_inv == sig.one()
+            for h, h_inv in ((g, g_inv), (g + sig.one().scale(3), None)):
+                if h_inv is None:
+                    h_inv = regular_rep_inverse(h) if sig.n <= 4 else h.inverse()
+                matrix, pure = conjugation_matrix(h)
+                images = [h * sig.basis_vector(j) * h_inv for j in range(1, sig.n + 1)]
+                assert pure == all(image.grades() <= {1} for image in images) and (pure or h is not g)
+                assert matrix == [[image.coeffs[i] for image in images] for i in range(1, sig.n + 1)]
+                assert all(type(x) is Fraction for row in matrix for x in row)
+            rep = clifford_group_membership(g)
+            assert rep.in_gamma and preserves_form(sig, conjugation_matrix(g)[0])
+
+
+def test_inverse_checks_both_sides_and_the_scalar(monkeypatch):
+    # a corrupted product inside the recursion is caught by the check that guards it
+    cl11 = CliffordSignature(1, 1)
+    x = cl11.one().scale(2) + cl11.basis_vector(1)  # size 2: v*y twice, then y*v
+    original = clifford._table_mul
+    for call, message in ((2, "U_N is not a scalar"), (3, "two-sided verification")):
+        count = []
+
+        def corrupt(terms, a, b, zero):
+            out = original(terms, a, b, zero)
+            count.append(1)
+            if len(count) == call:
+                out[-1] += 1
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(clifford, "_table_mul", corrupt)
+            with pytest.raises(AssertionError, match=message):
+                x.inverse()
+    assert x * x.inverse() == cl11.one()
 
 
 def test_membership_singular_element_is_not_in_gamma():

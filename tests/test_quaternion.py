@@ -434,18 +434,23 @@ def test_shared_check_rejects_seeded_table_mutations(name):
                 _check_associativity(table, mul)
 
 
-def test_clifford_check_samples_nontrivial_triples_from_dimension_five(monkeypatch):
-    signatures = ((2, 2), (3, 2), (3, 3))
-    for p, q in signatures:
-        CliffordSignature(p, q)  # the cached tables are built and checked here
-    calls = []
-    monkeypatch.setattr(clifford, "_check_associativity", lambda terms, mul, pairs: calls.append(pairs))
-    for p, q in signatures:
-        clifford._signature_table.__wrapped__(p, q)
-    exhaustive, five, six = calls
-    assert exhaustive == []  # every pair (i, j), and every l after it
-    for pairs, dim in ((five, 32), (six, 64)):
-        assert len(set(pairs)) * (dim - 1) >= 2000 and all(i and j for i, j in pairs)
+def test_clifford_table_proof_rejects_a_flipped_sign_or_a_wrong_index():
+    # every signature the budget allows is proved by the pairwise check; one
+    # changed entry anywhere in the table, sign or index, is rejected
+    for n in range(clifford.MAX_DIMENSION + 1):
+        for p in range(n + 1):
+            metric, blades, _, terms = clifford._signature_table(p, n - p)
+            clifford._check_twisted_table(terms, blades, metric)
+            rng = SplitMix64(16 * n + p)
+            dim = len(terms)
+            for _ in range(6):
+                i, j = rng.randint(0, dim - 1), rng.randint(0, dim - 1)
+                k, c = terms[i][j]
+                for mutated in ((k, -c), ((k + rng.randint(1, dim - 1)) % dim, c)) if dim > 1 else ((k, -c),):
+                    table = [list(row) for row in terms]
+                    table[i][j] = mutated
+                    with pytest.raises(ValueError, match="not proved associative"):
+                        clifford._check_twisted_table(table, blades, metric)
 
 
 ELEMENT_ALGEBRAS = [

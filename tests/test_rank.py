@@ -491,9 +491,17 @@ def test_witness_checks_still_run(monkeypatch):
         with pytest.raises(AssertionError, match="bad kernel vector"):
             matrices.skew_solve(stacked)
     with monkeypatch.context() as patch:
-        patch.setattr(rank, "skew_solve", lambda A: (HQ.one(),) + (HQ.zero(),) * (A.n - 1))
-        with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
+        # over a division algebra skew_solve's substitution is the one witness check
+        patch.setattr(matrices, "_skew_kernel", lambda A: (0, [1] + [0] * (4 * A.n - 1)))
+        with pytest.raises(AssertionError, match="bad kernel vector"):
             low_rank_combination(mats, 1)
+    split = sample_distinct_matrices(Mat2Algebra(QQ), 1, 1, 5, SplitMix64(24))
+    assert not split[0].rows[0][0].is_zero()
+    with monkeypatch.context() as patch:
+        # over a split algebra the combination itself is checked
+        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], [Fraction(1)] + [Fraction(0)] * 4, None))
+        with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
+            low_rank_combination(split, 1)
     with monkeypatch.context() as patch:
         patch.setattr(rank, "low_rank_combination", lambda family, d: (HQ.one(),) + (HQ.zero(),) * (len(family) - 1))
         report = verify_span_bound(HQ, 2, 2, 1, trials=1, seed=3)

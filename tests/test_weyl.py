@@ -235,6 +235,21 @@ def test_reynolds_matches_oracle_in_value_and_term_order():
             got, want = reynolds(G, f), reynolds_oracle(G, f)
             assert got == want
             assert list(got.terms) == list(want.terms)
+    # single terms on the rank-5 signed groups: one walk over the distinct restrictions
+    for G in (HyperoctahedralGroup(5), EvenSignedGroup(5)):
+        for expo in ((2, 0, -1, 0, 0), (0, 0, 0, 0, -3), (0, 1, 0, -1, 0)):
+            f = LaurentPoly(5, {expo: Fraction(-3, 2)})
+            got, want = reynolds(G, f), reynolds_oracle(G, f)
+            assert list(got.terms.items()) == list(want.terms.items())
+    # terms of opposite sign in one orbit: a running sum returns to zero and
+    # its key re-enters later, so only the pair walk gives this term order
+    for G, terms in (
+        (HyperoctahedralGroup(4), {(0, 0, 0, 1): 1, (0, -1, 0, 0): -1, (0, 1, 0, 0): 1}),
+        (EvenSignedGroup(4), {(0, 0, -1, 0): 3, (-1, 0, 0, 0): -1, (0, 0, 1, 0): -1}),
+        (SymGroup(5), {(2, 0, -2, 0, 2): 1, (2, 0, 2, 0, -2): -2}),
+    ):
+        got, want = reynolds(G, LaurentPoly(G.n, terms)), reynolds_oracle(G, LaurentPoly(G.n, terms))
+        assert list(got.terms.items()) == list(want.terms.items())
     cancelling = x(2, 0) - x(2, 1)
     assert reynolds(SymGroup(2), cancelling).is_zero()
     assert reynolds_oracle(SymGroup(2), cancelling).is_zero()

@@ -243,3 +243,40 @@ def test_det_matches_leibniz_oracle():
 def test_int_matrix_rejects_non_int_entries(bad):
     with pytest.raises(ValueError, match=r"\[1\]\[0\]"):
         IntMatrix([[1, 2], [bad, 4]])
+    with pytest.raises(ValueError, match=r"\[0\]\[0\]"):
+        IntMatrix([[bad]])
+
+
+def test_snf_triple_and_products_equal_checked_matrices():
+    # the Smith triple and products skip re-validation; they must be the
+    # same values a checked construction gives
+    rng = SplitMix64(44)
+    for _ in range(20):
+        A = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        for M in (*smith_normal_form(A), A * random_int_matrix(rng, A.n, 3)):
+            assert M == IntMatrix([list(r) for r in M.rows]) and hash(M) == hash(IntMatrix(M.rows))
+            assert (M.m, M.n) == (len(M.rows), len(M.rows[0]))
+            assert all(type(r) is tuple and all(type(e) is int for e in r) for r in M.rows)
+    assert not IntMatrix([[0, 1]]).is_zero() and IntMatrix([[0], [0]]).is_zero()
+
+
+@pytest.mark.parametrize("target,message", [
+    ((2, 2, 3), "factorization failed"),  # U*A
+    ((2, 3, 3), "factorization failed"),  # (U*A)*V
+    ((2, 2, 2), "not unimodular"),  # U*U^-1
+    ((3, 3, 3), "not unimodular"),  # V*V^-1
+])
+def test_snf_certificate_checks_each_product(monkeypatch, target, message):
+    # with A 2 x 3 the four certificate products have distinct shapes
+    # (rows of a, rows of b, width); a wrong entry in any one is caught
+    original = zmodule._mul_rows
+
+    def corrupt(a, b, width):
+        out = original(a, b, width)
+        if (len(a), len(b), width) == target:
+            out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(zmodule, "_mul_rows", corrupt)
+    with pytest.raises(AssertionError, match=message):
+        smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
