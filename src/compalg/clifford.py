@@ -201,7 +201,7 @@ class Multivector(TableElement):
         return " + ".join(parts) if parts else "0"
 
     def grades(self) -> set[int]:
-        return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c != 0}
+        return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c}
 
     def vector_part(self):
         """Coordinates on e_1..e_n when the element is pure grade 1, else None."""

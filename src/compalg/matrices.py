@@ -6,8 +6,10 @@ defines shape checks, equality, hashing, sums, products, `submatrix`,
 coercion, `scale` and `det`; `CompMatrix` (over a composition algebra) adds
 the per-entry algebra check, `scale_right` and `take_rows`.  The
 composition-algebra matrices are right modules: scalar coefficients
-multiply every entry on the right, and `combine` sums such multiples on raw
-coordinates (for `rank` and the substitution check of `skew_solve`).
+multiply every entry on the right.  The raw cores take a matrix as its
+coordinate tuples (`_raw`): `_combine_raw` sums right multiples (behind
+`combine`, the span trials of `rank` and the substitution check of
+`skew_solve`) and `_regular_rows` builds L (behind `left_regular_rep`).
 Verdicts on a square matrix Z over an algebra with base field k come from
 one base-field picture, the matrix L(Z) of X -> Z*X (`left_regular_rep`):
 det L(Z) is the square of the reduced norm, i.e. the Study determinant
@@ -22,10 +24,12 @@ Mat(n, Mat(2,k)) ~ Mat(2n,k) (`flatten_split`) and the diagonal projection
 One raw-value kernel, `field_echelon`, eliminates over QQ and GF(p): it
 returns the pivot columns, the first kernel vector and, for square input,
 the determinant.  Its callers are `study_det`, `field_rank` (which
-`rank.comp_rank` applies to L(Z)), `FieldMatrix.det`, `skew_column_rank`
-and `skew_solve` (the base-field kernel of L(A) over a division algebra),
-the split branch of `rank.low_rank_combination`, `ratlin.det`,
-`ratlin.solve_square` (the kernel vector of [A | b]) and `IntMatrix.det`.
+`rank.comp_rank` applies to L(Z)), `FieldMatrix.det`, `_skew_kernel` (the
+base-field kernel of L(A) over a division algebra, behind
+`skew_column_rank`, `skew_solve` and the division case of a span trial),
+the split case of a span trial (`rank._combination`, behind
+`low_rank_combination`), `ratlin.det`, `ratlin.solve_square` (the kernel
+vector of [A | b]) and `IntMatrix.det`.
 `FieldMatrix.det` over a split quadratic extension goes through the
 componentwise decomposition L ~ k (+) k; over a quadratic field it is
 division elimination on the scalars, which no library verdict reaches.
@@ -336,39 +340,52 @@ class CompMatrix(RingMatrix):
         return CompMatrix(self.ring, self.rows[:count])
 
 
-def combine(matrices, coeffs) -> CompMatrix:
-    """Sum of matrices[i] . coeffs[i] under the right scalar action, on raw coordinates.
+def _raw(Z: CompMatrix):
+    """The raw matrix that the raw cores take: the coordinate tuple of each
+    entry, row by row, with an integral QQ value as an `int`."""
+    return tuple(tuple(tuple(v.numerator if v.denominator == 1 else v for v in e.coeffs) for e in row) for row in Z.rows)
 
-    A coefficient from_base(c) is central and scales each coordinate by c;
-    any other coefficient q adds the table product x * q (`_table_mul`) of
-    each entry x.  Over QQ the coefficients are integers over their common
-    denominator d, and integral coordinates and structure constants ints, so
-    each coordinate is divided by d once; over GF(p) building the one
-    CompMatrix at the end reduces mod p.
-    """
-    algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
-    pairs = list(zip(matrices, coeffs))
-    for Z, q in pairs:
-        if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
-            raise AlgebraMismatchError("matrices and coefficients must share one algebra")
-        if (Z.m, Z.n) != (m, n):
-            raise ShapeError("combined matrices must share one shape")
-    d = lcm(*(y.denominator for _, q in pairs for y in q.coeffs))
+
+def _element(algebra, y, den):
+    return algebra.element(y if den == 1 else [Fraction(v, den) for v in y])
+
+
+def _vanishes(acc, p) -> bool:
+    return not any(v % p if p else v for row in acc for a in row for v in a)
+
+
+def _combine_raw(algebra, family, ys, count):
+    """First `count` rows of sum family[i] . ys[i] for raw matrices and
+    coefficients, unreduced.  A coefficient c * one is central and scales
+    each coordinate by c; any other adds the table product x * y of each
+    entry x (`_table_mul`, integral structure constants as `int`s)."""
     terms = [[(k, c.numerator if c.denominator == 1 else c) for k, c in row] for row in algebra._terms]
-    acc = [[[0] * algebra.dim for _ in range(n)] for _ in range(m)]
-    for Z, q in pairs:
-        y = [v.numerator * (d // v.denominator) for v in q.coeffs]
+    acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in range(count)]
+    for Z, y in zip(family, ys):
         c = y[0]
         base = y == [c * e for e in algebra._one]
         if base and not c:
             continue
-        for acc_row, row in zip(acc, Z.rows):
-            for a, e in zip(acc_row, row):
-                x = [v.numerator if v.denominator == 1 else v for v in e.coeffs]
-                for k, v in enumerate([v * c for v in x] if base else _table_mul(terms, x, y, 0)):
-                    a[k] += v
-    rows = [[a if algebra.field.characteristic else [Fraction(v, d) for v in a] for a in row] for row in acc]
-    return CompMatrix(algebra, [[algebra.element(a) for a in row] for row in rows])
+        for acc_row, row in zip(acc, Z):
+            for a, x in zip(acc_row, row):
+                a[:] = map(operator.add, a, [v * c for v in x] if base else _table_mul(terms, x, y, 0))
+    return acc
+
+
+def combine(matrices, coeffs) -> CompMatrix:
+    """Sum of matrices[i] . coeffs[i] under the right scalar action, by
+    `_combine_raw` on the coefficients as integers over their common
+    denominator d, each coordinate divided by d once."""
+    algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
+    for Z, q in zip(matrices, coeffs):
+        if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
+            raise AlgebraMismatchError("matrices and coefficients must share one algebra")
+        if (Z.m, Z.n) != (m, n):
+            raise ShapeError("combined matrices must share one shape")
+    d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
+    ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
+    acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys, m)
+    return CompMatrix(algebra, [[_element(algebra, a, d) for a in row] for row in acc])
 
 
 def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
@@ -419,21 +436,10 @@ def _mat2_entry(e) -> Mat2Element:
 def flatten_split(Z: CompMatrix) -> FieldMatrix:
     """Mat(n, Mat(2,k)) ~ Mat(2n,k): substitute each entry by its 2x2 block."""
     alg = Z.ring
-    if isinstance(alg, Mat2Algebra):
-        spec = alg.field
-    elif isinstance(alg, QuatAlgebra) and alg.has_mat2_form():
-        spec = alg.field
-    else:
+    if not (isinstance(alg, Mat2Algebra) or isinstance(alg, QuatAlgebra) and alg.has_mat2_form()):
         raise NotSplitFormError(f"{alg!r} has no registered 2x2 realization")
-    out = [[spec.zero()] * (2 * Z.n) for _ in range(2 * Z.m)]
-    for i in range(Z.m):
-        for j in range(Z.n):
-            m00, m01, m10, m11 = _mat2_entry(Z.rows[i][j]).coeffs
-            out[2 * i][2 * j] = Scalar(spec, m00)
-            out[2 * i][2 * j + 1] = Scalar(spec, m01)
-            out[2 * i + 1][2 * j] = Scalar(spec, m10)
-            out[2 * i + 1][2 * j + 1] = Scalar(spec, m11)
-    return FieldMatrix(spec, out)
+    blocks = [[_mat2_entry(e).coeffs for e in row] for row in Z.rows]  # (m00, m01, m10, m11)
+    return FieldMatrix(alg.field, [[b[2 * r + s] for b in row for s in (0, 1)] for row in blocks for r in (0, 1)])
 
 
 def left_regular_rep(Z: CompMatrix) -> list[list]:
@@ -446,15 +452,19 @@ def left_regular_rep(Z: CompMatrix) -> list[list]:
     so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k), c = +-1 as a
     sign.  Over QQ an integral value, zero included, is an `int`, so integer
     input gives the all-`int` rows that `field_echelon` takes as they are.
+    The raw-row core `_regular_rows` takes the raw matrix `_raw(Z)`.
     """
-    f = Z.ring.field
+    return _regular_rows(Z.ring, _raw(Z))
+
+
+def _regular_rows(algebra, rows) -> list[list]:
+    f = algebra.field
     neg, mul, minus_one = f._neg, f._mul, f._neg(f._coerce(1))
     terms = [(l, k, t, 1 if c == 1 else -1 if c == minus_one else c)
-             for l, row in enumerate(Z.ring._terms) for k, (t, c) in enumerate(row) if c]
-    out = [[0] * (4 * Z.n) for _ in range(4 * Z.m)]
-    for i, row in enumerate(Z.rows):
-        for j, z in enumerate(row):
-            coeffs = [x.numerator if x.denominator == 1 else x for x in z.coeffs]
+             for l, row in enumerate(algebra._terms) for k, (t, c) in enumerate(row) if c]
+    out = [[0] * (4 * len(rows[0])) for _ in range(4 * len(rows))]
+    for i, row in enumerate(rows):
+        for j, coeffs in enumerate(row):
             for l, k, t, c in terms:
                 x = coeffs[l]
                 if x:
@@ -468,21 +478,12 @@ def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
     if M.m % 2 or M.n % 2:
         raise ShapeError("block dimensions must be even")
     mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(M.ring)
-    rows = []
-    for i in range(M.m // 2):
-        row = []
-        for j in range(M.n // 2):
-            block = mat2.element(
-                (
-                    M.rows[2 * i][2 * j].raw,
-                    M.rows[2 * i][2 * j + 1].raw,
-                    M.rows[2 * i + 1][2 * j].raw,
-                    M.rows[2 * i + 1][2 * j + 1].raw,
-                )
-            )
-            row.append(block if isinstance(algebra, Mat2Algebra) else mat2_to_quat(block, algebra))
-        rows.append(row)
-    return CompMatrix(algebra, rows)
+    raw = [[e.raw for e in row] for row in M.rows]
+    blocks = [[mat2.element((raw[i][j], raw[i][j + 1], raw[i + 1][j], raw[i + 1][j + 1])) for j in range(0, M.n, 2)]
+              for i in range(0, M.m, 2)]
+    if not isinstance(algebra, Mat2Algebra):
+        blocks = [[mat2_to_quat(b, algebra) for b in row] for row in blocks]
+    return CompMatrix(algebra, blocks)
 
 
 def mat2_matrix_to_quat(Z: CompMatrix, target: QuatAlgebra | None = None) -> CompMatrix:
@@ -517,21 +518,21 @@ def is_invertible(Z: CompMatrix) -> bool:
     return not study_det(Z).is_zero()
 
 
-def _skew_kernel(A: CompMatrix):
-    """Right column rank of A over a division algebra D, and its first right kernel vector.
+def _skew_kernel(algebra, rows):
+    """Right column rank over a division algebra D, and the first right kernel
+    vector, of the raw matrix (`_raw`) of A.
 
     A right combination sum_j A[:, j] * a_j = 0 is the base-field system
-    L(A) x = 0 (`left_regular_rep`) in the 4n coordinates x of a.  Over D the
+    L(A) x = 0 (`_regular_rows`) in the 4n coordinates x of a.  Over D the
     k-span of earlier columns is a right D-subspace, so the column block of
     a D-column holds four pivots of L(A) or none, and the first free k-column
     is the first coordinate of the first free D-column f.  The kernel vector
     of `field_echelon` thus sets a_f = 1 and every later a_j = 0, and it is
     the only right kernel vector that does.
     """
-    alg = A.ring
-    if alg.is_split_decision() == SPLIT:
+    if algebra.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
-    pivots, kernel, _ = field_echelon(left_regular_rep(A), alg.field)
+    pivots, kernel, _ = field_echelon(_regular_rows(algebra, rows), algebra.field)
     if pivots != [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]:
         raise AssertionError("pivots of L(A) over a division algebra are not whole blocks")
     return len(pivots) // 4, kernel
@@ -539,7 +540,32 @@ def _skew_kernel(A: CompMatrix):
 
 def skew_column_rank(A: CompMatrix) -> int:
     """Number of right-independent columns over a division quaternion algebra."""
-    return _skew_kernel(A)[0]
+    return _skew_kernel(A.ring, _raw(A))[0]
+
+
+def _skew_solve_raw(algebra, rows):
+    """`skew_solve` on a raw matrix: (numerators, denominator), or None.
+
+    With the kernel vector cleared to integers and y_f its first nonzero
+    block, a_t = y_t * y_f^-1 = y_t * conj(y_f) / N(y_f): numerators over one
+    denominator, integers for integral a and b.  A division algebra is a
+    `QuatAlgebra`, whose conjugation negates u, v and w.
+    """
+    _, kernel = _skew_kernel(algebra, rows)
+    if kernel is None:
+        return None
+    den = lcm(*(v.denominator for v in kernel))
+    y = [v.numerator * (den // v.denominator) for v in kernel]
+    blocks = [y[4 * j : 4 * j + 4] for j in range(len(rows[0]))]
+    f = next(j for j, b in enumerate(blocks) if any(b))
+    # the row of blocks times conj(y_f); its entry f is the norm
+    (ys,) = _combine_raw(algebra, [(blocks,)], [[blocks[f][0]] + [-v for v in blocks[f][1:]]], 1)
+    if any(ys[f][1:]):
+        raise AssertionError("norm has a nonreal component; structure table is broken")
+    columns = [[(row[t],) for row in rows] for t in range(len(blocks))]
+    if not _vanishes(_combine_raw(algebra, columns, ys, len(rows)), algebra.field.characteristic):
+        raise AssertionError("skew elimination produced a bad kernel vector")
+    return ys, ys[f][0]
 
 
 def skew_solve(A: CompMatrix):
@@ -550,14 +576,5 @@ def skew_solve(A: CompMatrix):
     coefficient is one, and substituting the output back into the system is
     checked before returning.
     """
-    _, kernel = _skew_kernel(A)
-    if kernel is None:
-        return None
-    alg = A.ring
-    sol = [alg.element(kernel[4 * j : 4 * j + 4]) for j in range(A.n)]
-    first = next(c for c in sol if not c.is_zero())
-    inv = first.inverse()
-    sol = [c * inv for c in sol]
-    if not combine([CompMatrix(alg, [[e] for e in col]) for col in zip(*A.rows)], sol).is_zero():
-        raise AssertionError("skew elimination produced a bad kernel vector")
-    return tuple(sol)
+    sol = _skew_solve_raw(A.ring, _raw(A))
+    return None if sol is None else tuple(_element(A.ring, y, sol[1]) for y in sol[0])

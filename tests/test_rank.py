@@ -30,7 +30,7 @@ from compalg.rank import (
     verify_span_bound,
 )
 from compalg.rng import SplitMix64
-from compalg.serialize import matrix_from_json
+from compalg.serialize import matrix_from_json, matrix_to_json
 from compalg.matrices import skew_column_rank
 
 HQ = QuatAlgebra(QQ, -1, -1)
@@ -486,13 +486,17 @@ def test_witness_checks_still_run(monkeypatch):
     # each check of the span path rejects a wrong witness handed to it
     mats = sample_distinct_matrices(HQ, 2, 2, 5, SplitMix64(24))
     stacked = CompMatrix(HQ, [[T.rows[i][j] for T in mats] for i in range(2) for j in range(2)])
+
+    def wrong_kernel(algebra, rows):
+        return 0, [1] + [0] * (4 * len(rows[0]) - 1)
+
     with monkeypatch.context() as patch:
-        patch.setattr(matrices, "_skew_kernel", lambda A: (0, [1] + [0] * (4 * A.n - 1)))
+        patch.setattr(matrices, "_skew_kernel", wrong_kernel)
         with pytest.raises(AssertionError, match="bad kernel vector"):
             matrices.skew_solve(stacked)
     with monkeypatch.context() as patch:
         # over a division algebra skew_solve's substitution is the one witness check
-        patch.setattr(matrices, "_skew_kernel", lambda A: (0, [1] + [0] * (4 * A.n - 1)))
+        patch.setattr(matrices, "_skew_kernel", wrong_kernel)
         with pytest.raises(AssertionError, match="bad kernel vector"):
             low_rank_combination(mats, 1)
     split = sample_distinct_matrices(Mat2Algebra(QQ), 1, 1, 5, SplitMix64(24))
@@ -503,6 +507,169 @@ def test_witness_checks_still_run(monkeypatch):
         with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
             low_rank_combination(split, 1)
     with monkeypatch.context() as patch:
-        patch.setattr(rank, "low_rank_combination", lambda family, d: (HQ.one(),) + (HQ.zero(),) * (len(family) - 1))
+        # the trials run the raw core, so its coefficients (1, 0, ..., 0) over 1 reach the trial's own check
+        patch.setattr(rank, "_combination", lambda algebra, family, keep: ([[1, 0, 0, 0]] + [[0] * 4] * (len(family) - 1), 1))
         report = verify_span_bound(HQ, 2, 2, 1, trials=1, seed=3)
     assert report.successes == 0 and report.counterexample["reason"] == "truncated combination is nonzero"
+
+
+def test_comp_rank_of_full_rank_square_is_one_elimination(monkeypatch):
+    # 6 x 6 over Mat2(QQ), every entry of rank 1 (u v^T), Z invertible: rank L(Z) = 24
+    # already gives the answer, with no Study determinant of the full minor after it
+    M2 = Mat2Algebra(QQ)
+    rng = SplitMix64(41)
+
+    def vector():
+        while not any(v := (rng.randint(-2, 2), rng.randint(-2, 2))):
+            pass
+        return v
+
+    def rank_one():
+        (a, b), (c, e) = vector(), vector()
+        return M2.element((a * c, a * e, b * c, b * e))
+
+    Z = CompMatrix(M2, [[rank_one() for _ in range(6)] for _ in range(6)])
+    assert all(not e.is_zero() and e.norm().is_zero() for row in Z.rows for e in row)
+    assert brute_force_rank(Z) == 6
+    calls = []
+    echelon = matrices.field_echelon
+    monkeypatch.setattr(matrices, "field_echelon", lambda rows, f: calls.append(1) or echelon(rows, f))
+    assert comp_rank(Z) == 6
+    assert len(calls) == 1
+
+
+def _oracle_sample(algebra, m, n, count, rng, entry_bound=3):
+    """The element-based sampler: every accepted draw built as a CompMatrix at once."""
+    f = algebra.field
+    lo, hi = (0, f.p - 1) if isinstance(f, PrimeField) else (-entry_bound, entry_bound)
+    seen, out = set(), []
+    while len(out) < count:
+        raw = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(n)) for _ in range(m))
+        if raw not in seen:
+            seen.add(raw)
+            out.append(CompMatrix(algebra, [[algebra.element(e) for e in row] for row in raw]))
+    return out
+
+
+def _oracle_low_rank_combination(mats, d):
+    """The element-based combination: coefficients as elements, checks by `_combine_by_definition`."""
+    algebra, m, n = mats[0].ring, mats[0].m, mats[0].n
+    keep = m - d + 1
+    truncated = [Z.take_rows(keep) for Z in mats]
+    f = algebra.field
+    if algebra.is_split_decision() == "split":
+        rows = [[T.rows[i][j].coeffs[c] for T in truncated] for i in range(keep) for j in range(n) for c in range(4)]
+        sol = matrices.field_echelon(rows, f)[1]
+        inv = f._inv(next(c for c in sol if c))
+        coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
+    else:
+        stacked = CompMatrix(algebra, [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)])
+        kernel = matrices.field_echelon(left_regular_rep(stacked), f)[1]
+        sol = [algebra.element(kernel[4 * t : 4 * t + 4]) for t in range(len(mats))]
+        inv = next(c for c in sol if not c.is_zero()).inverse()
+        coeffs = tuple(c * inv for c in sol)
+    assert _combine_by_definition(truncated, coeffs).is_zero()
+    return coeffs
+
+
+def _oracle_verify_span_bound(algebra, m, n, d, trials, seed):
+    """The element-based trial loop of `verify_span_bound`, with the same report."""
+    size = 1 + n * dependence_bound(algebra, m, d)
+    params = {"algebra": repr(algebra), "m": m, "n": n, "d": d, "family_size": size, "seed": seed, "entry_bound": 3}
+    report = {"params": params, "trials": trials, "successes": 0, "counterexample": None}
+    rng = SplitMix64(seed)
+    for trial in range(trials):
+        mats = _oracle_sample(algebra, m, n, size, rng.fork())
+        coeffs = _oracle_low_rank_combination(mats, d)
+        full = _combine_by_definition(mats, coeffs)
+        failure = None
+        if not full.take_rows(m - d + 1).is_zero():
+            failure = "truncated combination is nonzero"
+        elif all(c.is_zero() for c in coeffs):
+            failure = "coefficients all zero"
+        elif (r := comp_rank(full)) > d - 1:
+            failure = f"rank {r} exceeds {d - 1}"
+        if failure is None:
+            report["successes"] += 1
+        elif report["counterexample"] is None:
+            report["counterexample"] = {"trial": trial, "reason": failure, "matrices": [matrix_to_json(Z) for Z in mats]}
+    return report
+
+
+ORACLE_ALGEBRAS = [
+    ("(-1,-1)_QQ", HQ),
+    ("(2,5)_QQ", QuatAlgebra(QQ, 2, 5)),
+    ("(1,-1)_QQ", QuatAlgebra(QQ, 1, -1)),
+    ("Mat2(GF(2))", Mat2Algebra(PrimeField(2))),
+    ("Mat2(GF(7))", Mat2Algebra(PrimeField(7))),
+    ("(3,6)_GF(7)", QuatAlgebra(PrimeField(7), 3, 6)),
+]
+
+
+@pytest.mark.parametrize("name,algebra", ORACLE_ALGEBRAS, ids=[a[0] for a in ORACLE_ALGEBRAS])
+def test_raw_span_trials_match_the_element_oracle(name, algebra):
+    # the raw-coordinate path gives the element path's coefficients and reports
+    for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (2, 3, 2), (2, 2, 2))):
+        seed = sum(map(ord, name)) + k
+        size = 1 + n * dependence_bound(algebra, m, d)
+        mats = _oracle_sample(algebra, m, n, size, SplitMix64(seed))
+        assert sample_distinct_matrices(algebra, m, n, size, SplitMix64(seed)) == mats
+        assert low_rank_combination(mats, d) == _oracle_low_rank_combination(mats, d), (m, n, d)
+        assert verify_span_bound(algebra, m, n, d, trials=3, seed=seed).to_json() == _oracle_verify_span_bound(
+            algebra, m, n, d, 3, seed
+        ), (m, n, d)
+
+
+# the families of verify_span_bound(algebra, 1, 1, 1, trials=1, seed=3), as the
+# element path reported them: entry coordinates over (-1,-1)_QQ, blocks over Mat2(GF(2))
+SPLIT_F2 = Mat2Algebra(PrimeField(2))
+PINNED_FAMILIES = {
+    HQ: [["3", "0", "2", "3"], ["-3", "2", "1", "-3"]],
+    SPLIT_F2: [[[1, 0], [0, 0]], [[0, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]],
+}
+
+
+def _echelon_giving(pivots, kernel_is_first_column):
+    """A stand-in for `field_echelon`: these pivots, and the kernel vector e_0 or None."""
+    def echelon(rows, f):
+        return pivots, ([1] + [0] * (len(rows[0]) - 1) if kernel_is_first_column else None), None
+    return echelon
+
+
+def _combination_giving(first):
+    """A stand-in for `rank._combination`: coefficient `first` on matrix 0, zero on the rest, over 1."""
+    def combination(algebra, family, keep):
+        return [list(first)] + [[0] * 4 for _ in family[1:]], 1
+    return combination
+
+
+def test_every_trial_check_reaches_the_report(monkeypatch):
+    # each check of a trial, made to fail, is the counterexample's reason, and the
+    # counterexample holds the sampled family
+    cases = [
+        (SPLIT_F2, rank, "field_echelon", _echelon_giving([], True), "combination failed to kill the truncated rows"),
+        (SPLIT_F2, rank, "field_echelon", _echelon_giving([0], False), "dependence guaranteed by dimension count was not found"),
+        (HQ, matrices, "field_echelon", _echelon_giving([], True), "skew elimination produced a bad kernel vector"),
+        (HQ, matrices, "field_echelon", _echelon_giving([0], True), "pivots of L(A) over a division algebra are not whole blocks"),
+        (HQ, matrices, "field_echelon", _echelon_giving([0, 1, 2, 3], False), "dependence guaranteed by dimension count was not found"),
+        (HQ, rank, "_combination", _combination_giving((1, 0, 0, 0)), "truncated combination is nonzero"),
+        (HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
+        (HQ, rank, "comp_rank", lambda Z: 5, "rank 5 exceeds 0"),
+        (SPLIT_F2, rank, "comp_rank", lambda Z: 5, "rank 5 exceeds 0"),
+    ]
+    for algebra, module, attribute, stand_in, reason in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attribute, stand_in)
+            report = verify_span_bound(algebra, 1, 1, 1, trials=1, seed=3).to_json()
+        assert report["successes"] == 0 and report["counterexample"]["reason"] == reason
+        pinned = PINNED_FAMILIES[algebra]
+        family = sample_distinct_matrices(algebra, 1, 1, len(pinned), SplitMix64(3).fork())
+        assert report["counterexample"]["matrices"] == [matrix_to_json(Z) for Z in family]
+        key = "entries" if algebra is HQ else "blocks"
+        assert [Z[key][0] for Z in report["counterexample"]["matrices"]] == pinned
+
+
+def test_verify_span_bound_refuses_more_rows_than_columns():
+    with pytest.raises(ValueError, match="m <= n"):
+        verify_span_bound(HQ, 3, 2, 1, trials=1, seed=1)
+    assert verify_span_bound(HQ, 3, 2, 1, trials=0, seed=1).trials == 0
