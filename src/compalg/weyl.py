@@ -11,17 +11,15 @@ variable perm[i] raised to the power signs[i].  The flavors are
 
 Invariant rings are probed three ways: Reynolds averaging, explicit
 fundamental generators (elementary symmetric functions, plain or evaluated
-on x_i + 1/x_i for the signed flavors), and a bounded-degree generation
-check that answers "expressible" or "inconclusive at this bound", never
-claiming a refutation.  Each group enumerates its elements once, as raw
-(perm, signs) tuple pairs in `_pairs()`; `elements()` wraps them in
-SignedPerm; Reynolds walks them on raw exponent tuples, once per distinct
-restriction to f's support where that keeps the pair walk's term order.
-The generation check runs on integer rows, raw {exponent tuple: int} dicts:
-the generator products are reduced once to an echelon basis of primitive
-rows keyed by leading monomial, and each orbit sum (met once per orbit,
-listed from its exponent vector) is reduced against it fraction-free,
-a*row - b*pivot.  A LaurentPoly or its text is built only for output.
+on x_i + 1/x_i for the signed flavors), and a generation check decided by
+the triangularity theorem: the generators, built once as raw
+{exponent tuple: int} dicts, must lead with x_1...x_k at coefficient 1, and
+then every orbit sum, listed from its dominant weight, is expressible over Z.
+Each group enumerates its elements once, as raw (perm, signs) tuple pairs in
+`_pairs()`; `elements()` wraps them in SignedPerm; Reynolds walks them on raw
+exponent tuples, once per distinct restriction to f's support where that
+keeps the pair walk's term order.  A LaurentPoly or its text is built only
+for output.
 Index counts |G| / |H| feed the free-module ranks in the K-group
 bookkeeping: the quaternionic pair gives (2n)!/n!, the split pair the
 central binomial coefficient, and the smallest split case 2.
@@ -29,8 +27,8 @@ central binomial coefficient, and the smallest split case 2.
 
 import re
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial, gcd, lcm
+from itertools import combinations_with_replacement, permutations, product
+from math import comb, factorial, lcm
 from operator import add, itemgetter
 
 from .errors import (
@@ -484,7 +482,9 @@ def ktheory_rank(kind: str, n: int | None = None) -> int:
 
 
 class GenerationReport:
-    """Orbit sums checked and expressed by `verify_generation`; the rest as text."""
+    """Orbit sums in the box [-degree_bound, degree_bound]^n, counted by
+    `verify_generation`: each one checked is expressible, so `inconclusive`
+    stays empty; the field is kept for the report's JSON shape."""
 
     def __init__(self, flavor: str, n: int, degree_bound: int):
         self.flavor, self.n, self.degree_bound = flavor, n, degree_bound
@@ -502,101 +502,70 @@ class GenerationReport:
         }
 
 
-def _orbit(flavor: str, expo: tuple) -> set:
-    """Rearrangements of expo, with any signs on its nonzero entries for Hyperoctahedral."""
-    if flavor == "Sym":
-        return set(permutations(expo))
-    choices = [(e, -e) if e else (0,) for e in expo]
-    return {p for signed in product(*choices) for p in permutations(signed)}
+def _dominant(flavor: str, expo: tuple) -> bool:
+    """Non-increasing, and for Hyperoctahedral also non-negative."""
+    return all(a >= b for a, b in zip(expo, expo[1:])) and (flavor == "Sym" or not expo or expo[-1] >= 0)
 
 
-def _bounded_products(flavor: str, n: int, bound: int) -> list[dict]:
-    """Products of fundamental generators with weighted degree at most `bound`,
-    as raw integer polynomials.
+def _below(flavor: str, mu: tuple, lam: tuple) -> bool:
+    """mu <= lam in dominance: every partial sum of lam - mu is >= 0, and for
+    Sym (homogeneous roots e_i - e_{i+1}) the full sums agree."""
+    total = 0
+    for a, b in zip(lam, mu):
+        total += a - b
+        if total < 0:
+            return False
+    return flavor != "Sym" or total == 0
 
-    Generator k carries weight k; for Sym the inverse of the top generator is
-    also available (it is a unit in the Laurent ring) at weight n per power.
+
+def _check_leading_terms(flavor: str, n: int, rows: list[dict]) -> None:
+    """Raise unless each e_k in `rows` has x^omega_k = x_1...x_k with
+    coefficient 1 as its unique dominance-maximal dominant term.
+
+    With the e_k W-invariant (symmetric functions of the b_i, which W
+    permutes), every term then lies below omega_k, and the product
+    prod_{k<n} e_k^(lam_k - lam_{k+1}) * e_n^lam_n leads with x^lam, with
+    coefficient 1, all its other terms strictly below lam.
     """
-    results = [({(0,) * n: 1}, 0)]
-    factors = [(gen, idx + 1) for idx, gen in enumerate(_generator_rows(flavor, n))]
-    if flavor == "Sym":
-        factors.append(({(-1,) * n: 1}, n))  # inverse of e_n = x1...xn
-    for gen, weight in factors:
-        extended = list(results)
-        for poly, w in results:
-            current, cw = poly, w
-            while cw + weight <= bound:
-                current = _mul(current, gen)
-                cw += weight
-                extended.append((current, cw))
-        results = extended
-    return [poly for poly, _ in results]
+    if len(rows) != n:
+        raise CompAlgError(f"expected {n} fundamental generators, got {len(rows)}")
+    for k, row in enumerate(rows, 1):
+        omega = (1,) * k + (0,) * (n - k)
+        if row.get(omega) != 1:
+            raise CompAlgError(f"e_{k} does not have x^omega_{k} with coefficient 1")
+        for expo in row:
+            if expo != omega and _dominant(flavor, expo) and not _below(flavor, expo, omega):
+                raise CompAlgError(f"e_{k} has the dominant term {expo} not below omega_{k}")
 
 
-def _echelon(rows) -> dict:
-    """Echelon basis: leading monomial -> primitive row, leading coefficient > 0."""
-    basis = {}
-    for row in rows:
-        row = _reduce(basis, dict(row))
-        if row:
-            lead = max(row)
-            content = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
-            basis[lead] = {m: c // content for m, c in row.items()}
-    return basis
-
-
-def _reduce(basis: dict, row: dict) -> dict:
-    """Cancel row's leading monomial against the basis until it is no pivot.
-
-    Fraction-free: with a and b the pivot's and the row's leading
-    coefficients over their gcd, row becomes a*row - b*pivot.  Every
-    combination of basis rows leads with a pivot, so row lies in their span
-    exactly when nothing is left.
-    """
-    while row:
-        lead = max(row)
-        pivot = basis.get(lead)
-        if pivot is None:
-            break
-        a, b = pivot[lead], row[lead]
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        if a != 1:
-            for m in row:
-                row[m] *= a
-        for m, c in pivot.items():
-            value = row.get(m, 0) - b * c
-            if value:
-                row[m] = value
-            else:
-                row.pop(m, None)
-    return row
+MAX_GENERATION_RANK = 8  # e_k(x_i + 1/x_i) has 3^n terms; matches DEFAULT_MAX_GROUP_ORDER
+MAX_GENERATION_ORBITS = 10**6
 
 
 def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationReport:
-    """Check bounded orbit-sums against bounded generator products.
+    """Decide, for every orbit sum in the box [-degree_bound, degree_bound]^n,
+    whether it lies in the ring generated by the fundamental generators.
 
-    Anything not expressible within the bound is reported as inconclusive at
-    this bound, never as a refutation.
+    Z[x^+-]^Sym(n) = Z[e_1, ..., e_n, e_n^-1] and the hyperoctahedral
+    invariants are Z[e_k(x_i + 1/x_i)] (Bourbaki, Lie Groups VI 3.4 Thm 1;
+    Steinberg, On a theorem of Pittie).  What is checked is the triangularity
+    behind it, on the generators' leading terms (`_check_leading_terms`).
+    Then an orbit with dominant weight lam is, by induction down the finite
+    set of dominant weights below lam, an integer combination of generator
+    monomials, so every orbit is expressible.  The orbits are listed from
+    their dominant weights, and the report lists none as inconclusive.
     """
-    if n > 3 or degree_bound > 6:
-        raise InfeasibleError("generation checking is budgeted to n <= 3, bound <= 6")
     if flavor not in ("Sym", "Hyperoctahedral"):
         raise UnsupportedFlavorError(f"no generation check for flavor {flavor!r}")
-    basis = _echelon(_bounded_products(flavor, n, degree_bound))
+    weights = range(degree_bound, -degree_bound - 1 if flavor == "Sym" else -1, -1)
+    if n > MAX_GENERATION_RANK:
+        raise InfeasibleError(f"generation checking is budgeted to n <= {MAX_GENERATION_RANK}, got n = {n}")
+    if weights and comb(len(weights) + n - 1, n) > MAX_GENERATION_ORBITS:
+        raise InfeasibleError(f"more than {MAX_GENERATION_ORBITS} orbits at n = {n}, bound = {degree_bound}")
+    _check_leading_terms(flavor, n, _generator_rows(flavor, n))
     report = GenerationReport(flavor=flavor, n=n, degree_bound=degree_bound)
-    seen = set()
-    for expo in product(range(-degree_bound, degree_bound + 1), repeat=n):
-        key = tuple(sorted(expo if flavor == "Sym" else map(abs, expo)))
-        if key in seen:
-            continue
-        seen.add(key)
-        orbit = dict.fromkeys(_orbit(flavor, expo), 1)
-        report.checked += 1
-        if _reduce(basis, dict(orbit)):
-            report.inconclusive.append(_text(orbit))
-        else:
-            report.expressible += 1
+    # descending weights make each combination a non-increasing, dominant weight
+    report.checked = report.expressible = sum(1 for _ in combinations_with_replacement(weights, n))
     return report
 
 

@@ -190,6 +190,18 @@ def test_weyl_actions(capsys):
     assert out == "1/2*x1 + 1/2*x1^-1"
 
 
+def test_verify_generation_over_budget_exits_cleanly(capsys):
+    code, out, _ = run(capsys, "weyl", "verify-generation", "--flavor", "Hyperoctahedral", "--n", "4", "--bound", "6")
+    assert json.loads(out) == {
+        "flavor": "Hyperoctahedral", "n": 4, "degree_bound": 6, "checked": 210, "expressible": 210, "inconclusive": []
+    }
+    for flags in (("--n", "9", "--bound", "1"), ("--n", "2", "--bound", "10000000")):
+        argv = ("weyl", "verify-generation", "--flavor", "Sym", *flags)
+        code, out, err = run(capsys, *argv)
+        _assert_one_json_error(code, out, err, argv)
+        assert json.loads(err)["error"]["type"] == "InfeasibleError"
+
+
 def test_spin_check(capsys):
     code, out, _ = run(
         capsys, "clifford", "spin-check", "--p", "1", "--q", "2", "--count", "10", "--seed", "5"

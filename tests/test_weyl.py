@@ -2,12 +2,12 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd
 
 import pytest
 
-from compalg.errors import InfeasibleError, NotDividingError, ShapeError, UnsupportedFlavorError
+from compalg.errors import CompAlgError, InfeasibleError, NotDividingError, ShapeError, UnsupportedFlavorError
 from compalg.rng import SplitMix64
 from compalg.weyl import (
     EvenSignedGroup,
@@ -18,9 +18,9 @@ from compalg.weyl import (
     SignedPerm,
     SymGroup,
     TrivialGroup,
-    _bounded_products,
-    _echelon,
-    _reduce,
+    _check_leading_terms,
+    _generator_rows,
+    _mul,
     act,
     fundamental_generators,
     group_from_json,
@@ -125,6 +125,132 @@ def verify_generation_oracle(flavor, n, bound):
         else:
             report.inconclusive.append(orbit.text())
     return report
+
+
+def _bounded_products(flavor: str, n: int, bound: int) -> list[dict]:
+    """Products of fundamental generators with weighted degree at most `bound`,
+    as raw integer polynomials.
+
+    Generator k carries weight k; for Sym the inverse of the top generator is
+    also available (it is a unit in the Laurent ring) at weight n per power.
+    """
+    results = [({(0,) * n: 1}, 0)]
+    factors = [(gen, idx + 1) for idx, gen in enumerate(_generator_rows(flavor, n))]
+    if flavor == "Sym":
+        factors.append(({(-1,) * n: 1}, n))  # inverse of e_n = x1...xn
+    for gen, weight in factors:
+        extended = list(results)
+        for poly, w in results:
+            current, cw = poly, w
+            while cw + weight <= bound:
+                current = _mul(current, gen)
+                cw += weight
+                extended.append((current, cw))
+        results = extended
+    return [poly for poly, _ in results]
+
+
+def _echelon(rows) -> dict:
+    """Echelon basis: leading monomial -> primitive row, leading coefficient > 0."""
+    basis = {}
+    for row in rows:
+        row = _reduce(basis, dict(row))
+        if row:
+            lead = max(row)
+            content = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+            basis[lead] = {m: c // content for m, c in row.items()}
+    return basis
+
+
+def _reduce(basis: dict, row: dict) -> dict:
+    """Cancel row's leading monomial against the basis until it is no pivot.
+
+    Fraction-free: with a and b the pivot's and the row's leading
+    coefficients over their gcd, row becomes a*row - b*pivot.  Every
+    combination of basis rows leads with a pivot, so row lies in their span
+    exactly when nothing is left.
+    """
+    while row:
+        lead = max(row)
+        pivot = basis.get(lead)
+        if pivot is None:
+            break
+        a, b = pivot[lead], row[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for m in row:
+                row[m] *= a
+        for m, c in pivot.items():
+            value = row.get(m, 0) - b * c
+            if value:
+                row[m] = value
+            else:
+                row.pop(m, None)
+    return row
+
+
+def bounded_generation_oracle(flavor, n, bound):
+    """The bounded search: each orbit sum in the box [-bound, bound]^n reduced
+    against the echelon basis of the generator products of weighted degree at
+    most `bound`.  An orbit it cannot reduce to zero is out of the search's
+    reach, and is listed as inconclusive at this bound."""
+    basis = _echelon(_bounded_products(flavor, n, bound))
+    report = GenerationReport(flavor=flavor, n=n, degree_bound=bound)
+    seen = set()
+    for expo in product(range(-bound, bound + 1), repeat=n):
+        key = tuple(sorted(expo if flavor == "Sym" else map(abs, expo)))
+        if key in seen:
+            continue
+        seen.add(key)
+        if flavor == "Sym":
+            orbit = set(permutations(expo))
+        else:
+            choices = [(e, -e) if e else (0,) for e in expo]
+            orbit = {p for signed in product(*choices) for p in permutations(signed)}
+        orbit = dict.fromkeys(orbit, 1)
+        report.checked += 1
+        if _reduce(basis, dict(orbit)):
+            report.inconclusive.append(LaurentPoly(n, orbit).text())
+        else:
+            report.expressible += 1
+    return report
+
+
+def straighten(flavor, n, target):
+    """Integer coefficients expressing the invariant `target` in generator
+    monomials, by the triangularity argument: subtract c times
+    prod_{k<n} e_k^(lam_k - lam_{k+1}) * e_n^lam_n for the lexicographically
+    largest dominant term c*x^lam (a dominance-maximal one) until nothing is
+    left.  Returns {lam: c}; raises if a coefficient is not an integer."""
+    gens = _generator_rows(flavor, n)
+    powers = {}
+
+    def power(k, e):
+        if (k, e) not in powers:
+            if e < 0:  # Sym only: e_n^-1 is the monomial 1/(x1...xn)
+                powers[k, e] = {(e,) * n: 1}
+            else:
+                powers[k, e] = {(0,) * n: 1} if e == 0 else _mul(power(k, e - 1), gens[k])
+        return powers[k, e]
+
+    rest, out = dict(target), {}
+    while rest:
+        lam = max(e for e in rest if list(e) == sorted(e, reverse=True) and (flavor == "Sym" or e[-1] >= 0))
+        c = rest[lam]
+        assert type(c) is int
+        monomial = {(0,) * n: 1}
+        for k in range(n):
+            monomial = _mul(monomial, power(k, lam[k] - (lam[k + 1] if k + 1 < n else 0)))
+        assert monomial[lam] == 1
+        for e, v in monomial.items():
+            value = rest.get(e, 0) - c * v
+            if value:
+                rest[e] = value
+            else:
+                rest.pop(e, None)
+        out[lam] = c
+    return out
 
 
 def elements_by_hand(G):
@@ -299,14 +425,19 @@ def test_ktheory_ranks():
 
 def test_verify_generation_examples():
     rep = verify_generation("Sym", 2, 2)
-    assert rep.checked > 0
-    assert rep.expressible >= 1
-    # the orbit-sum of x1 x2 + 1/(x1 x2) needs the inverse of e_2: out of reach at bound 1
+    assert rep.checked == rep.expressible == 15
+    # x1*x2^-1 + x1^-1*x2 is e_1^2 * e_2^-1 - 2, through the inverse of e_2,
+    # which the bounded search could not reach at bound 1
     low = verify_generation("Sym", 2, 1)
-    assert any("x1*x2" in text for text in low.inconclusive)
+    assert low.inconclusive == []
+    assert low.checked == low.expressible == 6
+    assert any("x1*x2^-1" in text for text in bounded_generation_oracle("Sym", 2, 1).inconclusive)
+    assert straighten("Sym", 2, {(1, -1): 1, (-1, 1): 1}) == {(1, -1): 1, (0, 0): -2}
     hyper = verify_generation("Hyperoctahedral", 1, 3)
     assert hyper.inconclusive == []
     assert hyper.checked == hyper.expressible
+    with pytest.raises(UnsupportedFlavorError):
+        verify_generation("EvenSigned", 2, 1)
 
 
 def test_bounded_products_match_laurent_arithmetic():
@@ -337,16 +468,66 @@ def test_fraction_free_reduction_matches_dense_solve():
 
 
 def test_verify_generation_matches_oracle():
+    """The bounded search is the oracle: it agrees with the dense solve, every
+    orbit it reaches is among those reported expressible, and the report
+    counts the same orbits and leaves none inconclusive."""
     for flavor in ("Sym", "Hyperoctahedral"):
         for n in (1, 2, 3):
-            for bound in range(5):
-                got = verify_generation(flavor, n, bound).to_json()
-                assert got == verify_generation_oracle(flavor, n, bound).to_json()
+            for bound in range(7):
+                got = verify_generation(flavor, n, bound)
+                bounded = bounded_generation_oracle(flavor, n, bound)
+                if bound < 5:
+                    assert bounded.to_json() == verify_generation_oracle(flavor, n, bound).to_json()
+                assert got.inconclusive == []
+                assert got.checked == got.expressible == bounded.checked
+                assert bounded.expressible <= got.expressible
+
+
+def test_every_orbit_sum_straightens_over_integers():
+    """The theorem behind the report, checked on every orbit sum at bound 3:
+    each straightens to zero with integer coefficients, one per dominant
+    weight at or below its own."""
+    for flavor in ("Sym", "Hyperoctahedral"):
+        for n in (1, 2, 3):
+            G = SymGroup(n) if flavor == "Sym" else HyperoctahedralGroup(n)
+            values = range(-3, 4) if flavor == "Sym" else range(4)
+            for lam in combinations_with_replacement(sorted(values, reverse=True), n):
+                orbit = {tuple(act(g, LaurentPoly(n, {lam: 1})).terms)[0]: 1 for g in G.elements()}
+                expression = straighten(flavor, n, orbit)
+                assert expression[lam] == 1
+                assert all(type(c) is int for c in expression.values())
+
+
+def test_leading_term_check_rejects_broken_tables():
+    for flavor in ("Sym", "Hyperoctahedral"):
+        for n in (1, 2, 3, 4):
+            _check_leading_terms(flavor, n, _generator_rows(flavor, n))
+            with pytest.raises(CompAlgError, match="expected"):
+                _check_leading_terms(flavor, n, _generator_rows(flavor, n)[:-1])
+            for k in range(n):
+                doubled = [dict(row) for row in _generator_rows(flavor, n)]
+                doubled[k][(1,) * (k + 1) + (0,) * (n - k - 1)] = 2
+                with pytest.raises(CompAlgError, match="coefficient 1"):
+                    _check_leading_terms(flavor, n, doubled)
+            above = [dict(row) for row in _generator_rows(flavor, n)]
+            above[0][(2,) + (0,) * (n - 1)] = 1
+            with pytest.raises(CompAlgError, match="not below omega_1"):
+                _check_leading_terms(flavor, n, above)
+            if flavor == "Sym":
+                missing = _generator_rows(flavor, n)
+                del missing[-1][(1,) * n]
+                with pytest.raises(CompAlgError, match=f"e_{n} does not have"):
+                    _check_leading_terms(flavor, n, missing)
+            if flavor == "Sym" and n > 1:
+                # x1/xn: its partial sums stay under omega_1's, its degree does not
+                other_degree = _generator_rows(flavor, n)
+                other_degree[0][(1,) + (0,) * (n - 2) + (-1,)] = 1
+                with pytest.raises(CompAlgError, match="not below omega_1"):
+                    _check_leading_terms(flavor, n, other_degree)
 
 
 def test_verify_generation_golden_up_to_bound_6():
-    """All 42 reports, including the bounds 5 and 6 that the dense oracle is
-    too slow to reach, pinned to the output of the Fraction-arithmetic kernel."""
+    """All 42 reports, pinned: every orbit of the box counted and expressible."""
     reports = [
         verify_generation(flavor, n, bound).to_json()
         for flavor in ("Sym", "Hyperoctahedral")
@@ -354,14 +535,24 @@ def test_verify_generation_golden_up_to_bound_6():
         for bound in range(7)
     ]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    assert digest == "cf7be8d2a97949d8d2131628c6abfe3481fd765a4a326ad4a7961937a488888f"
+    assert digest == "6145b16bef628bea06f30aa3ce437dae257142d59822c9dbd83ece3f4c42ed49"
 
 
 def test_verify_generation_budget():
+    """Limits shaped by memory, checked before any work: n <= 8 (e_k(x_i + 1/x_i)
+    has 3^n terms) and at most 10^6 orbits."""
+    for flavor, values in (("Sym", lambda b: 2 * b + 1), ("Hyperoctahedral", lambda b: b + 1)):
+        for n in range(9):
+            for bound in (0, 1, 6 if n <= 4 else 2):
+                report = verify_generation(flavor, n, bound)
+                assert report.inconclusive == []
+                assert report.checked == report.expressible == comb(values(bound) + n - 1, n)
     with pytest.raises(InfeasibleError):
-        verify_generation("Sym", 4, 2)
+        verify_generation("Sym", 9, 1)
     with pytest.raises(InfeasibleError):
-        verify_generation("Sym", 2, 7)
+        verify_generation("Sym", 2, 10**18)
+    with pytest.raises(InfeasibleError):
+        verify_generation("Hyperoctahedral", 8, 20)
 
 
 def test_parse_laurent():
