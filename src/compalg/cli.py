@@ -342,9 +342,10 @@ def cmd_weyl(args) -> Result:
 
 def cmd_zmod(args) -> Result:
     from . import zmodule
-    from .serialize import int_rows_from_json
 
     if args.action == "snf":
+        from .serialize import int_rows_from_json
+
         payload = load_json_file(args.input)
         if isinstance(payload, dict):
             payload = payload.get("rows", payload)
@@ -375,6 +376,8 @@ def cmd_zmod(args) -> Result:
             exit_code=0 if verdict["splits"] else 2,
         )
     if args.action == "sequence-check":
+        from .serialize import int_rows_from_json
+
         f = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.f), "--f"))
         g = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.g), "--g"))
         checks = zmodule.sequence_checks(f, g)

@@ -24,6 +24,8 @@ variant has a vanishing factor) and coincides with the ordinary t-binomial
 coefficient; the oriented odd case uses the quartic-degree product below.
 """
 
+from itertools import compress
+
 from .errors import BranchUnavailableError, InexactDivisionError, RankMismatchError
 
 
@@ -36,7 +38,7 @@ class UniPoly:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
@@ -83,10 +85,9 @@ class UniPoly:
         if not self or not other:
             return UniPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
+        terms = list(compress(enumerate(other.coeffs), other.coeffs))
+        for i, a in compress(enumerate(self.coeffs), self.coeffs):
+            for j, b in terms:
                 out[i + j] += a * b
         return UniPoly(out)
 
@@ -97,14 +98,15 @@ class UniPoly:
         rem = list(self.coeffs)
         q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         lead = other.coeffs[-1]
+        terms = list(compress(enumerate(other.coeffs), other.coeffs))
         for k in range(len(q) - 1, -1, -1):
             top = rem[k + len(other.coeffs) - 1]
             if top % lead != 0:
                 raise InexactDivisionError("division is not exact", remainder=UniPoly(rem))
-            q[k] = top // lead
-            if q[k]:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q[k] * b
+            q[k] = c = top // lead
+            if c:
+                for j, b in terms:
+                    rem[k + j] -= c * b
         if any(rem):
             raise InexactDivisionError("division is not exact", remainder=UniPoly(rem))
         return UniPoly(q)
@@ -144,7 +146,7 @@ class UniPoly:
 
 
 def one_minus(power: int) -> UniPoly:
-    return UniPoly.one() - UniPoly.monomial(power)
+    return UniPoly([1] + [0] * (power - 1) + [-1]) if power else UniPoly.zero()
 
 
 def one_plus(power: int) -> UniPoly:

@@ -4,15 +4,17 @@ truncated model of the boundary sequence on the singular-matrix locus.
 `smith_normal_form` returns (U, D, V) with U*A*V = D, U and V unimodular and
 the diagonal divisibility chain d1 | d2 | ....  Every elementary operation of
 the elimination is also applied, inverted, to U^-1 and V^-1, and before
-returning the triple is certified in integers: U*A*V = D, U*U^-1 = I and
-V*V^-1 = I.  A square integer matrix with an integer inverse is unimodular,
-so no determinant is needed.  The products skip zero entries, which makes
-the check cheap on the sparse 0/1 injections and projections of the
-localization model.  The certified triple, like every product of two
-IntMatrix values, is wrapped without re-validating its ints; the public
-constructor still checks each entry.  Pivots are chosen deterministically
-(smallest nonzero absolute value, ties by position), so the output is
-reproducible.
+returning the triple is certified in integers: D is checked to be diagonal
+with d1 | d2 | ..., and U*A = D*V^-1, U*U^-1 = I and V*V^-1 = I are
+verified.  A square integer matrix with an integer inverse is unimodular, so
+no determinant is needed; V*V^-1 = I gives V^-1*V = I, so the first product
+gives U*A*V = D*V^-1*V = D.  D*V^-1 is only the rows of V^-1 scaled by the
+diagonal, and the products skip zero entries, which makes the check cheap on
+the sparse 0/1 injections and projections of the localization model.  The
+certified triple, like every product of two IntMatrix values, is wrapped
+without re-validating its ints; the public constructor still checks each
+entry.  Pivots are chosen deterministically (smallest nonzero absolute value,
+ties by position), so the output is reproducible.
 
 `build_localization_model` realizes the rank bookkeeping of the boundary
 sequence: the middle lattice is the character lattice truncated at |s| <=
@@ -24,21 +26,22 @@ of the two maps (see `sequence_checks`) and is independent of the sign
 choices, which the sequence leaves free.
 """
 
+from itertools import compress
+
 from .errors import ShapeError, TruncationError
-from .fields import QQ
-from .matrices import field_echelon
 
 
 def _mul_rows(a, b, width):
     """Rows of the product a*b (b has `width` columns), skipping zero entries."""
-    b_support = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    cols, ks = range(len(b[0])), range(len(b))
+    b_support = [[(j, row[j]) for j in compress(cols, row)] for row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_support[k]:
-                    acc[j] += x * y
+        for k in compress(ks, row):
+            x = row[k]
+            for j, y in b_support[k]:
+                acc[j] += x * y
         out.append(acc)
     return out
 
@@ -112,6 +115,9 @@ class IntMatrix:
     def det(self) -> int:
         """Determinant of a square matrix: `field_echelon` over QQ, which runs
         fraction-free (Bareiss) on integer rows."""
+        from .fields import QQ
+        from .matrices import field_echelon
+
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
         return field_echelon(self.rows, QQ)[2].numerator
@@ -123,27 +129,19 @@ def smith_normal_form(A: IntMatrix):
     Deterministic pivoting: the entry of smallest nonzero absolute value in
     the remaining submatrix, earliest position winning ties.  Each row
     operation on U is mirrored, inverted, as a column operation on U^-1, and
-    each column operation on V as a row operation on V^-1.  Before returning,
-    U*A*V = D, U*U^-1 = I and V*V^-1 = I are verified in integers; the last
-    two prove U and V unimodular.
+    each column operation on V as a row operation on V^-1.  Once pivot t-1 is
+    done, rows and columns of D before t are zero off the diagonal, so column
+    operations on D touch only rows t and below.  Before returning, D is
+    checked to be diagonal with d1 | d2 | ..., and U*A = D*V^-1, U*U^-1 = I
+    and V*V^-1 = I are verified in integers (see the module docstring).
     """
     m, n = A.m, A.n
     d = [list(row) for row in A.rows]
-    u, v = _identity_rows(m), _identity_rows(n)
-    # u_inv_t[k] is column k of U^-1, so its column operations are row operations
-    u_inv_t, v_inv = _identity_rows(m), _identity_rows(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+    # the transforms start as identities sharing its rows, which no operation
+    # writes into; u_inv_t[k] is column k of U^-1 and v_t[k] column k of V, so
+    # their column operations are row operations
+    eye_m, eye_n = _identity_rows(m), _identity_rows(n)
+    u, u_inv_t, v_t, v_inv = list(eye_m), list(eye_m), list(eye_n), list(eye_n)
 
     def add_row(src, dst, q):
         # row dst += q * row src; inverse: column src of U^-1 -= q * column dst
@@ -151,18 +149,12 @@ def smith_normal_form(A: IntMatrix):
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
         u_inv_t[src] = [x - q * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
-    def add_col(src, dst, q):
-        # column dst += q * column src; inverse: row src of V^-1 -= q * row dst
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        v_inv[src] = [x - q * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_t[i] = [-x for x in u_inv_t[i]]
+    def add_col(t, dst, q):
+        # column dst += q * column t; inverse: row t of V^-1 -= q * row dst
+        for row in d[t:]:
+            row[dst] += q * row[t]
+        v_t[dst] = [x + q * y for x, y in zip(v_t[dst], v_t[t])]
+        v_inv[t] = [x - q * y for x, y in zip(v_inv[t], v_inv[dst])]
 
     def find_pivot(t):
         # a unit is the least possible, so the first one found wins
@@ -183,45 +175,61 @@ def smith_normal_form(A: IntMatrix):
         if pivot is None:
             break
         while True:
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            i, j = pivot
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
+            u_inv_t[t], u_inv_t[i] = u_inv_t[i], u_inv_t[t]
+            if j != t:
+                for row in d[t:]:
+                    row[t], row[j] = row[j], row[t]
+                v_t[t], v_t[j] = v_t[j], v_t[t]
+                v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
             if d[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(m):
-                if i != t and d[i][t] != 0:
-                    add_row(t, i, -(d[i][t] // d[t][t]))
-                    dirty = dirty or d[i][t] != 0
-            for j in range(n):
-                if j != t and d[t][j] != 0:
-                    add_col(t, j, -(d[t][j] // d[t][t]))
-                    dirty = dirty or d[t][j] != 0
-            if not dirty and all(d[i][t] == 0 for i in range(m) if i != t) and all(
-                d[t][j] == 0 for j in range(n) if j != t
-            ):
+                d[t], u[t], u_inv_t[t] = [[-x for x in r] for r in (d[t], u[t], u_inv_t[t])]
+            # a row operation changes only its own row, and a column operation
+            # only its own column, so the positions to clear are known up front
+            p, dirty = d[t][t], False
+            for i in [i for i in range(t + 1, m) if d[i][t]]:
+                add_row(t, i, -(d[i][t] // p))
+                dirty = dirty or d[i][t] != 0
+            row = d[t]
+            for j in [j for j in range(t + 1, n) if row[j]]:
+                add_col(t, j, -(row[j] // p))
+                dirty = dirty or row[j] != 0
+            if not dirty:
                 break
             pivot = find_pivot(t)
         # enforce the divisibility chain: fold in any entry the pivot misses
-        offender = None
-        if d[t][t] != 1:  # a unit pivot divides every entry
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+        # (a unit pivot divides every entry)
+        if p != 1:
+            offender = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+            if offender is not None:
+                add_row(offender, t, 1)
+                continue
         t += 1
 
-    if _mul_rows(_mul_rows(u, A.rows, n), v, n) != d:
-        raise AssertionError("normal form factorization failed")
-    u_inv = [list(col) for col in zip(*u_inv_t)]
-    if _mul_rows(u, u_inv, m) != _identity_rows(m) or _mul_rows(v, v_inv, n) != _identity_rows(n):
-        raise AssertionError("transformation matrices are not unimodular")
+    v = [list(col) for col in zip(*v_t)]
+    _certify(A.rows, u, [list(col) for col in zip(*u_inv_t)], d, v, v_inv, eye_m, eye_n)
     return IntMatrix._trusted(u, m, m), IntMatrix._trusted(d, m, n), IntMatrix._trusted(v, n, n)
+
+
+def _certify(a, u, u_inv, d, v, v_inv, eye_m, eye_n):
+    """Raise AssertionError unless D is diagonal with d1 | d2 | ..., U*A = D*V^-1,
+    U*U^-1 = eye_m and V*V^-1 = eye_n."""
+    m, n = len(d), len(v)
+    diag = [d[i][i] for i in range(min(m, n))]
+    if (
+        any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(d))
+        or any(x < 0 for x in diag)
+        or any(y % x if x else y for x, y in zip(diag, diag[1:]))
+    ):
+        raise AssertionError("D is not diagonal with d1 | d2 | ...")
+    # D*V^-1 is the rows of V^-1 scaled by the diagonal, and zero below it
+    d_v_inv = [[x * y for y in row] for x, row in zip(diag, v_inv)] + [[0] * n] * (m - len(diag))
+    if _mul_rows(u, a, n) != d_v_inv:
+        raise AssertionError("normal form factorization failed")
+    if _mul_rows(u, u_inv, m) != eye_m or _mul_rows(v, v_inv, n) != eye_n:
+        raise AssertionError("transformation matrices are not unimodular")
 
 
 def diagonal_factors(D: IntMatrix) -> tuple[int, ...]:
@@ -248,12 +256,7 @@ class SequenceChecks:
         return self.injective_f and self.exact_middle and self.surjective_g and self.splits
 
     def to_json(self):
-        return {
-            "injective_f": self.injective_f,
-            "exact_middle": self.exact_middle,
-            "surjective_g": self.surjective_g,
-            "splits": self.splits,
-        }
+        return {k: getattr(self, k) for k in ("injective_f", "exact_middle", "surjective_g", "splits")}
 
 
 def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
@@ -330,13 +333,4 @@ def build_localization_model(n: int, s_max: int, signs) -> LocalizationModel:
     checks = sequence_checks(boundary, projection)
     if not checks.all_true():
         raise AssertionError("the localization model must form a split short exact sequence")
-    return LocalizationModel(
-        n=n,
-        s_max=s_max,
-        signs=signs,
-        characters=characters,
-        boundary=boundary,
-        projection=projection,
-        checks=checks,
-        middle_rank=len(characters),
-    )
+    return LocalizationModel(n, s_max, signs, characters, boundary, projection, checks, len(characters))

@@ -108,6 +108,18 @@ def test_quat_is_split_imports_no_other_command():
     assert not loaded & (never | {"dataclasses"})
 
 
+def test_zmod_loc_model_loads_only_zmodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).resolve().parents[1]))
+    argv = ["zmod", "loc-model", "--n", "3", "--smax", "8", "--signs", "+-++-"]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIST_MODULES, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["splits"] is True, proc.stderr
+    loaded = {name for name in proc.stderr.split() if name.startswith("compalg")}
+    # the CLI itself runs as __main__
+    assert loaded == {"compalg", "compalg.errors", "compalg.zmodule"}
+
+
 def test_clifford_product_does_not_load_weyl():
     env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).resolve().parents[1]))
     argv = ["clifford", "product", "--sig", "2,0", "--x", "e1", "--y", "e2"]

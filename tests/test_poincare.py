@@ -17,6 +17,7 @@ from compalg.poincare import (
     so_u1su_poincare,
     sp_u1su_poincare,
 )
+from compalg.rng import SplitMix64
 
 
 def test_poly_arithmetic():
@@ -164,3 +165,63 @@ def test_outputs_nonnegative_with_unit_constant_term():
     for poly in polys:
         assert poly.coeffs[0] == 1
         assert all(c >= 0 for c in poly.coeffs)
+
+
+def _dense_mul(a, b):
+    """Oracle: the product of two coefficient lists, every pair of positions visited."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _dense_div(a, b):
+    """Oracle: long division on the dense coefficient lists; (quotient, None)
+    when exact, else (None, the remainder at the step that found it inexact)."""
+    rem = list(a)
+    q = [0] * max(len(rem) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = rem[k + len(b) - 1]
+        if top % b[-1] != 0:
+            return None, rem
+        q[k] = top // b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= q[k] * y
+    return (q, None) if not any(rem) else (None, rem)
+
+
+def _sparse_poly(rng, max_degree, lead_choices=(-3, -2, -1, 1, 2, 3)):
+    degree = rng.randint(0, max_degree)
+    coeffs = [rng.randint(-5, 5) if rng.randint(0, 2) == 0 else 0 for _ in range(degree)]
+    return coeffs + [rng.choice(lead_choices)]
+
+
+def test_sparse_products_and_divisions_match_the_dense_oracle():
+    rng = SplitMix64(1717)
+    inexact = 0
+    for _ in range(400):
+        a, b = _sparse_poly(rng, 14), _sparse_poly(rng, 8)
+        assert (UniPoly(a) * UniPoly(b)).coeffs == UniPoly(_dense_mul(a, b)).coeffs
+        product_ab = _dense_mul(a, b)
+        assert UniPoly(product_ab).exact_div(UniPoly(b)) == UniPoly(a)
+        # a perturbed dividend: exact or not, the quotient or the remainder agrees
+        c = list(product_ab)
+        c[rng.randint(0, len(c) - 1)] += rng.randint(-2, 2)
+        quotient, remainder = _dense_div(c, b)
+        if remainder is None:
+            assert UniPoly(c).exact_div(UniPoly(b)) == UniPoly(quotient)
+        else:
+            inexact += 1
+            with pytest.raises(InexactDivisionError) as err:
+                UniPoly(c).exact_div(UniPoly(b))
+            assert err.value.remainder == UniPoly(remainder)
+    assert inexact >= 100
+    assert UniPoly((0, 3)) * UniPoly.zero() == UniPoly.zero() == UniPoly.zero() * UniPoly((0, 3))
+
+
+def test_one_minus_is_one_minus_the_monomial():
+    for power in range(0, 13):
+        assert one_minus(power) == UniPoly.one() - UniPoly.monomial(power)

@@ -261,13 +261,12 @@ def test_snf_triple_and_products_equal_checked_matrices():
 
 
 @pytest.mark.parametrize("target,message", [
-    ((2, 2, 3), "factorization failed"),  # U*A
-    ((2, 3, 3), "factorization failed"),  # (U*A)*V
+    ((2, 2, 3), "factorization failed"),  # U*A, checked against D*V^-1
     ((2, 2, 2), "not unimodular"),  # U*U^-1
     ((3, 3, 3), "not unimodular"),  # V*V^-1
 ])
 def test_snf_certificate_checks_each_product(monkeypatch, target, message):
-    # with A 2 x 3 the four certificate products have distinct shapes
+    # with A 2 x 3 the three certificate products have distinct shapes
     # (rows of a, rows of b, width); a wrong entry in any one is caught
     original = zmodule._mul_rows
 
@@ -280,3 +279,170 @@ def test_snf_certificate_checks_each_product(monkeypatch, target, message):
     monkeypatch.setattr(zmodule, "_mul_rows", corrupt)
     with pytest.raises(AssertionError, match=message):
         smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
+
+
+@pytest.mark.parametrize("d", [
+    [[1, 1], [0, 1]],  # not diagonal
+    [[1, 0], [0, 1], [1, 0]],  # nonzero below the diagonal
+    [[2, 0], [0, 3]],  # 2 does not divide 3
+    [[0, 0], [0, 1]],  # a zero before a nonzero factor
+    [[1, 0], [0, -1]],  # a negative factor
+])
+def test_snf_certificate_rejects_a_factorization_that_is_not_a_smith_form(d):
+    # U = V = I and A = D: every product of the certificate holds, so only
+    # the diagonal and divisibility check can refuse
+    I_m, I_n = zmodule._identity_rows(len(d)), zmodule._identity_rows(len(d[0]))
+    with pytest.raises(AssertionError, match=r"not diagonal with d1 \| d2"):
+        zmodule._certify(d, I_m, I_m, d, I_n, I_n, I_m, I_n)
+    I_2 = zmodule._identity_rows(2)
+    zmodule._certify([[1, 0], [0, 6]], I_2, I_2, [[1, 0], [0, 6]], I_2, I_2, I_2, I_2)
+
+
+def _parent_smith_normal_form(A):
+    """Test oracle: the elimination as it ran before the active-block version,
+    every column operation applied to all rows of D and V stored by rows, and
+    the clearing loops over every position; its certificate is left out."""
+    m, n = A.m, A.n
+    d = [list(row) for row in A.rows]
+    u, v = _identity(m), _identity(n)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t):
+        best, least = None, 0
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        while True:
+            swap_rows(t, pivot[0])
+            swap_cols(t, pivot[1])
+            if d[t][t] < 0:
+                negate_row(t)
+            dirty = False
+            for i in range(m):
+                if i != t and d[i][t] != 0:
+                    add_row(t, i, -(d[i][t] // d[t][t]))
+                    dirty = dirty or d[i][t] != 0
+            for j in range(n):
+                if j != t and d[t][j] != 0:
+                    add_col(t, j, -(d[t][j] // d[t][t]))
+                    dirty = dirty or d[t][j] != 0
+            if not dirty and all(d[i][t] == 0 for i in range(m) if i != t) and all(
+                d[t][j] == 0 for j in range(n) if j != t
+            ):
+                break
+            pivot = find_pivot(t)
+        offender = None
+        if d[t][t] != 1:
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        t += 1
+    return u, d, v
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _oracle_cases():
+    """2,100 seeded matrices from 1 x 1 to 7 x 7 in four families, then the
+    hand-picked cases."""
+    rng = SplitMix64(2020)
+    for k in range(2100):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if k % 4 == 0:  # small entries: many units, ties and negative pivots
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        elif k % 4 == 1:  # a signed diagonal, which the divisibility fold must repair
+            rows = [[rng.randint(-12, 12) if i == j else 0 for j in range(n)] for i in range(m)]
+        elif k % 4 == 2:  # rows and columns scaled apart: non-unit pivots
+            a = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(m)]
+            b = [rng.choice((1, 2, 3, 5)) for _ in range(n)]
+            rows = [[a[i] * b[j] * rng.randint(-4, 4) for j in range(n)] for i in range(m)]
+        else:  # wide entries with one row and one column zeroed
+            rows = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(m)]
+            zero_row, zero_col = rng.randint(0, m - 1), rng.randint(0, n - 1)
+            rows[zero_row] = [0] * n
+            for row in rows:
+                row[zero_col] = 0
+        yield IntMatrix(rows)
+    for rows in (
+        [[2, 0], [0, 3]],
+        [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+        [[-2, 4], [6, -3]],
+        [[0, 0, 0], [0, -5, 0]],
+        [[0]],
+        [[-7]],
+        [[2, 4, 4], [-6, 6, 12]],
+    ):
+        yield IntMatrix(rows)
+
+
+def _localization_maps():
+    for n in range(1, 7):
+        count = 2 * n - 1
+        for s_max in (count, count + 2):
+            for signs in ((1,) * count, tuple((-1) ** i for i in range(count))):
+                model = build_localization_model(n, s_max, signs)
+                yield model.boundary
+                yield model.projection
+    model = build_localization_model(10, 60, tuple((-1) ** (i // 2) for i in range(19)))
+    yield model.boundary
+    yield model.projection
+
+
+def test_snf_returns_the_parent_triple_on_every_oracle_input():
+    cases = list(_oracle_cases()) + list(_localization_maps())
+    assert len(cases) >= 2000
+    folded = 0
+    for A in cases:
+        U, D, V = smith_normal_form(A)
+        u, d, v = _parent_smith_normal_form(A)
+        assert (U.rows, D.rows, V.rows) == tuple(tuple(map(tuple, x)) for x in (u, d, v)), A
+        diag = [d[i][i] for i in range(min(A.m, A.n))]
+        folded += sorted(map(abs, diag)) != sorted(
+            abs(A.rows[i][i]) for i in range(min(A.m, A.n))
+        ) and all(x == 0 for i, row in enumerate(A.rows) for j, x in enumerate(row) if i != j)
+    # the diagonal family reaches the divisibility fold many times
+    assert folded >= 100
