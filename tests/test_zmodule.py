@@ -260,10 +260,12 @@ def test_snf_triple_and_products_equal_checked_matrices():
     assert not IntMatrix([[0, 1]]).is_zero() and IntMatrix([[0], [0]]).is_zero()
 
 
+# the ids keep each product's case name from when the certificate also
+# formed (U*A)*V, which was target1
 @pytest.mark.parametrize("target,message", [
-    ((2, 2, 3), "factorization failed"),  # U*A, checked against D*V^-1
-    ((2, 2, 2), "not unimodular"),  # U*U^-1
-    ((3, 3, 3), "not unimodular"),  # V*V^-1
+    pytest.param((2, 2, 3), "factorization failed", id="target0-factorization failed"),  # U*A, checked against D*V^-1
+    pytest.param((2, 2, 2), "not unimodular", id="target2-not unimodular"),  # U*U^-1
+    pytest.param((3, 3, 3), "not unimodular", id="target3-not unimodular"),  # V*V^-1
 ])
 def test_snf_certificate_checks_each_product(monkeypatch, target, message):
     # with A 2 x 3 the three certificate products have distinct shapes
