@@ -1,38 +1,25 @@
 """Dense exact matrices over field specs and over composition algebras.
 
-One core, `RingMatrix`, holds an immutable m x n grid over one ring and
-defines shape checks, equality, hashing, sums, products, `submatrix`,
-`zero` and `identity` once.  `FieldMatrix` (over a field spec) adds entry
-coercion, `scale` and `det`; `CompMatrix` (over a composition algebra) adds
-the per-entry algebra check, `scale_right` and `take_rows`.  The
-composition-algebra matrices are right modules: scalar coefficients
-multiply every entry on the right.  The raw cores take a matrix as its
-coordinate tuples (`_raw`): `_combine_raw` sums right multiples (behind
-`combine`, the span trials of `rank` and the substitution check of
-`skew_solve`) and `_regular_rows` builds L (behind `left_regular_rep`).
-Verdicts on a square matrix Z over an algebra with base field k come from
-one base-field picture, the matrix L(Z) of X -> Z*X (`left_regular_rep`):
-det L(Z) is the square of the reduced norm, i.e. the Study determinant
-d * conj(d) (`study_det`), and Z is invertible exactly when it is nonzero
-(`is_invertible`), for every algebra.
-The doubling representation Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]]
-over L = k[sqrt(a)] (`symplectic_rep`, d its determinant; the lower-left
-sign is pinned by the homomorphism tests), the flattening
-Mat(n, Mat(2,k)) ~ Mat(2n,k) (`flatten_split`) and the diagonal projection
-(`split_pair`) are outputs only.
+`RingMatrix` holds an immutable m x n grid over one ring and defines shape
+checks, equality, hashing, sums, products, `submatrix`, `zero` and
+`identity` once.  `FieldMatrix` (over a field spec) adds coercion, `scale`
+and `det`; `CompMatrix` (over a composition algebra, a right module) adds
+the algebra check, `scale_right` and `take_rows`.
 
-One raw-value kernel, `field_echelon`, eliminates over QQ and GF(p): it
-returns the pivot columns, the first kernel vector and, for square input,
-the determinant.  Its callers are `study_det`, `field_rank` (which
-`rank.comp_rank` applies to L(Z)), `FieldMatrix.det`, `_skew_kernel` (the
-base-field kernel of L(A) over a division algebra, behind
-`skew_column_rank`, `skew_solve` and the division case of a span trial),
-the split case of a span trial (`rank._combination`, behind
-`low_rank_combination`), `ratlin.det`, `ratlin.solve_square` (the kernel
-vector of [A | b]) and `IntMatrix.det`.
-`FieldMatrix.det` over a split quadratic extension goes through the
-componentwise decomposition L ~ k (+) k; over a quadratic field it is
-division elimination on the scalars, which no library verdict reaches.
+Verdicts on Z over an algebra with base field k come from its 2m x 2n
+half-size matrix H (`_half`): the flattening over Mat2, and over (a,b) the
+doubling matrix Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]], over k
+with sqrt(a) = s when a = s^2 in k, else over the field k(sqrt(a)).  With
+L(Z) the 4m x 4n base-field matrix of X -> Z*X (`left_regular_rep`),
+rank_k L(Z) = 2 rank H and det L(Z) = d^2, d = det H in k: `study_det` is
+d^2, `is_invertible` is d != 0, and rank H gives `rank.comp_rank` and
+`skew_column_rank`, with no split decision.  L(Z) is eliminated only for
+the kernel vector of `skew_solve`.
+
+Two raw kernels eliminate: `field_echelon` over QQ and GF(p), behind H over
+k, `FieldMatrix.det`, `skew_solve`, the span trials of `rank`, `ratlin` and
+`IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H over
+k(sqrt(a)) and `FieldMatrix.det` over a quadratic field.
 """
 
 import operator
@@ -61,7 +48,6 @@ from .quaternion import (
     Mat2Algebra,
     Mat2Element,
     QuatAlgebra,
-    QuaternionElement,
     _table_mul,
     mat2_to_quat,
     quat_to_mat2,
@@ -71,9 +57,8 @@ from .quaternion import (
 class RingMatrix:
     """Immutable m x n matrix over `ring`, whose `zero()` and `one()` it uses.
 
-    A subclass supplies `_entries`, which coerces or checks the entries
-    before the shape is checked, and `_mismatch`, the error type and message
-    for an operand of another class or over another ring.
+    A subclass supplies `_entries`, which coerces or checks the entries, and
+    `_mismatch`, the error for an operand of another class or ring.
     """
 
     __slots__ = ("ring", "m", "n", "rows")
@@ -175,13 +160,8 @@ class FieldMatrix(RingMatrix):
         return FieldMatrix(self.ring, [[e * c for e in row] for row in self.rows])
 
     def det(self) -> Scalar:
-        """Exact determinant.
-
-        Over QQ and GF(p) it is the one raw kernel, `field_echelon`.  Over a
-        split quadratic extension the computation runs componentwise through
-        k (+) k so that zero-divisor pivots never arise; over a quadratic
-        field it is division elimination on the scalars.
-        """
+        """Exact determinant by `field_echelon`, `pair_echelon` over a quadratic
+        field, or componentwise through k (+) k over a split extension."""
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
         spec = self.ring
@@ -191,45 +171,22 @@ class FieldMatrix(RingMatrix):
             parts = [[split_components(e) for e in row] for row in self.rows]
             d1, d2 = (FieldMatrix(spec.base, [[e[k] for e in row] for row in parts]).det() for k in (0, 1))
             return from_split_components(spec, d1, d2)
-        work = [list(row) for row in self.rows]
-        n = self.n
-        det = spec.one()
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot_row is None:
-                return spec.zero()
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det = det * pivot
-            inv = pivot.inverse()
-            for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if factor.is_zero():
-                    continue
-                work[r] = [work[r][j] - factor * work[col][j] for j in range(n)]
-        return det
+        return Scalar(spec, pair_echelon([[e.raw for e in row] for row in self.rows], spec.base, spec.a)[1])
 
 
 def field_echelon(rows, spec: FieldSpec):
     """(pivot columns, first kernel vector, determinant) of raw QQ or GF(p) rows.
 
-    Forward elimination; a column's pivot is its first nonzero entry at or
-    below the current row.  Over GF(p) a lower row r becomes
-    r - (r[col] / pivot) * (pivot row), mod p.  Over QQ the rows are cleared
-    of denominators (the determinant is divided by their product at the end;
-    a row of `int`s is copied as it is and adds nothing to that product)
-    and the step pivot * r - r[col] * (pivot row) is divided exactly by the
-    previous pivot (Bareiss), so the integers stay minors of the cleared
-    matrix; the last pivot of a square matrix of full rank is its
-    determinant up to the sign of the row swaps.  Entries left of the
-    current column are not updated, since nothing reads them again.
+    A column's pivot is its first nonzero entry at or below the current row.
+    Over GF(p) a lower row r becomes r - (r[col] / pivot) * top, mod p.  Over
+    QQ the rows are cleared of denominators (a row of `int`s is copied as it
+    is) and pivot * r - r[col] * top is divided exactly by the previous pivot
+    (Bareiss), so entries stay minors and the last pivot is the determinant
+    up to sign.  Entries left of the current column are never read again.
 
-    The kernel vector is 1 at the first non-pivot column c and 0 after it,
-    None when every column is a pivot.  Columns 0..c-1 are pivots, so back
-    substitution gives the rest; over QQ it runs on y = d*x, d the leading
-    c x c minor, whose entries are integers by Cramer's rule.  The
+    The kernel vector is 1 at the first non-pivot column c, 0 after it and
+    None when every column is a pivot; back substitution over QQ runs on
+    y = d*x, d the leading c x c minor, integral by Cramer's rule.  The
     determinant is given for square input, else None.
     """
     if isinstance(spec, PrimeField):
@@ -295,6 +252,65 @@ def field_echelon(rows, spec: FieldSpec):
     return pivots, kernel, det
 
 
+def pair_echelon(rows, k: FieldSpec, a):
+    """(pivot columns, determinant or None) of raw pairs (x, y) = x + y*sqrt(a)
+    over the field k(sqrt(a)), pivoting as `field_echelon`.  Bareiss: a lower
+    row r becomes (pivot * r - r[col] * top) / q, q the previous pivot, and
+    x / q = x * conj(q) / N(q).  Over QQ, with a = A/D and g = D*sqrt(a), the
+    rows are cleared of denominators in g, so entries stay in Z[g] and N(q)
+    divides exactly; the division is skipped only when q = 1.
+    """
+    p = k.characteristic
+    if p:
+        N, D, scale = a % p, 1, 1
+        work = [([x % p for x, _ in row], [y % p for _, y in row]) for row in rows]
+    else:
+        a = Fraction(a)
+        D, N, scale, work = a.denominator, a.numerator * a.denominator, 1, []
+        for row in rows:
+            xs, ys = [x for x, _ in row], [y if D == 1 else Fraction(y, D) for _, y in row]
+            den = lcm(*(v.denominator for v in xs + ys))
+            if den != 1 or not all(type(v) is int for v in xs + ys):
+                xs, ys = ([v.numerator * (den // v.denominator) for v in vs] for vs in (xs, ys))
+                scale *= den
+            work.append((xs, ys))
+    nrows, ncols = len(work), len(work[0][0]) if work else 0
+    pivots, sign, prev = [], 1, (1, 0)
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, nrows) if work[r][0][col] or work[r][1][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            sign = -sign
+        tx, ty = work[rank]
+        px, py, tx, ty, npy = tx[col], ty[col], tx[col + 1 :], ty[col + 1 :], N * ty[col]
+        qx, qy = prev
+        nq = qx * qx - N * qy * qy
+        if p:  # conj(q) / N(q)
+            qx, qy = qx * pow(nq, -1, p) % p, qy * pow(nq, -1, p) % p
+        nqy = N * qy
+        for xs, ys in work[rank + 1 :]:
+            fx, fy, X, Y = xs[col], ys[col], xs[col + 1 :], ys[col + 1 :]
+            nfy = N * fy
+            ux = [u * px + v * npy - fx * s - nfy * t for u, v, s, t in zip(X, Y, tx, ty)]
+            uy = [u * py + v * px - fx * t - fy * s for u, v, s, t in zip(X, Y, tx, ty)]
+            if p:
+                ux, uy = [(u * qx - v * nqy) % p for u, v in zip(ux, uy)], [(v * qx - u * qy) % p for u, v in zip(ux, uy)]
+            elif qy:
+                ux, uy = [(u * qx - v * nqy) // nq for u, v in zip(ux, uy)], [(v * qx - u * qy) // nq for u, v in zip(ux, uy)]
+            elif qx != 1:
+                ux, uy = [u // qx for u in ux], [v // qx for v in uy]
+            xs[col + 1 :], ys[col + 1 :] = ux, uy
+        prev = (px, py)
+        pivots.append(col)
+    if nrows != ncols:
+        return pivots, None
+    x, y = (sign * prev[0], sign * prev[1] * D) if len(pivots) == ncols else (0, 0)
+    return pivots, (x % p, y % p) if p else (Fraction(x, scale), Fraction(y, scale))
+
+
 def field_rank(rows, spec: FieldSpec) -> int:
     """Rank of a matrix of raw QQ or GF(p) values: the pivots of `field_echelon`."""
     return len(field_echelon(rows, spec)[0])
@@ -356,9 +372,8 @@ def _vanishes(acc, p) -> bool:
 
 def _combine_raw(algebra, family, ys, count):
     """First `count` rows of sum family[i] . ys[i] for raw matrices and
-    coefficients, unreduced.  A coefficient c * one is central and scales
-    each coordinate by c; any other adds the table product x * y of each
-    entry x (`_table_mul`, integral structure constants as `int`s)."""
+    coefficients, unreduced: a coefficient c * one scales each coordinate by
+    c, any other adds the table product x * y of each entry x (`_table_mul`)."""
     terms = [[(k, c.numerator if c.denominator == 1 else c) for k, c in row] for row in algebra._terms]
     acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in range(count)]
     for Z, y in zip(family, ys):
@@ -388,49 +403,63 @@ def combine(matrices, coeffs) -> CompMatrix:
     return CompMatrix(algebra, [[_element(algebra, a, d) for a in row] for row in acc])
 
 
-def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
-    """The doubling representation, a 2n x 2n matrix over L = k[sqrt(a)].
+def _doubling_rows(algebra, rows, s=None):
+    """Raw doubling matrix over (a,b): entry (i, j), z = x + v*y (`cd_coords`),
+    becomes [[x, -conj(y)], [-b*y, conj(x)]] at rows 2i, 2i+1 and columns 2j,
+    2j+1, as pairs (x, y) = x + y*sqrt(a), or as x + y*s given s^2 = a in k."""
+    b = algebra.b.raw
+    b = b.numerator if b.denominator == 1 else b
+    if s is None:
+        blocks = [[((x0, x1), (-x2, -x3), (-b * x2, b * x3), (x0, -x1)) for x0, x1, x2, x3 in row] for row in rows]
+    else:
+        blocks = [[(x0 + x1 * s, -x2 - x3 * s, b * (x3 * s - x2), x0 - x1 * s) for x0, x1, x2, x3 in row] for row in rows]
+    return [[blk[2 * r + c] for blk in row for c in (0, 1)] for row in blocks for r in (0, 1)]
 
-    Requires the coefficient (a,b) form; a matrix over the literal 2x2
-    realization converts through `mat2_matrix_to_quat` first.
-    """
+
+def _half(algebra, rows):
+    """(H, a): the half-size matrix of a raw matrix (`_raw`), and the a of its
+    pairs over k(sqrt(a)), or None when its values lie in k."""
+    if isinstance(algebra, Mat2Algebra):
+        return [[e[2 * r + c] for e in row for c in (0, 1)] for row in rows for r in (0, 1)], None
+    s = algebra.quad_subfield()._sqrt_a
+    if s is None:
+        return _doubling_rows(algebra, rows), algebra.a.raw
+    return _doubling_rows(algebra, rows, s.numerator if s.denominator == 1 else s), None
+
+
+def _half_echelon(algebra, rows):
+    """Pivots of the half-size matrix H (`_half`) and, if square, d = det H in k:
+    H is Z under Mat(n, C) (x) L ~ Mat(2n, L), L = k(sqrt(a)) splitting C, and
+    d is the reduced norm, so its sqrt(a) part is checked to be 0."""
+    H, a = _half(algebra, rows)
+    if a is None:
+        pivots, _, d = field_echelon(H, algebra.field)
+        return pivots, d
+    pivots, d = pair_echelon(H, algebra.field, a)
+    if d is not None and d[1]:
+        raise AssertionError(f"determinant {d} of the doubling matrix has a nonzero sqrt(a) part")
+    return pivots, None if d is None else d[0]
+
+
+def symplectic_rep(Z: CompMatrix) -> FieldMatrix:
+    """The doubling matrix (`_doubling_rows`) over L = k[sqrt(a)] in the block
+    layout [[X, -conj(Y)], [-b*Y, conj(X)]]; over Mat2 that of (1,-1)."""
     if not Z.is_square():
         raise ShapeError("the representation is defined for square matrices")
     if Z.ring.field.characteristic == 2:
         raise ValueError("the doubling representation needs characteristic != 2")
     if isinstance(Z.ring, Mat2Algebra):
         Z = mat2_matrix_to_quat(Z)
-    alg: QuatAlgebra = Z.ring
-    L = alg.quad_subfield()
-    b = L.embed(alg.b.raw)
-    n = Z.n
-    size = 2 * n
-    zero = L.zero()
-    out = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            x, y = Z.rows[i][j].cd_coords()
-            out[i][j] = x
-            out[i][n + j] = -(y.conjugate())
-            out[n + i][j] = -(b * y)
-            out[n + i][n + j] = x.conjugate()
-    return FieldMatrix(L, out)
+    H, n = _doubling_rows(Z.ring, _raw(Z)), Z.n
+    return FieldMatrix(Z.ring.quad_subfield(), [[H[2 * i + r][2 * j + c] for c in (0, 1) for j in range(n)] for r in (0, 1) for i in range(n)])
 
 
 def study_det(Z: CompMatrix) -> Scalar:
-    """Study determinant d * conj(d) of a square matrix: det L(Z), a base-field value."""
+    """Study determinant det L(Z) = d * conj(d) = d^2, d from `_half_echelon`."""
     if not Z.is_square():
         raise ShapeError("the Study determinant is defined for square matrices")
-    k = Z.ring.field
-    return Scalar(k, field_echelon(left_regular_rep(Z), k)[2])
-
-
-def _mat2_entry(e) -> Mat2Element:
-    if isinstance(e, Mat2Element):
-        return e
-    if isinstance(e, QuaternionElement) and e.algebra.has_mat2_form():
-        return quat_to_mat2(e)
-    raise NotSplitFormError("entry has no registered 2x2 realization")
+    d = _half_echelon(Z.ring, _raw(Z))[1]
+    return Scalar(Z.ring.field, Z.ring.field._mul(d, d))
 
 
 def flatten_split(Z: CompMatrix) -> FieldMatrix:
@@ -438,21 +467,16 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
     alg = Z.ring
     if not (isinstance(alg, Mat2Algebra) or isinstance(alg, QuatAlgebra) and alg.has_mat2_form()):
         raise NotSplitFormError(f"{alg!r} has no registered 2x2 realization")
-    blocks = [[_mat2_entry(e).coeffs for e in row] for row in Z.rows]  # (m00, m01, m10, m11)
-    return FieldMatrix(alg.field, [[b[2 * r + s] for b in row for s in (0, 1)] for row in blocks for r in (0, 1)])
+    return FieldMatrix(alg.field, _half(alg, _raw(Z))[0])
 
 
 def left_regular_rep(Z: CompMatrix) -> list[list]:
     """Raw 4m x 4n base-field matrix of X -> Z*X on column vectors X in C^n.
 
-    Column 4j + k holds the coordinates of the column Z[:, j] * e_k, with
-    e_0..e_3 the algebra's coordinate basis; row 4i + c is coordinate c of
-    entry i.  Each basis product e_l * e_k is one term c * e_t of the
-    algebra's table, and for a fixed k the nonzero ones land on distinct t,
-    so Z[i, j] = sum z_l e_l puts z_l * c at (4i + t, 4j + k), c = +-1 as a
-    sign.  Over QQ an integral value, zero included, is an `int`, so integer
-    input gives the all-`int` rows that `field_echelon` takes as they are.
-    The raw-row core `_regular_rows` takes the raw matrix `_raw(Z)`.
+    Column 4j + k holds the coordinates of Z[:, j] * e_k and row 4i + c the
+    coordinate c of entry i, so the table term e_l * e_k = c * e_t puts
+    z_l * c at (4i + t, 4j + k).  Integral QQ values are `int`s.  The core
+    `_regular_rows` takes the raw matrix `_raw(Z)`.
     """
     return _regular_rows(Z.ring, _raw(Z))
 
@@ -495,14 +519,12 @@ def mat2_matrix_to_quat(Z: CompMatrix, target: QuatAlgebra | None = None) -> Com
 
 
 def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
-    """Project a matrix over the diagonal subalgebra onto its two components.
-
-    Every entry must be a diagonal 2x2 block; the first component collects the
-    upper-left entries, the second the lower-right ones.  The projection is a
-    homomorphism onto pairs of base-field matrices.
-    """
+    """Project a matrix of diagonal 2x2 blocks onto its upper-left and
+    lower-right components, a homomorphism onto pairs of base-field matrices."""
     spec = Z.ring.field
-    blocks = [[_mat2_entry(e) for e in row] for row in Z.rows]
+    if not isinstance(Z.ring, (Mat2Algebra, QuatAlgebra)) or not Z.ring.has_mat2_form():
+        raise NotSplitFormError("entry has no registered 2x2 realization")
+    blocks = [[e if isinstance(e, Mat2Element) else quat_to_mat2(e) for e in row] for row in Z.rows]
     zero = spec._coerce(0)
     for row in blocks:
         for e in row:
@@ -519,39 +541,39 @@ def is_invertible(Z: CompMatrix) -> bool:
 
 
 def _skew_kernel(algebra, rows):
-    """Right column rank over a division algebra D, and the first right kernel
-    vector, of the raw matrix (`_raw`) of A.
-
-    A right combination sum_j A[:, j] * a_j = 0 is the base-field system
-    L(A) x = 0 (`_regular_rows`) in the 4n coordinates x of a.  Over D the
-    k-span of earlier columns is a right D-subspace, so the column block of
-    a D-column holds four pivots of L(A) or none, and the first free k-column
-    is the first coordinate of the first free D-column f.  The kernel vector
-    of `field_echelon` thus sets a_f = 1 and every later a_j = 0, and it is
-    the only right kernel vector that does.
+    """First right kernel vector of raw A over a division algebra D, or None:
+    sum_j A[:, j] * a_j = 0 is L(A) x = 0 (`_regular_rows`), and the column
+    block of a D-column holds four pivots of L(A) or none, so the kernel vector
+    sets a_f = 1 for the first free D-column f and every later a_j = 0.
     """
     if algebra.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
     pivots, kernel, _ = field_echelon(_regular_rows(algebra, rows), algebra.field)
     if pivots != [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]:
         raise AssertionError("pivots of L(A) over a division algebra are not whole blocks")
-    return len(pivots) // 4, kernel
+    return kernel
 
 
 def skew_column_rank(A: CompMatrix) -> int:
-    """Number of right-independent columns over a division quaternion algebra."""
-    return _skew_kernel(A.ring, _raw(A))[0]
+    """Number of right-independent columns over a division quaternion algebra.
+
+    The first j column pairs of H (`_half_echelon`) have twice the rank of the
+    first j D-columns, so each pair holds two pivots or none."""
+    if A.ring.is_split_decision() == SPLIT:
+        raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
+    pivots = _half_echelon(A.ring, _raw(A))[0]
+    if pivots != [2 * (col // 2) + k for col in pivots[::2] for k in (0, 1)]:
+        raise AssertionError("pivots of the half-size matrix over a division algebra are not whole pairs")
+    return len(pivots) // 2
 
 
 def _skew_solve_raw(algebra, rows):
     """`skew_solve` on a raw matrix: (numerators, denominator), or None.
 
     With the kernel vector cleared to integers and y_f its first nonzero
-    block, a_t = y_t * y_f^-1 = y_t * conj(y_f) / N(y_f): numerators over one
-    denominator, integers for integral a and b.  A division algebra is a
-    `QuatAlgebra`, whose conjugation negates u, v and w.
+    block, a_t = y_t * conj(y_f) / N(y_f) (conjugation negates u, v and w).
     """
-    _, kernel = _skew_kernel(algebra, rows)
+    kernel = _skew_kernel(algebra, rows)
     if kernel is None:
         return None
     den = lcm(*(v.denominator for v in kernel))
@@ -571,10 +593,9 @@ def _skew_solve_raw(algebra, rows):
 def skew_solve(A: CompMatrix):
     """Nonzero right-coefficient vector with (columns of A) . a = 0, or None.
 
-    Deterministic: the first free column receives coefficient one and the
-    later free columns zero, the result is normalized so its first nonzero
-    coefficient is one, and substituting the output back into the system is
-    checked before returning.
+    The first free column gets coefficient one and later free columns zero,
+    the first nonzero coefficient is then normalized to one, and the output
+    is substituted back into the system before it is returned.
     """
     sol = _skew_solve_raw(A.ring, _raw(A))
     return None if sol is None else tuple(_element(A.ring, y, sol[1]) for y in sol[0])

@@ -1,42 +1,31 @@
 """Rank over a composition algebra and the guaranteed low-rank combination.
 
 The rank of a matrix Z over the algebra C is the largest size of an
-invertible square submatrix.  `comp_rank` computes it from one exact
-elimination over the base field k, on the 4m x 4n left regular
-representation L(Z) of X -> Z*X (`matrices.left_regular_rep`):
+invertible square submatrix.  `comp_rank` reads it off one elimination of
+the 2m x 2n half-size matrix H of Z (`matrices._half_echelon`):
 
-- An invertible s x s submatrix makes 4s columns of L(Z) independent, so
-  top = rank_k(L(Z)) // 4 bounds the rank for every algebra.
-- Over a division algebra the image of L(Z) is a right subspace of D^m, of
-  dimension the column rank, and the column rank is the rank; so the answer
-  is top, and rank_k(L(Z)) is checked to be a multiple of 4.
-- A square Z with rank_k(L(Z)) = 4n has det L(Z) != 0, so it is invertible.
-- Otherwise, over a split algebra or one whose split decision is
-  infeasible, the minors are searched by `is_invertible` (a nonzero det L
-  of the minor, the same kernel for every algebra), in decreasing size from
-  min(m, n, top) and lexicographic subset order.
+- An invertible s x s submatrix makes 2s columns of H independent, so
+  top = rank H // 2 bounds the rank for every algebra.
+- Over a division algebra the rank is the right column rank: top, with
+  rank H checked to be even.  A square Z with rank H = 2n is invertible.
+- Otherwise (split, or an infeasible split decision) the minors are searched
+  by `is_invertible`, from size min(m, n, top) down, lexicographically.
 
 `low_rank_combination` makes the dependence argument constructive.  Given M
-mutually distinct m x n matrices and a target d, write r = m - d + 1 and
+mutually distinct m x n matrices and a target d, let r = m - d + 1 and
+threshold = r over a division algebra, 4 * r otherwise.  When
+M >= 1 + n * threshold, the truncations to the first r rows are dependent
+(as right vectors in C^(r*n), or as base-field coefficient vectors), and the
+returned coefficients zero out the first r rows of the combination, which
+then has rank at most d - 1.  The split case eliminates the raw coefficient
+rows with `matrices.field_echelon`, the division case L of the stacked
+entries (`skew_solve`'s core); both pick the first free column, so the
+witness is reproducible.
 
-    threshold = r           (nonsplit)
-    threshold = 4 * r       (split; 4 = dimension of the algebra over k)
-
-Whenever M >= 1 + n * threshold, the truncations to the first r rows are
-linearly dependent: over a division algebra as right vectors in C^(r*n),
-otherwise as base-field vectors of coefficient data.  The returned
-coefficients zero out the first r rows of the combination, which therefore
-has rank at most d - 1.  Both cases run on the one base-field kernel,
-`matrices.field_echelon`: the split case on the raw coefficient rows, the
-division case on L of the stacked entries (`skew_solve`'s core).
-Elimination is deterministic (lexicographic pivots, first free column), so
-the chosen witness is reproducible.
-
-`verify_span_bound` runs each trial on raw coordinate tuples: it samples,
-eliminates and forms both combinations through the raw cores that
-`sample_distinct_matrices`, `low_rank_combination` and `combine` wrap, and
-builds elements only for `comp_rank` of the combination and for the
-matrices of a counterexample.
+`verify_span_bound` runs each trial on raw coordinates: it forms the m-row
+combination once, checks its first r rows, and builds elements only for
+`comp_rank` of the combination's integer numerators and for the matrices of
+a counterexample.
 """
 
 import time
@@ -46,24 +35,24 @@ from math import comb, lcm
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
-from .matrices import CompMatrix, combine, field_echelon, field_rank, is_invertible, left_regular_rep
-from .matrices import _combine_raw, _element, _raw, _skew_solve_raw, _vanishes
+from .matrices import CompMatrix, combine, field_echelon, is_invertible
+from .matrices import _combine_raw, _element, _half_echelon, _raw, _skew_solve_raw, _vanishes
 from .rng import SplitMix64
 
 
 def comp_rank(Z: CompMatrix) -> int:
     """Maximum size of an invertible square submatrix (0 if every entry is a non-unit)."""
-    flat_rank = field_rank(left_regular_rep(Z), Z.ring.field)
-    if flat_rank == 4 * Z.m == 4 * Z.n:
+    half = len(_half_echelon(Z.ring, _raw(Z))[0])
+    if half == 2 * Z.m == 2 * Z.n:
         return Z.n  # det L(Z) != 0, so Z itself is invertible
-    top = flat_rank // 4
+    top = half // 2
     try:
         division = Z.ring.is_split_decision() == NONSPLIT
     except InfeasibleError:
         division = False
     if division:
-        if flat_rank % 4:
-            raise AssertionError(f"rank {flat_rank} of L(Z) over a division algebra is not 4*r")
+        if half % 2:
+            raise AssertionError(f"rank {half} of the half-size matrix over a division algebra is odd")
         return top
     for size in range(min(Z.m, Z.n, top), 0, -1):
         for rows in combinations(range(Z.m), size):
@@ -85,10 +74,9 @@ def dependence_bound(algebra, m: int, d: int) -> int:
 def low_rank_combination(matrices, d: int):
     """Coefficients (a_1, ..., a_M), not all zero, killing the first m-d+1 rows.
 
-    Raises BoundNotMetError when M < 1 + n * threshold, the regime where no
-    combination is guaranteed.  The truncated combination is verified to be
-    exactly zero before the coefficients are returned (over a division
-    algebra by `skew_solve`'s substitution), in the raw core `_combination`.
+    Raises BoundNotMetError when M < 1 + n * threshold.  The truncated
+    combination is checked to vanish (over a division algebra by the
+    substitution of `skew_solve`'s core) before the coefficients are returned.
     """
     matrices = list(matrices)
     if not matrices:
@@ -107,15 +95,17 @@ def low_rank_combination(matrices, d: int):
     threshold = dependence_bound(algebra, m, d)
     if len(family) < 1 + n * threshold:
         raise BoundNotMetError(f"need at least {1 + n * threshold} matrices, got {len(family)}")
-    ys, den = _combination(algebra, family, m - d + 1)
+    keep, p = m - d + 1, algebra.field.characteristic
+    ys, den = _combination(algebra, family, keep)
+    if algebra.is_split_decision() == SPLIT and not _vanishes(_combine_raw(algebra, family, ys, keep), p):
+        raise AssertionError("combination failed to kill the truncated rows")
     return tuple(_element(algebra, y, den) for y in ys)
 
 
 def _combination(algebra, family, keep):
     """Coefficients (numerators, denominator) killing the first `keep` rows of
-    raw matrices (`matrices._raw`).  Split: the first kernel vector over k,
-    scaled so its first nonzero entry is one (over QQ: integers over that
-    entry), as base scalars.  Division: `skew_solve`'s raw core."""
+    raw matrices.  Split: the first kernel vector over k, its first nonzero
+    entry scaled to one, as base scalars.  Division: `skew_solve`'s core."""
     n, p = len(family[0][0]), algebra.field.characteristic
     if algebra.is_split_decision() == SPLIT:
         rows = [[T[i][j][c] for T in family] for i in range(keep) for j in range(n) for c in range(4)]
@@ -129,10 +119,7 @@ def _combination(algebra, family, keep):
             clear = lcm(*(c.denominator for c in sol))
             sol = [c.numerator * (clear // c.denominator) for c in sol]
             den = next(c for c in sol if c)
-        ys = [[c * e for e in algebra._one] for c in sol]
-        if not _vanishes(_combine_raw(algebra, family, ys, keep), p):
-            raise AssertionError("combination failed to kill the truncated rows")
-        return ys, den
+        return [[c * e for e in algebra._one] for c in sol], den
     sol = _skew_solve_raw(algebra, [[T[i][j] for T in family] for i in range(keep) for j in range(n)])
     if sol is None:
         raise AssertionError("dependence guaranteed by dimension count was not found")
@@ -155,13 +142,9 @@ class SpanReport:
 
 
 def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=3):
-    """Rejection-sampled list of pairwise distinct matrices (seeded, deterministic).
-
-    Entries draw 4 coordinates each, row by row, from [0, p) over GF(p) and
-    [-entry_bound, entry_bound] over QQ: canonical raw values, so duplicates
-    are rejected on them and each accepted matrix is built once.  The raw
-    matrices ((x0..x3) per entry, per row) come from `_sample`.
-    """
+    """Rejection-sampled pairwise distinct matrices (seeded, deterministic): each
+    entry draws 4 coordinates in [0, p) over GF(p), [-entry_bound, entry_bound]
+    over QQ, row by row; duplicates are rejected on these raw values (`_sample`)."""
     return [_matrix(algebra, raw) for raw in _sample(algebra, m, n, count, rng, entry_bound)]
 
 
@@ -196,11 +179,8 @@ def _estimate_ops(m, n, d, M, trials) -> int:
 def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
                       entry_bound: int = 3, budget_ms: int = DEFAULT_BUDGET_MS) -> SpanReport:
     """Sample families one past the spanning threshold and confirm each yields
-    a verified combination of rank at most d-1.
-
-    A counterexample would falsify the implementation, not the underlying
-    inequality; the first one found is recorded verbatim in the report.
-    """
+    a verified combination of rank at most d-1.  A counterexample would fault
+    the implementation, not the inequality; the first is recorded verbatim."""
     threshold = dependence_bound(algebra, m, d)
     M = 1 + n * threshold
     params = {"algebra": repr(algebra), "m": m, "n": n, "d": d, "family_size": M, "seed": seed,
@@ -211,7 +191,7 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
     report = SpanReport(params=params)
     if trials and m > n:
         raise ValueError("shapes must satisfy m <= n")
-    keep, p = m - d + 1, algebra.field.characteristic
+    keep, p, split = m - d + 1, algebra.field.characteristic, algebra.is_split_decision() == SPLIT
     rng = SplitMix64(seed)
     started = time.monotonic()
     for trial in range(trials):
@@ -220,16 +200,15 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
         family = _sample(algebra, m, n, M, rng.fork(), entry_bound)
         failure = None
         try:
-            ys, den = _combination(algebra, family, keep)
+            ys, _ = _combination(algebra, family, keep)
             acc = _combine_raw(algebra, family, ys, m)
             if not _vanishes(acc[:keep], p):
-                failure = "truncated combination is nonzero"
+                failure = "combination failed to kill the truncated rows" if split else "truncated combination is nonzero"
             elif not any(v for y in ys for v in y):
                 failure = "coefficients all zero"
-            else:
-                full = CompMatrix(algebra, [[_element(algebra, a, den) for a in row] for row in acc])
-                if (rank := comp_rank(full)) > d - 1:
-                    failure = f"rank {rank} exceeds {d - 1}"
+            elif (rank := comp_rank(_matrix(algebra, acc))) > d - 1:
+                # acc is the combination times its denominator, a nonzero central scalar
+                failure = f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:
             failure = str(exc)
         report.trials += 1

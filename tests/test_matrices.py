@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from compalg import matrices, rank
+from compalg import matrices
 from compalg.errors import (
     AlgebraMismatchError,
     FieldMismatchError,
@@ -391,10 +391,23 @@ def _scalar_det(M):
     return det
 
 
-@pytest.mark.parametrize(
-    "spec", [QQ, PrimeField(5), QuadExt(QQ, 1), QuadExt(PrimeField(5), 4)], ids=repr
-)
+DET_SPECS = [
+    QQ,
+    PrimeField(5),
+    QuadExt(QQ, 1),
+    QuadExt(PrimeField(5), 4),
+    QuadExt(QQ, 2),
+    QuadExt(QQ, -1),
+    QuadExt(QQ, Fraction(3, 2)),
+    QuadExt(PrimeField(7), 3),
+    QuadExt(PrimeField(5), 2),
+]
+
+
+@pytest.mark.parametrize("spec", DET_SPECS, ids=repr)
 def test_det_matches_scalar_elimination(spec):
+    # over a quadratic field `FieldMatrix.det` is `pair_echelon`; the oracle
+    # is division elimination on the scalars
     rng = SplitMix64(13)
 
     def value():
@@ -560,9 +573,10 @@ LREP_ALGEBRAS = [
 
 
 @pytest.mark.parametrize("alg", LREP_ALGEBRAS, ids=repr)
-def test_integer_left_regular_rep_gives_the_fraction_answers(alg, monkeypatch):
-    # L(Z) holds ints for integral values; every verdict read off it must be
-    # the one read off L(Z) built from Fraction products
+def test_integer_left_regular_rep_gives_the_fraction_answers(alg, lz):
+    # L(Z) and the half-size matrix hold ints for integral values; the verdicts
+    # read off L(Z) are those read off L(Z) built from Fraction products, and
+    # the library's, read off the half-size matrix, are the same
     rng = SplitMix64(sum(map(ord, repr(alg))))
 
     def entry():
@@ -583,15 +597,21 @@ def test_integer_left_regular_rep_gives_the_fraction_answers(alg, monkeypatch):
         L = left_regular_rep(Z)
         assert L == _lrep_by_products(Z)
         assert all(type(v) is int for row in L for v in row if v.denominator == 1)
-    division = alg.is_split_decision() == NONSPLIT
+        raw = matrices._raw(Z)
+        H, a = matrices._half(alg, raw)
+        values = [x for row in H for e in row for x in (e if a is not None else (e,))]
+        if all(type(x) is int for row in raw for e in row for x in e):
+            assert all(type(v) is int for v in values)
 
-    def answers():
-        return [(study_det(Z), is_invertible(Z), comp_rank(Z), division and skew_solve(Z)) for Z in cases]
+    def answers(lrep):
+        return [(lz.study_det(Z, lrep), lz.comp_rank(Z, lrep)) for Z in cases]
 
-    expected = answers()
-    monkeypatch.setattr(matrices, "left_regular_rep", _lrep_by_products)
-    monkeypatch.setattr(rank, "left_regular_rep", _lrep_by_products)
-    assert answers() == expected
+    expected = answers(_lrep_by_products)
+    assert answers(left_regular_rep) == expected
+    assert [(study_det(Z), comp_rank(Z)) for Z in cases] == expected
+    assert [is_invertible(Z) for Z in cases] == [not d.is_zero() for d, _ in expected]
+    if alg.is_split_decision() == NONSPLIT:
+        assert [skew_column_rank(Z) for Z in cases] == [r for _, r in expected]
 
 
 def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
@@ -615,3 +635,90 @@ def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
             # a Fraction row scales the determinant; the int rows around it add nothing
             halved = [[Fraction(x, 2) for x in rows[0]]] + rows[1:]
             assert field_echelon(halved, QQ)[2] == det / 2
+
+
+AGREEMENT_ALGEBRAS = [
+    HQ,
+    QuatAlgebra(QQ, -2, -5),
+    QuatAlgebra(QQ, 2, 7),
+    QuatAlgebra(QQ, 3, -3),
+    QuatAlgebra(QQ, 1, -1),
+    QuatAlgebra(QQ, 4, -3),
+    QuatAlgebra(PrimeField(7), 3, -1),
+    Mat2Algebra(PrimeField(2)),
+    Mat2Algebra(PrimeField(7)),
+]
+
+
+@pytest.mark.parametrize("alg", AGREEMENT_ALGEBRAS, ids=repr)
+def test_half_size_verdicts_match_the_lz_oracle(alg, lz):
+    # 230 seeded square matrices per algebra (2,070 in all): the Study
+    # determinant and invertibility from the half-size matrix are those of
+    # L(Z); over a division algebra so is the skew rank of a rectangular one
+    rng = SplitMix64(sum(map(ord, repr(alg))) + 51)
+    division = alg.is_split_decision() == NONSPLIT
+    verdicts, ranks = set(), set()
+    for _ in range(230):
+        n = rng.randint(1, 3)
+        Z = lz.matrix(alg, n, n, rng)
+        expected = lz.study_det(Z)
+        assert study_det(Z) == expected, Z.entries
+        assert is_invertible(Z) == (not expected.is_zero()), Z.entries
+        verdicts.add(expected.is_zero())
+        if division:
+            A = lz.matrix(alg, rng.randint(1, 3), rng.randint(1, 3), rng)
+            ranks.add(expected_rank := lz.skew_column_rank(A))
+            assert skew_column_rank(A) == expected_rank, A.entries
+    assert verdicts == {True, False}
+    assert not division or ranks == {0, 1, 2, 3}
+
+
+def test_pair_kernel_divides_by_a_unit_pivot_of_norm_one(lz):
+    # over (2,7)_QQ the first pivot of the doubling matrix is 3 + 2*sqrt(2), of
+    # norm 1 but not 1: the next step must still divide by it
+    alg = QuatAlgebra(QQ, 2, 7)
+    Z = CompMatrix(alg, [[alg.element((3, 2, 0, 0)), alg.v()], [alg.u(), alg.one()]])
+    H, a = matrices._half(alg, matrices._raw(Z))
+    assert a == 2 and H[0][0] == (3, 2)
+    assert study_det(Z) == QQ.element(225) == lz.study_det(Z)
+    assert matrices.pair_echelon(H, QQ, a)[1] == (15, 0)
+
+
+def test_study_det_and_invertibility_need_no_split_decision(lz):
+    alg = QuatAlgebra(QQ, 1_000_003 * 1_000_033, 5)  # its split decision is infeasible
+    Z = CompMatrix(alg, [[alg.one(), alg.u()], [alg.v(), alg.w()]])
+    assert study_det(Z) == lz.study_det(Z) and is_invertible(Z)
+    assert alg._split_state is None
+
+
+def test_half_size_checks_fail_on_a_broken_builder(monkeypatch):
+    # each check on the half-size matrix H rejects a builder that breaks it
+    half = matrices._half
+
+    def drop_last_row(algebra, rows):  # rank 1 over a division algebra: odd
+        H, a = half(algebra, rows)
+        return H[:-1], a
+
+    def block_layout(algebra, rows):  # columns j, n + j apart, as in `symplectic_rep`
+        H, a = half(algebra, rows)
+        n = len(H[0]) // 2
+        return [[row[2 * j + c] for c in (0, 1) for j in range(n)] for row in H], a
+
+    def sqrt_a_determinant(algebra, rows):  # det H = sqrt(a)
+        return [[(0, 1), (0, 0)], [(0, 0), (1, 0)]], algebra.a.raw
+
+    row = CompMatrix(HQ, [[HQ.one(), HQ.zero()]])
+    assert comp_rank(row) == skew_column_rank(row) == 1
+    one = CompMatrix(HQ, [[HQ.one()]])
+    assert study_det(one) == QQ.one()
+    cases = [
+        (drop_last_row, lambda: comp_rank(row), "rank 1 of the half-size matrix over a division algebra is odd"),
+        (block_layout, lambda: skew_column_rank(row), "not whole pairs"),
+        (sqrt_a_determinant, lambda: study_det(one), "nonzero sqrt\\(a\\) part"),
+        (sqrt_a_determinant, lambda: is_invertible(one), "nonzero sqrt\\(a\\) part"),
+    ]
+    for builder, call, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "_half", builder)
+            with pytest.raises(AssertionError, match=message):
+                call()

@@ -488,7 +488,7 @@ def test_witness_checks_still_run(monkeypatch):
     stacked = CompMatrix(HQ, [[T.rows[i][j] for T in mats] for i in range(2) for j in range(2)])
 
     def wrong_kernel(algebra, rows):
-        return 0, [1] + [0] * (4 * len(rows[0]) - 1)
+        return [1] + [0] * (4 * len(rows[0]) - 1)
 
     with monkeypatch.context() as patch:
         patch.setattr(matrices, "_skew_kernel", wrong_kernel)
@@ -673,3 +673,43 @@ def test_verify_span_bound_refuses_more_rows_than_columns():
     with pytest.raises(ValueError, match="m <= n"):
         verify_span_bound(HQ, 3, 2, 1, trials=1, seed=1)
     assert verify_span_bound(HQ, 3, 2, 1, trials=0, seed=1).trials == 0
+
+
+LZ_ALGEBRAS = [
+    HQ,
+    QuatAlgebra(QQ, -2, -5),
+    QuatAlgebra(QQ, 2, 7),
+    QuatAlgebra(QQ, 3, -3),
+    QuatAlgebra(QQ, 1, -1),
+    QuatAlgebra(QQ, 4, -3),
+    QuatAlgebra(PrimeField(7), 3, -1),
+    Mat2Algebra(PrimeField(2)),
+    Mat2Algebra(PrimeField(7)),
+]
+
+
+@pytest.mark.parametrize("alg", LZ_ALGEBRAS, ids=repr)
+def test_comp_rank_matches_the_lz_oracle(alg, lz):
+    # 230 seeded matrices per algebra (2,070 in all), square and rectangular,
+    # with rational entries and low-rank products: the rank from the half-size
+    # matrix is the one read off L(Z)
+    rng = SplitMix64(sum(map(ord, repr(alg))) + 52)
+    ranks = set()
+    for _ in range(230):
+        Z = lz.matrix(alg, rng.randint(1, 3), rng.randint(1, 3), rng)
+        ranks.add(expected := lz.comp_rank(Z))
+        assert comp_rank(Z) == expected, Z.entries
+    assert ranks == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), HQ], ids=repr)
+def test_span_trial_forms_its_combination_once(algebra, monkeypatch):
+    # one m-row combination per trial, whose integer numerators go to comp_rank
+    calls, ranked = [], []
+    combine_raw, rank_of = rank._combine_raw, rank.comp_rank
+    monkeypatch.setattr(rank, "_combine_raw", lambda *args: calls.append(args[3]) or combine_raw(*args))
+    monkeypatch.setattr(rank, "comp_rank", lambda Z: ranked.append(Z) or rank_of(Z))
+    report = verify_span_bound(algebra, 2, 3, 2, trials=3, seed=9)
+    assert report.successes == 3
+    assert calls == [2, 2, 2]
+    assert len(ranked) == 3 and all(v.denominator == 1 for Z in ranked for row in Z.rows for e in row for v in e.coeffs)
