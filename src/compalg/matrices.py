@@ -6,20 +6,20 @@ checks, equality, hashing, sums, products, `submatrix`, `zero` and
 and `det`; `CompMatrix` (over a composition algebra, a right module) adds
 the algebra check, `scale_right` and `take_rows`.
 
-Verdicts on Z over an algebra with base field k come from its 2m x 2n
-half-size matrix H (`_half`): the flattening over Mat2, and over (a,b) the
-doubling matrix Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]], over k
-with sqrt(a) = s when a = s^2 in k, else over the field k(sqrt(a)).  With
-L(Z) the 4m x 4n base-field matrix of X -> Z*X (`left_regular_rep`),
+Verdicts and witnesses on Z over an algebra with base field k come from its
+2m x 2n half-size matrix H (`_half`): the flattening over Mat2, and over
+(a,b) the doubling matrix Z = X + v*Y -> [[X, -conj(Y)], [-b*Y, conj(X)]],
+over k with sqrt(a) = s when a = s^2 in k, else over the field k(sqrt(a)).
+With L(Z) the 4m x 4n base-field matrix of X -> Z*X, never built here,
 rank_k L(Z) = 2 rank H and det L(Z) = d^2, d = det H in k: `study_det` is
-d^2, `is_invertible` is d != 0, and rank H gives `rank.comp_rank` and
-`skew_column_rank`, with no split decision.  L(Z) is eliminated only for
-the kernel vector of `skew_solve`.
+d^2, `is_invertible` is d != 0, rank H gives `rank.comp_rank` and
+`skew_column_rank` with no split decision, and `skew_solve` reads its
+kernel vector off H.
 
 Two raw kernels eliminate: `field_echelon` over QQ and GF(p), behind H over
-k, `FieldMatrix.det`, `skew_solve`, the span trials of `rank`, `ratlin` and
+k, `FieldMatrix.det`, the split span trials of `rank`, `ratlin` and
 `IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H over
-k(sqrt(a)) and `FieldMatrix.det` over a quadratic field.
+k(sqrt(a)), `skew_solve` and `FieldMatrix.det` over a quadratic field.
 """
 
 import operator
@@ -186,8 +186,8 @@ def field_echelon(rows, spec: FieldSpec):
 
     The kernel vector is 1 at the first non-pivot column c, 0 after it and
     None when every column is a pivot; back substitution over QQ runs on
-    y = d*x, d the leading c x c minor, integral by Cramer's rule.  The
-    determinant is given for square input, else None.
+    y = d*x, d the leading c x c minor, integral by Cramer's rule (over Z[g]
+    in `pair_echelon`).  The determinant is given for square input, else None.
     """
     if isinstance(spec, PrimeField):
         p, scale = spec.p, 1
@@ -253,12 +253,15 @@ def field_echelon(rows, spec: FieldSpec):
 
 
 def pair_echelon(rows, k: FieldSpec, a):
-    """(pivot columns, determinant or None) of raw pairs (x, y) = x + y*sqrt(a)
-    over the field k(sqrt(a)), pivoting as `field_echelon`.  Bareiss: a lower
-    row r becomes (pivot * r - r[col] * top) / q, q the previous pivot, and
-    x / q = x * conj(q) / N(q).  Over QQ, with a = A/D and g = D*sqrt(a), the
-    rows are cleared of denominators in g, so entries stay in Z[g] and N(q)
-    divides exactly; the division is skipped only when q = 1.
+    """(pivot columns, determinant or None, kernel) of raw pairs (x, y) =
+    x + y*sqrt(a) over the field k(sqrt(a)), pivoting as `field_echelon`.
+    Bareiss: a lower row r becomes (pivot * r - r[col] * top) / q, q the
+    previous pivot, and x / q = x * conj(q) / N(q).  Over QQ, with a = A/D and
+    g = D*sqrt(a), the rows are cleared of denominators in g, so entries stay
+    in Z[g] and N(q) divides exactly; the division is skipped only when q = 1.
+
+    `kernel()`, run only by a caller that needs it, gives the first kernel
+    vector as pairs over k, or None, by `field_echelon`'s back substitution.
     """
     p = k.characteristic
     if p:
@@ -305,10 +308,29 @@ def pair_echelon(rows, k: FieldSpec, a):
             xs[col + 1 :], ys[col + 1 :] = ux, uy
         prev = (px, py)
         pivots.append(col)
+
+    def kernel():
+        c = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
+        if c == ncols:
+            return None
+        dx, dy = (work[c - 1][0][c - 1], work[c - 1][1][c - 1]) if c and not p else (1, 0)
+        y = [(0, 0)] * c + [(dx * dx - N * dy * dy, 0)]  # y = N(d)*x in Z[g], d the leading c x c minor
+        for i in range(c - 1, -1, -1):
+            xs, ys = work[i]
+            later = list(enumerate(y[i + 1 :], i + 1))
+            sx = -sum(xs[j] * u + N * ys[j] * v for j, (u, v) in later)
+            sy = -sum(xs[j] * v + ys[j] * u for j, (u, v) in later)
+            qx, qy = xs[i], ys[i]
+            nq = qx * qx - N * qy * qy
+            ex, ey = sx * qx - N * sy * qy, sy * qx - sx * qy  # s / q = s * conj(q) / N(q)
+            y[i] = (ex * pow(nq, -1, p) % p, ey * pow(nq, -1, p) % p) if p else (ex // nq, ey // nq)
+        y += [(0, 0)] * (ncols - c - 1)
+        return y if p else [(Fraction(u, y[c][0]), Fraction(v * D, y[c][0])) for u, v in y]
+
     if nrows != ncols:
-        return pivots, None
+        return pivots, None, kernel
     x, y = (sign * prev[0], sign * prev[1] * D) if len(pivots) == ncols else (0, 0)
-    return pivots, (x % p, y % p) if p else (Fraction(x, scale), Fraction(y, scale))
+    return pivots, (x % p, y % p) if p else (Fraction(x, scale), Fraction(y, scale)), kernel
 
 
 def field_rank(rows, spec: FieldSpec) -> int:
@@ -435,7 +457,7 @@ def _half_echelon(algebra, rows):
     if a is None:
         pivots, _, d = field_echelon(H, algebra.field)
         return pivots, d
-    pivots, d = pair_echelon(H, algebra.field, a)
+    pivots, d, _ = pair_echelon(H, algebra.field, a)
     if d is not None and d[1]:
         raise AssertionError(f"determinant {d} of the doubling matrix has a nonzero sqrt(a) part")
     return pivots, None if d is None else d[0]
@@ -468,33 +490,6 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
     if not (isinstance(alg, Mat2Algebra) or isinstance(alg, QuatAlgebra) and alg.has_mat2_form()):
         raise NotSplitFormError(f"{alg!r} has no registered 2x2 realization")
     return FieldMatrix(alg.field, _half(alg, _raw(Z))[0])
-
-
-def left_regular_rep(Z: CompMatrix) -> list[list]:
-    """Raw 4m x 4n base-field matrix of X -> Z*X on column vectors X in C^n.
-
-    Column 4j + k holds the coordinates of Z[:, j] * e_k and row 4i + c the
-    coordinate c of entry i, so the table term e_l * e_k = c * e_t puts
-    z_l * c at (4i + t, 4j + k).  Integral QQ values are `int`s.  The core
-    `_regular_rows` takes the raw matrix `_raw(Z)`.
-    """
-    return _regular_rows(Z.ring, _raw(Z))
-
-
-def _regular_rows(algebra, rows) -> list[list]:
-    f = algebra.field
-    neg, mul, minus_one = f._neg, f._mul, f._neg(f._coerce(1))
-    terms = [(l, k, t, 1 if c == 1 else -1 if c == minus_one else c)
-             for l, row in enumerate(algebra._terms) for k, (t, c) in enumerate(row) if c]
-    out = [[0] * (4 * len(rows[0])) for _ in range(4 * len(rows))]
-    for i, row in enumerate(rows):
-        for j, coeffs in enumerate(row):
-            for l, k, t, c in terms:
-                x = coeffs[l]
-                if x:
-                    v = x if c == 1 else neg(x) if c == -1 else mul(x, c)
-                    out[4 * i + t][4 * j + k] = v.numerator if v.denominator == 1 else v
-    return out
 
 
 def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
@@ -540,31 +535,37 @@ def is_invertible(Z: CompMatrix) -> bool:
     return not study_det(Z).is_zero()
 
 
-def _skew_kernel(algebra, rows):
-    """First right kernel vector of raw A over a division algebra D, or None:
-    sum_j A[:, j] * a_j = 0 is L(A) x = 0 (`_regular_rows`), and the column
-    block of a D-column holds four pivots of L(A) or none, so the kernel vector
-    sets a_f = 1 for the first free D-column f and every later a_j = 0.
-    """
-    if algebra.is_split_decision() == SPLIT:
-        raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
-    pivots, kernel, _ = field_echelon(_regular_rows(algebra, rows), algebra.field)
-    if pivots != [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]:
-        raise AssertionError("pivots of L(A) over a division algebra are not whole blocks")
-    return kernel
-
-
-def skew_column_rank(A: CompMatrix) -> int:
-    """Number of right-independent columns over a division quaternion algebra.
-
-    The first j column pairs of H (`_half_echelon`) have twice the rank of the
-    first j D-columns, so each pair holds two pivots or none."""
-    if A.ring.is_split_decision() == SPLIT:
-        raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
-    pivots = _half_echelon(A.ring, _raw(A))[0]
+def _whole_pairs(pivots) -> int:
+    """Right column rank over a division algebra D from the pivots of H: the
+    first j column pairs of H have twice the rank of the first j D-columns,
+    so each pair holds two pivots or none."""
     if pivots != [2 * (col // 2) + k for col in pivots[::2] for k in (0, 1)]:
         raise AssertionError("pivots of the half-size matrix over a division algebra are not whole pairs")
     return len(pivots) // 2
+
+
+def _skew_kernel(algebra, rows):
+    """First right kernel vector of raw A over a division algebra D, or None:
+    4n base-field coordinates, a_f = 1 at the first free D-column f and a_j = 0
+    after it.  Z*a = 0 puts the first column (x, -b*y) of the doubling matrix
+    of a = x + v*y in the kernel of H over k(sqrt(a)) (`_half`), so the first
+    kernel vector u of H (`pair_echelon`), 1 at column 2f and 0 after it, gives
+    x_j = u[2j] and y_j = -u[2j+1] / b = y0 + y1*sqrt(a), and v*y_j = y0*v - y1*w.
+    """
+    if algebra.is_split_decision() == SPLIT:
+        raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
+    H, a = _half(algebra, rows)
+    pivots, _, kernel = pair_echelon(H, algebra.field, a)
+    _whole_pairs(pivots)
+    u, b = kernel(), algebra.b.raw
+    return None if u is None else [c for x, y in zip(u[::2], u[1::2]) for c in (*x, -y[0] / b, y[1] / b)]
+
+
+def skew_column_rank(A: CompMatrix) -> int:
+    """Number of right-independent columns over a division quaternion algebra (`_whole_pairs`)."""
+    if A.ring.is_split_decision() == SPLIT:
+        raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
+    return _whole_pairs(_half_echelon(A.ring, _raw(A))[0])
 
 
 def _skew_solve_raw(algebra, rows):

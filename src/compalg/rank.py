@@ -6,8 +6,9 @@ the 2m x 2n half-size matrix H of Z (`matrices._half_echelon`):
 
 - An invertible s x s submatrix makes 2s columns of H independent, so
   top = rank H // 2 bounds the rank for every algebra.
-- Over a division algebra the rank is the right column rank: top, with
-  rank H checked to be even.  A square Z with rank H = 2n is invertible.
+- Over a division algebra the rank is the right column rank: top, with the
+  pivots of H checked to come in whole column pairs (`matrices._whole_pairs`).
+  A square Z with rank H = 2n is invertible.
 - Otherwise (split, or an infeasible split decision) the minors are searched
   by `is_invertible`, from size min(m, n, top) down, lexicographically.
 
@@ -18,9 +19,9 @@ M >= 1 + n * threshold, the truncations to the first r rows are dependent
 (as right vectors in C^(r*n), or as base-field coefficient vectors), and the
 returned coefficients zero out the first r rows of the combination, which
 then has rank at most d - 1.  The split case eliminates the raw coefficient
-rows with `matrices.field_echelon`, the division case L of the stacked
-entries (`skew_solve`'s core); both pick the first free column, so the
-witness is reproducible.
+rows with `matrices.field_echelon`, the division case the half-size matrix
+H of the stacked entries (`skew_solve`'s core); both pick the first free
+column, so the witness is reproducible.
 
 `verify_span_bound` runs each trial on raw coordinates: it forms the m-row
 combination once, checks its first r rows, and builds elements only for
@@ -36,25 +37,22 @@ from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import CompMatrix, combine, field_echelon, is_invertible
-from .matrices import _combine_raw, _element, _half_echelon, _raw, _skew_solve_raw, _vanishes
+from .matrices import _combine_raw, _element, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
 from .rng import SplitMix64
 
 
 def comp_rank(Z: CompMatrix) -> int:
     """Maximum size of an invertible square submatrix (0 if every entry is a non-unit)."""
-    half = len(_half_echelon(Z.ring, _raw(Z))[0])
-    if half == 2 * Z.m == 2 * Z.n:
+    pivots = _half_echelon(Z.ring, _raw(Z))[0]
+    if len(pivots) == 2 * Z.m == 2 * Z.n:
         return Z.n  # det L(Z) != 0, so Z itself is invertible
-    top = half // 2
     try:
         division = Z.ring.is_split_decision() == NONSPLIT
     except InfeasibleError:
         division = False
     if division:
-        if half % 2:
-            raise AssertionError(f"rank {half} of the half-size matrix over a division algebra is odd")
-        return top
-    for size in range(min(Z.m, Z.n, top), 0, -1):
+        return _whole_pairs(pivots)
+    for size in range(min(Z.m, Z.n, len(pivots) // 2), 0, -1):
         for rows in combinations(range(Z.m), size):
             for cols in combinations(range(Z.n), size):
                 if is_invertible(Z.submatrix(rows, cols)):

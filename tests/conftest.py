@@ -1,10 +1,11 @@
 """The L(Z) oracle shared by the matrix and rank tests.
 
 L(Z) is the 4m x 4n base-field matrix of X -> Z*X (`left_regular_rep`).
-The library answers from the 2m x 2n half-size matrix; these answers are
-read off L(Z) instead: det L(Z) is the Study determinant, rank_k L(Z) / 4
-the rank over a division algebra, and over a split algebra the minors are
-searched by det L.
+The library answers and solves from the 2m x 2n half-size matrix and never
+builds L(Z); these answers are read off L(Z) instead: det L(Z) is the Study
+determinant, rank_k L(Z) / 4 the rank over a division algebra, and over a
+split algebra the minors are searched by det L.  Over a division algebra the
+first kernel vector of L(A) is the coefficient vector of `skew_solve`'s core.
 """
 
 from fractions import Fraction
@@ -14,8 +15,43 @@ from types import SimpleNamespace
 import pytest
 
 from compalg.fields import PrimeField, Scalar
-from compalg.matrices import CompMatrix, field_echelon, left_regular_rep
+from compalg.matrices import CompMatrix, _raw, field_echelon
 from compalg.quaternion import NONSPLIT
+
+
+def left_regular_rep(Z):
+    """Raw 4m x 4n base-field matrix of X -> Z*X on column vectors X in C^n.
+
+    Column 4j + k holds the coordinates of Z[:, j] * e_k and row 4i + c the
+    coordinate c of entry i, so the table term e_l * e_k = c * e_t puts
+    z_l * c at (4i + t, 4j + k).  Integral QQ values are `int`s.
+    """
+    return regular_rows(Z.ring, _raw(Z))
+
+
+def regular_rows(algebra, rows):
+    """`left_regular_rep` of a raw matrix (`matrices._raw`)."""
+    f = algebra.field
+    neg, mul, minus_one = f._neg, f._mul, f._neg(f._coerce(1))
+    terms = [(l, k, t, 1 if c == 1 else -1 if c == minus_one else c)
+             for l, row in enumerate(algebra._terms) for k, (t, c) in enumerate(row) if c]
+    out = [[0] * (4 * len(rows[0])) for _ in range(4 * len(rows))]
+    for i, row in enumerate(rows):
+        for j, coeffs in enumerate(row):
+            for l, k, t, c in terms:
+                x = coeffs[l]
+                if x:
+                    v = x if c == 1 else neg(x) if c == -1 else mul(x, c)
+                    out[4 * i + t][4 * j + k] = v.numerator if v.denominator == 1 else v
+    return out
+
+
+def lz_skew_kernel(algebra, rows):
+    """First kernel vector of L(A) for raw A over a division algebra, or None:
+    the column block of a D-column holds four pivots of L(A) or none."""
+    pivots, kernel, _ = field_echelon(regular_rows(algebra, rows), algebra.field)
+    assert pivots == [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]
+    return kernel
 
 
 def lz_study_det(Z, lrep=left_regular_rep):
@@ -72,5 +108,7 @@ def lz():
         study_det=lz_study_det,
         comp_rank=lz_comp_rank,
         skew_column_rank=lz_skew_column_rank,
+        skew_kernel=lz_skew_kernel,
+        left_regular_rep=left_regular_rep,
         matrix=agreement_matrix,
     )

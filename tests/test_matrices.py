@@ -19,7 +19,6 @@ from compalg.matrices import (
     field_echelon,
     flatten_split,
     is_invertible,
-    left_regular_rep,
     mat2_matrix_to_quat,
     skew_column_rank,
     skew_solve,
@@ -594,7 +593,7 @@ def test_integer_left_regular_rep_gives_the_fraction_answers(alg, lz):
         cases.append(Z)
     cases.append(CompMatrix(alg, [[alg.element((1, -2, 3, 0)), alg.zero()], [alg.one(), alg.element((0, 0, 5, -1))]]))
     for Z in cases:
-        L = left_regular_rep(Z)
+        L = lz.left_regular_rep(Z)
         assert L == _lrep_by_products(Z)
         assert all(type(v) is int for row in L for v in row if v.denominator == 1)
         raw = matrices._raw(Z)
@@ -607,7 +606,7 @@ def test_integer_left_regular_rep_gives_the_fraction_answers(alg, lz):
         return [(lz.study_det(Z, lrep), lz.comp_rank(Z, lrep)) for Z in cases]
 
     expected = answers(_lrep_by_products)
-    assert answers(left_regular_rep) == expected
+    assert answers(lz.left_regular_rep) == expected
     assert [(study_det(Z), comp_rank(Z)) for Z in cases] == expected
     assert [is_invertible(Z) for Z in cases] == [not d.is_zero() for d, _ in expected]
     if alg.is_split_decision() == NONSPLIT:
@@ -673,6 +672,94 @@ def test_half_size_verdicts_match_the_lz_oracle(alg, lz):
     assert not division or ranks == {0, 1, 2, 3}
 
 
+DIVISION_ALGEBRAS = [
+    HQ,
+    QuatAlgebra(QQ, 2, 5),
+    QuatAlgebra(QQ, -2, -5),
+    QuatAlgebra(QQ, -1, 3),
+    QuatAlgebra(QQ, Fraction(-1, 3), Fraction(5, 2)),
+    QuatAlgebra(QQ, Fraction(7, 4), Fraction(-3, 5)),
+]
+
+
+@pytest.mark.parametrize("alg", DIVISION_ALGEBRAS, ids=repr)
+def test_skew_kernel_matches_the_lz_oracle(alg, lz, monkeypatch):
+    # 350 seeded matrices per algebra (2,100 in all), 1 x n, m x 1 and m x n,
+    # with zero columns and low-rank products: the kernel vector read off the
+    # half-size matrix is the first kernel vector of L(A), and skew_solve and
+    # low_rank_combination give what they give with the kernel of L(A)
+    assert alg.is_split_decision() == NONSPLIT
+    rng = SplitMix64(sum(map(ord, repr(alg))) + 53)
+    cases, seen = [], set()
+    for _ in range(350):
+        shape = rng.randint(0, 2)  # 1 x n, m x 1, or m x n
+        m = 1 if shape == 0 else rng.randint(1, 3)
+        n = 1 if shape == 1 else rng.randint(1, 4)
+        A = lz.matrix(alg, m, n, rng)
+        if rng.randint(0, 3) == 0:
+            c = rng.randint(0, n - 1)
+            A = CompMatrix(alg, [[alg.zero() if j == c else e for j, e in enumerate(row)] for row in A.rows])
+        raw = matrices._raw(A)
+        kernel = lz.skew_kernel(alg, raw)
+        assert matrices._skew_kernel(alg, raw) == kernel, A.entries
+        zero_column = any(all(A[i, j].is_zero() for i in range(m)) for j in range(n))
+        seen.update({("shape", m == 1, n == 1), ("kernel", kernel is not None), ("zero column", zero_column)})
+        cases.append((A, skew_solve(A)))
+    families = []
+    for m, n, d in [(1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2)]:
+        mats = sample_distinct_matrices(alg, m, n, 1 + n * dependence_bound(alg, m, d), rng.fork(), entry_bound=2)
+        families.append((mats, d, low_rank_combination(mats, d)))
+    monkeypatch.setattr(matrices, "_skew_kernel", lz.skew_kernel)
+    for A, solution in cases:
+        assert skew_solve(A) == solution, A.entries
+    for mats, d, coeffs in families:
+        assert low_rank_combination(mats, d) == coeffs, d
+    shapes = {("shape", one_row, one_column) for one_row in (True, False) for one_column in (True, False)}
+    assert seen == shapes | {(k, v) for k in ("kernel", "zero column") for v in (True, False)}
+    assert sum(solution is None for _, solution in cases) >= 20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QuadExt(QQ, 2), QuadExt(QQ, -1), QuadExt(QQ, Fraction(3, 2)), QuadExt(QQ, Fraction(-5, 3)),
+     QuadExt(PrimeField(7), 3), QuadExt(PrimeField(5), 2), QuadExt(PrimeField(11), 7)],
+    ids=repr,
+)
+def test_pair_kernel_is_the_first_kernel_vector(spec):
+    # on seeded matrices over k(sqrt(a)): H*u = 0, u is 1 at the first non-pivot
+    # column and 0 after it, and u is None exactly when every column is a pivot
+    assert not spec.split
+    rng = SplitMix64(sum(map(ord, repr(spec))) + 54)
+    p = spec.characteristic
+
+    def value():
+        if rng.randint(0, 2) == 0:
+            return (0, 0)
+        if p:
+            return (rng.randint(0, p - 1), rng.randint(0, p - 1))
+        return (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+    outcomes = set()
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        M = FieldMatrix(spec, [[value() for _ in range(n)] for _ in range(m)])
+        if min(m, n) > 1 and rng.randint(0, 2) == 0:  # a product through a smaller inner size
+            inner = rng.randint(1, min(m, n) - 1)
+            M = FieldMatrix(spec, [[value() for _ in range(inner)] for _ in range(m)]) * FieldMatrix(
+                spec, [[value() for _ in range(n)] for _ in range(inner)]
+            )
+        H = [[e.raw for e in row] for row in M.rows]
+        pivots, _, kernel = matrices.pair_echelon(H, spec.base, spec.a)
+        u = kernel()
+        assert (u is None) == (len(pivots) == n), H
+        outcomes.add(u is None)
+        if u is not None:
+            c = next(i for i in range(n) if i not in pivots)
+            assert u[c] == (1, 0) and all(x == (0, 0) for x in u[c + 1 :]), H
+            assert (M * FieldMatrix(spec, [[x] for x in u])).is_zero(), H
+    assert outcomes == {True, False}
+
+
 def test_pair_kernel_divides_by_a_unit_pivot_of_norm_one(lz):
     # over (2,7)_QQ the first pivot of the doubling matrix is 3 + 2*sqrt(2), of
     # norm 1 but not 1: the next step must still divide by it
@@ -682,6 +769,12 @@ def test_pair_kernel_divides_by_a_unit_pivot_of_norm_one(lz):
     assert a == 2 and H[0][0] == (3, 2)
     assert study_det(Z) == QQ.element(225) == lz.study_det(Z)
     assert matrices.pair_echelon(H, QQ, a)[1] == (15, 0)
+    # and the back substitution of [[3 + 2u, 1 + v]] must divide by that pivot
+    Z = CompMatrix(alg, [[alg.element((3, 2, 0, 0)), alg.element((1, 0, 1, 0))]])
+    H, a = matrices._half(alg, matrices._raw(Z))
+    pivots, _, kernel = matrices.pair_echelon(H, QQ, a)
+    assert H[0][0] == (3, 2) and pivots == [0, 1]
+    assert kernel() == [(-3, 2), (21, 14), (1, 0), (0, 0)]  # u[0] = -1 / (3 + 2*sqrt(2))
 
 
 def test_study_det_and_invertibility_need_no_split_decision(lz):
@@ -695,7 +788,7 @@ def test_half_size_checks_fail_on_a_broken_builder(monkeypatch):
     # each check on the half-size matrix H rejects a builder that breaks it
     half = matrices._half
 
-    def drop_last_row(algebra, rows):  # rank 1 over a division algebra: odd
+    def drop_last_row(algebra, rows):  # one pivot over a division algebra: half a pair
         H, a = half(algebra, rows)
         return H[:-1], a
 
@@ -712,8 +805,9 @@ def test_half_size_checks_fail_on_a_broken_builder(monkeypatch):
     one = CompMatrix(HQ, [[HQ.one()]])
     assert study_det(one) == QQ.one()
     cases = [
-        (drop_last_row, lambda: comp_rank(row), "rank 1 of the half-size matrix over a division algebra is odd"),
+        (drop_last_row, lambda: comp_rank(row), "not whole pairs"),
         (block_layout, lambda: skew_column_rank(row), "not whole pairs"),
+        (block_layout, lambda: skew_solve(row), "not whole pairs"),
         (sqrt_a_determinant, lambda: study_det(one), "nonzero sqrt\\(a\\) part"),
         (sqrt_a_determinant, lambda: is_invertible(one), "nonzero sqrt\\(a\\) part"),
     ]

@@ -18,7 +18,6 @@ from compalg.matrices import (
     CompMatrix,
     field_rank,
     is_invertible,
-    left_regular_rep,
 )
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
 from compalg.rank import (
@@ -100,7 +99,7 @@ def test_comp_rank_matches_brute_force(name, algebra, count):
     assert len(ranks) >= 2  # the samples reach more than one rank
 
 
-def test_comp_rank_below_strict_bound():
+def test_comp_rank_below_strict_bound(lz):
     M2 = Mat2Algebra(QQ)
     e11, e22, zero = M2.element((1, 0, 0, 0)), M2.element((0, 0, 0, 1)), M2.zero()
     cases = [
@@ -111,7 +110,7 @@ def test_comp_rank_below_strict_bound():
     ]
     for entries, expected in cases:
         Z = CompMatrix(M2, entries)
-        top = field_rank(left_regular_rep(Z), QQ) // 4
+        top = field_rank(lz.left_regular_rep(Z), QQ) // 4
         assert comp_rank(Z) == brute_force_rank(Z) == expected
         if expected < min(Z.m, Z.n):
             assert top > expected
@@ -133,12 +132,12 @@ def test_comp_rank_when_the_split_decision_is_infeasible():
         assert comp_rank(Z) == brute_force_rank(Z)
 
 
-def test_left_regular_rep_is_left_multiplication():
+def test_left_regular_rep_is_left_multiplication(lz):
     rng = SplitMix64(31)
     for alg in (HQ, Mat2Algebra(PrimeField(5))):
         Z = CompMatrix(alg, [[_random_entry(alg, rng) for _ in range(3)] for _ in range(2)])
         X = [_random_entry(alg, rng) for _ in range(3)]
-        L = left_regular_rep(Z)
+        L = lz.left_regular_rep(Z)
         assert len(L) == 8 and len(L[0]) == 12
         flat = [c for x in X for c in x.coeffs]
         image = [sum((a * b for a, b in zip(row, flat)), alg.field._coerce(0)) for row in L]
@@ -551,8 +550,9 @@ def _oracle_sample(algebra, m, n, count, rng, entry_bound=3):
     return out
 
 
-def _oracle_low_rank_combination(mats, d):
-    """The element-based combination: coefficients as elements, checks by `_combine_by_definition`."""
+def _oracle_low_rank_combination(mats, d, lz):
+    """The element-based combination: coefficients as elements, checks by
+    `_combine_by_definition`; over a division algebra the kernel of L."""
     algebra, m, n = mats[0].ring, mats[0].m, mats[0].n
     keep = m - d + 1
     truncated = [Z.take_rows(keep) for Z in mats]
@@ -564,7 +564,7 @@ def _oracle_low_rank_combination(mats, d):
         coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
     else:
         stacked = CompMatrix(algebra, [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)])
-        kernel = matrices.field_echelon(left_regular_rep(stacked), f)[1]
+        kernel = matrices.field_echelon(lz.left_regular_rep(stacked), f)[1]
         sol = [algebra.element(kernel[4 * t : 4 * t + 4]) for t in range(len(mats))]
         inv = next(c for c in sol if not c.is_zero()).inverse()
         coeffs = tuple(c * inv for c in sol)
@@ -572,7 +572,7 @@ def _oracle_low_rank_combination(mats, d):
     return coeffs
 
 
-def _oracle_verify_span_bound(algebra, m, n, d, trials, seed):
+def _oracle_verify_span_bound(algebra, m, n, d, trials, seed, lz):
     """The element-based trial loop of `verify_span_bound`, with the same report."""
     size = 1 + n * dependence_bound(algebra, m, d)
     params = {"algebra": repr(algebra), "m": m, "n": n, "d": d, "family_size": size, "seed": seed, "entry_bound": 3}
@@ -580,7 +580,7 @@ def _oracle_verify_span_bound(algebra, m, n, d, trials, seed):
     rng = SplitMix64(seed)
     for trial in range(trials):
         mats = _oracle_sample(algebra, m, n, size, rng.fork())
-        coeffs = _oracle_low_rank_combination(mats, d)
+        coeffs = _oracle_low_rank_combination(mats, d, lz)
         full = _combine_by_definition(mats, coeffs)
         failure = None
         if not full.take_rows(m - d + 1).is_zero():
@@ -607,16 +607,16 @@ ORACLE_ALGEBRAS = [
 
 
 @pytest.mark.parametrize("name,algebra", ORACLE_ALGEBRAS, ids=[a[0] for a in ORACLE_ALGEBRAS])
-def test_raw_span_trials_match_the_element_oracle(name, algebra):
+def test_raw_span_trials_match_the_element_oracle(name, algebra, lz):
     # the raw-coordinate path gives the element path's coefficients and reports
     for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (2, 3, 2), (2, 2, 2))):
         seed = sum(map(ord, name)) + k
         size = 1 + n * dependence_bound(algebra, m, d)
         mats = _oracle_sample(algebra, m, n, size, SplitMix64(seed))
         assert sample_distinct_matrices(algebra, m, n, size, SplitMix64(seed)) == mats
-        assert low_rank_combination(mats, d) == _oracle_low_rank_combination(mats, d), (m, n, d)
+        assert low_rank_combination(mats, d) == _oracle_low_rank_combination(mats, d, lz), (m, n, d)
         assert verify_span_bound(algebra, m, n, d, trials=3, seed=seed).to_json() == _oracle_verify_span_bound(
-            algebra, m, n, d, 3, seed
+            algebra, m, n, d, 3, seed, lz
         ), (m, n, d)
 
 
@@ -636,6 +636,13 @@ def _echelon_giving(pivots, kernel_is_first_column):
     return echelon
 
 
+def _pair_echelon_giving(pivots, kernel_is_first_column):
+    """A stand-in for `pair_echelon`: these pivots, no determinant, and the kernel vector e_0 or None."""
+    def echelon(rows, k, a):
+        return pivots, None, lambda: [(1, 0)] + [(0, 0)] * (len(rows[0]) - 1) if kernel_is_first_column else None
+    return echelon
+
+
 def _combination_giving(first):
     """A stand-in for `rank._combination`: coefficient `first` on matrix 0, zero on the rest, over 1."""
     def combination(algebra, family, keep):
@@ -649,9 +656,9 @@ def test_every_trial_check_reaches_the_report(monkeypatch):
     cases = [
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([], True), "combination failed to kill the truncated rows"),
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([0], False), "dependence guaranteed by dimension count was not found"),
-        (HQ, matrices, "field_echelon", _echelon_giving([], True), "skew elimination produced a bad kernel vector"),
-        (HQ, matrices, "field_echelon", _echelon_giving([0], True), "pivots of L(A) over a division algebra are not whole blocks"),
-        (HQ, matrices, "field_echelon", _echelon_giving([0, 1, 2, 3], False), "dependence guaranteed by dimension count was not found"),
+        (HQ, matrices, "pair_echelon", _pair_echelon_giving([], True), "skew elimination produced a bad kernel vector"),
+        (HQ, matrices, "pair_echelon", _pair_echelon_giving([0], True), "pivots of the half-size matrix over a division algebra are not whole pairs"),
+        (HQ, matrices, "pair_echelon", _pair_echelon_giving([0, 1], False), "dependence guaranteed by dimension count was not found"),
         (HQ, rank, "_combination", _combination_giving((1, 0, 0, 0)), "truncated combination is nonzero"),
         (HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
         (HQ, rank, "comp_rank", lambda Z: 5, "rank 5 exceeds 0"),
