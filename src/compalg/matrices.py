@@ -16,10 +16,13 @@ d^2, `is_invertible` is d != 0, rank H gives `rank.comp_rank` and
 `skew_column_rank` with no split decision, and `skew_solve` reads its
 kernel vector off H.
 
-Two raw kernels eliminate: `field_echelon` over QQ and GF(p), behind H over
-k, `FieldMatrix.det`, the split span trials of `rank`, `ratlin` and
-`IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H over
-k(sqrt(a)), `skew_solve` and `FieldMatrix.det` over a quadratic field.
+Two raw kernels eliminate, each giving (pivots, det, kernel), where `kernel()`
+back-substitutes only for a caller that asks: `field_echelon` over QQ and
+GF(p), behind H over k, `FieldMatrix.det`, the split span trials of `rank`,
+`ratlin` and `IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H
+over k(sqrt(a)), `skew_solve` and `FieldMatrix.det` over a quadratic field.
+The H of a minor is the block submatrix of H at its rows 2i, 2i+1 and
+columns 2j, 2j+1, so `rank.comp_rank` builds H once.
 """
 
 import operator
@@ -166,7 +169,7 @@ class FieldMatrix(RingMatrix):
             raise ShapeError("determinant needs a square matrix")
         spec = self.ring
         if not isinstance(spec, QuadExt):
-            return Scalar(spec, field_echelon([[e.raw for e in row] for row in self.rows], spec)[2])
+            return Scalar(spec, field_echelon([[e.raw for e in row] for row in self.rows], spec)[1])
         if spec.split:
             parts = [[split_components(e) for e in row] for row in self.rows]
             d1, d2 = (FieldMatrix(spec.base, [[e[k] for e in row] for row in parts]).det() for k in (0, 1))
@@ -175,7 +178,7 @@ class FieldMatrix(RingMatrix):
 
 
 def field_echelon(rows, spec: FieldSpec):
-    """(pivot columns, first kernel vector, determinant) of raw QQ or GF(p) rows.
+    """(pivot columns, determinant or None, kernel) of raw QQ or GF(p) rows.
 
     A column's pivot is its first nonzero entry at or below the current row.
     Over GF(p) a lower row r becomes r - (r[col] / pivot) * top, mod p.  Over
@@ -184,10 +187,11 @@ def field_echelon(rows, spec: FieldSpec):
     (Bareiss), so entries stay minors and the last pivot is the determinant
     up to sign.  Entries left of the current column are never read again.
 
-    The kernel vector is 1 at the first non-pivot column c, 0 after it and
-    None when every column is a pivot; back substitution over QQ runs on
-    y = d*x, d the leading c x c minor, integral by Cramer's rule (over Z[g]
-    in `pair_echelon`).  The determinant is given for square input, else None.
+    The determinant is given for square input, else None.  `kernel()`, run
+    only by a caller that needs it, gives the first kernel vector: 1 at the
+    first non-pivot column c, 0 after it, or None when every column is a
+    pivot.  Its back substitution over QQ runs on y = d*x, d the leading
+    c x c minor, integral by Cramer's rule (over Z[g] in `pair_echelon`).
     """
     if isinstance(spec, PrimeField):
         p, scale = spec.p, 1
@@ -230,9 +234,11 @@ def field_echelon(rows, spec: FieldSpec):
             prev = pivot
         pivots.append(col)
     rank = len(pivots)
-    kernel = None
-    c = next((i for i, col in enumerate(pivots) if col != i), rank)
-    if c < ncols:
+
+    def kernel():
+        c = next((i for i, col in enumerate(pivots) if col != i), rank)
+        if c == ncols:
+            return None
         d = 1 if p or not c else work[c - 1][c - 1]
         y = [0] * c + [d]
         for i in range(c - 1, -1, -1):
@@ -240,16 +246,13 @@ def field_echelon(rows, spec: FieldSpec):
             s = -sum(row[j] * y[j] for j in range(i + 1, c + 1))
             y[i] = s * pow(row[i], -1, p) % p if p else s // row[i]
         y += [0] * (ncols - c - 1)
-        kernel = y if p else [Fraction(v, d) for v in y]
-    det = None
-    if nrows == ncols:
-        if rank < ncols:
-            det = 0 if p else Fraction(0)
-        elif p:
-            det = sign * prod(work[i][i] for i in range(rank)) % p
-        else:
-            det = Fraction(sign * prev, scale)
-    return pivots, kernel, det
+        return y if p else [Fraction(v, d) for v in y]
+
+    if nrows != ncols:
+        return pivots, None, kernel
+    if rank < ncols:
+        return pivots, 0 if p else Fraction(0), kernel
+    return pivots, sign * prod(work[i][i] for i in range(rank)) % p if p else Fraction(sign * prev, scale), kernel
 
 
 def pair_echelon(rows, k: FieldSpec, a):
@@ -449,13 +452,12 @@ def _half(algebra, rows):
     return _doubling_rows(algebra, rows, s.numerator if s.denominator == 1 else s), None
 
 
-def _half_echelon(algebra, rows):
-    """Pivots of the half-size matrix H (`_half`) and, if square, d = det H in k:
+def _half_echelon(algebra, H, a):
+    """Pivots of a half-size matrix (H, a) (`_half`) and, if square, d = det H in k:
     H is Z under Mat(n, C) (x) L ~ Mat(2n, L), L = k(sqrt(a)) splitting C, and
     d is the reduced norm, so its sqrt(a) part is checked to be 0."""
-    H, a = _half(algebra, rows)
     if a is None:
-        pivots, _, d = field_echelon(H, algebra.field)
+        pivots, d, _ = field_echelon(H, algebra.field)
         return pivots, d
     pivots, d, _ = pair_echelon(H, algebra.field, a)
     if d is not None and d[1]:
@@ -480,7 +482,7 @@ def study_det(Z: CompMatrix) -> Scalar:
     """Study determinant det L(Z) = d * conj(d) = d^2, d from `_half_echelon`."""
     if not Z.is_square():
         raise ShapeError("the Study determinant is defined for square matrices")
-    d = _half_echelon(Z.ring, _raw(Z))[1]
+    d = _half_echelon(Z.ring, *_half(Z.ring, _raw(Z)))[1]
     return Scalar(Z.ring.field, Z.ring.field._mul(d, d))
 
 
@@ -565,7 +567,7 @@ def skew_column_rank(A: CompMatrix) -> int:
     """Number of right-independent columns over a division quaternion algebra (`_whole_pairs`)."""
     if A.ring.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
-    return _whole_pairs(_half_echelon(A.ring, _raw(A))[0])
+    return _whole_pairs(_half_echelon(A.ring, *_half(A.ring, _raw(A)))[0])
 
 
 def _skew_solve_raw(algebra, rows):

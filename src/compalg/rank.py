@@ -10,7 +10,8 @@ the 2m x 2n half-size matrix H of Z (`matrices._half_echelon`):
   pivots of H checked to come in whole column pairs (`matrices._whole_pairs`).
   A square Z with rank H = 2n is invertible.
 - Otherwise (split, or an infeasible split decision) the minors are searched
-  by `is_invertible`, from size min(m, n, top) down, lexicographically.
+  from size min(m, n, top) down, lexicographically, each by d != 0 on its H,
+  H at rows 2i, 2i+1 and columns 2j, 2j+1 (`is_invertible`'s test).
 
 `low_rank_combination` makes the dependence argument constructive.  Given M
 mutually distinct m x n matrices and a target d, let r = m - d + 1 and
@@ -20,13 +21,13 @@ M >= 1 + n * threshold, the truncations to the first r rows are dependent
 returned coefficients zero out the first r rows of the combination, which
 then has rank at most d - 1.  The split case eliminates the raw coefficient
 rows with `matrices.field_echelon`, the division case the half-size matrix
-H of the stacked entries (`skew_solve`'s core); both pick the first free
-column, so the witness is reproducible.
+H of the stacked entries (`skew_solve`'s core); both take the first kernel
+vector (`kernel()`), so the witness is reproducible.
 
 `verify_span_bound` runs each trial on raw coordinates: it forms the m-row
-combination once, checks its first r rows, and builds elements only for
-`comp_rank` of the combination's integer numerators and for the matrices of
-a counterexample.
+combination once, checks its first r rows, ranks the combination's integer
+numerators with `comp_rank`'s raw core, and builds elements only for the
+matrices of a counterexample.
 """
 
 import time
@@ -36,26 +37,35 @@ from math import comb, lcm
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
-from .matrices import CompMatrix, combine, field_echelon, is_invertible
-from .matrices import _combine_raw, _element, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
+from .matrices import CompMatrix, combine, field_echelon, is_invertible  # noqa: F401 (is_invertible: a tracer target)
+from .matrices import _combine_raw, _element, _half, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
 from .rng import SplitMix64
 
 
 def comp_rank(Z: CompMatrix) -> int:
     """Maximum size of an invertible square submatrix (0 if every entry is a non-unit)."""
-    pivots = _half_echelon(Z.ring, _raw(Z))[0]
-    if len(pivots) == 2 * Z.m == 2 * Z.n:
-        return Z.n  # det L(Z) != 0, so Z itself is invertible
+    return _comp_rank_raw(Z.ring, _raw(Z))
+
+
+def _comp_rank_raw(algebra, raw) -> int:
+    """`comp_rank` of a raw matrix (`_raw`), its coordinates possibly unreduced mod p."""
+    m, n = len(raw), len(raw[0])
+    H, a = _half(algebra, raw)
+    pivots = _half_echelon(algebra, H, a)[0]
+    if len(pivots) == 2 * m == 2 * n:
+        return n  # det L(Z) != 0, so Z itself is invertible
     try:
-        division = Z.ring.is_split_decision() == NONSPLIT
+        division = algebra.is_split_decision() == NONSPLIT
     except InfeasibleError:
         division = False
     if division:
         return _whole_pairs(pivots)
-    for size in range(min(Z.m, Z.n, len(pivots) // 2), 0, -1):
-        for rows in combinations(range(Z.m), size):
-            for cols in combinations(range(Z.n), size):
-                if is_invertible(Z.submatrix(rows, cols)):
+    for size in range(min(m, n, len(pivots) // 2), 0, -1):
+        for rows in combinations(range(m), size):
+            block_rows = [H[2 * i + r] for i in rows for r in (0, 1)]
+            for cols in combinations(range(n), size):
+                idx = [2 * j + c for j in cols for c in (0, 1)]
+                if _half_echelon(algebra, [[row[k] for k in idx] for row in block_rows], a)[1]:
                     return size
     return 0
 
@@ -107,7 +117,7 @@ def _combination(algebra, family, keep):
     n, p = len(family[0][0]), algebra.field.characteristic
     if algebra.is_split_decision() == SPLIT:
         rows = [[T[i][j][c] for T in family] for i in range(keep) for j in range(n) for c in range(4)]
-        _, sol, _ = field_echelon(rows, algebra.field)
+        sol = field_echelon(rows, algebra.field)[2]()
         if sol is None:
             raise AssertionError("dependence guaranteed by dimension count was not found")
         if p:
@@ -142,7 +152,8 @@ class SpanReport:
 def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=3):
     """Rejection-sampled pairwise distinct matrices (seeded, deterministic): each
     entry draws 4 coordinates in [0, p) over GF(p), [-entry_bound, entry_bound]
-    over QQ, row by row; duplicates are rejected on these raw values (`_sample`)."""
+    over QQ, row by row; duplicates are rejected on these raw values (`_sample`,
+    one `randints` call per batch: the stream of one `randint` per coordinate)."""
     return [_matrix(algebra, raw) for raw in _sample(algebra, m, n, count, rng, entry_bound)]
 
 
@@ -153,18 +164,16 @@ def _matrix(algebra, raw) -> CompMatrix:
 def _sample(algebra, m, n, count, rng: SplitMix64, entry_bound):
     f = algebra.field
     lo, hi = (0, f.p - 1) if isinstance(f, PrimeField) else (-entry_bound, entry_bound)
-    seen = set()
-    out = []
-    attempts = 0
+    out, left = {}, 1000 * count  # a dict keeps the first draw of each matrix, in order
     while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+        draws = min(count - len(out), left)  # each draw adds at most one matrix
+        if not draws:
             raise InfeasibleError("matrix space too small to sample distinct members")
-        raw = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(n)) for _ in range(m))
-        if raw not in seen:
-            seen.add(raw)
-            out.append(raw)
-    return out
+        left -= draws
+        coords = iter(rng.randints(lo, hi, 4 * m * n * draws))
+        rows = zip(*[zip(coords, coords, coords, coords)] * n)
+        out.update(dict.fromkeys(zip(*[rows] * m)))
+    return list(out)
 
 
 def _estimate_ops(m, n, d, M, trials) -> int:
@@ -204,7 +213,7 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
                 failure = "combination failed to kill the truncated rows" if split else "truncated combination is nonzero"
             elif not any(v for y in ys for v in y):
                 failure = "coefficients all zero"
-            elif (rank := comp_rank(_matrix(algebra, acc))) > d - 1:
+            elif (rank := _comp_rank_raw(algebra, acc)) > d - 1:
                 # acc is the combination times its denominator, a nonzero central scalar
                 failure = f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:

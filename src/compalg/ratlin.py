@@ -14,14 +14,14 @@ def solve_square(A, b):
     """
     n = len(A)
     rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
-    pivots, y, _ = field_echelon(rows, QQ)
+    pivots, _, kernel = field_echelon(rows, QQ)
     if pivots != list(range(n)):
         return None
-    return [-v for v in y[:n]]
+    return [-v for v in kernel()[:n]]
 
 
 def det(A) -> Fraction:
-    return field_echelon([[Fraction(x) for x in row] for row in A], QQ)[2]
+    return field_echelon([[Fraction(x) for x in row] for row in A], QQ)[1]
 
 
 def nullity(A, ncols) -> int:

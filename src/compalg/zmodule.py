@@ -120,7 +120,7 @@ class IntMatrix:
 
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
-        return field_echelon(self.rows, QQ)[2].numerator
+        return field_echelon(self.rows, QQ)[1].numerator
 
 
 def smith_normal_form(A: IntMatrix):

@@ -6,6 +6,9 @@ builds L(Z); these answers are read off L(Z) instead: det L(Z) is the Study
 determinant, rank_k L(Z) / 4 the rank over a division algebra, and over a
 split algebra the minors are searched by det L.  Over a division algebra the
 first kernel vector of L(A) is the coefficient vector of `skew_solve`'s core.
+
+`minor_search_rank` is the element-based minor search: each minor is built
+as its own `CompMatrix` and decided by `is_invertible`.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ from types import SimpleNamespace
 import pytest
 
 from compalg.fields import PrimeField, Scalar
-from compalg.matrices import CompMatrix, _raw, field_echelon
+from compalg.errors import InfeasibleError
+from compalg.matrices import CompMatrix, _half, _half_echelon, _raw, _whole_pairs, field_echelon, is_invertible
 from compalg.quaternion import NONSPLIT
 
 
@@ -49,13 +53,13 @@ def regular_rows(algebra, rows):
 def lz_skew_kernel(algebra, rows):
     """First kernel vector of L(A) for raw A over a division algebra, or None:
     the column block of a D-column holds four pivots of L(A) or none."""
-    pivots, kernel, _ = field_echelon(regular_rows(algebra, rows), algebra.field)
+    pivots, _, kernel = field_echelon(regular_rows(algebra, rows), algebra.field)
     assert pivots == [4 * (col // 4) + k for col in pivots[::4] for k in range(4)]
-    return kernel
+    return kernel()
 
 
 def lz_study_det(Z, lrep=left_regular_rep):
-    return Scalar(Z.ring.field, field_echelon(lrep(Z), Z.ring.field)[2])
+    return Scalar(Z.ring.field, field_echelon(lrep(Z), Z.ring.field)[1])
 
 
 def lz_skew_column_rank(A, lrep=left_regular_rep):
@@ -75,6 +79,25 @@ def lz_comp_rank(Z, lrep=left_regular_rep):
         for rows in combinations(range(Z.m), size):
             for cols in combinations(range(Z.n), size):
                 if not lz_study_det(Z.submatrix(rows, cols), lrep).is_zero():
+                    return size
+    return 0
+
+
+def minor_search_rank(Z):
+    """`comp_rank` by the bound rank H // 2 and a search of element minors."""
+    pivots = _half_echelon(Z.ring, *_half(Z.ring, _raw(Z)))[0]
+    if len(pivots) == 2 * Z.m == 2 * Z.n:
+        return Z.n
+    try:
+        division = Z.ring.is_split_decision() == NONSPLIT
+    except InfeasibleError:
+        division = False
+    if division:
+        return _whole_pairs(pivots)
+    for size in range(min(Z.m, Z.n, len(pivots) // 2), 0, -1):
+        for rows in combinations(range(Z.m), size):
+            for cols in combinations(range(Z.n), size):
+                if is_invertible(Z.submatrix(rows, cols)):
                     return size
     return 0
 
@@ -109,6 +132,7 @@ def lz():
         comp_rank=lz_comp_rank,
         skew_column_rank=lz_skew_column_rank,
         skew_kernel=lz_skew_kernel,
+        minor_search_rank=minor_search_rank,
         left_regular_rep=left_regular_rep,
         matrix=agreement_matrix,
     )

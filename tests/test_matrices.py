@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from compalg import matrices
+from compalg import matrices, rank, ratlin
 from compalg.errors import (
     AlgebraMismatchError,
     FieldMismatchError,
@@ -32,6 +32,7 @@ from compalg.rank import comp_rank, dependence_bound, low_rank_combination, samp
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
+from compalg.zmodule import IntMatrix
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -621,19 +622,53 @@ def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
         if nrows > 2 and rng.randint(0, 1):
             rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
         frozen = [list(row) for row in rows]
-        as_int = field_echelon(rows, QQ)
+        def run(rows):
+            pivots, det, kernel = field_echelon(rows, QQ)
+            return pivots, det, kernel()
+
+        as_int = run(rows)
         assert rows == frozen  # int rows are copied, not eliminated in place
-        as_fraction = field_echelon([[Fraction(x) for x in row] for row in rows], QQ)
-        mixed = field_echelon([[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(rows)], QQ)
-        by_rows = field_echelon([[Fraction(x) for x in row] if i % 2 else row for i, row in enumerate(rows)], QQ)
+        as_fraction = run([[Fraction(x) for x in row] for row in rows])
+        mixed = run([[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+        by_rows = run([[Fraction(x) for x in row] if i % 2 else row for i, row in enumerate(rows)])
         assert as_int == as_fraction == mixed == by_rows
-        pivots, kernel, det = as_int
+        pivots, det, kernel = as_int
         assert kernel is None or all(type(v) is Fraction for v in kernel)
         if nrows == ncols:
             assert type(det) is Fraction
             # a Fraction row scales the determinant; the int rows around it add nothing
             halved = [[Fraction(x, 2) for x in rows[0]]] + rows[1:]
-            assert field_echelon(halved, QQ)[2] == det / 2
+            assert field_echelon(halved, QQ)[1] == det / 2
+
+
+def test_determinants_and_verdicts_never_run_the_kernel(monkeypatch):
+    # field_echelon's back substitution runs only for a caller that asks for a kernel vector
+    echelon = matrices.field_echelon
+
+    def no_kernel(rows, spec):
+        pivots, det, _ = echelon(rows, spec)
+
+        def kernel():
+            raise AssertionError("kernel vector asked for")
+
+        return pivots, det, kernel
+
+    for module in (matrices, ratlin):
+        monkeypatch.setattr(module, "field_echelon", no_kernel)
+    singular = [[1, 2, 0], [2, 4, 0], [0, 1, 3]]
+    assert ratlin.det(singular) == 0 and IntMatrix(singular).det() == 0
+    assert all(FieldMatrix(spec, singular).det().is_zero() for spec in (QQ, PrimeField(7)))
+    for alg in (Mat2Algebra(QQ), Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1)):
+        if isinstance(alg, Mat2Algebra):
+            e11, e22 = alg.element((1, 0, 0, 0)), alg.element((0, 0, 0, 1))
+        else:
+            e11 = alg.split_witness()
+            e22 = alg.v() * e11 * alg.v()
+        Z = CompMatrix(alg, [[e11, e22], [e22, e11], [e11, e11]])
+        assert comp_rank(Z) == 2 and comp_rank(Z.take_rows(1)) == 0  # the second by the minor search
+        assert not study_det(Z.take_rows(2)).is_zero() and not is_invertible(CompMatrix(alg, [[e11]]))
+    with pytest.raises(AssertionError, match="kernel vector asked for"):
+        ratlin.solve_square([[1, 0], [0, 1]], [1, 1])
 
 
 AGREEMENT_ALGEBRAS = [
@@ -813,6 +848,7 @@ def test_half_size_checks_fail_on_a_broken_builder(monkeypatch):
     ]
     for builder, call, message in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(matrices, "_half", builder)
+            for module in (matrices, rank):  # comp_rank builds H through rank's own binding
+                patch.setattr(module, "_half", builder)
             with pytest.raises(AssertionError, match=message):
                 call()

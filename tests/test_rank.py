@@ -502,7 +502,7 @@ def test_witness_checks_still_run(monkeypatch):
     assert not split[0].rows[0][0].is_zero()
     with monkeypatch.context() as patch:
         # over a split algebra the combination itself is checked
-        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], [Fraction(1)] + [Fraction(0)] * 4, None))
+        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], None, lambda: [Fraction(1)] + [Fraction(0)] * 4))
         with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
             low_rank_combination(split, 1)
     with monkeypatch.context() as patch:
@@ -537,17 +537,67 @@ def test_comp_rank_of_full_rank_square_is_one_elimination(monkeypatch):
     assert len(calls) == 1
 
 
-def _oracle_sample(algebra, m, n, count, rng, entry_bound=3):
-    """The element-based sampler: every accepted draw built as a CompMatrix at once."""
+def _per_coordinate_sample(algebra, m, n, count, rng, entry_bound=3):
+    """The raw sampler with one `randint` call per coordinate: (matrices, draws)."""
     f = algebra.field
     lo, hi = (0, f.p - 1) if isinstance(f, PrimeField) else (-entry_bound, entry_bound)
-    seen, out = set(), []
+    seen, out, attempts = set(), [], 0
     while len(out) < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise InfeasibleError("matrix space too small to sample distinct members")
         raw = tuple(tuple(tuple(rng.randint(lo, hi) for _ in range(4)) for _ in range(n)) for _ in range(m))
         if raw not in seen:
             seen.add(raw)
-            out.append(CompMatrix(algebra, [[algebra.element(e) for e in row] for row in raw]))
-    return out
+            out.append(raw)
+    return out, attempts
+
+
+def _oracle_sample(algebra, m, n, count, rng, entry_bound=3):
+    """The element-based sampler: every accepted draw built as a CompMatrix at once."""
+    raws = _per_coordinate_sample(algebra, m, n, count, rng, entry_bound)[0]
+    return [CompMatrix(algebra, [[algebra.element(e) for e in row] for row in raw]) for raw in raws]
+
+
+def test_randints_is_successive_randint_calls():
+    # the published splitmix64 outputs for seed 1234567, one by one and batched
+    reference = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821]
+    single = SplitMix64(1234567)
+    assert [single.next_u64() for _ in range(5)] == reference == SplitMix64(1234567).randints(0, 2**64 - 1, 5)
+    for seed in (0, 1, 5, 2**63 + 17, 2**64 - 1):
+        for lo, hi, count in ((0, 6, 50), (-3, 3, 41), (4, 4, 9), (0, 2**70, 12), (-1, 0, 0), (0, 1, 1)):
+            batched, single = SplitMix64(seed), SplitMix64(seed)
+            assert batched.randints(lo, hi, count) == [single.randint(lo, hi) for _ in range(count)]
+            assert batched._state == single._state and batched.next_u64() == single.next_u64()
+    for lo, hi in ((3, 2), (0, -1)):
+        with pytest.raises(ValueError, match="empty range"):
+            SplitMix64(1).randints(lo, hi, 4)
+
+
+def test_batched_sampler_matches_the_per_coordinate_sampler():
+    # the same families from the same stream, and the stream left in the same place
+    cases = [
+        (HQ, 2, 2, 5, 3),
+        (QuatAlgebra(QQ, 1, -1), 2, 3, 13, 3),
+        (HQ, 1, 1, 50, 1),  # 50 of the 81 matrices: many rejections
+        (Mat2Algebra(F3), 2, 2, 9, 3),
+        (Mat2Algebra(PrimeField(7)), 3, 1, 4, 3),
+        (Mat2Algebra(PrimeField(2)), 1, 1, 16, 3),  # every matrix of Mat2(GF(2)): many rejections
+    ]
+    for seed in range(6):
+        for algebra, m, n, count, bound in cases:
+            batched, single = SplitMix64(seed), SplitMix64(seed)
+            expected, draws = _per_coordinate_sample(algebra, m, n, count, single, bound)
+            assert rank._sample(algebra, m, n, count, batched, bound) == expected
+            assert batched._state == single._state
+            if count == 16:
+                assert draws > 2 * count
+    # a space too small: both give up after the same 1000 * count draws
+    batched, single = SplitMix64(3), SplitMix64(3)
+    for sampler, rng in ((rank._sample, batched), (_per_coordinate_sample, single)):
+        with pytest.raises(InfeasibleError, match="too small"):
+            sampler(HQ, 1, 1, 2, rng, 0)
+    assert batched._state == single._state
 
 
 def _oracle_low_rank_combination(mats, d, lz):
@@ -559,12 +609,12 @@ def _oracle_low_rank_combination(mats, d, lz):
     f = algebra.field
     if algebra.is_split_decision() == "split":
         rows = [[T.rows[i][j].coeffs[c] for T in truncated] for i in range(keep) for j in range(n) for c in range(4)]
-        sol = matrices.field_echelon(rows, f)[1]
+        sol = matrices.field_echelon(rows, f)[2]()
         inv = f._inv(next(c for c in sol if c))
         coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
     else:
         stacked = CompMatrix(algebra, [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)])
-        kernel = matrices.field_echelon(lz.left_regular_rep(stacked), f)[1]
+        kernel = matrices.field_echelon(lz.left_regular_rep(stacked), f)[2]()
         sol = [algebra.element(kernel[4 * t : 4 * t + 4]) for t in range(len(mats))]
         inv = next(c for c in sol if not c.is_zero()).inverse()
         coeffs = tuple(c * inv for c in sol)
@@ -630,9 +680,9 @@ PINNED_FAMILIES = {
 
 
 def _echelon_giving(pivots, kernel_is_first_column):
-    """A stand-in for `field_echelon`: these pivots, and the kernel vector e_0 or None."""
+    """A stand-in for `field_echelon`: these pivots, no determinant, and the kernel vector e_0 or None."""
     def echelon(rows, f):
-        return pivots, ([1] + [0] * (len(rows[0]) - 1) if kernel_is_first_column else None), None
+        return pivots, None, lambda: [1] + [0] * (len(rows[0]) - 1) if kernel_is_first_column else None
     return echelon
 
 
@@ -661,8 +711,8 @@ def test_every_trial_check_reaches_the_report(monkeypatch):
         (HQ, matrices, "pair_echelon", _pair_echelon_giving([0, 1], False), "dependence guaranteed by dimension count was not found"),
         (HQ, rank, "_combination", _combination_giving((1, 0, 0, 0)), "truncated combination is nonzero"),
         (HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
-        (HQ, rank, "comp_rank", lambda Z: 5, "rank 5 exceeds 0"),
-        (SPLIT_F2, rank, "comp_rank", lambda Z: 5, "rank 5 exceeds 0"),
+        (HQ, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 0"),
+        (SPLIT_F2, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 0"),
     ]
     for algebra, module, attribute, stand_in, reason in cases:
         with monkeypatch.context() as patch:
@@ -711,12 +761,99 @@ def test_comp_rank_matches_the_lz_oracle(alg, lz):
 
 @pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), HQ], ids=repr)
 def test_span_trial_forms_its_combination_once(algebra, monkeypatch):
-    # one m-row combination per trial, whose integer numerators go to comp_rank
+    # one m-row combination per trial, whose integer numerators go to the raw comp_rank core
     calls, ranked = [], []
-    combine_raw, rank_of = rank._combine_raw, rank.comp_rank
+    combine_raw, rank_of = rank._combine_raw, rank._comp_rank_raw
     monkeypatch.setattr(rank, "_combine_raw", lambda *args: calls.append(args[3]) or combine_raw(*args))
-    monkeypatch.setattr(rank, "comp_rank", lambda Z: ranked.append(Z) or rank_of(Z))
+    monkeypatch.setattr(rank, "_comp_rank_raw", lambda alg, raw: ranked.append(raw) or rank_of(alg, raw))
     report = verify_span_bound(algebra, 2, 3, 2, trials=3, seed=9)
     assert report.successes == 3
     assert calls == [2, 2, 2]
-    assert len(ranked) == 3 and all(v.denominator == 1 for Z in ranked for row in Z.rows for e in row for v in e.coeffs)
+    assert len(ranked) == 3 and all(type(v) is int for raw in ranked for row in raw for e in row for v in e)
+
+
+MINOR_SEARCH_ALGEBRAS = [
+    Mat2Algebra(PrimeField(7)),
+    Mat2Algebra(QQ),
+    QuatAlgebra(QQ, 1, -1),
+    QuatAlgebra(QQ, 4, -3),
+    QuatAlgebra(QQ, 3, -3),  # sqrt(3) not in QQ: H and each minor over QQ(sqrt(3))
+]
+
+
+def _non_unit_menus(algebra):
+    """Entry menus: E11 and E12 over Mat2, else products with a zero divisor w;
+    alone, with zero, with E22 and zero, and all four with the unit one."""
+    if isinstance(algebra, Mat2Algebra):
+        e11, e12, e22, e21 = (algebra.element(c) for c in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    else:
+        w, v = algebra.split_witness(), algebra.v()
+        e11, e12, e22, e21 = w, w * v, v * w * v, v * w
+    zero = algebra.zero()
+    return [[e11, e12], [e11, e12, zero], [e11, e22, zero], [e11, e12, e22, e21, algebra.one()]]
+
+
+@pytest.mark.parametrize("algebra", MINOR_SEARCH_ALGEBRAS, ids=repr)
+def test_comp_rank_matches_the_element_minor_search(algebra, lz):
+    # minors read off the one H of the input give the element minor search's
+    # rank: non-unit menus up to 6 x 6, and seeded matrices with rational
+    # entries and low-rank products up to 3 x 4
+    rng = SplitMix64(sum(map(ord, repr(algebra))) + 53)
+    below_bound = set()
+    cases = []
+    for size in range(1, 7):
+        for menu in _non_unit_menus(algebra):
+            for _ in range(3 if size < 5 else 1):
+                m = size if rng.randint(0, 2) else max(1, size - 1)
+                cases.append(CompMatrix(algebra, [[menu[rng.randint(0, len(menu) - 1)] for _ in range(size)] for _ in range(m)]))
+    cases += [lz.matrix(algebra, rng.randint(1, 3), rng.randint(1, 4), rng) for _ in range(60)]
+    for Z in cases:
+        expected = lz.minor_search_rank(Z)
+        assert comp_rank(Z) == expected, Z.entries
+        top = len(matrices._half_echelon(algebra, *matrices._half(algebra, matrices._raw(Z)))[0]) // 2
+        if expected < min(top, Z.m, Z.n):
+            below_bound.add(expected > 0)
+    assert below_bound == {False, True}  # the search ran, both to a minor and to 0
+
+
+def test_minors_of_a_pair_path_matrix_check_their_sqrt_a_part(monkeypatch):
+    # over (3,-3)_QQ every minor is eliminated over QQ(sqrt(3)), so a determinant
+    # with a sqrt(3) part is caught in the search, past the 1 x 2 input itself
+    algebra = QuatAlgebra(QQ, 3, -3)
+    w = algebra.split_witness()
+    v = algebra.v()
+    Z = CompMatrix(algebra, [[w, v * w * v]])  # rank H = 2, yet both entries are zero divisors
+    assert comp_rank(Z) == 0
+    pair = matrices.pair_echelon
+
+    def tilted(rows, k, a):
+        pivots, d, kernel = pair(rows, k, a)
+        return pivots, None if d is None else (d[0], d[1] + 1), kernel
+
+    monkeypatch.setattr(matrices, "pair_echelon", tilted)
+    with pytest.raises(AssertionError, match="nonzero sqrt\\(a\\) part"):
+        comp_rank(Z)
+
+
+@pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(PrimeField(7), 3, 6), SPLIT_F2, HQ,
+                                     QuatAlgebra(QQ, 1, -1), QuatAlgebra(QQ, 3, -3)], ids=repr)
+def test_span_trial_rank_on_raw_acc_is_the_comp_matrix_rank(algebra, monkeypatch):
+    # a trial ranks its combination on the raw, unreduced acc; through CompMatrix,
+    # whose entries are reduced, the rank is the same
+    seen = []
+    rank_of = rank._comp_rank_raw
+
+    def recorded(alg, acc):
+        seen.append((acc, rank_of(alg, acc)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "_comp_rank_raw", recorded)
+        for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (2, 3, 2), (2, 2, 2), (1, 3, 1))):
+            assert verify_span_bound(algebra, m, n, d, trials=2, seed=61 + k).successes == 2
+    assert len(seen) == 10
+    for acc, r in seen:
+        assert r == comp_rank(rank._matrix(algebra, acc))
+    p = algebra.field.characteristic
+    if p:  # the acc handed over is unreduced
+        assert any(not 0 <= v < p for acc, _ in seen for row in acc for e in row for v in e)
