@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 - rationals are `fractions.Fraction` values (lowest terms, positive denominator);
 - prime-field residues are canonical integers in [0, p);
+- raw base-field values combine with Python operators and are reduced once
+  by the field's `_reduce`: the identity over QQ, `v % p` over GF(p).  Zero
+  is tested by truthiness, never against a coerced 0;
 - a quadratic-extension element is a pair (x, y) standing for x + y*sqrt(a),
   with (sqrt(a))**2 = a held exactly;
 - the conjugation of a quadratic extension maps x + y*sqrt(a) to x - y*sqrt(a).
@@ -63,24 +66,18 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.element(1)
 
-    # raw-value ring operations, implemented per subclass
-    def _coerce(self, value):
-        raise NotImplementedError
-
+    # raw-value ring operations: an operator, then the subclass's `_reduce`
     def _add(self, a, b):
-        raise NotImplementedError
+        return self._reduce(a + b)
 
     def _sub(self, a, b):
-        raise NotImplementedError
+        return self._reduce(a - b)
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        return self._reduce(a * b)
 
     def _neg(self, a):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
+        return self._reduce(-a)
 
 
 class RationalField(FieldSpec):
@@ -102,17 +99,8 @@ class RationalField(FieldSpec):
             return value.raw
         return Fraction(value)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
+    def _reduce(self, v):
+        return v
 
     def _inv(self, a):
         if a == 0:
@@ -142,20 +130,11 @@ class PrimeField(FieldSpec):
                 raise FieldMismatchError("scalar from a different field")
             return value.raw
         if isinstance(value, Fraction):
-            return self._mul(value.numerator % self.p, self._inv(value.denominator % self.p))
+            return value.numerator * self._inv(value.denominator) % self.p
         return int(value) % self.p
 
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _sub(self, a, b):
-        return (a - b) % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
-
-    def _neg(self, a):
-        return (-a) % self.p
+    def _reduce(self, v):
+        return v % self.p
 
     def _inv(self, a):
         if a % self.p == 0:
@@ -191,11 +170,11 @@ class QuadExt(FieldSpec):
 
     def embed(self, value) -> "Scalar":
         """Base-field value as an extension element with zero sqrt(a) part."""
-        return Scalar(self, (self.base._coerce(value), self.base._coerce(0)))
+        return self.element((value, 0))
 
     def gen(self) -> "Scalar":
         """The element sqrt(a)."""
-        return Scalar(self, (self.base._coerce(0), self.base._coerce(1)))
+        return self.element((0, 1))
 
     def _coerce(self, value):
         if isinstance(value, Scalar):
@@ -208,6 +187,7 @@ class QuadExt(FieldSpec):
             return (self.base._coerce(value[0]), self.base._coerce(value[1]))
         return (self.base._coerce(value), self.base._coerce(0))
 
+    # on pairs, whose + would concatenate: each part is reduced by the base field
     def _add(self, a, b):
         return (self.base._add(a[0], b[0]), self.base._add(a[1], b[1]))
 
@@ -215,13 +195,8 @@ class QuadExt(FieldSpec):
         return (self.base._sub(a[0], b[0]), self.base._sub(a[1], b[1]))
 
     def _mul(self, a, b):
-        x1, y1 = a
-        x2, y2 = b
-        bb = self.base
-        return (
-            bb._add(bb._mul(x1, x2), bb._mul(self.a, bb._mul(y1, y2))),
-            bb._add(bb._mul(x1, y2), bb._mul(y1, x2)),
-        )
+        (x1, y1), (x2, y2), r = a, b, self.base._reduce
+        return (r(x1 * x2 + self.a * y1 * y2), r(x1 * y2 + y1 * x2))
 
     def _neg(self, a):
         return (self.base._neg(a[0]), self.base._neg(a[1]))
@@ -231,18 +206,17 @@ class QuadExt(FieldSpec):
 
     def _norm(self, a):
         """x^2 - a*y^2, the base-field norm x*conj(x)."""
-        bb = self.base
-        return bb._sub(bb._mul(a[0], a[0]), bb._mul(self.a, bb._mul(a[1], a[1])))
+        x, y = a
+        return self.base._reduce(x * x - self.a * y * y)
 
     def _inv(self, a):
-        if a == self._coerce(0):
+        if not any(a):
             raise ZeroDivisionError("inverse of zero")
         n = self._norm(a)
-        if n == self.base._coerce(0):
+        if not n:
             raise ZeroDivisorError(f"{a} has zero norm; no inverse exists")
-        ninv = self.base._inv(n)
-        bb = self.base
-        return (bb._mul(a[0], ninv), bb._mul(bb._neg(a[1]), ninv))
+        ninv, r = self.base._inv(n), self.base._reduce
+        return (r(a[0] * ninv), r(-a[1] * ninv))
 
 
 class Scalar:
@@ -304,7 +278,7 @@ class Scalar:
         return f"Scalar({self.raw!r} over {self.spec!r})"
 
     def is_zero(self) -> bool:
-        return self.raw == self.spec._coerce(0)
+        return not (any(self.raw) if isinstance(self.spec, QuadExt) else self.raw)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse.
@@ -393,25 +367,16 @@ def split_components(x: Scalar) -> tuple[Scalar, Scalar]:
     spec = x.spec
     if not isinstance(spec, QuadExt) or not spec.split:
         raise NotQuadExtError("component decomposition needs a split quadratic extension")
-    s = spec._sqrt_a
-    bb = spec.base
-    xr, yr = x.raw
-    return (
-        Scalar(bb, bb._add(xr, bb._mul(yr, s))),
-        Scalar(bb, bb._sub(xr, bb._mul(yr, s))),
-    )
+    bb, (xr, yr) = spec.base, x.raw
+    return Scalar(bb, bb._add(xr, yr * spec._sqrt_a)), Scalar(bb, bb._sub(xr, yr * spec._sqrt_a))
 
 
 def from_split_components(spec: QuadExt, c1: Scalar, c2: Scalar) -> Scalar:
     """Inverse of split_components (characteristic != 2 guaranteed by QuadExt)."""
     if not spec.split:
         raise NotQuadExtError("component decomposition needs a split quadratic extension")
-    bb = spec.base
-    half = bb._inv(bb._coerce(2))
-    s_inv = bb._inv(spec._sqrt_a)
-    x = bb._mul(bb._add(c1.raw, c2.raw), half)
-    y = bb._mul(bb._mul(bb._sub(c1.raw, c2.raw), half), s_inv)
-    return Scalar(spec, (x, y))
+    bb, half = spec.base, spec.base._inv(spec.base._coerce(2))
+    return Scalar(spec, (bb._mul(c1.raw + c2.raw, half), bb._mul(c1.raw - c2.raw, half * bb._inv(spec._sqrt_a))))
 
 
 QQ = RationalField()

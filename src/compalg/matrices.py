@@ -275,8 +275,8 @@ def pair_echelon(rows, k: FieldSpec, a):
         D, N, scale, work = a.denominator, a.numerator * a.denominator, 1, []
         for row in rows:
             xs, ys = [x for x, _ in row], [y if D == 1 else Fraction(y, D) for _, y in row]
-            den = lcm(*(v.denominator for v in xs + ys))
-            if den != 1 or not all(type(v) is int for v in xs + ys):
+            if not all(type(v) is int for v in xs + ys):
+                den = lcm(*(v.denominator for v in xs + ys))
                 xs, ys = ([v.numerator * (den // v.denominator) for v in vs] for vs in (xs, ys))
                 scale *= den
             work.append((xs, ys))
@@ -522,10 +522,9 @@ def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
     if not isinstance(Z.ring, (Mat2Algebra, QuatAlgebra)) or not Z.ring.has_mat2_form():
         raise NotSplitFormError("entry has no registered 2x2 realization")
     blocks = [[e if isinstance(e, Mat2Element) else quat_to_mat2(e) for e in row] for row in Z.rows]
-    zero = spec._coerce(0)
     for row in blocks:
         for e in row:
-            if e.coeffs[1] != zero or e.coeffs[2] != zero:
+            if e.coeffs[1] or e.coeffs[2]:
                 raise NotDiagonalError(f"entry {e!r} is not diagonal")
     first = FieldMatrix(spec, [[e.coeffs[0] for e in row] for row in blocks])
     second = FieldMatrix(spec, [[e.coeffs[3] for e in row] for row in blocks])

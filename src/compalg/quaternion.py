@@ -247,8 +247,7 @@ class TableElement:
         return hash((self.algebra, self.coeffs))
 
     def is_zero(self) -> bool:
-        zero = self.algebra.field._coerce(0)
-        return all(c == zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def scale(self, value):
         """Base-field scalar multiple (central, so no side to choose)."""
@@ -444,8 +443,7 @@ class QuaternionElement(CompositionElement):
         The u, v, w components of the product are checked to vanish exactly.
         """
         prod = (self * self.conjugate()).coeffs
-        zero = self.algebra.field._coerce(0)
-        if prod[1] != zero or prod[2] != zero or prod[3] != zero:
+        if any(prod[1:]):
             raise AssertionError("norm has a nonreal component; structure table is broken")
         return Scalar(self.algebra.field, prod[0])
 
@@ -523,7 +521,7 @@ class Mat2Element(CompositionElement):
     def norm(self) -> Scalar:
         f = self.algebra.field
         m00, m01, m10, m11 = self.coeffs
-        return Scalar(f, f._sub(f._mul(m00, m11), f._mul(m01, m10)))
+        return Scalar(f, f._reduce(m00 * m11 - m01 * m10))
 
 
 def quat_to_mat2(z: QuaternionElement, target: Mat2Algebra | None = None) -> Mat2Element:
@@ -536,16 +534,8 @@ def quat_to_mat2(z: QuaternionElement, target: Mat2Algebra | None = None) -> Mat
         raise AlgebraMismatchError("only the (1,-1) algebra has the registered 2x2 form")
     if target is None:
         target = Mat2Algebra(alg.field)
-    f = alg.field
     x0, x1, x2, x3 = z.coeffs
-    return target.element(
-        (
-            f._add(x0, x1),
-            f._neg(f._add(x2, x3)),
-            f._sub(x2, x3),
-            f._sub(x0, x1),
-        )
-    )
+    return target.element((x0 + x1, -(x2 + x3), x2 - x3, x0 - x1))
 
 
 def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> QuaternionElement:
@@ -559,11 +549,4 @@ def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> Quaternio
         raise AlgebraMismatchError("target must be the (1,-1) algebra")
     m00, m01, m10, m11 = m.coeffs
     half = f._inv(f._coerce(2))
-    return target.element(
-        (
-            f._mul(f._add(m00, m11), half),
-            f._mul(f._sub(m00, m11), half),
-            f._mul(f._sub(m10, m01), half),
-            f._mul(f._neg(f._add(m01, m10)), half),
-        )
-    )
+    return target.element(((m00 + m11) * half, (m00 - m11) * half, (m10 - m01) * half, -(m01 + m10) * half))

@@ -27,7 +27,7 @@ central binomial coefficient, and the smallest split case 2.
 
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from math import comb, factorial, lcm
 from operator import add, itemgetter
 
@@ -560,12 +560,13 @@ def verify_generation(flavor: str, n: int, degree_bound: int) -> GenerationRepor
     weights = range(degree_bound, -degree_bound - 1 if flavor == "Sym" else -1, -1)
     if n > MAX_GENERATION_RANK:
         raise InfeasibleError(f"generation checking is budgeted to n <= {MAX_GENERATION_RANK}, got n = {n}")
-    if weights and comb(len(weights) + n - 1, n) > MAX_GENERATION_ORBITS:
+    # an orbit is a dominant weight, a multiset of n weights: comb(w + n - 1, n) of them
+    orbits = comb(len(weights) + n - 1, n) if weights else int(n == 0)
+    if orbits > MAX_GENERATION_ORBITS:
         raise InfeasibleError(f"more than {MAX_GENERATION_ORBITS} orbits at n = {n}, bound = {degree_bound}")
     _check_leading_terms(flavor, n, _generator_rows(flavor, n))
     report = GenerationReport(flavor=flavor, n=n, degree_bound=degree_bound)
-    # descending weights make each combination a non-increasing, dominant weight
-    report.checked = report.expressible = sum(1 for _ in combinations_with_replacement(weights, n))
+    report.checked = report.expressible = orbits
     return report
 
 

@@ -9,6 +9,9 @@ first kernel vector of L(A) is the coefficient vector of `skew_solve`'s core.
 
 `minor_search_rank` is the element-based minor search: each minor is built
 as its own `CompMatrix` and decided by `is_invertible`.
+
+The `canonical` fixture, used by the field and element tests, checks the raw
+value convention of `compalg.fields`.
 """
 
 from fractions import Fraction
@@ -122,6 +125,20 @@ def agreement_matrix(alg, m, n, rng):
         A = CompMatrix(alg, [[entry() for _ in range(inner)] for _ in range(m)])
         return A * CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(inner)])
     return CompMatrix(alg, [[entry() for _ in range(n)] for _ in range(m)])
+
+
+def assert_canonical(field, values):
+    """Raw QQ values are Fractions; raw GF(p) values are ints in [0, p)."""
+    for v in values:
+        if field.characteristic:
+            assert type(v) is int and 0 <= v < field.characteristic, (field, v)
+        else:
+            assert type(v) is Fraction, (field, v)
+
+
+@pytest.fixture
+def canonical():
+    return assert_canonical
 
 
 @pytest.fixture

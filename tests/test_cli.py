@@ -214,6 +214,27 @@ def test_verify_generation_over_budget_exits_cleanly(capsys):
         assert json.loads(err)["error"]["type"] == "InfeasibleError"
 
 
+def test_verify_bound_over_the_estimated_budget_exits_cleanly(capsys):
+    argv = ("span", "verify-bound", "--field", "Q", "--a", "-1", "--b", "-1", "--m", "4", "--n", "4", "--d", "1",
+            "--trials", "10", "--budget-ms", "1")
+    code, out, err = run(capsys, *argv)
+    _assert_one_json_error(code, out, err, argv)
+    assert json.loads(err)["error"] == {
+        "type": "InfeasibleError", "message": "estimated work 803840 exceeds the budget of 1 ms"
+    }
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("quat", "mul", "--field", "Q", "--a", "-1", "--b", "-1", "--x", "1,2,0,0", "--y", "0,1,1/2,0"),
+     "Quat(Fraction(-2, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 1))"),
+    (("quat", "conjugate", "--field", "Fp:7", "--a", "3", "--b", "-1", "--x", "1,2,3,4"), "Quat(1, 5, 4, 3)"),
+    (("quat", "inverse", "--field", "Q", "--split", "--x", "1,2,3,4"), "[[-2,1],[3/2,-1/2]]"),
+])
+def test_quat_text_output_exact_bytes(capsys, argv, text):
+    code, out, err = run(capsys, *argv, "--output", "text")
+    assert (code, out, err) == (0, text, "")
+
+
 def test_spin_check(capsys):
     code, out, _ = run(
         capsys, "clifford", "spin-check", "--p", "1", "--q", "2", "--count", "10", "--seed", "5"

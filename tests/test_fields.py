@@ -197,3 +197,19 @@ def test_split_quad_ext_over_large_prime():
     assert L.split
     root, _ = split_components(L.gen())
     assert (root * root).raw == a
+
+
+@pytest.mark.parametrize("base, squares", [(QQ, (2, 4)), (F7, (3, 2))], ids=repr)
+def test_raw_values_stay_canonical(base, squares, canonical):
+    x, y = base.element(Fraction(-3, 2)), base.element(5)
+    results = [x + y, x - y, -x, x * y, x.inverse(), x / y, 3 - x, 2 * x, x + 1]
+    canonical(base, [s.raw for s in results])
+    for a in squares:  # a non-square and a square a
+        L = QuadExt(base, a)
+        z, w = L.element((Fraction(-3, 2), 5)), L.element((1, -2))
+        results = [z + w, z - w, -z, z * w, z.conjugate(), z.inverse(), L.embed(Fraction(1, 3)), L.gen()]
+        canonical(base, [v for s in results for v in s.raw] + [L._norm(z.raw), L.a])
+        if L.split:
+            parts = split_components(z)
+            canonical(base, [c.raw for c in parts] + list(from_split_components(L, *parts).raw))
+            assert from_split_components(L, *parts) == z

@@ -537,3 +537,14 @@ def test_quaternion_and_mat2_elements_do_not_mix(field):
         for a, b in ((q, m), (m, q)):
             with pytest.raises(AlgebraMismatchError):
                 op(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_coordinates_stay_canonical(field, canonical):
+    """QQ coordinates stay Fractions and GF(p) ones ints in [0, p) after every operation."""
+    for alg in (QuatAlgebra(field, -1, 3), QuatAlgebra.split_form(field), Mat2Algebra(field)):
+        z, w = alg.element((Fraction(-3, 2), 2, -5, Fraction(1, 3))), alg.element((1, -2, 0, 4))
+        results = [z + w, z - w, -z, z * w, z.scale(Fraction(-2, 3)), z.conjugate(), w.inverse()]
+        if alg.has_mat2_form():
+            results += [mat2_to_quat(z)] if isinstance(alg, Mat2Algebra) else [quat_to_mat2(z)]
+        canonical(field, [c for e in results for c in e.coeffs] + [z.norm().raw, w.norm().raw])

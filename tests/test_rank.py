@@ -1,6 +1,7 @@
 from fractions import Fraction
 import hashlib
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -391,6 +392,16 @@ def test_verify_span_bound_runs_and_is_deterministic():
     assert a.successes == 10
     c = verify_span_bound(HQ, 2, 2, 2, trials=5, seed=3)
     assert c.successes == 5 and c.counterexample is None
+
+
+def test_verify_span_bound_stops_when_the_trial_budget_runs_out(monkeypatch):
+    # the clock is read at the start and before each trial: the first trial
+    # starts 0.5 s in, within the 1 s budget, and the second 5 s in, past it
+    readings = iter([0.0, 0.5, 5.0])
+    monkeypatch.setattr(rank, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+    with pytest.raises(InfeasibleError, match="^trial budget exhausted$"):
+        verify_span_bound(HQ, 2, 2, 1, trials=3, seed=7, budget_ms=1000)
+    assert next(readings, None) is None
 
 
 def test_corpus_fixture_inventory():

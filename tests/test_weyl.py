@@ -555,6 +555,18 @@ def test_verify_generation_budget():
         verify_generation("Hyperoctahedral", 8, 20)
 
 
+def test_orbit_count_matches_the_enumeration():
+    """The count of orbits is the number of multisets of n weights, also for
+    n = 0 (one, the empty weight) and an empty weight range (bound -1)."""
+    for flavor in ("Sym", "Hyperoctahedral"):
+        for n in range(5):
+            for bound in range(-1, 5):
+                weights = range(bound, -bound - 1 if flavor == "Sym" else -1, -1)
+                listed = sum(1 for _ in combinations_with_replacement(weights, n))
+                report = verify_generation(flavor, n, bound)
+                assert report.checked == report.expressible == listed, (flavor, n, bound)
+
+
 def test_parse_laurent():
     f = parse_laurent("x1^2*x2^-1 + 3", 2)
     assert f == LaurentPoly(2, {(2, -1): 1, (0, 0): 3})
