@@ -79,10 +79,11 @@ class FieldSpec:
     def _neg(self, a):
         return self._reduce(-a)
 
+    def _is_zero(self, a):
+        return not a
+
 
 class RationalField(FieldSpec):
-    characteristic = 0
-
     def __repr__(self):
         return "QQ"
 
@@ -177,15 +178,12 @@ class QuadExt(FieldSpec):
         return self.element((0, 1))
 
     def _coerce(self, value):
-        if isinstance(value, Scalar):
-            if value.spec == self:
-                return value.raw
-            if value.spec == self.base:
-                return (value.raw, self.base._coerce(0))
-            raise FieldMismatchError("scalar from a different field")
-        if isinstance(value, tuple) and len(value) == 2:
-            return (self.base._coerce(value[0]), self.base._coerce(value[1]))
-        return (self.base._coerce(value), self.base._coerce(0))
+        if isinstance(value, Scalar) and value.spec == self:
+            return value.raw
+        # anything else is a base value (a scalar of another field is refused there)
+        if not (isinstance(value, tuple) and len(value) == 2):
+            value = (value, 0)
+        return (self.base._coerce(value[0]), self.base._coerce(value[1]))
 
     # on pairs, whose + would concatenate: each part is reduced by the base field
     def _add(self, a, b):
@@ -195,7 +193,9 @@ class QuadExt(FieldSpec):
         return (self.base._sub(a[0], b[0]), self.base._sub(a[1], b[1]))
 
     def _mul(self, a, b):
-        (x1, y1), (x2, y2), r = a, b, self.base._reduce
+        x1, y1 = a
+        x2, y2 = b
+        r = self.base._reduce
         return (r(x1 * x2 + self.a * y1 * y2), r(x1 * y2 + y1 * x2))
 
     def _neg(self, a):
@@ -204,18 +204,22 @@ class QuadExt(FieldSpec):
     def _conj(self, a):
         return (a[0], self.base._neg(a[1]))
 
+    def _is_zero(self, a):
+        return not any(a)
+
     def _norm(self, a):
         """x^2 - a*y^2, the base-field norm x*conj(x)."""
         x, y = a
         return self.base._reduce(x * x - self.a * y * y)
 
     def _inv(self, a):
-        if not any(a):
+        if self._is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         n = self._norm(a)
         if not n:
             raise ZeroDivisorError(f"{a} has zero norm; no inverse exists")
-        ninv, r = self.base._inv(n), self.base._reduce
+        ninv = self.base._inv(n)
+        r = self.base._reduce
         return (r(a[0] * ninv), r(-a[1] * ninv))
 
 
@@ -278,7 +282,7 @@ class Scalar:
         return f"Scalar({self.raw!r} over {self.spec!r})"
 
     def is_zero(self) -> bool:
-        return not (any(self.raw) if isinstance(self.spec, QuadExt) else self.raw)
+        return self.spec._is_zero(self.raw)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse.
@@ -367,16 +371,21 @@ def split_components(x: Scalar) -> tuple[Scalar, Scalar]:
     spec = x.spec
     if not isinstance(spec, QuadExt) or not spec.split:
         raise NotQuadExtError("component decomposition needs a split quadratic extension")
-    bb, (xr, yr) = spec.base, x.raw
-    return Scalar(bb, bb._add(xr, yr * spec._sqrt_a)), Scalar(bb, bb._sub(xr, yr * spec._sqrt_a))
+    bb = spec.base
+    xr, yr = x.raw
+    ys = yr * spec._sqrt_a
+    return Scalar(bb, bb._add(xr, ys)), Scalar(bb, bb._sub(xr, ys))
 
 
 def from_split_components(spec: QuadExt, c1: Scalar, c2: Scalar) -> Scalar:
     """Inverse of split_components (characteristic != 2 guaranteed by QuadExt)."""
     if not spec.split:
         raise NotQuadExtError("component decomposition needs a split quadratic extension")
-    bb, half = spec.base, spec.base._inv(spec.base._coerce(2))
-    return Scalar(spec, (bb._mul(c1.raw + c2.raw, half), bb._mul(c1.raw - c2.raw, half * bb._inv(spec._sqrt_a))))
+    bb = spec.base
+    half = bb._inv(bb._coerce(2))
+    x = bb._mul(c1.raw + c2.raw, half)
+    y = bb._mul(c1.raw - c2.raw, half * bb._inv(spec._sqrt_a))
+    return Scalar(spec, (x, y))
 
 
 QQ = RationalField()

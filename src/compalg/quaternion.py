@@ -549,4 +549,5 @@ def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> Quaternio
         raise AlgebraMismatchError("target must be the (1,-1) algebra")
     m00, m01, m10, m11 = m.coeffs
     half = f._inv(f._coerce(2))
-    return target.element(((m00 + m11) * half, (m00 - m11) * half, (m10 - m01) * half, -(m01 + m10) * half))
+    coords = (m00 + m11, m00 - m11, m10 - m01, -(m01 + m10))
+    return target.element(tuple(c * half for c in coords))
