@@ -486,10 +486,11 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--output", choices=("json", "text", "latex"), default="json")
         p.add_argument("--seed", type=int, default=0)
+        # a string default goes through `type` inside parse_args, so a malformed variable is a CliError
         p.add_argument(
             "--budget-ms",
-            type=int,
-            default=int(os.environ.get("COMPALG_BUDGET_MS", DEFAULT_BUDGET_MS)),
+            type=nonnegative,
+            default=os.environ.get("COMPALG_BUDGET_MS", DEFAULT_BUDGET_MS),
         )
         return p
 

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .errors import (
     InfeasibleError,
@@ -282,18 +282,16 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     return Multivector(sig, [Fraction(c, denom) for c in acc], factors=tuple(factors))
 
 
-class Classification:
+class Classification(SimpleNamespace):
     """Cl(p, q) as Mat(matrix_size, base), base "R", "C" or "H"; two copies when `direct_sum`."""
 
-    def __init__(self, base: str, matrix_size: int, direct_sum: bool):
-        self.base, self.matrix_size, self.direct_sum = base, matrix_size, direct_sum
-
     def to_json(self):
-        return {
-            "base": self.base,
-            "matrix_size": self.matrix_size,
-            "direct_sum": self.direct_sum,
-        }
+        return dict(vars(self))
+
+
+# (base, shift, direct_sum) by (p - q) mod 8: Cl(p, q) is Mat(2^((p + q - shift) / 2), base), twice if direct_sum
+_CLIFFORD_TYPES = (("R", 0, False), ("R", 1, True), ("R", 0, False), ("C", 1, False),
+                   ("H", 2, False), ("H", 3, True), ("H", 2, False), ("C", 1, False))
 
 
 def classify(p: int, q: int) -> Classification:
@@ -304,17 +302,8 @@ def classify(p: int, q: int) -> Classification:
     """
     if p < 0 or q < 0:
         raise ValueError("signature counts must be nonnegative")
-    n = p + q
-    r = (p - q) % 8
-    if r in (0, 2):
-        return Classification("R", 1 << (n // 2), False)
-    if r == 1:
-        return Classification("R", 1 << ((n - 1) // 2), True)
-    if r in (3, 7):
-        return Classification("C", 1 << ((n - 1) // 2), False)
-    if r in (4, 6):
-        return Classification("H", 1 << ((n - 2) // 2), False)
-    return Classification("H", 1 << ((n - 3) // 2), True)  # r == 5
+    base, shift, direct_sum = _CLIFFORD_TYPES[(p - q) % 8]
+    return Classification(base=base, matrix_size=1 << ((p + q - shift) // 2), direct_sum=direct_sum)
 
 
 def center_dimension(sig: CliffordSignature) -> int:
@@ -339,16 +328,8 @@ def center_dimension(sig: CliffordSignature) -> int:
     return count
 
 
-class ClassificationReport:
+class ClassificationReport(SimpleNamespace):
     """The checks of `verify_classification`; `agree` is their conjunction."""
-
-    def __init__(self, p, q, dimension, classification, center_dim, expected_center_dim,
-                 complex_square_witness, transport, transport_ok):
-        self.p, self.q, self.dimension, self.classification = p, q, dimension, classification
-        self.center_dim, self.expected_center_dim = center_dim, expected_center_dim
-        self.center_ok = center_dim == expected_center_dim
-        self.complex_square_witness = complex_square_witness
-        self.transport, self.transport_ok = transport, transport_ok
 
     def agree(self) -> bool:
         checks = [self.center_ok, self.dimension == 1 << (self.p + self.q)]
@@ -359,19 +340,7 @@ class ClassificationReport:
         return all(checks)
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "q": self.q,
-            "dimension": self.dimension,
-            "classification": self.classification.to_json(),
-            "center_dim": self.center_dim,
-            "expected_center_dim": self.expected_center_dim,
-            "center_ok": self.center_ok,
-            "complex_square_witness": self.complex_square_witness,
-            "transport": self.transport,
-            "transport_ok": self.transport_ok,
-            "agree": self.agree(),
-        }
+        return {**vars(self), "classification": self.classification.to_json(), "agree": self.agree()}
 
 
 def verify_classification(p: int, q: int) -> ClassificationReport:
@@ -404,6 +373,7 @@ def verify_classification(p: int, q: int) -> ClassificationReport:
         classification=cls,
         center_dim=cdim,
         expected_center_dim=expected,
+        center_ok=cdim == expected,
         complex_square_witness=witness,
         transport=transport,
         transport_ok=transport_ok,
@@ -478,20 +448,13 @@ def preserves_form(sig: CliffordSignature, matrix, scale=1) -> bool:
     )
 
 
-class MembershipReport:
+class MembershipReport(SimpleNamespace):
     """Clifford-group membership, evenness, and the remembered factors if any."""
 
-    def __init__(self, in_gamma: bool, in_even_part: bool, spin_witness: tuple | None):
-        self.in_gamma, self.in_even_part, self.spin_witness = in_gamma, in_even_part, spin_witness
-
     def to_json(self):
-        return {
-            "in_gamma": self.in_gamma,
-            "in_even_part": self.in_even_part,
-            "spin_witness": None
-            if self.spin_witness is None
-            else [list(map(str, v.vector_part())) for v in self.spin_witness],
-        }
+        witness = self.spin_witness
+        rendered = None if witness is None else [list(map(str, v.vector_part())) for v in witness]
+        return {**vars(self), "spin_witness": rendered}
 
 
 def clifford_group_membership(g: Multivector) -> MembershipReport:

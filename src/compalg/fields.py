@@ -106,7 +106,7 @@ class RationalField(FieldSpec):
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1, a)
 
 
 class PrimeField(FieldSpec):

@@ -33,6 +33,7 @@ matrices of a counterexample.
 import time
 from itertools import combinations
 from math import comb, lcm
+from types import SimpleNamespace
 
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
@@ -134,19 +135,14 @@ def _combination(algebra, family, keep):
     return sol
 
 
-class SpanReport:
+class SpanReport(SimpleNamespace):
     """Trials run, successes, and the first counterexample of `verify_span_bound`."""
 
     def __init__(self, params: dict, trials: int = 0, successes: int = 0, counterexample: dict | None = None):
-        self.params, self.trials, self.successes, self.counterexample = params, trials, successes, counterexample
+        super().__init__(params=params, trials=trials, successes=successes, counterexample=counterexample)
 
     def to_json(self) -> dict:
-        return {
-            "params": self.params,
-            "trials": self.trials,
-            "successes": self.successes,
-            "counterexample": self.counterexample,
-        }
+        return dict(vars(self))
 
 
 def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=3):

@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, lcm
 from operator import add, itemgetter
+from types import SimpleNamespace
 
 from .errors import (
     CompAlgError,
@@ -481,25 +482,16 @@ def ktheory_rank(kind: str, n: int | None = None) -> int:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-class GenerationReport:
+class GenerationReport(SimpleNamespace):
     """Orbit sums in the box [-degree_bound, degree_bound]^n, counted by
     `verify_generation`: each one checked is expressible, so `inconclusive`
     stays empty; the field is kept for the report's JSON shape."""
 
     def __init__(self, flavor: str, n: int, degree_bound: int):
-        self.flavor, self.n, self.degree_bound = flavor, n, degree_bound
-        self.checked = self.expressible = 0
-        self.inconclusive = []
+        super().__init__(flavor=flavor, n=n, degree_bound=degree_bound, checked=0, expressible=0, inconclusive=[])
 
     def to_json(self):
-        return {
-            "flavor": self.flavor,
-            "n": self.n,
-            "degree_bound": self.degree_bound,
-            "checked": self.checked,
-            "expressible": self.expressible,
-            "inconclusive": list(self.inconclusive),
-        }
+        return dict(vars(self))
 
 
 def _dominant(flavor: str, expo: tuple) -> bool:

@@ -27,6 +27,7 @@ choices, which the sequence leaves free.
 """
 
 from itertools import compress
+from types import SimpleNamespace
 
 from .errors import ShapeError, TruncationError
 
@@ -245,18 +246,14 @@ def rank(A: IntMatrix) -> int:
     return len(invariant_factors(A))
 
 
-class SequenceChecks:
+class SequenceChecks(SimpleNamespace):
     """The four verdicts of `sequence_checks`."""
-
-    def __init__(self, injective_f: bool, exact_middle: bool, surjective_g: bool, splits: bool):
-        self.injective_f, self.exact_middle = injective_f, exact_middle
-        self.surjective_g, self.splits = surjective_g, splits
 
     def all_true(self) -> bool:
         return self.injective_f and self.exact_middle and self.surjective_g and self.splits
 
     def to_json(self):
-        return {k: getattr(self, k) for k in ("injective_f", "exact_middle", "surjective_g", "splits")}
+        return dict(vars(self))
 
 
 def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
@@ -281,16 +278,11 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     surj = len(facs_g) == g.m and all(x == 1 for x in facs_g)
     splits = all(x == 1 for x in facs_f)
     exact = (g * f).is_zero() and len(facs_f) + len(facs_g) == f.m and splits
-    return SequenceChecks(inj, exact, surj, splits)
+    return SequenceChecks(injective_f=inj, exact_middle=exact, surjective_g=surj, splits=splits)
 
 
-class LocalizationModel:
+class LocalizationModel(SimpleNamespace):
     """The truncated boundary sequence of `build_localization_model` and its checks."""
-
-    def __init__(self, n, s_max, signs, characters, boundary, projection, checks, middle_rank):
-        self.n, self.s_max, self.signs, self.characters = n, s_max, signs, characters
-        self.boundary, self.projection, self.checks = boundary, projection, checks
-        self.middle_rank = middle_rank
 
     def verdict(self) -> dict:
         return {
@@ -333,4 +325,5 @@ def build_localization_model(n: int, s_max: int, signs) -> LocalizationModel:
     checks = sequence_checks(boundary, projection)
     if not checks.all_true():
         raise AssertionError("the localization model must form a split short exact sequence")
-    return LocalizationModel(n, s_max, signs, characters, boundary, projection, checks, len(characters))
+    return LocalizationModel(n=n, s_max=s_max, signs=signs, characters=characters, boundary=boundary,
+                             projection=projection, checks=checks, middle_rank=len(characters))

@@ -224,6 +224,22 @@ def test_verify_bound_over_the_estimated_budget_exits_cleanly(capsys):
     }
 
 
+@pytest.mark.parametrize("variable, argv, expected", [
+    ("abc", ("quat", "is-split", "--field", "Q", "--a", "-1", "--b", "-1"), "invalid nonnegative value: 'abc'"),
+    ("-5", ("quat", "is-split", "--field", "Q", "--a", "-1", "--b", "-1"), "must be a non-negative integer, got -5"),
+    (None, ("span", "verify-bound", "--field", "Q", "--a", "-1", "--b", "-1", "--m", "2", "--n", "2", "--d", "1",
+            "--budget-ms", "-3"), "must be a non-negative integer, got -3"),
+])
+def test_malformed_budget_exits_cleanly(capsys, monkeypatch, variable, argv, expected):
+    if variable is None:
+        monkeypatch.delenv("COMPALG_BUDGET_MS", raising=False)
+    else:
+        monkeypatch.setenv("COMPALG_BUDGET_MS", variable)
+    code, out, err = run(capsys, *argv)
+    _assert_one_json_error(code, out, err, argv)
+    assert json.loads(err)["error"] == {"type": "CliError", "message": f"argument --budget-ms: {expected}"}
+
+
 @pytest.mark.parametrize("argv, text", [
     (("quat", "mul", "--field", "Q", "--a", "-1", "--b", "-1", "--x", "1,2,0,0", "--y", "0,1,1/2,0"),
      "Quat(Fraction(-2, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 1))"),
@@ -233,6 +249,27 @@ def test_verify_bound_over_the_estimated_budget_exits_cleanly(capsys):
 def test_quat_text_output_exact_bytes(capsys, argv, text):
     code, out, err = run(capsys, *argv, "--output", "text")
     assert (code, out, err) == (0, text, "")
+
+
+# report payloads byte for byte, as printed before the reports became SimpleNamespace records
+@pytest.mark.parametrize("call, payload", [
+    ("clifford verify --p 3 --q 0",
+     '{"p":3,"q":0,"dimension":8,"classification":{"base":"C","matrix_size":2,"direct_sum":false},"center_dim":2,'
+     '"expected_center_dim":2,"center_ok":true,"complex_square_witness":true,"transport":null,"transport_ok":null,'
+     '"agree":true}'),
+    ("clifford verify --p 0 --q 2",
+     '{"p":0,"q":2,"dimension":4,"classification":{"base":"H","matrix_size":1,"direct_sum":false},"center_dim":1,'
+     '"expected_center_dim":1,"center_ok":true,"complex_square_witness":null,"transport":"quaternion(-1,-1)",'
+     '"transport_ok":true,"agree":true}'),
+    ("zmod loc-model --n 2 --smax 5 --signs ++-",
+     '{"delta_injective":true,"cokernel_torsion_free":true,"exact_middle":true,"surjective_quotient":true,'
+     '"splits":true,"middle_rank":10}'),
+    ("weyl verify-generation --flavor Sym --n 2 --bound 3",
+     '{"flavor":"Sym","n":2,"degree_bound":3,"checked":28,"expressible":28,"inconclusive":[]}'),
+])
+def test_report_output_exact_bytes(capsys, call, payload):
+    code, out, err = run(capsys, *call.split(" "))
+    assert (code, out, err) == (0, payload, "")
 
 
 def test_spin_check(capsys):

@@ -85,6 +85,21 @@ def test_involutions():
         assert (x * y).grade_involution() == x.grade_involution() * y.grade_involution()
 
 
+# classify(p, n - p) for p = 0..n on row n: base, matrix size, "+" for a direct sum
+# (taken from the five-branch classify that the mod-8 table replaced)
+CLASSIFY_PINS = [
+    "R1",
+    "C1 R1+",
+    "H1 R2 R2",
+    "H1+ C2 R2+ C2",
+    "H2 H2 R4 R4 H2",
+    "C4 H2+ C4 R4+ C4 H2+",
+    "R8 H4 H4 R8 R8 H4 H4",
+    "R8+ C8 H4+ C8 R8+ C8 H4+ C8",
+    "R16 R16 H8 H8 R16 R16 H8 H8 R16",
+]
+
+
 def test_classify_examples():
     assert classify(0, 1).to_json() == {"base": "C", "matrix_size": 1, "direct_sum": False}
     assert classify(1, 0).to_json() == {"base": "R", "matrix_size": 1, "direct_sum": True}
@@ -92,6 +107,10 @@ def test_classify_examples():
     assert classify(1, 1).to_json() == {"base": "R", "matrix_size": 2, "direct_sum": False}
     assert classify(2, 0).to_json() == {"base": "R", "matrix_size": 2, "direct_sum": False}
     assert classify(0, 0).to_json() == {"base": "R", "matrix_size": 1, "direct_sum": False}
+    for n, row in enumerate(CLASSIFY_PINS):
+        for p, pin in enumerate(row.split()):
+            expected = {"base": pin[0], "matrix_size": int(pin[1:].rstrip("+")), "direct_sum": pin.endswith("+")}
+            assert classify(p, n - p).to_json() == expected, (p, n - p)
     # real dimension must come out as 2^n in every case
     base_dim = {"R": 1, "C": 2, "H": 4}
     for p in range(0, 5):

@@ -203,7 +203,7 @@ def test_split_quad_ext_over_large_prime():
 def test_raw_values_stay_canonical(base, squares, canonical):
     x, y = base.element(Fraction(-3, 2)), base.element(5)
     results = [x + y, x - y, -x, x * y, x.inverse(), x / y, 3 - x, 2 * x, x + 1]
-    canonical(base, [s.raw for s in results])
+    canonical(base, [s.raw for s in results] + [base._inv(2)])  # an int raw argument too
     for a in squares:  # a non-square and a square a
         L = QuadExt(base, a)
         z, w = L.element((Fraction(-3, 2), 5)), L.element((1, -2))
