@@ -138,7 +138,8 @@ def _combination(algebra, family, keep):
 class SpanReport(SimpleNamespace):
     """Trials run, successes, and the first counterexample of `verify_span_bound`."""
 
-    def __init__(self, params: dict, trials: int = 0, successes: int = 0, counterexample: dict | None = None):
+    # every argument has a default: pickle and copy rebuild a report by calling the class with none
+    def __init__(self, params: dict | None = None, trials: int = 0, successes: int = 0, counterexample=None):
         super().__init__(params=params, trials=trials, successes=successes, counterexample=counterexample)
 
     def to_json(self) -> dict:

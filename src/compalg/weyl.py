@@ -487,7 +487,8 @@ class GenerationReport(SimpleNamespace):
     `verify_generation`: each one checked is expressible, so `inconclusive`
     stays empty; the field is kept for the report's JSON shape."""
 
-    def __init__(self, flavor: str, n: int, degree_bound: int):
+    # every argument has a default: pickle and copy rebuild a report by calling the class with none
+    def __init__(self, flavor: str | None = None, n: int | None = None, degree_bound: int | None = None):
         super().__init__(flavor=flavor, n=n, degree_bound=degree_bound, checked=0, expressible=0, inconclusive=[])
 
     def to_json(self):

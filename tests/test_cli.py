@@ -266,6 +266,11 @@ def test_quat_text_output_exact_bytes(capsys, argv, text):
      '"splits":true,"middle_rank":10}'),
     ("weyl verify-generation --flavor Sym --n 2 --bound 3",
      '{"flavor":"Sym","n":2,"degree_bound":3,"checked":28,"expressible":28,"inconclusive":[]}'),
+    ("span verify-bound --field Q --a -1 --b -1 --m 2 --n 2 --d 1 --trials 3 --seed 7",
+     '{"params":{"algebra":"(-1,-1)_QQ","m":2,"n":2,"d":1,"family_size":5,"seed":7,"entry_bound":3},"trials":3,'
+     '"successes":3,"counterexample":null}'),
+    ("zmod sequence-check --f [[1],[0]] --g [[0,1]]",
+     '{"injective_f":true,"exact_middle":true,"surjective_g":true,"splits":true}'),
 ])
 def test_report_output_exact_bytes(capsys, call, payload):
     code, out, err = run(capsys, *call.split(" "))

@@ -101,12 +101,7 @@ CLASSIFY_PINS = [
 
 
 def test_classify_examples():
-    assert classify(0, 1).to_json() == {"base": "C", "matrix_size": 1, "direct_sum": False}
-    assert classify(1, 0).to_json() == {"base": "R", "matrix_size": 1, "direct_sum": True}
-    assert classify(0, 2).to_json() == {"base": "H", "matrix_size": 1, "direct_sum": False}
-    assert classify(1, 1).to_json() == {"base": "R", "matrix_size": 2, "direct_sum": False}
-    assert classify(2, 0).to_json() == {"base": "R", "matrix_size": 2, "direct_sum": False}
-    assert classify(0, 0).to_json() == {"base": "R", "matrix_size": 1, "direct_sum": False}
+    # rows 0-2 hold the small examples Cl(0,1) = C, Cl(1,0) = R+R, Cl(0,2) = H, Cl(1,1) = Cl(2,0) = Mat(2,R)
     for n, row in enumerate(CLASSIFY_PINS):
         for p, pin in enumerate(row.split()):
             expected = {"base": pin[0], "matrix_size": int(pin[1:].rstrip("+")), "direct_sum": pin.endswith("+")}
@@ -345,6 +340,11 @@ def test_membership_unit_vector_products():
     assert rep.spin_witness is not None and len(rep.spin_witness) == 2
     mat = induced_matrix(g)
     assert det(mat) == 1 and preserves_form(cl02, mat)
+    # the report's JSON renders each remembered factor's vector part
+    g = unit_vector_product(CliffordSignature(2, 0), [(Fraction(3, 5), Fraction(4, 5)), (0, 1)])
+    assert clifford_group_membership(g).to_json() == {
+        "in_gamma": True, "in_even_part": True, "spin_witness": [["3/5", "4/5"], ["0", "1"]]
+    }
 
 
 def test_unit_vector_product_validates_q():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 from importlib import resources
@@ -155,3 +157,20 @@ def test_all_fixtures_parse():
     for name in ("cl01", "cl10", "cl02", "cl11", "cl20"):
         fx = fixtures[name]
         assert set(fx["expected"]) == {"base", "matrix_size", "direct_sum"}
+
+
+def test_reports_survive_pickle_and_copy():
+    # a report is rebuilt with its fields in their order, so its JSON keeps its key order
+    from compalg import clifford, rank, weyl, zmodule
+
+    reports = [
+        rank.verify_span_bound(Mat2Algebra(PrimeField(2)), 1, 1, 1, trials=2, seed=7),
+        weyl.verify_generation("Sym", 2, 3),
+        clifford.classify(3, 0),
+        clifford.verify_classification(0, 2),
+        clifford.clifford_group_membership(clifford.CliffordSignature(2, 0).basis_vector(1)),
+        zmodule.build_localization_model(2, 5, (1, 1, -1)).checks,
+    ]
+    for report in reports:
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report)):
+            assert list(twin.to_json().items()) == list(report.to_json().items()), report
