@@ -86,7 +86,7 @@ def test_involutions():
 
 
 # classify(p, n - p) for p = 0..n on row n: base, matrix size, "+" for a direct sum
-# (taken from the five-branch classify that the mod-8 table replaced)
+# (values recorded before classify read the mod-8 table, so they check the table)
 CLASSIFY_PINS = [
     "R1",
     "C1 R1+",
