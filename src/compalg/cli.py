@@ -41,6 +41,14 @@ def nonnegative(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    """The argparse type of a seed: an integer in [0, 2^64), all that `SplitMix64` keeps."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {value}")
+    return value
+
+
 def parse_field(token: str):
     from .fields import QQ, PrimeField
 
@@ -485,7 +493,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--output", choices=("json", "text", "latex"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed, default=0)
         # a string default goes through `type` inside parse_args, so a malformed variable is a CliError
         p.add_argument(
             "--budget-ms",

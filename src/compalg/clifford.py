@@ -51,10 +51,25 @@ from .quaternion import (
     QuatAlgebra,
     TableAlgebra,
     TableElement,
-    _table_mul,
 )
 
 MAX_DIMENSION = 6
+
+
+def _table_mul(terms, x, y, zero):
+    """Product of coordinates x, y through the blade table, as a list; zeros are skipped.
+
+    A straight-line product loses here: operands carry few nonzero coordinates.
+    """
+    acc = [zero] * len(x)
+    right = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, row in zip(x, terms):
+        if xi:
+            for j, yj in right:
+                k, c = row[j]
+                if c:
+                    acc[k] += xi * yj * c
+    return acc
 
 
 def _blade_product(a: tuple, b: tuple, metric: tuple, index: dict):
@@ -120,6 +135,9 @@ class CliffordSignature(TableAlgebra):
         self.dim = 1 << self.n
         self._one = (1,) + (0,) * (self.dim - 1)
 
+    def __reduce__(self):
+        return CliffordSignature, (self.p, self.q)  # the shared table holds a mappingproxy, rebuilt from (p, q)
+
     def __eq__(self, other):
         return isinstance(other, CliffordSignature) and (other.p, other.q) == (self.p, self.q)
 
@@ -128,6 +146,9 @@ class CliffordSignature(TableAlgebra):
 
     def __repr__(self):
         return f"Cl({self.p},{self.q})"
+
+    def _mul_raw(self, x, y):
+        return tuple(_table_mul(self._terms, x, y, Fraction(0)))
 
     def element(self, coeffs) -> "Multivector":
         """From 2^n coefficients in blade order, or a {blade: coefficient} dict."""
@@ -177,6 +198,9 @@ class Multivector(TableElement):
         object.__setattr__(self, "_factors", factors)
         if len(self.coeffs) != sig.dim:
             raise ValueError("coefficient vector has the wrong length")
+
+    def __reduce__(self):
+        return Multivector, (self.algebra, self.coeffs, self._factors)
 
     @property
     def sig(self) -> CliffordSignature:

@@ -235,6 +235,9 @@ class Scalar:
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (self.spec, self.raw)
+
     def _check(self, other) -> "Scalar":
         if isinstance(other, Scalar):
             if other.spec != self.spec:

@@ -51,7 +51,6 @@ from .quaternion import (
     Mat2Algebra,
     Mat2Element,
     QuatAlgebra,
-    _table_mul,
     mat2_to_quat,
     quat_to_mat2,
 )
@@ -80,6 +79,9 @@ class RingMatrix:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.ring, self.rows)
 
     @classmethod
     def identity(cls, ring, n: int):
@@ -396,26 +398,28 @@ def _vanishes(acc, p) -> bool:
 
 
 def _combine_raw(algebra, family, ys, count):
-    """First `count` rows of sum family[i] . ys[i] for raw matrices and
-    coefficients, unreduced: a coefficient c * one scales each coordinate by
-    c, any other adds the table product x * y of each entry x (`_table_mul`)."""
-    terms = [[(k, c.numerator if c.denominator == 1 else c) for k, c in row] for row in algebra._terms]
+    """First `count` rows of D * sum family[i] . ys[i] for raw matrices and
+    coefficients, unreduced, D = `algebra._den` (1 unless a or b is a
+    non-integral rational): a coefficient c * one scales each coordinate by
+    c * D, any other adds the straight-line product x * y of each entry x."""
+    mul, consts = algebra._family, algebra._consts
     acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in range(count)]
     for Z, y in zip(family, ys):
         c = y[0]
         base = y == [c * e for e in algebra._one]
         if base and not c:
             continue
+        c *= algebra._den
         for acc_row, row in zip(acc, Z):
             for a, x in zip(acc_row, row):
-                a[:] = map(operator.add, a, [v * c for v in x] if base else _table_mul(terms, x, y, 0))
+                a[:] = map(operator.add, a, [v * c for v in x] if base else mul(x, y, *consts))
     return acc
 
 
 def combine(matrices, coeffs) -> CompMatrix:
     """Sum of matrices[i] . coeffs[i] under the right scalar action, by
     `_combine_raw` on the coefficients as integers over their common
-    denominator d, each coordinate divided by d once."""
+    denominator d, each coordinate divided by d * D once."""
     algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
     for Z, q in zip(matrices, coeffs):
         if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
@@ -425,7 +429,7 @@ def combine(matrices, coeffs) -> CompMatrix:
     d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
     ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
     acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys, m)
-    return CompMatrix(algebra, [[_element(algebra, a, d) for a in row] for row in acc])
+    return CompMatrix(algebra, [[_element(algebra, a, d * algebra._den) for a in row] for row in acc])
 
 
 def _doubling_rows(algebra, rows, s=None):
@@ -582,7 +586,7 @@ def _skew_solve_raw(algebra, rows):
     y = [v.numerator * (den // v.denominator) for v in kernel]
     blocks = [y[4 * j : 4 * j + 4] for j in range(len(rows[0]))]
     f = next(j for j, b in enumerate(blocks) if any(b))
-    # the row of blocks times conj(y_f); its entry f is the norm
+    # the row of blocks times conj(y_f), times D; its entry f is D * N(y_f)
     (ys,) = _combine_raw(algebra, [(blocks,)], [[blocks[f][0]] + [-v for v in blocks[f][1:]]], 1)
     if any(ys[f][1:]):
         raise AssertionError("norm has a nonreal component; structure table is broken")

@@ -43,6 +43,9 @@ class UniPoly:
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls):
         return cls(())
@@ -171,6 +174,9 @@ class WeylDegrees:
 
     def __setattr__(self, *_):
         raise AttributeError("WeylDegrees is immutable")
+
+    def __reduce__(self):
+        return WeylDegrees, (self.label, self.degrees)
 
     def __repr__(self):
         return f"WeylDegrees({self.label}: {list(self.degrees)})"

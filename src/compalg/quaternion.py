@@ -3,11 +3,13 @@
 Every algebra in this package has a basis whose products are single terms,
 e_i*e_j = c*e_k, held as a table of pairs (k, c): these two realizations and
 the Clifford algebras of `clifford`.  The core is written once, here:
-`_table_mul` is the product through such a table, `_check_associativity`
-the check of (e_i*e_j)*e_l = e_i*(e_j*e_l) term by term, and
-`TableElement` (an algebra and its coordinates) the ring operations.
+`_check_associativity` checks (e_i*e_j)*e_l = e_i*(e_j*e_l) term by term on
+a table, `_table_mul` walks a table for the Clifford products, and
+`TableElement` (an algebra and its coordinates) holds the ring operations.
+Each four-dimensional family has one straight-line product instead, built
+from its table once at import by `_straight_line`, that runs on integers.
 `CompositionElement` adds the inverse conj(z)/N(z), and `CompositionAlgebra`
-checks the base field.  Two realizations supply the table, conjugation and
+checks the base field.  Two realizations supply the product, conjugation and
 norm:
 
 ``QuatAlgebra(field, a, b)``
@@ -16,7 +18,8 @@ norm:
     from those relations; associativity is proved on them at import, on all
     64 basis triples by composing monomials, for every (a, b) over every field
     of characteristic != 2, which guards the sign choices in the u*w, w*v, w*w
-    products; a construction only evaluates the table.
+    products.  The product takes 1, a, b and ab as arguments, so a
+    construction only stores them, as integers over one denominator.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
@@ -40,7 +43,7 @@ noncommutative the side matters and left variants are deliberately absent.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 import operator
 
 from .errors import (
@@ -152,20 +155,24 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
     return (w // g, x // g, y // g)
 
 
-def _table_mul(terms, x, y, zero):
-    """Product of raw coordinates x, y through a single-term table, as a list.
+def _straight_line(terms, constant, args=""):
+    """The product through `terms` written out as `mul(x, y<args>)`, compiled once.
 
-    terms[i][j] = (k, c) means e_i*e_j = c*e_k.  Zeros are skipped; nothing is reduced mod p.
+    Output k is a sum, over constants, of the constant times the signed sum of
+    its x_i*y_j, where `constant(c)` names an entry's (sign, constant or "").
     """
-    acc = [zero] * len(x)
-    right = [(j, yj) for j, yj in enumerate(y) if yj]
-    for xi, row in zip(x, terms):
-        if xi:
-            for j, yj in right:
-                k, c = row[j]
-                if c:
-                    acc[k] += xi * yj * c
-    return acc
+    sums = [{} for _ in terms]
+    for i, row in enumerate(terms):
+        for j, (k, c) in enumerate(row):
+            sign, name = constant(c)
+            if sign:
+                sums[k].setdefault(name, []).append(f"{'-' if sign < 0 else '+'} x{i}*y{j}")
+    outs = [" + ".join(f"{n}*({' '.join(t).lstrip('+ ')})" if n else " ".join(t).lstrip("+ ") for n, t in s.items())
+            for s in sums]
+    x, y = (", ".join(f"{v}{i}" for i in range(len(terms))) for v in "xy")
+    namespace = {}
+    exec(f"def mul(x, y{args}):\n    {x} = x\n    {y} = y\n    return ({', '.join(outs)})", namespace)
+    return namespace["mul"]
 
 
 def _check_associativity(terms, mul):
@@ -183,7 +190,7 @@ def _check_associativity(terms, mul):
 
 
 class TableAlgebra:
-    """Base of every algebra: a subclass sets `field`, `dim`, `_terms`, `_one` and `element`."""
+    """Base of every algebra: a subclass sets `field`, `dim`, `_one`, `element` and `_mul_raw`."""
 
     def zero(self):
         return self.element((0,) * self.dim)
@@ -193,11 +200,6 @@ class TableAlgebra:
 
     def from_base(self, value):
         return self.element(tuple(value if e else 0 for e in self._one))
-
-    def _mul_raw(self, x, y):
-        p = self.field.characteristic  # raw values over GF(p) are ints
-        acc = _table_mul(self._terms, x, y, 0 if p else self.field._coerce(0))
-        return tuple([v % p for v in acc]) if p else tuple(acc)
 
 
 class TableElement:
@@ -212,6 +214,9 @@ class TableElement:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.algebra, self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, TableElement) or other.algebra != self.algebra:
@@ -237,11 +242,7 @@ class TableElement:
         return type(self)(self.algebra, self.algebra._mul_raw(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TableElement)
-            and other.algebra == self.algebra
-            and other.coeffs == self.coeffs
-        )
+        return isinstance(other, TableElement) and other.algebra == self.algebra and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((self.algebra, self.coeffs))
@@ -256,15 +257,35 @@ class TableElement:
         return type(self)(self.algebra, tuple(f._mul(x, c) for x in self.coeffs))
 
 
+def _cleared(x):
+    """Integers n and d > 0 with x = n / d, for rationals x."""
+    d = lcm(*[v.denominator for v in x])
+    return [v.numerator for v in x] if d == 1 else [v.numerator * (d // v.denominator) for v in x], d
+
+
 class CompositionAlgebra(TableAlgebra):
-    """Base of both four-dimensional realizations: a QQ or GF(p) field."""
+    """Base of both four-dimensional realizations: a QQ or GF(p) field.
+
+    A subclass sets `_family`, its straight-line product, and the integer
+    constants `_consts` it takes, which are the true ones times `_den`.
+    """
 
     dim = 4
+    _consts, _den = (), 1
 
     def __init__(self, field: FieldSpec):
         if not isinstance(field, (RationalField, PrimeField)):
             raise ValueError("base field must be QQ or GF(p)")
         self.field = field
+
+    def _mul_raw(self, x, y):
+        p = self.field.characteristic
+        if p:
+            return tuple([v % p for v in self._family(x, y, *self._consts)])
+        # over QQ, on the numerators of each side over one denominator
+        (x, dx), (y, dy) = _cleared(x), _cleared(y)
+        d, out = dx * dy * self._den, self._family(x, y, *self._consts)
+        return tuple(map(Fraction, out)) if d == 1 else tuple([Fraction(v, d) for v in out])
 
 
 class CompositionElement(TableElement):
@@ -298,12 +319,15 @@ def _monomial_mul(m, n):
 
 
 _check_associativity(_QUAT_TERMS, _monomial_mul)
+# (a,b) constants as arguments: sign * a^i * b^j names one of 1, a, b, ab
+_QUAT_MUL = _straight_line(_QUAT_TERMS, lambda m: (m[0], ("one", "a", "b", "ab")[m[1] + 2 * m[2]]), ", one, a, b, ab")
 
 
 class QuatAlgebra(CompositionAlgebra):
     """The quaternion algebra with parameters (a, b) over QQ or GF(p), p odd."""
 
     _one = (1, 0, 0, 0)
+    _family = staticmethod(_QUAT_MUL)
 
     def __init__(self, field: FieldSpec, a, b):
         super().__init__(field)
@@ -313,12 +337,9 @@ class QuatAlgebra(CompositionAlgebra):
         self.b = field.element(b)
         if self.a.is_zero() or self.b.is_zero():
             raise ValueError("parameters a, b must be nonzero")
-        a, b, neg = self.a.raw, self.b.raw, field._neg
-        value = {(0, 0): field._coerce(1), (1, 0): a, (0, 1): b, (1, 1): field._mul(a, b)}
-        self._terms = [
-            [(k, value[i, j] if sign > 0 else neg(value[i, j])) for k, (sign, i, j) in row]
-            for row in _QUAT_TERMS
-        ]
+        # (1, a, b, ab) times d over QQ; GF(p) residues are ints, with numerator v and denominator 1
+        (an, ad), (bn, bd) = ((v.numerator, v.denominator) for v in (self.a.raw, self.b.raw))
+        self._den, self._consts = ad * bd, (ad * bd, an * bd, bn * ad, an * bn)
         self._split_state = None
         self._quad = None
 
@@ -497,6 +518,7 @@ class Mat2Algebra(CompositionAlgebra):
 
 
 _check_associativity(Mat2Algebra._terms, operator.mul)
+Mat2Algebra._family = staticmethod(_straight_line(Mat2Algebra._terms, lambda c: (c, "")))
 
 
 class Mat2Element(CompositionElement):

@@ -211,7 +211,7 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
             elif not any(v for y in ys for v in y):
                 failure = "coefficients all zero"
             elif (rank := _comp_rank_raw(algebra, acc)) > d - 1:
-                # acc is the combination times its denominator, a nonzero central scalar
+                # acc is the combination times its denominator and D, a nonzero central scalar
                 failure = f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:
             failure = str(exc)

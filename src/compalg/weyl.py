@@ -72,6 +72,9 @@ class LaurentPoly:
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.nvars, self.terms)
+
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: Fraction(value)})
@@ -202,6 +205,9 @@ class SignedPerm:
 
     def __setattr__(self, *_):
         raise AttributeError("SignedPerm is immutable")
+
+    def __reduce__(self):
+        return SignedPerm, (self.perm, self.signs)
 
     def __eq__(self, other):
         return (

@@ -83,6 +83,9 @@ class IntMatrix:
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        return IntMatrix, (self.rows,)
+
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(_identity_rows(n))

@@ -11,7 +11,10 @@ first kernel vector of L(A) is the coefficient vector of `skew_solve`'s core.
 as its own `CompMatrix` and decided by `is_invertible`.
 
 The `canonical` fixture, used by the field and element tests, checks the raw
-value convention of `compalg.fields`.
+value convention of `compalg.fields`.  The `table` fixture is the oracle of
+the straight-line products: each algebra's table of single terms, with the
+(a,b) table evaluated from the symbolic `_QUAT_TERMS`, and the product that
+walks it entry by entry in field arithmetic.
 """
 
 from fractions import Fraction
@@ -23,7 +26,27 @@ import pytest
 from compalg.fields import PrimeField, Scalar
 from compalg.errors import InfeasibleError
 from compalg.matrices import CompMatrix, _half, _half_echelon, _raw, _whole_pairs, field_echelon, is_invertible
-from compalg.quaternion import NONSPLIT
+from compalg.quaternion import _QUAT_TERMS, NONSPLIT, QuatAlgebra
+
+
+def terms_of(algebra):
+    """The table of single terms (k, c), e_i*e_j = c*e_k, each c a raw field value;
+    over (a,b) the symbolic entry (k, (sign, i, j)) is evaluated to sign*a^i*b^j."""
+    if not isinstance(algebra, QuatAlgebra):
+        return algebra._terms
+    f, a, b = algebra.field, algebra.a.raw, algebra.b.raw
+    value = {(0, 0): f._coerce(1), (1, 0): a, (0, 1): b, (1, 1): f._mul(a, b)}
+    return [[(k, value[i, j] if sign > 0 else f._neg(value[i, j])) for k, (sign, i, j) in row] for row in _QUAT_TERMS]
+
+
+def table_product(algebra, x, y):
+    """x * y on raw coordinates by a walk over all the table's entries, one field operation at a time."""
+    f = algebra.field
+    acc = [f._coerce(0)] * algebra.dim
+    for i, row in enumerate(terms_of(algebra)):
+        for j, (k, c) in enumerate(row):
+            acc[k] = f._add(acc[k], f._mul(f._mul(x[i], y[j]), c))
+    return tuple(acc)
 
 
 def left_regular_rep(Z):
@@ -41,7 +64,7 @@ def regular_rows(algebra, rows):
     f = algebra.field
     neg, mul, minus_one = f._neg, f._mul, f._neg(f._coerce(1))
     terms = [(l, k, t, 1 if c == 1 else -1 if c == minus_one else c)
-             for l, row in enumerate(algebra._terms) for k, (t, c) in enumerate(row) if c]
+             for l, row in enumerate(terms_of(algebra)) for k, (t, c) in enumerate(row) if c]
     out = [[0] * (4 * len(rows[0])) for _ in range(4 * len(rows))]
     for i, row in enumerate(rows):
         for j, coeffs in enumerate(row):
@@ -139,6 +162,12 @@ def assert_canonical(field, values):
 @pytest.fixture
 def canonical():
     return assert_canonical
+
+
+@pytest.fixture
+def table():
+    """The evaluated tables and the product that walks them."""
+    return SimpleNamespace(terms=terms_of, product=table_product)
 
 
 @pytest.fixture

@@ -240,6 +240,28 @@ def test_malformed_budget_exits_cleanly(capsys, monkeypatch, variable, argv, exp
     assert json.loads(err)["error"] == {"type": "CliError", "message": f"argument --budget-ms: {expected}"}
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("-1", "must be an integer in [0, 2^64), got -1"),
+    ("18446744073709551616", "must be an integer in [0, 2^64), got 18446744073709551616"),
+    ("abc", "invalid seed value: 'abc'"),
+])
+def test_out_of_range_seed_exits_cleanly(capsys, value, expected):
+    # SplitMix64 keeps 64 bits, so a seed outside [0, 2^64) would alias another one
+    for argv in (("span", "verify-bound", "--field", "Q", "--a", "-1", "--b", "-1", "--m", "2", "--n", "2", "--d", "1",
+                  "--trials", "1", "--seed", value),
+                 ("clifford", "spin-check", "--p", "1", "--q", "1", "--count", "2", "--seed", value)):
+        code, out, err = run(capsys, *argv)
+        _assert_one_json_error(code, out, err, argv)
+        assert json.loads(err)["error"] == {"type": "CliError", "message": f"argument --seed: {expected}"}
+
+
+def test_seed_bounds_are_accepted(capsys):
+    for value in ("0", str(2**64 - 1)):
+        code, out, _ = run(capsys, "span", "verify-bound", "--field", "Q", "--a", "-1", "--b", "-1", "--m", "2",
+                           "--n", "2", "--d", "1", "--trials", "1", "--seed", value)
+        assert code == 0 and json.loads(out)["params"]["seed"] == int(value)
+
+
 @pytest.mark.parametrize("argv, text", [
     (("quat", "mul", "--field", "Q", "--a", "-1", "--b", "-1", "--x", "1,2,0,0", "--y", "0,1,1/2,0"),
      "Quat(Fraction(-2, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 1))"),

@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -343,7 +344,7 @@ def _mat2_dense_table():
     ],
     ids=repr,
 )
-def test_mul_raw_matches_dense_structure_constants(alg):
+def test_mul_raw_matches_dense_structure_constants(alg, table):
     dense = _mat2_dense_table()
     f = alg.field
     rng = SplitMix64(14)
@@ -357,12 +358,38 @@ def test_mul_raw_matches_dense_structure_constants(alg):
                 for k in range(4)
             ]
         expected = tuple(f._coerce(v) for v in expected)
-        from_terms = [f._coerce(0)] * 4
-        for i in range(4):
-            for j in range(4):
-                k, c = alg._terms[i][j]
-                from_terms[k] = f._add(from_terms[k], f._mul(f._mul(x[i], y[j]), c))
-        assert alg._mul_raw(x, y) == expected == tuple(from_terms)
+        assert alg._mul_raw(x, y) == expected == table.product(alg, x, y)
+
+
+GENERATED_PRODUCT_ALGEBRAS = [
+    QuatAlgebra(QQ, 2, 5),
+    QuatAlgebra(QQ, Fraction(1, 3), -1),
+    QuatAlgebra(QQ, Fraction(-1, 3), Fraction(5, 2)),
+    QuatAlgebra(PrimeField(7), 3, -1),
+    QuatAlgebra(PrimeField(10007), 5, 10006),
+    Mat2Algebra(QQ),
+    Mat2Algebra(PrimeField(2)),
+    Mat2Algebra(PrimeField(7)),
+]
+
+
+@pytest.mark.parametrize("alg", GENERATED_PRODUCT_ALGEBRAS, ids=repr)
+def test_generated_product_matches_the_table_walk(alg, table, canonical):
+    # seeded operands with zero, integral and rational coordinates, and every
+    # pair of basis elements; each output coordinate is a canonical raw value
+    f, rng = alg.field, SplitMix64(sum(map(ord, repr(alg))))
+
+    def operand():
+        if f.characteristic:
+            return tuple(f._coerce(rng.randint(0, f.characteristic - 1) * rng.randint(0, 1)) for _ in range(4))
+        return tuple(Fraction(rng.randint(-9, 9) * rng.randint(0, 1), rng.randint(1, 4)) for _ in range(4))
+
+    basis = [alg.element([int(i == k) for k in range(4)]).coeffs for i in range(4)]
+    pairs = [(x, y) for x in basis for y in basis] + [(operand(), operand()) for _ in range(200)]
+    for x, y in pairs:
+        z = alg._mul_raw(x, y)
+        assert type(z) is tuple and z == table.product(alg, x, y), (x, y)
+        canonical(f, z)
 
 
 def test_term_table_needs_associativity():
@@ -388,7 +415,7 @@ def _handwritten_terms(f, a, b):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7), PrimeField(10007)], ids=repr)
-def test_evaluated_table_is_the_quaternion_table(field):
+def test_evaluated_table_is_the_quaternion_table(field, table):
     rng = SplitMix64(field.characteristic + 12)
     for _ in range(5):
         if field.characteristic:
@@ -396,19 +423,26 @@ def test_evaluated_table_is_the_quaternion_table(field):
         else:
             a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 7)) for _ in range(2))
         alg = QuatAlgebra(field, a, b)
-        _check_associativity(alg._terms, field._mul)
+        _check_associativity(table.terms(alg), field._mul)
         u, v, w = alg.u(), alg.v(), alg.w()
         assert u * u == alg.from_base(alg.a.raw) and v * v == alg.from_base(alg.b.raw)
         assert u * v == w == -(v * u)
-        assert alg._terms == _handwritten_terms(field, alg.a.raw, alg.b.raw)
+        handwritten = _handwritten_terms(field, alg.a.raw, alg.b.raw)
+        assert table.terms(alg) == handwritten
+        # the generated product on the basis pairs is the table written out by hand
+        zero, basis = field._coerce(0), [alg.element([int(i == k) for k in range(4)]).coeffs for i in range(4)]
+        for i, j in product(range(4), repeat=2):
+            k, c = handwritten[i][j]
+            assert alg._mul_raw(basis[i], basis[j]) == tuple(c if t == k else zero for t in range(4))
 
 
-# each single-term table with the product of structure constants its owner
-# passes to the shared associativity check, and the constant -1 in that product
+# each single-term table (an (a,b) algebra stands for its evaluated table)
+# with the product of structure constants its owner passes to the shared
+# associativity check, and the constant -1 in that product
 TABLES = {
     "(a,b) symbolic": (_QUAT_TERMS, _monomial_mul, (-1, 0, 0)),
-    "(2,5)_QQ": (QuatAlgebra(QQ, 2, 5)._terms, QQ._mul, -1),
-    "(3,6)_GF(7)": (QuatAlgebra(PrimeField(7), 3, -1)._terms, PrimeField(7)._mul, -1),
+    "(2,5)_QQ": (QuatAlgebra(QQ, 2, 5), QQ._mul, -1),
+    "(3,6)_GF(7)": (QuatAlgebra(PrimeField(7), 3, -1), PrimeField(7)._mul, -1),
     "Mat2": (Mat2Algebra._terms, operator.mul, -1),
 }
 TABLES.update(
@@ -418,8 +452,10 @@ TABLES.update(
 
 
 @pytest.mark.parametrize("name", TABLES)
-def test_shared_check_rejects_seeded_table_mutations(name):
+def test_shared_check_rejects_seeded_table_mutations(name, table):
     terms, mul, minus_one = TABLES[name]
+    if isinstance(terms, QuatAlgebra):
+        terms = table.terms(terms)
     _check_associativity(terms, mul)
     rng = SplitMix64(sum(map(ord, name)))
     nonzero = [(i, j) for i, row in enumerate(terms) for j, (_, c) in enumerate(row) if c]
@@ -428,10 +464,10 @@ def test_shared_check_rejects_seeded_table_mutations(name):
         k, c = terms[i][j]
         swapped = (k + rng.randint(1, len(terms) - 1)) % len(terms)
         for mutated in ((k, mul(c, minus_one)), (swapped, c)):  # a flipped sign, a swapped index
-            table = [list(row) for row in terms]
-            table[i][j] = mutated
+            broken = [list(row) for row in terms]
+            broken[i][j] = mutated
             with pytest.raises(ValueError, match="not associative"):
-                _check_associativity(table, mul)
+                _check_associativity(broken, mul)
 
 
 def test_clifford_table_proof_rejects_a_flipped_sign_or_a_wrong_index():

@@ -159,18 +159,83 @@ def test_all_fixtures_parse():
         assert set(fx["expected"]) == {"base", "matrix_size", "direct_sum"}
 
 
+def _twins(value):
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
+
+
 def test_reports_survive_pickle_and_copy():
     # a report is rebuilt with its fields in their order, so its JSON keeps its key order
     from compalg import clifford, rank, weyl, zmodule
 
+    spin = clifford.unit_vector_product(clifford.CliffordSignature(2, 1), [(1, 0, 0), (Fraction(3, 5), Fraction(4, 5), 0)])
+    model = zmodule.build_localization_model(2, 5, (1, 1, -1))
     reports = [
         rank.verify_span_bound(Mat2Algebra(PrimeField(2)), 1, 1, 1, trials=2, seed=7),
         weyl.verify_generation("Sym", 2, 3),
         clifford.classify(3, 0),
         clifford.verify_classification(0, 2),
         clifford.clifford_group_membership(clifford.CliffordSignature(2, 0).basis_vector(1)),
-        zmodule.build_localization_model(2, 5, (1, 1, -1)).checks,
+        clifford.clifford_group_membership(spin),
+        model.checks,
     ]
+    assert reports[-2].spin_witness == spin._factors
     for report in reports:
-        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report)):
+        for twin in _twins(report):
             assert list(twin.to_json().items()) == list(report.to_json().items()), report
+    for twin in _twins(model):
+        assert twin == model and twin.verdict() == model.verdict()
+
+
+def _value_types():
+    """One value of every immutable type, each algebra with an element x and a second one y."""
+    from compalg import clifford, poincare, weyl, zmodule
+    from compalg.matrices import FieldMatrix
+
+    algebras = [QuatAlgebra(QQ, 2, 5), QuatAlgebra(QQ, Fraction(-1, 3), Fraction(5, 2)), QuatAlgebra(PrimeField(7), 3, -1),
+                Mat2Algebra(QQ), Mat2Algebra(PrimeField(2)), Mat2Algebra(PrimeField(7))]
+    elements = [(alg.element((1, Fraction(2, 3), 0, -4)), alg.element((0, 5, -1, Fraction(1, 2))))
+                for alg in algebras if not alg.field.characteristic]
+    elements += [(alg.element((1, 2, 0, 3)), alg.element((0, 5, 6, 1))) for alg in algebras if alg.field.characteristic]
+    for p, q in ((2, 0), (1, 2), (2, 2)):
+        sig = clifford.CliffordSignature(p, q)
+        x = clifford.unit_vector_product(sig, [[int(i == j) for i in range(p + q)] for j in range(2)])
+        elements.append((x, sig.element([Fraction(i % 3, 2) for i in range(sig.dim)])))
+    alg = QuatAlgebra(QQ, 2, 5)
+    others = [
+        Scalar(QQ, Fraction(2, 3)), Scalar(PrimeField(7), 4), Scalar(QuadExt(QQ, 2), (Fraction(1), Fraction(-1, 2))),
+        CompMatrix(alg, [[alg.u(), alg.one()], [alg.zero(), alg.w()]]), FieldMatrix(QQ, [[1, 2], [3, Fraction(1, 4)]]),
+        zmodule.IntMatrix([[1, 2], [3, 4]]), weyl.LaurentPoly(2, {(1, -1): 3, (0, 2): Fraction(1, 2)}),
+        poincare.UniPoly((1, 0, 2)), poincare.WeylDegrees("BC:2", (4, 2)), weyl.SignedPerm((1, 0), (1, -1)),
+    ]
+    return elements, others
+
+
+def test_every_value_type_survives_pickle_and_copy():
+    # a twin equals its original, and the twins of two elements multiply to
+    # the product of the originals, through the product of the twin algebra
+    elements, others = _value_types()
+    for x, y in elements:
+        alg = x.algebra
+        if isinstance(alg, QuatAlgebra):
+            alg.is_split_decision()  # a decided algebra holds its witness, an element that holds the algebra
+        for tx, ty in zip(_twins(x), _twins(y)):
+            assert type(tx) is type(x) and tx == x and ty == y and tx.coeffs == x.coeffs
+            assert tx * ty == x * y and (tx * ty).coeffs == (x * y).coeffs
+            assert tx.algebra == alg and vars(tx.algebra).keys() == vars(alg).keys()
+        if hasattr(x, "_factors"):
+            assert all(t._factors == x._factors for t in _twins(x))
+    for value in others:
+        for twin in _twins(value):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("kind", ["Scalar", "TableElement", "RingMatrix", "IntMatrix", "LaurentPoly",
+                                  "UniPoly", "WeylDegrees", "SignedPerm"])
+def test_immutability_guards_refuse_assignment(kind):
+    # each slot of the guarded base, and a new name, on a value of a subclass where there is one
+    elements, others = _value_types()
+    value = next(v for v in [x for x, _ in elements] + others if kind in {c.__name__ for c in type(v).__mro__})
+    base = next(c for c in type(value).__mro__ if c.__name__ == kind)
+    for attr in (*base.__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, attr, None)
