@@ -39,19 +39,9 @@ from functools import cache
 from itertools import combinations
 from types import MappingProxyType, SimpleNamespace
 
-from .errors import (
-    InfeasibleError,
-    NotGradeOneError,
-    NotInvertibleError,
-    SignatureMismatchError,
-)
+from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
 from .fields import QQ, QuadExt
-from .quaternion import (
-    Mat2Algebra,
-    QuatAlgebra,
-    TableAlgebra,
-    TableElement,
-)
+from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement
 
 MAX_DIMENSION = 6
 
@@ -232,18 +222,6 @@ class Multivector(TableElement):
         if not self.grades() <= {1}:
             return None
         return [self.coeffs[self.sig.blade_index[(i,)]] for i in range(1, self.sig.n + 1)]
-
-    def _negate_grades(self, odd) -> "Multivector":
-        """The blades of each grade k with odd(k) true change sign."""
-        return Multivector(self.sig, [-c if odd(len(b)) else c for b, c in zip(self.sig.blades, self.coeffs)])
-
-    def grade_involution(self) -> "Multivector":
-        """The automorphism that negates every odd grade: (xy)^ = x^ y^."""
-        return self._negate_grades(lambda k: k % 2)
-
-    def reversion(self) -> "Multivector":
-        """The anti-automorphism that reverses each blade, sign (-1)^(k(k-1)/2) on grade k."""
-        return self._negate_grades(lambda k: k * (k - 1) // 2 % 2)
 
     def is_even(self) -> bool:
         return all(g % 2 == 0 for g in self.grades())

@@ -2,8 +2,8 @@
 
 `RingMatrix` holds an immutable m x n grid over one ring and defines shape
 checks, equality, hashing, sums, products, `submatrix`, `zero` and
-`identity` once.  `FieldMatrix` (over a field spec) adds coercion, `scale`
-and `det`; `CompMatrix` (over a composition algebra, a right module) adds
+`identity` once.  `FieldMatrix` (over a field spec) adds coercion and
+`det`; `CompMatrix` (over a composition algebra, a right module) adds
 the algebra check, `scale_right` and `take_rows`.
 
 Verdicts and witnesses on Z over an algebra with base field k come from its
@@ -29,31 +29,10 @@ import operator
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import (
-    AlgebraMismatchError,
-    FieldMismatchError,
-    NotDiagonalError,
-    NotSplitFormError,
-    ShapeError,
-    UnexpectedZeroDivisorError,
-)
-from .fields import (
-    FieldSpec,
-    PrimeField,
-    QuadExt,
-    RationalField,
-    Scalar,
-    from_split_components,
-    split_components,
-)
-from .quaternion import (
-    SPLIT,
-    Mat2Algebra,
-    Mat2Element,
-    QuatAlgebra,
-    mat2_to_quat,
-    quat_to_mat2,
-)
+from .errors import (AlgebraMismatchError, FieldMismatchError, NotDiagonalError, NotSplitFormError, ShapeError,
+                     UnexpectedZeroDivisorError)
+from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar, from_split_components, split_components
+from .quaternion import SPLIT, Mat2Algebra, Mat2Element, QuatAlgebra, mat2_to_quat, quat_to_mat2
 
 
 class RingMatrix:
@@ -159,10 +138,6 @@ class FieldMatrix(RingMatrix):
     def __repr__(self):
         body = "; ".join(" ".join(repr(e.raw) for e in row) for row in self.rows)
         return f"FieldMatrix({self.m}x{self.n}: {body})"
-
-    def scale(self, c) -> "FieldMatrix":
-        c = self.ring.element(c)
-        return FieldMatrix(self.ring, [[e * c for e in row] for row in self.rows])
 
     def det(self) -> Scalar:
         """Exact determinant by `field_echelon`, `pair_echelon` over a quadratic

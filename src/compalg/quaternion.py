@@ -3,14 +3,12 @@
 Every algebra in this package has a basis whose products are single terms,
 e_i*e_j = c*e_k, held as a table of pairs (k, c): these two realizations and
 the Clifford algebras of `clifford`.  The core is written once, here:
-`_check_associativity` checks (e_i*e_j)*e_l = e_i*(e_j*e_l) term by term on
-a table, `_table_mul` walks a table for the Clifford products, and
-`TableElement` (an algebra and its coordinates) holds the ring operations.
-Each four-dimensional family has one straight-line product instead, built
-from its table once at import by `_straight_line`, that runs on integers.
-`CompositionElement` adds the inverse conj(z)/N(z), and `CompositionAlgebra`
-checks the base field.  Two realizations supply the product, conjugation and
-norm:
+`_check_associativity` the check of (e_i*e_j)*e_l = e_i*(e_j*e_l) term by
+term, `_straight_line` the product through a table written out as integer
+code, compiled once per family at import, and `TableElement` (an algebra and
+its coordinates) the ring operations.  `CompositionElement` adds the inverse
+conj(z)/N(z), and `CompositionAlgebra` checks the base field and runs the
+product.  Two realizations supply the table, conjugation and norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
@@ -18,8 +16,7 @@ norm:
     from those relations; associativity is proved on them at import, on all
     64 basis triples by composing monomials, for every (a, b) over every field
     of characteristic != 2, which guards the sign choices in the u*w, w*v, w*w
-    products.  The product takes 1, a, b and ab as arguments, so a
-    construction only stores them, as integers over one denominator.
+    products; the product takes 1, a, b and ab, all a construction stores.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
@@ -46,21 +43,8 @@ from itertools import product
 from math import gcd, isqrt, lcm
 import operator
 
-from .errors import (
-    AlgebraMismatchError,
-    InfeasibleError,
-    NotInvertibleError,
-)
-from .fields import (
-    FieldSpec,
-    PrimeField,
-    QuadExt,
-    RationalField,
-    Scalar,
-    _is_probable_prime,
-    _sqrt_mod_prime,
-    square_root_raw,
-)
+from .errors import AlgebraMismatchError, InfeasibleError, NotInvertibleError
+from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar, _is_probable_prime, _sqrt_mod_prime, square_root_raw
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
@@ -156,11 +140,8 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
 
 
 def _straight_line(terms, constant, args=""):
-    """The product through `terms` written out as `mul(x, y<args>)`, compiled once.
-
-    Output k is a sum, over constants, of the constant times the signed sum of
-    its x_i*y_j, where `constant(c)` names an entry's (sign, constant or "").
-    """
+    """`mul(x, y<args>)`, the product through `terms` written out: output k sums, over the
+    constants, each one times the signed sum of its x_i*y_j; `constant(c)` is (sign, name or "")."""
     sums = [{} for _ in terms]
     for i, row in enumerate(terms):
         for j, (k, c) in enumerate(row):
@@ -264,11 +245,8 @@ def _cleared(x):
 
 
 class CompositionAlgebra(TableAlgebra):
-    """Base of both four-dimensional realizations: a QQ or GF(p) field.
-
-    A subclass sets `_family`, its straight-line product, and the integer
-    constants `_consts` it takes, which are the true ones times `_den`.
-    """
+    """Base of both four-dimensional realizations: a QQ or GF(p) field; a subclass sets
+    `_family`, its straight-line product, and `_consts`, its integer constants times `_den`."""
 
     dim = 4
     _consts, _den = (), 1
@@ -344,12 +322,7 @@ class QuatAlgebra(CompositionAlgebra):
         self._quad = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuatAlgebra)
-            and other.field == self.field
-            and other.a == self.a
-            and other.b == self.b
-        )
+        return isinstance(other, QuatAlgebra) and (other.field, other.a, other.b) == (self.field, self.a, self.b)
 
     def __hash__(self):
         return hash(("quat", self.field, self.a, self.b))

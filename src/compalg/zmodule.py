@@ -245,10 +245,6 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return diagonal_factors(smith_normal_form(A)[1])
 
 
-def rank(A: IntMatrix) -> int:
-    return len(invariant_factors(A))
-
-
 class SequenceChecks(SimpleNamespace):
     """The four verdicts of `sequence_checks`."""
 
