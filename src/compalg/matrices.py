@@ -374,20 +374,15 @@ def _vanishes(acc, p) -> bool:
 
 def _combine_raw(algebra, family, ys, count):
     """First `count` rows of D * sum family[i] . ys[i] for raw matrices and
-    coefficients, unreduced, D = `algebra._den` (1 unless a or b is a
-    non-integral rational): a coefficient c * one scales each coordinate by
-    c * D, any other adds the straight-line product x * y of each entry x."""
+    coefficients, unreduced, by the straight-line product x * y of each entry
+    x, where D = `algebra._den` is 1 unless a or b is a non-integral rational."""
     mul, consts = algebra._family, algebra._consts
     acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in range(count)]
     for Z, y in zip(family, ys):
-        c = y[0]
-        base = y == [c * e for e in algebra._one]
-        if base and not c:
-            continue
-        c *= algebra._den
-        for acc_row, row in zip(acc, Z):
-            for a, x in zip(acc_row, row):
-                a[:] = map(operator.add, a, [v * c for v in x] if base else mul(x, y, *consts))
+        if any(y):
+            for acc_row, row in zip(acc, Z):
+                for a, x in zip(acc_row, row):
+                    a[:] = map(operator.add, a, mul(x, y, *consts))
     return acc
 
 
