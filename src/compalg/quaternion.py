@@ -148,8 +148,10 @@ def _straight_line(terms, constant, args=""):
             sign, name = constant(c)
             if sign:
                 sums[k].setdefault(name, []).append(f"{'-' if sign < 0 else '+'} x{i}*y{j}")
-    outs = [" + ".join(f"{n}*({' '.join(t).lstrip('+ ')})" if n else " ".join(t).lstrip("+ ") for n, t in s.items())
-            for s in sums]
+    outs = []
+    for s in sums:
+        parts = ((n, " ".join(t).lstrip("+ ")) for n, t in s.items())  # "+ x0*y0 - x1*y1" -> "x0*y0 - x1*y1"
+        outs.append(" + ".join(f"{n}*({t})" if n else t for n, t in parts))
     x, y = (", ".join(f"{v}{i}" for i in range(len(terms))) for v in "xy")
     namespace = {}
     exec(f"def mul(x, y{args}):\n    {x} = x\n    {y} = y\n    return ({', '.join(outs)})", namespace)
