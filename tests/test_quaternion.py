@@ -337,19 +337,36 @@ def _mat2_dense_table():
     [
         HQ,
         QuatAlgebra(QQ, 2, 5),
+        QuatAlgebra(QQ, Fraction(1, 3), -1),
+        QuatAlgebra(QQ, Fraction(-1, 3), Fraction(5, 2)),
         QuatAlgebra(PrimeField(7), 3, -1),
+        QuatAlgebra(PrimeField(10007), 5, 10006),
         Mat2Algebra(QQ),
         Mat2Algebra(PrimeField(5)),
         Mat2Algebra(PrimeField(2)),
+        Mat2Algebra(PrimeField(7)),
     ],
     ids=repr,
 )
-def test_mul_raw_matches_dense_structure_constants(alg, table):
+def test_mul_raw_matches_dense_structure_constants(alg, table, canonical):
+    # the generated product against the product multiplied out by hand and the
+    # walk over the evaluated table, on every pair of basis elements and on
+    # seeded operands, integral and with zero and rational coordinates; each
+    # output is a tuple of canonical raw values
     dense = _mat2_dense_table()
     f = alg.field
     rng = SplitMix64(14)
-    for _ in range(100):
-        x, y = (random_quat(alg, rng, bound=3).coeffs for _ in range(2))
+
+    def operand():
+        if f.characteristic:
+            return tuple(rng.randint(0, f.characteristic - 1) * rng.randint(0, 1) for _ in range(4))
+        return tuple(Fraction(rng.randint(-9, 9) * rng.randint(0, 1), rng.randint(1, 4)) for _ in range(4))
+
+    basis = [alg.element([int(i == k) for k in range(4)]).coeffs for i in range(4)]
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [tuple(random_quat(alg, rng, bound=3).coeffs for _ in range(2)) for _ in range(100)]
+    pairs += [(operand(), operand()) for _ in range(100)]
+    for x, y in pairs:
         if isinstance(alg, QuatAlgebra):
             expected = _quat_product(alg, x, y)
         else:
@@ -357,38 +374,8 @@ def test_mul_raw_matches_dense_structure_constants(alg, table):
                 sum(x[i] * y[j] * dense[i][j][k] for i in range(4) for j in range(4))
                 for k in range(4)
             ]
-        expected = tuple(f._coerce(v) for v in expected)
-        assert alg._mul_raw(x, y) == expected == table.product(alg, x, y)
-
-
-GENERATED_PRODUCT_ALGEBRAS = [
-    QuatAlgebra(QQ, 2, 5),
-    QuatAlgebra(QQ, Fraction(1, 3), -1),
-    QuatAlgebra(QQ, Fraction(-1, 3), Fraction(5, 2)),
-    QuatAlgebra(PrimeField(7), 3, -1),
-    QuatAlgebra(PrimeField(10007), 5, 10006),
-    Mat2Algebra(QQ),
-    Mat2Algebra(PrimeField(2)),
-    Mat2Algebra(PrimeField(7)),
-]
-
-
-@pytest.mark.parametrize("alg", GENERATED_PRODUCT_ALGEBRAS, ids=repr)
-def test_generated_product_matches_the_table_walk(alg, table, canonical):
-    # seeded operands with zero, integral and rational coordinates, and every
-    # pair of basis elements; each output coordinate is a canonical raw value
-    f, rng = alg.field, SplitMix64(sum(map(ord, repr(alg))))
-
-    def operand():
-        if f.characteristic:
-            return tuple(f._coerce(rng.randint(0, f.characteristic - 1) * rng.randint(0, 1)) for _ in range(4))
-        return tuple(Fraction(rng.randint(-9, 9) * rng.randint(0, 1), rng.randint(1, 4)) for _ in range(4))
-
-    basis = [alg.element([int(i == k) for k in range(4)]).coeffs for i in range(4)]
-    pairs = [(x, y) for x in basis for y in basis] + [(operand(), operand()) for _ in range(200)]
-    for x, y in pairs:
         z = alg._mul_raw(x, y)
-        assert type(z) is tuple and z == table.product(alg, x, y), (x, y)
+        assert type(z) is tuple and z == tuple(f._coerce(v) for v in expected) == table.product(alg, x, y), (x, y)
         canonical(f, z)
 
 
