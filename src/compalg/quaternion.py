@@ -243,7 +243,7 @@ class TableElement:
 def _cleared(x):
     """Integers n and d > 0 with x = n / d, for rationals x."""
     d = lcm(*[v.denominator for v in x])
-    return [v.numerator for v in x] if d == 1 else [v.numerator * (d // v.denominator) for v in x], d
+    return ([v.numerator for v in x] if d == 1 else [v.numerator * (d // v.denominator) for v in x]), d
 
 
 class CompositionAlgebra(TableAlgebra):
