@@ -129,7 +129,9 @@ def parse_multivector(sig, text: str):
             sign, chunk = Fraction(-1), chunk[1:]
         elif chunk.startswith("+"):
             chunk = chunk[1:]
-        coeff_text, _, blade_text = chunk.rpartition("*")
+        coeff_text, star, blade_text = chunk.rpartition("*")
+        if star and not (coeff_text and blade_text):
+            raise CliError(f"a '*' with nothing on one side in term {chunk!r}")
         if not coeff_text and blade_text.startswith("e"):
             coeff = Fraction(1)
         elif not coeff_text:
@@ -229,10 +231,8 @@ def cmd_quat(args) -> Result:
     if args.action == "conjugate":
         out = x.conjugate()
         return Result(element_to_json(out), text=repr(out))
-    if args.action == "inverse":
-        out = x.inverse()
-        return Result(element_to_json(out), text=repr(out))
-    raise CliError(f"unknown quat action {args.action!r}")
+    out = x.inverse()  # inverse
+    return Result(element_to_json(out), text=repr(out))
 
 
 def cmd_mat(args) -> Result:
@@ -255,13 +255,11 @@ def cmd_mat(args) -> Result:
     if args.action == "flatten":
         flat = flatten_split(Z)
         return Result(field_matrix_json(flat), latex=field_matrix_latex(flat))
-    if args.action == "split-pair":
-        first, second = split_pair(Z)
-        return Result(
-            {"first": field_matrix_json(first), "second": field_matrix_json(second)},
-            latex=field_matrix_latex(first) + ", " + field_matrix_latex(second),
-        )
-    raise CliError(f"unknown mat action {args.action!r}")
+    first, second = split_pair(Z)  # split-pair
+    return Result(
+        {"first": field_matrix_json(first), "second": field_matrix_json(second)},
+        latex=field_matrix_latex(first) + ", " + field_matrix_latex(second),
+    )
 
 
 def cmd_span(args) -> Result:
@@ -278,25 +276,23 @@ def cmd_span(args) -> Result:
             {"threshold": value, "family_size": 1 + args.n * value if args.n else None},
             text=str(value),
         )
-    if args.action == "verify-bound":
-        algebra = parse_algebra(args)
-        report = verify_span_bound(
-            algebra,
-            args.m,
-            args.n,
-            args.d,
-            trials=args.trials,
-            seed=args.seed,
-            entry_bound=args.entry_bound,
-            budget_ms=args.budget_ms,
-        )
-        code = 0 if report.counterexample is None else 2
-        return Result(
-            report.to_json(),
-            text=f"successes {report.successes}/{report.trials}",
-            exit_code=code,
-        )
-    raise CliError(f"unknown span action {args.action!r}")
+    algebra = parse_algebra(args)  # verify-bound
+    report = verify_span_bound(
+        algebra,
+        args.m,
+        args.n,
+        args.d,
+        trials=args.trials,
+        seed=args.seed,
+        entry_bound=args.entry_bound,
+        budget_ms=args.budget_ms,
+    )
+    code = 0 if report.counterexample is None else 2
+    return Result(
+        report.to_json(),
+        text=f"successes {report.successes}/{report.trials}",
+        exit_code=code,
+    )
 
 
 def cmd_poincare(args) -> Result:
@@ -317,10 +313,8 @@ def cmd_poincare(args) -> Result:
         out = poly.grassmann_poincare(args.p, args.q)
     elif args.action == "oriented-grassmann":
         out = poly.oriented_grassmann_poincare(args.m, args.k)
-    elif args.action == "clifford-gamma":
+    else:  # clifford-gamma
         out = poly.clifford_group_quotient_poincare(args.n, args.p, args.q)
-    else:
-        raise CliError(f"unknown poincare action {args.action!r}")
     return Result(out.to_sparse(), text=out.text(), latex=out.latex())
 
 
@@ -342,10 +336,8 @@ def cmd_weyl(args) -> Result:
     if args.action == "generators":
         gens = weyl.fundamental_generators(args.flavor, args.n)
         return Result({"generators": [g.text() for g in gens]}, text="\n".join(g.text() for g in gens))
-    if args.action == "verify-generation":
-        report = weyl.verify_generation(args.flavor, args.n, args.bound)
-        return Result(report.to_json(), text=f"expressible {report.expressible}/{report.checked}")
-    raise CliError(f"unknown weyl action {args.action!r}")
+    report = weyl.verify_generation(args.flavor, args.n, args.bound)  # verify-generation
+    return Result(report.to_json(), text=f"expressible {report.expressible}/{report.checked}")
 
 
 def cmd_zmod(args) -> Result:
@@ -383,14 +375,12 @@ def cmd_zmod(args) -> Result:
             text=json.dumps(verdict, separators=(",", ":")),
             exit_code=0 if verdict["splits"] else 2,
         )
-    if args.action == "sequence-check":
-        from .serialize import int_rows_from_json
+    from .serialize import int_rows_from_json  # sequence-check
 
-        f = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.f), "--f"))
-        g = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.g), "--g"))
-        checks = zmodule.sequence_checks(f, g)
-        return Result(checks.to_json(), exit_code=0 if checks.all_true() else 2)
-    raise CliError(f"unknown zmod action {args.action!r}")
+    f = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.f), "--f"))
+    g = zmodule.IntMatrix(int_rows_from_json(load_json_file(args.g), "--g"))
+    checks = zmodule.sequence_checks(f, g)
+    return Result(checks.to_json(), exit_code=0 if checks.all_true() else 2)
 
 
 def _sig_arg(args):
@@ -419,9 +409,7 @@ def cmd_clifford(args) -> Result:
         sig = _sig_arg(args)
         report = cliff.clifford_group_membership(parse_multivector(sig, args.x))
         return Result(report.to_json())
-    if args.action == "spin-check":
-        return _spin_check(args)
-    raise CliError(f"unknown clifford action {args.action!r}")
+    return _spin_check(args)  # spin-check
 
 
 def _spin_check(args) -> Result:

@@ -8,9 +8,14 @@ A signature (p, q) fixes generators e_1 .. e_n (n = p + q) with
 and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
 order.  Each blade product is a single term, so `CliffordSignature` is a
 table algebra over QQ on the element core of `quaternion`.  Its table, shared
-read-only, is built once per signature per process and proved associative
-on its 4^n pairs: e_A e_B = sigma(A, B) e_(A xor B) with sigma
-bimultiplicative, a twisted group algebra of (Z/2)^n.
+read-only and built once per signature per process, comes from the closed
+form e_A e_B = sigma(A, B) e_(A xor B) of `quaternion._twisted_terms`, the
+builder of the (a,b) table too: sigma is the reordering sign, negated when A
+and B share an odd number of generators squaring to -1.  sigma is
+bimultiplicative, hence a 2-cocycle, so the table is associative: a twisted
+group algebra of (Z/2)^n (Albuquerque and Majid, JPAA 171, 2002).  The
+tests check every table against a reordering product and prove it
+associative.
 Coefficients are exact rationals, coerced once where an element is made, so
 the real-coefficient statements are exercised through rational witnesses.
 The center is read off the same table, with no elimination.
@@ -33,15 +38,13 @@ diagonal form.  A factorization witness is only ever reported for elements
 constructed as products of unit vectors; recovering one is out of scope.
 """
 
-import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
 from .fields import QQ, QuadExt
-from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement
+from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _cleared, _twisted_terms
 
 MAX_DIMENSION = 6
 
@@ -62,52 +65,14 @@ def _table_mul(terms, x, y, zero):
     return acc
 
 
-def _blade_product(a: tuple, b: tuple, metric: tuple, index: dict):
-    """(index of the blade, sign) of a*b: reordering sign plus metric contractions."""
-    sign = 1
-    result = list(a)
-    for gen in b:
-        pos = len(result)
-        while pos > 0 and result[pos - 1] > gen:
-            pos -= 1
-            sign = -sign
-        if pos > 0 and result[pos - 1] == gen:
-            sign *= metric[gen - 1]
-            result.pop(pos - 1)
-        else:
-            result.insert(pos, gen)
-    return index[tuple(result)], sign
-
-
-def _check_twisted_table(terms, blades, metric):
-    """Prove the blade table associative: e_A e_B = sigma(A, B) e_(A xor B) on all pairs.
-
-    In bitmasks (bit b for e_(b+1)), sigma(A, B) = (-1)^popcount(B & P_A),
-    P_A = (bits b with popcount(A >> (b+1)) odd) xor (A & negative-metric
-    mask): the pairs a > b reorder, shared negative generators square to -1.
-    P_A is GF(2)-linear in A, so sigma is bimultiplicative, hence a
-    2-cocycle, which is associativity (Albuquerque and Majid, JPAA 171, 2002).
-    """
-    masks = [sum(1 << (g - 1) for g in blade) for blade in blades]
-    where = {mask: i for i, mask in enumerate(masks)}
-    negative = sum(1 << b for b, m in enumerate(metric) if m < 0)
-    for a, row in zip(masks, terms):
-        twist = (a & negative) ^ sum(1 << b for b in range(len(metric)) if (a >> (b + 1)).bit_count() & 1)
-        for b, entry in zip(masks, row):
-            if entry != (where[a ^ b], -1 if (b & twist).bit_count() & 1 else 1):
-                raise ValueError("blade table is not sigma(A, B) e_(A xor B): not proved associative")
-
-
 @cache
 def _signature_table(p: int, q: int):
-    """(metric, blades, blade_index, terms) of Cl(p, q), immutable and proved once."""
-    n = p + q
-    metric = (1,) * p + (-1,) * q
-    blades = tuple(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
-    index = {b: i for i, b in enumerate(blades)}
-    terms = tuple(tuple(_blade_product(a, b, metric, index) for b in blades) for a in blades)
-    _check_twisted_table(terms, blades, metric)
-    return metric, blades, MappingProxyType(index), terms
+    """(metric, blades, blade_index, terms) of Cl(p, q), immutable and shared; each sign is the
+    reordering sign, negated where A and B share an odd number of the generators squaring to -1."""
+    negative = ((1 << q) - 1) << p
+    masks, terms = _twisted_terms(p + q, lambda sign, c: -sign if (c & negative).bit_count() & 1 else sign)
+    blades = tuple(tuple(g + 1 for g in range(p + q) if m >> g & 1) for m in masks)
+    return (1,) * p + (-1,) * q, blades, MappingProxyType({b: i for i, b in enumerate(blades)}), terms
 
 
 class CliffordSignature(TableAlgebra):
@@ -243,8 +208,7 @@ class Multivector(TableElement):
         """
         sig = self.sig
         table = sig._terms
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        v = [c.numerator * (denom // c.denominator) for c in self.coeffs]
+        v, denom = _cleared(self.coeffs)
         size = 1 << ((sig.n + 1) // 2)
         y = [1] + [0] * (sig.dim - 1)  # U_{k-1} - C_{k-1}, with U_0 - C_0 = 1
         for k in range(1, size + 1):
@@ -278,8 +242,8 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
         if qv not in (1, -1):
             raise ValueError(f"factor has Q = {qv}, need a unit vector")
         factors.append(v)
-        d = math.lcm(*(c.denominator for c in v.coeffs))
-        acc = _table_mul(sig._terms, acc, [c.numerator * (d // c.denominator) for c in v.coeffs], 0)
+        w, d = _cleared(v.coeffs)
+        acc = _table_mul(sig._terms, acc, w, 0)
         denom *= d
     return Multivector(sig, [Fraction(c, denom) for c in acc], factors=tuple(factors))
 

@@ -3,6 +3,8 @@
 Every algebra in this package has a basis whose products are single terms,
 e_i*e_j = c*e_k, held as a table of pairs (k, c): these two realizations and
 the Clifford algebras of `clifford`.  The core is written once, here:
+`_twisted_terms` the table of e_A*e_B = sigma(A, B)*e_(A xor B) on bitmask
+blades, which builds the (a,b) table and every Clifford table,
 `_check_associativity` the check of (e_i*e_j)*e_l = e_i*(e_j*e_l) term by
 term, `_straight_line` the product through a table written out as integer
 code, compiled once per family at import, and `TableElement` (an algebra and
@@ -12,11 +14,11 @@ product.  Two realizations supply the table, conjugation and norm:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
-    characteristic != 2.  The 16 pairs (k, +-a^i*b^j) are written down once
-    from those relations; associativity is proved on them at import, on all
-    64 basis triples by composing monomials, for every (a, b) over every field
-    of characteristic != 2, which guards the sign choices in the u*w, w*v, w*w
-    products; the product takes 1, a, b and ab, all a construction stores.
+    characteristic != 2.  It is the Clifford algebra of <a, b> with u = e1,
+    v = e2, w = e12, so `_twisted_terms` builds its 16 pairs (k, +-a^i*b^j);
+    associativity is proved on them at import, on all 64 basis triples by
+    composing monomials, for every (a, b) over every field of characteristic
+    != 2; the product takes 1, a, b and ab, all a construction stores.
 
 ``Mat2Algebra(field)``
     the split algebra realized directly as 2x2 matrices over the base field,
@@ -172,6 +174,19 @@ def _check_associativity(terms, mul):
                 raise ValueError("structure constants are not associative")
 
 
+def _twisted_terms(n, constant):
+    """(masks, terms) of a twisted group algebra of (Z/2)^n, the blades e_A bitmasks A (bit g for
+    generator g + 1) in graded lexicographic order: e_A*e_B = constant(sign, A & B)*e_(A xor B),
+    sign = (-1)^#{a in A, b in B: a > b} and A & B the generators squared."""
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), [g for g in range(n) if m >> g & 1]))
+    where = {m: i for i, m in enumerate(masks)}
+    terms = []
+    for a in masks:
+        twist = sum(1 << g for g in range(n) if (a >> (g + 1)).bit_count() & 1)  # bit g: an odd count of A above g
+        terms.append(tuple((where[a ^ b], constant(-1 if (b & twist).bit_count() & 1 else 1, a & b)) for b in masks))
+    return masks, tuple(terms)
+
+
 class TableAlgebra:
     """Base of every algebra: a subclass sets `field`, `dim`, `_one`, `element` and `_mul_raw`."""
 
@@ -280,17 +295,10 @@ class CompositionElement(TableElement):
         return self.conjugate().scale(n.inverse())
 
 
-# e_i * e_j = sign * a^i * b^j * e_k on the basis (1, u, v, w), from u*u = a,
-# v*v = b, w = u*v = -v*u: (k, sign, i, j) for each (i, j) in row order, one
-# flat literal (cheaper to compile than nested tuples), shaped into rows of
-# (k, (sign, i, j))
-_flat = iter((
-    0, 1, 0, 0,  1, 1, 0, 0,  2, 1, 0, 0,  3, 1, 0, 0,
-    1, 1, 0, 0,  0, 1, 1, 0,  3, 1, 0, 0,  2, 1, 1, 0,
-    2, 1, 0, 0,  3, -1, 0, 0,  0, 1, 0, 1,  1, -1, 0, 1,
-    3, 1, 0, 0,  2, -1, 1, 0,  1, 1, 0, 1,  0, -1, 1, 1,
-))
-_QUAT_TERMS = tuple(zip(*[zip(_flat, zip(_flat, _flat, _flat))] * 4))
+# (a,b) is the Clifford algebra of <a, b>, u = e1, v = e2, w = e12: e_i * e_j
+# = sign * a^i * b^j * e_k, held as (k, (sign, i, j)), i and j the counts of u
+# and v squared
+_QUAT_TERMS = _twisted_terms(2, lambda sign, c: (sign, c & 1, c >> 1))[1]
 
 
 def _monomial_mul(m, n):

@@ -3,6 +3,8 @@
 
 def split_terms(text: str) -> list[str]:
     """Chunks at each + or - that is not an exponent sign (right after '^'); a - stays on its term."""
+    if text.rstrip().endswith(("+", "-")):
+        raise ValueError(f"{text!r} ends with a sign")
     terms, current = [], ""
     for ch in text:
         if ch in "+-" and current.strip() and not current.rstrip().endswith("^"):

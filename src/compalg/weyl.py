@@ -180,7 +180,7 @@ def parse_laurent(text: str, nvars: int) -> LaurentPoly:
         if not chunk:
             continue
         match = _TERM_RE.match(chunk)
-        if not match or (match.group(2) is None and not match.group(3)):
+        if not match or (match.group(2) is None and not match.group(3).startswith("x")):  # no term, or "*x1"
             raise ValueError(f"cannot parse term {chunk!r}")
         sign = -1 if match.group(1) == "-" else 1
         coeff = sign * (Fraction(match.group(2)) if match.group(2) else Fraction(1))

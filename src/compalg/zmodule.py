@@ -303,6 +303,8 @@ def build_localization_model(n: int, s_max: int, signs) -> LocalizationModel:
     Sign choices are a free parameter; the Smith data is identical for all of
     them, which the test suite checks.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     count = 2 * n - 1
     signs = tuple(int(s) for s in signs)
     if len(signs) != count:

@@ -377,6 +377,9 @@ def test_malformed_clifford_arguments_exit_cleanly(capsys):
         (["product", "--sig", "2,0", "--x", "2*e", "--y", "e1"], "in term '2*e'"),
         (["product", "--sig", "2,0", "--x", "ex", "--y", "e1"], "in term 'ex'"),
         (["product", "--sig", "2,0", "--x", "e1x", "--y", "e1"], "in term 'e1x'"),
+        (["product", "--sig", "2,0", "--x", "2*", "--y", "e1"], "nothing on one side in term '2*'"),
+        (["product", "--sig", "2,0", "--x", "*e1", "--y", "e1"], "nothing on one side in term '*e1'"),
+        (["product", "--sig", "2,0", "--x", "e1 +", "--y", "e1"], "'e1 +' ends with a sign"),
     )
     for argv, expected in cases:
         code, out, err = run(capsys, "clifford", *argv)
@@ -489,7 +492,12 @@ def test_every_action_missing_one_flag_exits_cleanly(capsys):
         ("span verify-bound --field Q --a -1 --b -1 --m 2 --n 2 --d 2 --trials -1", "argument --trials: must be"),
         ("span bound --field Q --a -1 --b -1 --m 2 --n -3 --d 1", "argument --n: must be"),
         ("zmod loc-model --n -1 --smax 3", "argument --n: must be"),
-    ],
+        ("zmod loc-model --n 0 --smax 3 --signs +", "need n >= 1"),
+        ("weyl reynolds --group Sym:2 --poly *x1", "cannot parse term '*x1'"),
+        ("weyl reynolds --group Sym:2 --poly x1+", "'x1+' ends with a sign"),
+    ]
+    # an unknown action is refused by the parser, before any handler runs
+    + [(f"{command} bogus", "invalid choice: 'bogus'") for command in ("quat", "mat", "span", "poincare", "weyl", "zmod", "clifford")],
 )
 def test_malformed_groups_and_negative_counts_exit_cleanly(capsys, call, expected):
     code, out, err = run(capsys, *call.split(" "))

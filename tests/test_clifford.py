@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from compalg.clifford import (
     unit_vector_product,
     verify_classification,
 )
+from compalg.quaternion import _check_associativity
 from compalg.ratlin import det, solve_square
 from compalg.rng import SplitMix64
 
@@ -59,6 +61,35 @@ def test_signature_table_is_shared_and_read_only():
     with pytest.raises(TypeError):
         x.blade_index[(1,)] = 0
     assert x != other and x._terms != other._terms
+
+
+def _blade_product(a: tuple, b: tuple, metric: tuple, index) -> tuple:
+    """The oracle: (index of the blade, sign) of e_a * e_b, each generator of b moved past the
+    larger ones of a (a sign each) and contracted with an equal one by its square."""
+    sign = 1
+    result = list(a)
+    for gen in b:
+        pos = len(result)
+        while pos > 0 and result[pos - 1] > gen:
+            pos -= 1
+            sign = -sign
+        if pos > 0 and result[pos - 1] == gen:
+            sign *= metric[gen - 1]
+            result.pop(pos - 1)
+        else:
+            result.insert(pos, gen)
+    return index[tuple(result)], sign
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(clifford.MAX_DIMENSION + 1) for p in range(n + 1)])
+def test_signature_table_is_the_reordering_product_and_associative(p, q):
+    sig, n = CliffordSignature(p, q), p + q
+    assert sig.metric == (1,) * p + (-1,) * q
+    assert sig.blades == tuple(c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
+    assert dict(sig.blade_index) == {b: i for i, b in enumerate(sig.blades)}
+    for a, row in zip(sig.blades, sig._terms):
+        assert row == tuple(_blade_product(a, b, sig.metric, sig.blade_index) for b in sig.blades), a
+    _check_associativity(sig._terms, int.__mul__)
 
 
 def test_dimension_budget():

@@ -5,7 +5,6 @@ from math import isqrt
 
 import pytest
 
-from compalg import clifford
 from compalg.clifford import CliffordSignature, Multivector
 from compalg.errors import (
     AlgebraMismatchError,
@@ -455,25 +454,6 @@ def test_shared_check_rejects_seeded_table_mutations(name, table):
             broken[i][j] = mutated
             with pytest.raises(ValueError, match="not associative"):
                 _check_associativity(broken, mul)
-
-
-def test_clifford_table_proof_rejects_a_flipped_sign_or_a_wrong_index():
-    # every signature the budget allows is proved by the pairwise check; one
-    # changed entry anywhere in the table, sign or index, is rejected
-    for n in range(clifford.MAX_DIMENSION + 1):
-        for p in range(n + 1):
-            metric, blades, _, terms = clifford._signature_table(p, n - p)
-            clifford._check_twisted_table(terms, blades, metric)
-            rng = SplitMix64(16 * n + p)
-            dim = len(terms)
-            for _ in range(6):
-                i, j = rng.randint(0, dim - 1), rng.randint(0, dim - 1)
-                k, c = terms[i][j]
-                for mutated in ((k, -c), ((k + rng.randint(1, dim - 1)) % dim, c)) if dim > 1 else ((k, -c),):
-                    table = [list(row) for row in terms]
-                    table[i][j] = mutated
-                    with pytest.raises(ValueError, match="not proved associative"):
-                        clifford._check_twisted_table(table, blades, metric)
 
 
 ELEMENT_ALGEBRAS = [

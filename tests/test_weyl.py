@@ -574,6 +574,9 @@ def test_parse_laurent():
     assert g == LaurentPoly(1, {(1,): -1, (0,): Fraction(1, 2)})
     roundtrip = parse_laurent(f.text(), 2)
     assert roundtrip == f
+    for text, message in (("*x1", "cannot parse term"), ("x1 +", "ends with a sign"), ("3 - x1^2 -", "ends with a sign")):
+        with pytest.raises(ValueError, match=message):
+            parse_laurent(text, 1)
 
 
 def test_group_from_json():

@@ -196,6 +196,9 @@ def test_localization_model_truncation_guard():
         build_localization_model(2, 2, (1, 1, 1))
     with pytest.raises(ValueError):
         build_localization_model(2, 3, (1, 1))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            build_localization_model(n, 3, ())
 
 
 def rank(A):
