@@ -77,27 +77,31 @@ def parse_coeffs(text: str):
     return [Fraction(p) for p in parts]
 
 
-def parse_degrees(token: str):
-    from . import poincare as poly
-
-    parts = []
+def _named_counts(token: str, kind: str):
+    """(NAME, n) for each factor of a NAME:n[*NAME:n] token."""
+    out = []
     for piece in token.split("*"):
         name, _, num = piece.partition(":")
         if not num:
-            raise CliError(f"degree token {piece!r} needs the form NAME:n")
-        n = int(num)
-        name = name.upper()
-        if name == "A":
-            parts.append(poly.WeylDegrees.type_a(n))
-        elif name in ("BC", "B", "C"):
-            parts.append(poly.WeylDegrees.type_bc(n))
-        elif name == "D":
-            parts.append(poly.WeylDegrees.type_d(n))
-        elif name == "U1SU":
-            parts.append(poly.WeylDegrees.u1su(n))
-        else:
-            raise CliError(f"unknown degree family {name!r}")
-    return parts[0] if len(parts) == 1 else poly.WeylDegrees.joint(parts)
+            raise CliError(f"{kind} token {piece!r} needs the form NAME:n")
+        try:
+            out.append((name, int(num)))
+        except ValueError:
+            raise CliError(f"{kind} token {piece!r} needs an integer count, got {num!r}") from None
+    return out
+
+
+def parse_degrees(token: str):
+    from . import poincare as poly
+
+    W = poly.WeylDegrees
+    families = {"A": W.type_a, "BC": W.type_bc, "B": W.type_bc, "C": W.type_bc, "D": W.type_d, "U1SU": W.u1su}
+    parts = []
+    for name, n in _named_counts(token, "degree"):
+        if name.upper() not in families:
+            raise CliError(f"unknown degree family {name.upper()!r}")
+        parts.append(families[name.upper()](n))
+    return parts[0] if len(parts) == 1 else W.joint(parts)
 
 
 def parse_group(token: str):
@@ -106,46 +110,26 @@ def parse_group(token: str):
     token = token.strip()
     if token.startswith("{") or token.startswith("["):
         return weyl.group_from_json(json.loads(token))
-    factors = []
-    for piece in token.split("*"):
-        name, _, num = piece.partition(":")
-        if not num:
-            raise CliError(f"group token {piece!r} needs the form NAME:n")
-        factors.append(weyl.group_from_json({"flavor": name, "n": int(num)}))
+    factors = [weyl.group_from_json({"flavor": name, "n": n}) for name, n in _named_counts(token, "group")]
     return factors[0] if len(factors) == 1 else weyl.ProductGroup(factors)
 
 
 def parse_multivector(sig, text: str):
-    """Terms like "1", "-e12", "1/2*e1 + 2" over the given Clifford signature."""
-    from .termsplit import split_terms
+    """A sum like "1/2*e1 - e12 + 2" (the grammar of `termsplit`) over the given Clifford signature."""
+    from .termsplit import parse_terms
 
+    def blade(name):
+        if not (name.startswith("e") and name[1:].isdecimal()):
+            raise ValueError(f"cannot parse blade {name!r}")
+        return sig.blade(int(ch) for ch in name[1:])
+
+    try:
+        terms = parse_terms(text, blade)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     acc = sig.zero()
-    for chunk in split_terms(text):
-        chunk = chunk.strip().replace(" ", "")
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign, chunk = Fraction(-1), chunk[1:]
-        elif chunk.startswith("+"):
-            chunk = chunk[1:]
-        coeff_text, star, blade_text = chunk.rpartition("*")
-        if star and not (coeff_text and blade_text):
-            raise CliError(f"a '*' with nothing on one side in term {chunk!r}")
-        if not coeff_text and blade_text.startswith("e"):
-            coeff = Fraction(1)
-        elif not coeff_text:
-            coeff, blade_text = Fraction(blade_text), ""
-        else:
-            coeff = Fraction(coeff_text)
-        if blade_text:
-            if not (blade_text.startswith("e") and blade_text[1:].isdecimal()):
-                raise CliError(f"cannot parse blade {blade_text!r} in term {chunk!r}")
-            indices = [int(ch) for ch in blade_text[1:]]
-            term = sig.blade(indices)
-        else:
-            term = sig.one()
-        acc = acc + term.scale(sign * coeff)
+    for coeff, term in terms:
+        acc = acc + (sig.one() if term is None else term).scale(coeff)
     return acc
 
 

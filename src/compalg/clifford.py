@@ -18,7 +18,9 @@ tests check every table against a reordering product and prove it
 associative.
 Coefficients are exact rationals, coerced once where an element is made, so
 the real-coefficient statements are exercised through rational witnesses.
-The center is read off the same table, with no elimination.
+The center is read off the same table, with no elimination.  An element
+prints as a sum such as "1/2 - 2*e12" (`termsplit.render_terms`), the text
+that `cli.parse_multivector` reads back.
 
 Inverses follow Shirokov's characteristic-polynomial recursion (a
 Faddeev-LeVerrier scheme in a faithful representation of size
@@ -45,6 +47,7 @@ from types import MappingProxyType, SimpleNamespace
 from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
 from .fields import QQ, QuadExt
 from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _cleared, _twisted_terms
+from .termsplit import render_terms
 
 MAX_DIMENSION = 6
 
@@ -163,21 +166,9 @@ class Multivector(TableElement):
         return self.algebra
 
     def __repr__(self):
-        parts = []
-        for blade, c in zip(self.sig.blades, self.coeffs):
-            if c == 0:
-                continue
-            if not blade:
-                parts.append(str(c))
-                continue
-            name = "e" + "".join(str(i) for i in blade)
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        return " + ".join(parts) if parts else "0"
+        return render_terms(
+            (c, "e" + "".join(map(str, blade)) if blade else None) for blade, c in zip(self.sig.blades, self.coeffs)
+        )
 
     def grades(self) -> set[int]:
         return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c}

@@ -27,6 +27,7 @@ coefficient; the oriented odd case uses the quartic-degree product below.
 from itertools import compress
 
 from .errors import BranchUnavailableError, InexactDivisionError, RankMismatchError
+from .termsplit import render_terms
 
 
 class UniPoly:
@@ -57,11 +58,6 @@ class UniPoly:
     @classmethod
     def monomial(cls, degree, coeff=1):
         return cls([0] * degree + [coeff])
-
-    @property
-    def degree(self):
-        """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -124,19 +120,9 @@ class UniPoly:
         return {str(i): c for i, c in enumerate(self.coeffs) if c}
 
     def _render(self, power: str) -> str:
-        """The nonzero terms joined by signs; t^i for i >= 2 is `power.format(i)`."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c))
-                parts.append(head + ("t" if i == 1 else power.format(i)))
-        return " + ".join(parts).replace("+ -", "- ")
+        """The nonzero terms joined by signs, as "1 - 2t^4"; t^i for i >= 2 is `power.format(i)`."""
+        pairs = [(c, None if i == 0 else "t" if i == 1 else power.format(i)) for i, c in enumerate(self.coeffs)]
+        return render_terms(pairs, times="")
 
     def text(self) -> str:
         return self._render("t^{}")
@@ -161,6 +147,11 @@ def product(factors) -> UniPoly:
     for f in factors:
         acc = acc * f
     return acc
+
+
+def _quotient(top, bottom) -> UniPoly:
+    """The product of (1 - t^d) over d in top, divided exactly by the same product over bottom."""
+    return product(map(one_minus, top)).exact_div(product(map(one_minus, bottom)))
 
 
 class WeylDegrees:
@@ -225,9 +216,7 @@ def hirsch(group: WeylDegrees, subgroup: WeylDegrees) -> UniPoly:
         raise RankMismatchError(
             f"{group!r} and {subgroup!r} have different ranks; the quotient formula needs equal rank"
         )
-    numerator = product(one_minus(2 * s) for s in group.degrees)
-    denominator = product(one_minus(2 * r) for r in subgroup.degrees)
-    return numerator.exact_div(denominator)
+    return _quotient([2 * s for s in group.degrees], [2 * r for r in subgroup.degrees])
 
 
 def sp_u1su_poincare(n: int) -> UniPoly:
@@ -253,9 +242,7 @@ def gaussian_binomial(n: int, k: int, step: int = 1) -> UniPoly:
         raise ValueError("need 0 <= k <= n")
     if step not in (1, 2):
         raise ValueError("step must be 1 or 2")
-    numerator = product(one_minus(step * i) for i in range(n - k + 1, n + 1))
-    denominator = product(one_minus(step * i) for i in range(1, k + 1))
-    return numerator.exact_div(denominator)
+    return _quotient([step * i for i in range(n - k + 1, n + 1)], [step * i for i in range(1, k + 1)])
 
 
 def grassmann_poincare(p: int, q: int) -> UniPoly:
@@ -265,18 +252,14 @@ def grassmann_poincare(p: int, q: int) -> UniPoly:
     """
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
-    numerator = product(one_minus(q + i) for i in range(1, p + 1))
-    denominator = product(one_minus(i) for i in range(1, p + 1))
-    return numerator.exact_div(denominator)
+    return _quotient(range(q + 1, q + p + 1), range(1, p + 1))
 
 
 def oriented_grassmann_poincare(m: int, k: int) -> UniPoly:
     """SO(2m+1)/(SO(2k) x SO(2m+1-2k)) for 1 <= k <= m."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    numerator = product(one_minus(4 * i) for i in range(m - k + 1, m + 1))
-    denominator = product(one_minus(4 * i) for i in range(1, k)) * one_minus(2 * k)
-    return numerator.exact_div(denominator)
+    return _quotient([4 * i for i in range(m - k + 1, m + 1)], [4 * i for i in range(1, k)] + [2 * k])
 
 
 def clifford_group_quotient_poincare(n: int, p: int, q: int) -> UniPoly:

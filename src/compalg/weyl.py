@@ -19,7 +19,7 @@ Each group enumerates its elements once, as raw (perm, signs) tuple pairs in
 `_pairs()`; `elements()` wraps them in SignedPerm; Reynolds walks them on raw
 exponent tuples, once per distinct restriction to f's support where that
 keeps the pair walk's term order.  A LaurentPoly or its text is built only
-for output.
+for output, printed and read (`parse_laurent`) in the sum grammar of `termsplit`.
 Index counts |G| / |H| feed the free-module ranks in the K-group
 bookkeeping: the quaternionic pair gives (2n)!/n!, the split pair the
 central binomial coefficient, and the smallest split case 2.
@@ -39,7 +39,7 @@ from .errors import (
     ShapeError,
     UnsupportedFlavorError,
 )
-from .termsplit import split_terms
+from .termsplit import parse_terms, render_terms
 
 DEFAULT_MAX_GROUP_ORDER = factorial(8) * 2**8  # hyperoctahedral of rank 8
 
@@ -131,29 +131,15 @@ class LaurentPoly:
         return not self.terms
 
     def text(self) -> str:
-        return _text(self.terms)
+        """Terms by descending exponent vector, as "3*x1^2*x2^-1 - x3 + 1/2"."""
+        pairs = []
+        for expo in sorted(self.terms, reverse=True):
+            body = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(expo) if e)
+            pairs.append((self.terms[expo], body or None))
+        return render_terms(pairs)
 
     def __repr__(self):
         return f"LaurentPoly({self.text()})"
-
-
-def _text(terms: dict) -> str:
-    """Terms by descending exponent vector, as "3*x1^2*x2^-1 - x3 + 1/2"."""
-    if not terms:
-        return "0"
-    parts = []
-    for expo in sorted(terms, reverse=True):
-        coeff = terms[expo]
-        body = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(expo) if e)
-        if not body:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{coeff}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _mul(p: dict, q: dict) -> dict:
@@ -166,32 +152,31 @@ def _mul(p: dict, q: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-_TERM_RE = re.compile(
-    r"^\s*([+-])?\s*(\d+(?:/\d+)?)?\s*((?:\*?\s*x\d+(?:\^-?\d+)?)*)\s*$"
-)
+_MONOMIAL_RE = re.compile(r"x\d+(?:\^-?\d+)?(?:\s*\*?\s*x\d+(?:\^-?\d+)?)*")
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?")
 
 
 def parse_laurent(text: str, nvars: int) -> LaurentPoly:
-    """Parse strings like "x1^2*x2^-1 + 3" into a LaurentPoly."""
-    out = LaurentPoly(nvars, {})
-    for chunk in split_terms(text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        match = _TERM_RE.match(chunk)
-        if not match or (match.group(2) is None and not match.group(3).startswith("x")):  # no term, or "*x1"
-            raise ValueError(f"cannot parse term {chunk!r}")
-        sign = -1 if match.group(1) == "-" else 1
-        coeff = sign * (Fraction(match.group(2)) if match.group(2) else Fraction(1))
+    """Parse a sum like "x1^2*x2^-1 + 3" (the grammar of `termsplit`) into a LaurentPoly.
+
+    A monomial is x<i>[^k] factors joined by '*', whitespace or nothing.
+    """
+
+    def exponents(monomial):
+        if not _MONOMIAL_RE.fullmatch(monomial):
+            raise ValueError(f"cannot parse monomial {monomial!r}")
         expo = [0] * nvars
-        for var, power in _FACTOR_RE.findall(match.group(3)):
-            idx = int(var) - 1
-            if not 0 <= idx < nvars:
+        for var, power in _FACTOR_RE.findall(monomial):
+            if not 0 < int(var) <= nvars:
                 raise ValueError(f"variable x{var} out of range for {nvars} variables")
-            expo[idx] += int(power) if power else 1
-        out = out + LaurentPoly(nvars, {tuple(expo): coeff})
-    return out
+            expo[int(var) - 1] += int(power) if power else 1
+        return tuple(expo)
+
+    terms = {}
+    for coeff, expo in parse_terms(text, exponents):
+        expo = (0,) * nvars if expo is None else expo
+        terms[expo] = terms.get(expo, 0) + coeff
+    return LaurentPoly(nvars, terms)
 
 
 class SignedPerm:
@@ -266,9 +251,6 @@ class SignedPermGroup:
         for perm, signs in self._pairs():
             yield SignedPerm(perm, signs)
 
-    def generators(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return f"{self.flavor}({self.n})"
 
@@ -285,16 +267,6 @@ class SymGroup(SignedPermGroup):
     def order(self):
         return factorial(self.n)
 
-    def generators(self):
-        if self.n < 2:
-            return []
-        out = []
-        for i in range(self.n - 1):
-            perm = list(range(self.n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            out.append(SignedPerm(perm, (1,) * self.n))
-        return out
-
 
 class TrivialGroup(SignedPermGroup):
     flavor = "Trivial"
@@ -305,9 +277,6 @@ class TrivialGroup(SignedPermGroup):
     def _perms(self):
         return [tuple(range(self.n))]
 
-    def generators(self):
-        return []
-
 
 class HyperoctahedralGroup(SignedPermGroup):
     flavor = "Hyperoctahedral"
@@ -317,13 +286,6 @@ class HyperoctahedralGroup(SignedPermGroup):
 
     def _sign_vectors(self):
         return list(product((1, -1), repeat=self.n))
-
-    def generators(self):
-        out = list(SymGroup(self.n).generators())
-        signs = [1] * self.n
-        signs[0] = -1
-        out.append(SignedPerm(range(self.n), signs))
-        return out
 
 
 class EvenSignedGroup(SignedPermGroup):
@@ -339,13 +301,6 @@ class EvenSignedGroup(SignedPermGroup):
 
     def _sign_vectors(self):
         return [s for s in product((1, -1), repeat=self.n) if s.count(-1) % 2 == 0]
-
-    def generators(self):
-        out = list(SymGroup(self.n).generators())
-        signs = [1] * self.n
-        signs[0] = signs[1] = -1
-        out.append(SignedPerm(range(self.n), signs))
-        return out
 
 
 class ProductGroup(SignedPermGroup):
@@ -382,15 +337,6 @@ class ProductGroup(SignedPermGroup):
     def _pairs(self):
         for parts in product(*(list(f._pairs()) for f in self.factors)):
             yield self._embed(parts)
-
-    def generators(self):
-        out = []
-        for idx, factor in enumerate(self.factors):
-            for g in factor.generators():
-                parts = [(range(f.n), (1,) * f.n) for f in self.factors]
-                parts[idx] = (g.perm, g.signs)
-                out.append(SignedPerm(*self._embed(parts)))
-        return out
 
 
 def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:

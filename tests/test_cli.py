@@ -73,6 +73,11 @@ def test_clifford_product(capsys):
     assert json.loads(out) == {"12": "1"}
     code, out, _ = run(capsys, "clifford", "product", "--sig", "0,2", "--x", "e12", "--y", "e12")
     assert json.loads(out) == {"0": "-1"}
+    # a coefficient and its blade may be juxtaposed; "1e3" is e3, not the float 1000
+    code, out, _ = run(capsys, "clifford", "product", "--sig", "2,0", "--x", "3 e1", "--y", "1")
+    assert (code, out) == (0, '{"1":"3"}')
+    code, out, _ = run(capsys, "clifford", "product", "--sig", "3,0", "--x", "1e3", "--y", "1")
+    assert (code, out) == (0, '{"3":"1"}')
 
 
 def test_determinism_same_seed(capsys):
@@ -293,6 +298,18 @@ def test_quat_text_output_exact_bytes(capsys, argv, text):
      '"successes":3,"counterexample":null}'),
     ("zmod sequence-check --f [[1],[0]] --g [[0,1]]",
      '{"injective_f":true,"exact_middle":true,"surjective_g":true,"splits":true}'),
+    ("poincare product-form --space sp-u1su --n 4", '{"0":1,"4":1,"6":1,"8":1,"10":1,"12":1,"14":1,"18":1}'),
+    ("poincare product-form --space so-u1su --n 4", '{"0":1,"4":1,"6":1,"10":1}'),
+    ("poincare gaussian --n 5 --k 2 --step 2", '{"0":1,"2":1,"4":2,"6":2,"8":2,"10":1,"12":1}'),
+    ("poincare grassmann --p 2 --q 3", '{"0":1,"1":1,"2":2,"3":2,"4":2,"5":1,"6":1}'),
+    ("poincare oriented-grassmann --m 4 --k 2", '{"0":1,"4":2,"8":3,"12":3,"16":2,"20":1}'),
+    ("poincare clifford-gamma --n 3 --p 2 --q 1", '{"0":1,"1":1,"2":1,"3":1}'),
+    ("poincare clifford-gamma --n 4 --p 2 --q 2", '{"0":1,"1":2,"2":3,"3":3,"4":2,"5":1}'),
+    ("weyl index --g BC:3 --h Sym:3", '{"index":8}'),
+    ("weyl ktheory --pair split --n 3", '{"rank":20}'),
+    ("clifford spin-check --p 1 --q 2 --count 5 --seed 5", '{"p":1,"q":2,"trials":5,"violations":[]}'),
+    # calls are split on spaces, so the sum is written without them; its text form reads back
+    ("clifford product --sig 2,0 --x=1-2*e12 --y 1 --output text", "1 - 2*e12"),
 ])
 def test_report_output_exact_bytes(capsys, call, payload):
     code, out, err = run(capsys, *call.split(" "))
@@ -380,6 +397,12 @@ def test_malformed_clifford_arguments_exit_cleanly(capsys):
         (["product", "--sig", "2,0", "--x", "2*", "--y", "e1"], "nothing on one side in term '2*'"),
         (["product", "--sig", "2,0", "--x", "*e1", "--y", "e1"], "nothing on one side in term '*e1'"),
         (["product", "--sig", "2,0", "--x", "e1 +", "--y", "e1"], "'e1 +' ends with a sign"),
+        (["product", "--sig", "2,0", "--x", "e1 + + e2", "--y", "e1"], "two signs in a row in term '++e2'"),
+        (["product", "--sig", "2,0", "--x", "e1 - - e2", "--y", "e1"], "two signs in a row in term '--e2'"),
+        (["product", "--sig", "2,0", "--x", "+-e1", "--y", "e1"], "two signs in a row in term '+-e1'"),
+        (["product", "--sig", "2,0", "--x", "e 1", "--y", "e1"], "cannot parse blade 'e 1' in term 'e 1'"),
+        (["product", "--sig", "2,0", "--x", "1.5*e1", "--y", "e1"], "in term '1.5*e1'"),
+        (["product", "--sig", "2,0", "--x", "2*3*e1", "--y", "e1"], "cannot parse blade '3*e1' in term '2*3*e1'"),
     )
     for argv, expected in cases:
         code, out, err = run(capsys, "clifford", *argv)
@@ -493,8 +516,11 @@ def test_every_action_missing_one_flag_exits_cleanly(capsys):
         ("span bound --field Q --a -1 --b -1 --m 2 --n -3 --d 1", "argument --n: must be"),
         ("zmod loc-model --n -1 --smax 3", "argument --n: must be"),
         ("zmod loc-model --n 0 --smax 3 --signs +", "need n >= 1"),
-        ("weyl reynolds --group Sym:2 --poly *x1", "cannot parse term '*x1'"),
+        ("weyl reynolds --group Sym:2 --poly *x1", "a '*' with nothing on one side in term '*x1'"),
         ("weyl reynolds --group Sym:2 --poly x1+", "'x1+' ends with a sign"),
+        ("weyl reynolds --group Sym:2 --poly x1++x2", "two signs in a row in term '++x2'"),
+        ("weyl reynolds --group Sym:2 --poly 1/0*x1", "a zero denominator in term '1/0*x1'"),
+        ("weyl index --g BC:x --h Sym:3", "group token 'BC:x' needs an integer count, got 'x'"),
     ]
     # an unknown action is refused by the parser, before any handler runs
     + [(f"{command} bogus", "invalid choice: 'bogus'") for command in ("quat", "mat", "span", "poincare", "weyl", "zmod", "clifford")],
