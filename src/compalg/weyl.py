@@ -19,7 +19,8 @@ Each group enumerates its elements once, as raw (perm, signs) tuple pairs in
 `_pairs()`; `elements()` wraps them in SignedPerm; Reynolds walks them on raw
 exponent tuples, once per distinct restriction to f's support where that
 keeps the pair walk's term order.  A LaurentPoly or its text is built only
-for output, printed and read (`parse_laurent`) in the sum grammar of `termsplit`.
+for output.  Its text is a sum in the grammar of `termsplit`, printed by
+`LaurentPoly.text` and read by `parse_laurent`.
 Index counts |G| / |H| feed the free-module ranks in the K-group
 bookkeeping: the quaternionic pair gives (2n)!/n!, the split pair the
 central binomial coefficient, and the smallest split case 2.

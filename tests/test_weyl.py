@@ -574,7 +574,10 @@ def test_parse_laurent():
     assert g == LaurentPoly(1, {(1,): -1, (0,): Fraction(1, 2)})
     roundtrip = parse_laurent(f.text(), 2)
     assert roundtrip == f
-    for text, message in (("*x1", "nothing on one side"), ("x1 +", "ends with a sign"), ("3 - x1^2 -", "ends with a sign")):
+    for text, message in (
+        ("*x1", "nothing on one side"), ("x1 +", "ends with a sign"), ("3 - x1^2 -", "ends with a sign"),
+        ("x1 + + x2", "two signs in a row"), ("1/0*x1", "a zero denominator"),
+    ):
         with pytest.raises(ValueError, match=message):
             parse_laurent(text, 1)
 
