@@ -55,7 +55,7 @@ def parse_field(token: str):
     if token in ("Q", "QQ"):
         return QQ
     if token.startswith("Fp:"):
-        return PrimeField(int(token.split(":", 1)[1]))
+        return PrimeField(_integer(f"--field token {token!r} needs an integer prime", token[3:]))
     raise CliError(f"unknown field token {token!r} (use Q or Fp:<prime>)")
 
 
@@ -67,14 +67,31 @@ def parse_algebra(args):
         return Mat2Algebra(spec)
     if args.a is None or args.b is None:
         raise CliError("provide --a and --b, or --split")
-    return QuatAlgebra(spec, Fraction(args.a), Fraction(args.b))
+    return QuatAlgebra(spec, _rational("--a", args.a), _rational("--b", args.b))
 
 
-def parse_coeffs(text: str):
+def _rational(flag: str, text: str) -> Fraction:
+    """A scalar by the literal rule of the JSON scalar schema, p or p/q with q != 0."""
+    from .termsplit import RATIONAL
+
+    if not RATIONAL.fullmatch(text):
+        raise CliError(f"{flag} must be p or p/q with q != 0, got {text!r}")
+    return Fraction(text)
+
+
+def parse_coeffs(text: str, flag: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise CliError("coefficients must be four comma-separated values")
-    return [Fraction(p) for p in parts]
+    return [_rational(flag, p) for p in parts]
+
+
+def _integer(what: str, text: str) -> int:
+    """int(text), or a CliError that says `what` and quotes the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{what}, got {text!r}") from None
 
 
 def _named_counts(token: str, kind: str):
@@ -84,10 +101,7 @@ def _named_counts(token: str, kind: str):
         name, _, num = piece.partition(":")
         if not num:
             raise CliError(f"{kind} token {piece!r} needs the form NAME:n")
-        try:
-            out.append((name, int(num)))
-        except ValueError:
-            raise CliError(f"{kind} token {piece!r} needs an integer count, got {num!r}") from None
+        out.append((name, _integer(f"{kind} token {piece!r} needs an integer count", num)))
     return out
 
 
@@ -204,9 +218,9 @@ def cmd_quat(args) -> Result:
         if verdict == "split" and algebra.split_witness() is not None:
             witness = element_to_json(algebra.split_witness())
         return Result({"verdict": verdict, "zero_divisor": witness}, text=verdict)
-    x = algebra.element(parse_coeffs(args.x))
+    x = algebra.element(parse_coeffs(args.x, "--x"))
     if args.action == "mul":
-        y = algebra.element(parse_coeffs(args.y))
+        y = algebra.element(parse_coeffs(args.y, "--y"))
         out = x * y
         return Result(element_to_json(out), text=repr(out))
     if args.action == "norm":
@@ -373,7 +387,7 @@ def _sig_arg(args):
     parts = args.sig.split(",")
     if len(parts) != 2:
         raise CliError(f"--sig must be two counts p,q, not {args.sig!r}")
-    return CliffordSignature(int(parts[0]), int(parts[1]))
+    return CliffordSignature(*(_integer(f"--sig {args.sig!r} needs integer counts p,q", c) for c in parts))
 
 
 def cmd_clifford(args) -> Result:

@@ -94,6 +94,8 @@ class RationalField(FieldSpec):
         return hash("QQ")
 
     def _coerce(self, value):
+        if type(value) is Fraction:  # the common case, ahead of the ABC checks
+            return value
         if isinstance(value, Scalar):
             if value.spec != self:
                 raise FieldMismatchError("scalar from a different field")
@@ -126,6 +128,8 @@ class PrimeField(FieldSpec):
         return hash(("Fp", self.p))
 
     def _coerce(self, value):
+        if type(value) is int:  # the common case, ahead of the ABC checks; a bool takes the last line
+            return value % self.p
         if isinstance(value, Scalar):
             if value.spec != self:
                 raise FieldMismatchError("scalar from a different field")
@@ -303,25 +307,26 @@ class Scalar:
 
 
 def _sqrt_mod_prime(v: int, p: int):
-    """The smaller square root of v modulo the prime p, or None (Tonelli-Shanks).
+    """The least square root of v modulo the prime p, or None: Tonelli-Shanks (Cohen, Alg. 1.5.1).
 
-    Returning the smaller of r and p - r makes the root canonical: it is the
-    least r >= 0 with r*r = v (mod p).
+    With p - 1 = q * 2^e, q odd, one power w = v^((q-1)/2) gives t = v*w^2 = v^q, whose
+    2^(e-1)-th power is v^((p-1)/2): Euler's test, folded in.  Only a square gets r = v*w,
+    with r^2 = v*t, and only t != 1 needs a non-residue, so p = 3 (mod 4) never does.
+    The smaller of r and p - r is the least r >= 0 with r*r = v (mod p).
     """
     v %= p
     if v == 0 or p == 2:
         return v
-    if pow(v, (p - 1) // 2, p) != 1:
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^e with q odd
+    q = (p - 1) >> e
+    w = pow(v, q >> 1, p)
+    t = v * w * w % p
+    if pow(t, 1 << (e - 1), p) != 1:
         return None
-    # p - 1 = q * 2^e with q odd; z is any quadratic non-residue
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    r = v * w % p
+    if t != 1:  # only now is a non-residue z needed
+        z = next(z for z in range(2, p) if pow(z, (p - 1) >> 1, p) == p - 1)
+        c = pow(z, q, p)
     # invariant: r^2 = v * t, and t has order dividing 2^(e-1)
     while t != 1:
         i, t2 = 0, t

@@ -41,7 +41,7 @@ noncommutative the side matters and left variants are deliberately absent.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, lcm
 import operator
 
@@ -321,12 +321,12 @@ class QuatAlgebra(CompositionAlgebra):
         super().__init__(field)
         if field.characteristic == 2:
             raise ValueError("quaternion coefficients need characteristic != 2")
-        self.a = field.element(a)
-        self.b = field.element(b)
-        if self.a.is_zero() or self.b.is_zero():
+        a, b = field._coerce(a), field._coerce(b)
+        if not a or not b:
             raise ValueError("parameters a, b must be nonzero")
+        self.a, self.b = Scalar(field, a), Scalar(field, b)
         # (1, a, b, ab) times d over QQ; GF(p) residues are ints, with numerator v and denominator 1
-        (an, ad), (bn, bd) = ((v.numerator, v.denominator) for v in (self.a.raw, self.b.raw))
+        (an, ad), (bn, bd) = ((v.numerator, v.denominator) for v in (a, b))
         self._den, self._consts = ad * bd, (ad * bd, an * bd, bn * ad, an * bn)
         self._split_state = None
         self._quad = None
@@ -373,8 +373,9 @@ class QuatAlgebra(CompositionAlgebra):
         """'split' or 'nonsplit'; a 'split' verdict comes with a verified witness.
 
         Over GF(p), p odd, every quaternion algebra splits.  The witness is
-        s + u + x2*v for the least x2 >= 0 making a + b*x2^2 a square
-        (Euler's criterion) and s its square root (Tonelli-Shanks).
+        s + u + x2*v for the least x2 >= 0 making a + b*x2^2 a square and s
+        its least square root, both from one Tonelli-Shanks pass per x2 that
+        folds in Euler's criterion; it is checked on raw coordinates.
 
         Over QQ, write a = A*s^2 and b = B*t^2 with A, B squarefree integers.
         The algebra splits if and only if the Hilbert symbol (A, B)_v is +1 at
@@ -409,12 +410,10 @@ class QuatAlgebra(CompositionAlgebra):
         # the values a + b*x2^2 and the squares each fill (p+1)/2 residues,
         # so some x2 <= (p-1)/2 meets a square
         a, b = self.a.raw, self.b.raw
-        x2 = 0
-        while True:
+        for x2 in count():
             s = square_root_raw(self.field, a + b * x2 * x2)
-            if s is not None:
-                return self.element((s, 1, x2, 0))
-            x2 += 1
+            if s is not None:  # s and x2 < p are canonical residues already
+                return QuaternionElement(self, (s, 1, x2, 0))
 
     def _qq_zero_divisor(self):
         A, s, a_primes = _squarefree(self.a.raw)
@@ -446,7 +445,9 @@ class QuaternionElement(CompositionElement):
 
         The u, v, w components of the product are checked to vanish exactly.
         """
-        prod = (self * self.conjugate()).coeffs
+        x0, x1, x2, x3 = self.coeffs
+        # the conjugate's coordinates need no reduction: `_mul_raw` reduces what it returns
+        prod = self.algebra._mul_raw(self.coeffs, (x0, -x1, -x2, -x3))
         if any(prod[1:]):
             raise AssertionError("norm has a nonreal component; structure table is broken")
         return Scalar(self.algebra.field, prod[0])

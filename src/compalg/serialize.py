@@ -13,10 +13,10 @@ from fractions import Fraction
 from .errors import CompAlgError
 from .fields import QQ, FieldSpec, PrimeField, QuadExt, RationalField, Scalar
 from .quaternion import Mat2Algebra, Mat2Element, QuatAlgebra, QuaternionElement, mat2_to_quat
+from .termsplit import RATIONAL
 
 
-# the string forms of scalar.schema.json: "p" or "p/q" over QQ, "p" over GF(p)
-_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+# the string forms of scalar.schema.json: "p" or "p/q" over QQ (`RATIONAL`), "p" over GF(p)
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -73,10 +73,8 @@ def raw_from_json(spec: FieldSpec, obj):
         # floats and booleans are rejected, not converted: 0.1 is never read as a binary fraction
         raise CompAlgError(f"a {spec!r} value must be an integer or a string, got {obj!r}")
     if isinstance(spec, RationalField):
-        if isinstance(obj, str):
-            match = _RATIONAL.fullmatch(obj)
-            if not match or match[1] is not None and not int(match[1]):
-                raise CompAlgError(f"a QQ string must be p or p/q with q != 0, got {obj!r}")
+        if isinstance(obj, str) and not RATIONAL.fullmatch(obj):
+            raise CompAlgError(f"a QQ string must be p or p/q with q != 0, got {obj!r}")
         return Fraction(obj)
     if isinstance(spec, PrimeField):
         if isinstance(obj, str) and not _INTEGER.fullmatch(obj):

@@ -521,6 +521,12 @@ def test_every_action_missing_one_flag_exits_cleanly(capsys):
         ("weyl reynolds --group Sym:2 --poly x1++x2", "two signs in a row in term '++x2'"),
         ("weyl reynolds --group Sym:2 --poly 1/0*x1", "a zero denominator in term '1/0*x1'"),
         ("weyl index --g BC:x --h Sym:3", "group token 'BC:x' needs an integer count, got 'x'"),
+        ("quat is-split --field Fp:x --a 1 --b 1", "--field token 'Fp:x' needs an integer prime, got 'x'"),
+        ("clifford product --sig 2,x --x e1 --y e1", "--sig '2,x' needs integer counts p,q, got 'x'"),
+        # quaternion scalars follow the literal rule of the JSON scalar schema
+        ("quat is-split --field Q --a 1e3 --b -1", "--a must be p or p/q with q != 0, got '1e3'"),
+        ("quat mul --field Q --a -1 --b -1 --x 1.5,0,0,0 --y 1,0,0,0", "--x must be p or p/q with q != 0, got '1.5'"),
+        ("quat mul --field Q --a -1 --b -1 --x 1,0,0,0 --y 1/0,0,0,0", "--y must be p or p/q with q != 0, got '1/0'"),
     ]
     # an unknown action is refused by the parser, before any handler runs
     + [(f"{command} bogus", "invalid choice: 'bogus'") for command in ("quat", "mat", "span", "poincare", "weyl", "zmod", "clifford")],

@@ -179,9 +179,13 @@ def test_split_components_roundtrip():
         assert (p1, p2) == (c1 * d1, c2 * d2)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 73, 97, 257, 7681])
+# every prime below 600 (each class of p mod 8), and 7681 = 15 * 2^9 + 1, 12289 = 3 * 2^12 + 1
+# and 40961 = 5 * 2^13 + 1, which make Tonelli-Shanks run long descents
+SQRT_PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))] + [7681, 12289, 40961]
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
 def test_square_root_is_least_root(p):
-    # 7681 = 15 * 2^9 + 1 makes Tonelli-Shanks run its full descent
     F = PrimeField(p)
     least = {}
     for r in range(p - 1, -1, -1):

@@ -12,7 +12,8 @@ from compalg.errors import (
     NotInvertibleError,
     SignatureMismatchError,
 )
-from compalg.fields import QQ, PrimeField
+from compalg import quaternion
+from compalg.fields import QQ, PrimeField, square_root_raw
 from compalg.quaternion import (
     NONSPLIT,
     SPLIT,
@@ -22,6 +23,7 @@ from compalg.quaternion import (
     _QUAT_TERMS,
     _check_associativity,
     _monomial_mul,
+    _straight_line,
     mat2_to_quat,
     quat_to_mat2,
 )
@@ -175,6 +177,28 @@ def test_is_split_decisions():
     assert QuatAlgebra(QQ, -1, 61).is_split_decision() == SPLIT  # via the swap
     w61 = QuatAlgebra(QQ, 61, -1).split_witness()
     assert w61.norm().is_zero() and not w61.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_norm_checks_its_nonreal_components(field, monkeypatch):
+    alg = QuatAlgebra(field, 3, 5)
+    terms = [list(row) for row in _QUAT_TERMS]
+    k, (sign, i, j) = terms[2][3]
+    terms[2][3] = (k, (-sign, i, j))  # the sign of v*w flipped
+    broken = _straight_line(terms, lambda m: (m[0], ("one", "a", "b", "ab")[m[1] + 2 * m[2]]), ", one, a, b, ab")
+    monkeypatch.setattr(alg, "_family", broken)
+    with pytest.raises(AssertionError, match="nonreal component"):
+        alg.element((1, 2, 3, 4)).norm()
+
+
+def test_split_decision_refuses_a_wrong_root(monkeypatch):
+    def off_by_one(spec, value):
+        root = square_root_raw(spec, value)
+        return None if root is None else (root + 1) % spec.p
+
+    monkeypatch.setattr(quaternion, "square_root_raw", off_by_one)
+    with pytest.raises(AssertionError, match="is not a zero divisor"):
+        QuatAlgebra(PrimeField(7), 3, 5).is_split_decision()
 
 
 def test_prime_field_algebras_split_at_large_primes():
