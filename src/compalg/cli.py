@@ -82,7 +82,7 @@ def _rational(flag: str, text: str) -> Fraction:
 def parse_coeffs(text: str, flag: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise CliError("coefficients must be four comma-separated values")
+        raise CliError(f"{flag} must be four comma-separated values, got {text!r}")
     return [_rational(flag, p) for p in parts]
 
 

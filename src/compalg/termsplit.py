@@ -11,7 +11,7 @@ callback; every error names the term it is in.
 import re
 from fractions import Fraction
 
-RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")  # that literal, signed: a JSON or CLI scalar over QQ
+RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")  # the coefficient literal, signed: JSON and CLI scalars over QQ
 _SIGN = re.compile(r"(?<![\s^])\s*([+-])")
 _TERM = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?)?\s*(\*?)\s*(.*)", re.DOTALL)
 
