@@ -100,6 +100,8 @@ class RationalField(FieldSpec):
             if value.spec != self:
                 raise FieldMismatchError("scalar from a different field")
             return value.raw
+        if isinstance(value, float):
+            raise TypeError(f"a float is not an exact scalar: {value!r}; give an int or a Fraction")
         return Fraction(value)
 
     def _reduce(self, v):
@@ -136,6 +138,8 @@ class PrimeField(FieldSpec):
             return value.raw
         if isinstance(value, Fraction):
             return value.numerator * self._inv(value.denominator) % self.p
+        if isinstance(value, float):
+            raise TypeError(f"a float is not an exact scalar: {value!r}; give an int or a Fraction")
         return int(value) % self.p
 
     def _reduce(self, v):

@@ -21,13 +21,16 @@ back-substitutes only for a caller that asks: `field_echelon` over QQ and
 GF(p), behind H over k, `FieldMatrix.det`, the split span trials of `rank`,
 `ratlin` and `IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H
 over k(sqrt(a)), `skew_solve` and `FieldMatrix.det` over a quadratic field.
+Over QQ both run Bareiss's fraction-free elimination on rows packed into
+one int each (`_pack`, a Kronecker substitution), so a row update is a few
+big-integer operations whose loops over the entries run in C.
 The H of a minor is the block submatrix of H at its rows 2i, 2i+1 and
 columns 2j, 2j+1, so `rank.comp_rank` builds H once.
 """
 
 import operator
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import (AlgebraMismatchError, FieldMismatchError, NotDiagonalError, NotSplitFormError, ShapeError,
                      UnexpectedZeroDivisorError)
@@ -158,56 +161,61 @@ def field_echelon(rows, spec: FieldSpec):
     """(pivot columns, determinant or None, kernel) of raw QQ or GF(p) rows.
 
     A column's pivot is its first nonzero entry at or below the current row.
-    Over GF(p) a lower row r becomes r - (r[col] / pivot) * top, mod p.  Over
-    QQ the rows are cleared of denominators (a row of `int`s is copied as it
-    is) and pivot * r - r[col] * top is divided exactly by the previous pivot
-    (Bareiss), so entries stay minors and the last pivot is the determinant
-    up to sign.  Entries left of the current column are never read again.
+    Over GF(p) a lower row r becomes r - (r[col] / pivot) * top, mod p, on
+    lists.  Over QQ the rows are cleared of denominators and packed (`_pack`),
+    and r becomes (r * pivot - r[col] * top) // prev on whole rows, prev the
+    previous pivot (Bareiss), so every entry is a minor and the last pivot is
+    the determinant up to sign.  Slots of w bits, 2^(w-1) above the Hadamard
+    bound prod ||row||, hold every minor.  Invariant: every row at or below
+    the current one is zero in each slot left of the current column, so the
+    slot at `col` is the low w bits of v >> w*col, read with their sign.
 
     The determinant is given for square input, else None.  `kernel()`, run
     only by a caller that needs it, gives the first kernel vector: 1 at the
     first non-pivot column c, 0 after it, or None when every column is a
     pivot.  Its back substitution over QQ runs on y = d*x, d the leading
-    c x c minor, integral by Cramer's rule (over Z[g] in `pair_echelon`).
+    c x c minor, integral by Cramer's rule (over Z[g] in `pair_echelon`),
+    on the c rows it unpacks.
     """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     if isinstance(spec, PrimeField):
-        p, scale = spec.p, 1
+        p, w = spec.p, 0
         work = [[x % p for x in row] for row in rows]
     elif isinstance(spec, RationalField):
-        p, scale = 0, 1
-        work = []
+        p, scale, work, norms = 0, 1, [], 1
         for row in rows:
-            if all(type(x) is int for x in row):
-                work.append(list(row))
-                continue
-            den = lcm(*(x.denominator for x in row))
-            work.append([x.numerator * (den // x.denominator) for x in row])
-            scale *= den
+            if type(sq := sum(map(operator.mul, row, row))) is not int:  # a Fraction entry
+                den = lcm(*(x.denominator for x in row))
+                row = [x.numerator * (den // x.denominator) for x in row]
+                sq, scale = sum(map(operator.mul, row, row)), scale * den
+            work.append(row)
+            norms *= sq or 1
+        w, work = _pack(work, norms.bit_length())
+        mask, half, prev = (1 << w) - 1, 1 << (w - 1), 1
     else:
         raise FieldMismatchError(f"field_echelon runs over QQ or GF(p), not {spec!r}")
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots, sign, prev = [], 1, 1
+    pivots, sign = [], 1
     for col in range(ncols):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if pivot_row is None:
+        rank, s = len(pivots), w * col
+        for r in range(rank, nrows):
+            if work[r][col] if p else work[r] >> s & mask:
+                break
+        else:
             continue
-        if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        if r != rank:
+            work[rank], work[r] = work[r], work[rank]
             sign = -sign
         top = work[rank]
-        pivot, tail = top[col], top[col + 1 :]
         if p:
-            inv = pow(pivot, -1, p)
+            inv, tail = pow(top[col], -1, p), top[col + 1 :]
             for row in work[rank + 1 :]:
                 if row[col]:
                     f = row[col] * inv % p
                     row[col + 1 :] = [(x - f * y) % p for x, y in zip(row[col + 1 :], tail)]
         else:
-            for row in work[rank + 1 :]:
-                f = row[col]
-                row[col + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+            pivot = (top >> s & mask ^ half) - half
+            if rank + 1 < nrows:
+                work[rank + 1 :] = [(v * pivot - ((v >> s & mask ^ half) - half) * top) // prev for v in work[rank + 1 :]]
             prev = pivot
         pivots.append(col)
     rank = len(pivots)
@@ -216,10 +224,11 @@ def field_echelon(rows, spec: FieldSpec):
         c = next((i for i, col in enumerate(pivots) if col != i), rank)
         if c == ncols:
             return None
-        d = 1 if p or not c else work[c - 1][c - 1]
+        top = work[:c] if p else [_unpack(v, w, c + 1) for v in work[:c]]
+        d = 1 if p or not c else top[c - 1][c - 1]
         y = [0] * c + [d]
         for i in range(c - 1, -1, -1):
-            row = work[i]
+            row = top[i]
             s = -sum(row[j] * y[j] for j in range(i + 1, c + 1))
             y[i] = s * pow(row[i], -1, p) % p if p else s // row[i]
         y += [0] * (ncols - c - 1)
@@ -229,63 +238,66 @@ def field_echelon(rows, spec: FieldSpec):
         return pivots, None, kernel
     if rank < ncols:
         return pivots, 0 if p else Fraction(0), kernel
-    return pivots, sign * prod(work[i][i] for i in range(rank)) % p if p else Fraction(sign * prev, scale), kernel
+    return pivots, sign * prod(work[i][i] for i in range(rank)) % p if p else Fraction(sign * prev, scale) if scale > 1 else Fraction(sign * prev), kernel
 
 
 def pair_echelon(rows, k: FieldSpec, a):
     """(pivot columns, determinant or None, kernel) of raw pairs (x, y) =
     x + y*sqrt(a) over the field k(sqrt(a)), pivoting as `field_echelon`.
     Bareiss: a lower row r becomes (pivot * r - r[col] * top) / q, q the
-    previous pivot, and x / q = x * conj(q) / N(q).  Over QQ, with a = A/D and
-    g = D*sqrt(a), the rows are cleared of denominators in g, so entries stay
-    in Z[g] and N(q) divides exactly; the division is skipped only when q = 1.
+    previous pivot, as (c*pivot * r - c*r[col] * top) / n with c = conj(q) / e,
+    n = N(q) / e and e = gcd(q_x, q_y): one exact division.  Over GF(p), on
+    lists, c = conj(q) / N(q) and n = 1.  Over QQ, with a = A/D and
+    g = D*sqrt(a), the rows are cleared of denominators in g, so entries are
+    minors in Z[g], packed as in `field_echelon` in two ints, the x and y
+    parts.  Both parts of a minor are at most its images in C, under the
+    Hadamard bound from sum x^2 + |g^2|*y^2 per row, doubled if g^2 > 0.
 
     `kernel()`, run only by a caller that needs it, gives the first kernel
     vector as pairs over k, or None, by `field_echelon`'s back substitution.
     """
-    p = k.characteristic
+    p, nrows, ncols = k.characteristic, len(rows), len(rows[0]) if rows else 0
     if p:
-        N, D, scale = a % p, 1, 1
+        N, D, scale, w = a % p, 1, 1, 0
         work = [([x % p for x, _ in row], [y % p for _, y in row]) for row in rows]
     else:
         a = Fraction(a)
-        D, N, scale, work = a.denominator, a.numerator * a.denominator, 1, []
+        D, N, scale, work, norms = a.denominator, a.numerator * a.denominator, 1, [], 1
         for row in rows:
-            xs, ys = [x for x, _ in row], [y if D == 1 else Fraction(y, D) for _, y in row]
-            if not all(type(v) is int for v in xs + ys):
-                den = lcm(*(v.denominator for v in xs + ys))
+            xs, ys = zip(*row) if D == 1 else ([x for x, _ in row], [Fraction(y, D) for _, y in row])
+            if type(sq := sum(map(operator.mul, xs, xs)) + abs(N) * sum(map(operator.mul, ys, ys))) is not int:
+                den = lcm(*(v.denominator for v in (*xs, *ys)))
                 xs, ys = ([v.numerator * (den // v.denominator) for v in vs] for vs in (xs, ys))
-                scale *= den
-            work.append((xs, ys))
-    nrows, ncols = len(work), len(work[0][0]) if work else 0
+                sq, scale = sum(map(operator.mul, xs, xs)) + abs(N) * sum(map(operator.mul, ys, ys)), scale * den
+            work += xs, ys
+            norms *= sq or 1
+        w, work = _pack(work, norms.bit_length() + (nrows if N > 0 else 0))
+        work = list(zip(work[::2], work[1::2]))
+        mask, half = (1 << w) - 1, 1 << (w - 1)
     pivots, sign, prev = [], 1, (1, 0)
     for col in range(ncols):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, nrows) if work[r][0][col] or work[r][1][col]), None)
-        if pivot_row is None:
+        rank, s = len(pivots), w * col
+        fs = [(X[col], Y[col]) if p else ((X >> s & mask ^ half) - half, (Y >> s & mask ^ half) - half) for X, Y in work[rank:]]
+        for r, (px, py) in enumerate(fs):
+            if px or py:
+                break
+        else:
             continue
-        if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        if r:
+            work[rank], work[rank + r], fs[r] = work[rank + r], work[rank], fs[0]
             sign = -sign
-        tx, ty = work[rank]
-        px, py, tx, ty, npy = tx[col], ty[col], tx[col + 1 :], ty[col + 1 :], N * ty[col]
-        qx, qy = prev
+        (TX, TY), (qx, qy) = work[rank], prev
         nq = qx * qx - N * qy * qy
-        if p:  # conj(q) / N(q)
-            qx, qy = qx * pow(nq, -1, p) % p, qy * pow(nq, -1, p) % p
-        nqy = N * qy
-        for xs, ys in work[rank + 1 :]:
-            fx, fy, X, Y = xs[col], ys[col], xs[col + 1 :], ys[col + 1 :]
-            nfy = N * fy
-            ux = [u * px + v * npy - fx * s - nfy * t for u, v, s, t in zip(X, Y, tx, ty)]
-            uy = [u * py + v * px - fx * t - fy * s for u, v, s, t in zip(X, Y, tx, ty)]
+        e = pow(nq, -1, p) if p else gcd(qx, qy)
+        cx, cy, n = (qx * e, -qy * e, 1) if p else (qx // e, -qy // e, nq // e)
+        ax, ay = cx * px + N * cy * py, cx * py + cy * px  # c * pivot
+        for i, (fx, fy) in enumerate(fs[1:], rank + 1):
+            (X, Y), bx, by = work[i], cx * fx + N * cy * fy, cx * fy + cy * fx  # c * f
             if p:
-                ux, uy = [(u * qx - v * nqy) % p for u, v in zip(ux, uy)], [(v * qx - u * qy) % p for u, v in zip(ux, uy)]
-            elif qy:
-                ux, uy = [(u * qx - v * nqy) // nq for u, v in zip(ux, uy)], [(v * qx - u * qy) // nq for u, v in zip(ux, uy)]
-            elif qx != 1:
-                ux, uy = [u // qx for u in ux], [v // qx for v in uy]
-            xs[col + 1 :], ys[col + 1 :] = ux, uy
+                work[i] = ([(ax * u + N * ay * v - bx * s - N * by * t) % p for u, v, s, t in zip(X, Y, TX, TY)],
+                           [(ay * u + ax * v - by * s - bx * t) % p for u, v, s, t in zip(X, Y, TX, TY)])
+            else:
+                work[i] = ((ax * X + N * ay * Y - bx * TX - N * by * TY) // n, (ay * X + ax * Y - by * TX - bx * TY) // n)
         prev = (px, py)
         pivots.append(col)
 
@@ -293,10 +305,11 @@ def pair_echelon(rows, k: FieldSpec, a):
         c = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
         if c == ncols:
             return None
-        dx, dy = (work[c - 1][0][c - 1], work[c - 1][1][c - 1]) if c and not p else (1, 0)
+        top = work[:c] if p else [(_unpack(X, w, c + 1), _unpack(Y, w, c + 1)) for X, Y in work[:c]]
+        dx, dy = (top[c - 1][0][c - 1], top[c - 1][1][c - 1]) if c and not p else (1, 0)
         y = [(0, 0)] * c + [(dx * dx - N * dy * dy, 0)]  # y = N(d)*x in Z[g], d the leading c x c minor
         for i in range(c - 1, -1, -1):
-            xs, ys = work[i]
+            xs, ys = top[i]
             later = list(enumerate(y[i + 1 :], i + 1))
             sx = -sum(xs[j] * u + N * ys[j] * v for j, (u, v) in later)
             sy = -sum(xs[j] * v + ys[j] * u for j, (u, v) in later)
@@ -311,6 +324,25 @@ def pair_echelon(rows, k: FieldSpec, a):
         return pivots, None, kernel
     x, y = (sign * prev[0], sign * prev[1] * D) if len(pivots) == ncols else (0, 0)
     return pivots, (x % p, y % p) if p else (Fraction(x, scale), Fraction(y, scale)), kernel
+
+
+def _pack(rows, bits):
+    """(w, rows as ints): entry c in the balanced w-bit slot at bit w*c, with
+    2^(w-1) > B for every B (a bound on every minor) whose B^2 has `bits` bits."""
+    w, out = (bits + 3) // 2, []
+    for row in rows:
+        v = 0
+        for x in reversed(row):  # Horner's rule, faster than a sum of shifts for short rows
+            v = (v << w) + x
+        out.append(v)
+    return w, out
+
+
+def _unpack(v, w, count):
+    """The first `count` entries of a packed row (`_pack`), lowest slot first."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    v += half * (((1 << w * count) - 1) // mask)  # entry + half in [0, 2^w) in each slot: no borrows
+    return [(v >> w * c & mask) - half for c in range(count)]
 
 
 def field_rank(rows, spec: FieldSpec) -> int:
@@ -384,22 +416,6 @@ def _combine_raw(algebra, family, ys, count):
                 for a, x in zip(acc_row, row):
                     a[:] = map(operator.add, a, mul(x, y, *consts))
     return acc
-
-
-def combine(matrices, coeffs) -> CompMatrix:
-    """Sum of matrices[i] . coeffs[i] under the right scalar action, by
-    `_combine_raw` on the coefficients as integers over their common
-    denominator d, each coordinate divided by d * D once."""
-    algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
-    for Z, q in zip(matrices, coeffs):
-        if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
-            raise AlgebraMismatchError("matrices and coefficients must share one algebra")
-        if (Z.m, Z.n) != (m, n):
-            raise ShapeError("combined matrices must share one shape")
-    d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
-    ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
-    acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys, m)
-    return CompMatrix(algebra, [[_element(algebra, a, d * algebra._den) for a in row] for row in acc])
 
 
 def _doubling_rows(algebra, rows, s=None):

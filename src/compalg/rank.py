@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
-from .matrices import CompMatrix, combine, field_echelon, is_invertible  # noqa: F401 (is_invertible: a tracer target)
+from .matrices import CompMatrix, field_echelon, is_invertible  # noqa: F401 (is_invertible: a tracer target)
 from .matrices import _combine_raw, _element, _half, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
 from .rng import SplitMix64
 
@@ -146,19 +146,16 @@ class SpanReport(SimpleNamespace):
         return dict(vars(self))
 
 
-def sample_distinct_matrices(algebra, m, n, count, rng: SplitMix64, entry_bound=3):
-    """Rejection-sampled pairwise distinct matrices (seeded, deterministic): each
-    entry draws 4 coordinates in [0, p) over GF(p), [-entry_bound, entry_bound]
-    over QQ, row by row; duplicates are rejected on these raw values (`_sample`,
-    one `randints` call per batch: the stream of one `randint` per coordinate)."""
-    return [_matrix(algebra, raw) for raw in _sample(algebra, m, n, count, rng, entry_bound)]
-
-
 def _matrix(algebra, raw) -> CompMatrix:
     return CompMatrix(algebra, [[algebra.element(e) for e in row] for row in raw])
 
 
 def _sample(algebra, m, n, count, rng: SplitMix64, entry_bound):
+    """Rejection-sampled pairwise distinct raw matrices (seeded, deterministic):
+    each entry draws 4 coordinates in [0, p) over GF(p), [-entry_bound,
+    entry_bound] over QQ, row by row; duplicates are rejected on these raw
+    values, with one `randints` call per batch: the stream of one `randint`
+    per coordinate."""
     f = algebra.field
     lo, hi = (0, f.p - 1) if isinstance(f, PrimeField) else (-entry_bound, entry_bound)
     out, left = {}, 1000 * count  # a dict keeps the first draw of each matrix, in order

@@ -7,10 +7,17 @@ is reproducible from its seed alone, independently of interpreter version.
 `randints` maps the raw stream by modulo; the slight bias is irrelevant for
 test sampling and keeps the mapping trivially portable.  `next_u64` and
 `randint` are its one-value case.
+
+`randints` mixes all of its states at once in one int, state k + 1 in the
+128-bit slot at bit 128*k: a 64-bit value times a 64-bit constant fits a
+slot, and each shift before a product is masked to 64 bits in every slot.
 """
+
+import sys
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_STEP = 2 if sys.byteorder == "little" else -2  # the low 64-bit word of each slot, from slot 0
 
 
 class SplitMix64:
@@ -25,17 +32,23 @@ class SplitMix64:
         return self.randints(lo, hi, 1)[0]
 
     def randints(self, lo: int, hi: int, count: int) -> list:
-        """`count` successive integers in [lo, hi], in one loop over the stream."""
+        """`count` successive integers in [lo, hi], mixed in the slots of one int."""
         if hi < lo:
             raise ValueError("empty range")
-        span, state, out = hi - lo + 1, self._state, []
-        for _ in range(count):
-            state = (state + _GAMMA) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            out.append(lo + (z ^ (z >> 31)) % span)
-        self._state = state
-        return out
+        count = max(count, 0)  # a negative count draws nothing
+        ones = ramp = size = 1  # one in each slot, and k + 1 in slot k, built by doubling
+        while size < count:
+            ramp |= (ramp + size * ones) << 128 * size
+            ones |= ones << 128 * size
+            size *= 2
+        masks = _MASK * (ones & (1 << 128 * count) - 1)
+        z = (self._state * ones + _GAMMA * ramp) & masks
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z = (z ^ z >> 30 & masks) * 0xBF58476D1CE4E5B9 & masks
+        z = (z ^ z >> 27 & masks) * 0x94D049BB133111EB & masks
+        z ^= z >> 31  # leaves the high word of each slot dirty, but only the low ones are read
+        span = hi - lo + 1
+        return [lo + v % span for v in memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[::_STEP]]
 
     def choice(self, seq):
         if not seq:

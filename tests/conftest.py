@@ -10,6 +10,13 @@ first kernel vector of L(A) is the coefficient vector of `skew_solve`'s core.
 `minor_search_rank` is the element-based minor search: each minor is built
 as its own `CompMatrix` and decided by `is_invertible`.
 
+`gauss_jordan` is the oracle of the two elimination kernels, which share
+nothing with it: plain Gauss-Jordan elimination on Fractions, or on pairs
+of Fractions x + y*sqrt(a) over Q(sqrt(a)).
+
+`combine` and `sample_distinct_matrices` are the element-level forms of the
+raw cores `matrices._combine_raw` and `rank._sample`, which only tests use.
+
 The `canonical` fixture, used by the field and element tests, checks the raw
 value convention of `compalg.fields`.  The `table` fixture is the oracle of
 the straight-line products: each algebra's table of single terms, with the
@@ -19,14 +26,81 @@ walks it entry by entry in field arithmetic.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
 from compalg.fields import PrimeField, Scalar
-from compalg.errors import InfeasibleError
+from compalg.errors import AlgebraMismatchError, InfeasibleError, ShapeError
 from compalg.matrices import CompMatrix, _half, _half_echelon, _raw, _whole_pairs, field_echelon, is_invertible
+from compalg.matrices import _combine_raw, _element
 from compalg.quaternion import _QUAT_TERMS, NONSPLIT, QuatAlgebra
+from compalg.rank import _matrix, _sample
+
+
+def gauss_jordan(rows, a=0):
+    """(pivots, determinant or None, first kernel vector or None) of rows of
+    pairs (x, y) = x + y*sqrt(a) of rationals, by Gauss-Jordan elimination in
+    the field's own arithmetic.  The kernel vector is 1 at the first column c
+    that is not the c-th pivot, 0 after it, and minus the reduced column c
+    above it; pairs with y = 0 throughout are rationals, whatever a is."""
+    def mul(u, v):
+        return (u[0] * v[0] + a * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def inverse(u):
+        norm = u[0] * u[0] - a * u[1] * u[1]
+        return (u[0] / norm, -u[1] / norm)
+
+    work = [[(Fraction(x), Fraction(y)) for x, y in row] for row in rows]
+    nrows, ncols = len(work), len(work[0])
+    pivots, det = [], (Fraction(1), Fraction(0))
+    for col in range(ncols):
+        rank = len(pivots)
+        found = [r for r in range(rank, nrows) if any(work[r][col])]
+        if not found:
+            continue
+        r = found[0]
+        if r != rank:
+            work[rank], work[r] = work[r], work[rank]
+            det = (-det[0], -det[1])
+        det = mul(det, work[rank][col])
+        inv = inverse(work[rank][col])
+        work[rank] = [mul(inv, v) for v in work[rank]]
+        for i in range(nrows):
+            if i != rank and any(work[i][col]):
+                f = work[i][col]
+                work[i] = [(v[0] - u[0], v[1] - u[1]) for v, u in zip(work[i], [mul(f, t) for t in work[rank]])]
+        pivots.append(col)
+    c = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
+    kernel = None
+    if c < ncols:
+        zero = (Fraction(0), Fraction(0))
+        kernel = [(-work[i][c][0], -work[i][c][1]) for i in range(c)] + [(Fraction(1), Fraction(0))] + [zero] * (ncols - c - 1)
+    if nrows != ncols:
+        return pivots, None, kernel
+    return pivots, det if len(pivots) == ncols else (Fraction(0), Fraction(0)), kernel
+
+
+def combine(matrices, coeffs) -> CompMatrix:
+    """Sum of matrices[i] . coeffs[i] under the right scalar action, by
+    `_combine_raw` on the coefficients as integers over their common
+    denominator d, each coordinate divided by d * D once."""
+    algebra, m, n = matrices[0].ring, matrices[0].m, matrices[0].n
+    for Z, q in zip(matrices, coeffs):
+        if q.algebra != algebra or type(Z) is not CompMatrix or Z.ring != algebra:
+            raise AlgebraMismatchError("matrices and coefficients must share one algebra")
+        if (Z.m, Z.n) != (m, n):
+            raise ShapeError("combined matrices must share one shape")
+    d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
+    ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
+    acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys, m)
+    return CompMatrix(algebra, [[_element(algebra, a, d * algebra._den) for a in row] for row in acc])
+
+
+def sample_distinct_matrices(algebra, m, n, count, rng, entry_bound=3):
+    """Pairwise distinct seeded matrices, drawn by `rank._sample`."""
+    return [_matrix(algebra, raw) for raw in _sample(algebra, m, n, count, rng, entry_bound)]
 
 
 def terms_of(algebra):

@@ -14,6 +14,7 @@ from compalg.fields import (
     split_components,
     square_root_raw,
 )
+from compalg.quaternion import QuatAlgebra
 from compalg.rng import SplitMix64
 
 
@@ -123,6 +124,15 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         PrimeField(6)
     PrimeField(2)  # allowed for plain matrix work
+
+
+def test_constructors_refuse_floats():
+    # a float is refused by name, not truncated (1.5 -> 1 mod 7) or read as a binary fraction (0.1)
+    for build, value in ((lambda: F7.element(1.5), "1.5"), (lambda: QuatAlgebra(F7, 2.9, 1), "2.9"),
+                         (lambda: QQ.element(0.1), "0.1"), (lambda: QuadExt(QQ, 2).element((1, 0.5)), "0.5")):
+        with pytest.raises(TypeError, match=f"float is not an exact scalar: {value}"):
+            build()
+    assert F7.element(Fraction(3, 2)).raw == 5 and QQ.element(True).raw == 1
 
 
 def test_quad_ext_construction_guards():

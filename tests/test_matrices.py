@@ -28,11 +28,12 @@ from compalg.matrices import (
     unflatten_split,
 )
 from compalg.quaternion import NONSPLIT, Mat2Algebra, QuatAlgebra, quat_to_mat2
-from compalg.rank import comp_rank, dependence_bound, low_rank_combination, sample_distinct_matrices
+from compalg.rank import comp_rank, dependence_bound, low_rank_combination
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
 from compalg.zmodule import IntMatrix
+from conftest import gauss_jordan, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -643,6 +644,95 @@ def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
             # a Fraction row scales the determinant; the int rows around it add nothing
             halved = [[Fraction(x, 2) for x in rows[0]]] + rows[1:]
             assert field_echelon(halved, QQ)[1] == det / 2
+
+
+def _oracle_rows(rng, m, n, entry):
+    """Seeded m x n rows of `entry()` values, some with a zero row, a repeated
+    row, a zero column (a skipped pivot column) or a product through a smaller
+    inner size."""
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    kind = rng.randint(0, 4)
+    if kind == 0:
+        rows[rng.randint(0, m - 1)] = [entry() * 0 for _ in range(n)]
+    elif kind == 1 and m > 1:
+        rows[rng.randint(1, m - 1)] = list(rows[0])
+    elif kind == 2:
+        j = rng.randint(0, n - 1)
+        rows = [row[:j] + [row[j] * 0] + row[j + 1 :] for row in rows]
+    elif kind == 3 and min(m, n) > 1:
+        inner = rng.randint(1, min(m, n) - 1)
+        left = [[entry() for _ in range(inner)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(inner)]
+        rows = [[sum((x * y for x, y in zip(row, col)), entry() * 0) for col in zip(*right)] for row in left]
+    return rows
+
+
+def _sylvester(order):
+    """The Sylvester Hadamard matrix of the given power-of-two order, whose
+    determinant reaches the Hadamard bound: |det| = order^(order/2)."""
+    H = [[1]]
+    while len(H) < order:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
+def _hadamard_cases():
+    # each matrix and its first row negated, so that the bound is reached with either sign
+    for order in (2, 4, 8, 16):
+        H = _sylvester(order)
+        for rows in (H, [[-x for x in H[0]]] + H[1:]):
+            yield rows
+
+
+def test_field_echelon_matches_the_gauss_jordan_oracle():
+    # pivots, determinant and kernel vector of the packed integer kernel against plain
+    # Fraction elimination, on entries from 0 to near 10^30 and at the Hadamard bound
+    rng = SplitMix64(97)
+
+    def entry_of(bound, den):
+        return lambda: Fraction(rng.randint(-bound, bound), rng.randint(1, den)) if den > 1 else rng.randint(-bound, bound)
+
+    cases = list(_hadamard_cases())
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        entry = entry_of(rng.choice((1, 3, 10**6, 10**30)), rng.choice((1, 1, 5)))
+        cases.append(_oracle_rows(rng, m, n, entry))
+    for rows in cases:
+        pivots, det, kernel = field_echelon(rows, QQ)
+        want_pivots, want_det, want_kernel = gauss_jordan([[(x, 0) for x in row] for row in rows])
+        assert pivots == want_pivots, rows
+        assert (det is None) == (want_det is None) and (det is None or (det, 0) == want_det), rows
+        assert kernel() == (None if want_kernel is None else [x for x, _ in want_kernel]), rows
+    for order in (2, 4, 8, 16):
+        assert abs(field_echelon(_sylvester(order), QQ)[1]) == order ** (order // 2)
+
+
+@pytest.mark.parametrize("a", [-1, 2, 5, Fraction(2, 3), Fraction(-5, 7)], ids=str)
+def test_pair_echelon_matches_the_gauss_jordan_oracle(a):
+    # the packed Z[g] kernel against elimination on pairs of Fractions over Q(sqrt(a)),
+    # and over Z[i] on (1 + i) times the Sylvester matrices, at the Hadamard bound
+    rng, L = SplitMix64(101 + sum(map(ord, str(a)))), QuadExt(QQ, a)
+
+    def entry_of(bound, den):
+        def draw():
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+        return lambda: L.element((draw(), draw()))
+
+    cases = [[[L.element((x, x)) for x in row] for row in rows] for rows in _hadamard_cases()] if a == -1 else []
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(_oracle_rows(rng, m, n, entry_of(rng.choice((1, 3, 10**6, 10**30)), rng.choice((1, 1, 4)))))
+    for rows in cases:
+        raw = [[(x.numerator if x.denominator == 1 else x, y) for x, y in (e.raw for e in row)] for row in rows]
+        pivots, det, kernel = matrices.pair_echelon(raw, QQ, a)
+        want_pivots, want_det, want_kernel = gauss_jordan(raw, a)
+        assert pivots == want_pivots, raw
+        assert det == want_det, raw
+        assert kernel() == want_kernel, raw
+    if a == -1:
+        for order in (2, 4, 8, 16):
+            det = matrices.pair_echelon([[(x, x) for x in row] for row in _sylvester(order)], QQ, -1)[1]
+            assert det[0] ** 2 + det[1] ** 2 == (2 * order) ** order
 
 
 def test_determinants_and_verdicts_never_run_the_kernel(monkeypatch):

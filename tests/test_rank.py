@@ -22,16 +22,15 @@ from compalg.matrices import (
 )
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
 from compalg.rank import (
-    combine,
     comp_rank,
     dependence_bound,
     low_rank_combination,
-    sample_distinct_matrices,
     verify_span_bound,
 )
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json, matrix_to_json
 from compalg.matrices import skew_column_rank
+from conftest import combine, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -583,6 +582,30 @@ def test_randints_is_successive_randint_calls():
     for lo, hi in ((3, 2), (0, -1)):
         with pytest.raises(ValueError, match="empty range"):
             SplitMix64(1).randints(lo, hi, 4)
+
+
+def _splitmix64_reference(state, lo, hi, count):
+    """splitmix64 written out one state at a time: (values in [lo, hi], final state)."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(lo + (z ^ (z >> 31)) % (hi - lo + 1))
+    return out, state
+
+
+def test_randints_matches_the_one_at_a_time_reference():
+    # every count from 0 to 300 (the packed sampler doubles its slots at 64, 128, 256),
+    # in one stream per span, the state checked after each call
+    for seed in (2024, 2**64 - 1):
+        for span in (1, 7, 9973, 2**64, 2**70):
+            rng, state, lo = SplitMix64(seed), seed, -(span // 2)
+            for count in range(301):
+                expected, state = _splitmix64_reference(state, lo, lo + span - 1, count)
+                assert rng.randints(lo, lo + span - 1, count) == expected and rng._state == state, (seed, span, count)
+            expected, state = _splitmix64_reference(state, 0, 2**64 - 1, 1)
+            assert [rng.next_u64()] == expected and rng._state == state
 
 
 def test_batched_sampler_matches_the_per_coordinate_sampler():
