@@ -17,13 +17,13 @@ d^2, `is_invertible` is d != 0, rank H gives `rank.comp_rank` and
 kernel vector off H.
 
 Two raw kernels eliminate, each giving (pivots, det, kernel), where `kernel()`
-back-substitutes only for a caller that asks: `field_echelon` over QQ and
-GF(p), behind H over k, `FieldMatrix.det`, the split span trials of `rank`,
-`ratlin` and `IntMatrix.det`; and `pair_echelon` over k(sqrt(a)), behind H
-over k(sqrt(a)), `skew_solve` and `FieldMatrix.det` over a quadratic field.
-Over QQ both run Bareiss's fraction-free elimination on rows packed into
-one int each (`_pack`, a Kronecker substitution), so a row update is a few
-big-integer operations whose loops over the entries run in C.
+back-substitutes, into integers over one denominator, only for a caller that
+asks: `field_echelon` over QQ and GF(p), behind H over k, `FieldMatrix.det`,
+the split span trials of `rank`, `ratlin` and `IntMatrix.det`; `pair_echelon`
+over k(sqrt(a)), behind H over k(sqrt(a)), `skew_solve` and `FieldMatrix.det`
+over a quadratic field.  Over QQ both run Bareiss's elimination on rows packed
+into one int each (`_pack`, a Kronecker substitution), and over GF(2) a row is
+a bitset, so a row update is a few big-integer operations run in C.
 The H of a minor is the block submatrix of H at its rows 2i, 2i+1 and
 columns 2j, 2j+1, so `rank.comp_rank` builds H once.
 """
@@ -161,26 +161,33 @@ def field_echelon(rows, spec: FieldSpec):
     """(pivot columns, determinant or None, kernel) of raw QQ or GF(p) rows.
 
     A column's pivot is its first nonzero entry at or below the current row.
-    Over GF(p) a lower row r becomes r - (r[col] / pivot) * top, mod p, on
-    lists.  Over QQ the rows are cleared of denominators and packed (`_pack`),
-    and r becomes (r * pivot - r[col] * top) // prev on whole rows, prev the
-    previous pivot (Bareiss), so every entry is a minor and the last pivot is
-    the determinant up to sign.  Slots of w bits, 2^(w-1) above the Hadamard
+    Over GF(2) a row is one int, bit j for column j, and a lower row r with
+    bit `col` set becomes r ^ top.  Over odd p a lower row r becomes
+    r - (r[col] / pivot) * top, mod p, on lists.  Over QQ the rows are
+    cleared of denominators and packed (`_pack`), and r becomes
+    (r * pivot - r[col] * top) // prev on whole rows, prev the previous
+    pivot (Bareiss), so every entry is a minor and the last pivot is the
+    determinant up to sign.  Slots of w bits, 2^(w-1) above the Hadamard
     bound prod ||row||, hold every minor.  Invariant: every row at or below
     the current one is zero in each slot left of the current column, so the
     slot at `col` is the low w bits of v >> w*col, read with their sign.
 
     The determinant is given for square input, else None.  `kernel()`, run
-    only by a caller that needs it, gives the first kernel vector: 1 at the
-    first non-pivot column c, 0 after it, or None when every column is a
-    pivot.  Its back substitution over QQ runs on y = d*x, d the leading
-    c x c minor, integral by Cramer's rule (over Z[g] in `pair_echelon`),
-    on the c rows it unpacks.
+    only by a caller that needs it, gives the first kernel vector x, 1 at the
+    first non-pivot column c and 0 after it, as (y, d) with y = d*x, or None
+    when every column is a pivot.  Mod p, d = 1 (over GF(2) y_i is the parity
+    of row_i & y).  Over QQ, d is the leading c x c minor, so the back
+    substitution on the c rows it unpacks is integral by Cramer's rule.
     """
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     if isinstance(spec, PrimeField):
-        p, w = spec.p, 0
-        work = [[x % p for x in row] for row in rows]
+        p, w, mask = spec.p, int(spec.p == 2), 1  # over GF(2) a row is packed in one-bit slots
+        work = [] if w else [[x % p for x in row] for row in rows]
+        for row in rows if w else ():
+            v = 0
+            for x in reversed(row):  # Horner's rule, as in `_pack`
+                v = v << 1 | x & 1
+            work.append(v)
     elif isinstance(spec, RationalField):
         p, scale, work, norms = 0, 1, [], 1
         for row in rows:
@@ -198,7 +205,7 @@ def field_echelon(rows, spec: FieldSpec):
     for col in range(ncols):
         rank, s = len(pivots), w * col
         for r in range(rank, nrows):
-            if work[r][col] if p else work[r] >> s & mask:
+            if work[r] >> s & mask if w else work[r][col]:
                 break
         else:
             continue
@@ -206,7 +213,9 @@ def field_echelon(rows, spec: FieldSpec):
             work[rank], work[r] = work[r], work[rank]
             sign = -sign
         top = work[rank]
-        if p:
+        if p == 2:
+            work[rank + 1 :] = [v ^ top if v >> col & 1 else v for v in work[rank + 1 :]]
+        elif p:
             inv, tail = pow(top[col], -1, p), top[col + 1 :]
             for row in work[rank + 1 :]:
                 if row[col]:
@@ -224,6 +233,11 @@ def field_echelon(rows, spec: FieldSpec):
         c = next((i for i, col in enumerate(pivots) if col != i), rank)
         if c == ncols:
             return None
+        if p == 2:
+            y = 1 << c
+            for i in range(c - 1, -1, -1):
+                y |= ((work[i] & y).bit_count() & 1) << i
+            return [y >> j & 1 for j in range(ncols)], 1
         top = work[:c] if p else [_unpack(v, w, c + 1) for v in work[:c]]
         d = 1 if p or not c else top[c - 1][c - 1]
         y = [0] * c + [d]
@@ -231,13 +245,12 @@ def field_echelon(rows, spec: FieldSpec):
             row = top[i]
             s = -sum(row[j] * y[j] for j in range(i + 1, c + 1))
             y[i] = s * pow(row[i], -1, p) % p if p else s // row[i]
-        y += [0] * (ncols - c - 1)
-        return y if p else [Fraction(v, d) for v in y]
+        return y + [0] * (ncols - c - 1), d
 
     if nrows != ncols:
         return pivots, None, kernel
-    if rank < ncols:
-        return pivots, 0 if p else Fraction(0), kernel
+    if rank < ncols or p == 2:  # a full-rank GF(2) determinant is 1
+        return pivots, int(rank == ncols) if p else Fraction(0), kernel
     return pivots, sign * prod(work[i][i] for i in range(rank)) % p if p else Fraction(sign * prev, scale) if scale > 1 else Fraction(sign * prev), kernel
 
 
@@ -254,7 +267,7 @@ def pair_echelon(rows, k: FieldSpec, a):
     Hadamard bound from sum x^2 + |g^2|*y^2 per row, doubled if g^2 > 0.
 
     `kernel()`, run only by a caller that needs it, gives the first kernel
-    vector as pairs over k, or None, by `field_echelon`'s back substitution.
+    vector as `field_echelon` does, pairs y = d*x and d = N(leading minor).
     """
     p, nrows, ncols = k.characteristic, len(rows), len(rows[0]) if rows else 0
     if p:
@@ -318,7 +331,7 @@ def pair_echelon(rows, k: FieldSpec, a):
             ex, ey = sx * qx - N * sy * qy, sy * qx - sx * qy  # s / q = s * conj(q) / N(q)
             y[i] = (ex * pow(nq, -1, p) % p, ey * pow(nq, -1, p) % p) if p else (ex // nq, ey // nq)
         y += [(0, 0)] * (ncols - c - 1)
-        return y if p else [(Fraction(u, y[c][0]), Fraction(v * D, y[c][0])) for u, v in y]
+        return (y, 1) if p else ([(u, v * D) for u, v in y], y[c][0])
 
     if nrows != ncols:
         return pivots, None, kernel
@@ -536,20 +549,20 @@ def _whole_pairs(pivots) -> int:
 
 
 def _skew_kernel(algebra, rows):
-    """First right kernel vector of raw A over a division algebra D, or None:
-    4n base-field coordinates, a_f = 1 at the first free D-column f and a_j = 0
-    after it.  Z*a = 0 puts the first column (x, -b*y) of the doubling matrix
-    of a = x + v*y in the kernel of H over k(sqrt(a)) (`_half`), so the first
-    kernel vector u of H (`pair_echelon`), 1 at column 2f and 0 after it, gives
-    x_j = u[2j] and y_j = -u[2j+1] / b = y0 + y1*sqrt(a), and v*y_j = y0*v - y1*w.
-    """
+    """First right kernel vector of raw A over a division algebra D, or None,
+    as `kernel()` gives one: 4n base-field coordinates, a_f = 1 at the first
+    free D-column f and a_j = 0 after it.  Z*a = 0 puts the first column
+    (x, -b*y) of the doubling matrix of a = x + v*y in the kernel of H over
+    k(sqrt(a)) (`_half`), so the first kernel vector u of H (`pair_echelon`),
+    1 at column 2f and 0 after it, gives x_j = u[2j] and y_j = -u[2j+1] / b
+    = y0 + y1*sqrt(a), and v*y_j = y0*v - y1*w: over d*B for b = B/E."""
     if algebra.is_split_decision() == SPLIT:
         raise UnexpectedZeroDivisorError("skew elimination needs a division algebra")
     H, a = _half(algebra, rows)
     pivots, _, kernel = pair_echelon(H, algebra.field, a)
     _whole_pairs(pivots)
-    u, b = kernel(), algebra.b.raw
-    return None if u is None else [c for x, y in zip(u[::2], u[1::2]) for c in (*x, -y[0] / b, y[1] / b)]
+    u, (B, E) = kernel(), algebra.b.raw.as_integer_ratio()
+    return None if u is None else ([c for (x0, x1), (y0, y1) in zip(u[0][::2], u[0][1::2]) for c in (x0 * B, x1 * B, -y0 * E, y1 * E)], u[1] * B)
 
 
 def skew_column_rank(A: CompMatrix) -> int:
@@ -562,14 +575,13 @@ def skew_column_rank(A: CompMatrix) -> int:
 def _skew_solve_raw(algebra, rows):
     """`skew_solve` on a raw matrix: (numerators, denominator), or None.
 
-    With the kernel vector cleared to integers and y_f its first nonzero
-    block, a_t = y_t * conj(y_f) / N(y_f) (conjugation negates u, v and w).
+    With y the integer kernel vector and y_f its first nonzero block,
+    a_t = y_t * conj(y_f) / N(y_f) (conjugation negates u, v and w).
     """
     kernel = _skew_kernel(algebra, rows)
     if kernel is None:
         return None
-    den = lcm(*(v.denominator for v in kernel))
-    y = [v.numerator * (den // v.denominator) for v in kernel]
+    y = kernel[0]
     blocks = [y[4 * j : 4 * j + 4] for j in range(len(rows[0]))]
     f = next(j for j, b in enumerate(blocks) if any(b))
     # the row of blocks times conj(y_f), times D; its entry f is D * N(y_f)

@@ -22,17 +22,19 @@ returned coefficients zero out the first r rows of the combination, which
 then has rank at most d - 1.  The split case eliminates the raw coefficient
 rows with `matrices.field_echelon`, the division case the half-size matrix
 H of the stacked entries (`skew_solve`'s core); both take the first kernel
-vector (`kernel()`), so the witness is reproducible.
+vector (`kernel()`), in integers, so the witness is reproducible.
 
 `verify_span_bound` runs each trial on raw coordinates: it forms the m-row
 combination once, checks its first r rows, ranks the combination's integer
 numerators with `comp_rank`'s raw core, and builds elements only for the
-matrices of a counterexample.
+matrices of a counterexample.  Split coefficients are base scalars c_t * 1,
+so that combination is the scaled sum of c_t * T_t (`_scaled_sum`).
 """
 
+import operator
 import time
-from itertools import combinations
-from math import comb, lcm
+from itertools import chain, combinations
+from math import comb
 from types import SimpleNamespace
 
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
@@ -106,29 +108,35 @@ def low_rank_combination(matrices, d: int):
         raise BoundNotMetError(f"need at least {1 + n * threshold} matrices, got {len(family)}")
     keep, p = m - d + 1, algebra.field.characteristic
     ys, den = _combination(algebra, family, keep)
-    if algebra.is_split_decision() == SPLIT and not _vanishes(_combine_raw(algebra, family, ys, keep), p):
+    split = algebra.is_split_decision() == SPLIT
+    if split and not _vanishes(_scaled_sum(family, ys, keep), p):
         raise AssertionError("combination failed to kill the truncated rows")
-    return tuple(_element(algebra, y, den) for y in ys)
+    return tuple(_element(algebra, [y * e for e in algebra._one] if split else y, den) for y in ys)
+
+
+def _scaled_sum(family, cs, count):
+    """First `count` rows of sum c_t * T_t for raw matrices T_t and base
+    scalars c_t, unreduced: the split combination, as x * (c*1) = c*x."""
+    coords = zip(*[chain.from_iterable(chain.from_iterable(T[:count])) for T in family])  # one tuple per (i, j, c)
+    entries, n = list(zip(*[iter([sum(map(operator.mul, cs, v)) for v in coords])] * 4)), len(family[0][0])
+    return [entries[n * i : n * i + n] for i in range(count)]
 
 
 def _combination(algebra, family, keep):
     """Coefficients (numerators, denominator) killing the first `keep` rows of
-    raw matrices.  Split: the first kernel vector over k, its first nonzero
-    entry scaled to one, as base scalars.  Division: `skew_solve`'s core."""
+    raw matrices.  Split: the first kernel vector over k as base scalars, over
+    its first nonzero entry.  Division: `skew_solve`'s core, as 4-vectors."""
     n, p = len(family[0][0]), algebra.field.characteristic
     if algebra.is_split_decision() == SPLIT:
         rows = [[T[i][j][c] for T in family] for i in range(keep) for j in range(n) for c in range(4)]
-        sol = field_echelon(rows, algebra.field)[2]()
-        if sol is None:
+        found = field_echelon(rows, algebra.field)[2]()
+        if found is None:
             raise AssertionError("dependence guaranteed by dimension count was not found")
+        sol = found[0]
         if p:
-            inv, den = pow(next(c for c in sol if c), -1, p), 1
-            sol = [c * inv % p for c in sol]
-        else:
-            clear = lcm(*(c.denominator for c in sol))
-            sol = [c.numerator * (clear // c.denominator) for c in sol]
-            den = next(c for c in sol if c)
-        return [[c * e for e in algebra._one] for c in sol], den
+            inv = pow(next(c for c in sol if c), -1, p)
+            return [c * inv % p for c in sol], 1
+        return sol, next(c for c in sol if c)
     sol = _skew_solve_raw(algebra, [[T[i][j] for T in family] for i in range(keep) for j in range(n)])
     if sol is None:
         raise AssertionError("dependence guaranteed by dimension count was not found")
@@ -202,13 +210,13 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
         failure = None
         try:
             ys, _ = _combination(algebra, family, keep)
-            acc = _combine_raw(algebra, family, ys, m)
+            acc = _scaled_sum(family, ys, m) if split else _combine_raw(algebra, family, ys, m)
             if not _vanishes(acc[:keep], p):
                 failure = "combination failed to kill the truncated rows" if split else "truncated combination is nonzero"
-            elif not any(v for y in ys for v in y):
+            elif not any(ys if split else map(any, ys)):
                 failure = "coefficients all zero"
             elif (rank := _comp_rank_raw(algebra, acc)) > d - 1:
-                # acc is the combination times its denominator and D, a nonzero central scalar
+                # acc is the combination times its denominator (and D when not split), a nonzero central scalar
                 failure = f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:
             failure = str(exc)

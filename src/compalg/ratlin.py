@@ -10,14 +10,15 @@ def solve_square(A, b):
     """Solution of A x = b for square A, or None when A is singular.
 
     A is nonsingular exactly when the pivots of [A | b] are the columns of A;
-    the kernel vector of [A | b] is then (y, 1) with A y = -b.
+    the kernel vector of [A | b] is then (x, 1) with A x = -b, as y = d*x.
     """
     n = len(A)
     rows = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
     pivots, _, kernel = field_echelon(rows, QQ)
     if pivots != list(range(n)):
         return None
-    return [-v for v in kernel()[:n]]
+    y, d = kernel()
+    return [Fraction(-v, d) for v in y[:n]]
 
 
 def det(A) -> Fraction:

@@ -5,19 +5,21 @@ The generator is splitmix64: state advances by the 64-bit constant
 Every sampled quantity in the library is derived from this stream, so a run
 is reproducible from its seed alone, independently of interpreter version.
 `randints` maps the raw stream by modulo; the slight bias is irrelevant for
-test sampling and keeps the mapping trivially portable.  `next_u64` and
-`randint` are its one-value case.
+test sampling and keeps the mapping trivially portable.  `next_u64` mixes
+one state in plain int arithmetic; `randint`, `choice` and `fork` use it.
 
 `randints` mixes all of its states at once in one int, state k + 1 in the
 128-bit slot at bit 128*k: a 64-bit value times a 64-bit constant fits a
-slot, and each shift before a product is masked to 64 bits in every slot.
+slot, and each shift before a product is masked to 64 bits in every slot;
+`array('Q')` reads the words back from its little-endian bytes.
 """
 
 import sys
+from array import array
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_STEP = 2 if sys.byteorder == "little" else -2  # the low 64-bit word of each slot, from slot 0
+_SWAP = sys.byteorder == "big"  # array('Q') reads words in host order
 
 
 class SplitMix64:
@@ -25,11 +27,16 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        return self.randints(0, _MASK, 1)[0]
+        self._state = z = (self._state + _GAMMA) & _MASK
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+        return z ^ z >> 31
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in the inclusive range [lo, hi]."""
-        return self.randints(lo, hi, 1)[0]
+        if hi < lo:
+            raise ValueError("empty range")
+        return lo + self.next_u64() % (hi - lo + 1)
 
     def randints(self, lo: int, hi: int, count: int) -> list:
         """`count` successive integers in [lo, hi], mixed in the slots of one int."""
@@ -47,8 +54,10 @@ class SplitMix64:
         z = (z ^ z >> 30 & masks) * 0xBF58476D1CE4E5B9 & masks
         z = (z ^ z >> 27 & masks) * 0x94D049BB133111EB & masks
         z ^= z >> 31  # leaves the high word of each slot dirty, but only the low ones are read
-        span = hi - lo + 1
-        return [lo + v % span for v in memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")[::_STEP]]
+        words, span = array("Q", z.to_bytes(16 * count, "little")), hi - lo + 1
+        if _SWAP:
+            words.byteswap()
+        return [lo + v % span for v in memoryview(words)[::2]]
 
     def choice(self, seq):
         if not seq:

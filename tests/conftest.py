@@ -12,7 +12,8 @@ as its own `CompMatrix` and decided by `is_invertible`.
 
 `gauss_jordan` is the oracle of the two elimination kernels, which share
 nothing with it: plain Gauss-Jordan elimination on Fractions, or on pairs
-of Fractions x + y*sqrt(a) over Q(sqrt(a)).
+of Fractions x + y*sqrt(a) over Q(sqrt(a)), or on residues mod a prime p.
+`as_fractions` reads a kernel vector (numerators, denominator) as Fractions.
 
 `combine` and `sample_distinct_matrices` are the element-level forms of the
 raw cores `matrices._combine_raw` and `rank._sample`, which only tests use.
@@ -39,22 +40,28 @@ from compalg.quaternion import _QUAT_TERMS, NONSPLIT, QuatAlgebra
 from compalg.rank import _matrix, _sample
 
 
-def gauss_jordan(rows, a=0):
+def gauss_jordan(rows, a=0, p=0):
     """(pivots, determinant or None, first kernel vector or None) of rows of
-    pairs (x, y) = x + y*sqrt(a) of rationals, by Gauss-Jordan elimination in
-    the field's own arithmetic.  The kernel vector is 1 at the first column c
-    that is not the c-th pivot, 0 after it, and minus the reduced column c
-    above it; pairs with y = 0 throughout are rationals, whatever a is."""
+    pairs (x, y) = x + y*sqrt(a) of rationals, or of integers mod a prime p,
+    by Gauss-Jordan elimination in the field's own arithmetic.  The kernel
+    vector is 1 at the first column c that is not the c-th pivot, 0 after it,
+    and minus the reduced column c above it; pairs with y = 0 throughout are
+    base-field values, whatever a is."""
+    def field(u):
+        return (u[0] % p, u[1] % p) if p else u
+
     def mul(u, v):
-        return (u[0] * v[0] + a * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+        return field((u[0] * v[0] + a * u[1] * v[1], u[0] * v[1] + u[1] * v[0]))
 
     def inverse(u):
         norm = u[0] * u[0] - a * u[1] * u[1]
-        return (u[0] / norm, -u[1] / norm)
+        inv = pow(norm, -1, p) if p else 1 / norm
+        return field((u[0] * inv, -u[1] * inv))
 
-    work = [[(Fraction(x), Fraction(y)) for x, y in row] for row in rows]
+    work = [[field((x, y)) if p else (Fraction(x), Fraction(y)) for x, y in row] for row in rows]
     nrows, ncols = len(work), len(work[0])
-    pivots, det = [], (Fraction(1), Fraction(0))
+    zero, one = ((0, 0), (1, 0)) if p else ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    pivots, det = [], one
     for col in range(ncols):
         rank = len(pivots)
         found = [r for r in range(rank, nrows) if any(work[r][col])]
@@ -63,23 +70,31 @@ def gauss_jordan(rows, a=0):
         r = found[0]
         if r != rank:
             work[rank], work[r] = work[r], work[rank]
-            det = (-det[0], -det[1])
+            det = field((-det[0], -det[1]))
         det = mul(det, work[rank][col])
         inv = inverse(work[rank][col])
         work[rank] = [mul(inv, v) for v in work[rank]]
         for i in range(nrows):
             if i != rank and any(work[i][col]):
                 f = work[i][col]
-                work[i] = [(v[0] - u[0], v[1] - u[1]) for v, u in zip(work[i], [mul(f, t) for t in work[rank]])]
+                work[i] = [field((v[0] - u[0], v[1] - u[1])) for v, u in zip(work[i], [mul(f, t) for t in work[rank]])]
         pivots.append(col)
     c = next((i for i, col in enumerate(pivots) if col != i), len(pivots))
     kernel = None
     if c < ncols:
-        zero = (Fraction(0), Fraction(0))
-        kernel = [(-work[i][c][0], -work[i][c][1]) for i in range(c)] + [(Fraction(1), Fraction(0))] + [zero] * (ncols - c - 1)
+        kernel = [field((-work[i][c][0], -work[i][c][1])) for i in range(c)] + [one] + [zero] * (ncols - c - 1)
     if nrows != ncols:
         return pivots, None, kernel
-    return pivots, det if len(pivots) == ncols else (Fraction(0), Fraction(0)), kernel
+    return pivots, det if len(pivots) == ncols else zero, kernel
+
+
+def as_fractions(kernel):
+    """A kernel vector (numerators, denominator) as Fractions (pairs of them
+    over a quadratic field), or None."""
+    if kernel is None:
+        return None
+    y, d = kernel
+    return [(Fraction(v[0], d), Fraction(v[1], d)) if type(v) is tuple else Fraction(v, d) for v in y]
 
 
 def combine(matrices, coeffs) -> CompMatrix:

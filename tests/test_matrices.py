@@ -33,7 +33,7 @@ from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
 from compalg.zmodule import IntMatrix
-from conftest import gauss_jordan, sample_distinct_matrices
+from conftest import as_fractions, gauss_jordan, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -638,7 +638,7 @@ def test_field_echelon_agrees_on_int_fraction_and_mixed_rows():
         by_rows = run([[Fraction(x) for x in row] if i % 2 else row for i, row in enumerate(rows)])
         assert as_int == as_fraction == mixed == by_rows
         pivots, det, kernel = as_int
-        assert kernel is None or all(type(v) is Fraction for v in kernel)
+        assert kernel is None or all(type(v) is int for v in (*kernel[0], kernel[1])) and kernel[1]
         if nrows == ncols:
             assert type(det) is Fraction
             # a Fraction row scales the determinant; the int rows around it add nothing
@@ -702,9 +702,41 @@ def test_field_echelon_matches_the_gauss_jordan_oracle():
         want_pivots, want_det, want_kernel = gauss_jordan([[(x, 0) for x in row] for row in rows])
         assert pivots == want_pivots, rows
         assert (det is None) == (want_det is None) and (det is None or (det, 0) == want_det), rows
-        assert kernel() == (None if want_kernel is None else [x for x, _ in want_kernel]), rows
+        assert as_fractions(kernel()) == (None if want_kernel is None else [x for x, _ in want_kernel]), rows
     for order in (2, 4, 8, 16):
         assert abs(field_echelon(_sylvester(order), QQ)[1]) == order ** (order // 2)
+
+
+def _gf2_cases(rng):
+    """Seeded GF(2) rows: 1 x 1, zero rows, repeated rows, zero columns and
+    low-rank products (`_oracle_rows`), entries outside {0, 1} (negative and
+    above 1, read mod 2), and 64 x 65 and 70 x 130, wider than one 64-bit word."""
+    cases = [[[0]], [[1]], [[3]], [[-1]], [[2, 0], [0, 0]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(_oracle_rows(rng, m, n, lambda: rng.randint(-3, 5)))
+    for m, n in ((64, 65), (70, 130), (65, 64), (130, 70)):
+        for kind in range(2):
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+            if kind:  # low rank: every row a sum of 5 fixed rows
+                basis = [[rng.randint(0, 1) for _ in range(n)] for _ in range(5)]
+                rows = [[sum(b[j] for b in basis if rng.randint(0, 1)) for j in range(n)] for _ in range(m)]
+            cases.append(rows)
+    return cases
+
+
+def test_gf2_bit_rows_match_the_gauss_jordan_oracle():
+    # pivots, determinant and kernel vector of the bit-row kernel over GF(2) against
+    # Gauss-Jordan elimination mod 2, which shares no code with it
+    F2, shapes = PrimeField(2), set()
+    for rows in _gf2_cases(SplitMix64(131)):
+        pivots, det, kernel = field_echelon(rows, F2)
+        want_pivots, want_det, want_kernel = gauss_jordan([[(x, 0) for x in row] for row in rows], p=2)
+        assert pivots == want_pivots, rows
+        assert (det is None) == (want_det is None) and (det is None or (det, 0) == want_det), rows
+        assert kernel() == (None if want_kernel is None else ([x for x, _ in want_kernel], 1)), rows
+        shapes.add((len(rows[0]) > 64, len(pivots) == len(rows[0]), det))
+    assert {(True, False, None), (False, True, 1), (False, False, 0), (False, False, None)} <= shapes
 
 
 @pytest.mark.parametrize("a", [-1, 2, 5, Fraction(2, 3), Fraction(-5, 7)], ids=str)
@@ -728,7 +760,7 @@ def test_pair_echelon_matches_the_gauss_jordan_oracle(a):
         want_pivots, want_det, want_kernel = gauss_jordan(raw, a)
         assert pivots == want_pivots, raw
         assert det == want_det, raw
-        assert kernel() == want_kernel, raw
+        assert as_fractions(kernel()) == want_kernel, raw
     if a == -1:
         for order in (2, 4, 8, 16):
             det = matrices.pair_echelon([[(x, x) for x in row] for row in _sylvester(order)], QQ, -1)[1]
@@ -830,7 +862,14 @@ def test_skew_kernel_matches_the_lz_oracle(alg, lz, monkeypatch):
             A = CompMatrix(alg, [[alg.zero() if j == c else e for j, e in enumerate(row)] for row in A.rows])
         raw = matrices._raw(A)
         kernel = lz.skew_kernel(alg, raw)
-        assert matrices._skew_kernel(alg, raw) == kernel, A.entries
+        found = matrices._skew_kernel(alg, raw)
+        # both are integer vectors over one denominator, (y, d) and (z, e): the integers may
+        # differ by the scalar d / e, and y * e == z * d exactly
+        assert (found is None) == (kernel is None), A.entries
+        if kernel is not None:
+            (y, d), (z, e) = found, kernel
+            assert all(type(v) is int for v in (*y, d)) and d, A.entries
+            assert [v * e for v in y] == [v * d for v in z], A.entries
         zero_column = any(all(A[i, j].is_zero() for i in range(m)) for j in range(n))
         seen.update({("shape", m == 1, n == 1), ("kernel", kernel is not None), ("zero column", zero_column)})
         cases.append((A, skew_solve(A)))
@@ -879,7 +918,7 @@ def test_pair_kernel_is_the_first_kernel_vector(spec):
             )
         H = [[e.raw for e in row] for row in M.rows]
         pivots, _, kernel = matrices.pair_echelon(H, spec.base, spec.a)
-        u = kernel()
+        u = as_fractions(kernel())
         assert (u is None) == (len(pivots) == n), H
         outcomes.add(u is None)
         if u is not None:
@@ -903,7 +942,7 @@ def test_pair_kernel_divides_by_a_unit_pivot_of_norm_one(lz):
     H, a = matrices._half(alg, matrices._raw(Z))
     pivots, _, kernel = matrices.pair_echelon(H, QQ, a)
     assert H[0][0] == (3, 2) and pivots == [0, 1]
-    assert kernel() == [(-3, 2), (21, 14), (1, 0), (0, 0)]  # u[0] = -1 / (3 + 2*sqrt(2))
+    assert as_fractions(kernel()) == [(-3, 2), (21, 14), (1, 0), (0, 0)]  # u[0] = -1 / (3 + 2*sqrt(2))
 
 
 def test_study_det_and_invertibility_need_no_split_decision(lz):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from compalg import matrices, rank
+from compalg import rng as rng_module
 from compalg.corpus import fixture_names, load_fixture
 from compalg.errors import (
     AlgebraMismatchError,
@@ -30,7 +31,7 @@ from compalg.rank import (
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json, matrix_to_json
 from compalg.matrices import skew_column_rank
-from conftest import combine, sample_distinct_matrices
+from conftest import combine, gauss_jordan, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -497,7 +498,7 @@ def test_witness_checks_still_run(monkeypatch):
     stacked = CompMatrix(HQ, [[T.rows[i][j] for T in mats] for i in range(2) for j in range(2)])
 
     def wrong_kernel(algebra, rows):
-        return [1] + [0] * (4 * len(rows[0]) - 1)
+        return [1] + [0] * (4 * len(rows[0]) - 1), 1
 
     with monkeypatch.context() as patch:
         patch.setattr(matrices, "_skew_kernel", wrong_kernel)
@@ -512,7 +513,7 @@ def test_witness_checks_still_run(monkeypatch):
     assert not split[0].rows[0][0].is_zero()
     with monkeypatch.context() as patch:
         # over a split algebra the combination itself is checked
-        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], None, lambda: [Fraction(1)] + [Fraction(0)] * 4))
+        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], None, lambda: ([1] + [0] * 4, 1)))
         with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
             low_rank_combination(split, 1)
     with monkeypatch.context() as patch:
@@ -608,6 +609,40 @@ def test_randints_matches_the_one_at_a_time_reference():
             assert [rng.next_u64()] == expected and rng._state == state
 
 
+def test_single_draws_match_the_one_at_a_time_reference():
+    # next_u64, randint, choice and fork each step the state once, as the reference does
+    for seed in (0, 2024, 2**63 + 17, 2**64 - 1):
+        rng, state = SplitMix64(seed), seed
+        for step in range(200):
+            lo, hi = ((0, 2**64 - 1), (-3, 3), (5, 5), (0, 2**70), (-(2**65), 2**65))[step % 5]
+            expected, state = _splitmix64_reference(state, lo, hi, 1)
+            assert rng.randint(lo, hi) == expected[0] and rng._state == state, (seed, step)
+            expected, state = _splitmix64_reference(state, 0, 2**64 - 1, 1)
+            assert rng.next_u64() == expected[0] and rng._state == state, (seed, step)
+            expected, state = _splitmix64_reference(state, 0, 2**64 - 1, 1)
+            child = rng.fork()
+            assert child._state == expected[0] and rng._state == state, (seed, step)
+            assert [child.next_u64()] == _splitmix64_reference(expected[0], 0, 2**64 - 1, 1)[0]
+            expected, state = _splitmix64_reference(state, 0, 6, 1)
+            assert rng.choice("abcdefg") == "abcdefg"[expected[0]] and rng._state == state, (seed, step)
+    rng = SplitMix64(9)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(1, 0)
+    assert rng._state == 9  # a refused draw leaves the stream where it was
+
+
+def test_sampler_reads_little_endian_words_on_either_host(monkeypatch):
+    # randints reads its words from little-endian bytes with array('Q'), which reads host
+    # order, and swaps them on a big-endian host; with the swap flipped every word comes
+    # out byte-reversed, on either host, so the swap runs here too
+    state = 2024
+    words, _ = _splitmix64_reference(state, 0, 2**64 - 1, 70)
+    assert SplitMix64(state).randints(0, 2**64 - 1, 70) == words
+    monkeypatch.setattr(rng_module, "_SWAP", not rng_module._SWAP)
+    flipped = [int.from_bytes(v.to_bytes(8, "little"), "big") for v in words]
+    assert SplitMix64(state).randints(0, 2**64 - 1, 70) == flipped != words
+
+
 def test_batched_sampler_matches_the_per_coordinate_sampler():
     # the same families from the same stream, and the stream left in the same place
     cases = [
@@ -636,19 +671,21 @@ def test_batched_sampler_matches_the_per_coordinate_sampler():
 
 def _oracle_low_rank_combination(mats, d, lz):
     """The element-based combination: coefficients as elements, checks by
-    `_combine_by_definition`; over a division algebra the kernel of L."""
+    `_combine_by_definition`; the first kernel vector by `gauss_jordan`, which
+    shares no code with the library's kernels, of the coordinate rows over a
+    split algebra and of L over a division algebra."""
     algebra, m, n = mats[0].ring, mats[0].m, mats[0].n
     keep = m - d + 1
     truncated = [Z.take_rows(keep) for Z in mats]
     f = algebra.field
     if algebra.is_split_decision() == "split":
-        rows = [[T.rows[i][j].coeffs[c] for T in truncated] for i in range(keep) for j in range(n) for c in range(4)]
-        sol = matrices.field_echelon(rows, f)[2]()
+        rows = [[(T.rows[i][j].coeffs[c], 0) for T in truncated] for i in range(keep) for j in range(n) for c in range(4)]
+        sol = [x for x, _ in gauss_jordan(rows, p=f.characteristic)[2]]
         inv = f._inv(next(c for c in sol if c))
         coeffs = tuple(algebra.from_base(f._mul(c, inv)) for c in sol)
     else:
         stacked = CompMatrix(algebra, [[T.rows[i][j] for T in truncated] for i in range(keep) for j in range(n)])
-        kernel = matrices.field_echelon(lz.left_regular_rep(stacked), f)[2]()
+        kernel = [x for x, _ in gauss_jordan([[(x, 0) for x in row] for row in lz.left_regular_rep(stacked)])[2]]
         sol = [algebra.element(kernel[4 * t : 4 * t + 4]) for t in range(len(mats))]
         inv = next(c for c in sol if not c.is_zero()).inverse()
         coeffs = tuple(c * inv for c in sol)
@@ -716,14 +753,14 @@ PINNED_FAMILIES = {
 def _echelon_giving(pivots, kernel_is_first_column):
     """A stand-in for `field_echelon`: these pivots, no determinant, and the kernel vector e_0 or None."""
     def echelon(rows, f):
-        return pivots, None, lambda: [1] + [0] * (len(rows[0]) - 1) if kernel_is_first_column else None
+        return pivots, None, lambda: ([1] + [0] * (len(rows[0]) - 1), 1) if kernel_is_first_column else None
     return echelon
 
 
 def _pair_echelon_giving(pivots, kernel_is_first_column):
     """A stand-in for `pair_echelon`: these pivots, no determinant, and the kernel vector e_0 or None."""
     def echelon(rows, k, a):
-        return pivots, None, lambda: [(1, 0)] + [(0, 0)] * (len(rows[0]) - 1) if kernel_is_first_column else None
+        return pivots, None, lambda: ([(1, 0)] + [(0, 0)] * (len(rows[0]) - 1), 1) if kernel_is_first_column else None
     return echelon
 
 
@@ -793,17 +830,21 @@ def test_comp_rank_matches_the_lz_oracle(alg, lz):
     assert ranks == {0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), HQ], ids=repr)
+@pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), SPLIT_F2, HQ], ids=repr)
 def test_span_trial_forms_its_combination_once(algebra, monkeypatch):
-    # one m-row combination per trial, whose integer numerators go to the raw comp_rank core
-    calls, ranked = [], []
-    combine_raw, rank_of = rank._combine_raw, rank._comp_rank_raw
-    monkeypatch.setattr(rank, "_combine_raw", lambda *args: calls.append(args[3]) or combine_raw(*args))
+    # one m-row combination per trial, whose integer numerators go to the raw comp_rank core:
+    # a scaled sum of base scalars when split, entry products over a division algebra
+    calls, ranked = {"_scaled_sum": [], "_combine_raw": []}, []
+    for name, form in [(name, getattr(rank, name)) for name in calls]:
+        monkeypatch.setattr(rank, name, lambda *args, name=name, form=form: calls[name].append(args[-1]) or form(*args))
+    rank_of = rank._comp_rank_raw
     monkeypatch.setattr(rank, "_comp_rank_raw", lambda alg, raw: ranked.append(raw) or rank_of(alg, raw))
     report = verify_span_bound(algebra, 2, 3, 2, trials=3, seed=9)
     assert report.successes == 3
-    assert calls == [2, 2, 2]
+    split = algebra.is_split_decision() == "split"
+    assert calls == {"_scaled_sum": [2, 2, 2] if split else [], "_combine_raw": [] if split else [2, 2, 2]}
     assert len(ranked) == 3 and all(type(v) is int for raw in ranked for row in raw for e in row for v in e)
+    assert all(len(raw) == 2 and len(raw[0]) == 3 and all(len(e) == 4 for row in raw for e in row) for raw in ranked)
 
 
 MINOR_SEARCH_ALGEBRAS = [
