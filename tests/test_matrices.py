@@ -868,7 +868,7 @@ def test_skew_kernel_matches_the_lz_oracle(alg, lz, monkeypatch):
         assert (found is None) == (kernel is None), A.entries
         if kernel is not None:
             (y, d), (z, e) = found, kernel
-            assert all(type(v) is int for v in (*y, d)) and d, A.entries
+            assert all(type(v) is int for v in (*y, d)) and d and e, A.entries
             assert [v * e for v in y] == [v * d for v in z], A.entries
         zero_column = any(all(A[i, j].is_zero() for i in range(m)) for j in range(n))
         seen.update({("shape", m == 1, n == 1), ("kernel", kernel is not None), ("zero column", zero_column)})
