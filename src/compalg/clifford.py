@@ -6,28 +6,22 @@ A signature (p, q) fixes generators e_1 .. e_n (n = p + q) with
     e_i * e_j = -e_j * e_i       for i != j,
 
 and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
-order.  Each blade product is a single term, so `CliffordSignature` is a
-table algebra over QQ on the element core of `quaternion`.  Its table, shared
-read-only and built once per signature per process, comes from the closed
-form e_A e_B = sigma(A, B) e_(A xor B) of `quaternion._twisted_terms`, the
-builder of the (a,b) table too: sigma is the reordering sign, negated when A
-and B share an odd number of generators squaring to -1.  sigma is
+order, so blade i is e_i.  A blade product is one signed blade, so
+`CliffordSignature` is a table algebra over QQ on the element core of
+`quaternion`, its table shared read-only (`_signature_table`).  The sign is
 bimultiplicative, hence a 2-cocycle, so the table is associative: a twisted
-group algebra of (Z/2)^n (Albuquerque and Majid, JPAA 171, 2002).  The
-tests check every table against a reordering product and prove it
-associative.
-Coefficients are exact rationals, coerced once where an element is made, so
-the real-coefficient statements are exercised through rational witnesses.
-The center is read off the same table, with no elimination.  An element
-prints as a sum such as "1/2 - 2*e12" (`termsplit.render_terms`), the text
-that `cli.parse_multivector` reads back.
+group algebra of (Z/2)^n (Albuquerque and Majid, JPAA 171, 2002).  The tests
+check every table against a reordering product and prove it associative.  The
+center is read off the same table, with no elimination.  An element prints as
+a sum such as "1/2 - 2*e12", the text that `cli.parse_multivector` reads back.
 
-Inverses follow Shirokov's characteristic-polynomial recursion (a
-Faddeev-LeVerrier scheme in a faithful representation of size
-N = 2^ceil(n/2)): at most N - 1 <= 7 geometric products on the integer
-coefficients of the element scaled by its common denominator, with no
-2^n x 2^n elimination.  Every inverse is checked on both sides.  Conjugation
-runs on the same integers, with one division at the end.
+Coefficients are exact rationals (so rational witnesses stand in for real
+ones), but products run in `_table_mul` on sparse integer terms over one
+denominator; Fractions are built only for the element returned.  Inverses
+follow Shirokov's characteristic-polynomial recursion (a Faddeev-LeVerrier
+scheme in a faithful representation of size N = 2^ceil(n/2)): at most
+N - 1 <= 7 products on those integers, no 2^n x 2^n elimination, and a check
+on both sides.  Conjugation runs on the same integers, divided once at the end.
 
 The conjugation action used throughout is the plain g x g^{-1} (untwisted);
 for a product of k invertible generators the induced map on the span of the
@@ -42,30 +36,39 @@ constructed as products of unit vectors; recovering one is out of scope.
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
 from .fields import QQ, QuadExt
-from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _cleared, _twisted_terms
+from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _twisted_terms
 from .termsplit import render_terms
 
 MAX_DIMENSION = 6
+_ZERO = Fraction(0)
 
 
-def _table_mul(terms, x, y, zero):
-    """Product of coordinates x, y through the blade table, as a list; zeros are skipped.
+def _table_mul(terms, x, y):
+    """Product of sparse integer terms {blade index: nonzero int} through the blade table; terms
+    that cancel are dropped.  Operands have few terms, so a dense or straight-line product loses."""
+    acc = {}
+    for i, xi in x.items():
+        row = terms[i]
+        for j, yj in y.items():
+            k, c = row[j]
+            acc[k] = acc.get(k, 0) + c * xi * yj
+    return {k: c for k, c in acc.items() if c}
 
-    A straight-line product loses here: operands carry few nonzero coordinates.
-    """
-    acc = [zero] * len(x)
-    right = [(j, yj) for j, yj in enumerate(y) if yj]
-    for xi, row in zip(x, terms):
-        if xi:
-            for j, yj in right:
-                k, c = row[j]
-                if c:
-                    acc[k] += xi * yj * c
-    return acc
+
+def _sparse(coeffs):
+    """(terms, d): the nonzero Fraction coordinates as {index: int} over one denominator d > 0."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return {i: c.numerator * (d // c.denominator) for i, c in enumerate(coeffs) if c}, d
+
+
+def _fractions(dim, terms, den, num=1):
+    """The dim coordinates num * terms / den, a Fraction built for each term and one shared zero."""
+    return [Fraction(num * terms[k], den) if k in terms else _ZERO for k in range(dim)]
 
 
 @cache
@@ -106,7 +109,8 @@ class CliffordSignature(TableAlgebra):
         return f"Cl({self.p},{self.q})"
 
     def _mul_raw(self, x, y):
-        return tuple(_table_mul(self._terms, x, y, Fraction(0)))
+        (x, dx), (y, dy) = _sparse(x), _sparse(y)
+        return _fractions(self.dim, _table_mul(self._terms, x, y), dx * dy)
 
     def element(self, coeffs) -> "Multivector":
         """From 2^n coefficients in blade order, or a {blade: coefficient} dict."""
@@ -132,10 +136,10 @@ class CliffordSignature(TableAlgebra):
         return self.element({key: 1})
 
     def vector(self, coords) -> "Multivector":
-        coords = list(coords)
+        coords = list(map(Fraction, coords))
         if len(coords) != self.n:
             raise ValueError("need one coordinate per generator")
-        return self.element({(i,): c for i, c in enumerate(coords, start=1)})
+        return Multivector(self, [_ZERO, *coords] + [_ZERO] * (self.dim - self.n - 1))  # e_i is blade i
 
     def quadratic_form(self, v: "Multivector") -> Fraction:
         """Q(v) for a grade-1 element: sum of metric-weighted squared coordinates."""
@@ -175,9 +179,7 @@ class Multivector(TableElement):
 
     def vector_part(self):
         """Coordinates on e_1..e_n when the element is pure grade 1, else None."""
-        if not self.grades() <= {1}:
-            return None
-        return [self.coeffs[self.sig.blade_index[(i,)]] for i in range(1, self.sig.n + 1)]
+        return list(self.coeffs[1 : self.sig.n + 1]) if self.grades() <= {1} else None
 
     def is_even(self) -> bool:
         return all(g % 2 == 0 for g in self.grades())
@@ -185,38 +187,37 @@ class Multivector(TableElement):
     def inverse(self) -> "Multivector":
         """Two-sided inverse by the characteristic-polynomial recursion of `_inverse_parts`."""
         denom, _, y, s = self._inverse_parts()
-        return Multivector(self.sig, [Fraction(denom * a, s) for a in y])
+        return Multivector(self.sig, _fractions(self.sig.dim, y, s, denom))
 
     def _inverse_parts(self):
-        """Integers (denom, v, y, s) with v = denom x integral and x^{-1} = denom y / s.
+        """(denom, v, y, s), v = denom x and y sparse integers, with x^{-1} = denom y / s.
 
-        With U_1 = v and U_k = v (U_{k-1} - C_{k-1}), C_k = N <U_k>_0 / k, the
-        C_k are the coefficients of the characteristic polynomial of v in a
-        faithful N x N representation, N = 2^ceil(n/2), so every step is an
-        exact integer division.  By Cayley-Hamilton U_N is the scalar s, which
-        is zero exactly when x is singular, and y = U_{N-1} - C_{N-1}; v y = s
-        is checked on both sides.
+        With U_1 = v and U_k = v (U_{k-1} - C_{k-1}), C_k = N <U_k>_0 / k, the C_k
+        are the coefficients of the characteristic polynomial of v in a faithful
+        N x N representation, N = 2^ceil(n/2), so every division is exact.  By
+        Cayley-Hamilton U_N is the scalar s, zero exactly when x is singular, and
+        y = U_{N-1} - C_{N-1}; v y = s is checked on both sides.
         """
-        sig = self.sig
-        table = sig._terms
-        v, denom = _cleared(self.coeffs)
-        size = 1 << ((sig.n + 1) // 2)
-        y = [1] + [0] * (sig.dim - 1)  # U_{k-1} - C_{k-1}, with U_0 - C_0 = 1
+        table = self.sig._terms
+        v, denom = _sparse(self.coeffs)
+        size = 1 << ((self.sig.n + 1) // 2)
+        y = {0: 1}  # U_{k-1} - C_{k-1}, with U_0 - C_0 = 1
         for k in range(1, size + 1):
-            u = _table_mul(table, v, y, 0)
+            u = _table_mul(table, v, y)
             if k == size:
                 break
-            c, rem = divmod(size * u[0], k)
+            c, rem = divmod(size * u.get(0, 0), k)
             if rem:
                 raise AssertionError("characteristic coefficient is not an integer")
             y = u
-            y[0] -= c
-        s = u[0]
-        if any(u[1:]):
+            if c:  # u_0 - c is nonzero: u_0 = c = N u_0 / k only when u_0 = 0
+                y[0] = u.get(0, 0) - c
+        s = u.pop(0, 0)
+        if u:
             raise AssertionError("U_N is not a scalar")
         if s == 0:
             raise NotInvertibleError("element is singular: its determinant is 0")
-        if _table_mul(table, y, v, 0) != u:
+        if _table_mul(table, y, v) != {0: s}:
             raise AssertionError("inverse failed two-sided verification")
         return denom, v, y, s
 
@@ -224,19 +225,21 @@ class Multivector(TableElement):
 def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     """Product of vectors with Q(v) = +-1; the factorization is remembered.
 
-    The factor list is the only source of a later membership witness.
+    The factor list is the only source of a later membership witness.  With
+    v = w / d, Q(v) = +-1 is checked in integers as sum m_i w_i^2 = +-d^2.
     """
-    factors, acc, denom = [], list(sig._one), 1
+    factors, acc, denom = [], {0: 1}, 1
     for coords in vectors:
-        v = sig.one()._check(coords) if isinstance(coords, Multivector) else sig.vector(coords)
-        qv = sig.quadratic_form(v)
-        if qv not in (1, -1):
-            raise ValueError(f"factor has Q = {qv}, need a unit vector")
+        if isinstance(coords, Multivector):
+            sig.quadratic_form(sig.one()._check(coords))  # raises unless coords has grade 1
+            coords = coords.coeffs[1 : sig.n + 1]
+        v = sig.vector(coords)
+        w, d = _sparse(v.coeffs[: sig.n + 1])
+        if (qw := sum(sig.metric[i - 1] * c * c for i, c in w.items())) not in (d * d, -d * d):
+            raise ValueError(f"factor has Q = {Fraction(qw, d * d)}, need a unit vector")
         factors.append(v)
-        w, d = _cleared(v.coeffs)
-        acc = _table_mul(sig._terms, acc, w, 0)
-        denom *= d
-    return Multivector(sig, [Fraction(c, denom) for c in acc], factors=tuple(factors))
+        acc, denom = _table_mul(sig._terms, acc, w), denom * d
+    return Multivector(sig, _fractions(sig.dim, acc, denom), factors=tuple(factors))
 
 
 class Classification(SimpleNamespace):
@@ -367,14 +370,11 @@ def _conjugation_ints(g: Multivector):
 
     With v = D g and g^{-1} = D y / s (`_inverse_parts`), g e_j g^{-1} = v e_j y / s.
     """
-    sig, table = g.sig, g.sig._terms
+    n, table = g.sig.n, g.sig._terms
     _, v, y, s = g._inverse_parts()
-    cols, pure = [], True
-    for j in range(1, sig.n + 1):  # blade j is e_j
-        image = _table_mul(table, _table_mul(table, v, [int(k == j) for k in range(sig.dim)], 0), y, 0)
-        pure = pure and not (image[0] or any(image[sig.n + 1:]))
-        cols.append(image[1 : sig.n + 1])
-    return [list(row) for row in zip(*cols)], s, pure
+    images = [_table_mul(table, _table_mul(table, v, {j: 1}), y) for j in range(1, n + 1)]  # blade j is e_j
+    pure = set().union(*images) <= set(range(1, n + 1))
+    return [[image.get(i, 0) for image in images] for i in range(1, n + 1)], s, pure
 
 
 def conjugation_matrix(g: Multivector):
@@ -410,7 +410,7 @@ class MembershipReport(SimpleNamespace):
 
     def to_json(self):
         witness = self.spin_witness
-        rendered = None if witness is None else [list(map(str, v.vector_part())) for v in witness]
+        rendered = None if witness is None else [list(map(str, v.coeffs[1 : v.sig.n + 1])) for v in witness]
         return {**vars(self), "spin_witness": rendered}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -90,6 +91,45 @@ def test_signature_table_is_the_reordering_product_and_associative(p, q):
     for a, row in zip(sig.blades, sig._terms):
         assert row == tuple(_blade_product(a, b, sig.metric, sig.blade_index) for b in sig.blades), a
     _check_associativity(sig._terms, int.__mul__)
+
+
+def _parent_table_mul(terms, x, y, zero):
+    """Test oracle: the dense list kernel as it ran before sparse integer terms."""
+    acc = [zero] * len(x)
+    right = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, row in zip(x, terms):
+        if xi:
+            for j, yj in right:
+                k, c = row[j]
+                if c:
+                    acc[k] += xi * yj * c
+    return acc
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(clifford.MAX_DIMENSION + 1) for p in range(n + 1)])
+def test_table_mul_matches_the_reordering_product_and_the_parent_kernel(p, q):
+    sig = CliffordSignature(p, q)
+    oracle = [[_blade_product(a, b, sig.metric, sig.blade_index) for b in sig.blades] for a in sig.blades]
+    rng = SplitMix64(59 + 8 * p + q)
+
+    def operand(draws):
+        return {rng.randint(0, sig.dim - 1): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(draws)}
+
+    operands = [{}, {0: 1}, operand(1), operand(3), operand(sig.dim)]
+    operands.append({k: rng.randint(1, 9) * rng.choice((-1, 1)) for k in range(sig.dim)})
+    if sig.n >= 2:
+        operands.append({1: 1, 2: 1})  # squared, e1e2 + e2e1 cancels
+    for x in operands:
+        for y in operands:
+            got = clifford._table_mul(sig._terms, x, y)
+            expected = {}
+            for i, xi in x.items():
+                for j, yj in y.items():
+                    k, sign = oracle[i][j]
+                    expected[k] = expected.get(k, 0) + sign * xi * yj
+            assert got == {k: c for k, c in expected.items() if c}, (x, y)
+            dense = [[v.get(k, 0) for k in range(sig.dim)] for v in (x, y)]
+            assert [got.get(k, 0) for k in range(sig.dim)] == _parent_table_mul(sig._terms, *dense, 0)
 
 
 def test_dimension_budget():
@@ -347,26 +387,90 @@ def test_conjugation_matrix_matches_fraction_products_on_seeded_versors():
             assert rep.in_gamma and preserves_form(sig, conjugation_matrix(g)[0])
 
 
+def _corrupt_call(monkeypatch, call, blade):
+    """Make the call-th `_table_mul` product add 1 on the given blade index."""
+    original, count = clifford._table_mul, []
+
+    def corrupt(terms, a, b):
+        out = original(terms, a, b)
+        count.append(1)
+        if len(count) == call:
+            out[blade] = out.get(blade, 0) + 1
+        return out
+
+    monkeypatch.setattr(clifford, "_table_mul", corrupt)
+
+
 def test_inverse_checks_both_sides_and_the_scalar(monkeypatch):
     # a corrupted product inside the recursion is caught by the check that guards it
-    cl11 = CliffordSignature(1, 1)
+    cl11, cl30 = CliffordSignature(1, 1), CliffordSignature(3, 0)
     x = cl11.one().scale(2) + cl11.basis_vector(1)  # size 2: v*y twice, then y*v
-    original = clifford._table_mul
-    for call, message in ((2, "U_N is not a scalar"), (3, "two-sided verification")):
-        count = []
-
-        def corrupt(terms, a, b, zero):
-            out = original(terms, a, b, zero)
-            count.append(1)
-            if len(count) == call:
-                out[-1] += 1
-            return out
-
+    z = cl30.one().scale(2) + cl30.basis_vector(1) + cl30.blade((2, 3))  # size 4: C_3 = 4 <U_3>_0 / 3
+    for g, call, blade, message in (
+        (x, 2, 3, "U_N is not a scalar"),
+        (x, 3, 3, "two-sided verification"),
+        (z, 3, 0, "characteristic coefficient is not an integer"),
+    ):
         with monkeypatch.context() as patch:
-            patch.setattr(clifford, "_table_mul", corrupt)
+            _corrupt_call(patch, call, blade)
             with pytest.raises(AssertionError, match=message):
-                x.inverse()
-    assert x * x.inverse() == cl11.one()
+                g.inverse()
+    assert x * x.inverse() == cl11.one() and z * z.inverse() == cl30.one()
+
+
+@pytest.mark.parametrize("blade", [0, 4])  # below and above the grade-1 blades 1..3
+def test_conjugation_checks_that_each_image_has_grade_one(monkeypatch, blade):
+    # the inverse takes 4 products (size 4) and its check, then each e_j two more, its image last
+    cl30 = CliffordSignature(3, 0)
+    g = unit_vector_product(cl30, [(Fraction(3, 5), Fraction(4, 5), 0), (0, 0, 1)])
+    matrix = induced_matrix(g)
+    assert clifford_group_membership(g).in_gamma
+    for call in (7, 9, 11):  # the images of e_1, e_2, e_3
+        with monkeypatch.context() as patch:
+            _corrupt_call(patch, call, blade)
+            assert conjugation_matrix(g) == (matrix, False)
+        with monkeypatch.context() as patch:
+            _corrupt_call(patch, call, blade)
+            assert not clifford_group_membership(g).in_gamma
+        with monkeypatch.context() as patch:
+            _corrupt_call(patch, call, blade)
+            with pytest.raises(NotGradeOneError):
+                induced_matrix(g)
+
+
+def _seeded_unit_vector(rng, sig):
+    """An axis vector, or (3/5, 4/5) on two axes of one metric sign, (5/4, 3/4) on mixed ones."""
+    coords = [0] * sig.n
+    i, j = rng.randint(0, sig.n - 1), rng.randint(0, sig.n - 1)
+    if i == j:
+        coords[i] = rng.choice((1, -1))
+        return coords
+    if sig.metric[i] < sig.metric[j]:
+        i, j = j, i
+    s, t = (Fraction(3, 5), Fraction(4, 5)) if sig.metric[i] == sig.metric[j] else (Fraction(5, 4), Fraction(3, 4))
+    coords[i], coords[j] = s * rng.choice((1, -1)), t * rng.choice((1, -1))
+    return coords
+
+
+def test_clifford_outputs_match_the_dense_fraction_kernel_outputs():
+    # the digest was taken with the dense list kernel on Fraction coordinates,
+    # before products ran on sparse integer terms
+    rng = SplitMix64(61)
+    outputs, singular = [], 0
+    for p, q in SIGNATURES_UP_TO_6[1:]:
+        sig = CliffordSignature(p, q)
+        for k in (1, 2, 3, 4):
+            g = unit_vector_product(sig, [_seeded_unit_vector(rng, sig) for _ in range(k)])
+            outputs.append((g.coeffs, conjugation_matrix(g), clifford_group_membership(g).to_json()))
+        for terms in (1, 2, 3, 6):
+            x = _random_element(sig, rng, terms)
+            try:
+                outputs.append((x.inverse().coeffs, conjugation_matrix(x)))
+            except NotInvertibleError:
+                singular += 1
+            outputs.append(clifford_group_membership(x).to_json())
+    assert 0 < singular < len(SIGNATURES_UP_TO_6)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == "e1d8a26ece3fe2a23297c2d027b2f53a4fef9282b9e967ee42cc0da71f62e58e"
 
 
 def test_membership_singular_element_is_not_in_gamma():
@@ -395,9 +499,17 @@ def test_membership_unit_vector_products():
 
 
 def test_unit_vector_product_validates_q():
-    cl20 = CliffordSignature(2, 0)
-    with pytest.raises(ValueError):
-        unit_vector_product(cl20, [(1, 1)])  # Q = 2
+    cl20, cl11 = CliffordSignature(2, 0), CliffordSignature(1, 1)
+    # Q is checked in integers, sum m_i w_i^2 = +-d^2 for v = w / d: (1/2, 1/2) has sum d, not d^2
+    for sig, coords, q in ((cl20, (1, 1), "2"), (cl20, ("1/2", "1/2"), "1/2"), (cl11, (1, 1), "0")):
+        with pytest.raises(ValueError, match=f"factor has Q = {q}, need a unit vector"):
+            unit_vector_product(sig, [coords])
+    g = unit_vector_product(cl11, [cl11.vector((Fraction(3, 4), Fraction(5, 4))), (1, 0)])  # Q = -1, then 1
+    assert g == cl11.vector((Fraction(3, 4), Fraction(5, 4))) * cl11.basis_vector(1)
+    with pytest.raises(NotGradeOneError):
+        unit_vector_product(cl20, [cl20.blade((1, 2))])
+    with pytest.raises(SignatureMismatchError):
+        unit_vector_product(cl20, [cl11.basis_vector(1)])
 
 
 def test_reflection_determinant_convention():
