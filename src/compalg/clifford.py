@@ -9,19 +9,18 @@ and the 2^n basis blades are the subsets of {1..n} in graded lexicographic
 order, so blade i is e_i.  A blade product is one signed blade, so
 `CliffordSignature` is a table algebra over QQ on the element core of
 `quaternion`, its table shared read-only (`_signature_table`).  The sign is
-bimultiplicative, hence a 2-cocycle, so the table is associative: a twisted
-group algebra of (Z/2)^n (Albuquerque and Majid, JPAA 171, 2002).  The tests
-check every table against a reordering product and prove it associative.  The
-center is read off the same table, with no elimination.  An element prints as
-a sum such as "1/2 - 2*e12", the text that `cli.parse_multivector` reads back.
+bimultiplicative, hence a 2-cocycle, so the table is associative (a twisted
+group algebra of (Z/2)^n; Albuquerque and Majid, JPAA 171, 2002; the tests
+prove it).  The center is read off the same table, with no elimination.
+Elements print as sums like "1/2 - 2*e12", which `cli.parse_multivector` reads.
 
-Coefficients are exact rationals (so rational witnesses stand in for real
-ones), but products run in `_table_mul` on sparse integer terms over one
-denominator; Fractions are built only for the element returned.  Inverses
-follow Shirokov's characteristic-polynomial recursion (a Faddeev-LeVerrier
-scheme in a faithful representation of size N = 2^ceil(n/2)): at most
-N - 1 <= 7 products on those integers, no 2^n x 2^n elimination, and a check
-on both sides.  Conjugation runs on the same integers, divided once at the end.
+Coefficients are exact rationals (rational witnesses stand in for real ones),
+but products run in `_table_mul` on sparse integer terms over one denominator;
+Fractions are built only for the element returned.  Inverses follow Shirokov's
+characteristic-polynomial recursion (Faddeev-LeVerrier in a faithful
+representation of size N = 2^ceil(n/2)): at most N - 1 <= 7 products on those
+integers, no 2^n x 2^n elimination, a check on both sides.  Conjugation runs
+on the same integers, divided once at the end.
 
 The conjugation action used throughout is the plain g x g^{-1} (untwisted);
 for a product of k invertible generators the induced map on the span of the
@@ -62,8 +61,9 @@ def _table_mul(terms, x, y):
 
 def _sparse(coeffs):
     """(terms, d): the nonzero Fraction coordinates as {index: int} over one denominator d > 0."""
-    d = lcm(*[c.denominator for c in coeffs])
-    return {i: c.numerator * (d // c.denominator) for i, c in enumerate(coeffs) if c}, d
+    nonzero = {i: c for i, c in enumerate(coeffs) if c}
+    d = lcm(*[c.denominator for c in nonzero.values()])
+    return {i: c.numerator * (d // c.denominator) for i, c in nonzero.items()}, d
 
 
 def _fractions(dim, terms, den, num=1):
