@@ -412,7 +412,8 @@ def cmd_clifford(args) -> Result:
 
 def _spin_check(args) -> Result:
     from . import clifford as cliff
-    from .ratlin import det as rat_det
+    from .fields import QQ
+    from .matrices import field_echelon
     from .rng import SplitMix64
 
     sig = cliff.CliffordSignature(args.p, args.q)
@@ -431,7 +432,7 @@ def _spin_check(args) -> Result:
             coords.append(vec)
         g = cliff.unit_vector_product(sig, coords)
         matrix = cliff.induced_matrix(g)
-        ok = cliff.preserves_form(sig, matrix) and rat_det(matrix) == 1
+        ok = cliff.preserves_form(sig, matrix) and field_echelon(matrix, QQ)[1] == 1
         if not ok:
             failures.append({"trial": trial, "factors": [list(map(str, c)) for c in coords]})
     payload = {

@@ -142,7 +142,9 @@ class CliffordSignature(TableAlgebra):
         return Multivector(self, [_ZERO, *coords] + [_ZERO] * (self.dim - self.n - 1))  # e_i is blade i
 
     def quadratic_form(self, v: "Multivector") -> Fraction:
-        """Q(v) for a grade-1 element: sum of metric-weighted squared coordinates."""
+        """Q(v) for a grade-1 element of this signature: sum of metric-weighted squared coordinates."""
+        if not isinstance(v, Multivector) or v.sig != self:
+            raise SignatureMismatchError("multivectors over different signatures")
         coords = v.vector_part()
         if coords is None:
             raise NotGradeOneError("the quadratic form applies to vectors only")
@@ -231,7 +233,7 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     factors, acc, denom = [], {0: 1}, 1
     for coords in vectors:
         if isinstance(coords, Multivector):
-            sig.quadratic_form(sig.one()._check(coords))  # raises unless coords has grade 1
+            sig.quadratic_form(coords)  # raises unless coords is a grade-1 element of sig
             coords = coords.coeffs[1 : sig.n + 1]
         v = sig.vector(coords)
         w, d = _sparse(v.coeffs[: sig.n + 1])

@@ -177,10 +177,6 @@ class QuadExt(FieldSpec):
     def __hash__(self):
         return hash(("quad", self.base, self.a))
 
-    def embed(self, value) -> "Scalar":
-        """Base-field value as an extension element with zero sqrt(a) part."""
-        return self.element((value, 0))
-
     def gen(self) -> "Scalar":
         """The element sqrt(a)."""
         return self.element((0, 1))

@@ -358,11 +358,6 @@ def _unpack(v, w, count):
     return [(v >> w * c & mask) - half for c in range(count)]
 
 
-def field_rank(rows, spec: FieldSpec) -> int:
-    """Rank of a matrix of raw QQ or GF(p) values: the pivots of `field_echelon`."""
-    return len(field_echelon(rows, spec)[0])
-
-
 class CompMatrix(RingMatrix):
     """Matrix with entries from one composition algebra; a right module."""
 
@@ -417,12 +412,12 @@ def _vanishes(acc, p) -> bool:
     return not any(v % p if p else v for row in acc for a in row for v in a)
 
 
-def _combine_raw(algebra, family, ys, count):
-    """First `count` rows of D * sum family[i] . ys[i] for raw matrices and
-    coefficients, unreduced, by the straight-line product x * y of each entry
-    x, where D = `algebra._den` is 1 unless a or b is a non-integral rational."""
+def _combine_raw(algebra, family, ys):
+    """D * sum family[i] . ys[i] for raw matrices and coefficients, unreduced,
+    by the straight-line product x * y of each entry x, where D =
+    `algebra._den` is 1 unless a or b is a non-integral rational."""
     mul, consts = algebra._family, algebra._consts
-    acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in range(count)]
+    acc = [[[0] * algebra.dim for _ in family[0][0]] for _ in family[0]]
     for Z, y in zip(family, ys):
         if any(y):
             for acc_row, row in zip(acc, Z):
@@ -585,11 +580,11 @@ def _skew_solve_raw(algebra, rows):
     blocks = [y[4 * j : 4 * j + 4] for j in range(len(rows[0]))]
     f = next(j for j, b in enumerate(blocks) if any(b))
     # the row of blocks times conj(y_f), times D; its entry f is D * N(y_f)
-    (ys,) = _combine_raw(algebra, [(blocks,)], [[blocks[f][0]] + [-v for v in blocks[f][1:]]], 1)
+    (ys,) = _combine_raw(algebra, [(blocks,)], [[blocks[f][0]] + [-v for v in blocks[f][1:]]])
     if any(ys[f][1:]):
         raise AssertionError("norm has a nonreal component; structure table is broken")
     columns = [[(row[t],) for row in rows] for t in range(len(blocks))]
-    if not _vanishes(_combine_raw(algebra, columns, ys, len(rows)), algebra.field.characteristic):
+    if not _vanishes(_combine_raw(algebra, columns, ys), algebra.field.characteristic):
         raise AssertionError("skew elimination produced a bad kernel vector")
     return ys, ys[f][0]
 

@@ -18,14 +18,14 @@ mutually distinct m x n matrices and a target d, let r = m - d + 1 and
 threshold = r over a division algebra, 4 * r otherwise.  When
 M >= 1 + n * threshold, the truncations to the first r rows are dependent
 (as right vectors in C^(r*n), or as base-field coefficient vectors), and the
-returned coefficients zero out the first r rows of the combination, which
+checked coefficients zero out the first r rows of the combination, which
 then has rank at most d - 1.  The split case eliminates the raw coefficient
 rows with `matrices.field_echelon`, the division case the half-size matrix
 H of the stacked entries (`skew_solve`'s core); both take the first kernel
 vector (`kernel()`), in integers, so the witness is reproducible.
 
-`verify_span_bound` runs each trial on raw coordinates: it forms the m-row
-combination once, checks its first r rows, ranks the combination's integer
+`verify_span_bound` runs each trial on raw coordinates: it forms and ranks
+only the last d - 1 rows of the combination (none at d = 1), on integer
 numerators with `comp_rank`'s raw core, and builds elements only for the
 matrices of a counterexample.  Split coefficients are base scalars c_t * 1,
 so that combination is the scaled sum of c_t * T_t (`_scaled_sum`).
@@ -85,9 +85,8 @@ def dependence_bound(algebra, m: int, d: int) -> int:
 def low_rank_combination(matrices, d: int):
     """Coefficients (a_1, ..., a_M), not all zero, killing the first m-d+1 rows.
 
-    Raises BoundNotMetError when M < 1 + n * threshold.  The truncated
-    combination is checked to vanish (over a division algebra by the
-    substitution of `skew_solve`'s core) before the coefficients are returned.
+    Raises BoundNotMetError when M < 1 + n * threshold.  `_combination`
+    checks that the coefficients kill those rows.
     """
     matrices = list(matrices)
     if not matrices:
@@ -106,26 +105,24 @@ def low_rank_combination(matrices, d: int):
     threshold = dependence_bound(algebra, m, d)
     if len(family) < 1 + n * threshold:
         raise BoundNotMetError(f"need at least {1 + n * threshold} matrices, got {len(family)}")
-    keep, p = m - d + 1, algebra.field.characteristic
-    ys, den = _combination(algebra, family, keep)
+    ys, den = _combination(algebra, family, m - d + 1)
     split = algebra.is_split_decision() == SPLIT
-    if split and not _vanishes(_scaled_sum(family, ys, keep), p):
-        raise AssertionError("combination failed to kill the truncated rows")
     return tuple(_element(algebra, [y * e for e in algebra._one] if split else y, den) for y in ys)
 
 
-def _scaled_sum(family, cs, count):
-    """First `count` rows of sum c_t * T_t for raw matrices T_t and base
-    scalars c_t, unreduced: the split combination, as x * (c*1) = c*x."""
-    coords = zip(*[chain.from_iterable(chain.from_iterable(T[:count])) for T in family])  # one tuple per (i, j, c)
+def _scaled_sum(family, cs):
+    """sum c_t * T_t for raw matrices T_t and base scalars c_t, unreduced:
+    the split combination, as x * (c*1) = c*x."""
+    coords = zip(*[chain.from_iterable(chain.from_iterable(T)) for T in family])  # one tuple per (i, j, c)
     entries, n = list(zip(*[iter([sum(map(operator.mul, cs, v)) for v in coords])] * 4)), len(family[0][0])
-    return [entries[n * i : n * i + n] for i in range(count)]
+    return [entries[n * i : n * i + n] for i in range(len(family[0]))]
 
 
 def _combination(algebra, family, keep):
     """Coefficients (numerators, denominator) killing the first `keep` rows of
-    raw matrices.  Split: the first kernel vector over k as base scalars, over
-    its first nonzero entry.  Division: `skew_solve`'s core, as 4-vectors."""
+    raw matrices, checked on those rows.  Split: the first kernel vector over k
+    as base scalars, over its first nonzero entry, checked by their scaled sum.
+    Division: `skew_solve`'s core, as 4-vectors, checked by its substitution."""
     n, p = len(family[0][0]), algebra.field.characteristic
     if algebra.is_split_decision() == SPLIT:
         rows = [[T[i][j][c] for T in family] for i in range(keep) for j in range(n) for c in range(4)]
@@ -133,9 +130,11 @@ def _combination(algebra, family, keep):
         if found is None:
             raise AssertionError("dependence guaranteed by dimension count was not found")
         sol = found[0]
-        if p:
+        if p:  # mod p the first nonzero entry becomes 1, the denominator
             inv = pow(next(c for c in sol if c), -1, p)
-            return [c * inv % p for c in sol], 1
+            sol = [c * inv % p for c in sol]
+        if not _vanishes(_scaled_sum([T[:keep] for T in family], sol), p):
+            raise AssertionError("combination failed to kill the truncated rows")
         return sol, next(c for c in sol if c)
     sol = _skew_solve_raw(algebra, [[T[i][j] for T in family] for i in range(keep) for j in range(n)])
     if sol is None:
@@ -200,7 +199,7 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
     report = SpanReport(params=params)
     if trials and m > n:
         raise ValueError("shapes must satisfy m <= n")
-    keep, p, split = m - d + 1, algebra.field.characteristic, algebra.is_split_decision() == SPLIT
+    keep, split = m - d + 1, algebra.is_split_decision() == SPLIT
     rng = SplitMix64(seed)
     started = time.monotonic()
     for trial in range(trials):
@@ -210,14 +209,14 @@ def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,
         failure = None
         try:
             ys, _ = _combination(algebra, family, keep)
-            acc = _scaled_sum(family, ys, m) if split else _combine_raw(algebra, family, ys, m)
-            if not _vanishes(acc[:keep], p):
-                failure = "combination failed to kill the truncated rows" if split else "truncated combination is nonzero"
-            elif not any(ys if split else map(any, ys)):
+            if not any(ys if split else map(any, ys)):
                 failure = "coefficients all zero"
-            elif (rank := _comp_rank_raw(algebra, acc)) > d - 1:
-                # acc is the combination times its denominator (and D when not split), a nonzero central scalar
-                failure = f"rank {rank} exceeds {d - 1}"
+            elif d > 1:
+                # rows keep.. of the combination times its denominator (and D when not split), a nonzero central scalar
+                rest = [T[keep:] for T in family]
+                acc = _scaled_sum(rest, ys) if split else _combine_raw(algebra, rest, ys)
+                if (rank := _comp_rank_raw(algebra, acc)) > d - 1:
+                    failure = f"rank {rank} exceeds {d - 1}"
         except AssertionError as exc:
             failure = str(exc)
         report.trials += 1

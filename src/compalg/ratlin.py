@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from .fields import QQ
-from .matrices import field_echelon, field_rank
+from .matrices import field_echelon
 
 
 def solve_square(A, b):
@@ -27,4 +27,4 @@ def det(A) -> Fraction:
 
 def nullity(A, ncols) -> int:
     """Dimension of the kernel of the column action of A (rows of length ncols)."""
-    return ncols - field_rank(A, QQ)
+    return ncols - len(field_echelon(A, QQ)[0])

@@ -13,7 +13,8 @@ as its own `CompMatrix` and decided by `is_invertible`.
 `gauss_jordan` is the oracle of the two elimination kernels, which share
 nothing with it: plain Gauss-Jordan elimination on Fractions, or on pairs
 of Fractions x + y*sqrt(a) over Q(sqrt(a)), or on residues mod a prime p.
-`as_fractions` reads a kernel vector (numerators, denominator) as Fractions.
+`as_fractions` reads a kernel vector (numerators, denominator) as Fractions,
+and `field_rank` is the pivot count of `field_echelon`.
 
 `combine` and `sample_distinct_matrices` are the element-level forms of the
 raw cores `matrices._combine_raw` and `rank._sample`, which only tests use.
@@ -88,6 +89,11 @@ def gauss_jordan(rows, a=0, p=0):
     return pivots, det if len(pivots) == ncols else zero, kernel
 
 
+def field_rank(rows, spec) -> int:
+    """Rank of a matrix of raw QQ or GF(p) values: the pivots of `field_echelon`."""
+    return len(field_echelon(rows, spec)[0])
+
+
 def as_fractions(kernel):
     """A kernel vector (numerators, denominator) as Fractions (pairs of them
     over a quadratic field), or None."""
@@ -109,7 +115,7 @@ def combine(matrices, coeffs) -> CompMatrix:
             raise ShapeError("combined matrices must share one shape")
     d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
     ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
-    acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys, m)
+    acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys)
     return CompMatrix(algebra, [[_element(algebra, a, d * algebra._den) for a in row] for row in acc])
 
 

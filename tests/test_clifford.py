@@ -539,6 +539,19 @@ def test_quadratic_form_values():
     assert cl12.quadratic_form(cl12.vector((2, 1, 1))) == 4 - 1 - 1
 
 
+def test_quadratic_form_refuses_another_signature():
+    # Q(e2) is -1 in Cl(1,1), not Cl(2,0)'s 1; a Cl(2,0) vector is not read as a
+    # truncated Cl(3,0) one; an equal signature built again is the same signature
+    cl20, cl11, cl30 = CliffordSignature(2, 0), CliffordSignature(1, 1), CliffordSignature(3, 0)
+    for sig, v in ((cl20, cl11.basis_vector(2)), (cl30, cl20.vector((1, 0))), (cl11, cl20.vector((1, 1)))):
+        with pytest.raises(SignatureMismatchError):
+            sig.quadratic_form(v)
+    with pytest.raises(SignatureMismatchError):
+        cl20.quadratic_form((1, 0))
+    assert cl20.quadratic_form(CliffordSignature(2, 0).vector((1, 2))) == 5
+    assert cl11.quadratic_form(cl11.basis_vector(2)) == -1
+
+
 def test_blade_rejects_bad_indices():
     cl20 = CliffordSignature(2, 0)
     assert cl20.blade((2, 1)) == -(cl20.basis_vector(2) * cl20.basis_vector(1))

@@ -69,7 +69,7 @@ def test_conjugation_formula_and_involution():
     L = QuadExt(QQ, 2)
     x = L.element((3, 2))
     assert x.conjugate() == L.element((3, -2))
-    assert L.embed(5).conjugate() == L.embed(5)
+    assert L.element(5).conjugate() == L.element(5)
     rng = SplitMix64(11)
     for _ in range(200):
         z = random_scalar(L, rng)
@@ -221,9 +221,16 @@ def test_raw_values_stay_canonical(base, squares, canonical):
     for a in squares:  # a non-square and a square a
         L = QuadExt(base, a)
         z, w = L.element((Fraction(-3, 2), 5)), L.element((1, -2))
-        results = [z + w, z - w, -z, z * w, z.conjugate(), z.inverse(), L.embed(Fraction(1, 3)), L.gen()]
+        results = [z + w, z - w, -z, z * w, z.conjugate(), z.inverse(), L.element(Fraction(1, 3)), L.gen()]
         canonical(base, [v for s in results for v in s.raw] + [L._norm(z.raw), L.a])
         if L.split:
             parts = split_components(z)
             canonical(base, [c.raw for c in parts] + list(from_split_components(L, *parts).raw))
             assert from_split_components(L, *parts) == z
+
+
+def test_scalar_repr_is_pinned():
+    # the raw value and the field, as `repr` gives them; no workload prints a Scalar
+    assert repr(QQ.element(Fraction(-3, 2))) == "Scalar(Fraction(-3, 2) over QQ)"
+    assert repr(PrimeField(7).element(10)) == "Scalar(3 over GF(7))"
+    assert repr(QuadExt(QQ, 2).element((1, Fraction(1, 3)))) == "Scalar((Fraction(1, 1), Fraction(1, 3)) over QQ[sqrt(2)])"

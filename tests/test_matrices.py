@@ -148,7 +148,7 @@ def test_study_det_multiplicative_and_tau_fixed():
             d = symplectic_rep(Z).det()
             assert d.conjugate() == d
             L = alg.quad_subfield()
-            assert L.embed(study_det(Z)) == d * d
+            assert L.element(study_det(Z)) == d * d
 
 
 def test_flatten_identity_and_roundtrip():
@@ -242,7 +242,7 @@ def test_study_det_is_norm_of_doubling_determinant(alg):
         n = rng.randint(1, 4)
         Z = random_matrix(alg, n, n, rng, bound=1)
         d = symplectic_rep(Z).det()
-        assert L.embed(study_det(Z)) == d * d.conjugate(), Z.entries
+        assert L.element(study_det(Z)) == d * d.conjugate(), Z.entries
         sizes.add(n)
     assert sizes == {1, 2, 3, 4}
 
@@ -985,3 +985,12 @@ def test_half_size_checks_fail_on_a_broken_builder(monkeypatch):
                 patch.setattr(module, "_half", builder)
             with pytest.raises(AssertionError, match=message):
                 call()
+
+
+def test_matrix_reprs_are_pinned():
+    # a FieldMatrix prints its raw entries row by row, a CompMatrix only its shape and algebra
+    assert repr(FieldMatrix(QQ, [[1, Fraction(1, 2)], [0, -3]])) == (
+        "FieldMatrix(2x2: Fraction(1, 1) Fraction(1, 2); Fraction(0, 1) Fraction(-3, 1))"
+    )
+    assert repr(FieldMatrix(PrimeField(5), [[7]])) == "FieldMatrix(1x1: 2)"
+    assert repr(CompMatrix(HQ, [[HQ.one(), HQ.zero()]])) == "CompMatrix(1x2 over (-1,-1)_QQ)"

@@ -225,3 +225,8 @@ def test_sparse_products_and_divisions_match_the_dense_oracle():
 def test_one_minus_is_one_minus_the_monomial():
     for power in range(0, 13):
         assert one_minus(power) == UniPoly.one() - UniPoly.monomial(power)
+
+
+def test_unipoly_repr_is_pinned():
+    assert repr(UniPoly([1, 0, -2, 3])) == "UniPoly(1 - 2t^2 + 3t^3)"
+    assert repr(UniPoly.zero()) == "UniPoly(0)"

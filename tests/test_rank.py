@@ -18,7 +18,6 @@ from compalg.errors import (
 from compalg.fields import QQ, PrimeField, QuadExt, Scalar
 from compalg.matrices import (
     CompMatrix,
-    field_rank,
     is_invertible,
 )
 from compalg.quaternion import Mat2Algebra, QuatAlgebra
@@ -31,7 +30,7 @@ from compalg.rank import (
 from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json, matrix_to_json
 from compalg.matrices import skew_column_rank
-from conftest import combine, gauss_jordan, sample_distinct_matrices
+from conftest import combine, field_rank, gauss_jordan, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -516,11 +515,15 @@ def test_witness_checks_still_run(monkeypatch):
         patch.setattr(rank, "field_echelon", lambda rows, f: ([0], None, lambda: ([1] + [0] * 4, 1)))
         with pytest.raises(AssertionError, match="failed to kill the truncated rows"):
             low_rank_combination(split, 1)
+    # the trials run the same checked raw core, so a wrong witness in it reaches the trial's report
     with monkeypatch.context() as patch:
-        # the trials run the raw core, so its coefficients (1, 0, ..., 0) over 1 reach the trial's own check
-        patch.setattr(rank, "_combination", lambda algebra, family, keep: ([[1, 0, 0, 0]] + [[0] * 4] * (len(family) - 1), 1))
+        patch.setattr(matrices, "_skew_kernel", wrong_kernel)
         report = verify_span_bound(HQ, 2, 2, 1, trials=1, seed=3)
-    assert report.successes == 0 and report.counterexample["reason"] == "truncated combination is nonzero"
+    assert report.successes == 0 and report.counterexample["reason"] == "skew elimination produced a bad kernel vector"
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "field_echelon", lambda rows, f: ([0], None, lambda: ([1] + [0] * 4, 1)))
+        report = verify_span_bound(Mat2Algebra(QQ), 1, 1, 1, trials=1, seed=3)
+    assert report.successes == 0 and report.counterexample["reason"] == "combination failed to kill the truncated rows"
 
 
 def test_comp_rank_of_full_rank_square_is_one_elimination(monkeypatch):
@@ -773,28 +776,31 @@ def _combination_giving(first):
 
 def test_every_trial_check_reaches_the_report(monkeypatch):
     # each check of a trial, made to fail, is the counterexample's reason, and the
-    # counterexample holds the sampled family
+    # counterexample holds the sampled family; the rank check runs only from d = 2
     cases = [
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([], True), "combination failed to kill the truncated rows"),
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([0], False), "dependence guaranteed by dimension count was not found"),
         (HQ, matrices, "pair_echelon", _pair_echelon_giving([], True), "skew elimination produced a bad kernel vector"),
         (HQ, matrices, "pair_echelon", _pair_echelon_giving([0], True), "pivots of the half-size matrix over a division algebra are not whole pairs"),
         (HQ, matrices, "pair_echelon", _pair_echelon_giving([0, 1], False), "dependence guaranteed by dimension count was not found"),
-        (HQ, rank, "_combination", _combination_giving((1, 0, 0, 0)), "truncated combination is nonzero"),
         (HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
-        (HQ, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 0"),
-        (SPLIT_F2, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 0"),
     ]
-    for algebra, module, attribute, stand_in, reason in cases:
+    cases = [(1, 1, 1, *case) for case in cases] + [
+        (2, 2, 2, HQ, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 1"),
+        (2, 2, 2, SPLIT_F2, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 1"),
+    ]
+    for m, n, d, algebra, module, attribute, stand_in, reason in cases:
         with monkeypatch.context() as patch:
             patch.setattr(module, attribute, stand_in)
-            report = verify_span_bound(algebra, 1, 1, 1, trials=1, seed=3).to_json()
+            report = verify_span_bound(algebra, m, n, d, trials=1, seed=3).to_json()
         assert report["successes"] == 0 and report["counterexample"]["reason"] == reason
-        pinned = PINNED_FAMILIES[algebra]
-        family = sample_distinct_matrices(algebra, 1, 1, len(pinned), SplitMix64(3).fork())
+        size = report["params"]["family_size"]
+        family = sample_distinct_matrices(algebra, m, n, size, SplitMix64(3).fork())
         assert report["counterexample"]["matrices"] == [matrix_to_json(Z) for Z in family]
-        key = "entries" if algebra is HQ else "blocks"
-        assert [Z[key][0] for Z in report["counterexample"]["matrices"]] == pinned
+        if m == 1:
+            pinned = PINNED_FAMILIES[algebra]
+            key = "entries" if algebra is HQ else "blocks"
+            assert [Z[key][0] for Z in report["counterexample"]["matrices"]] == pinned
 
 
 def test_verify_span_bound_refuses_more_rows_than_columns():
@@ -831,20 +837,66 @@ def test_comp_rank_matches_the_lz_oracle(alg, lz):
 
 
 @pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), SPLIT_F2, HQ], ids=repr)
-def test_span_trial_forms_its_combination_once(algebra, monkeypatch):
-    # one m-row combination per trial, whose integer numerators go to the raw comp_rank core:
-    # a scaled sum of base scalars when split, entry products over a division algebra
-    calls, ranked = {"_scaled_sum": [], "_combine_raw": []}, []
-    for name, form in [(name, getattr(rank, name)) for name in calls]:
-        monkeypatch.setattr(rank, name, lambda *args, name=name, form=form: calls[name].append(args[-1]) or form(*args))
+def test_span_trial_forms_its_combination_once(algebra, monkeypatch, lz):
+    # each row of a trial's combination is formed once: rows 0..keep-1 inside _combination (the scaled
+    # sum when split, skew_solve's substitution over a division algebra), where they vanish, and rows
+    # keep..m-1 in the trial, from integer numerators, equal to the element oracle's rows times the
+    # denominator (and D), and ranked; at d = 1 the trial forms and ranks nothing
+    split = algebra.is_split_decision() == "split"
+    p, D = algebra.field.characteristic, 1 if split else algebra._den
+    calls, ranked, combined = [], [], []
+
+    def recorded(module, name):
+        form = getattr(module, name)
+
+        def call(*args):
+            out = form(*args)
+            family = args[1] if name == "_combine_raw" else args[0]
+            calls.append((name, "inside" if inside else "trial", len(family[0]), out))
+            return out
+        monkeypatch.setattr(module, name, call)
+
+    inside = []
+    combination = rank._combination
+
+    def combination_inside(alg, family, keep):
+        inside.append(True)
+        try:
+            ys, den = combination(alg, family, keep)
+        finally:
+            inside.pop()
+        combined.append((family, den))
+        return ys, den
+
+    for module, name in ((rank, "_scaled_sum"), (rank, "_combine_raw"), (matrices, "_combine_raw")):
+        recorded(module, name)
+    monkeypatch.setattr(rank, "_combination", combination_inside)
     rank_of = rank._comp_rank_raw
     monkeypatch.setattr(rank, "_comp_rank_raw", lambda alg, raw: ranked.append(raw) or rank_of(alg, raw))
-    report = verify_span_bound(algebra, 2, 3, 2, trials=3, seed=9)
-    assert report.successes == 3
-    split = algebra.is_split_decision() == "split"
-    assert calls == {"_scaled_sum": [2, 2, 2] if split else [], "_combine_raw": [] if split else [2, 2, 2]}
-    assert len(ranked) == 3 and all(type(v) is int for raw in ranked for row in raw for e in row for v in e)
-    assert all(len(raw) == 2 and len(raw[0]) == 3 and all(len(e) == 4 for row in raw for e in row) for raw in ranked)
+    for k, (m, n, d) in enumerate(((2, 3, 2), (2, 2, 1), (3, 3, 3))):
+        for log in (calls, ranked, combined):
+            log.clear()
+        assert verify_span_bound(algebra, m, n, d, trials=2, seed=9 + k).successes == 2
+        keep = m - d + 1
+        assert len(combined) == 2
+        # rows 0..keep-1: one scaled sum of keep rows when split, one substitution of keep * n stacked
+        # entries (after the norm of y_f, one row) over a division algebra
+        first = [c for c in calls if c[1] == "inside"]
+        assert [(name, rows) for name, _, rows, _ in first] == (
+            [("_scaled_sum", keep)] * 2 if split else [("_combine_raw", 1), ("_combine_raw", keep * n)] * 2
+        ), (m, n, d)
+        substituted = first if split else first[1::2]  # the other calls form the norm of y_f
+        assert all(matrices._vanishes(out, p) for *_, out in substituted)
+        # rows keep..m-1: formed once in the trial (none at d = 1), equal to the oracle's rows, and ranked
+        rest = [c for c in calls if c[1] == "trial"]
+        assert [name for name, *_ in rest] == ([] if d == 1 else ["_scaled_sum" if split else "_combine_raw"] * 2)
+        assert ranked == [out for *_, out in rest]
+        for (family, den), (*_, out) in zip(combined, rest):
+            assert len(out) == d - 1 and all(type(v) is int for row in out for e in row for v in e)
+            mats = [rank._matrix(algebra, raw) for raw in family]
+            full = _combine_by_definition(mats, _oracle_low_rank_combination(mats, d, lz))
+            expected = full.submatrix(range(keep, m), range(n)).scale_right(algebra.from_base(den * D))
+            assert rank._matrix(algebra, out) == expected, (m, n, d)
 
 
 MINOR_SEARCH_ALGEBRAS = [
@@ -913,8 +965,9 @@ def test_minors_of_a_pair_path_matrix_check_their_sqrt_a_part(monkeypatch):
 @pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(PrimeField(7), 3, 6), SPLIT_F2, HQ,
                                      QuatAlgebra(QQ, 1, -1), QuatAlgebra(QQ, 3, -3)], ids=repr)
 def test_span_trial_rank_on_raw_acc_is_the_comp_matrix_rank(algebra, monkeypatch):
-    # a trial ranks its combination on the raw, unreduced acc; through CompMatrix,
-    # whose entries are reduced, the rank is the same
+    # from d = 2 a trial ranks the last d - 1 rows of its combination on the raw,
+    # unreduced acc; through CompMatrix, whose entries are reduced, the rank is the
+    # same; at d = 1 it ranks nothing
     seen = []
     rank_of = rank._comp_rank_raw
 
@@ -924,9 +977,12 @@ def test_span_trial_rank_on_raw_acc_is_the_comp_matrix_rank(algebra, monkeypatch
 
     with monkeypatch.context() as patch:
         patch.setattr(rank, "_comp_rank_raw", recorded)
-        for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (2, 3, 2), (2, 2, 2), (1, 3, 1))):
+        for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (1, 3, 1))):
             assert verify_span_bound(algebra, m, n, d, trials=2, seed=61 + k).successes == 2
-    assert len(seen) == 10
+        assert seen == []
+        for k, (m, n, d) in enumerate(((2, 3, 2), (2, 2, 2), (3, 3, 2), (3, 3, 3))):
+            assert verify_span_bound(algebra, m, n, d, trials=2, seed=63 + k).successes == 2
+    assert [len(acc) for acc, _ in seen] == [1, 1, 1, 1, 1, 1, 2, 2]
     for acc, r in seen:
         assert r == comp_rank(rank._matrix(algebra, acc))
     p = algebra.field.characteristic

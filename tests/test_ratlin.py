@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from compalg.ratlin import solve_square
+from compalg.ratlin import det, nullity, solve_square
 from compalg.rng import SplitMix64
 
 
@@ -40,3 +40,13 @@ def test_solve_square_returns_none_for_singular_systems():
             assert solve_square(A, outside) is None  # b's column becomes a pivot
     assert solve_square([[0, 0], [0, 0]], [0, 1]) is None
     assert solve_square([[0]], [0]) is None
+
+
+def test_det_and_nullity_are_pinned():
+    # det is field_echelon's determinant on Fraction rows; nullity counts the non-pivot columns
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[Fraction(1, 2), 1], [1, 2]]) == 0
+    assert det([[0, 1], [1, 0]]) == -1 and det([[Fraction(2, 3)]]) == Fraction(2, 3)
+    assert nullity([[1, 2, 3], [2, 4, 6]], 3) == 2
+    assert nullity([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 0
+    assert nullity([[0, 0]], 2) == 2 and nullity([[1, Fraction(1, 2)], [2, 1]], 2) == 1

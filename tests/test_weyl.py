@@ -588,3 +588,16 @@ def test_group_from_json():
     assert group_from_json(
         {"product": [{"flavor": "Sym", "n": 2}, {"flavor": "Sym", "n": 2}]}
     ) == ProductGroup([SymGroup(2), SymGroup(2)])
+
+
+def test_weyl_reprs_and_group_hashes_are_pinned():
+    f = LaurentPoly.variable(2, 0, -1) * 3 + LaurentPoly.constant(2, Fraction(1, 2))
+    assert repr(f) == "LaurentPoly(1/2 + 3*x1^-1)"
+    assert repr(SignedPerm((1, 0), (1, -1))) == "SignedPerm((1, 0), (1, -1))"
+    product_group = ProductGroup([SymGroup(2), HyperoctahedralGroup(1)])
+    assert repr(product_group) == "Sym(2) x Hyperoctahedral(1)"
+    # equal groups hash alike, so they serve as one key; another flavor or size is another key
+    groups = [SymGroup(3), SymGroup(3), HyperoctahedralGroup(3), SymGroup(2), product_group,
+              ProductGroup([SymGroup(2), HyperoctahedralGroup(1)]), ProductGroup([HyperoctahedralGroup(1), SymGroup(2)])]
+    assert hash(groups[0]) == hash(groups[1]) and hash(groups[4]) == hash(groups[5])
+    assert len(set(groups)) == 5 and len(dict.fromkeys(groups)) == 5

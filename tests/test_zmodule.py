@@ -455,3 +455,11 @@ def test_snf_returns_the_parent_triple_on_every_oracle_input():
         ) and all(x == 0 for i, row in enumerate(A.rows) for j, x in enumerate(row) if i != j)
     # the diagonal family reaches the divisibility fold many times
     assert folded >= 100
+
+
+def test_int_matrix_repr_and_indexing_are_pinned():
+    M = IntMatrix([[1, -2], [3, 4]])
+    assert repr(M) == "IntMatrix([[1, -2], [3, 4]])"
+    assert [M[i, j] for i in range(2) for j in range(2)] == [1, -2, 3, 4]
+    with pytest.raises(IndexError):
+        M[2, 0]
