@@ -844,7 +844,7 @@ def test_span_trial_forms_its_combination_once(algebra, monkeypatch, lz):
     # denominator (and D), and ranked; at d = 1 the trial forms and ranks nothing
     split = algebra.is_split_decision() == "split"
     p, D = algebra.field.characteristic, 1 if split else algebra._den
-    calls, ranked, combined = [], [], []
+    calls, ranked, combined, inside = [], [], [], []
 
     def recorded(module, name):
         form = getattr(module, name)
@@ -856,7 +856,6 @@ def test_span_trial_forms_its_combination_once(algebra, monkeypatch, lz):
             return out
         monkeypatch.setattr(module, name, call)
 
-    inside = []
     combination = rank._combination
 
     def combination_inside(alg, family, keep):
