@@ -148,13 +148,7 @@ def parse_multivector(sig, text: str):
 
 
 def multivector_to_json(x) -> dict:
-    out = {}
-    for blade, c in zip(x.sig.blades, x.coeffs):
-        if c == 0:
-            continue
-        key = "".join(str(i) for i in blade) or "0"
-        out[key] = str(c) if c.denominator != 1 else str(c.numerator)
-    return out
+    return {"".join(map(str, blade)) or "0": str(c) for blade, c in zip(x.sig.blades, x.coeffs) if c}
 
 
 def load_json_file(path: str):
@@ -219,17 +213,13 @@ def cmd_quat(args) -> Result:
             witness = element_to_json(algebra.split_witness())
         return Result({"verdict": verdict, "zero_divisor": witness}, text=verdict)
     x = algebra.element(parse_coeffs(args.x, "--x"))
-    if args.action == "mul":
-        y = algebra.element(parse_coeffs(args.y, "--y"))
-        out = x * y
-        return Result(element_to_json(out), text=repr(out))
     if args.action == "norm":
         n = x.norm()
         return Result({"norm": scalar_to_json(n)}, text=str(raw_to_json(n.spec, n.raw)))
-    if args.action == "conjugate":
-        out = x.conjugate()
-        return Result(element_to_json(out), text=repr(out))
-    out = x.inverse()  # inverse
+    if args.action == "mul":
+        out = x * algebra.element(parse_coeffs(args.y, "--y"))
+    else:
+        out = x.conjugate() if args.action == "conjugate" else x.inverse()
     return Result(element_to_json(out), text=repr(out))
 
 

@@ -14,10 +14,10 @@ group algebra of (Z/2)^n; Albuquerque and Majid, JPAA 171, 2002; the tests
 prove it).  The center is read off the same table, with no elimination.
 Elements print as sums like "1/2 - 2*e12", which `cli.parse_multivector` reads.
 
-Coefficients are exact rationals (rational witnesses stand in for real ones),
-but products run in `_table_mul` on sparse integer terms over one denominator;
-Fractions are built only for the element returned.  Inverses follow Shirokov's
-characteristic-polynomial recursion (Faddeev-LeVerrier in a faithful
+Coefficients are exact rationals (rational witnesses stand in for real ones)
+held as integers over one denominator; products run in `_table_mul` on their
+nonzero terms, and no Fraction is made until `coeffs` is read.  Inverses follow
+Shirokov's characteristic-polynomial recursion (Faddeev-LeVerrier in a faithful
 representation of size N = 2^ceil(n/2)): at most N - 1 <= 7 products on those
 integers, no 2^n x 2^n elimination, a check on both sides.  Conjugation runs
 on the same integers, divided once at the end.
@@ -35,7 +35,6 @@ constructed as products of unit vectors; recovering one is out of scope.
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
@@ -44,7 +43,6 @@ from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _t
 from .termsplit import render_terms
 
 MAX_DIMENSION = 6
-_ZERO = Fraction(0)
 
 
 def _table_mul(terms, x, y):
@@ -59,16 +57,9 @@ def _table_mul(terms, x, y):
     return {k: c for k, c in acc.items() if c}
 
 
-def _sparse(coeffs):
-    """(terms, d): the nonzero Fraction coordinates as {index: int} over one denominator d > 0."""
-    nonzero = {i: c for i, c in enumerate(coeffs) if c}
-    d = lcm(*[c.denominator for c in nonzero.values()])
-    return {i: c.numerator * (d // c.denominator) for i, c in nonzero.items()}, d
-
-
-def _fractions(dim, terms, den, num=1):
-    """The dim coordinates num * terms / den, a Fraction built for each term and one shared zero."""
-    return [Fraction(num * terms[k], den) if k in terms else _ZERO for k in range(dim)]
+def _sparse(num):
+    """The nonzero integers of num as terms {index: int}."""
+    return {i: c for i, c in enumerate(num) if c}
 
 
 @cache
@@ -84,7 +75,7 @@ def _signature_table(p: int, q: int):
 class CliffordSignature(TableAlgebra):
     """Product table and blade indexing for Cl(p, q) with p + q <= 6."""
 
-    field = QQ
+    field, _den = QQ, 1
 
     def __init__(self, p: int, q: int):
         if p < 0 or q < 0:
@@ -109,8 +100,8 @@ class CliffordSignature(TableAlgebra):
         return f"Cl({self.p},{self.q})"
 
     def _mul_raw(self, x, y):
-        (x, dx), (y, dy) = _sparse(x), _sparse(y)
-        return _fractions(self.dim, _table_mul(self._terms, x, y), dx * dy)
+        out = _table_mul(self._terms, _sparse(x), _sparse(y))
+        return [out.get(k, 0) for k in range(self.dim)]
 
     def element(self, coeffs) -> "Multivector":
         """From 2^n coefficients in blade order, or a {blade: coefficient} dict."""
@@ -119,7 +110,7 @@ class CliffordSignature(TableAlgebra):
             for key, value in coeffs.items():
                 data[self.blade_index[tuple(key)]] = value
             coeffs = data
-        return Multivector(self, [Fraction(c) for c in coeffs])
+        return Multivector(self, *QQ._ints([Fraction(c) if isinstance(c, float) else c for c in coeffs]))  # a float read exactly
 
     def basis_vector(self, i: int) -> "Multivector":
         if not 1 <= i <= self.n:
@@ -136,10 +127,10 @@ class CliffordSignature(TableAlgebra):
         return self.element({key: 1})
 
     def vector(self, coords) -> "Multivector":
-        coords = list(map(Fraction, coords))
+        coords = list(coords)
         if len(coords) != self.n:
             raise ValueError("need one coordinate per generator")
-        return Multivector(self, [_ZERO, *coords] + [_ZERO] * (self.dim - self.n - 1))  # e_i is blade i
+        return self.element([0, *coords] + [0] * (self.dim - self.n - 1))  # e_i is blade i
 
     def quadratic_form(self, v: "Multivector") -> Fraction:
         """Q(v) for a grade-1 element of this signature: sum of metric-weighted squared coordinates."""
@@ -152,19 +143,15 @@ class CliffordSignature(TableAlgebra):
 
 
 class Multivector(TableElement):
-    """A CliffordSignature and its 2^n Fraction coefficients (see `element`), one per blade."""
+    """A CliffordSignature and its 2^n coefficients (see `element`), one per blade, as integers over one denominator."""
 
     __slots__ = ("_factors",)
     _mismatch = (SignatureMismatchError, "multivectors over different signatures")
 
-    def __init__(self, sig: CliffordSignature, coeffs, factors=None):
-        super().__init__(sig, coeffs)
-        object.__setattr__(self, "_factors", factors)
-        if len(self.coeffs) != sig.dim:
+    def __init__(self, sig: CliffordSignature, num, den=1):
+        super().__init__(sig, num, den)
+        if len(num) != sig.dim:
             raise ValueError("coefficient vector has the wrong length")
-
-    def __reduce__(self):
-        return Multivector, (self.algebra, self.coeffs, self._factors)
 
     @property
     def sig(self) -> CliffordSignature:
@@ -177,7 +164,7 @@ class Multivector(TableElement):
         )
 
     def grades(self) -> set[int]:
-        return {len(b) for b, c in zip(self.sig.blades, self.coeffs) if c}
+        return {len(b) for b, c in zip(self.sig.blades, self.num) if c}
 
     def vector_part(self):
         """Coordinates on e_1..e_n when the element is pure grade 1, else None."""
@@ -189,7 +176,7 @@ class Multivector(TableElement):
     def inverse(self) -> "Multivector":
         """Two-sided inverse by the characteristic-polynomial recursion of `_inverse_parts`."""
         denom, _, y, s = self._inverse_parts()
-        return Multivector(self.sig, _fractions(self.sig.dim, y, s, denom))
+        return Multivector._new(self.sig, [denom * y.get(k, 0) for k in range(self.sig.dim)], s)
 
     def _inverse_parts(self):
         """(denom, v, y, s), v = denom x and y sparse integers, with x^{-1} = denom y / s.
@@ -201,7 +188,7 @@ class Multivector(TableElement):
         y = U_{N-1} - C_{N-1}; v y = s is checked on both sides.
         """
         table = self.sig._terms
-        v, denom = _sparse(self.coeffs)
+        v, denom = _sparse(self.num), self.den
         size = 1 << ((self.sig.n + 1) // 2)
         y = {0: 1}  # U_{k-1} - C_{k-1}, with U_0 - C_0 = 1
         for k in range(1, size + 1):
@@ -236,12 +223,14 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
             sig.quadratic_form(coords)  # raises unless coords is a grade-1 element of sig
             coords = coords.coeffs[1 : sig.n + 1]
         v = sig.vector(coords)
-        w, d = _sparse(v.coeffs[: sig.n + 1])
+        w, d = _sparse(v.num), v.den
         if (qw := sum(sig.metric[i - 1] * c * c for i, c in w.items())) not in (d * d, -d * d):
             raise ValueError(f"factor has Q = {Fraction(qw, d * d)}, need a unit vector")
         factors.append(v)
         acc, denom = _table_mul(sig._terms, acc, w), denom * d
-    return Multivector(sig, _fractions(sig.dim, acc, denom), factors=tuple(factors))
+    out = Multivector._new(sig, [acc.get(k, 0) for k in range(sig.dim)], denom)
+    object.__setattr__(out, "_factors", tuple(factors))  # the only elements that carry factors
+    return out
 
 
 class Classification(SimpleNamespace):
@@ -430,7 +419,7 @@ def clifford_group_membership(g: Multivector) -> MembershipReport:
     else:  # B = M / s preserves the form exactly when M^T I M = s^2 I
         in_gamma = pure and preserves_form(g.sig, M, s * s)
     witness = None
-    factors = object.__getattribute__(g, "_factors")
+    factors = getattr(g, "_factors", None)
     if factors is not None and len(factors) % 2 == 0:
         witness = factors
     return MembershipReport(

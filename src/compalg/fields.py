@@ -20,7 +20,7 @@ F_2 itself is available for plain matrix work.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import FieldMismatchError, NotQuadExtError, ZeroDivisorError
 
@@ -107,6 +107,16 @@ class RationalField(FieldSpec):
     def _reduce(self, v):
         return v
 
+    def _ints(self, values):
+        """(num, den): the values as integers over their least common denominator, so gcd(den, *num) = 1."""
+        try:  # ints and Fractions, read with no Fraction made
+            den = lcm(*[v.denominator for v in values])
+        except AttributeError:  # a Scalar or a string (or a float, which `_coerce` refuses)
+            return self._ints([self._coerce(v) for v in values])
+        if den == 1:
+            return tuple([v.numerator for v in values]), 1
+        return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -144,6 +154,11 @@ class PrimeField(FieldSpec):
 
     def _reduce(self, v):
         return v % self.p
+
+    def _ints(self, values):
+        """(num, 1): the values as residues in [0, p)."""
+        p = self.p
+        return tuple([v % p if type(v) is int else self._coerce(v) for v in values]), 1
 
     def _inv(self, a):
         if a % self.p == 0:

@@ -399,13 +399,10 @@ class CompMatrix(RingMatrix):
 
 
 def _raw(Z: CompMatrix):
-    """The raw matrix that the raw cores take: the coordinate tuple of each
-    entry, row by row, with an integral QQ value as an `int`."""
-    return tuple(tuple(tuple(v.numerator if v.denominator == 1 else v for v in e.coeffs) for e in row) for row in Z.rows)
-
-
-def _element(algebra, y, den):
-    return algebra.element(y if den == 1 else [Fraction(v, den) for v in y])
+    """The raw matrix that the raw cores take: the coordinate tuple of each entry,
+    row by row, with an integral QQ value as an `int`: `num` when den = 1."""
+    return tuple(tuple(e.num if e.den == 1 else tuple(v.numerator if v.denominator == 1 else v for v in e.coeffs)
+                       for e in row) for row in Z.rows)
 
 
 def _vanishes(acc, p) -> bool:
@@ -597,4 +594,4 @@ def skew_solve(A: CompMatrix):
     is substituted back into the system before it is returned.
     """
     sol = _skew_solve_raw(A.ring, _raw(A))
-    return None if sol is None else tuple(_element(A.ring, y, sol[1]) for y in sol[0])
+    return None if sol is None else tuple(A.ring.element(y).scale(Fraction(1, sol[1])) for y in sol[0])

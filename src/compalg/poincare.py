@@ -37,9 +37,12 @@ class UniPoly:
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
+        ints = list(map(int, coeffs))
+        if ints != coeffs:  # one comparison: some coefficient is not equal to its int
+            raise ValueError(f"a coefficient must be an integer, got {next(c for c, i in zip(coeffs, ints) if c != i)!r}")
+        while ints and ints[-1] == 0:
+            ints.pop()
+        object.__setattr__(self, "coeffs", tuple(ints))
 
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")

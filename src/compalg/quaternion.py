@@ -7,10 +7,14 @@ the Clifford algebras of `clifford`.  The core is written once, here:
 blades, which builds the (a,b) table and every Clifford table,
 `_check_associativity` the check of (e_i*e_j)*e_l = e_i*(e_j*e_l) term by
 term, `_straight_line` the product through a table written out as integer
-code, compiled once per family at import, and `TableElement` (an algebra and
-its coordinates) the ring operations.  `CompositionElement` adds the inverse
-conj(z)/N(z), and `CompositionAlgebra` checks the base field and runs the
-product.  Two realizations supply the table, conjugation and norm:
+code, compiled once per family at import, and `TableElement` the ring
+operations on an algebra and its coordinates, held as integers `num` over one
+denominator `den` (Cohen, GTM 138, 4.2): over QQ den > 0 and gcd(den, *num) =
+1, over GF(p) residues over 1.  `coeffs`, the Fractions a caller reads (over
+GF(p) `num` itself), is built on its first read.  `CompositionElement` adds the
+conjugation, the norm N with z*conj(z) = N*1 checked, and the inverse
+conj(z)/N(z); `CompositionAlgebra` checks the base field and runs the
+product.  Two realizations supply the table and the conjugation:
 
 ``QuatAlgebra(field, a, b)``
     basis (1, u, v, w) with u*u = a, v*v = b, w = u*v = -v*u, over a base of
@@ -42,7 +46,7 @@ noncommutative the side matters and left variants are deliberately absent.
 
 from fractions import Fraction
 from itertools import count, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, prod
 import operator
 
 from .errors import AlgebraMismatchError, InfeasibleError, NotInvertibleError
@@ -56,6 +60,7 @@ NONSPLIT = "nonsplit"
 # `_is_probable_prime` accepts it; a composite cofactor above _TRIAL_BOUND**2
 # cannot be split this way and raises InfeasibleError.
 _TRIAL_BOUND = 10**6
+_ZERO = Fraction(0)
 
 
 def _factor(n: int) -> dict:
@@ -82,12 +87,9 @@ def _squarefree(q):
 
     `primes` lists the primes dividing A.
     """
-    q = Fraction(q)
-    num, den = q.numerator, q.denominator
+    num, den = Fraction(q).as_integer_ratio()
     primes = [p for p, e in _factor(num * den).items() if e % 2]
-    A = -1 if num < 0 else 1
-    for p in primes:
-        A *= p
+    A = prod(primes, start=-1 if num < 0 else 1)
     return A, Fraction(isqrt(num * den // A), den), primes
 
 
@@ -137,7 +139,7 @@ def _legendre_solution(a: int, a_primes, b: int, b_primes):
     c, k, c_primes = _squarefree((r * r - a) // b)
     W, X, Y = _legendre_solution(a, a_primes, c, c_primes)
     w, x, y = r * W + a * X, W + r * X, c * int(k) * Y
-    g = gcd(gcd(w, x), y)
+    g = gcd(w, x, y)
     return (w // g, x // g, y // g)
 
 
@@ -188,7 +190,7 @@ def _twisted_terms(n, constant):
 
 
 class TableAlgebra:
-    """Base of every algebra: a subclass sets `field`, `dim`, `_one`, `element` and `_mul_raw`."""
+    """Base of every algebra: a subclass sets `field`, `dim`, `_one`, `_den`, `element` and `_mul_raw`."""
 
     def zero(self):
         return self.element((0,) * self.dim)
@@ -201,20 +203,48 @@ class TableAlgebra:
 
 
 class TableElement:
-    """An algebra and its coordinates; `_mismatch` is raised for another algebra's operand."""
+    """An algebra and its coordinates num / den: over QQ integers num over den > 0 with gcd(den, *num) = 1,
+    over GF(p) residues num in [0, p) over den = 1.  `_mismatch` is raised for another algebra's operand."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "num", "den", "_coeffs")  # `_coeffs` is set on the first read of `coeffs`
     _mismatch = (AlgebraMismatchError, "operands live in different algebras")
 
-    def __init__(self, algebra: TableAlgebra, coeffs):
+    def __init__(self, algebra: TableAlgebra, num, den=1):
+        """num / den as given, in normal form; `algebra.element` reads coordinates, and `_new` normalises."""
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setstate__(self, state):  # pickle and copy fill an empty element: its algebra may hold it (a witness)
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _new(cls, algebra, num, den=1):
+        """The element num / den from integers num and den != 0 (den = 1 over GF(p)), normalised."""
+        if p := algebra.field.characteristic:
+            num = [v % p for v in num]
+        elif den != 1:
+            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            num, den = [v // g for v in num], den // g
+        new = object.__new__(cls)
+        object.__setattr__(new, "algebra", algebra)
+        object.__setattr__(new, "num", tuple(num))
+        object.__setattr__(new, "den", den)
+        return new
+
+    @property
+    def coeffs(self):
+        """The coordinates as raw values: `num` over GF(p), Fractions over QQ (built once, one shared zero)."""
+        if self.algebra.field.characteristic:
+            return self.num
+        if not hasattr(self, "_coeffs"):
+            d = self.den
+            object.__setattr__(self, "_coeffs", tuple([Fraction(v, d) if v else _ZERO for v in self.num]))
+        return self._coeffs
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.algebra, self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, TableElement) or other.algebra != self.algebra:
@@ -224,41 +254,35 @@ class TableElement:
 
     def _zip(self, op, other):
         other = self._check(other)
-        return type(self)(self.algebra, tuple(map(op, self.coeffs, other.coeffs)))
+        dx, dy = self.den, other.den
+        return self._new(self.algebra, [op(x * dy, y * dx) for x, y in zip(self.num, other.num)], dx * dy)
 
     def __add__(self, other):
-        return self._zip(self.algebra.field._add, other)
+        return self._zip(operator.add, other)
 
     def __sub__(self, other):
-        return self._zip(self.algebra.field._sub, other)
+        return self._zip(operator.sub, other)
 
     def __neg__(self):
-        return type(self)(self.algebra, tuple(map(self.algebra.field._neg, self.coeffs)))
+        return self._new(self.algebra, [-v for v in self.num], self.den)
 
     def __mul__(self, other):
-        other = self._check(other)
-        return type(self)(self.algebra, self.algebra._mul_raw(self.coeffs, other.coeffs))
+        other, alg = self._check(other), self.algebra
+        return self._new(alg, alg._mul_raw(self.num, other.num), self.den * other.den * alg._den)
 
     def __eq__(self, other):
-        return isinstance(other, TableElement) and other.algebra == self.algebra and other.coeffs == self.coeffs
+        return isinstance(other, TableElement) and other.algebra == self.algebra and (other.num, other.den) == (self.num, self.den)
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs))
+        return hash((self.algebra, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def scale(self, value):
         """Base-field scalar multiple (central, so no side to choose)."""
-        f = self.algebra.field
-        c = f._coerce(value)
-        return type(self)(self.algebra, tuple(f._mul(x, c) for x in self.coeffs))
-
-
-def _cleared(x):
-    """Integers n and d > 0 with x = n / d, for rationals x."""
-    d = lcm(*[v.denominator for v in x])
-    return ([v.numerator for v in x] if d == 1 else [v.numerator * (d // v.denominator) for v in x]), d
+        c = self.algebra.field._coerce(value)  # a Fraction or a residue, which has denominator 1
+        return self._new(self.algebra, [v * c.numerator for v in self.num], self.den * c.denominator)
 
 
 class CompositionAlgebra(TableAlgebra):
@@ -274,19 +298,26 @@ class CompositionAlgebra(TableAlgebra):
         self.field = field
 
     def _mul_raw(self, x, y):
-        p = self.field.characteristic
-        if p:
-            return tuple([v % p for v in self._family(x, y, *self._consts)])
-        # over QQ, on the numerators of each side over one denominator
-        (x, dx), (y, dy) = _cleared(x), _cleared(y)
-        d, out = dx * dy * self._den, self._family(x, y, *self._consts)
-        return tuple(map(Fraction, out)) if d == 1 else tuple([Fraction(v, d) for v in out])
+        """The product of integer coordinates x and y, times `_den`, reduced mod p."""
+        out, p = self._family(x, y, *self._consts), self.field.characteristic
+        return tuple([v % p for v in out]) if p else out
 
 
 class CompositionElement(TableElement):
-    """A four-dimensional element; subclasses add `conjugate` and `norm`."""
+    """A four-dimensional element; a subclass sets `_conj`, the coordinates of conj(z) from those of z."""
 
     __slots__ = ()
+
+    def conjugate(self):
+        return self._new(self.algebra, self._conj(*self.num), self.den)
+
+    def norm(self) -> Scalar:
+        """N with z * conj(z) = N * 1, the product checked to be that scalar exactly."""
+        alg, num = self.algebra, self.num
+        n, x, y, last = alg._mul_raw(num, self._conj(*num))  # reduced mod p
+        if x or y or last != n * alg._one[3]:  # 1 is (1, 0, 0, 0) or (1, 0, 0, 1)
+            raise AssertionError("norm has a nonreal component; structure table is broken")
+        return Scalar(alg.field, n if alg.field.characteristic else Fraction(n, self.den**2 * alg._den))
 
     def inverse(self):
         n = self.norm()
@@ -325,8 +356,8 @@ class QuatAlgebra(CompositionAlgebra):
         if not a or not b:
             raise ValueError("parameters a, b must be nonzero")
         self.a, self.b = Scalar(field, a), Scalar(field, b)
-        # (1, a, b, ab) times d over QQ; GF(p) residues are ints, with numerator v and denominator 1
-        (an, ad), (bn, bd) = ((v.numerator, v.denominator) for v in (a, b))
+        # (1, a, b, ab) times d over QQ; a GF(p) residue v is an int, with ratio (v, 1)
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
         self._den, self._consts = ad * bd, (ad * bd, an * bd, bn * ad, an * bn)
         self._split_state = None
         self._quad = None
@@ -344,7 +375,7 @@ class QuatAlgebra(CompositionAlgebra):
         """Element x0 + x1*u + x2*v + x3*w from the coefficients (x0, x1, x2, x3)."""
         if len(coeffs) != 4:
             raise ValueError(f"a quaternion needs 4 coefficients, got {len(coeffs)}")
-        return QuaternionElement(self, tuple(self.field._coerce(c) for c in coeffs))
+        return QuaternionElement(self, *self.field._ints(coeffs))
 
     def u(self):
         return self.element((0, 1, 0, 0))
@@ -431,26 +462,10 @@ class QuaternionElement(CompositionElement):
     """Element x0 + x1*u + x2*v + x3*w with exact base-field coefficients."""
 
     __slots__ = ()
+    _conj = staticmethod(lambda x0, x1, x2, x3: (x0, -x1, -x2, -x3))
 
     def __repr__(self):
         return f"Quat{self.coeffs!r}"
-
-    def conjugate(self) -> "QuaternionElement":
-        f = self.algebra.field
-        x0, x1, x2, x3 = self.coeffs
-        return QuaternionElement(self.algebra, (x0, f._neg(x1), f._neg(x2), f._neg(x3)))
-
-    def norm(self) -> Scalar:
-        """z * conj(z) projected to the 1-component.
-
-        The u, v, w components of the product are checked to vanish exactly.
-        """
-        x0, x1, x2, x3 = self.coeffs
-        # the conjugate's coordinates need no reduction: `_mul_raw` reduces what it returns
-        prod = self.algebra._mul_raw(self.coeffs, (x0, -x1, -x2, -x3))
-        if any(prod[1:]):
-            raise AssertionError("norm has a nonreal component; structure table is broken")
-        return Scalar(self.algebra.field, prod[0])
 
     def cd_coords(self) -> tuple[Scalar, Scalar]:
         """Doubling coordinates (x, y) in L = k[sqrt(a)] with z = x + v*y.
@@ -486,10 +501,10 @@ class Mat2Algebra(CompositionAlgebra):
         if len(entries) == 2 and all(
             isinstance(row, (list, tuple)) and len(row) == 2 for row in entries
         ):
-            entries = (entries[0][0], entries[0][1], entries[1][0], entries[1][1])
+            entries = (*entries[0], *entries[1])
         if len(entries) != 4:
             raise ValueError(f"a 2x2 matrix needs 4 entries or 2 rows of 2, got {entries!r}")
-        return Mat2Element(self, tuple(self.field._coerce(e) for e in entries))
+        return Mat2Element(self, *self.field._ints(entries))
 
     def is_split_decision(self) -> str:
         return SPLIT
@@ -509,6 +524,7 @@ class Mat2Element(CompositionElement):
     """2x2 matrix entries (m00, m01, m10, m11); conjugate is the adjugate."""
 
     __slots__ = ()
+    _conj = staticmethod(lambda m00, m01, m10, m11: (m11, -m01, -m10, m00))
 
     @property
     def entries(self):
@@ -518,16 +534,6 @@ class Mat2Element(CompositionElement):
     def __repr__(self):
         m00, m01, m10, m11 = self.coeffs
         return f"[[{m00},{m01}],[{m10},{m11}]]"
-
-    def conjugate(self) -> "Mat2Element":
-        f = self.algebra.field
-        m00, m01, m10, m11 = self.coeffs
-        return Mat2Element(self.algebra, (m11, f._neg(m01), f._neg(m10), m00))
-
-    def norm(self) -> Scalar:
-        f = self.algebra.field
-        m00, m01, m10, m11 = self.coeffs
-        return Scalar(f, f._reduce(m00 * m11 - m01 * m10))
 
 
 def quat_to_mat2(z: QuaternionElement, target: Mat2Algebra | None = None) -> Mat2Element:
@@ -553,7 +559,5 @@ def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> Quaternio
         target = QuatAlgebra.split_form(f)
     elif not target.has_mat2_form():
         raise AlgebraMismatchError("target must be the (1,-1) algebra")
-    m00, m01, m10, m11 = m.coeffs
-    half = f._inv(f._coerce(2))
-    coords = (m00 + m11, m00 - m11, m10 - m01, -(m01 + m10))
-    return target.element(tuple(c * half for c in coords))
+    m00, m01, m10, m11 = m.num
+    return target.element((m00 + m11, m00 - m11, m10 - m01, -(m01 + m10))).scale(Fraction(1, 2 * m.den))

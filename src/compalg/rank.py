@@ -33,6 +33,7 @@ so that combination is the scaled sum of c_t * T_t (`_scaled_sum`).
 
 import operator
 import time
+from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 from types import SimpleNamespace
@@ -41,7 +42,7 @@ from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import CompMatrix, field_echelon, is_invertible  # noqa: F401 (is_invertible: a tracer target)
-from .matrices import _combine_raw, _element, _half, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
+from .matrices import _combine_raw, _half, _half_echelon, _raw, _skew_solve_raw, _vanishes, _whole_pairs
 from .rng import SplitMix64
 
 
@@ -107,7 +108,7 @@ def low_rank_combination(matrices, d: int):
         raise BoundNotMetError(f"need at least {1 + n * threshold} matrices, got {len(family)}")
     ys, den = _combination(algebra, family, m - d + 1)
     split = algebra.is_split_decision() == SPLIT
-    return tuple(_element(algebra, [y * e for e in algebra._one] if split else y, den) for y in ys)
+    return tuple(algebra.element([y * e for e in algebra._one] if split else y).scale(Fraction(1, den)) for y in ys)
 
 
 def _scaled_sum(family, cs):

@@ -56,8 +56,7 @@ def field_from_json(obj, key: str = "field") -> FieldSpec:
 
 def raw_to_json(spec: FieldSpec, raw):
     if isinstance(spec, RationalField):
-        f = Fraction(raw)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return str(Fraction(raw))
     if isinstance(spec, PrimeField):
         return int(raw)
     if isinstance(spec, QuadExt):

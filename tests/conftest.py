@@ -20,7 +20,9 @@ and `field_rank` is the pivot count of `field_echelon`.
 raw cores `matrices._combine_raw` and `rank._sample`, which only tests use.
 
 The `canonical` fixture, used by the field and element tests, checks the raw
-value convention of `compalg.fields`.  The `table` fixture is the oracle of
+value convention of `compalg.fields`; `assert_normal` checks an element's
+integer numerators over one denominator, and `parent_raw` is `matrices._raw`
+as it read `Fraction` coordinates before elements held integers, its oracle.  The `table` fixture is the oracle of
 the straight-line products: each algebra's table of single terms, with the
 (a,b) table evaluated from the symbolic `_QUAT_TERMS`, and the product that
 walks it entry by entry in field arithmetic.
@@ -28,7 +30,7 @@ walks it entry by entry in field arithmetic.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +38,7 @@ import pytest
 from compalg.fields import PrimeField, Scalar
 from compalg.errors import AlgebraMismatchError, InfeasibleError, ShapeError
 from compalg.matrices import CompMatrix, _half, _half_echelon, _raw, _whole_pairs, field_echelon, is_invertible
-from compalg.matrices import _combine_raw, _element
+from compalg.matrices import _combine_raw
 from compalg.quaternion import _QUAT_TERMS, NONSPLIT, QuatAlgebra
 from compalg.rank import _matrix, _sample
 
@@ -116,7 +118,7 @@ def combine(matrices, coeffs) -> CompMatrix:
     d = lcm(*(y.denominator for q in coeffs for y in q.coeffs))
     ys = [[v.numerator * (d // v.denominator) for v in q.coeffs] for q in coeffs]
     acc = _combine_raw(algebra, [_raw(Z) for Z in matrices], ys)
-    return CompMatrix(algebra, [[_element(algebra, a, d * algebra._den) for a in row] for row in acc])
+    return CompMatrix(algebra, [[algebra.element(a).scale(Fraction(1, d * algebra._den)) for a in row] for row in acc])
 
 
 def sample_distinct_matrices(algebra, m, n, count, rng, entry_bound=3):
@@ -257,6 +259,23 @@ def assert_canonical(field, values):
 @pytest.fixture
 def canonical():
     return assert_canonical
+
+
+def assert_normal(e):
+    """e's coordinates num / den are in normal form, and `coeffs` reads them: over QQ
+    den > 0 and gcd(den, *num) = 1, over GF(p) den = 1 and num residues in [0, p)."""
+    p = e.algebra.field.characteristic
+    assert type(e.num) is tuple and all(type(v) is int for v in e.num) and type(e.den) is int, e
+    if p:
+        assert e.den == 1 and all(0 <= v < p for v in e.num) and e.coeffs == e.num, e
+    else:
+        assert e.den > 0 and gcd(e.den, *e.num) == 1 and e.coeffs == tuple(Fraction(v, e.den) for v in e.num), e
+
+
+def parent_raw(Z):
+    """The raw matrix read off `Fraction` coordinates: each entry's coordinate
+    tuple, row by row, with an integral QQ value as an `int`."""
+    return tuple(tuple(tuple(v.numerator if v.denominator == 1 else v for v in e.coeffs) for e in row) for row in Z.rows)
 
 
 @pytest.fixture

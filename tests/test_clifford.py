@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,9 +25,11 @@ from compalg.clifford import (
     unit_vector_product,
     verify_classification,
 )
+from compalg.fields import QQ
 from compalg.quaternion import _check_associativity
 from compalg.ratlin import det, solve_square
 from compalg.rng import SplitMix64
+from conftest import assert_normal
 
 
 def test_generator_relations():
@@ -140,7 +144,7 @@ def test_dimension_budget():
 
 def _negate_grades(x, odd):
     """The blades of each grade k with odd(k) true change sign."""
-    return Multivector(x.sig, [-c if odd(len(b)) else c for b, c in zip(x.sig.blades, x.coeffs)])
+    return x.sig.element([-c if odd(len(b)) else c for b, c in zip(x.sig.blades, x.coeffs)])
 
 
 def grade_involution(x):
@@ -558,3 +562,45 @@ def test_blade_rejects_bad_indices():
     for indices, message in (((3,), "outside 1..2"), ((0, 1), "outside 1..2"), ((1, 1), "repeated")):
         with pytest.raises(ValueError, match=message):
             cl20.blade(indices)
+
+
+def test_multivectors_hold_integer_numerators_over_one_denominator(table, canonical):
+    """Over Cl(2,1), every route to an element leaves num / den in normal form (den > 0 with
+    gcd(den, *num) = 1, also where the inverse's recursion ends on a negative scalar), `coeffs` is
+    the tuple Fraction arithmetic gives, and equal elements built by different routes are equal."""
+    sig = CliffordSignature(2, 1)
+    ints, fracs = (1, 2, 0, -1, 0, 3, 0, 0), (Fraction(1, 2), 1, 0, Fraction(-2, 3), 0, 1, 0, Fraction(5, 4))
+    X, Y = tuple(map(Fraction, ints)), tuple(map(Fraction, fracs))
+    x, y, c = sig.element(ints), sig.element(fracs), Fraction(-6, 5)
+    one = (Fraction(1),) + (Fraction(0),) * (sig.dim - 1)
+    vectors = [(1, 1, 1), (Fraction(3, 5), Fraction(4, 5), 0)]
+    product = table.product(sig, *(tuple(Fraction(v) for v in (0, *w, 0, 0, 0, 0)) for w in vectors))
+    cases = [
+        (x, X),
+        (y, Y),
+        (sig.element([QQ.element(v) for v in fracs]), Y),
+        (sig.element({b: v for b, v in zip(sig.blades, fracs) if v}), Y),
+        (x + y, tuple(a + b for a, b in zip(X, Y))),
+        (x - y, tuple(a - b for a, b in zip(X, Y))),
+        (-y, tuple(-a for a in Y)),
+        (x * y, table.product(sig, X, Y)),
+        (y.scale(c), tuple(a * c for a in Y)),
+        (sig.vector(vectors[1]), (0, *vectors[1], 0, 0, 0, 0)),
+        (unit_vector_product(sig, vectors), product),
+    ]
+    invertible = (x, y, sig.basis_vector(3), x + sig.one().scale(5))
+    assert any(e._inverse_parts()[3] < 0 for e in invertible)  # a recursion that ends on a negative scalar
+    for e in invertible:
+        inverse = e.inverse()  # the one two-sided inverse, so the tuple any exact arithmetic gives
+        assert table.product(sig, e.coeffs, inverse.coeffs) == one == table.product(sig, inverse.coeffs, e.coeffs)
+        cases.append((inverse, inverse.coeffs))
+    cases += [(twin, want) for e, want in cases for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e))]
+    for e, want in cases:
+        assert_normal(e)
+        assert type(e) is Multivector and e.coeffs == want, (e, want)
+        canonical(QQ, e.coeffs)
+    same = [y, sig.element([QQ.element(v) for v in fracs]), x.scale(0) + y, -(-y), y.scale(2).scale(Fraction(1, 2)),
+            y.inverse().inverse(), pickle.loads(pickle.dumps(y))]
+    for e in same:
+        assert e == y and hash(e) == hash(y) and len({e, y}) == 1
+    assert sig.one() != sig.one().scale(Fraction(1, 2)) and sig.one().num == sig.one().scale(Fraction(1, 2)).num

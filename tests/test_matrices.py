@@ -33,7 +33,7 @@ from compalg.rng import SplitMix64
 from compalg.serialize import matrix_from_json
 from compalg.corpus import load_fixture
 from compalg.zmodule import IntMatrix
-from conftest import as_fractions, gauss_jordan, sample_distinct_matrices
+from conftest import as_fractions, gauss_jordan, parent_raw, sample_distinct_matrices
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -994,3 +994,29 @@ def test_matrix_reprs_are_pinned():
     )
     assert repr(FieldMatrix(PrimeField(5), [[7]])) == "FieldMatrix(1x1: 2)"
     assert repr(CompMatrix(HQ, [[HQ.one(), HQ.zero()]])) == "CompMatrix(1x2 over (-1,-1)_QQ)"
+
+
+@pytest.mark.parametrize("alg", [QuatAlgebra(QQ, -1, -1), QuatAlgebra(QQ, 1, -1), Mat2Algebra(PrimeField(2)),
+                                 Mat2Algebra(PrimeField(3)), Mat2Algebra(PrimeField(7)),
+                                 QuatAlgebra(QQ, Fraction(1, 2), -3)], ids=repr)
+def test_raw_matches_the_fraction_coordinate_reading(alg):
+    # the five span-rank algebras and (1/2,-3)_QQ; over QQ entries mix ints, integral
+    # Fractions and non-integral ones, so both the den = 1 and the den != 1 paths run
+    rng = SplitMix64(34)
+    p = alg.field.characteristic
+
+    def value():
+        if p:
+            return rng.randint(-p, 2 * p)
+        v = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+        return v if rng.randint(0, 1) else v.numerator if v.denominator == 1 else v
+
+    for m, n in ((1, 1), (2, 3), (3, 3), (4, 2)):
+        for _ in range(10):
+            Z = CompMatrix(alg, [[alg.element([value() for _ in range(4)]) for _ in range(n)] for _ in range(m)])
+            raw, want = matrices._raw(Z), parent_raw(Z)
+            assert raw == want, Z
+            types = [type(v) for M in (raw, want) for row in M for e in row for v in e]
+            assert types[: len(types) // 2] == types[len(types) // 2 :] and type(raw) is type(want) is tuple
+            assert all(type(e) is tuple for row in raw for e in row)
+            assert p or any(type(v) is Fraction for row in raw for e in row for v in e) or m * n == 1

@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
@@ -230,3 +232,14 @@ def test_one_minus_is_one_minus_the_monomial():
 def test_unipoly_repr_is_pinned():
     assert repr(UniPoly([1, 0, -2, 3])) == "UniPoly(1 - 2t^2 + 3t^3)"
     assert repr(UniPoly.zero()) == "UniPoly(0)"
+
+
+def test_unipoly_refuses_non_integer_coefficients():
+    # converted first, then compared with the input, then stripped: nothing is truncated
+    for coeffs, bad in (([1, 0, -2, Fraction(1, 3)], "Fraction(1, 3)"), ([2.7], "2.7"), ([Fraction(-5, 2), 1], "Fraction(-5, 2)"),
+                        (["3"], "'3'")):
+        with pytest.raises(ValueError, match=re.escape(f"a coefficient must be an integer, got {bad}")):
+            UniPoly(coeffs)
+    p = UniPoly([True, Fraction(4, 2), 0, Fraction(0), False])
+    assert p == UniPoly([1, 2]) and p.coeffs == (1, 2) and all(type(c) is int for c in p.coeffs)
+    assert UniPoly([0, False, Fraction(0)]) == UniPoly.zero() and UniPoly(iter([3, 0])).coeffs == (3,)

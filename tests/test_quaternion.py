@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -28,6 +30,7 @@ from compalg.quaternion import (
     quat_to_mat2,
 )
 from compalg.rng import SplitMix64
+from conftest import assert_normal
 
 HQ = QuatAlgebra(QQ, -1, -1)
 F3 = PrimeField(3)
@@ -397,7 +400,7 @@ def test_mul_raw_matches_dense_structure_constants(alg, table, canonical):
                 sum(x[i] * y[j] * dense[i][j][k] for i in range(4) for j in range(4))
                 for k in range(4)
             ]
-        z = alg._mul_raw(x, y)
+        z = (alg.element(x) * alg.element(y)).coeffs  # `_mul_raw` on integer coordinates over one denominator
         assert type(z) is tuple and z == tuple(f._coerce(v) for v in expected) == table.product(alg, x, y), (x, y)
         canonical(f, z)
 
@@ -440,10 +443,10 @@ def test_evaluated_table_is_the_quaternion_table(field, table):
         handwritten = _handwritten_terms(field, alg.a.raw, alg.b.raw)
         assert table.terms(alg) == handwritten
         # the generated product on the basis pairs is the table written out by hand
-        zero, basis = field._coerce(0), [alg.element([int(i == k) for k in range(4)]).coeffs for i in range(4)]
+        zero, basis = field._coerce(0), [alg.element([int(i == k) for k in range(4)]) for i in range(4)]
         for i, j in product(range(4), repeat=2):
             k, c = handwritten[i][j]
-            assert alg._mul_raw(basis[i], basis[j]) == tuple(c if t == k else zero for t in range(4))
+            assert (basis[i] * basis[j]).coeffs == tuple(c if t == k else zero for t in range(4))
 
 
 # each single-term table (an (a,b) algebra stands for its evaluated table)
@@ -575,3 +578,56 @@ def test_coordinates_stay_canonical(field, canonical):
         if alg.has_mat2_form():
             results += [mat2_to_quat(z)] if isinstance(alg, Mat2Algebra) else [quat_to_mat2(z)]
         canonical(field, [c for e in results for c in e.coeffs] + [z.norm().raw, w.norm().raw])
+
+
+def _twins(e):
+    return pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_elements_hold_integer_numerators_over_one_denominator(field, table, canonical):
+    """Every route to an element leaves num / den in normal form, its `coeffs` is the tuple that
+    arithmetic on Fraction (or residue) coordinates gives, and equal elements built by different
+    routes compare equal and hash alike."""
+    f = field
+    ints, fracs = (3, -4, 0, 5), (Fraction(-3, 2), Fraction(2, 3), 0, Fraction(5, 6))
+    c = Fraction(-6, 5)
+    for alg in (QuatAlgebra(f, -1, 3), QuatAlgebra.split_form(f), Mat2Algebra(f)):
+        X, Y = (tuple(f._coerce(v) for v in vals) for vals in (ints, fracs))
+
+        def conj(z):
+            return (z[3], f._neg(z[1]), f._neg(z[2]), z[0]) if isinstance(alg, Mat2Algebra) else (z[0], *map(f._neg, z[1:]))
+
+        norm = table.product(alg, Y, conj(Y))[0]
+        assert norm and table.product(alg, Y, conj(Y)) == tuple(norm * e for e in alg._one)
+        x, y = alg.element(ints), alg.element(fracs)
+        cases = [
+            (x, X),
+            (y, Y),
+            (alg.element([f.element(v) for v in fracs]), Y),
+            (x + y, tuple(map(f._add, X, Y))),
+            (x - y, tuple(map(f._sub, X, Y))),
+            (-y, tuple(map(f._neg, Y))),
+            (x * y, table.product(alg, X, Y)),
+            (y * x, table.product(alg, Y, X)),
+            (y.scale(c), tuple(f._mul(v, f._coerce(c)) for v in Y)),
+            (y.conjugate(), conj(Y)),
+            (y.inverse(), tuple(f._mul(v, f._inv(norm)) for v in conj(Y))),
+            (y - y, (f._coerce(0),) * 4),
+        ]
+        cases += [(twin, want) for e, want in cases for twin in _twins(e)]
+        for e, want in cases:
+            assert_normal(e)
+            assert type(e) is type(x) and e.coeffs == want, (alg, e, want)
+            canonical(f, e.coeffs)
+        assert y.norm().raw == norm
+        # one value by several routes
+        same = [y, alg.element([f.element(v) for v in fracs]), x.scale(0) + y, -(-y), y.scale(2).scale(Fraction(1, 2)),
+                (y * alg.from_base(6)).scale(Fraction(1, 6)), y.inverse().inverse(), *_twins(y)]
+        for e in same:
+            assert e == y and hash(e) == hash(y) and len({e, y}) == 1
+        # equal numerators over different denominators are different elements
+        one, half = alg.one(), alg.one().scale(Fraction(1, 2))
+        assert one != half and one.scale(Fraction(1, 2)) == half and half + half == one
+        if not f.characteristic:
+            assert one.num == half.num and (one.den, half.den) == (1, 2)
