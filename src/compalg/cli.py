@@ -63,7 +63,7 @@ def parse_algebra(args):
     from .quaternion import Mat2Algebra, QuatAlgebra
 
     spec = parse_field(args.field)
-    if getattr(args, "split", False):
+    if args.split:
         return Mat2Algebra(spec)
     if args.a is None or args.b is None:
         raise CliError("provide --a and --b, or --split")
@@ -171,10 +171,10 @@ def matrix_argument(args):
     from .corpus import load_fixture
     from .serialize import matrix_from_json
 
-    if getattr(args, "fixture", None):
+    if args.fixture:
         fixture = load_fixture(args.fixture)
         return matrix_from_json(fixture["matrix"])
-    if getattr(args, "input", None):
+    if args.input:
         payload = load_json_file(args.input)
         return matrix_from_json(payload.get("matrix", payload) if isinstance(payload, dict) else payload)
     raise CliError("provide --input FILE or --fixture NAME")
@@ -260,8 +260,10 @@ def cmd_span(args) -> Result:
     if args.action == "bound":
         algebra = parse_algebra(args)
         value = dependence_bound(algebra, args.m, args.d)
+        if args.n is not None and args.n < args.m:
+            raise ValueError("shapes must satisfy m <= n")
         return Result(
-            {"threshold": value, "family_size": 1 + args.n * value if args.n else None},
+            {"threshold": value, "family_size": None if args.n is None else 1 + args.n * value},
             text=str(value),
         )
     algebra = parse_algebra(args)  # verify-bound
@@ -437,138 +439,87 @@ def _spin_check(args) -> Result:
 # ---------------------------------------------------------------- plumbing
 
 
-# Each command's actions, and the flags each action needs in the order they
-# are checked before its handler runs; "p+q" is one group, reported together.
+# Each flag's argparse keywords, one meaning and one type under every command
+# that takes it; a command's --help lists its flags in this order.
+_FLAGS = {
+    "field": {"help": "Q or Fp:<prime>"},
+    "a": {"help": "first algebra parameter"},
+    "b": {"help": "second algebra parameter"},
+    "split": {"action": "store_true", "help": "use the 2x2 split algebra"},
+    "x": {"help": "four comma-separated coefficients (quat) or a multivector sum (clifford)"},
+    "y": {"help": "four comma-separated coefficients (quat) or a multivector sum (clifford)"},
+    "input": {"help": "JSON file, or inline JSON"},
+    "fixture": {"help": "bundled fixture name"},
+    "g": {"help": "degree token BC:3 (poincare), group (weyl) or integer matrix (zmod)"},
+    "u": {"help": "degree token, e.g. U1SU:3"},
+    "space": {"help": "sp-u1su or so-u1su"},
+    "pair": {"help": "quaternionic, split, or one-dim-split"},
+    "sig": {"help": "signature as p,q"},
+    "h": {}, "f": {}, "group": {}, "poly": {}, "flavor": {}, "signs": {"default": ""},
+    "m": {"type": int}, "n": {"type": nonnegative}, "d": {"type": int}, "k": {"type": int},
+    "p": {"type": int}, "q": {"type": int}, "smax": {"type": int}, "bound": {"type": nonnegative},
+    "step": {"type": int, "default": 1, "choices": (1, 2)},
+    "trials": {"type": nonnegative, "default": 10}, "entry-bound": {"type": nonnegative, "default": 3},
+    "count": {"type": nonnegative, "default": 20},
+}
+
+# Each command: its help, its handler, the flags it takes beyond those its
+# actions need, and its actions with the flags each needs, in the order they
+# are checked before the handler runs; "p+q" is one group, reported together.
 # Either-or choices (--a and --b or --split, --input or --fixture) are
 # checked where they are read.
-_ACTIONS = {
-    "quat": {
+_COMMANDS = {
+    "quat": ("quaternion element operations", cmd_quat, "a b split", {
         "mul": "field x y", "norm": "field x", "conjugate": "field x", "inverse": "field x",
         "is-split": "field",
-    },
-    "mat": dict.fromkeys(("study-det", "sympl", "invertible", "flatten", "split-pair"), ""),
-    "span": {"rank": "", "bound": "field m d", "verify-bound": "field m n d"},
-    "poincare": {
+    }),
+    "mat": ("matrix operations over an algebra", cmd_mat, "input fixture",
+            dict.fromkeys(("study-det", "sympl", "invertible", "flatten", "split-pair"), "")),
+    "span": ("rank and spanning-threshold checks", cmd_span, "a b split input fixture trials entry-bound", {
+        "rank": "", "bound": "field m d", "verify-bound": "field m n d",
+    }),
+    "poincare": ("Poincare polynomial formulas", cmd_poincare, "step", {
         "hirsch": "g u", "product-form": "space n", "gaussian": "n k", "grassmann": "p+q",
         "oriented-grassmann": "m k", "clifford-gamma": "n p+q",
-    },
-    "weyl": {
+    }),
+    "weyl": ("Weyl group invariants and indices", cmd_weyl, "", {
         "index": "g h", "ktheory": "pair", "reynolds": "group poly", "generators": "flavor n",
         "verify-generation": "flavor n bound",
-    },
-    "zmod": {"snf": "input", "loc-model": "n smax", "sequence-check": "f g"},
-    "clifford": {
+    }),
+    "zmod": ("integer-lattice computations", cmd_zmod, "signs", {
+        "snf": "input", "loc-model": "n smax", "sequence-check": "f g",
+    }),
+    "clifford": ("Clifford algebra computations", cmd_clifford, "count", {
         "classify": "p+q", "verify": "p+q", "product": "sig x y", "membership": "sig x",
         "spin-check": "p+q",
-    },
+    }),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="compalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # a string default goes through `type` inside parse_args, so a malformed variable is a CliError
+    budget = os.environ.get("COMPALG_BUDGET_MS", DEFAULT_BUDGET_MS)
+    for command, (text, _, extra, actions) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("action", choices=tuple(actions))
         p.add_argument("--output", choices=("json", "text", "latex"), default="json")
         p.add_argument("--seed", type=seed, default=0)
-        # a string default goes through `type` inside parse_args, so a malformed variable is a CliError
-        p.add_argument(
-            "--budget-ms",
-            type=nonnegative,
-            default=os.environ.get("COMPALG_BUDGET_MS", DEFAULT_BUDGET_MS),
-        )
-        return p
-
-    def algebra_flags(p):
-        p.add_argument("--field", help="Q or Fp:<prime>")
-        p.add_argument("--a", help="first algebra parameter")
-        p.add_argument("--b", help="second algebra parameter")
-        p.add_argument("--split", action="store_true", help="use the 2x2 split algebra")
-        return p
-
-    quat = common(sub.add_parser("quat", help="quaternion element operations"))
-    algebra_flags(quat)
-    quat.add_argument("action", choices=tuple(_ACTIONS["quat"]))
-    quat.add_argument("--x", help="four comma-separated coefficients")
-    quat.add_argument("--y", help="four comma-separated coefficients")
-
-    mat = common(sub.add_parser("mat", help="matrix operations over an algebra"))
-    mat.add_argument("action", choices=tuple(_ACTIONS["mat"]))
-    mat.add_argument("--input", help="matrix JSON file")
-    mat.add_argument("--fixture", help="bundled fixture name")
-
-    span = common(sub.add_parser("span", help="rank and spanning-threshold checks"))
-    span.add_argument("action", choices=tuple(_ACTIONS["span"]))
-    algebra_flags(span)
-    span.add_argument("--input")
-    span.add_argument("--fixture")
-    span.add_argument("--m", type=int)
-    span.add_argument("--n", type=nonnegative)
-    span.add_argument("--d", type=int)
-    span.add_argument("--trials", type=nonnegative, default=10)
-    span.add_argument("--entry-bound", type=int, default=3)
-
-    poin = common(sub.add_parser("poincare", help="Poincare polynomial formulas"))
-    poin.add_argument("action", choices=tuple(_ACTIONS["poincare"]))
-    poin.add_argument("--g", help="degree token, e.g. BC:3")
-    poin.add_argument("--u", help="degree token, e.g. U1SU:3")
-    poin.add_argument("--space", help="sp-u1su or so-u1su")
-    poin.add_argument("--n", type=int)
-    poin.add_argument("--k", type=int)
-    poin.add_argument("--m", type=int)
-    poin.add_argument("--p", type=int)
-    poin.add_argument("--q", type=int)
-    poin.add_argument("--step", type=int, default=1, choices=(1, 2))
-
-    wey = common(sub.add_parser("weyl", help="Weyl group invariants and indices"))
-    wey.add_argument("action", choices=tuple(_ACTIONS["weyl"]))
-    wey.add_argument("--g")
-    wey.add_argument("--h")
-    wey.add_argument("--pair", help="quaternionic, split, or one-dim-split")
-    wey.add_argument("--n", type=nonnegative)
-    wey.add_argument("--group")
-    wey.add_argument("--poly")
-    wey.add_argument("--flavor")
-    wey.add_argument("--bound", type=nonnegative)
-
-    zmod = common(sub.add_parser("zmod", help="integer-lattice computations"))
-    zmod.add_argument("action", choices=tuple(_ACTIONS["zmod"]))
-    zmod.add_argument("--input")
-    zmod.add_argument("--f")
-    zmod.add_argument("--g")
-    zmod.add_argument("--n", type=nonnegative)
-    zmod.add_argument("--smax", type=int)
-    zmod.add_argument("--signs", default="")
-
-    cl = common(sub.add_parser("clifford", help="Clifford algebra computations"))
-    cl.add_argument("action", choices=tuple(_ACTIONS["clifford"]))
-    cl.add_argument("--p", type=int)
-    cl.add_argument("--q", type=int)
-    cl.add_argument("--sig", help="signature as p,q")
-    cl.add_argument("--x")
-    cl.add_argument("--y")
-    cl.add_argument("--count", type=nonnegative, default=20)
-
+        p.add_argument("--budget-ms", type=nonnegative, default=budget)
+        taken = " ".join((extra, *actions.values())).replace("+", " ").split()
+        for flag, keywords in _FLAGS.items():
+            if flag in taken:
+                p.add_argument(f"--{flag}", **keywords)
     return parser
 
 
 def _check_required(args) -> None:
-    for group in _ACTIONS[args.command][args.action].split():
+    for group in _COMMANDS[args.command][3][args.action].split():
         names = group.split("+")
         if any(getattr(args, name) is None for name in names):
             flags = " and ".join(f"--{name}" for name in names)
             raise CliError(f"{args.command} {args.action} needs {flags}")
-
-
-_HANDLERS = {
-    "quat": cmd_quat,
-    "mat": cmd_mat,
-    "span": cmd_span,
-    "poincare": cmd_poincare,
-    "weyl": cmd_weyl,
-    "zmod": cmd_zmod,
-    "clifford": cmd_clifford,
-}
 
 
 def emit(result: Result, mode: str) -> None:
@@ -585,7 +536,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_required(args)
-        result = _HANDLERS[args.command](args)
+        result = _COMMANDS[args.command][1](args)
     except (CliError, CompAlgError, ValueError, ZeroDivisionError, FileNotFoundError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, separators=(",", ":")), file=sys.stderr)

@@ -514,6 +514,11 @@ def test_every_action_missing_one_flag_exits_cleanly(capsys):
         ("clifford spin-check --p 1 --q 0 --count -3", "argument --count: must be"),
         ("span verify-bound --field Q --a -1 --b -1 --m 2 --n 2 --d 2 --trials -1", "argument --trials: must be"),
         ("span bound --field Q --a -1 --b -1 --m 2 --n -3 --d 1", "argument --n: must be"),
+        # a family of n columns needs m <= n rows, as verify-bound and low_rank_combination say
+        ("span bound --field Q --a -1 --b -1 --m 2 --n 0 --d 1", "shapes must satisfy m <= n"),
+        ("span bound --field Q --a -1 --b -1 --m 2 --n 1 --d 1", "shapes must satisfy m <= n"),
+        ("span verify-bound --field Q --a -1 --b -1 --m 1 --n 1 --d 1 --entry-bound -1", "argument --entry-bound: must be"),
+        ("poincare gaussian --n -1 --k 0", "argument --n: must be a non-negative integer, got -1"),
         ("zmod loc-model --n -1 --smax 3", "argument --n: must be"),
         ("zmod loc-model --n 0 --smax 3 --signs +", "need n >= 1"),
         ("weyl reynolds --group Sym:2 --poly *x1", "a '*' with nothing on one side in term '*x1'"),
@@ -535,3 +540,50 @@ def test_malformed_groups_and_negative_counts_exit_cleanly(capsys, call, expecte
     code, out, err = run(capsys, *call.split(" "))
     _assert_one_json_error(code, out, err, call)
     assert expected in json.loads(err)["error"]["message"]
+
+
+# Every option of every subcommand, as (type, default, choices); "action" is the
+# positional.  Only poincare's --n and span's --entry-bound changed type when one
+# table came to declare the commands: both were int, and are now non-negative.
+TEXT, INT, COUNT = (None, None, None), ("int", None, None), ("nonnegative", None, None)
+COMMON = {"--output": (None, "json", ("json", "text", "latex")), "--seed": ("seed", 0, None),
+          "--budget-ms": ("nonnegative", 60_000, None)}
+ALGEBRA = {"--field": TEXT, "--a": TEXT, "--b": TEXT, "--split": (None, False, None)}
+INTERFACE = {
+    "quat": {**COMMON, **ALGEBRA, "--x": TEXT, "--y": TEXT,
+             "action": (None, None, ("mul", "norm", "conjugate", "inverse", "is-split"))},
+    "mat": {**COMMON, "--input": TEXT, "--fixture": TEXT,
+            "action": (None, None, ("study-det", "sympl", "invertible", "flatten", "split-pair"))},
+    "span": {**COMMON, **ALGEBRA, "--input": TEXT, "--fixture": TEXT, "--m": INT, "--n": COUNT, "--d": INT,
+             "--trials": ("nonnegative", 10, None), "--entry-bound": ("nonnegative", 3, None),
+             "action": (None, None, ("rank", "bound", "verify-bound"))},
+    "poincare": {**COMMON, "--g": TEXT, "--u": TEXT, "--space": TEXT, "--n": COUNT, "--k": INT, "--m": INT,
+                 "--p": INT, "--q": INT, "--step": ("int", 1, (1, 2)),
+                 "action": (None, None, ("hirsch", "product-form", "gaussian", "grassmann", "oriented-grassmann",
+                                         "clifford-gamma"))},
+    "weyl": {**COMMON, "--g": TEXT, "--h": TEXT, "--pair": TEXT, "--n": COUNT, "--group": TEXT, "--poly": TEXT,
+             "--flavor": TEXT, "--bound": COUNT,
+             "action": (None, None, ("index", "ktheory", "reynolds", "generators", "verify-generation"))},
+    "zmod": {**COMMON, "--input": TEXT, "--f": TEXT, "--g": TEXT, "--n": COUNT, "--smax": INT,
+             "--signs": (None, "", None), "action": (None, None, ("snf", "loc-model", "sequence-check"))},
+    "clifford": {**COMMON, "--p": INT, "--q": INT, "--sig": TEXT, "--x": TEXT, "--y": TEXT,
+                 "--count": ("nonnegative", 20, None),
+                 "action": (None, None, ("classify", "verify", "product", "membership", "spin-check"))},
+}
+
+
+def test_every_subcommand_takes_its_pinned_options_and_prints_help(capsys, monkeypatch):
+    monkeypatch.delenv("COMPALG_BUDGET_MS", raising=False)
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(INTERFACE)
+    for command, sub in commands.items():
+        options = {
+            (a.option_strings[0] if a.option_strings else a.dest): (getattr(a.type, "__name__", None), a.default, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert options == INTERFACE[command], command
+    for argv in [[]] + [[command] for command in INTERFACE]:
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--help"])
+        assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: compalg"), argv

@@ -776,7 +776,7 @@ def _combination_giving(first):
 
 def test_every_trial_check_reaches_the_report(monkeypatch):
     # each check of a trial, made to fail, is the counterexample's reason, and the
-    # counterexample holds the sampled family; the rank check runs only from d = 2
+    # counterexample holds the sampled family, at d = 1 and from d = 2 alike
     cases = [
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([], True), "combination failed to kill the truncated rows"),
         (SPLIT_F2, rank, "field_echelon", _echelon_giving([0], False), "dependence guaranteed by dimension count was not found"),
@@ -786,8 +786,8 @@ def test_every_trial_check_reaches_the_report(monkeypatch):
         (HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
     ]
     cases = [(1, 1, 1, *case) for case in cases] + [
-        (2, 2, 2, HQ, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 1"),
-        (2, 2, 2, SPLIT_F2, rank, "_comp_rank_raw", lambda algebra, raw: 5, "rank 5 exceeds 1"),
+        (2, 2, 2, HQ, rank, "_combination", _combination_giving((0, 0, 0, 0)), "coefficients all zero"),
+        (2, 2, 2, SPLIT_F2, rank, "field_echelon", _echelon_giving([], True), "combination failed to kill the truncated rows"),
     ]
     for m, n, d, algebra, module, attribute, stand_in, reason in cases:
         with monkeypatch.context() as patch:
@@ -837,14 +837,13 @@ def test_comp_rank_matches_the_lz_oracle(alg, lz):
 
 
 @pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(QQ, 1, -1), SPLIT_F2, HQ], ids=repr)
-def test_span_trial_forms_its_combination_once(algebra, monkeypatch, lz):
-    # each row of a trial's combination is formed once: rows 0..keep-1 inside _combination (the scaled
-    # sum when split, skew_solve's substitution over a division algebra), where they vanish, and rows
-    # keep..m-1 in the trial, from integer numerators, equal to the element oracle's rows times the
-    # denominator (and D), and ranked; at d = 1 the trial forms and ranks nothing
+def test_span_trial_forms_its_combination_once(algebra, monkeypatch):
+    # each trial forms rows 0..keep-1 of its combination once, inside _combination (the scaled
+    # sum when split, skew_solve's substitution over a division algebra), where they vanish;
+    # the trial itself forms and ranks no row at any d, since the d - 1 rows left have rank <= d - 1
     split = algebra.is_split_decision() == "split"
-    p, D = algebra.field.characteristic, 1 if split else algebra._den
-    calls, ranked, combined, inside = [], [], [], []
+    p = algebra.field.characteristic
+    calls, ranked, inside = [], [], []
 
     def recorded(module, name):
         form = getattr(module, name)
@@ -861,41 +860,27 @@ def test_span_trial_forms_its_combination_once(algebra, monkeypatch, lz):
     def combination_inside(alg, family, keep):
         inside.append(True)
         try:
-            ys, den = combination(alg, family, keep)
+            return combination(alg, family, keep)
         finally:
             inside.pop()
-        combined.append((family, den))
-        return ys, den
 
-    for module, name in ((rank, "_scaled_sum"), (rank, "_combine_raw"), (matrices, "_combine_raw")):
+    for module, name in ((rank, "_scaled_sum"), (matrices, "_combine_raw")):
         recorded(module, name)
     monkeypatch.setattr(rank, "_combination", combination_inside)
-    rank_of = rank._comp_rank_raw
-    monkeypatch.setattr(rank, "_comp_rank_raw", lambda alg, raw: ranked.append(raw) or rank_of(alg, raw))
+    monkeypatch.setattr(rank, "_comp_rank_raw", lambda alg, raw: ranked.append(raw) or 0)
     for k, (m, n, d) in enumerate(((2, 3, 2), (2, 2, 1), (3, 3, 3))):
-        for log in (calls, ranked, combined):
-            log.clear()
+        calls.clear()
         assert verify_span_bound(algebra, m, n, d, trials=2, seed=9 + k).successes == 2
         keep = m - d + 1
-        assert len(combined) == 2
-        # rows 0..keep-1: one scaled sum of keep rows when split, one substitution of keep * n stacked
-        # entries (after the norm of y_f, one row) over a division algebra
-        first = [c for c in calls if c[1] == "inside"]
-        assert [(name, rows) for name, _, rows, _ in first] == (
-            [("_scaled_sum", keep)] * 2 if split else [("_combine_raw", 1), ("_combine_raw", keep * n)] * 2
+        # one scaled sum of keep rows when split, one substitution of keep * n stacked entries
+        # (after the norm of y_f, one row) over a division algebra, all inside _combination
+        assert [(name, where, rows) for name, where, rows, _ in calls] == (
+            [("_scaled_sum", "inside", keep)] * 2 if split
+            else [("_combine_raw", "inside", 1), ("_combine_raw", "inside", keep * n)] * 2
         ), (m, n, d)
-        substituted = first if split else first[1::2]  # the other calls form the norm of y_f
+        substituted = calls if split else calls[1::2]  # the other calls form the norm of y_f
         assert all(matrices._vanishes(out, p) for *_, out in substituted)
-        # rows keep..m-1: formed once in the trial (none at d = 1), equal to the oracle's rows, and ranked
-        rest = [c for c in calls if c[1] == "trial"]
-        assert [name for name, *_ in rest] == ([] if d == 1 else ["_scaled_sum" if split else "_combine_raw"] * 2)
-        assert ranked == [out for *_, out in rest]
-        for (family, den), (*_, out) in zip(combined, rest):
-            assert len(out) == d - 1 and all(type(v) is int for row in out for e in row for v in e)
-            mats = [rank._matrix(algebra, raw) for raw in family]
-            full = _combine_by_definition(mats, _oracle_low_rank_combination(mats, d, lz))
-            expected = full.submatrix(range(keep, m), range(n)).scale_right(algebra.from_base(den * D))
-            assert rank._matrix(algebra, out) == expected, (m, n, d)
+    assert ranked == []
 
 
 MINOR_SEARCH_ALGEBRAS = [
@@ -964,26 +949,27 @@ def test_minors_of_a_pair_path_matrix_check_their_sqrt_a_part(monkeypatch):
 @pytest.mark.parametrize("algebra", [Mat2Algebra(PrimeField(7)), QuatAlgebra(PrimeField(7), 3, 6), SPLIT_F2, HQ,
                                      QuatAlgebra(QQ, 1, -1), QuatAlgebra(QQ, 3, -3)], ids=repr)
 def test_span_trial_rank_on_raw_acc_is_the_comp_matrix_rank(algebra, monkeypatch):
-    # from d = 2 a trial ranks the last d - 1 rows of its combination on the raw,
-    # unreduced acc; through CompMatrix, whose entries are reduced, the rank is the
-    # same; at d = 1 it ranks nothing
+    # the rows a trial leaves unformed, keep..m-1 of its combination, formed here on the
+    # raw, unreduced numerators, rank through `_comp_rank_raw` as through CompMatrix,
+    # whose entries are reduced, and never above d - 1: a rank check could not fail
+    split = algebra.is_split_decision() == "split"
     seen = []
-    rank_of = rank._comp_rank_raw
+    combination = rank._combination
 
-    def recorded(alg, acc):
-        seen.append((acc, rank_of(alg, acc)))
-        return seen[-1][1]
+    def recorded(alg, family, keep):
+        ys, den = combination(alg, family, keep)
+        rest = [T[keep:] for T in family]
+        seen.append(rank._scaled_sum(rest, ys) if split else matrices._combine_raw(alg, rest, ys))
+        return ys, den
 
-    with monkeypatch.context() as patch:
-        patch.setattr(rank, "_comp_rank_raw", recorded)
-        for k, (m, n, d) in enumerate(((1, 1, 1), (2, 2, 1), (1, 3, 1))):
-            assert verify_span_bound(algebra, m, n, d, trials=2, seed=61 + k).successes == 2
-        assert seen == []
-        for k, (m, n, d) in enumerate(((2, 3, 2), (2, 2, 2), (3, 3, 2), (3, 3, 3))):
-            assert verify_span_bound(algebra, m, n, d, trials=2, seed=63 + k).successes == 2
-    assert [len(acc) for acc, _ in seen] == [1, 1, 1, 1, 1, 1, 2, 2]
-    for acc, r in seen:
-        assert r == comp_rank(rank._matrix(algebra, acc))
+    monkeypatch.setattr(rank, "_combination", recorded)
+    ds = []
+    for k, (m, n, d) in enumerate(((2, 3, 2), (2, 2, 2), (3, 3, 2), (3, 3, 3))):
+        assert verify_span_bound(algebra, m, n, d, trials=2, seed=63 + k).successes == 2
+        ds += [d, d]
+    assert [len(acc) for acc in seen] == [d - 1 for d in ds]
+    for acc, d in zip(seen, ds):
+        assert rank._comp_rank_raw(algebra, acc) == comp_rank(rank._matrix(algebra, acc)) <= d - 1
     p = algebra.field.characteristic
-    if p:  # the acc handed over is unreduced
-        assert any(not 0 <= v < p for acc, _ in seen for row in acc for e in row for v in e)
+    if p:  # the acc ranked is unreduced
+        assert any(not 0 <= v < p for acc in seen for row in acc for e in row for v in e)
