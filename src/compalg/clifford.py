@@ -35,6 +35,7 @@ constructed as products of unit vectors; recovering one is out of scope.
 
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
@@ -387,12 +388,14 @@ def induced_matrix(g: Multivector):
 
 
 def preserves_form(sig: CliffordSignature, matrix, scale=1) -> bool:
-    """B^T I_{p,q} B == scale * I_{p,q} exactly."""
-    n, metric = sig.n, sig.metric
+    """B^T I_{p,q} B == scale * I_{p,q} exactly, stopping at the first entry that differs."""
+    metric = sig.metric
+    cols = list(zip(*matrix))
+    scaled = [list(map(mul, metric, col)) for col in cols]  # the rows of B^T I_{p,q}
     return all(
-        sum(matrix[k][i] * metric[k] * matrix[k][j] for k in range(n)) == (scale * metric[i] if i == j else 0)
-        for i in range(n)
-        for j in range(n)
+        sum(map(mul, left, right)) == (scale * metric[i] if i == j else 0)
+        for i, left in enumerate(scaled)
+        for j, right in enumerate(cols)
     )
 
 

@@ -36,7 +36,6 @@ import operator
 import time
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
 from types import SimpleNamespace
 
 from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
@@ -182,8 +181,7 @@ def _sample(algebra, m, n, count, rng: SplitMix64, entry_bound):
 def _estimate_ops(m, n, d, M, trials) -> int:
     keep = m - d + 1
     solve = (keep * n * 4) ** 2 * M
-    rank_cost = sum((2 * s) ** 3 * comb(m, s) * comb(n, s) for s in range(1, min(m, n) + 1))
-    return trials * (solve + rank_cost + M * m * n * 16)
+    return trials * (solve + M * m * n * 16)
 
 
 def verify_span_bound(algebra, m: int, n: int, d: int, trials: int, seed: int,

@@ -9,12 +9,20 @@ with d1 | d2 | ..., and U*A = D*V^-1, U*U^-1 = I and V*V^-1 = I are
 verified.  A square integer matrix with an integer inverse is unimodular, so
 no determinant is needed; V*V^-1 = I gives V^-1*V = I, so the first product
 gives U*A*V = D*V^-1*V = D.  D*V^-1 is only the rows of V^-1 scaled by the
-diagonal, and the products skip zero entries, which makes the check cheap on
-the sparse 0/1 injections and projections of the localization model.  The
-certified triple, like every product of two IntMatrix values, is wrapped
-without re-validating its ints; the public constructor still checks each
-entry.  Pivots are chosen deterministically (smallest nonzero absolute value,
-ties by position), so the output is reproducible.
+diagonal, and the products skip zero entries.  The certified triple, like
+every product of two IntMatrix values, is wrapped without re-validating its
+ints; the public constructor still checks each entry.  Pivots are chosen
+deterministically (smallest nonzero absolute value, ties by position), so the
+output is reproducible.
+
+A signed partial permutation matrix (at most one nonzero in each row and each
+column, every one +-1), such as both maps of the localization model, is not
+eliminated.  The elimination would only swap each nonzero row and its column
+into place and negate a -1 pivot, so the same U, D and V are written down
+from the pivot positions.  They are certified without products: U is a signed
+permutation matrix and V a permutation matrix, hence unimodular; each row of
+U*A*V, a signed row of A with its entries picked in V's column order, equals
+D's row; and D passes the same diagonal and divisibility check.
 
 `build_localization_model` realizes the rank bookkeeping of the boundary
 sequence: the middle lattice is the character lattice truncated at |s| <=
@@ -27,6 +35,7 @@ choices, which the sequence leaves free.
 """
 
 from itertools import compress
+from operator import itemgetter, neg
 from types import SimpleNamespace
 
 from .errors import ShapeError, TruncationError
@@ -128,7 +137,103 @@ class IntMatrix:
 
 
 def smith_normal_form(A: IntMatrix):
-    """(U, D, V) with U*A*V = D diagonal, d1 | d2 | ..., U and V unimodular.
+    """(U, D, V) with U*A*V = D diagonal, d1 | d2 | ..., U and V unimodular:
+    written down from the pivots of a signed partial permutation matrix, and
+    by elimination for any other (see the module docstring)."""
+    m, n = A.m, A.n
+    triple = _permutation_triple(A.rows, m, n)
+    if triple is None:
+        triple = _eliminate(A.rows, m, n)
+    else:
+        _certify_permutation(A.rows, *triple)
+    u, d, v = triple
+    return IntMatrix._trusted(u, m, m), IntMatrix._trusted(d, m, n), IntMatrix._trusted(v, n, n)
+
+
+def _unit_entries(rows, width):
+    """(column, value) of the one nonzero of each row, None for a zero row;
+    None in place of the list, at the first row that fails, unless every
+    nonzero is +-1 and no two rows share a column."""
+    out, seen, cols = [], set(), range(width)
+    for row in rows:
+        zeros = row.count(0)
+        if zeros == width:
+            out.append(None)
+            continue
+        if zeros != width - 1:
+            return None
+        j = next(compress(cols, row))
+        if row[j] not in (1, -1) or j in seen:
+            return None
+        seen.add(j)
+        out.append((j, row[j]))
+    return out
+
+
+def _permutation_triple(a, m, n):
+    """The elimination's (U, D, V) for a signed partial permutation matrix, or
+    None for any other matrix.
+
+    On such a matrix the elimination's pivot rule picks, at step t, the first
+    nonzero row at or below t.  Its swaps move only zero rows down, so the
+    t-th pivot is the t-th nonzero row of A in its original place: swap it to
+    row t, swap its column to column t, negate the row on a -1 pivot.  No
+    entry off the pivots changes, so nothing is cleared or folded.
+    """
+    entries = _unit_entries(a, n)
+    if entries is None:
+        return None
+    rows, cols = list(range(m)), list(range(n))
+    where = list(range(n))  # where[c]: current position of A's column c
+    signs = []
+    for i, entry in enumerate(entries):
+        if entry is None:
+            continue
+        t, (c, x) = len(signs), entry
+        rows[t], rows[i] = rows[i], rows[t]
+        k = where[c]
+        cols[t], cols[k] = cols[k], cols[t]
+        where[cols[k]], where[c] = k, t
+        signs.append(x)
+    rank = len(signs)
+    plus, minus, e = _units(m, 1), _units(m, -1), _units(n, 1)
+    u = [(plus if x == 1 else minus)(r) for r, x in zip(rows, signs + [1] * (m - rank))]
+    d = [e(t) for t in range(rank)] + [(0,) * n] * (m - rank)
+    return u, d, [e(k) for k in where]
+
+
+def _units(width, x):
+    """j -> x times the j-th unit row of length `width`, each a slice of one tuple."""
+    line = (0,) * (width - 1) + (x,) + (0,) * (width - 1)
+    return lambda j: line[width - 1 - j : 2 * width - 1 - j]
+
+
+def _certify_permutation(a, u, d, v):
+    """Raise AssertionError unless D is diagonal with d1 | d2 | ..., U is a
+    signed permutation matrix, V a permutation matrix, and U*A*V = D.
+
+    Both transforms are unimodular by their shape.  Row t of U*A*V is s times
+    row r of A, where U's row t holds s in column r, with its entries taken in
+    the order V's columns pick them; it is compared with D's row t directly.
+    """
+    m, n = len(u), len(v)
+    _check_diagonal(d, m, n)
+    u_entries, v_entries = _unit_entries(u, m), _unit_entries(v, n)
+    if u_entries is None or v_entries is None or None in u_entries or None in v_entries or any(
+        x != 1 for _, x in v_entries
+    ):
+        raise AssertionError("transformation matrices are not unimodular")
+    cols = [0] * n  # column k of V picks A's column cols[k]
+    for c, (k, _) in enumerate(v_entries):
+        cols[k] = c
+    pick = itemgetter(*cols) if n > 1 else itemgetter(slice(1))  # one column: a 1-tuple
+    for (r, s), row in zip(u_entries, d):
+        if pick(a[r]) != (tuple(row) if s == 1 else tuple(map(neg, row))):
+            raise AssertionError("normal form factorization failed")
+
+
+def _eliminate(a, m, n):
+    """(U, D, V) by elimination, certified by `_certify`.
 
     Deterministic pivoting: the entry of smallest nonzero absolute value in
     the remaining submatrix, earliest position winning ties.  Each row
@@ -139,8 +244,7 @@ def smith_normal_form(A: IntMatrix):
     checked to be diagonal with d1 | d2 | ..., and U*A = D*V^-1, U*U^-1 = I
     and V*V^-1 = I are verified in integers (see the module docstring).
     """
-    m, n = A.m, A.n
-    d = [list(row) for row in A.rows]
+    d = [list(row) for row in a]
     # the transforms start as identities sharing its rows, which no operation
     # writes into; u_inv_t[k] is column k of U^-1 and v_t[k] column k of V, so
     # their column operations are row operations
@@ -213,21 +317,28 @@ def smith_normal_form(A: IntMatrix):
         t += 1
 
     v = [list(col) for col in zip(*v_t)]
-    _certify(A.rows, u, [list(col) for col in zip(*u_inv_t)], d, v, v_inv, eye_m, eye_n)
-    return IntMatrix._trusted(u, m, m), IntMatrix._trusted(d, m, n), IntMatrix._trusted(v, n, n)
+    _certify(a, u, [list(col) for col in zip(*u_inv_t)], d, v, v_inv, eye_m, eye_n)
+    return u, d, v
+
+
+def _check_diagonal(d, m, n):
+    """Raise AssertionError unless D is diagonal with d1 | d2 | ...; return its diagonal."""
+    diag = [d[i][i] for i in range(min(m, n))]
+    if (
+        # a row is zero off the diagonal when its zeros number n, less one for a nonzero d_i
+        any(row.count(0) != n - (i < n and row[i] != 0) for i, row in enumerate(d))
+        or any(x < 0 for x in diag)
+        or any(y % x if x else y for x, y in zip(diag, diag[1:]))
+    ):
+        raise AssertionError("D is not diagonal with d1 | d2 | ...")
+    return diag
 
 
 def _certify(a, u, u_inv, d, v, v_inv, eye_m, eye_n):
     """Raise AssertionError unless D is diagonal with d1 | d2 | ..., U*A = D*V^-1,
     U*U^-1 = eye_m and V*V^-1 = eye_n."""
     m, n = len(d), len(v)
-    diag = [d[i][i] for i in range(min(m, n))]
-    if (
-        any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(d))
-        or any(x < 0 for x in diag)
-        or any(y % x if x else y for x, y in zip(diag, diag[1:]))
-    ):
-        raise AssertionError("D is not diagonal with d1 | d2 | ...")
+    diag = _check_diagonal(d, m, n)
     # D*V^-1 is the rows of V^-1 scaled by the diagonal, and zero below it
     d_v_inv = [[x * y for y in row] for x, row in zip(diag, v_inv)] + [[0] * n] * (m - len(diag))
     if _mul_rows(u, a, n) != d_v_inv:

@@ -60,6 +60,15 @@ def test_zmod_loc_model(capsys):
     assert payload["middle_rank"] == 10
 
 
+def test_zmod_snf_of_a_signed_permutation_exact_bytes(capsys):
+    # a signed partial permutation matrix takes the pivot-bookkeeping path;
+    # these are the bytes the elimination printed for it
+    code, out, _ = run(capsys, "zmod", "snf", "--input", "[[0,-1,0],[0,0,0],[1,0,0]]")
+    assert code == 0
+    assert out == ('{"D":[[1,0,0],[0,1,0],[0,0,0]],"U":[[-1,0,0],[0,0,1],[0,1,0]],"V":[[0,1,0],[1,0,0],[0,0,1]],'
+                   '"invariant_factors":[1,1]}')
+
+
 def test_span_rank_fixtures(capsys):
     for name, expected in (("z1", 2), ("z2", 1), ("z3", 0)):
         code, out, _ = run(capsys, "span", "rank", "--fixture", name)
@@ -225,7 +234,7 @@ def test_verify_bound_over_the_estimated_budget_exits_cleanly(capsys):
     code, out, err = run(capsys, *argv)
     _assert_one_json_error(code, out, err, argv)
     assert json.loads(err)["error"] == {
-        "type": "InfeasibleError", "message": "estimated work 803840 exceeds the budget of 1 ms"
+        "type": "InfeasibleError", "message": "estimated work 739840 exceeds the budget of 1 ms"
     }
 
 

@@ -272,6 +272,34 @@ def test_induced_matrix_rotation():
     assert preserves_form(cl20, mat)
 
 
+def test_preserves_form_agrees_with_the_entrywise_oracle():
+    # the oracle sums each entry of B^T I B on its own; the one-pass check must
+    # give the same verdict on form-preserving matrices, scaled ones and near misses
+    rng = SplitMix64(61)
+    verdicts = set()
+    for p, q in ((2, 0), (1, 1), (1, 2), (2, 2), (3, 3)):
+        sig, n = CliffordSignature(p, q), p + q
+        for _ in range(20):
+            axes = [rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+            g = unit_vector_product(sig, [[int(i == axis - 1) for i in range(n)] for axis in axes])
+            preserving = induced_matrix(g)
+            menu = [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)], preserving,
+                    [[2 * x for x in row] for row in preserving]]
+            nudged = [list(row) for row in preserving]
+            nudged[rng.randint(0, n - 1)][rng.randint(0, n - 1)] += Fraction(1, 2)
+            menu.append(nudged)
+            for mat in menu:
+                for scale in (1, 4):
+                    expected = all(
+                        sum(mat[k][i] * sig.metric[k] * mat[k][j] for k in range(n))
+                        == (scale * sig.metric[i] if i == j else 0)
+                        for i in range(n) for j in range(n)
+                    )
+                    assert preserves_form(sig, mat, scale) == expected, (p, q, mat, scale)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_inverse_and_noninvertible():
     cl11 = CliffordSignature(1, 1)
     e1 = cl11.basis_vector(1)

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -108,6 +108,29 @@ def test_localization_model_factors_each_matrix_once(monkeypatch):
     assert model.checks.all_true()
     # exactness is read off the Smith forms of f and g: no kernel basis, no solve
     assert calls == [(16, 5), (11, 16)]
+
+
+def test_localization_model_never_enters_the_elimination(monkeypatch):
+    # both maps are signed partial permutation matrices: each Smith form is
+    # written down from its pivots and certified without products
+    def refuse(*_):
+        raise AssertionError("eliminated a localization map")
+
+    certified = []
+    original = zmodule._certify_permutation
+
+    def counting(a, *triple):
+        certified.append((len(a), len(a[0])))
+        return original(a, *triple)
+
+    monkeypatch.setattr(zmodule, "_eliminate", refuse)
+    monkeypatch.setattr(zmodule, "_certify_permutation", counting)
+    for n, s_max in ((1, 1), (2, 5), (3, 8), (4, 12), (6, 20), (10, 60)):
+        count = 2 * n - 1
+        for signs in ((1,) * count, tuple((-1) ** (i // 2) for i in range(count))):
+            assert build_localization_model(n, s_max, signs).checks.all_true()
+            assert certified[-2:] == [(2 * s_max, count), (2 * s_max - count, 2 * s_max)]
+    assert len(certified) == 24
 
 
 def test_localization_model_n10_smax60_is_sign_independent():
@@ -290,6 +313,49 @@ def test_snf_certificate_checks_each_product(monkeypatch, target, message):
         smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
 
 
+def _set(rows, i, j, x):
+    out = [list(row) for row in rows]
+    out[i][j] = x
+    return out
+
+
+# each corrupts one of the (U, D, V) built for A = [[0,-1,0],[0,0,0],[1,0,0]],
+# whose correct triple is U = [[-1,0,0],[0,0,1],[0,1,0]], D = diag(1, 1, 0)
+# and V = [[0,1,0],[1,0,0],[0,0,1]]
+@pytest.mark.parametrize("which,corrupt,message", [
+    pytest.param(1, lambda d: _set(d, 0, 1, 1), r"not diagonal with d1 \| d2", id="D off the diagonal"),
+    pytest.param(1, lambda d: _set(_set(d, 1, 1, 0), 2, 2, 1), r"not diagonal with d1 \| d2", id="D with a zero before 1"),
+    pytest.param(1, lambda d: _set(_set(d, 0, 0, 2), 1, 1, 3), r"not diagonal with d1 \| d2", id="D with 2 before 3"),
+    pytest.param(1, lambda d: _set(d, 1, 1, -1), r"not diagonal with d1 \| d2", id="D with a negative factor"),
+    pytest.param(0, lambda u: _set(u, 0, 0, -2), "not unimodular", id="U with a 2"),
+    pytest.param(0, lambda u: _set(u, 1, 1, 1), "not unimodular", id="U with two entries in a row"),
+    pytest.param(0, lambda u: _set(_set(u, 1, 2, 0), 1, 0, 1), "not unimodular", id="U with a repeated column"),
+    pytest.param(0, lambda u: _set(u, 1, 2, 0), "not unimodular", id="U with a zero row"),
+    pytest.param(2, lambda v: _set(v, 0, 1, -1), "not unimodular", id="V with a -1"),
+    pytest.param(2, lambda v: _set(v, 2, 2, 0), "not unimodular", id="V with a zero row"),
+    pytest.param(2, lambda v: _set(_set(v, 2, 2, 0), 2, 0, 1), "not unimodular", id="V with a repeated column"),
+    pytest.param(0, lambda u: _set(u, 0, 0, 1), "factorization failed", id="U with a flipped sign"),
+    pytest.param(0, lambda u: [u[0], u[2], u[1]], "factorization failed", id="U with two rows swapped"),
+    pytest.param(2, lambda v: [v[1], v[0], v[2]], "factorization failed", id="V with two rows swapped"),
+    pytest.param(1, lambda d: _set(d, 2, 2, 1), "factorization failed", id="D with a factor too many"),
+])
+def test_snf_permutation_certificate_rejects_a_corrupted_triple(monkeypatch, which, corrupt, message):
+    original = zmodule._permutation_triple
+
+    def corrupted(a, m, n):
+        triple = list(original(a, m, n))
+        triple[which] = corrupt(triple[which])
+        return tuple(triple)
+
+    A = IntMatrix([[0, -1, 0], [0, 0, 0], [1, 0, 0]])
+    assert [list(map(list, M.rows)) for M in smith_normal_form(A)] == [
+        [[-1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    ]
+    monkeypatch.setattr(zmodule, "_permutation_triple", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        smith_normal_form(A)
+
+
 @pytest.mark.parametrize("d", [
     [[1, 1], [0, 1]],  # not diagonal
     [[1, 0], [0, 1], [1, 0]],  # nonzero below the diagonal
@@ -441,8 +507,45 @@ def _localization_maps():
     yield model.projection
 
 
+def _signed_partial_permutations():
+    """Every matrix of every shape up to 4 x 4 with at most one nonzero in each
+    row and each column, each nonzero +-1: 2,600 of them."""
+    for m, n in product(range(1, 5), repeat=2):
+        for k in range(min(m, n) + 1):
+            for rows, cols, signs in product(combinations(range(m), k), permutations(range(n), k),
+                                             product((1, -1), repeat=k)):
+                a = [[0] * n for _ in range(m)]
+                for i, j, x in zip(rows, cols, signs):
+                    a[i][j] = x
+                yield IntMatrix(a)
+
+
+# each fails the permutation test at one row: a +-2 entry, two nonzeros in a
+# row, two nonzeros in a column
+NEAR_PERMUTATIONS = (
+    [[2]],
+    [[0, -2], [1, 0]],
+    [[1, 0, 0], [0, 0, 1], [0, -2, 0]],
+    [[1, 1]],
+    [[0, 1, -1], [1, 0, 0]],
+    [[1], [-1]],
+    [[1, 0], [0, 1], [-1, 0]],
+    [[0, 0, 1], [0, 1, 0], [0, 0, 1]],
+)
+
+
 def test_snf_returns_the_parent_triple_on_every_oracle_input():
-    cases = list(_oracle_cases()) + list(_localization_maps())
+    permutations_ = list(_signed_partial_permutations())
+    near = [IntMatrix(rows) for rows in NEAR_PERMUTATIONS]
+    assert len(permutations_) == 2600
+    assert all(zmodule._permutation_triple(A.rows, A.m, A.n) is not None for A in permutations_)
+    assert all(zmodule._permutation_triple(A.rows, A.m, A.n) is None for A in near)
+    # the all-zero matrix has no nonzero to break the rule, so it is one of
+    # the signed partial permutations (k = 0) and takes their path
+    zero = IntMatrix.zero(3, 2)
+    assert zmodule._permutation_triple(zero.rows, 3, 2) == ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0)] * 3,
+                                                            [(1, 0), (0, 1)])
+    cases = list(_oracle_cases()) + list(_localization_maps()) + permutations_ + near + [zero]
     assert len(cases) >= 2000
     folded = 0
     for A in cases:
