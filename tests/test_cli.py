@@ -9,6 +9,7 @@ import pytest
 
 import compalg
 from compalg.cli import build_parser, main
+from golden.check import RECORDS, label, mismatch
 
 
 def run(capsys, *argv):
@@ -45,12 +46,6 @@ def test_verify_bound_example(capsys):
     assert payload["counterexample"] is None
 
 
-def test_clifford_classify_exact_bytes(capsys):
-    code, out, _ = run(capsys, "clifford", "classify", "--p", "1", "--q", "1")
-    assert code == 0
-    assert out == '{"base":"R","matrix_size":2,"direct_sum":false}'
-
-
 def test_zmod_loc_model(capsys):
     code, out, _ = run(capsys, "zmod", "loc-model", "--n", "2", "--smax", "5", "--signs", "++-+")
     assert code == 0
@@ -58,15 +53,6 @@ def test_zmod_loc_model(capsys):
     assert payload["delta_injective"] is True
     assert payload["splits"] is True
     assert payload["middle_rank"] == 10
-
-
-def test_zmod_snf_of_a_signed_permutation_exact_bytes(capsys):
-    # a signed partial permutation matrix takes the pivot-bookkeeping path;
-    # these are the bytes the elimination printed for it
-    code, out, _ = run(capsys, "zmod", "snf", "--input", "[[0,-1,0],[0,0,0],[1,0,0]]")
-    assert code == 0
-    assert out == ('{"D":[[1,0,0],[0,1,0],[0,0,0]],"U":[[-1,0,0],[0,0,1],[0,1,0]],"V":[[0,1,0],[1,0,0],[0,0,1]],'
-                   '"invariant_factors":[1,1]}')
 
 
 def test_span_rank_fixtures(capsys):
@@ -77,14 +63,9 @@ def test_span_rank_fixtures(capsys):
 
 
 def test_clifford_product(capsys):
-    code, out, _ = run(capsys, "clifford", "product", "--sig", "2,0", "--x", "e1", "--y", "e2")
-    assert code == 0
-    assert json.loads(out) == {"12": "1"}
     code, out, _ = run(capsys, "clifford", "product", "--sig", "0,2", "--x", "e12", "--y", "e12")
-    assert json.loads(out) == {"0": "-1"}
-    # a coefficient and its blade may be juxtaposed; "1e3" is e3, not the float 1000
-    code, out, _ = run(capsys, "clifford", "product", "--sig", "2,0", "--x", "3 e1", "--y", "1")
-    assert (code, out) == (0, '{"1":"3"}')
+    assert (code, out) == (0, '{"0":"-1"}')
+    # a coefficient and its blade may be juxtaposed, as in the pinned "3 e1"; "1e3" is e3, not the float 1000
     code, out, _ = run(capsys, "clifford", "product", "--sig", "3,0", "--x", "1e3", "--y", "1")
     assert (code, out) == (0, '{"3":"1"}')
 
@@ -119,6 +100,17 @@ def test_quat_is_split_imports_no_other_command():
     loaded = set(proc.stderr.split())
     assert {"compalg", "compalg.quaternion"} <= loaded
     never = {f"compalg.{name}" for name in ("weyl", "clifford", "zmodule", "poincare", "rank")}
+    assert not loaded & (never | {"dataclasses"})
+
+
+def test_compalg_qq_loads_no_command_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).resolve().parents[1]))
+    script = "import sys, compalg; compalg.QQ; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "compalg.fields" in loaded
+    never = {f"compalg.{name}" for name in ("rank", "weyl", "clifford", "zmodule", "poincare")}
     assert not loaded & (never | {"dataclasses"})
 
 
@@ -276,55 +268,6 @@ def test_seed_bounds_are_accepted(capsys):
         assert code == 0 and json.loads(out)["params"]["seed"] == int(value)
 
 
-@pytest.mark.parametrize("argv, text", [
-    (("quat", "mul", "--field", "Q", "--a", "-1", "--b", "-1", "--x", "1,2,0,0", "--y", "0,1,1/2,0"),
-     "Quat(Fraction(-2, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 1))"),
-    (("quat", "conjugate", "--field", "Fp:7", "--a", "3", "--b", "-1", "--x", "1,2,3,4"), "Quat(1, 5, 4, 3)"),
-    (("quat", "inverse", "--field", "Q", "--split", "--x", "1,2,3,4"), "[[-2,1],[3/2,-1/2]]"),
-])
-def test_quat_text_output_exact_bytes(capsys, argv, text):
-    code, out, err = run(capsys, *argv, "--output", "text")
-    assert (code, out, err) == (0, text, "")
-
-
-# report payloads byte for byte, as printed before the reports became SimpleNamespace records
-@pytest.mark.parametrize("call, payload", [
-    ("clifford verify --p 3 --q 0",
-     '{"p":3,"q":0,"dimension":8,"classification":{"base":"C","matrix_size":2,"direct_sum":false},"center_dim":2,'
-     '"expected_center_dim":2,"center_ok":true,"complex_square_witness":true,"transport":null,"transport_ok":null,'
-     '"agree":true}'),
-    ("clifford verify --p 0 --q 2",
-     '{"p":0,"q":2,"dimension":4,"classification":{"base":"H","matrix_size":1,"direct_sum":false},"center_dim":1,'
-     '"expected_center_dim":1,"center_ok":true,"complex_square_witness":null,"transport":"quaternion(-1,-1)",'
-     '"transport_ok":true,"agree":true}'),
-    ("zmod loc-model --n 2 --smax 5 --signs ++-",
-     '{"delta_injective":true,"cokernel_torsion_free":true,"exact_middle":true,"surjective_quotient":true,'
-     '"splits":true,"middle_rank":10}'),
-    ("weyl verify-generation --flavor Sym --n 2 --bound 3",
-     '{"flavor":"Sym","n":2,"degree_bound":3,"checked":28,"expressible":28,"inconclusive":[]}'),
-    ("span verify-bound --field Q --a -1 --b -1 --m 2 --n 2 --d 1 --trials 3 --seed 7",
-     '{"params":{"algebra":"(-1,-1)_QQ","m":2,"n":2,"d":1,"family_size":5,"seed":7,"entry_bound":3},"trials":3,'
-     '"successes":3,"counterexample":null}'),
-    ("zmod sequence-check --f [[1],[0]] --g [[0,1]]",
-     '{"injective_f":true,"exact_middle":true,"surjective_g":true,"splits":true}'),
-    ("poincare product-form --space sp-u1su --n 4", '{"0":1,"4":1,"6":1,"8":1,"10":1,"12":1,"14":1,"18":1}'),
-    ("poincare product-form --space so-u1su --n 4", '{"0":1,"4":1,"6":1,"10":1}'),
-    ("poincare gaussian --n 5 --k 2 --step 2", '{"0":1,"2":1,"4":2,"6":2,"8":2,"10":1,"12":1}'),
-    ("poincare grassmann --p 2 --q 3", '{"0":1,"1":1,"2":2,"3":2,"4":2,"5":1,"6":1}'),
-    ("poincare oriented-grassmann --m 4 --k 2", '{"0":1,"4":2,"8":3,"12":3,"16":2,"20":1}'),
-    ("poincare clifford-gamma --n 3 --p 2 --q 1", '{"0":1,"1":1,"2":1,"3":1}'),
-    ("poincare clifford-gamma --n 4 --p 2 --q 2", '{"0":1,"1":2,"2":3,"3":3,"4":2,"5":1}'),
-    ("weyl index --g BC:3 --h Sym:3", '{"index":8}'),
-    ("weyl ktheory --pair split --n 3", '{"rank":20}'),
-    ("clifford spin-check --p 1 --q 2 --count 5 --seed 5", '{"p":1,"q":2,"trials":5,"violations":[]}'),
-    # calls are split on spaces, so the sum is written without them; its text form reads back
-    ("clifford product --sig 2,0 --x=1-2*e12 --y 1 --output text", "1 - 2*e12"),
-])
-def test_report_output_exact_bytes(capsys, call, payload):
-    code, out, err = run(capsys, *call.split(" "))
-    assert (code, out, err) == (0, payload, "")
-
-
 def test_spin_check(capsys):
     code, out, _ = run(
         capsys, "clifford", "spin-check", "--p", "1", "--q", "2", "--count", "10", "--seed", "5"
@@ -447,6 +390,28 @@ def _assert_one_json_error(code, out, err, argv):
     lines = err.splitlines()
     assert len(lines) == 1, argv
     assert json.loads(lines[0])["error"]["message"], argv
+
+
+# tests/golden/cli.json pins whole outputs, one record per call; CI runs the
+# same records through the installed `compalg` executable
+@pytest.mark.parametrize("record", RECORDS, ids=label)
+def test_pinned_output(capsys, monkeypatch, record):
+    for variable, value in record.get("env", {}).items():
+        monkeypatch.setenv(variable, value)
+    code = main(list(record["argv"]))
+    captured = capsys.readouterr()
+    why = mismatch(record, code, captured.out, captured.err)
+    assert why is None, why
+
+
+def test_pinned_outputs_are_one_record_per_known_call():
+    calls = [(tuple(record["argv"]), tuple(sorted(record.get("env", {}).items()))) for record in RECORDS]
+    assert len(set(calls)) == len(calls), [call for call in calls if calls.count(call) > 1]
+    actions = set(_parser_actions())
+    for record in RECORDS:
+        assert tuple(record["argv"][:2]) in actions, record
+        assert ("stdout" in record) != ("error" in record), record
+        assert set(record) <= {"argv", "env", "exit", "stdout", "error"}, record
 
 
 def test_every_action_without_flags_exits_cleanly(capsys):

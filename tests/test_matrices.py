@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +31,7 @@ from compalg.matrices import (
 from compalg.quaternion import NONSPLIT, Mat2Algebra, QuatAlgebra, quat_to_mat2
 from compalg.rank import comp_rank, dependence_bound, low_rank_combination
 from compalg.rng import SplitMix64
-from compalg.serialize import matrix_from_json
+from compalg.serialize import element_to_json, matrix_from_json
 from compalg.corpus import load_fixture
 from compalg.zmodule import IntMatrix
 from conftest import as_fractions, gauss_jordan, parent_raw, sample_distinct_matrices
@@ -456,6 +457,17 @@ def test_skew_solve_independent_columns():
     ident = CompMatrix.identity(HQ, 3)
     assert skew_solve(ident) is None
     assert skew_column_rank(ident) == 3
+
+
+def test_skew_solve_over_2_5_prints_its_pinned_coefficients():
+    A = QuatAlgebra(QQ, 2, 5)
+    e = A.element
+    Z = CompMatrix(A, [[e((1, 0, 0, 0)), e((0, 1, 0, 0)), e((Fraction(1, 2), 0, 1, 0))],
+                       [e((0, 0, 1, 0)), e((0, 0, 0, 1)), e((1, -1, 0, Fraction(1, 3)))]])
+    coeffs = [element_to_json(c)["coeffs"] for c in skew_solve(Z)]
+    assert json.dumps(coeffs, separators=(",", ":")) == (
+        '[["1","0","0","0"],["-420/1219","37/106","156/1219","18/1219"],["180/1219","120/1219","-432/1219","-72/1219"]]'
+    )
 
 
 def test_skew_solve_rejects_split_algebra():
