@@ -387,10 +387,7 @@ def is_square(x: Scalar) -> str:
 
 
 def split_components(x: Scalar) -> tuple[Scalar, Scalar]:
-    """Image of x under k[sqrt(a)] ~ k (+) k when a = s^2 is a base square.
-
-    x + y*sqrt(a) maps to (x + y*s, x - y*s) componentwise.
-    """
+    """(x + y*s, x - y*s): x + y*sqrt(a) under k[sqrt(a)] ~ k (+) k, when a = s^2 in k."""
     spec = x.spec
     if not isinstance(spec, QuadExt) or not spec.split:
         raise NotQuadExtError("component decomposition needs a split quadratic extension")
@@ -398,17 +395,6 @@ def split_components(x: Scalar) -> tuple[Scalar, Scalar]:
     xr, yr = x.raw
     ys = yr * spec._sqrt_a
     return Scalar(bb, bb._add(xr, ys)), Scalar(bb, bb._sub(xr, ys))
-
-
-def from_split_components(spec: QuadExt, c1: Scalar, c2: Scalar) -> Scalar:
-    """Inverse of split_components (characteristic != 2 guaranteed by QuadExt)."""
-    if not spec.split:
-        raise NotQuadExtError("component decomposition needs a split quadratic extension")
-    bb = spec.base
-    half = bb._inv(bb._coerce(2))
-    x = bb._mul(c1.raw + c2.raw, half)
-    y = bb._mul(c1.raw - c2.raw, half * bb._inv(spec._sqrt_a))
-    return Scalar(spec, (x, y))
 
 
 QQ = RationalField()

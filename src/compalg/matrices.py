@@ -34,7 +34,7 @@ from math import gcd, lcm, prod
 
 from .errors import (AlgebraMismatchError, FieldMismatchError, NotDiagonalError, NotSplitFormError, ShapeError,
                      UnexpectedZeroDivisorError)
-from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar, from_split_components, split_components
+from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar
 from .quaternion import SPLIT, Mat2Algebra, Mat2Element, QuatAlgebra, mat2_to_quat, quat_to_mat2
 
 
@@ -143,17 +143,18 @@ class FieldMatrix(RingMatrix):
         return f"FieldMatrix({self.m}x{self.n}: {body})"
 
     def det(self) -> Scalar:
-        """Exact determinant by `field_echelon`, `pair_echelon` over a quadratic
-        field, or componentwise through k (+) k over a split extension."""
+        """Exact determinant by `field_echelon`, `pair_echelon` over a quadratic field, or
+        over a split one (s^2 = a in k) as (d1 + d2)/2 + (d1 - d2)/(2s)*sqrt(a), d1 and
+        d2 the determinants of the entries x + y*sqrt(a) sent to x + y*s and x - y*s."""
         if self.m != self.n:
             raise ShapeError("determinant needs a square matrix")
         spec = self.ring
         if not isinstance(spec, QuadExt):
             return Scalar(spec, field_echelon([[e.raw for e in row] for row in self.rows], spec)[1])
         if spec.split:
-            parts = [[split_components(e) for e in row] for row in self.rows]
-            d1, d2 = (FieldMatrix(spec.base, [[e[k] for e in row] for row in parts]).det() for k in (0, 1))
-            return from_split_components(spec, d1, d2)
+            k, s = spec.base, spec._sqrt_a
+            d1, d2 = (field_echelon([[x + t * y for x, y in (e.raw for e in row)] for row in self.rows], k)[1] for t in (s, -s))
+            return Scalar(spec, (k._mul(d1 + d2, k._inv(2)), k._mul(d1 - d2, k._inv(2 * s))))
         return Scalar(spec, pair_echelon([[e.raw for e in row] for row in self.rows], spec.base, spec.a)[1])
 
 

@@ -15,12 +15,14 @@ on x_i + 1/x_i for the signed flavors), and a generation check decided by
 the triangularity theorem: the generators, built once as raw
 {exponent tuple: int} dicts, must lead with x_1...x_k at coefficient 1, and
 then every orbit sum, listed from its dominant weight, is expressible over Z.
-Each group enumerates its elements once, as raw (perm, signs) tuple pairs in
-`_pairs()`; `elements()` wraps them in SignedPerm; Reynolds walks them on raw
-exponent tuples, once per distinct restriction to f's support where that
-keeps the pair walk's term order.  A LaurentPoly or its text is built only
-for output.  Its text is a sum in the grammar of `termsplit`, printed by
-`LaurentPoly.text` and read by `parse_laurent`.
+Every group, products included, is listed once, perm-major: each of
+`_perms()` with every one of `_sign_vectors()`; `elements()` wraps the pairs
+in SignedPerm.  Reynolds has one walk, once per distinct restriction to f's
+support in the order the listing first meets it, on raw exponent tuples: its
+terms come in first-occurrence order, and cancelled sums are dropped at the
+end.  A LaurentPoly or its text is built only for output.  Its text is a sum
+in the grammar of `termsplit`, printed by `LaurentPoly.text` and read by
+`parse_laurent`.
 Index counts |G| / |H| feed the free-module ranks in the K-group
 bookkeeping: the quaternionic pair gives (2n)!/n!, the split pair the
 central binomial coefficient, and the smallest split case 2.
@@ -29,7 +31,7 @@ central binomial coefficient, and the smallest split case 2.
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add, itemgetter
 from types import SimpleNamespace
 
@@ -224,8 +226,8 @@ def act(g: SignedPerm, f: LaurentPoly) -> LaurentPoly:
 
 
 class SignedPermGroup:
-    """Elements perm-major: each of `_perms()` with every one of `_sign_vectors()`;
-    a group listed another way overrides `_pairs`."""
+    """Elements perm-major, the one listing of every flavor: each of `_perms()`
+    with every one of `_sign_vectors()`, as raw tuples."""
 
     flavor = "abstract"
 
@@ -241,16 +243,11 @@ class SignedPermGroup:
     def _sign_vectors(self):
         return [(1,) * self.n]
 
-    def _pairs(self):
-        """Every element as a raw (perm, signs) pair of tuples, in a fixed order."""
-        sign_vectors = self._sign_vectors()
-        for p in self._perms():
-            for signs in sign_vectors:
-                yield p, signs
-
     def elements(self):
-        for perm, signs in self._pairs():
-            yield SignedPerm(perm, signs)
+        sign_vectors = self._sign_vectors()
+        for perm in self._perms():
+            for signs in sign_vectors:
+                yield SignedPerm(perm, signs)
 
     def __repr__(self):
         return f"{self.flavor}({self.n})"
@@ -321,37 +318,30 @@ class ProductGroup(SignedPermGroup):
         return hash(self.factors)
 
     def order(self):
-        out = 1
+        return prod(f.order() for f in self.factors)
+
+    def _perms(self):
+        """The factors' permutations shifted into their blocks, the first factor outermost."""
+        blocks, offset = [], 0
         for f in self.factors:
-            out *= f.order()
-        return out
+            blocks.append([tuple(offset + i for i in p) for p in f._perms()])
+            offset += f.n
+        return (sum(parts, ()) for parts in product(*blocks))
 
-    def _embed(self, parts):
-        perm, signs = [], []
-        offset = 0
-        for factor, (p, s) in zip(self.factors, parts):
-            perm.extend(offset + i for i in p)
-            signs.extend(s)
-            offset += factor.n
-        return tuple(perm), tuple(signs)
-
-    def _pairs(self):
-        for parts in product(*(list(f._pairs()) for f in self.factors)):
-            yield self._embed(parts)
+    def _sign_vectors(self):
+        return [sum(parts, ()) for parts in product(*(f._sign_vectors() for f in self.factors))]
 
 
 def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     """Group average (1/|G|) sum g.f; idempotent on invariants.
 
-    Defined by one pass over G's (perm, signs) pairs on f scaled to integers:
-    each g.f goes into the total in f's term order, and a key is dropped when
-    its sum cancels.  An image depends only on the pair's restriction to f's
-    support S, met |G| / R times (a coset of S's pointwise stabilizer).  So a
-    perm-major group walks each of the R restrictions once, at its first-met
-    pair; values and term order agree unless a running sum returns to zero,
-    which needs opposite-sign terms with one multiset of |exponents|.  Such
-    inputs, and groups not listed perm-major (ProductGroup), take the pair
-    walk.
+    One pass over G's perm-major listing on f scaled to integers would add
+    each g.f into the total in f's term order.  An image depends only on the
+    element's restriction to f's support S, met |G| / R times (a coset of S's
+    pointwise stabilizer, in the permutations and in the sign vectors), so
+    the walk takes each of the R restrictions once, in the order the listing
+    first meets it, and scales by R: the same value with its terms in the same
+    first-occurrence order.  Cancelled sums are dropped once, at the end.
     """
     order = G.order()
     if order > DEFAULT_MAX_GROUP_ORDER:
@@ -359,35 +349,22 @@ def reynolds(G: SignedPermGroup, f: LaurentPoly) -> LaurentPoly:
     if G.n != f.nvars:
         raise ShapeError("group element and polynomial have different variable counts")
     denom = lcm(*(c.denominator for c in f.terms.values()))
-    scaled = {expo: c.numerator * denom // c.denominator for expo, c in f.terms.items()}
-    terms = [([(i, e) for i, e in enumerate(expo) if e], c) for expo, c in scaled.items()]
-    shapes = [(tuple(sorted(map(abs, expo))), c > 0) for expo, c in scaled.items()]
-    mixed = {s for s, positive in shapes if positive} & {s for s, positive in shapes if not positive}
-    pairs, count = G._pairs(), order
-    if type(G)._pairs is SignedPermGroup._pairs and not mixed:
-        support = sorted({i for entries, _ in terms for i, _ in entries})
-        restrict = itemgetter(*support) if support else lambda t: ()
-        perms, signs = {}, {}  # the first-met element of each restriction
-        for p in G._perms():
-            perms.setdefault(restrict(p), p)
-        for s in G._sign_vectors():
-            signs.setdefault(restrict(s), s)
-        pairs = [(p, s) for p in perms.values() for s in signs.values()]
-        count = len(pairs)
+    terms = [([(i, e) for i, e in enumerate(expo) if e], c.numerator * denom // c.denominator) for expo, c in f.terms.items()]
+    support = sorted({i for entries, _ in terms for i, _ in entries})
+    restrict = itemgetter(*support) if support else lambda t: ()
+    perms = {restrict(p): p for p in G._perms()}  # restrictions in first-met order, each with one element
+    signs = {restrict(s): s for s in G._sign_vectors()}
     acc = {}
-    for perm, signs in pairs:
-        for entries, coeff in terms:
-            new = [0] * f.nvars
-            for i, e in entries:
-                new[perm[i]] = signs[i] * e
-            key = tuple(new)
-            total = acc.get(key, 0) + coeff
-            if total:
-                acc[key] = total
-            else:
-                del acc[key]
-    values = {c: Fraction(c, denom * count) for c in set(acc.values())}
-    return LaurentPoly._trusted(f.nvars, {expo: values[c] for expo, c in acc.items()})
+    for perm in perms.values():
+        for sign in signs.values():
+            for entries, coeff in terms:
+                new = [0] * f.nvars
+                for i, e in entries:
+                    new[perm[i]] = sign[i] * e
+                key = tuple(new)
+                acc[key] = acc.get(key, 0) + coeff
+    values = {c: Fraction(c, denom * len(perms) * len(signs)) for c in set(acc.values()) if c}
+    return LaurentPoly._trusted(f.nvars, {expo: values[c] for expo, c in acc.items() if c})
 
 
 def _generator_rows(flavor: str, n: int) -> list[dict]:

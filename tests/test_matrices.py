@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -13,7 +13,7 @@ from compalg.errors import (
     ShapeError,
     UnexpectedZeroDivisorError,
 )
-from compalg.fields import QQ, PrimeField, QuadExt, from_split_components, split_components
+from compalg.fields import QQ, PrimeField, QuadExt
 from compalg.matrices import (
     CompMatrix,
     FieldMatrix,
@@ -368,14 +368,17 @@ def test_low_rank_combination_matches_row_reduction_oracle(alg):
 
 
 def _scalar_det(M):
-    """Test oracle: division elimination on Scalars, componentwise over a split k[sqrt(a)]."""
+    """Test oracle: division elimination on Scalars; over a split k[sqrt(a)],
+    which has zero divisors, the Leibniz sum over permutations."""
     spec = M.spec
     if isinstance(spec, QuadExt) and spec.split:
-        parts = [[split_components(e) for e in row] for row in M.rows]
-        d1, d2 = (
-            _scalar_det(FieldMatrix(spec.base, [[e[k] for e in row] for row in parts])) for k in (0, 1)
-        )
-        return from_split_components(spec, d1, d2)
+        det = spec.zero()
+        for perm in permutations(range(M.n)):
+            term = spec.one() if sum(perm[i] > perm[j] for j in range(M.n) for i in range(j)) % 2 == 0 else -spec.one()
+            for i, j in enumerate(perm):
+                term = term * M.rows[i][j]
+            det = det + term
+        return det
     work = [list(row) for row in M.rows]
     det = spec.one()
     for col in range(M.n):
@@ -398,6 +401,7 @@ DET_SPECS = [
     PrimeField(5),
     QuadExt(QQ, 1),
     QuadExt(PrimeField(5), 4),
+    QuadExt(QQ, Fraction(4, 9)),
     QuadExt(QQ, 2),
     QuadExt(QQ, -1),
     QuadExt(QQ, Fraction(3, 2)),

@@ -45,11 +45,13 @@ def random_poly(nvars, rng, terms=3, bound=2):
 
 
 def reynolds_oracle(G, f):
-    """Element-by-element average on LaurentPoly, the reference for `reynolds`."""
-    acc = LaurentPoly(f.nvars, {})
+    """Element-by-element average, the reference for `reynolds`: every act(g, f)
+    summed into a raw dict, and the cancelled sums dropped once, at the end."""
+    acc = {}
     for g in G.elements():
-        acc = acc + act(g, f)
-    return acc.scale(Fraction(1, G.order()))
+        for expo, coeff in act(g, f).terms.items():
+            acc[expo] = acc.get(expo, 0) + coeff
+    return LaurentPoly(f.nvars, {expo: c / G.order() for expo, c in acc.items() if c})
 
 
 def in_span_oracle(target, candidates):
@@ -254,27 +256,32 @@ def straighten(flavor, n, target):
 
 
 def elements_by_hand(G):
-    """(perm, signs) pairs of G in the enumeration order the library promises:
-    permutations in lexicographic order, sign vectors inner with +1 before -1,
-    and for a product the factors' elements with the last factor fastest."""
-    if isinstance(G, ProductGroup):
-        out = []
-        for parts in product(*(elements_by_hand(f) for f in G.factors)):
-            perm, signs, offset = [], [], 0
-            for factor, (p, s) in zip(G.factors, parts):
-                perm += [offset + i for i in p]
-                signs += s
+    """(perm, signs) pairs of G in the enumeration order the library promises,
+    perm-major: permutations in lexicographic order outer, sign vectors inner
+    with +1 before -1.  A product's permutations are its factors' shifted into
+    their blocks and its sign vectors their concatenations, each listed with
+    the last factor fastest."""
+
+    def listing(G):
+        if isinstance(G, ProductGroup):
+            perms, sign_vectors, offset = [()], [()], 0
+            for factor in G.factors:
+                fp, fs = listing(factor)
+                perms = [p + tuple(offset + i for i in q) for p in perms for q in fp]
+                sign_vectors = [s + t for s in sign_vectors for t in fs]
                 offset += factor.n
-            out.append((tuple(perm), tuple(signs)))
-        return out
-    if isinstance(G, TrivialGroup):
-        return [(tuple(range(G.n)), (1,) * G.n)]
-    sign_vectors = [(1,) * G.n]
-    if isinstance(G, HyperoctahedralGroup):
-        sign_vectors = list(product((1, -1), repeat=G.n))
-    elif isinstance(G, EvenSignedGroup):
-        sign_vectors = [s for s in product((1, -1), repeat=G.n) if s.count(-1) % 2 == 0]
-    return [(p, s) for p in permutations(range(G.n)) for s in sign_vectors]
+            return perms, sign_vectors
+        if isinstance(G, TrivialGroup):
+            return [tuple(range(G.n))], [(1,) * G.n]
+        sign_vectors = [(1,) * G.n]
+        if isinstance(G, HyperoctahedralGroup):
+            sign_vectors = list(product((1, -1), repeat=G.n))
+        elif isinstance(G, EvenSignedGroup):
+            sign_vectors = [s for s in product((1, -1), repeat=G.n) if s.count(-1) % 2 == 0]
+        return list(permutations(range(G.n))), sign_vectors
+
+    perms, sign_vectors = listing(G)
+    return [(p, s) for p in perms for s in sign_vectors]
 
 
 def random_element(G, rng):
@@ -319,7 +326,13 @@ def test_group_orders():
     assert EvenSignedGroup(3).order() == 24
     assert TrivialGroup(5).order() == 1
     assert ProductGroup([SymGroup(2), SymGroup(3)]).order() == 12
-    for G in (SymGroup(3), HyperoctahedralGroup(2), EvenSignedGroup(2)):
+    for G in (
+        SymGroup(3),
+        HyperoctahedralGroup(2),
+        EvenSignedGroup(2),
+        ProductGroup([HyperoctahedralGroup(1), SymGroup(2)]),
+        ProductGroup([ProductGroup([HyperoctahedralGroup(1), SymGroup(2)]), EvenSignedGroup(2)]),
+    ):
         assert len(set(G.elements())) == G.order()
 
 
@@ -352,6 +365,8 @@ def test_reynolds_matches_oracle_in_value_and_term_order():
         HyperoctahedralGroup(4),
         EvenSignedGroup(4),
         ProductGroup([HyperoctahedralGroup(2), EvenSignedGroup(2)]),
+        ProductGroup([HyperoctahedralGroup(1), SymGroup(2)]),
+        ProductGroup([ProductGroup([HyperoctahedralGroup(1), SymGroup(2)]), EvenSignedGroup(2)]),
     )
     for G in groups:
         assert [(g.perm, g.signs) for g in G.elements()] == elements_by_hand(G)
@@ -368,7 +383,7 @@ def test_reynolds_matches_oracle_in_value_and_term_order():
             got, want = reynolds(G, f), reynolds_oracle(G, f)
             assert list(got.terms.items()) == list(want.terms.items())
     # terms of opposite sign in one orbit: a running sum returns to zero and
-    # its key re-enters later, so only the pair walk gives this term order
+    # the key keeps its first-occurrence place
     for G, terms in (
         (HyperoctahedralGroup(4), {(0, 0, 0, 1): 1, (0, -1, 0, 0): -1, (0, 1, 0, 0): 1}),
         (EvenSignedGroup(4), {(0, 0, -1, 0): 3, (-1, 0, 0, 0): -1, (0, 0, 1, 0): -1}),
