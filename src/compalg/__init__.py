@@ -14,9 +14,10 @@ loads its module on first use (PEP 562), so `import compalg` imports none of
 them; the other modules (`poincare`, `weyl`, `zmodule`, `clifford`, ...) are
 imported by name, as `compalg.weyl`.
 
-All value types are immutable, so they can be shared freely across threads
-or processes; the verification harnesses are embarrassingly parallel over
-trials if a caller wants to distribute them.
+All value types derive from `errors.Frozen`: immutable, restored by pickle
+and copy without re-running a constructor, and so shared freely across
+threads or processes; the verification harnesses are embarrassingly parallel
+over trials if a caller wants to distribute them.
 """
 
 from importlib import import_module

@@ -36,9 +36,9 @@ constructed as products of unit vectors; recovering one is out of scope.
 from fractions import Fraction
 from functools import cache
 from operator import mul
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
-from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, SignatureMismatchError
+from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, Report, SignatureMismatchError
 from .fields import QQ, QuadExt
 from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _twisted_terms
 from .termsplit import render_terms
@@ -234,11 +234,8 @@ def unit_vector_product(sig: CliffordSignature, vectors) -> Multivector:
     return out
 
 
-class Classification(SimpleNamespace):
+class Classification(Report):
     """Cl(p, q) as Mat(matrix_size, base), base "R", "C" or "H"; two copies when `direct_sum`."""
-
-    def to_json(self):
-        return dict(vars(self))
 
 
 # (base, shift, direct_sum) by (p - q) mod 8: Cl(p, q) is Mat(2^((p + q - shift) / 2), base), twice if direct_sum
@@ -280,7 +277,7 @@ def center_dimension(sig: CliffordSignature) -> int:
     return count
 
 
-class ClassificationReport(SimpleNamespace):
+class ClassificationReport(Report):
     """The checks of `verify_classification`; `agree` is their conjunction."""
 
     def agree(self) -> bool:
@@ -399,7 +396,7 @@ def preserves_form(sig: CliffordSignature, matrix, scale=1) -> bool:
     )
 
 
-class MembershipReport(SimpleNamespace):
+class MembershipReport(Report):
     """Clifford-group membership, evenness, and the remembered factors if any."""
 
     def to_json(self):

@@ -1,7 +1,32 @@
-"""Exception types shared across the package, and the default computation budget."""
+"""Exception types shared across the package, the default computation budget, and the two bases
+every value module shares: `Frozen` for the immutable values and `Report` for the verdict records."""
+
+from types import SimpleNamespace
 
 # milliseconds of work a budgeted computation may spend before InfeasibleError
 DEFAULT_BUDGET_MS = 60_000
+
+
+class Frozen:
+    """Base of the immutable values: a constructor fills `__slots__` by object.__setattr__, then assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # pickle and copy fill an empty instance from object.__reduce_ex__'s (None, {slot: value}) state
+        # without re-running a constructor, so a value that holds itself (a split witness) survives
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Report(SimpleNamespace):
+    """Base of the verdict records: attributes as built, and their JSON form as a plain dict."""
+
+    def to_json(self):
+        return dict(vars(self))
 
 
 class CompAlgError(Exception):

@@ -22,7 +22,7 @@ F_2 itself is available for plain matrix work.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import FieldMismatchError, NotQuadExtError, ZeroDivisorError
+from .errors import FieldMismatchError, Frozen, NotQuadExtError, ZeroDivisorError
 
 YES = "yes"
 NO = "no"
@@ -242,7 +242,7 @@ class QuadExt(FieldSpec):
         return (r(a[0] * ninv), r(-a[1] * ninv))
 
 
-class Scalar:
+class Scalar(Frozen):
     """Immutable exact scalar tagged with its field spec."""
 
     __slots__ = ("spec", "raw")
@@ -250,12 +250,6 @@ class Scalar:
     def __init__(self, spec: FieldSpec, raw):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return Scalar, (self.spec, self.raw)
 
     def _check(self, other) -> "Scalar":
         if isinstance(other, Scalar):

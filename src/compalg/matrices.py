@@ -32,13 +32,13 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import (AlgebraMismatchError, FieldMismatchError, NotDiagonalError, NotSplitFormError, ShapeError,
+from .errors import (AlgebraMismatchError, FieldMismatchError, Frozen, NotDiagonalError, NotSplitFormError, ShapeError,
                      UnexpectedZeroDivisorError)
 from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar
 from .quaternion import SPLIT, Mat2Algebra, Mat2Element, QuatAlgebra, mat2_to_quat, quat_to_mat2
 
 
-class RingMatrix:
+class RingMatrix(Frozen):
     """Immutable m x n matrix over `ring`, whose `zero()` and `one()` it uses.
 
     A subclass supplies `_entries`, which coerces or checks the entries, and
@@ -58,12 +58,6 @@ class RingMatrix:
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "n", width)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.ring, self.rows)
 
     @classmethod
     def identity(cls, ring, n: int):

@@ -26,11 +26,11 @@ coefficient; the oriented odd case uses the quartic-degree product below.
 
 from itertools import compress
 
-from .errors import BranchUnavailableError, InexactDivisionError, RankMismatchError
+from .errors import BranchUnavailableError, Frozen, InexactDivisionError, RankMismatchError
 from .termsplit import render_terms
 
 
-class UniPoly:
+class UniPoly(Frozen):
     """Polynomial over the integers in t, coefficients indexed by degree."""
 
     __slots__ = ("coeffs",)
@@ -43,12 +43,6 @@ class UniPoly:
         while ints and ints[-1] == 0:
             ints.pop()
         object.__setattr__(self, "coeffs", tuple(ints))
-
-    def __setattr__(self, *_):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
 
     @classmethod
     def zero(cls):
@@ -157,7 +151,7 @@ def _quotient(top, bottom) -> UniPoly:
     return product(map(one_minus, top)).exact_div(product(map(one_minus, bottom)))
 
 
-class WeylDegrees:
+class WeylDegrees(Frozen):
     """A labeled multiset of fundamental invariant degrees."""
 
     __slots__ = ("label", "degrees")
@@ -165,12 +159,6 @@ class WeylDegrees:
     def __init__(self, label: str, degrees):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "degrees", tuple(sorted(degrees)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("WeylDegrees is immutable")
-
-    def __reduce__(self):
-        return WeylDegrees, (self.label, self.degrees)
 
     def __repr__(self):
         return f"WeylDegrees({self.label}: {list(self.degrees)})"

@@ -49,7 +49,7 @@ from itertools import count, product
 from math import gcd, isqrt, prod
 import operator
 
-from .errors import AlgebraMismatchError, InfeasibleError, NotInvertibleError
+from .errors import AlgebraMismatchError, Frozen, InfeasibleError, NotInvertibleError
 from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar, _is_probable_prime, _sqrt_mod_prime, square_root_raw
 
 SPLIT = "split"
@@ -202,7 +202,7 @@ class TableAlgebra:
         return self.element(tuple(value if e else 0 for e in self._one))
 
 
-class TableElement:
+class TableElement(Frozen):
     """An algebra and its coordinates num / den: over QQ integers num over den > 0 with gcd(den, *num) = 1,
     over GF(p) residues num in [0, p) over den = 1.  `_mismatch` is raised for another algebra's operand."""
 
@@ -214,10 +214,6 @@ class TableElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setstate__(self, state):  # pickle and copy fill an empty element: its algebra may hold it (a witness)
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
 
     @classmethod
     def _new(cls, algebra, num, den=1):
@@ -242,9 +238,6 @@ class TableElement:
             d = self.den
             object.__setattr__(self, "_coeffs", tuple([Fraction(v, d) if v else _ZERO for v in self.num]))
         return self._coeffs
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check(self, other):
         if not isinstance(other, TableElement) or other.algebra != self.algebra:

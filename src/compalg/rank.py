@@ -36,9 +36,8 @@ import operator
 import time
 from fractions import Fraction
 from itertools import chain, combinations
-from types import SimpleNamespace
 
-from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError
+from .errors import DEFAULT_BUDGET_MS, BoundNotMetError, InfeasibleError, Report
 from .fields import PrimeField
 from .quaternion import NONSPLIT, SPLIT
 from .matrices import CompMatrix, field_echelon, is_invertible  # noqa: F401 (is_invertible: a tracer target)
@@ -143,15 +142,12 @@ def _combination(algebra, family, keep):
     return sol
 
 
-class SpanReport(SimpleNamespace):
+class SpanReport(Report):
     """Trials run, successes, and the first counterexample of `verify_span_bound`."""
 
     # every argument has a default: pickle and copy rebuild a report by calling the class with none
     def __init__(self, params: dict | None = None, trials: int = 0, successes: int = 0, counterexample=None):
         super().__init__(params=params, trials=trials, successes=successes, counterexample=counterexample)
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
 
 
 def _matrix(algebra, raw) -> CompMatrix:

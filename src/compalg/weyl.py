@@ -33,12 +33,13 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, lcm, prod
 from operator import add, itemgetter
-from types import SimpleNamespace
 
 from .errors import (
     CompAlgError,
+    Frozen,
     InfeasibleError,
     NotDividingError,
+    Report,
     ShapeError,
     UnsupportedFlavorError,
 )
@@ -47,7 +48,7 @@ from .termsplit import parse_terms, render_terms
 DEFAULT_MAX_GROUP_ORDER = factorial(8) * 2**8  # hyperoctahedral of rank 8
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Finite map from integer exponent vectors to rational coefficients."""
 
     __slots__ = ("nvars", "terms")
@@ -71,12 +72,6 @@ class LaurentPoly:
         out = cls(nvars)
         object.__setattr__(out, "terms", terms)
         return out
-
-    def __setattr__(self, *_):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.nvars, self.terms)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPoly":
@@ -182,7 +177,7 @@ def parse_laurent(text: str, nvars: int) -> LaurentPoly:
     return LaurentPoly(nvars, terms)
 
 
-class SignedPerm:
+class SignedPerm(Frozen):
     """perm maps position i to perm[i]; signs[i] = -1 inverts that variable."""
 
     __slots__ = ("perm", "signs")
@@ -190,12 +185,6 @@ class SignedPerm:
     def __init__(self, perm, signs):
         object.__setattr__(self, "perm", tuple(perm))
         object.__setattr__(self, "signs", tuple(signs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SignedPerm is immutable")
-
-    def __reduce__(self):
-        return SignedPerm, (self.perm, self.signs)
 
     def __eq__(self, other):
         return (
@@ -412,7 +401,7 @@ def ktheory_rank(kind: str, n: int | None = None) -> int:
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
-class GenerationReport(SimpleNamespace):
+class GenerationReport(Report):
     """Orbit sums in the box [-degree_bound, degree_bound]^n, counted by
     `verify_generation`: each one checked is expressible, so `inconclusive`
     stays empty; the field is kept for the report's JSON shape."""
@@ -420,9 +409,6 @@ class GenerationReport(SimpleNamespace):
     # every argument has a default: pickle and copy rebuild a report by calling the class with none
     def __init__(self, flavor: str | None = None, n: int | None = None, degree_bound: int | None = None):
         super().__init__(flavor=flavor, n=n, degree_bound=degree_bound, checked=0, expressible=0, inconclusive=[])
-
-    def to_json(self):
-        return dict(vars(self))
 
 
 def _dominant(flavor: str, expo: tuple) -> bool:

@@ -36,9 +36,8 @@ choices, which the sequence leaves free.
 
 from itertools import compress
 from operator import itemgetter, neg
-from types import SimpleNamespace
 
-from .errors import ShapeError, TruncationError
+from .errors import Frozen, Report, ShapeError, TruncationError
 
 
 def _mul_rows(a, b, width):
@@ -60,7 +59,7 @@ def _identity_rows(n):
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable matrix of arbitrary-precision integers; entries must be `int` (bool excluded)."""
 
     __slots__ = ("m", "n", "rows")
@@ -88,12 +87,6 @@ class IntMatrix:
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "rows", tuple(map(tuple, rows)))
         return out
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __reduce__(self):
-        return IntMatrix, (self.rows,)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -356,14 +349,11 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return diagonal_factors(smith_normal_form(A)[1])
 
 
-class SequenceChecks(SimpleNamespace):
+class SequenceChecks(Report):
     """The four verdicts of `sequence_checks`."""
 
     def all_true(self) -> bool:
         return self.injective_f and self.exact_middle and self.surjective_g and self.splits
-
-    def to_json(self):
-        return dict(vars(self))
 
 
 def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
@@ -391,7 +381,7 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     return SequenceChecks(injective_f=inj, exact_middle=exact, surjective_g=surj, splits=splits)
 
 
-class LocalizationModel(SimpleNamespace):
+class LocalizationModel(Report):
     """The truncated boundary sequence of `build_localization_model` and its checks."""
 
     def verdict(self) -> dict:

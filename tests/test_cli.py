@@ -197,6 +197,33 @@ def test_mat_study_det_in_characteristic_two(capsys):
     assert json.loads(out) == {"invertible": True}
 
 
+def test_input_reads_a_file(capsys, tmp_path):
+    # --input FILE: z1's matrix from a file; a missing path and a file that is not JSON are CliErrors
+    from compalg.corpus import load_fixture
+
+    good, bad = tmp_path / "z1.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(load_fixture("z1")["matrix"]))
+    bad.write_text("{bad")
+    code, out, err = run(capsys, "span", "rank", "--input", str(good))
+    assert (code, json.loads(out), err) == (0, {"rank": 2}, "")
+    for path, message in ((tmp_path / "missing.json", "cannot read"), (bad, "is not valid JSON")):
+        code, out, err = run(capsys, "span", "rank", "--input", str(path))
+        _assert_one_json_error(code, out, err, path)
+        assert json.loads(err)["error"]["type"] == "CliError" and message in json.loads(err)["error"]["message"]
+
+
+def test_failed_self_check_exits_with_a_property_violation(capsys, monkeypatch):
+    from compalg import zmodule
+
+    def fail(*_):
+        raise AssertionError("D is not diagonal with d1 | d2 | ...")
+
+    monkeypatch.setattr(zmodule, "_check_diagonal", fail)
+    code, out, err = run(capsys, "zmod", "snf", "--input", "[[2,4,4],[-6,6,12]]")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "PropertyViolation", "message": "D is not diagonal with d1 | d2 | ..."}}
+
+
 def test_weyl_actions(capsys):
     code, out, _ = run(capsys, "weyl", "index", "--g", "Sym:4", "--h", "Sym:2*Sym:2")
     assert json.loads(out) == {"index": 6}

@@ -47,11 +47,13 @@ def random_scalar(spec, rng):
 def test_rational_arithmetic():
     assert QQ.element(Fraction(1, 2)) * QQ.element(Fraction(2, 3)) == QQ.element(Fraction(1, 3))
     assert QQ.element("3/4").raw == Fraction(3, 4)
+    assert QQ.element(Fraction(1, 2)) == Fraction(1, 2) and QQ.element(1) != "1"
 
 
 def test_prime_field_reduction():
     assert F3.element(2) + F3.element(2) == F3.element(1)
     assert F5.element(7).raw == 2
+    assert F7.element(3) == 10
 
 
 def test_quad_defining_relation():

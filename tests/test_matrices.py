@@ -158,6 +158,9 @@ def test_flatten_identity_and_roundtrip():
     assert flat == FieldMatrix.identity(QQ, 2)
     z1 = matrix_from_json(load_fixture("z1")["matrix"])
     assert unflatten_split(flatten_split(z1), z1.algebra) == z1
+    H = QuatAlgebra(QQ, 1, -1)
+    Z = CompMatrix(H, [[H.element((1, Fraction(1, 2), 0, -3)), H.one()], [H.zero(), H.element((0, 2, 5, 1))]])
+    assert unflatten_split(flatten_split(Z), QuatAlgebra(QQ, 1, -1)) == Z
 
 
 def test_flatten_multiplicative():
