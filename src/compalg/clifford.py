@@ -38,7 +38,7 @@ from functools import cache
 from operator import mul
 from types import MappingProxyType
 
-from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, Report, SignatureMismatchError
+from .errors import InfeasibleError, NotGradeOneError, NotInvertibleError, Report, ShapeError, SignatureMismatchError
 from .fields import QQ, QuadExt
 from .quaternion import Mat2Algebra, QuatAlgebra, TableAlgebra, TableElement, _twisted_terms
 from .termsplit import render_terms
@@ -111,7 +111,7 @@ class CliffordSignature(TableAlgebra):
             for key, value in coeffs.items():
                 data[self.blade_index[tuple(key)]] = value
             coeffs = data
-        return Multivector(self, *QQ._ints([Fraction(c) if isinstance(c, float) else c for c in coeffs]))  # a float read exactly
+        return Multivector(self, *QQ._ints(coeffs))
 
     def basis_vector(self, i: int) -> "Multivector":
         if not 1 <= i <= self.n:
@@ -386,6 +386,8 @@ def induced_matrix(g: Multivector):
 
 def preserves_form(sig: CliffordSignature, matrix, scale=1) -> bool:
     """B^T I_{p,q} B == scale * I_{p,q} exactly, stopping at the first entry that differs."""
+    if len(matrix) != sig.n or any(len(row) != sig.n for row in matrix):
+        raise ShapeError(f"the form of {sig!r} needs a {sig.n}x{sig.n} matrix")
     metric = sig.metric
     cols = list(zip(*matrix))
     scaled = [list(map(mul, metric, col)) for col in cols]  # the rows of B^T I_{p,q}

@@ -15,6 +15,11 @@ class Frozen:
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __getstate__(self):
+        # the state object.__reduce_ex__ gives at protocol 2 and up, so protocols 0 and 1 pickle a value too
+        return None, {name: getattr(self, name) for cls in type(self).__mro__
+                      for name in cls.__dict__.get("__slots__", ()) if hasattr(self, name)}
+
     def __setstate__(self, state):
         # pickle and copy fill an empty instance from object.__reduce_ex__'s (None, {slot: value}) state
         # without re-running a constructor, so a value that holds itself (a split witness) survives

@@ -9,7 +9,8 @@ Conventions used throughout the package:
   is tested by truthiness, never against a coerced 0;
 - a quadratic-extension element is a pair (x, y) standing for x + y*sqrt(a),
   with (sqrt(a))**2 = a held exactly;
-- the conjugation of a quadratic extension maps x + y*sqrt(a) to x - y*sqrt(a).
+- the conjugation of a quadratic extension maps x + y*sqrt(a) to x - y*sqrt(a);
+- one rule, `FieldSpec._exact`, refuses a float or a scalar of another field.
 
 A quadratic extension with a square `a` is deliberately allowed: it realizes
 the split two-dimensional composition algebra k (+) k inside the same pair
@@ -66,6 +67,16 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.element(1)
 
+    def _exact(self, value):
+        """The one rule behind each field's fast path: its own Scalar gives its raw value, another's or a float raises."""
+        if isinstance(value, Scalar):
+            if value.spec != self:
+                raise FieldMismatchError("scalar from a different field")
+            return value.raw
+        if isinstance(value, float):
+            raise TypeError(f"a float is not an exact scalar: {value!r}; give an int or a Fraction")
+        return value
+
     # raw-value ring operations: an operator, then the subclass's `_reduce`
     def _add(self, a, b):
         return self._reduce(a + b)
@@ -94,15 +105,9 @@ class RationalField(FieldSpec):
         return hash("QQ")
 
     def _coerce(self, value):
-        if type(value) is Fraction:  # the common case, ahead of the ABC checks
+        if type(value) is Fraction:  # the common case, ahead of the ABC checks of `_exact`
             return value
-        if isinstance(value, Scalar):
-            if value.spec != self:
-                raise FieldMismatchError("scalar from a different field")
-            return value.raw
-        if isinstance(value, float):
-            raise TypeError(f"a float is not an exact scalar: {value!r}; give an int or a Fraction")
-        return Fraction(value)
+        return Fraction(self._exact(value))
 
     def _reduce(self, v):
         return v
@@ -140,16 +145,11 @@ class PrimeField(FieldSpec):
         return hash(("Fp", self.p))
 
     def _coerce(self, value):
-        if type(value) is int:  # the common case, ahead of the ABC checks; a bool takes the last line
+        if type(value) is int:  # the common case, ahead of the ABC checks of `_exact`; a bool takes them
             return value % self.p
-        if isinstance(value, Scalar):
-            if value.spec != self:
-                raise FieldMismatchError("scalar from a different field")
-            return value.raw
+        value = self._exact(value)
         if isinstance(value, Fraction):
             return value.numerator * self._inv(value.denominator) % self.p
-        if isinstance(value, float):
-            raise TypeError(f"a float is not an exact scalar: {value!r}; give an int or a Fraction")
         return int(value) % self.p
 
     def _reduce(self, v):

@@ -35,7 +35,7 @@ from math import gcd, lcm, prod
 from .errors import (AlgebraMismatchError, FieldMismatchError, Frozen, NotDiagonalError, NotSplitFormError, ShapeError,
                      UnexpectedZeroDivisorError)
 from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar
-from .quaternion import SPLIT, Mat2Algebra, Mat2Element, QuatAlgebra, mat2_to_quat, quat_to_mat2
+from .quaternion import SPLIT, Mat2Algebra, QuatAlgebra, mat2_to_quat
 
 
 class RingMatrix(Frozen):
@@ -485,40 +485,36 @@ def flatten_split(Z: CompMatrix) -> FieldMatrix:
 
 
 def unflatten_split(M: FieldMatrix, algebra) -> CompMatrix:
-    """Inverse of `flatten_split` onto the given split algebra."""
+    """Inverse of `flatten_split` onto the given split algebra, which must be over M's field."""
     if M.m % 2 or M.n % 2:
         raise ShapeError("block dimensions must be even")
+    if algebra.field != M.ring:
+        raise FieldMismatchError(f"{algebra!r} is not over the field {M.ring!r} of the matrix")
     mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(M.ring)
     raw = [[e.raw for e in row] for row in M.rows]
     blocks = [[mat2.element((raw[i][j], raw[i][j + 1], raw[i + 1][j], raw[i + 1][j + 1])) for j in range(0, M.n, 2)]
               for i in range(0, M.m, 2)]
     if not isinstance(algebra, Mat2Algebra):
-        blocks = [[mat2_to_quat(b, algebra) for b in row] for row in blocks]
+        blocks = [[mat2_to_quat(b) for b in row] for row in blocks]
     return CompMatrix(algebra, blocks)
 
 
-def mat2_matrix_to_quat(Z: CompMatrix, target: QuatAlgebra | None = None) -> CompMatrix:
+def mat2_matrix_to_quat(Z: CompMatrix) -> CompMatrix:
     if not isinstance(Z.ring, Mat2Algebra):
         raise AlgebraMismatchError("expected a matrix over the 2x2 realization")
-    if target is None:
-        target = QuatAlgebra.split_form(Z.ring.field)
-    return CompMatrix(target, [[mat2_to_quat(e, target) for e in row] for row in Z.rows])
+    return CompMatrix(QuatAlgebra.split_form(Z.ring.field), [[mat2_to_quat(e) for e in row] for row in Z.rows])
 
 
 def split_pair(Z: CompMatrix) -> tuple[FieldMatrix, FieldMatrix]:
-    """Project a matrix of diagonal 2x2 blocks onto its upper-left and
-    lower-right components, a homomorphism onto pairs of base-field matrices."""
-    spec = Z.ring.field
-    if not isinstance(Z.ring, (Mat2Algebra, QuatAlgebra)) or not Z.ring.has_mat2_form():
-        raise NotSplitFormError("entry has no registered 2x2 realization")
-    blocks = [[e if isinstance(e, Mat2Element) else quat_to_mat2(e) for e in row] for row in Z.rows]
-    for row in blocks:
-        for e in row:
-            if e.coeffs[1] or e.coeffs[2]:
-                raise NotDiagonalError(f"entry {e!r} is not diagonal")
-    first = FieldMatrix(spec, [[e.coeffs[0] for e in row] for row in blocks])
-    second = FieldMatrix(spec, [[e.coeffs[3] for e in row] for row in blocks])
-    return first, second
+    """Project a matrix of diagonal 2x2 blocks onto its upper-left and lower-right components,
+    read off the diagonal blocks of `flatten_split`; a homomorphism onto pairs of base-field matrices."""
+    F = flatten_split(Z)
+    H = [[e.raw for e in row] for row in F.rows]
+    for i in range(0, F.m, 2):
+        for j in range(0, F.n, 2):
+            if H[i][j + 1] or H[i + 1][j]:
+                raise NotDiagonalError(f"entry [[{H[i][j]},{H[i][j + 1]}],[{H[i + 1][j]},{H[i + 1][j + 1]}]] is not diagonal")
+    return tuple(FieldMatrix(F.ring, [row[r::2] for row in H[r::2]]) for r in (0, 1))
 
 
 def is_invertible(Z: CompMatrix) -> bool:

@@ -37,8 +37,8 @@ For characteristic != 2 the two realizations are identified by the basis
     1 -> I,  u -> diag(1,-1),  v -> [[0,-1],[1,0]],  w -> [[0,-1],[-1,0]],
 
 which exhibits Mat(2,k) as the (1,-1) algebra; `quat_to_mat2` / `mat2_to_quat`
-implement that isomorphism and the test suite transports random products
-through it.
+implement that isomorphism, each onto the other realization over its input's
+own field, and the test suite transports random products through it.
 
 Scalars act on the right everywhere in this package; since the algebras are
 noncommutative the side matters and left variants are deliberately absent.
@@ -529,28 +529,22 @@ class Mat2Element(CompositionElement):
         return f"[[{m00},{m01}],[{m10},{m11}]]"
 
 
-def quat_to_mat2(z: QuaternionElement, target: Mat2Algebra | None = None) -> Mat2Element:
-    """Image of a (1,-1) element under the 2x2 realization.
+def quat_to_mat2(z: QuaternionElement) -> Mat2Element:
+    """Image of a (1,-1) element in Mat2 over its own field.
 
     1 -> I, u -> diag(1,-1), v -> [[0,-1],[1,0]], w -> [[0,-1],[-1,0]].
     """
     alg = z.algebra
     if not alg.has_mat2_form():
         raise AlgebraMismatchError("only the (1,-1) algebra has the registered 2x2 form")
-    if target is None:
-        target = Mat2Algebra(alg.field)
     x0, x1, x2, x3 = z.coeffs
-    return target.element((x0 + x1, -(x2 + x3), x2 - x3, x0 - x1))
+    return Mat2Algebra(alg.field).element((x0 + x1, -(x2 + x3), x2 - x3, x0 - x1))
 
 
-def mat2_to_quat(m: Mat2Element, target: QuatAlgebra | None = None) -> QuaternionElement:
-    """Inverse of `quat_to_mat2` (needs characteristic != 2)."""
+def mat2_to_quat(m: Mat2Element) -> QuaternionElement:
+    """Inverse of `quat_to_mat2`: the (1,-1) element over m's field (needs characteristic != 2)."""
     f = m.algebra.field
     if f.characteristic == 2:
         raise ValueError("the (1,-1) coefficient form does not exist in characteristic 2")
-    if target is None:
-        target = QuatAlgebra.split_form(f)
-    elif not target.has_mat2_form():
-        raise AlgebraMismatchError("target must be the (1,-1) algebra")
     m00, m01, m10, m11 = m.num
-    return target.element((m00 + m11, m00 - m11, m10 - m01, -(m01 + m10))).scale(Fraction(1, 2 * m.den))
+    return QuatAlgebra.split_form(f).element((m00 + m11, m00 - m11, m10 - m01, -(m01 + m10))).scale(Fraction(1, 2 * m.den))

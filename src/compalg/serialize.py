@@ -158,7 +158,7 @@ def matrix_from_json(obj):
             raise CompAlgError(f"block {k} must be a 2x2 list [[a, b], [c, d]], got {item!r}")
         mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(spec)
         block = mat2.element([raw_from_json(spec, e) for row in item for e in row])
-        elems.append(block if mat2 is algebra else mat2_to_quat(block, algebra))
+        elems.append(block if mat2 is algebra else mat2_to_quat(block))
     return CompMatrix(algebra, [elems[i * n : (i + 1) * n] for i in range(m)])
 
 

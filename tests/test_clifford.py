@@ -11,6 +11,7 @@ from compalg.errors import (
     InfeasibleError,
     NotGradeOneError,
     NotInvertibleError,
+    ShapeError,
     SignatureMismatchError,
 )
 from compalg.clifford import (
@@ -51,8 +52,10 @@ def test_signature_mismatch():
 
 def test_multivector_coefficients_are_exact_fractions_of_the_right_length():
     cl10 = CliffordSignature(1, 0)
-    x = cl10.element(["1/2", 0.25])
+    x = cl10.element(["1/2", Fraction(1, 4)])
     assert x.coeffs == (Fraction(1, 2), Fraction(1, 4))
+    with pytest.raises(TypeError, match="float is not an exact scalar: 0.25"):
+        cl10.element(["1/2", 0.25])
     assert all(type(c) is Fraction for c in x.coeffs + (x * x).coeffs + cl10.vector((3,)).coeffs)
     with pytest.raises(ValueError, match="wrong length"):
         cl10.element([1, 2, 3])
@@ -298,6 +301,11 @@ def test_preserves_form_agrees_with_the_entrywise_oracle():
                     assert preserves_form(sig, mat, scale) == expected, (p, q, mat, scale)
                     verdicts.add(expected)
     assert verdicts == {True, False}
+    # a matrix that is not n x n is refused, not read on its overlap with I_{p,q}
+    cl30 = CliffordSignature(3, 0)
+    for mat in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0]]):
+        with pytest.raises(ShapeError, match="3x3 matrix"):
+            preserves_form(cl30, mat)
 
 
 def test_inverse_and_noninvertible():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from compalg.clifford import CliffordSignature
 from compalg.errors import FieldMismatchError, NotQuadExtError, ZeroDivisorError
 from compalg.fields import (
     NO,
@@ -65,6 +66,12 @@ def test_quad_defining_relation():
 def test_spec_mismatch_raises():
     with pytest.raises(FieldMismatchError):
         QQ.element(1) + F3.element(1)
+    # the one coercion rule: a scalar of another field is refused, never read as its raw value
+    for spec, value in ((F7, QQ.element(Fraction(1, 2))), (QQ, F7.element(3)), (F7, F3.element(2)),
+                        (QuadExt(QQ, 2), F7.element(3)), (QQ, QuadExt(QQ, 2).gen())):
+        with pytest.raises(FieldMismatchError, match="scalar from a different field"):
+            spec.element(value)
+    assert QQ.element(QQ.element(Fraction(1, 2))).raw == Fraction(1, 2) and F7.element(F7.element(3)).raw == 3
 
 
 def test_conjugation_formula_and_involution():
@@ -131,7 +138,9 @@ def test_prime_validation():
 def test_constructors_refuse_floats():
     # a float is refused by name, not truncated (1.5 -> 1 mod 7) or read as a binary fraction (0.1)
     for build, value in ((lambda: F7.element(1.5), "1.5"), (lambda: QuatAlgebra(F7, 2.9, 1), "2.9"),
-                         (lambda: QQ.element(0.1), "0.1"), (lambda: QuadExt(QQ, 2).element((1, 0.5)), "0.5")):
+                         (lambda: QQ.element(0.1), "0.1"), (lambda: QuadExt(QQ, 2).element((1, 0.5)), "0.5"),
+                         (lambda: CliffordSignature(1, 0).element([0.1, 0]), "0.1"),
+                         (lambda: CliffordSignature(1, 0).element({(1,): 0.5}), "0.5")):
         with pytest.raises(TypeError, match=f"float is not an exact scalar: {value}"):
             build()
     assert F7.element(Fraction(3, 2)).raw == 5 and QQ.element(True).raw == 1

@@ -161,6 +161,11 @@ def test_flatten_identity_and_roundtrip():
     H = QuatAlgebra(QQ, 1, -1)
     Z = CompMatrix(H, [[H.element((1, Fraction(1, 2), 0, -3)), H.one()], [H.zero(), H.element((0, 2, 5, 1))]])
     assert unflatten_split(flatten_split(Z), QuatAlgebra(QQ, 1, -1)) == Z
+    # an algebra over another field is refused, not given M's coordinates: 1/2 over QQ is not 4 in GF(7)
+    M, F7 = FieldMatrix(QQ, [[1, Fraction(1, 2)], [3, 4]]), PrimeField(7)
+    for N, algebra in ((M, Mat2Algebra(F7)), (M, QuatAlgebra.split_form(F7)), (FieldMatrix(F7, [[1, 2], [3, 4]]), M2)):
+        with pytest.raises(FieldMismatchError):
+            unflatten_split(N, algebra)
 
 
 def test_flatten_multiplicative():
@@ -198,8 +203,18 @@ def test_split_pair_read_off_and_homomorphism():
         z1, z2 = split_pair(Z)
         w1, w2 = split_pair(W)
         assert split_pair(Z * W) == (z1 * w1, z2 * w2)
-    with pytest.raises(NotDiagonalError):
+    with pytest.raises(NotDiagonalError, match=r"entry \[\[0,1\],\[0,0\]\] is not diagonal"):
         split_pair(CompMatrix(M2, [[M2.element((0, 1, 0, 0))]]))
+    # E10, the lower-left entry, in the second block of the second row
+    with pytest.raises(NotDiagonalError, match=r"entry \[\[2,0\],\[1/2,3\]\] is not diagonal"):
+        split_pair(CompMatrix(M2, [[M2.one(), M2.one()], [M2.one(), M2.element((2, 0, Fraction(1, 2), 3))]]))
+    quat = QuatAlgebra.split_form(QQ)
+    p1, p2 = split_pair(CompMatrix(quat, [[quat.element((2, 1, 0, 0))]]))  # 2 + u -> diag(3, 1)
+    assert p1 == FieldMatrix(QQ, [[3]]) and p2 == FieldMatrix(QQ, [[1]])
+    with pytest.raises(NotDiagonalError, match=r"entry \[\[0,-1\],\[1,0\]\] is not diagonal"):
+        split_pair(CompMatrix(quat, [[quat.v()]]))
+    with pytest.raises(NotSplitFormError):
+        split_pair(CompMatrix.identity(HQ, 1))
 
 
 def test_is_invertible_basics():
@@ -268,8 +283,7 @@ def test_study_det_is_square_of_flattened_determinant(field):
 
 def quat_matrix_to_mat2(Z):
     """Oracle: the (1,-1) matrix entry by entry through `quat_to_mat2`."""
-    target = Mat2Algebra(Z.ring.field)
-    return CompMatrix(target, [[quat_to_mat2(e, target) for e in row] for row in Z.rows])
+    return CompMatrix(Mat2Algebra(Z.ring.field), [[quat_to_mat2(e) for e in row] for row in Z.rows])
 
 
 def test_mat2_quat_matrix_conversions_roundtrip():
@@ -277,8 +291,10 @@ def test_mat2_quat_matrix_conversions_roundtrip():
     quat = QuatAlgebra.split_form(QQ)
     for _ in range(50):
         Z = random_matrix(quat, 2, 2, rng)
-        back = mat2_matrix_to_quat(quat_matrix_to_mat2(Z), quat)
-        assert back == Z
+        back = mat2_matrix_to_quat(quat_matrix_to_mat2(Z))
+        assert back == Z and back.ring == quat
+    with pytest.raises(TypeError):  # the field comes from the input, so no target is taken
+        mat2_matrix_to_quat(quat_matrix_to_mat2(Z), QuatAlgebra.split_form(F3))
 
 
 def _oracle_skew_echelon(A):

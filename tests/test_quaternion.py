@@ -316,11 +316,19 @@ def test_quat_mat2_isomorphism_transport():
         for _ in range(1000):
             z = random_quat(quat, rng, bound=3)
             w = random_quat(quat, rng, bound=3)
-            assert quat_to_mat2(z * w, mat) == quat_to_mat2(z, mat) * quat_to_mat2(w, mat)
+            assert quat_to_mat2(z * w) == quat_to_mat2(z) * quat_to_mat2(w)
         for _ in range(100):
             z = random_quat(quat, rng, bound=3)
-            assert mat2_to_quat(quat_to_mat2(z, mat), quat) == z
-            assert quat_to_mat2(z, mat).norm() == z.norm()
+            assert quat_to_mat2(z).algebra == mat and mat2_to_quat(quat_to_mat2(z)).algebra == quat
+            assert mat2_to_quat(quat_to_mat2(z)) == z
+            assert quat_to_mat2(z).norm() == z.norm()
+    # each map takes its field from its input: 1/2 + u over QQ is not read again in GF(7)
+    z = QuatAlgebra.split_form(QQ).element((Fraction(1, 2), 1, 0, 0))
+    assert quat_to_mat2(z).entries == (Fraction(3, 2), 0, 0, Fraction(-1, 2))
+    with pytest.raises(TypeError):
+        quat_to_mat2(z, Mat2Algebra(PrimeField(7)))
+    with pytest.raises(TypeError):
+        mat2_to_quat(quat_to_mat2(z), QuatAlgebra.split_form(PrimeField(7)))
 
 
 def test_from_base_embeds_scalars():

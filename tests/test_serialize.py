@@ -160,7 +160,9 @@ def test_all_fixtures_parse():
 
 
 def _twins(value):
-    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
+    """A value through pickle at every protocol, through `deepcopy` and through `copy`."""
+    twins = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return twins + [copy.deepcopy(value), copy.copy(value)]
 
 
 def test_reports_survive_pickle_and_copy():
@@ -222,6 +224,9 @@ def test_every_value_type_survives_pickle_and_copy():
             assert type(tx) is type(x) and tx == x and ty == y and tx.coeffs == x.coeffs
             assert tx * ty == x * y and (tx * ty).coeffs == (x * y).coeffs
             assert tx.algebra == alg and vars(tx.algebra).keys() == vars(alg).keys()
+            if isinstance(alg, QuatAlgebra):  # a split witness holds its own algebra, not a copy of it
+                witness = tx.algebra.split_witness()
+                assert witness == alg.split_witness() and (witness is None or witness.algebra is tx.algebra)
         if hasattr(x, "_factors"):
             assert all(t._factors == x._factors for t in _twins(x))
     for value in others:
