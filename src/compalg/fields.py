@@ -35,7 +35,7 @@ def _is_probable_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin for n < 3.3 * 10^24 with these bases
+    # Miller-Rabin with these bases is deterministic for n < 318665857834031151167461
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

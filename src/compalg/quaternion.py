@@ -55,10 +55,12 @@ from .fields import FieldSpec, PrimeField, QuadExt, RationalField, Scalar, _is_p
 SPLIT = "split"
 NONSPLIT = "nonsplit"
 
-# Integers are factored by trial division by every d <= _TRIAL_BOUND.  A
-# cofactor left over is prime when it is at most _TRIAL_BOUND**2 or when
-# `_is_probable_prime` accepts it; a composite cofactor above _TRIAL_BOUND**2
-# cannot be split this way and raises InfeasibleError.
+# Integers are factored by trial division by every d <= _TRIAL_BOUND.  It stops
+# early at a prime cofactor n, tested first and after each prime divided out,
+# when _TRIAL_BOUND < n < 318665857834031151167461, where `_is_probable_prime`
+# is deterministic.  A cofactor left over is prime when it is at most
+# _TRIAL_BOUND**2 or when `_is_probable_prime` accepts it; a composite cofactor
+# above _TRIAL_BOUND**2 cannot be split this way and raises InfeasibleError.
 _TRIAL_BOUND = 10**6
 _ZERO = Fraction(0)
 
@@ -67,17 +69,20 @@ def _factor(n: int) -> dict:
     """Prime factorization {p: e} of |n| for an integer n != 0."""
     n = abs(n)
     out = {}
-    d = 2
+    d, divided = 2, True
     while d * d <= n and d <= _TRIAL_BOUND:
+        if divided and _TRIAL_BOUND < n < 318665857834031151167461 and _is_probable_prime(n):
+            break
+        divided = False
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+            out[d], n, divided = out.get(d, 0) + 1, n // d, True
         d += 1 if d == 2 else 2
-    if n > 1:
+    else:  # no early stop, so a cofactor above _TRIAL_BOUND**2 is untested
         if n > _TRIAL_BOUND**2 and not _is_probable_prime(n):
             raise InfeasibleError(
                 f"{n} is composite with no factor up to {_TRIAL_BOUND}; cannot factor it"
             )
+    if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 

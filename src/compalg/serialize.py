@@ -156,6 +156,8 @@ def matrix_from_json(obj):
             continue
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(r, list) and len(r) == 2 for r in item)):
             raise CompAlgError(f"block {k} must be a 2x2 list [[a, b], [c, d]], got {item!r}")
+        if not (isinstance(algebra, Mat2Algebra) or algebra == QuatAlgebra.split_form(spec)):
+            raise CompAlgError(f"block {k} is a 2x2 block, which needs a Mat2 algebra or the (1,-1) algebra, not {algebra!r}")
         mat2 = algebra if isinstance(algebra, Mat2Algebra) else Mat2Algebra(spec)
         block = mat2.element([raw_from_json(spec, e) for row in item for e in row])
         elems.append(block if mat2 is algebra else mat2_to_quat(block))

@@ -22,16 +22,18 @@ into place and negate a -1 pivot, so the same U, D and V are written down
 from the pivot positions.  They are certified without products: U is a signed
 permutation matrix and V a permutation matrix, hence unimodular; each row of
 U*A*V, a signed row of A with its entries picked in V's column order, equals
-D's row; and D passes the same diagonal and divisibility check.
+D's row; and D passes the same diagonal and divisibility check.  Its invariant
+factors, a 1 for each nonzero row, and g*f = 0 for two such maps need no
+triple and no product: one scan of each map gives them (`sequence_checks`).
 
 `build_localization_model` realizes the rank bookkeeping of the boundary
 sequence: the middle lattice is the character lattice truncated at |s| <=
 s_max, the boundary matrix sends the i-th fundamental class to the basis
 character t^(sign_i * i), and the quotient map projects onto the characters
 missed by the boundary.  The conclusion (injective boundary, torsion-free
-cokernel, split sequence, middle rank 2*s_max) is read off the Smith forms
-of the two maps (see `sequence_checks`) and is independent of the sign
-choices, which the sequence leaves free.
+cokernel, split sequence, middle rank 2*s_max) is read off one scan of each
+map (see `sequence_checks`) and is independent of the sign choices, which
+the sequence leaves free.
 """
 
 from itertools import compress
@@ -346,7 +348,15 @@ def diagonal_factors(D: IntMatrix) -> tuple[int, ...]:
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    return diagonal_factors(smith_normal_form(A)[1])
+    return _invariant_factors(A, _unit_entries(A.rows, A.n))
+
+
+def _invariant_factors(A, entries):
+    """Given `_unit_entries` of A's rows: a 1 for each nonzero row of a signed
+    partial permutation matrix, else the diagonal of A's Smith form."""
+    if entries is None:
+        return diagonal_factors(smith_normal_form(A)[1])
+    return (1,) * (len(entries) - entries.count(None))
 
 
 class SequenceChecks(Report):
@@ -358,7 +368,7 @@ class SequenceChecks(Report):
 
 def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     """Verdicts for 0 -> Z^a --f--> Z^b --g--> Z^c -> 0 given as matrices,
-    read off the Smith forms of f and g alone.
+    read off the invariant factors of f and g and whether g*f = 0 alone.
 
     injective_f:  rank f = a.
     exact_middle: g*f = 0, rank f + rank g = b and the cokernel of f is
@@ -372,12 +382,16 @@ def sequence_checks(f: IntMatrix, g: IntMatrix) -> SequenceChecks:
     """
     if g.n != f.m:
         raise ShapeError("g's domain must be f's codomain")
-    facs_f = invariant_factors(f)
-    facs_g = invariant_factors(g)
+    units_f, units_g = _unit_entries(f.rows, f.n), _unit_entries(g.rows, g.n)
+    facs_f, facs_g = _invariant_factors(f, units_f), _invariant_factors(g, units_g)
     inj = len(facs_f) == f.n
     surj = len(facs_g) == g.m and all(x == 1 for x in facs_g)
     splits = all(x == 1 for x in facs_f)
-    exact = (g * f).is_zero() and len(facs_f) + len(facs_g) == f.m and splits
+    if units_f is None or units_g is None:
+        composite_zero = (g * f).is_zero()
+    else:  # row i of g*f is x times row c of f, where g's row i holds x in column c
+        composite_zero = all(units_f[e[0]] is None for e in units_g if e is not None)
+    exact = composite_zero and len(facs_f) + len(facs_g) == f.m and splits
     return SequenceChecks(injective_f=inj, exact_middle=exact, surjective_g=surj, splits=splits)
 
 
@@ -415,17 +429,16 @@ def build_localization_model(n: int, s_max: int, signs) -> LocalizationModel:
     if s_max < count:
         raise TruncationError(f"s_max must be at least {count}")
     characters = tuple(list(range(1, s_max + 1)) + list(range(-1, -s_max - 1, -1)))
-    index_of = {s: i for i, s in enumerate(characters)}
-    boundary = [[0] * count for _ in characters]
-    for i in range(count):
-        boundary[index_of[signs[i] * (i + 1)]][i] = 1
-    boundary = IntMatrix._trusted(boundary, len(characters), count)
-    hit = {index_of[signs[i] * (i + 1)] for i in range(count)}
-    missed = [r for r in range(len(characters)) if r not in hit]
-    identity = _identity_rows(len(characters))
-    projection = IntMatrix._trusted([identity[r] for r in missed], len(missed), len(characters))
+    size = len(characters)
+    # the class i hits t^(i+1), at index i, or t^-(i+1), at index s_max + i
+    column = {i if s == 1 else s_max + i: i for i, s in enumerate(signs)}
+    class_unit, zero = _units(count, 1), (0,) * count
+    boundary = IntMatrix._trusted([class_unit(column[r]) if r in column else zero for r in range(size)], size, count)
+    character_unit = _units(size, 1)
+    missed = [character_unit(r) for r in range(size) if r not in column]
+    projection = IntMatrix._trusted(missed, len(missed), size)
     checks = sequence_checks(boundary, projection)
     if not checks.all_true():
         raise AssertionError("the localization model must form a split short exact sequence")
     return LocalizationModel(n=n, s_max=s_max, signs=signs, characters=characters, boundary=boundary,
-                             projection=projection, checks=checks, middle_rank=len(characters))
+                             projection=projection, checks=checks, middle_rank=size)

@@ -268,6 +268,33 @@ def test_split_decision_large_parameters():
         QuatAlgebra(QQ, 1_000_003 * 1_000_033, 5).is_split_decision()
 
 
+def test_factor_tests_a_cofactor_for_primality_before_trial_division(monkeypatch):
+    tested = []
+    original = quaternion._is_probable_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    monkeypatch.setattr(quaternion, "_is_probable_prime", counting)
+    mersenne = 2**61 - 1
+    # tested first, and again once the 3 is divided out; trial division
+    # stops there, so the cofactor is not tested a second time at the end
+    for n, factors, calls in (
+        (mersenne, {mersenne: 1}, [mersenne]),
+        (3 * mersenne, {3: 1, mersenne: 1}, [3 * mersenne, mersenne]),
+        (999999999989, {999999999989: 1}, [999999999989]),
+        (2**4 * 999999999989, {2: 4, 999999999989: 1}, [2**4 * 999999999989, 999999999989]),
+        (360, {2: 3, 3: 2, 5: 1}, []),
+    ):
+        tested.clear()
+        assert quaternion._factor(n) == factors and tested == calls, n
+    # above 318665857834031151167461 the test is not deterministic: trial
+    # division runs to its bound first, and only the cofactor left is tested
+    tested.clear()
+    assert quaternion._factor(3 * (2**89 - 1)) == {3: 1, 2**89 - 1: 1} and tested == [2**89 - 1]
+
+
 def test_element_rejects_wrong_length():
     with pytest.raises(ValueError, match="4 coefficients"):
         HQ.element((1, 2, 3))

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
@@ -96,41 +97,37 @@ def test_product_skips_zeros_without_changing_the_result():
 
 
 def test_localization_model_factors_each_matrix_once(monkeypatch):
-    calls = []
-    original = zmodule.smith_normal_form
+    # both maps are signed partial permutation matrices: their invariant
+    # factors and g*f = 0 come from one scan of each, with no Smith triple
+    # and no product
+    def refuse(*_):
+        raise AssertionError("built a Smith triple or a product")
 
-    def counting(A):
-        calls.append((A.m, A.n))
-        return original(A)
-
-    monkeypatch.setattr(zmodule, "smith_normal_form", counting)
+    monkeypatch.setattr(zmodule, "smith_normal_form", refuse)
+    monkeypatch.setattr(IntMatrix, "__mul__", refuse)
     model = build_localization_model(3, 8, (1, -1, 1, 1, -1))
     assert model.checks.all_true()
-    # exactness is read off the Smith forms of f and g: no kernel basis, no solve
-    assert calls == [(16, 5), (11, 16)]
 
 
 def test_localization_model_never_enters_the_elimination(monkeypatch):
-    # both maps are signed partial permutation matrices: each Smith form is
-    # written down from its pivots and certified without products
     def refuse(*_):
         raise AssertionError("eliminated a localization map")
 
-    certified = []
-    original = zmodule._certify_permutation
+    scanned = []
+    original = zmodule._unit_entries
 
-    def counting(a, *triple):
-        certified.append((len(a), len(a[0])))
-        return original(a, *triple)
+    def counting(rows, width):
+        scanned.append((len(rows), width))
+        return original(rows, width)
 
     monkeypatch.setattr(zmodule, "_eliminate", refuse)
-    monkeypatch.setattr(zmodule, "_certify_permutation", counting)
+    monkeypatch.setattr(zmodule, "_unit_entries", counting)
     for n, s_max in ((1, 1), (2, 5), (3, 8), (4, 12), (6, 20), (10, 60)):
         count = 2 * n - 1
         for signs in ((1,) * count, tuple((-1) ** (i // 2) for i in range(count))):
             assert build_localization_model(n, s_max, signs).checks.all_true()
-            assert certified[-2:] == [(2 * s_max, count), (2 * s_max - count, 2 * s_max)]
-    assert len(certified) == 24
+            assert scanned[-2:] == [(2 * s_max, count), (2 * s_max - count, 2 * s_max)]
+    assert len(scanned) == 24
 
 
 def test_localization_model_n10_smax60_is_sign_independent():
@@ -373,10 +370,12 @@ def test_snf_certificate_rejects_a_factorization_that_is_not_a_smith_form(d):
     zmodule._certify([[1, 0], [0, 6]], I_2, I_2, [[1, 0], [0, 6]], I_2, I_2, I_2, I_2)
 
 
+@cache
 def _parent_smith_normal_form(A):
     """Test oracle: the elimination as it ran before the active-block version,
     every column operation applied to all rows of D and V stored by rows, and
-    the clearing loops over every position; its certificate is left out."""
+    the clearing loops over every position; its certificate is left out.
+    Remembered per matrix, since several tests run it on the same inputs."""
     m, n = A.m, A.n
     d = [list(row) for row in A.rows]
     u, v = _identity(m), _identity(n)
@@ -558,6 +557,59 @@ def test_snf_returns_the_parent_triple_on_every_oracle_input():
         ) and all(x == 0 for i, row in enumerate(A.rows) for j, x in enumerate(row) if i != j)
     # the diagonal family reaches the divisibility fold many times
     assert folded >= 100
+
+
+def _parent_factors(A):
+    d = _parent_smith_normal_form(A)[1]
+    return tuple(x for x in (d[i][i] for i in range(min(A.m, A.n))) if x)
+
+
+def test_invariant_factors_match_the_parent_smith_diagonal():
+    near = [IntMatrix(rows) for rows in NEAR_PERMUTATIONS]
+    cases = list(_signed_partial_permutations()) + near + [IntMatrix.zero(3, 2)] + list(_oracle_cases())
+    for A in cases:
+        assert invariant_factors(A) == _parent_factors(A), A
+
+
+def _count_products(monkeypatch):
+    products = []
+    original = IntMatrix.__mul__
+
+    def counting(a, b):
+        products.append((a.m, b.n))
+        return original(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    return products
+
+
+def test_sequence_checks_on_signed_partial_permutations_match_the_dense_rule(monkeypatch):
+    by_shape, nonzero = {}, {}
+    for A in _signed_partial_permutations():
+        by_shape.setdefault((A.m, A.n), []).append(A)
+        nonzero[A] = sum(x != 0 for row in A.rows for x in row)
+    products = _count_products(monkeypatch)
+    pairs = 0
+    for a, b, c in product(range(1, 4), repeat=3):
+        for f, g in product(by_shape[b, a], by_shape[c, b]):
+            composite_zero = not any(map(any, dense_product(g, f)))
+            assert sequence_checks(f, g).exact_middle == (composite_zero and nonzero[f] + nonzero[g] == b), (f, g)
+            pairs += 1
+    assert pairs == 37195
+    assert products == []
+
+
+def test_sequence_checks_with_a_near_permutation_takes_the_product(monkeypatch):
+    # a, b, c <= 3, as for the pairs of signed partial permutations
+    permutations_ = [A for A in _signed_partial_permutations() if A.m <= 3 and A.n <= 3]
+    pairs = [(f, g) for f in map(IntMatrix, NEAR_PERMUTATIONS) for g in permutations_ if g.n == f.m]
+    pairs += [(f, g) for g in map(IntMatrix, NEAR_PERMUTATIONS) for f in permutations_ if g.n == f.m]
+    products = _count_products(monkeypatch)
+    for f, g in pairs:
+        facs_f, facs_g = _parent_factors(f), _parent_factors(g)
+        exact = not any(map(any, dense_product(g, f))) and len(facs_f) + len(facs_g) == f.m and set(facs_f) <= {1}
+        assert sequence_checks(f, g).exact_middle == exact, (f, g)
+    assert len(products) == len(pairs) > 1000
 
 
 def test_int_matrix_repr_and_indexing_are_pinned():
