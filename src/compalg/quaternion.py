@@ -77,7 +77,7 @@ def _factor(n: int) -> dict:
         while n % d == 0:
             out[d], n, divided = out.get(d, 0) + 1, n // d, True
         d += 1 if d == 2 else 2
-    else:  # no early stop, so a cofactor above _TRIAL_BOUND**2 is untested
+    else:  # no early stop: a cofactor above _TRIAL_BOUND**2 is prime only if the test accepts it
         if n > _TRIAL_BOUND**2 and not _is_probable_prime(n):
             raise InfeasibleError(
                 f"{n} is composite with no factor up to {_TRIAL_BOUND}; cannot factor it"
